@@ -9,12 +9,12 @@ Four checks, each mismatch failing the operation that produced the file:
    otherwise column by column within ``REL_TOL`` (text columns exactly);
    generator-known facts (``truth.json``) are checked independently of any
    recorded run;
-4. outputs are byte-identical to the first run of the same inputs in this
-   checkout.
+4. outputs are byte-identical to the first run of the same inputs in the
+   same benchmark call.
 
 References live in ``bench/reference/<workload>.json`` for the seeds listed
-there (recorded at the commit that defined the benchmark); for other seeds
-the first run in a checkout records one under the work directory.
+there (recorded at the commit that defined the benchmark); other seeds are
+checked against the generator-known facts and by check 4 only.
 """
 from __future__ import annotations
 
@@ -52,15 +52,18 @@ def _number(text):
 
 
 def _summarize_column(cells: list):
-    """[present, finite, sum, sum of magnitudes, min, max] when every
-    non-empty cell is a number, else a short digest of the cells as text."""
-    present = [c for c in cells if c not in ("", None)]
-    numbers = [_number(c) for c in present]
-    if present and all(n is not None for n in numbers):
-        finite = [n for n in numbers if math.isfinite(n)]
-        return [len(present), len(finite), math.fsum(finite),
-                math.fsum(abs(n) for n in finite), min(finite, default=0.0),
-                max(finite, default=0.0)]
+    """[present, finite, sum, sum of magnitudes, min, max, position-weighted
+    sum, position-weighted sum of magnitudes] when every non-empty cell is a
+    number, else a short digest of the cells as text.  The weighted sums
+    (weight: 1-based row position) catch values in the wrong row."""
+    present = [(i, _number(c)) for i, c in enumerate(cells, 1) if c not in ("", None)]
+    if present and all(n is not None for _, n in present):
+        finite = [(i, n) for i, n in present if math.isfinite(n)]
+        values = [n for _, n in finite]
+        return [len(present), len(finite), math.fsum(values),
+                math.fsum(abs(n) for n in values), min(values, default=0.0),
+                max(values, default=0.0), math.fsum(i * n for i, n in finite),
+                math.fsum(i * abs(n) for i, n in finite)]
     text = "\x1f".join("" if c is None else str(c) for c in cells)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -124,10 +127,11 @@ def compare_file(expected: dict, got: dict) -> list[str]:
         elif exp[:2] != col[:2]:
             problems.append(f"column {key}: empty or non-finite cells differ")
         else:
-            # the sum may move by REL_TOL per value and of every value's
-            # magnitude; the extremes by REL_TOL of their own
-            scales = {2: exp[3] + exp[1], 4: abs(exp[4]) + 1.0, 5: abs(exp[5]) + 1.0}
-            for i, stat in ((2, "sum"), (4, "min"), (5, "max")):
+            # the sums may move by REL_TOL per value and of every value's
+            # (weighted) magnitude; the extremes by REL_TOL of their own
+            scales = {2: exp[3] + exp[1], 4: abs(exp[4]) + 1.0, 5: abs(exp[5]) + 1.0,
+                      6: exp[7] + exp[1]}
+            for i, stat in ((2, "sum"), (4, "min"), (5, "max"), (6, "weighted sum")):
                 if abs(exp[i] - col[i]) > REL_TOL * scales[i]:
                     problems.append(f"column {key}: {stat} {col[i]!r} != {exp[i]!r}")
     for key in got["columns"]:
@@ -230,7 +234,7 @@ def check_run(kind: str, outdir: str, child: dict, inputs_dir: str,
 
     ``entries`` lists, per spec entry, the files it writes (bundle runs);
     ``reference`` is the recorded digest for this seed, ``earlier`` the digest
-    of the first run of these inputs in this checkout.
+    of the first run of these inputs in the same benchmark call.
     """
     with open(os.path.join(inputs_dir, "truth.json"), "r", encoding="utf-8") as handle:
         truth = json.load(handle)

@@ -90,8 +90,7 @@ def bundle_spec(workload: str, output_dir: str):
         output_dir=output_dir)
 
 
-def _run_bundle(info: dict, tables: dict, inputs: str, out: str, clock,
-                load_only: bool) -> dict:
+def _run_bundle(info: dict, tables: dict, inputs: str, out: str, clock) -> dict:
     from hpcwl import ingest, metrics, report
 
     res: dict = {}
@@ -104,8 +103,6 @@ def _run_bundle(info: dict, tables: dict, inputs: str, out: str, clock,
     dataset = ingest.build_dataset(jobs, allocations, tables["resources"])
     community = metrics.load_community_users(os.path.join(inputs, "community_users.csv"))
     t1 = clock()
-    if load_only:
-        return {"load_s": t1 - t0}
     extras = _read_extras(inputs)
     t2 = clock()
     ctx = report.ReportContext(dataset=dataset, community_users=community, **extras)
@@ -113,9 +110,8 @@ def _run_bundle(info: dict, tables: dict, inputs: str, out: str, clock,
     res["entries"] = [name for name, _ in spec.analyses]
     try:
         report.run_report(ctx, spec)
-    except Exception as err:  # a failed report is counted, not fatal
+    except Exception:  # a failed report is counted, not fatal
         res["error"] = traceback.format_exc()
-        res["failed_entry"] = getattr(err, "analysis", None)
     t3 = clock()
     res.update(load_s=t1 - t0, readers_s=t2 - t1, run_s=t3 - t2,
                rows_loaded=len(jobs) + len(allocations), rows_rejected=len(rejects),
@@ -123,8 +119,7 @@ def _run_bundle(info: dict, tables: dict, inputs: str, out: str, clock,
     return res
 
 
-def _run_archives(info: dict, tables: dict, inputs: str, out: str, clock,
-                  load_only: bool) -> dict:
+def _run_archives(info: dict, tables: dict, inputs: str, out: str, clock) -> dict:
     from hpcwl import ingest, perfsummary
 
     res: dict = {}
@@ -133,8 +128,6 @@ def _run_archives(info: dict, tables: dict, inputs: str, out: str, clock,
     jobs = ingest.load_jobs(os.path.join(inputs, info["jobs"]), "jsonl", rejects)
     archives = perfsummary.load_archives(os.path.join(inputs, info["archives"]))
     t1 = clock()
-    if load_only:
-        return {"load_s": t1 - t0}
     resources = tables["resources"]
 
     def cores_per_node_of(job):
@@ -163,8 +156,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--result", required=True, help="where to write the result JSON")
     parser.add_argument("--trace", help="write spans here and trace the run")
-    parser.add_argument("--phases", choices=("setup", "load", "all"), default="all",
-                        help="stop after set-up, or after loading")
+    parser.add_argument("--phases", choices=("setup", "all"), default="all",
+                        help="stop after set-up")
     args = parser.parse_args(argv)
     clock = time.perf_counter
 
@@ -183,8 +176,7 @@ def main(argv=None) -> int:
         try:
             if tracer is not None:
                 tracer.install()
-            result.update(run(info, tables, args.inputs, args.out, clock,
-                              load_only=args.phases == "load"))
+            result.update(run(info, tables, args.inputs, args.out, clock))
             result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
             if "run_s" in result and args.kind == "bundle" and "error" not in result:
                 from hpcwl import report

@@ -84,7 +84,7 @@ ALLOCATION_FIELDS = (
 # size and shape of each workload
 WORKLOADS = {
     "bundle_10k": {"kind": "bundle", "n_jobs": 10_000, "fmt": "csv"},
-    "jobs_100k": {"kind": "bundle", "n_jobs": 100_000, "fmt": "jsonl"},
+    "jobs_25k": {"kind": "bundle", "n_jobs": 25_000, "fmt": "jsonl"},
     "archives_1k": {"kind": "archives", "n_jobs": 1_000, "fmt": "jsonl"},
 }
 

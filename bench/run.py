@@ -5,10 +5,10 @@
 
 Run from the root of a checkout.  Inputs are generated once per (workload,
 seed) under ``.bench_work/`` and never timed.  Each measured run is a fresh
-single-threaded child process (child.py); set-up is measured in several
-more, and the median is reported.  Runs repeat until ``--seconds`` have
-passed.  Every run's outputs are checked (check.py) and each failed
-operation counts against ``error_rate``.
+single-threaded child process (child.py) that sets up, loads and runs.
+Runs repeat while the next one should end within ``--seconds``, and each
+metric is the median over the runs.  Every run's outputs are checked
+(check.py) and each failed operation counts against ``error_rate``.
 
 With ``--trace 1`` one more run goes through the span recorder and the
 per-layer metrics (layers.py) are reported instead; the spans and the
@@ -41,13 +41,6 @@ import layers  # noqa: E402
 
 END_TO_END = (("setup_s", "s"), ("load_s", "s"), ("run_s", "s"), ("wall_s", "s"),
               ("peak_rss_mb", "MB"))
-# set-up samples before and after each full run
-SETUP_PER_BATCH = 2
-# load-only processes add load samples, up to LOAD_SAMPLES in all, when one
-# costs at most LOAD_SHARE of a full run, spending at most LOAD_TOPUP_S a run
-LOAD_SAMPLES = 15
-LOAD_SHARE = 0.25
-LOAD_TOPUP_S = 8.0
 # stop starting runs once this much of the 180 s allowance is gone
 BUDGET_S = 150.0
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -93,8 +86,7 @@ def _generator_digest() -> str:
 
 def ensure_inputs(workload: str, seed: int) -> str:
     """Generate the inputs unless a complete set for this seed and generator
-    exists; keep only one seed per workload on disk.  This checkout's own
-    reference record lives in the same directory."""
+    exists; keep only one seed per workload on disk."""
     root = os.path.join(WORK, "inputs")
     path = os.path.join(root, f"{workload}-{seed}-{_generator_digest()}")
     if os.path.exists(os.path.join(path, "inputs.json")):
@@ -151,88 +143,55 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     inputs = ensure_inputs(workload, seed)
     kind = gen.WORKLOADS[workload]["kind"]
     entries, reference = references(workload, seed)
-    local_path = os.path.join(inputs, "first_run.json")
-    earlier = _load_json(local_path)
     check_entries = [(name, files) for name, _, files in entries]
 
     run_child(kind, inputs, phases="setup")  # fills bytecode caches, untimed
-    setup, loads, runs, checks, problems = [], [], [], [], {}
-
-    def short_samples(final: bool) -> None:
-        """Set-up samples, and load samples where a load is cheap next to a
-        full run.  Taken between full runs, so they fall in different
-        stretches of the host's speed, which drifts over seconds."""
-        setup.extend(run_child(kind, inputs, phases="setup")["setup_s"]
-                     for _ in range(SETUP_PER_BATCH))
-        if not runs:
-            return
-        cost = statistics.median(setup) + statistics.median(loads)
-        nonlocal spent
-        full = statistics.median(r["elapsed_s"] for r in runs)
-        if cost > LOAD_SHARE * full:
-            return
-        # LOAD_TOPUP_S per run in all: a share before each further full run,
-        # the rest after the last one
-        budget = LOAD_TOPUP_S - spent if final else LOAD_TOPUP_S * full / (seconds + full)
-        t0 = time.monotonic()
-        while len(loads) < LOAD_SAMPLES and time.monotonic() - t0 + cost <= budget:
-            loads.append(run_child(kind, inputs, phases="load")["load_s"])
-        spent += time.monotonic() - t0
-
-    spent = 0.0
+    runs, checks, problems = [], [], {}
+    # check 4 compares every run with the first run of this call, so a
+    # program change between two calls on the same inputs is no mismatch
+    first = None
     out = os.path.join(WORK, "out", workload)
     started = time.monotonic()
     while True:
-        short_samples(final=False)
         shutil.rmtree(out, ignore_errors=True)
         t0 = time.monotonic()
         try:
             res = run_child(kind, inputs, out=out, timeout=BUDGET_S - (t0 - began))
         except (ChildFailed, subprocess.TimeoutExpired) as err:
             res = {"error": str(err)}
-        chk = check.check_run(kind, out, res, inputs, check_entries, reference, earlier)
-        if earlier is None and "run_s" in res:
-            earlier = chk["digest"]
-            _save_json(local_path, earlier)
+        chk = check.check_run(kind, out, res, inputs, check_entries, reference, first)
+        if first is None and "run_s" in res:
+            first = chk["digest"]
         checks.append(chk)
         problems.update(chk["problems"])
         if "run_s" not in res:
             break
-        res["elapsed_s"] = time.monotonic() - t0
         runs.append(res)
-        loads.append(res["load_s"])
         # start another run only if it should end within the run's seconds
         now = time.monotonic()
-        if now - started + res["elapsed_s"] > seconds \
-                or now - began + 2 * res["elapsed_s"] > BUDGET_S:
+        elapsed = now - t0
+        if now - started + elapsed > seconds or now - began + 2 * elapsed > BUDGET_S:
             break
-    if runs:
-        short_samples(final=True)
-    setup += [r["setup_s"] for r in runs]
 
-    summary = {"workload": workload, "seed": seed, "setup_samples": len(setup),
-               "runs": len(runs), "problems": problems, "digest": earlier,
+    summary = {"workload": workload, "seed": seed, "runs": len(runs),
+               "problems": problems, "digest": first,
                "attempted": sum(c["attempted"] for c in checks),
                "failed": sum(c["failed"] for c in checks)}
     if runs:
-        metrics = {
-            "setup_s": statistics.median(setup),
-            "load_s": statistics.median(loads),
-            "run_s": statistics.median(r["run_s"] for r in runs),
-        }
-        metrics["wall_s"] = metrics["setup_s"] + metrics["load_s"] + metrics["run_s"]
+        samples = {name: [r[name] for r in runs] for name in ("setup_s", "load_s", "run_s")}
+        metrics = {name: statistics.median(values) for name, values in samples.items()}
+        metrics["wall_s"] = statistics.median(
+            r["setup_s"] + r["load_s"] + r["run_s"] for r in runs)
         metrics["peak_rss_mb"] = statistics.median(r["peak_rss_mb"] for r in runs)
-        summary.update(metrics=metrics, load_samples=len(loads),
-                       samples={"setup_s": setup, "load_s": loads,
-                                "run_s": [r["run_s"] for r in runs]},
+        summary.update(metrics=metrics, samples=samples,
                        readers_s=statistics.median(r["readers_s"] for r in runs))
         if trace:
             summary.update(_traced(workload, kind, inputs, out, check_entries, reference,
-                                   earlier, metrics["wall_s"], began))
+                                   first, metrics["wall_s"], began))
     return summary
 
 
-def _traced(workload, kind, inputs, out, entries, reference, earlier, wall_s, began) -> dict:
+def _traced(workload, kind, inputs, out, entries, reference, first, wall_s, began) -> dict:
     """One traced run: per-layer metrics, plus its own correctness check
     (its outputs must be byte-identical to the untraced runs')."""
     trace_path = os.path.join(WORK, "trace", f"{workload}.spans.json")
@@ -243,7 +202,7 @@ def _traced(workload, kind, inputs, out, entries, reference, earlier, wall_s, be
                         timeout=BUDGET_S - (time.monotonic() - began))
     except (ChildFailed, subprocess.TimeoutExpired) as err:
         res = {"error": str(err)}
-    chk = check.check_run(kind, out, res, inputs, entries, reference, earlier)
+    chk = check.check_run(kind, out, res, inputs, entries, reference, first)
     traced = {"traced_attempted": chk["attempted"], "traced_failed": chk["failed"],
               "traced_problems": chk["problems"]}
     if "run_s" not in res:
@@ -265,9 +224,8 @@ def report(summary: dict, trace: bool) -> dict:
         attempted += summary.get("traced_attempted", 0)
         failed += summary.get("traced_failed", 0)
     rate = failed / attempted if attempted else 1.0
-    print(f"== {w} seed {summary['seed']}: medians of {summary['runs']} full run(s), "
-          f"{summary.get('load_samples', 0)} loads, {summary['setup_samples']} set-ups; "
-          "wall_s = setup_s + load_s + run_s")
+    print(f"== {w} seed {summary['seed']}: medians of {summary['runs']} run(s); "
+          "wall_s is the median of setup_s + load_s + run_s per run")
     metrics = {}
     for name, unit in END_TO_END:
         value = summary.get("metrics", {}).get(name)
@@ -303,7 +261,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=sorted(gen.WORKLOADS) + ["all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record", action="store_true",
                         help="after a clean run, add this seed's output digest to "

@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ import gen  # noqa: E402
 import spans  # noqa: E402
 
 # the bundle without the periodogram, whose cost does not shrink with the job count
-SMALL_BUNDLE = "jobs_100k"
+SMALL_BUNDLE = "jobs_25k"
 SMALL_JOBS = 2000
 SEED = 424242
 
@@ -58,7 +59,7 @@ def bundle_inputs(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("workload,n_jobs", [("bundle_10k", 500), ("jobs_100k", 500),
+@pytest.mark.parametrize("workload,n_jobs", [("bundle_10k", 500), ("jobs_25k", 500),
                                              ("archives_1k", 20)])
 def test_generator_is_deterministic_per_seed(tmp_path, workload, n_jobs):
     first, again, other = (str(tmp_path / name) for name in ("a", "b", "c"))
@@ -99,6 +100,40 @@ def test_reference_values_compare_within_tolerance(tmp_path):
     assert check.compare_file(reference, check.digest_file(str(path)))
     path.write_text("group,value\nc,0.1\nb,1e6\n")
     assert check.compare_file(reference, check.digest_file(str(path)))
+    path.write_text("group,value\na,1e6\nb,0.1\n")  # values in the wrong rows
+    assert check.compare_file(reference, check.digest_file(str(path)))
+
+
+def test_rerun_check_compares_runs_of_one_call_only(monkeypatch, tmp_path):
+    """Check 4 compares each run with the first run of the same call, so a
+    program whose output bytes changed between two calls on the same inputs
+    is no rerun mismatch."""
+    import run
+
+    program = {"bytes": "parent"}
+    seen = []
+
+    def fake_child(kind, inputs, out=None, trace=None, phases="all", timeout=0.0):
+        time.sleep(0.01)
+        return {"setup_s": 0.1, "load_s": 0.1, "run_s": 0.1, "readers_s": 0.0,
+                "peak_rss_mb": 1.0, "output": program["bytes"]}
+
+    def fake_check(kind, out, res, inputs, entries, reference, earlier):
+        seen.append(earlier)
+        digest = {"f.csv": {"sha256": res.get("output")}}
+        failed = int(earlier is not None and earlier != digest)
+        return {"attempted": 1, "failed": failed, "digest": digest, "problems": {}}
+
+    monkeypatch.setattr(run, "ensure_inputs", lambda workload, seed: str(tmp_path))
+    monkeypatch.setattr(run, "run_child", fake_child)
+    monkeypatch.setattr(run.check, "check_run", fake_check)
+    parent = run.measure("archives_1k", 1, 0.05, trace=False)
+    program["bytes"] = "change"
+    change = run.measure("archives_1k", 1, 0.05, trace=False)
+    assert parent["runs"] > 1 and change["runs"] > 1
+    assert parent["failed"] == change["failed"] == 0
+    assert seen.count(None) == 2  # each call starts without an earlier digest
+    assert change["digest"] == {"f.csv": {"sha256": "change"}}
 
 
 def test_archive_run_matches_generator_truth(tmp_path):
