@@ -7,7 +7,8 @@ numeric library limited to one thread.  Phases, timed with perf_counter:
 - load: the program's loaders turn the input files into objects;
 - run: the program's entry point computes, writes and hashes its outputs.
 
-The benchmark's own readers (files the program has no loader for yet) run
+``--phases setup`` stops after set-up and ``--phases load`` after load.  The
+benchmark's own readers (files the program has no loader for yet) run
 between load and run and are timed apart.  Peak RSS is read right after the
 run phase.  With ``--trace`` the run goes through spans.Tracer and the spans
 are written to that path.  The result is one JSON object in ``--result``.
@@ -90,7 +91,8 @@ def bundle_spec(workload: str, output_dir: str):
         output_dir=output_dir)
 
 
-def _run_bundle(info: dict, tables: dict, inputs: str, out: str, clock) -> dict:
+def _run_bundle(info: dict, tables: dict, inputs: str, out: str | None, clock) -> dict:
+    """Load, then (with ``out``) run the report into ``out``."""
     from hpcwl import ingest, metrics, report
 
     res: dict = {}
@@ -103,6 +105,8 @@ def _run_bundle(info: dict, tables: dict, inputs: str, out: str, clock) -> dict:
     dataset = ingest.build_dataset(jobs, allocations, tables["resources"])
     community = metrics.load_community_users(os.path.join(inputs, "community_users.csv"))
     t1 = clock()
+    if out is None:
+        return {"load_s": t1 - t0}
     extras = _read_extras(inputs)
     t2 = clock()
     ctx = report.ReportContext(dataset=dataset, community_users=community, **extras)
@@ -119,7 +123,8 @@ def _run_bundle(info: dict, tables: dict, inputs: str, out: str, clock) -> dict:
     return res
 
 
-def _run_archives(info: dict, tables: dict, inputs: str, out: str, clock) -> dict:
+def _run_archives(info: dict, tables: dict, inputs: str, out: str | None, clock) -> dict:
+    """Load, then (with ``out``) summarize into ``out``."""
     from hpcwl import ingest, perfsummary
 
     res: dict = {}
@@ -128,6 +133,8 @@ def _run_archives(info: dict, tables: dict, inputs: str, out: str, clock) -> dic
     jobs = ingest.load_jobs(os.path.join(inputs, info["jobs"]), "jsonl", rejects)
     archives = perfsummary.load_archives(os.path.join(inputs, info["archives"]))
     t1 = clock()
+    if out is None:
+        return {"load_s": t1 - t0}
     resources = tables["resources"]
 
     def cores_per_node_of(job):
@@ -156,8 +163,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--result", required=True, help="where to write the result JSON")
     parser.add_argument("--trace", help="write spans here and trace the run")
-    parser.add_argument("--phases", choices=("setup", "all"), default="all",
-                        help="stop after set-up")
+    parser.add_argument("--phases", choices=("setup", "load", "all"), default="all",
+                        help="stop after set-up, or after load")
     args = parser.parse_args(argv)
     clock = time.perf_counter
 
@@ -176,7 +183,8 @@ def main(argv=None) -> int:
         try:
             if tracer is not None:
                 tracer.install()
-            result.update(run(info, tables, args.inputs, args.out, clock))
+            out = args.out if args.phases == "all" else None
+            result.update(run(info, tables, args.inputs, out, clock))
             result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
             if "run_s" in result and args.kind == "bundle" and "error" not in result:
                 from hpcwl import report

@@ -1,14 +1,18 @@
 """Run one benchmark workload and print its metrics.
 
     python3 bench/run.py --workload bundle_10k --seed 1 --seconds 10 --trace 0
-    python3 bench/run.py --workload all --seed 1      # every workload in turn
+    python3 bench/run.py --workload all --seed 1      # every measured workload in turn
 
 Run from the root of a checkout.  Inputs are generated once per (workload,
 seed) under ``.bench_work/`` and never timed.  Each measured run is a fresh
 single-threaded child process (child.py) that sets up, loads and runs.
-Runs repeat while the next one should end within ``--seconds``, and each
-metric is the median over the runs.  Every run's outputs are checked
-(check.py) and each failed operation counts against ``error_rate``.
+Full runs repeat while the next one should end within ``--seconds``; the
+time they leave goes to processes that only set up and load, or only set
+up, spread between the full runs, for more samples of the short phases.
+Timings are scaled to a reference host speed measured by calib.py in the
+same call, and each metric is the median of its samples.  Every full run's
+outputs are checked (check.py) and each failed operation counts against
+``error_rate``.
 
 With ``--trace 1`` one more run goes through the span recorder and the
 per-layer metrics (layers.py) are reported instead; the spans and the
@@ -39,8 +43,17 @@ import check  # noqa: E402
 import gen  # noqa: E402
 import layers  # noqa: E402
 
+# the workloads BENCHMARK.json lists and ``--workload all`` runs; jobs_25k
+# runs on request only: its timings spread past the bound on a shared host
+MEASURED = ("bundle_10k", "archives_1k")
 END_TO_END = (("setup_s", "s"), ("load_s", "s"), ("run_s", "s"), ("wall_s", "s"),
               ("peak_rss_mb", "MB"))
+# timings are reported at the host speed at which the reference computation
+# (calib.py) takes CAL_REF_S: each is multiplied by CAL_REF_S over the
+# median time of that computation in the same call, timed CAL_REPS times
+# before the first full run and after each one
+CAL_REF_S = 0.15
+CAL_REPS = 5
 # stop starting runs once this much of the 180 s allowance is gone
 BUDGET_S = 150.0
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -77,6 +90,20 @@ def run_child(kind: str, inputs: str, *, out: str | None = None, trace: str | No
         raise ChildFailed(f"child exited with {proc.returncode}: {proc.stderr[-2000:]}")
     with open(result_path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def calibrate(timeout: float) -> list:
+    """Times of the fixed reference computation (calib.py), in a fresh
+    process of its own."""
+    os.makedirs(WORK, exist_ok=True)
+    result_path = os.path.join(WORK, "calib_result.json")
+    proc = subprocess.run([sys.executable, os.path.join(BENCH, "calib.py"), "--reps",
+                           str(CAL_REPS), "--result", result_path],
+                          env=_child_env(), cwd=ROOT, capture_output=True, text=True,
+                          timeout=max(1.0, timeout))
+    if proc.returncode != 0:
+        raise ChildFailed(f"calibration exited with {proc.returncode}: {proc.stderr[-2000:]}")
+    return _load_json(result_path)["cal_s"]
 
 
 def _generator_digest() -> str:
@@ -146,7 +173,8 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     check_entries = [(name, files) for name, _, files in entries]
 
     run_child(kind, inputs, phases="setup")  # fills bytecode caches, untimed
-    runs, checks, problems = [], [], {}
+    cals = calibrate(BUDGET_S - (time.monotonic() - began))
+    runs, shorts, checks, problems = [], [], [], {}
     # check 4 compares every run with the first run of this call, so a
     # program change between two calls on the same inputs is no mismatch
     first = None
@@ -167,10 +195,29 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         if "run_s" not in res:
             break
         runs.append(res)
-        # start another run only if it should end within the run's seconds
+        cals += calibrate(BUDGET_S - (time.monotonic() - began))
+        # the time left holds `more` further full runs; the rest is spread
+        # evenly before each of them and after the last one, on processes
+        # that only set up and load while one fits, then only set up: more
+        # samples of the short phases
         now = time.monotonic()
-        elapsed = now - t0
-        if now - started + elapsed > seconds or now - began + 2 * elapsed > BUDGET_S:
+        full = now - t0
+        left = min(seconds - (now - started), BUDGET_S - (now - began) - full)
+        more = max(0, int(left // full))
+        until = now + (left - more * full) / (more + 1)
+        for phases, cost in (("load", res["setup_s"] + res["load_s"]),
+                             ("setup", res["setup_s"])):
+            while time.monotonic() + cost <= until:
+                t1 = time.monotonic()
+                try:
+                    shorts.append(run_child(kind, inputs, phases=phases,
+                                            timeout=BUDGET_S - (t1 - began)))
+                except (ChildFailed, subprocess.TimeoutExpired) as err:
+                    checks.append({"attempted": 1, "failed": 1})
+                    problems[f"{phases} only"] = [str(err)]
+                    break
+                cost = time.monotonic() - t1
+        if more == 0:
             break
 
     summary = {"workload": workload, "seed": seed, "runs": len(runs),
@@ -178,16 +225,19 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
                "attempted": sum(c["attempted"] for c in checks),
                "failed": sum(c["failed"] for c in checks)}
     if runs:
-        samples = {name: [r[name] for r in runs] for name in ("setup_s", "load_s", "run_s")}
-        metrics = {name: statistics.median(values) for name, values in samples.items()}
-        metrics["wall_s"] = statistics.median(
-            r["setup_s"] + r["load_s"] + r["run_s"] for r in runs)
+        samples = {name: [r[name] for r in runs + shorts if name in r]
+                   for name in ("setup_s", "load_s", "run_s")}
+        raw = {name: statistics.median(values) for name, values in samples.items()}
+        raw["wall_s"] = statistics.median(r["setup_s"] + r["load_s"] + r["run_s"] for r in runs)
+        scale = CAL_REF_S / statistics.median(cals)
+        metrics = {name: value * scale for name, value in raw.items()}
         metrics["peak_rss_mb"] = statistics.median(r["peak_rss_mb"] for r in runs)
-        summary.update(metrics=metrics, samples=samples,
+        summary.update(metrics=metrics, raw=raw, samples=samples, cal_s=cals, scale=scale,
+                       shorts=len(shorts),
                        readers_s=statistics.median(r["readers_s"] for r in runs))
         if trace:
             summary.update(_traced(workload, kind, inputs, out, check_entries, reference,
-                                   first, metrics["wall_s"], began))
+                                   first, raw["wall_s"], began))
     return summary
 
 
@@ -224,17 +274,25 @@ def report(summary: dict, trace: bool) -> dict:
         attempted += summary.get("traced_attempted", 0)
         failed += summary.get("traced_failed", 0)
     rate = failed / attempted if attempted else 1.0
-    print(f"== {w} seed {summary['seed']}: medians of {summary['runs']} run(s); "
-          "wall_s is the median of setup_s + load_s + run_s per run")
+    print(f"== {w} seed {summary['seed']}: medians of {summary['runs']} full run(s) and "
+          f"{summary.get('shorts', 0)} shorter one(s); wall_s is the median of "
+          "setup_s + load_s + run_s per full run")
+    if "scale" in summary:
+        print(f"  timings at the reference host speed: measured seconds x {summary['scale']:.4f} "
+              f"(calib.py took {CAL_REF_S / summary['scale']:.4f} s, reference {CAL_REF_S} s)")
     metrics = {}
     for name, unit in END_TO_END:
         value = summary.get("metrics", {}).get(name)
         if value is not None:
-            print(f"  {name:<12} {value:12.4f} {unit}")
+            measured = summary["raw"].get(name)
+            note = f"   (measured {measured:.4f} {unit})" if measured is not None else ""
+            print(f"  {name:<12} {value:12.4f} {unit}{note}")
             metrics[name] = {"value": value, "unit": unit}
     print(f"  {'error_rate':<12} {rate:12.4f} ratio ({failed} failed / {attempted} attempted)")
     for name, values in summary.get("samples", {}).items():
-        print(f"  samples {name}: {' '.join(f'{v:.4f}' for v in values)}")
+        print(f"  samples {name} (full runs first): {' '.join(f'{v:.4f}' for v in values)}")
+    if "cal_s" in summary:
+        print(f"  samples calib_s: {' '.join(f'{v:.4f}' for v in summary['cal_s'])}")
     if "readers_s" in summary:
         print(f"  {'readers_s':<12} {summary['readers_s']:12.4f} s "
               "(benchmark-side readers, not in wall_s)")
@@ -261,7 +319,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=sorted(gen.WORKLOADS) + ["all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record", action="store_true",
                         help="after a clean run, add this seed's output digest to "
@@ -271,7 +329,7 @@ def main(argv=None) -> int:
         print("benchmark: no program sources (src/hpcwl) in this checkout",
               file=sys.stderr)
         return 2
-    names = sorted(gen.WORKLOADS) if args.workload == "all" else [args.workload]
+    names = list(MEASURED) if args.workload == "all" else [args.workload]
     results = {}
     for name in names:
         summary = measure(name, args.seed, args.seconds, bool(args.trace))

@@ -124,8 +124,10 @@ def test_rerun_check_compares_runs_of_one_call_only(monkeypatch, tmp_path):
         failed = int(earlier is not None and earlier != digest)
         return {"attempted": 1, "failed": failed, "digest": digest, "problems": {}}
 
+    monkeypatch.setattr(run, "WORK", str(tmp_path))
     monkeypatch.setattr(run, "ensure_inputs", lambda workload, seed: str(tmp_path))
     monkeypatch.setattr(run, "run_child", fake_child)
+    monkeypatch.setattr(run, "calibrate", lambda timeout: [run.CAL_REF_S])
     monkeypatch.setattr(run.check, "check_run", fake_check)
     parent = run.measure("archives_1k", 1, 0.05, trace=False)
     program["bytes"] = "change"
@@ -134,6 +136,37 @@ def test_rerun_check_compares_runs_of_one_call_only(monkeypatch, tmp_path):
     assert parent["failed"] == change["failed"] == 0
     assert seen.count(None) == 2  # each call starts without an earlier digest
     assert change["digest"] == {"f.csv": {"sha256": "change"}}
+
+
+def test_timings_are_scaled_to_the_reference_speed(monkeypatch, tmp_path):
+    """Timings are multiplied by CAL_REF_S over the median reference time,
+    and the time a full run leaves goes to samples of the short phases."""
+    import run
+
+    def fake_child(kind, inputs, out=None, trace=None, phases="all", timeout=0.0):
+        if phases != "all":  # set-up and load only, or set-up only
+            time.sleep(0.001)
+            return {"setup_s": 0.001, **({"load_s": 0.004} if phases == "load" else {})}
+        time.sleep(0.05)
+        return {"setup_s": 0.001, "load_s": 0.002, "run_s": 0.01, "readers_s": 0.0,
+                "peak_rss_mb": 7.0}
+
+    monkeypatch.setattr(run, "WORK", str(tmp_path))
+    monkeypatch.setattr(run, "ensure_inputs", lambda workload, seed: str(tmp_path))
+    monkeypatch.setattr(run, "run_child", fake_child)
+    monkeypatch.setattr(run, "calibrate", lambda timeout: [2 * run.CAL_REF_S])
+    monkeypatch.setattr(run.check, "check_run", lambda *args: {
+        "attempted": 1, "failed": 0, "digest": {}, "problems": {}})
+    summary = run.measure("bundle_10k", 1, 0.09, trace=False)
+    loads = summary["samples"]["load_s"]
+    assert summary["runs"] == 1 and len(loads) > 1
+    assert loads == [0.002] + [0.004] * (len(loads) - 1)
+    assert len(summary["samples"]["setup_s"]) == 1 + summary["shorts"]
+    metrics = summary["metrics"]
+    assert metrics["run_s"] == pytest.approx(0.01 / 2)
+    assert metrics["wall_s"] == pytest.approx(0.013 / 2)
+    assert metrics["load_s"] == pytest.approx(summary["raw"]["load_s"] / 2)
+    assert metrics["peak_rss_mb"] == 7.0
 
 
 def test_archive_run_matches_generator_truth(tmp_path):
@@ -206,4 +239,5 @@ def test_benchmark_json_lists_every_metric_the_runner_prints():
     assert [(m["name"], m["unit"], m["better"]) for m in doc["per_layer"]] == \
         list(layers.PER_LAYER)
     assert [(m["name"], m["unit"]) for m in doc["end_to_end"]] == list(run.END_TO_END)
-    assert [w["name"] for w in doc["workloads"]] == list(gen.WORKLOADS)
+    assert [w["name"] for w in doc["workloads"]] == list(run.MEASURED)
+    assert set(run.MEASURED) <= set(gen.WORKLOADS)
