@@ -142,7 +142,6 @@ def _cmd_summarize(args, config) -> int:
 
 def _cmd_classify(args, config) -> int:
     db = appident.load_pattern_db(args.db)
-    ignore = appident.load_ignore_list(args.ignore)
     label = appident.classify_executable(args.exe, db, source="launcher",
                                          mask_proprietary=args.mask_proprietary)
     print(label)
@@ -257,7 +256,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify one executable path")
     p.add_argument("exe")
     p.add_argument("--db", help="pattern DB (default: bundled)")
-    p.add_argument("--ignore", help="ignore list (default: bundled)")
     p.add_argument("--mask-proprietary", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

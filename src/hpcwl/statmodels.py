@@ -3,8 +3,16 @@
 The periodogram is the classical normalized least-squares form: power at
 each trial frequency is the sinusoid fit improvement normalized by twice the
 sample variance, with the per-frequency phase offset tau making the result
-invariant to time translation.  Node-failure probability is fit by logistic
-regression (Newton/IRLS) with Wald tests on the coefficients.
+invariant to time translation.  Evenly spaced samples (equal steps in
+seconds, as bin_counts gives) on an evenly spaced frequency grid (as
+default_frequency_grid gives) take an exact chirp-z path: the trig sums are
+one Bluestein convolution by FFT plus a closed form, O((N+M) log(N+M))
+(Press & Rybicki 1989; VanderPlas 2018).  Frequencies where that path loses
+precision, those whose smaller basis norm is under 1% of N (f*span << 1, or
+near a multiple of the Nyquist frequency), are evaluated by the direct
+O(N*M) sums, which also serve any other input.  Node-failure probability is
+fit by logistic regression (Newton/IRLS) with Wald tests on the
+coefficients.
 """
 from __future__ import annotations
 
@@ -21,6 +29,8 @@ SECONDS_PER_DAY = 86400.0
 SECONDS_PER_YEAR = 365.0 * SECONDS_PER_DAY
 _SEPARATION_BETA = 50.0
 _CLAMP_LO, _CLAMP_HI = -700.0, 50.0
+_GRID_RTOL = 1e-9     # frequency steps this close to equal count as even
+_DEGENERATE = 0.01    # basis norm below this share of N: evaluate directly
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +52,6 @@ class Periodogram:
                 found.append((f, 1.0 / f, p[i]))
         found.sort(key=lambda item: -item[2])
         return found[:top] if top is not None else found
-
-    def median_power(self) -> float:
-        ordered = sorted(self.power)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def bin_counts(event_times: Sequence[float], bin_seconds: int = 3600):
@@ -83,18 +86,15 @@ def default_frequency_grid(times_seconds: Sequence[float],
     return np.arange(f_min, f_max + df, df)
 
 
-def lomb_scargle(times_seconds: Sequence[float],
-                 values: Sequence[float] | None = None,
-                 freq_grid_per_day: Sequence[float] | None = None,
-                 bin_seconds: int = 3600) -> Periodogram:
-    """Classical normalized periodogram of an unevenly sampled series.
-
-    With values=None the input is taken as raw event times and binned into
-    counts per bin_seconds first.  Frequencies are cycles per day.
-    """
+def _series(times_seconds, values, freq_grid_per_day, bin_seconds):
+    """Validated inputs: (times in seconds, centred times in days, values
+    less their mean, sample variance, frequencies in cycles/day)."""
     if values is None:
         times_seconds, values = bin_counts(times_seconds, bin_seconds)
-    t = np.asarray(times_seconds, dtype=float) / SECONDS_PER_DAY
+    seconds = np.asarray(times_seconds, dtype=float)
+    # centred before the change of unit: epoch seconds divided first would
+    # keep only ~1e-12 day resolution after the mean is taken off
+    t = (seconds - seconds.mean()) / SECONDS_PER_DAY
     y = np.asarray(values, dtype=float)
     if t.shape != y.shape:
         raise ValueError("times and values length mismatch")
@@ -104,14 +104,55 @@ def lomb_scargle(times_seconds: Sequence[float],
     if variance <= 0:
         raise DegenerateInput("constant series")
     if freq_grid_per_day is None:
-        freqs = default_frequency_grid(times_seconds)
+        freqs = default_frequency_grid(seconds)
     else:
         freqs = np.asarray(freq_grid_per_day, dtype=float)
     if np.any(freqs <= 0) or not np.all(np.isfinite(freqs)):
         raise ValueError("frequencies must be positive and finite")
+    return seconds, t, y - y.mean(), variance, freqs
 
-    t = t - t.mean()
-    dy = y - y.mean()
+
+def _periodogram(freqs, power, n_samples) -> Periodogram:
+    return Periodogram(frequencies_per_day=tuple(freqs.tolist()),
+                       power=tuple(power.tolist()),
+                       n_samples=n_samples)
+
+
+def lomb_scargle(times_seconds: Sequence[float],
+                 values: Sequence[float] | None = None,
+                 freq_grid_per_day: Sequence[float] | None = None,
+                 bin_seconds: int = 3600) -> Periodogram:
+    """Classical normalized periodogram of an unevenly sampled series.
+
+    With values=None the input is taken as raw event times and binned into
+    counts per bin_seconds first.  Frequencies are cycles per day.  Evenly
+    spaced times on an evenly spaced grid take the chirp-z path; anything
+    else takes the direct one.
+    """
+    seconds, t, dy, variance, freqs = _series(times_seconds, values,
+                                              freq_grid_per_day, bin_seconds)
+    steps = np.diff(seconds)
+    if np.all(steps == steps[0]) and _is_even_grid(freqs):
+        fit = _chirp_power(steps[0] / SECONDS_PER_DAY, t, dy, freqs)
+    else:
+        fit = _direct_power(t, dy, freqs)
+    return _periodogram(freqs, fit / (2.0 * variance), len(t))
+
+
+def _lomb_scargle_direct(times_seconds: Sequence[float],
+                         values: Sequence[float] | None = None,
+                         freq_grid_per_day: Sequence[float] | None = None,
+                         bin_seconds: int = 3600) -> Periodogram:
+    """lomb_scargle by the direct O(N*M) sums alone (the test oracle)."""
+    _, t, dy, variance, freqs = _series(times_seconds, values,
+                                              freq_grid_per_day, bin_seconds)
+    return _periodogram(freqs, _direct_power(t, dy, freqs) / (2.0 * variance),
+                        len(t))
+
+
+def _direct_power(t: np.ndarray, dy: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Fit improvement at each frequency (power times twice the variance),
+    by direct sums over every sample; t is centred, dy has zero mean."""
     power = np.empty(len(freqs))
     tiny = 1e-300
     chunk = 256
@@ -129,10 +170,69 @@ def lomb_scargle(times_seconds: Sequence[float],
         s_den = (sin_p ** 2).sum(axis=1)
         c_term = np.where(c_den > tiny, c_num / np.maximum(c_den, tiny), 0.0)
         s_term = np.where(s_den > tiny, s_num / np.maximum(s_den, tiny), 0.0)
-        power[lo:lo + chunk] = (c_term + s_term) / (2.0 * variance)
-    return Periodogram(frequencies_per_day=tuple(freqs.tolist()),
-                       power=tuple(power.tolist()),
-                       n_samples=len(t))
+        power[lo:lo + chunk] = c_term + s_term
+    return power
+
+
+def _is_even_grid(freqs: np.ndarray) -> bool:
+    """True when every frequency step is the mean step to 1e-9 of it."""
+    if len(freqs) < 2:
+        return len(freqs) == 1  # an empty grid goes the direct way: no powers
+    steps = np.diff(freqs)
+    df = (freqs[-1] - freqs[0]) / (len(freqs) - 1)
+    return bool(np.all(np.abs(steps - df) <= _GRID_RTOL * abs(df)))
+
+
+def _cycles(x: np.ndarray) -> np.ndarray:
+    """x less its nearest integer, so a phase in cycles keeps its precision
+    when multiplied by 2*pi."""
+    return x - np.round(x)
+
+
+def _chirp_power(h: float, t: np.ndarray, dy: np.ndarray,
+                 freqs: np.ndarray) -> np.ndarray:
+    """_direct_power for samples h days apart on an evenly spaced grid.
+
+    With t_k = t0 + k*h (t0 = -(N-1)h/2) and f_j = f0 + j*df, the phase
+    f_j*t_k = f_j*t0 + f0*h*k + a*(j^2 + k^2 - (j-k)^2)/2 with a = df*h, so
+    sum_k dy_k exp(2*pi*i*f_j*t_k) is one convolution with the chirp
+    exp(-pi*i*a*m^2) (Bluestein), done by FFT.  On the centred grid
+    sum_k sin(2*w*t_k) = 0, so tau = 0, the sine and cosine bases are
+    orthogonal and sum_k cos(2*w*t_k) is the Dirichlet kernel
+    C2 = sin(2*pi*N*f*h) / sin(2*pi*f*h).  Frequencies whose smaller basis
+    norm (N - |C2|)/2 falls below _DEGENERATE * N (f*span << 1, or f near a
+    multiple of the Nyquist frequency 1/(2h)) are evaluated directly.
+    """
+    n, m = len(dy), len(freqs)
+    f0 = freqs[0]
+    a = (freqs[-1] - f0) / (m - 1) * h if m > 1 else 0.0
+    t0 = -(n - 1) * h / 2.0
+    k = np.arange(n, dtype=float)
+    j = np.arange(m, dtype=float)
+    lags = np.arange(-(n - 1), m, dtype=float)
+    size = 1 << (n + m - 2).bit_length()  # a power of two >= n + m - 1
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lags.astype(np.intp) % size] = np.exp(
+        -2j * np.pi * _cycles(0.5 * a * (lags * lags)))
+    weighted = dy * np.exp(2j * np.pi * (_cycles(f0 * h * k)
+                                         + _cycles(0.5 * a * (k * k))))
+    conv = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(kernel))[:m]
+    sums = conv * np.exp(2j * np.pi * (_cycles(freqs * t0)
+                                       + _cycles(0.5 * a * (j * j))))
+
+    x = np.fmod(2.0 * freqs * h, 2.0)  # C2 has period 2 in 2*f*h
+    den = np.sin(np.pi * x)
+    num = np.sin(np.pi * np.fmod(n * x, 2.0))
+    c2 = np.divide(num, den, out=np.full(m, float(n)), where=den != 0.0)
+    cc = 0.5 * (n + c2)
+    ss = n - cc
+    near = np.minimum(cc, ss) < _DEGENERATE * n
+    keep = ~near
+    power = np.empty(m)
+    power[keep] = sums.real[keep] ** 2 / cc[keep] + sums.imag[keep] ** 2 / ss[keep]
+    if near.any():
+        power[near] = _direct_power(t, dy, freqs[near])
+    return power
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hpcwl.statmodels import (
     fit_logistic,
     fit_node_fail,
     lomb_scargle,
+    _lomb_scargle_direct,
     logistic_gradient,
     logistic_loglike,
     model_covariate,
@@ -95,6 +96,77 @@ def test_raw_event_times_are_binned():
     assert len(centers) == len(counts)
     pgram = lomb_scargle(events)  # binned internally
     assert pgram.n_samples == len(centers)
+
+
+def submit_counts(n, seed, start=1.4e9 + 1800.0):
+    """Hourly submit counts with daily and weekly rhythms, at bin centres
+    as bin_counts returns them."""
+    rng = np.random.default_rng(seed)
+    days = np.arange(n) / 24.0
+    rate = 3.0 * (1.0 + 0.6 * np.sin(2 * np.pi * days)
+                  + 0.3 * np.sin(2 * np.pi * days / 7.0))
+    return start + np.arange(n) * 3600.0, rng.poisson(rate).astype(float)
+
+
+def oracle_gap(t, y, grid, budget=4_000_000):
+    """|fast - direct| and its bound at a sample of the grid: every
+    stride-th frequency within a budget of samples x frequencies, both ends
+    of the grid and the five strongest peaks."""
+    fast = np.array(lomb_scargle(t, y, grid).power)
+    stride = max(1, len(t) * len(grid) // budget)
+    idx = np.arange(len(grid))
+    pick = np.unique(np.concatenate(
+        [idx[::stride], idx[:4], idx[-4:], np.argsort(fast)[-5:]]))
+    # Where 2*f*h is an integer the sine basis vanishes: the direct sums
+    # return rounding error there (it changes with the chunking), so there
+    # is no value to compare against.
+    h_days = (t[1] - t[0]) / 86400.0
+    twice = 2.0 * grid[pick] * h_days
+    pick = pick[twice != np.round(twice)]
+    direct = np.array(_lomb_scargle_direct(t, y, grid[pick]).power)
+    nyquist = 0.5 / h_days
+    bound = np.where(grid[pick] <= nyquist, 1e-9, 1e-9 * max(1.0, direct.max()))
+    return np.abs(fast[pick] - direct), bound
+
+
+ORACLE_GRIDS = {
+    "oversample_1": lambda t: default_frequency_grid(t, 2.0 / 24.0, oversample=1),
+    "oversample_4": lambda t: default_frequency_grid(t, 2.0 / 24.0, oversample=4),
+    "oversample_10": lambda t: default_frequency_grid(t, 2.0 / 24.0, oversample=10),
+    # past twice the Nyquist frequency (12/day for hourly bins)
+    "linspace_to_30": lambda t: np.linspace(0.01, 30.0, 2999),
+}
+
+
+@pytest.mark.parametrize("grid_name", sorted(ORACLE_GRIDS))
+@pytest.mark.parametrize("n", [50, 101, 4320, 13080])
+def test_chirp_path_matches_direct_oracle(n, grid_name):
+    t, y = submit_counts(n, seed=n)
+    gap, bound = oracle_gap(t, y, ORACLE_GRIDS[grid_name](t))
+    assert np.all(gap <= bound), (gap.max(), bound.min())
+
+
+@pytest.mark.parametrize("grid", [[1.0], [0.5, 1.0], [3.0, 2.0, 1.0]])
+def test_chirp_path_on_short_and_descending_grids(grid):
+    t, y = submit_counts(200, seed=4)
+    fast = np.array(lomb_scargle(t, y, grid).power)
+    direct = np.array(_lomb_scargle_direct(t, y, grid).power)
+    assert np.all(np.abs(fast - direct) <= 1e-9)
+
+
+def test_uneven_times_or_grid_take_the_direct_path():
+    t, y = submit_counts(500, seed=5)
+    grid = default_frequency_grid(t)
+    rng = np.random.default_rng(6)
+    jittered = t + rng.uniform(-600.0, 600.0, len(t))
+    # steps unequal by 1e-6 of a step, well past the 1e-9 that counts as even
+    uneven = grid + 1e-6 * (grid[1] - grid[0]) * rng.uniform(-1.0, 1.0, len(grid))
+    for times, freqs in ((jittered, grid), (t, uneven)):
+        assert lomb_scargle(times, y, freqs).power == \
+            _lomb_scargle_direct(times, y, freqs).power
+    # on even input the two paths round differently, so equality above is
+    # the direct path at work and not a coincidence
+    assert lomb_scargle(t, y, grid).power != _lomb_scargle_direct(t, y, grid).power
 
 
 # --- logistic fits ----------------------------------------------------------------
