@@ -12,22 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import EmptyGroup
 from .ingest import JobRecord, ResourceSpec, utc_date
 
 SECONDS_PER_CORE_YEAR = 3600.0 * 24.0 * 365.0
-
-
-@dataclass(frozen=True, slots=True)
-class QueueEvent:
-    time: int
-    kind: str  # submit | start | end
-    job_id: str
-    nodes: int
-    cores: int
-    wall_seconds: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,16 +43,6 @@ class BacklogSeries:
     points: list[BacklogPoint] = field(default_factory=list)
     # event times where running nodes exceeded the machine size
     infeasible_times: list[int] = field(default_factory=list)
-
-
-def job_events(jobs: Iterable[JobRecord]) -> list[QueueEvent]:
-    events = []
-    for job in jobs:
-        common = (job.job_id, job.nodes, job.cores, job.wall_seconds)
-        events.append(QueueEvent(job.submit_time, "submit", *common))
-        events.append(QueueEvent(job.start_time, "start", *common))
-        events.append(QueueEvent(job.end_time, "end", *common))
-    return events
 
 
 def _state_deltas(jobs: Sequence[JobRecord]) -> dict[int, list[int]]:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -72,8 +73,16 @@ class AllocType(str, Enum):
     SOFTWARE_TESTBEDS = "SoftwareTestbeds"
 
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
 def utc_date(epoch_seconds: int) -> date:
-    return datetime.fromtimestamp(epoch_seconds, tz=timezone.utc).date()
+    """UTC calendar day of integer Unix seconds.
+
+    Floor division keeps days before 1970 right; equals
+    ``datetime.fromtimestamp(epoch_seconds, tz=timezone.utc).date()``.
+    """
+    return date.fromordinal(_EPOCH_ORDINAL + epoch_seconds // 86400)
 
 
 def parse_date(text: str) -> date:
@@ -298,19 +307,28 @@ def _need(raw: Mapping, row: int, name: str):
 
 
 def _as_int(raw, row: int, name: str) -> int:
+    """An integer field; booleans and non-integral numbers are rejected."""
+    value = _need(raw, row, name)
+    kind = type(value)
+    if kind is bool or (kind is float and not value.is_integer()):
+        raise SchemaError(row, name)
     try:
-        value = _need(raw, row, name)
-        out = int(value)
+        return int(value)
     except (TypeError, ValueError):
         raise SchemaError(row, name) from None
-    return out
 
 
 def _as_float(raw, row: int, name: str) -> float:
+    """A finite float field; booleans, NaN and infinities are rejected."""
+    value = _need(raw, row, name)
+    if type(value) is bool:
+        raise SchemaError(row, name)
     try:
-        out = float(_need(raw, row, name))
+        out = float(value)
     except (TypeError, ValueError):
         raise SchemaError(row, name) from None
+    if not math.isfinite(out):
+        raise SchemaError(row, name)
     return out
 
 

@@ -33,12 +33,20 @@ class Filters:
     queues: frozenset[str] | None = None
     exclude_osg: bool = False
 
+    def __post_init__(self):
+        # frozensets keep the value hashable, so it can key a memo of kept jobs
+        for name in ("resources", "exclude_resources", "queues"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not frozenset:
+                object.__setattr__(self, name, frozenset(value))
+
     def keep(self, job: JobRecord) -> bool:
-        day = job.end_date
-        if self.start is not None and day < self.start:
-            return False
-        if self.end is not None and day >= self.end:
-            return False
+        if self.start is not None or self.end is not None:
+            day = job.end_date
+            if self.start is not None and day < self.start:
+                return False
+            if self.end is not None and day >= self.end:
+                return False
         if self.resources is not None and job.resource not in self.resources:
             return False
         if job.resource in self.exclude_resources:

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 from . import backlog as backlog_mod
 from . import statmodels
 from .errors import AnalysisError, HpcwlError, UnknownAnalysis
-from .ingest import Dataset, utc_date
+from .ingest import Dataset, JobRecord, utc_date
 from .metrics import (
     Filters,
     allocation_size_summary,
@@ -76,6 +76,14 @@ class ReportContext:
     tech_index_by_state: Mapping[str, float] = field(default_factory=dict)
 
 
+@dataclass
+class _RunContext(ReportContext):
+    """The context of one run_report call, with that call's kept jobs per
+    Filters value; it is dropped when the call returns."""
+
+    kept: dict[Filters, tuple[JobRecord, ...]] = field(default_factory=dict)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -117,8 +125,12 @@ def _sha256(path) -> str:
 # ---------------------------------------------------------------------------
 # analyses; each returns [(filename, row_count), ...]
 
-def _jobs(ctx: ReportContext, filters: Filters):
-    return filters.apply(ctx.dataset.jobs)
+def _jobs(ctx: _RunContext, filters: Filters) -> tuple[JobRecord, ...]:
+    """The dataset's jobs that pass filters, filtered once per value and run."""
+    kept = ctx.kept.get(filters)
+    if kept is None:
+        kept = ctx.kept[filters] = tuple(filters.apply(ctx.dataset.jobs))
+    return kept
 
 
 def _an_allocation_summary(ctx, filters, params, outdir):
@@ -150,8 +162,8 @@ def _an_usage_rollup(ctx, filters, params, outdir):
     dimension = params.get("dimension", "parent_science")
     weight = params.get("weight", "xd_su")
     period = params.get("period", "quarter")
-    table = usage_rollup(ctx.dataset.jobs, dimension, weight, period,
-                         ctx.dataset.resources, filters)
+    table = usage_rollup(_jobs(ctx, filters), dimension, weight, period,
+                         ctx.dataset.resources)
     name = f"usage_{dimension}_{weight}_{period}.csv"
     return [(name, write_csv(os.path.join(outdir, name),
                              ["period", dimension, weight, "pct_share"],
@@ -169,7 +181,6 @@ def _an_job_size_distribution(ctx, filters, params, outdir):
 
 def _an_average_core_counts(ctx, filters, params, outdir):
     kraken_factor = params.get("kraken_factor", 2.04)
-    jobs = ctx.dataset.jobs
     resources = ctx.dataset.resources
     variants = {}
     for exclude_osg in (False, True):
@@ -180,8 +191,8 @@ def _an_average_core_counts(ctx, filters, params, outdir):
                        "weighted" if weighted else "unweighted",
                        "effective" if effective else "actual")
                 variants["_".join(key)] = average_job_size_series(
-                    jobs, resources, weighted_by_xd_su=weighted,
-                    effective=effective, kraken_factor=kraken_factor, filters=f)
+                    _jobs(ctx, f), resources, weighted_by_xd_su=weighted,
+                    effective=effective, kraken_factor=kraken_factor)
     periods = sorted({p for series in variants.values() for p in series})
     header = ["period"] + sorted(variants)
     rows = [[p] + [variants[k].get(p) for k in sorted(variants)] for p in periods]
@@ -489,8 +500,8 @@ def _an_gateway_conversion(ctx, filters, params, outdir):
 
 
 def _an_geo(ctx, filters, params, outdir):
-    table = usage_rollup(ctx.dataset.jobs, "state", "xd_su", "year",
-                         ctx.dataset.resources, filters)
+    table = usage_rollup(_jobs(ctx, filters), "state", "xd_su", "year",
+                         ctx.dataset.resources)
     usage_by_state: dict[str, float] = {}
     for _, state, weight, _ in table.rows():
         usage_by_state[state] = usage_by_state.get(state, 0.0) + weight
@@ -534,6 +545,8 @@ ANALYSES: dict[str, Callable] = {
 
 def run_report(ctx: ReportContext, spec: ReportSpec) -> dict:
     """Run every analysis in the spec and write the manifest last."""
+    ctx = _RunContext(**{f.name: getattr(ctx, f.name)
+                         for f in dataclasses.fields(ReportContext)})
     outdir = spec.output_dir
     os.makedirs(outdir, exist_ok=True)
     filters = spec.effective_filters()

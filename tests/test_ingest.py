@@ -1,8 +1,12 @@
+import csv
 import json
-from datetime import date
+import math
+import os
+import tempfile
+from datetime import date, datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import T0, make_allocation, make_job, make_resource
@@ -23,6 +27,7 @@ from hpcwl.ingest import (
     load_resources,
     resource_from_dict,
     su_convert,
+    utc_date,
     validate,
     write_rejection_report,
 )
@@ -109,8 +114,6 @@ def test_no_survivors_fails(tmp_path):
 
 
 def test_csv_matches_jsonl(tmp_path):
-    import csv
-
     jsonl = tmp_path / "jobs.jsonl"
     write_jsonl(jsonl, [JOB_ROW])
     csv_path = tmp_path / "jobs.csv"
@@ -125,6 +128,111 @@ def test_loading_is_deterministic(tmp_path):
     path = tmp_path / "jobs.jsonl"
     write_jsonl(path, [JOB_ROW, dict(JOB_ROW, job_id="a-2")])
     assert load_jobs(path) == load_jobs(path)
+
+
+# Numeric fields of a job row, with values each loader must reject.
+INT_FIELDS = ("submit_time", "start_time", "end_time", "nodes", "cores")
+BAD_NUMBERS = {
+    "jsonl": {"int": (True, False, 4.7, -0.5, math.nan, math.inf, -math.inf,
+                      "nan", "4.7"),
+              "float": (True, False, math.nan, math.inf, -math.inf, "nan",
+                        "NaN", "inf", "-Infinity")},
+    "csv": {"int": ("True", "4.7", "nan", "inf", "1e3"),
+            "float": ("True", "nan", "NaN", "inf", "-Infinity")},
+}
+
+
+@st.composite
+def job_rows(draw, fmt):
+    """(row as written, bad field names, the values a clean row loads as)."""
+    submit = draw(st.integers(0, 2**33))
+    start = submit + draw(st.integers(0, 10**6))
+    nodes = draw(st.integers(1, 64))
+    clean = dict(JOB_ROW, submit_time=submit, start_time=start,
+                 end_time=start + draw(st.integers(0, 10**6)), nodes=nodes,
+                 cores=nodes * draw(st.integers(1, 64)),
+                 local_su_charged=draw(st.floats(0, 1e12)))
+    row = dict(clean)
+    bad = draw(st.sets(st.sampled_from(INT_FIELDS + ("local_su_charged",))))
+    for name in bad:
+        kind = "int" if name in INT_FIELDS else "float"
+        row[name] = draw(st.sampled_from(BAD_NUMBERS[fmt][kind]))
+    for name in set(INT_FIELDS) - bad:
+        if fmt == "jsonl" and draw(st.booleans()):
+            row[name] = float(row[name])  # an integral JSON number is an int
+    return row, bad, clean
+
+
+def _write_rows(path, fmt, rows):
+    if fmt == "jsonl":
+        write_jsonl(path, rows)
+        return
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(JOB_ROW))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@given(data=st.data())
+def test_numeric_fields_rejected_row_by_row_or_finite(fmt, data):
+    drawn = data.draw(st.lists(job_rows(fmt), min_size=1, max_size=6))
+    anchor = dict(JOB_ROW, job_id="anchor")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"jobs.{fmt}")
+        _write_rows(path, fmt, [row for row, _, _ in drawn] + [anchor])
+        rejects = []
+        jobs = load_jobs(path, fmt=fmt, reject_sink=rejects)
+    assert [r.row for r in rejects] == [i for i, (_, bad, _) in
+                                        enumerate(drawn, start=1) if bad]
+    assert all(r.code == "schema" for r in rejects)
+    for rej in rejects:
+        assert rej.field in drawn[rej.row - 1][1]
+    loaded = [clean for _, bad, clean in drawn if not bad] + [anchor]
+    assert len(jobs) == len(loaded)
+    for job, clean in zip(jobs, loaded):
+        for name in INT_FIELDS:
+            value = getattr(job, name)
+            assert type(value) is int and value == clean[name]
+        assert math.isfinite(job.local_su_charged)
+        assert job.local_su_charged == clean["local_su_charged"]
+
+
+@pytest.mark.parametrize("fmt,field,value", [
+    ("jsonl", "local_su_charged", "nan"),
+    ("jsonl", "local_su_charged", math.inf),
+    ("csv", "local_su_charged", "nan"),
+    ("jsonl", "nodes", True),
+    ("jsonl", "cores", True),
+    ("jsonl", "cores", 4.7),
+    ("jsonl", "cores", math.inf),
+])
+def test_bad_number_is_a_rejection(tmp_path, fmt, field, value):
+    path = tmp_path / f"jobs.{fmt}"
+    _write_rows(path, fmt, [dict(JOB_ROW, **{field: value}), JOB_ROW])
+    rejects = []
+    assert len(load_jobs(path, fmt=fmt, reject_sink=rejects)) == 1
+    assert [(r.row, r.field, r.code) for r in rejects] == [(1, field, "schema")]
+
+
+DAY = 86400
+FIRST_SECOND = (date(1, 1, 1) - date(1970, 1, 1)).days * DAY
+LAST_SECOND = (date(9999, 12, 31) - date(1970, 1, 1)).days * DAY + DAY - 1
+
+
+@given(st.integers(FIRST_SECOND, LAST_SECOND)
+       | st.builds(lambda day, offset: day * DAY + offset,
+                   st.integers(FIRST_SECOND // DAY + 1, LAST_SECOND // DAY),
+                   st.sampled_from((-1, 0, 1))))
+@example(FIRST_SECOND)
+@example(LAST_SECOND)
+@example(-1)
+@example(0)
+@example(2**31 - 1)
+@example(2**31)
+def test_utc_date_matches_fromtimestamp(seconds):
+    assert utc_date(seconds) == datetime.fromtimestamp(seconds, tz=timezone.utc).date()
 
 
 # --- resources -------------------------------------------------------------

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import os
+from collections import Counter
 from datetime import date
 
 import pytest
 
-from hpcwl import synth
+from hpcwl import report, synth
 from hpcwl.errors import UnknownAnalysis
+from hpcwl.metrics import Filters
 from hpcwl.report import (
     ANALYSES,
     MANIFEST_NAME,
@@ -110,3 +113,56 @@ def test_standard_bundle_covers_key_tables(ctx, tmp_path):
 def test_analysis_registry_matches_bundle(ctx):
     spec = standard_bundle_spec()
     assert {name for name, _ in spec.analyses} <= set(ANALYSES)
+
+
+def _files(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def test_kept_jobs_memo_matches_filtering_afresh(ctx, tmp_path, monkeypatch):
+    run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "memo")))
+    monkeypatch.setattr(report, "_jobs",
+                        lambda run_ctx, filters: tuple(filters.apply(run_ctx.dataset.jobs)))
+    run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "fresh")))
+    assert _files(tmp_path / "memo") == _files(tmp_path / "fresh")
+
+
+def test_filters_apply_runs_once_per_distinct_filters(ctx, tmp_path, monkeypatch):
+    calls = Counter()
+    apply = Filters.apply
+
+    def counted(self, jobs):
+        calls[self] += 1
+        return apply(self, jobs)
+
+    monkeypatch.setattr(Filters, "apply", counted)
+    spec = standard_bundle_spec(output_dir=str(tmp_path))
+    run_report(ctx, spec)
+    assert spec.effective_filters() in calls
+    assert set(calls.values()) == {1}
+
+
+def test_runs_on_different_datasets_share_no_kept_jobs(ctx, small_bundle, tmp_path):
+    fewer = dataclasses.replace(small_bundle.dataset, jobs=small_bundle.dataset.jobs[1:])
+    mutable = dataclasses.replace(ctx)
+    run_report(mutable, standard_bundle_spec(output_dir=str(tmp_path / "full")))
+    mutable.dataset = fewer
+    run_report(mutable, standard_bundle_spec(output_dir=str(tmp_path / "fewer")))
+    run_report(dataclasses.replace(ctx, dataset=fewer),
+               standard_bundle_spec(output_dir=str(tmp_path / "fresh")))
+    assert _files(tmp_path / "fewer") == _files(tmp_path / "fresh")
+    assert _files(tmp_path / "fewer") != _files(tmp_path / "full")
+
+
+def test_filters_given_plain_sets_run(ctx, tmp_path):
+    resources = {job.resource for job in ctx.dataset.jobs[:50]}
+    outputs = []
+    for filters in (Filters(resources=resources),
+                    Filters(resources=frozenset(resources))):
+        out = tmp_path / str(len(outputs))
+        spec = ReportSpec(name="sets", date_range=RANGE, filters=filters,
+                          analyses=(("usage_rollup", {}), ("wait_stats", {})),
+                          output_dir=str(out))
+        run_report(ctx, spec)
+        outputs.append(_files(out))
+    assert outputs[0] == outputs[1]
