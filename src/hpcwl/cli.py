@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import json
 import os
 import sys
@@ -26,6 +25,7 @@ from .ingest import (
     validate,
     write_rejection_report,
 )
+from .metrics import Filters, load_community_users
 from .perfsummary import load_archives, summarize_all, write_summaries
 
 CONFIG_ENV = "HPCWL_CONFIG"
@@ -87,8 +87,6 @@ def _build_context(args, config) -> report.ReportContext:
     community_path = args.community_users or section.get("community_users")
     community = {}
     if community_path:
-        from .metrics import load_community_users
-
         community = load_community_users(community_path)
     if rejects:
         print(f"warning: {len(rejects)} rows rejected", file=sys.stderr)
@@ -180,29 +178,25 @@ def _cmd_backlog(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_periodogram(args, config) -> int:
+def _print_analysis(args, config, name: str, params: dict,
+                    filters: Filters = Filters()) -> int:
+    """Print one analysis's files, as `hpcwl metric` would write them."""
     ctx = _build_context(args, config)
-    jobs = [j for j in ctx.dataset.jobs
-            if args.resource is None or j.resource == args.resource]
-    centers, counts = statmodels.bin_counts([j.submit_time for j in jobs],
-                                            args.bin_seconds)
-    grid = statmodels.default_frequency_grid(centers,
-                                             min_period_days=args.min_period_days)
-    pgram = statmodels.lomb_scargle(centers, counts, grid)
-    print("frequency_per_day,period_days,power")
-    for f, p in zip(pgram.frequencies_per_day, pgram.power):
-        print(f"{f!r},{1.0 / f!r},{p!r}")
+    for entry in report.compute_analysis(ctx, name, params, filters):
+        sys.stdout.write(report.render(entry))
     return EXIT_OK
+
+
+def _cmd_periodogram(args, config) -> int:
+    return _print_analysis(args, config, "periodogram", {
+        "resource": args.resource, "bin_seconds": args.bin_seconds,
+        "min_period_days": args.min_period_days})
 
 
 def _cmd_fit_failures(args, config) -> int:
-    ctx = _build_context(args, config)
-    jobs = [j for j in ctx.dataset.jobs
-            if args.resource is None or j.resource == args.resource]
-    fit = statmodels.fit_node_fail(jobs, model=args.model,
-                                   include_failed=args.include_failed)
-    print(json.dumps(dataclasses.asdict(fit), sort_keys=True, indent=2))
-    return EXIT_OK
+    filters = Filters(resources={args.resource}) if args.resource else Filters()
+    return _print_analysis(args, config, "node_fail_fit", {
+        "model": args.model, "include_failed": args.include_failed}, filters)
 
 
 def _cmd_report(args, config) -> int:

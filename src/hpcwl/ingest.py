@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -306,11 +307,23 @@ def _need(raw: Mapping, row: int, name: str):
     return value
 
 
+_SIGNED_DIGITS = re.compile("-?[0-9]+")
+
+
 def _as_int(raw, row: int, name: str) -> int:
-    """An integer field; booleans and non-integral numbers are rejected."""
-    value = _need(raw, row, name)
+    """An integer field: a string of ASCII digits with an optional leading
+    "-", or an integral number; booleans are rejected."""
+    value = raw.get(name)
     kind = type(value)
-    if kind is bool or (kind is float and not value.is_integer()):
+    # the common cases first, for speed; isdigit() alone also passes
+    # non-ASCII digits, which int() accepts
+    if kind is int:
+        return value
+    if kind is str and value.isdigit() and value.isascii():
+        return int(value)
+    value = _need(raw, row, name)
+    if (kind is bool or (kind is float and not value.is_integer())
+            or (kind is str and not _SIGNED_DIGITS.fullmatch(value))):
         raise SchemaError(row, name)
     try:
         return int(value)

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 from ..errors import EmptyGroup
 from ..ingest import AllocationRecord
+from ..perfsummary import median
 
 
 @dataclass(frozen=True)
@@ -25,14 +26,6 @@ class AllocationStats:
     mean: float
     median: float
     variance: float
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _sample_variance(values: Sequence[float]) -> float:
@@ -57,7 +50,7 @@ def group_stats(group: str, allocs: Sequence[AllocationRecord]) -> AllocationSta
                          if total_awarded > 0 else None),
         total=total_awarded,
         mean=total_awarded / len(allocs),
-        median=_median(awarded),
+        median=median(awarded),
         variance=_sample_variance(awarded),
     )
 

@@ -247,14 +247,12 @@ class SingleNodeShare:
 
 def single_node_serial_fractions(jobs: Sequence[JobRecord],
                                  resources: Mapping[str, ResourceSpec],
-                                 exclude_osg: bool = True,
                                  period: str = "quarter") -> list[SingleNodeShare]:
     """Per-period share of single-node jobs (by count and XD SU) and of
     serial jobs (by XD SU).  Single-node means nodes == 1; serial cores == 1.
     """
-    filters = Filters(exclude_osg=exclude_osg)
     by_period: dict[str, list[JobRecord]] = {}
-    for job in filters.apply(jobs):
+    for job in jobs:
         by_period.setdefault(job_period(job, period), []).append(job)
     out = []
     for label in sorted(by_period):

@@ -1,20 +1,23 @@
 """Orchestrate analyses into named report bundles of data files.
 
-Every file is emitted deterministically (sorted rows, shortest round-trip
-float formatting, LF line endings) so re-running a report over the same
-inputs is byte-identical.  The manifest lists each file with its row count
-and content digest and is written last.
+Each analysis returns its tables and writes nothing; ``run_report`` renders,
+writes and hashes every file.  Every file is emitted deterministically
+(sorted rows, shortest round-trip float formatting, LF line endings) so
+re-running a report over the same inputs is byte-identical.  The manifest
+lists each file with its row count and content digest and is written last.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from . import backlog as backlog_mod
 from . import statmodels
@@ -83,6 +86,11 @@ class _RunContext(ReportContext):
 
     kept: dict[Filters, tuple[JobRecord, ...]] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, ctx: ReportContext) -> _RunContext:
+        return cls(**{f.name: getattr(ctx, f.name)
+                      for f in dataclasses.fields(ReportContext)})
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -96,22 +104,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> int:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        import csv as _csv
+def render(entry) -> str:
+    """The text of one analysis output, exactly as run_report writes it.
 
-        writer = _csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return len(rows)
+    An entry is ``(file_name, header, rows)`` for a CSV file or
+    ``(file_name, obj)`` for a JSON file.
+    """
+    if len(entry) == 2:
+        return json.dumps(entry[1], sort_keys=True, indent=2) + "\n"
+    _, header, rows = entry
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buffer.getvalue()
 
 
-def write_json(path, obj) -> int:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(obj, sort_keys=True, indent=2))
-        handle.write("\n")
-    return 1
+def _write(output_dir, entry) -> dict:
+    """Write one entry's file and return its manifest record, hashed from
+    the bytes written."""
+    data = render(entry).encode("utf-8")
+    with open(os.path.join(output_dir, entry[0]), "wb") as handle:
+        handle.write(data)
+    return {"name": entry[0], "rows": len(entry[2]) if len(entry) == 3 else 1,
+            "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _sha256(path) -> str:
@@ -123,7 +139,8 @@ def _sha256(path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# analyses; each returns [(filename, row_count), ...]
+# analyses; each returns its entries, [(file_name, header, rows) or
+# (file_name, obj), ...], and writes nothing
 
 def _jobs(ctx: _RunContext, filters: Filters) -> tuple[JobRecord, ...]:
     """The dataset's jobs that pass filters, filtered once per value and run."""
@@ -133,53 +150,49 @@ def _jobs(ctx: _RunContext, filters: Filters) -> tuple[JobRecord, ...]:
     return kept
 
 
-def _an_allocation_summary(ctx, filters, params, outdir):
+def _allocations(ctx, params):
     start, end = params["date_range"]
-    allocs = [a for a in ctx.dataset.allocations if start <= a.award_date < end]
-    stats = allocation_size_summary(allocs)
+    return [a for a in ctx.dataset.allocations if start <= a.award_date < end]
+
+
+def _allocation_stats(name, group_column, stats):
     rows = [(s.group, s.n_alloc, s.n_unused, s.utilization_pct, s.total,
              s.mean, s.median, s.variance) for s in stats]
-    name = "allocation_stats_summary.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["group", "n_alloc", "n_unused", "utilization_pct",
-                              "total_su", "mean_su", "median_su", "variance_su"], rows))]
+    return [(name, [group_column, "n_alloc", "n_unused", "utilization_pct",
+                    "total_su", "mean_su", "median_su", "variance_su"], rows)]
 
 
-def _an_allocation_groups(ctx, filters, params, outdir):
+def _an_allocation_summary(ctx, filters, params):
+    return _allocation_stats("allocation_stats_summary.csv", "group",
+                             allocation_size_summary(_allocations(ctx, params)))
+
+
+def _an_allocation_groups(ctx, filters, params):
     group_by = params.get("group_by", "alloc_type")
-    start, end = params["date_range"]
-    allocs = [a for a in ctx.dataset.allocations if start <= a.award_date < end]
-    stats = allocation_utilization(allocs, group_by=group_by)
-    rows = [(s.group, s.n_alloc, s.n_unused, s.utilization_pct, s.total,
-             s.mean, s.median, s.variance) for s in stats]
-    name = f"allocation_stats_by_{group_by}.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             [group_by, "n_alloc", "n_unused", "utilization_pct",
-                              "total_su", "mean_su", "median_su", "variance_su"], rows))]
+    return _allocation_stats(
+        f"allocation_stats_by_{group_by}.csv", group_by,
+        allocation_utilization(_allocations(ctx, params), group_by=group_by))
 
 
-def _an_usage_rollup(ctx, filters, params, outdir):
+def _an_usage_rollup(ctx, filters, params):
     dimension = params.get("dimension", "parent_science")
     weight = params.get("weight", "xd_su")
     period = params.get("period", "quarter")
     table = usage_rollup(_jobs(ctx, filters), dimension, weight, period,
                          ctx.dataset.resources)
-    name = f"usage_{dimension}_{weight}_{period}.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["period", dimension, weight, "pct_share"],
-                             table.rows()))]
+    return [(f"usage_{dimension}_{weight}_{period}.csv",
+             ["period", dimension, weight, "pct_share"], table.rows())]
 
 
-def _an_job_size_distribution(ctx, filters, params, outdir):
+def _an_job_size_distribution(ctx, filters, params):
     weight = params.get("weight", "xd_su")
     hist = job_size_distribution(_jobs(ctx, filters), weight=weight,
                                  resources=ctx.dataset.resources)
-    name = f"job_size_distribution_{weight}.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["bin", "lo", "hi", weight], hist.rows()))]
+    return [(f"job_size_distribution_{weight}.csv", ["bin", "lo", "hi", weight],
+             hist.rows())]
 
 
-def _an_average_core_counts(ctx, filters, params, outdir):
+def _an_average_core_counts(ctx, filters, params):
     kraken_factor = params.get("kraken_factor", 2.04)
     resources = ctx.dataset.resources
     variants = {}
@@ -196,23 +209,22 @@ def _an_average_core_counts(ctx, filters, params, outdir):
     periods = sorted({p for series in variants.values() for p in series})
     header = ["period"] + sorted(variants)
     rows = [[p] + [variants[k].get(p) for k in sorted(variants)] for p in periods]
-    name = "average_core_counts.csv"
-    return [(name, write_csv(os.path.join(outdir, name), header, rows))]
+    return [("average_core_counts.csv", header, rows)]
 
 
-def _an_single_node_serial(ctx, filters, params, outdir):
-    shares = single_node_serial_fractions(_jobs(ctx, filters),
-                                          ctx.dataset.resources,
-                                          exclude_osg=params.get("exclude_osg", True))
+def _an_single_node_serial(ctx, filters, params):
+    exclude_osg = filters.exclude_osg or params.get("exclude_osg", True)
+    shares = single_node_serial_fractions(
+        _jobs(ctx, dataclasses.replace(filters, exclude_osg=exclude_osg)),
+        ctx.dataset.resources)
     rows = [(s.period, s.pct_jobs_single_node, s.pct_xd_su_single_node,
              s.pct_xd_su_serial) for s in shares]
-    name = "single_node_serial.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["period", "pct_jobs_single_node",
-                              "pct_xd_su_single_node", "pct_xd_su_serial"], rows))]
+    return [("single_node_serial.csv",
+             ["period", "pct_jobs_single_node", "pct_xd_su_single_node",
+              "pct_xd_su_serial"], rows)]
 
 
-def _an_joint_ratio(ctx, filters, params, outdir):
+def _an_joint_ratio(ctx, filters, params):
     jobs = _jobs(ctx, filters)
     rows = []
 
@@ -236,35 +248,30 @@ def _an_joint_ratio(ctx, filters, params, outdir):
     for resource in sorted({j.resource for j in jobs}):
         add(f"resource:{resource}", "cores",
             pool=[j for j in jobs if j.resource == resource])
-    name = "joint_ratio.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["scope", "by", "joint_ratio", "depth_at_ratio",
-                              "projects_at_ratio", "usage_core_hours_at_ratio",
-                              "jobs_at_ratio"], rows))]
+    return [("joint_ratio.csv",
+             ["scope", "by", "joint_ratio", "depth_at_ratio", "projects_at_ratio",
+              "usage_core_hours_at_ratio", "jobs_at_ratio"], rows)]
 
 
-def _an_width_curves(ctx, filters, params, outdir):
+def _an_width_curves(ctx, filters, params):
     by = params.get("by", "cores")
     curves = width_curves(depth_profile(_jobs(ctx, filters), by=by))
     rows = list(zip(curves.depths, curves.project_fraction,
                     curves.job_fraction, curves.usage_fraction))
-    name = f"width_curves_{by}.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["depth", "project_fraction", "job_fraction",
-                              "usage_fraction"], rows))]
+    return [(f"width_curves_{by}.csv",
+             ["depth", "project_fraction", "job_fraction", "usage_fraction"], rows)]
 
 
-def _an_memory_histogram(ctx, filters, params, outdir):
+def _an_memory_histogram(ctx, filters, params):
     mode = params.get("mode", "per_core_avg")
     weight = params.get("weight", "core_hours")
     hist = memory_histograms(_jobs(ctx, filters), ctx.summaries,
                              ctx.dataset.resources, mode=mode, weight=weight)
-    name = f"memory_{mode}_{weight}.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["bin", "lo_bytes", "hi_bytes", weight], hist.rows()))]
+    return [(f"memory_{mode}_{weight}.csv", ["bin", "lo_bytes", "hi_bytes", weight],
+             hist.rows())]
 
 
-def _an_memory_2d(ctx, filters, params, outdir):
+def _an_memory_2d(ctx, filters, params):
     x = params.get("x", "cpu_user_fraction")
     y = params.get("y", "fraction_mem_used")
     weight = params.get("weight", "core_hours")
@@ -279,12 +286,11 @@ def _an_memory_2d(ctx, filters, params, outdir):
                              hist.cells[i][j]))
     rows.append(("outside", "", "", "", hist.outside))
     rows.append(("absent", "", "", "", hist.absent))
-    name = f"memory2d_{x}_vs_{y}.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["x_lo", "x_hi", "y_lo", "y_hi", weight], rows))]
+    return [(f"memory2d_{x}_vs_{y}.csv", ["x_lo", "x_hi", "y_lo", "y_hi", weight],
+             rows)]
 
 
-def _an_large_memory(ctx, filters, params, outdir):
+def _an_large_memory(ctx, filters, params):
     breakdown = large_memory_breakdown(_jobs(ctx, filters), ctx.summaries,
                                        ctx.dataset.resources)
     rows = []
@@ -295,12 +301,11 @@ def _an_large_memory(ctx, filters, params, outdir):
         for group, su in sorted(breakdown.by_app[series].items()):
             rows.append(("application", series, group, su))
     rows.append(("absent", "", "", breakdown.absent_xd_su))
-    name = "large_memory_usage.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["grouping", "queue_series", "group", "xd_su"], rows))]
+    return [("large_memory_usage.csv", ["grouping", "queue_series", "group", "xd_su"],
+             rows)]
 
 
-def _an_lustre(ctx, filters, params, outdir):
+def _an_lustre(ctx, filters, params):
     stats = lustre_stats(_jobs(ctx, filters), ctx.summaries,
                          normalize=params.get("normalize", "per_job"))
     rows = []
@@ -309,61 +314,45 @@ def _an_lustre(ctx, filters, params, outdir):
                                 ("node_hours", stats.node_hour_weighted[metric])):
             for label, lo, hi, w in hist.rows():
                 rows.append((metric, weighting, label, lo, hi, w))
-    files = []
-    name = "lustre_distributions.csv"
-    files.append((name, write_csv(os.path.join(outdir, name),
-                                  ["metric", "weighting", "bin", "lo", "hi", "weight"],
-                                  rows)))
     daily_rows = [(day.isoformat(), rx, tx) for day, rx, tx in stats.daily]
-    name = "lustre_daily.csv"
-    files.append((name, write_csv(os.path.join(outdir, name),
-                                  ["date", "bytes_read", "bytes_written"], daily_rows)))
-    return files
+    return [("lustre_distributions.csv",
+             ["metric", "weighting", "bin", "lo", "hi", "weight"], rows),
+            ("lustre_daily.csv", ["date", "bytes_read", "bytes_written"], daily_rows)]
 
 
-def _an_concurrency(ctx, filters, params, outdir):
+def _an_concurrency(ctx, filters, params):
     result = concurrency_histograms(_jobs(ctx, filters), ctx.summaries,
                                     ctx.dataset.resources,
                                     bands=tuple(params.get("bands", (32, 68))))
-    files = []
-    rows = [(resource, bucket, hours)
-            for resource in sorted(result.runnable_node_hours)
-            for bucket, hours in sorted(result.runnable_node_hours[resource].items())]
-    name = "concurrency_runnable_threads.csv"
-    files.append((name, write_csv(os.path.join(outdir, name),
-                                  ["resource", "threads_per_node", "node_hours"], rows)))
-    rows = [(period, launch, su)
-            for period in sorted(result.launch_type_xd_su)
-            for launch, su in sorted(result.launch_type_xd_su[period].items())]
-    name = "concurrency_launch_type.csv"
-    files.append((name, write_csv(os.path.join(outdir, name),
-                                  ["period", "launch_type", "xd_su"], rows)))
-    rows = sorted(result.process_bands_xd_su.items())
-    name = "concurrency_process_bands.csv"
-    files.append((name, write_csv(os.path.join(outdir, name),
-                                  ["processes_per_node", "xd_su"], rows)))
-    return files
+    runnable = [(resource, bucket, hours)
+                for resource in sorted(result.runnable_node_hours)
+                for bucket, hours in sorted(result.runnable_node_hours[resource].items())]
+    launch = [(period, launch, su)
+              for period in sorted(result.launch_type_xd_su)
+              for launch, su in sorted(result.launch_type_xd_su[period].items())]
+    return [("concurrency_runnable_threads.csv",
+             ["resource", "threads_per_node", "node_hours"], runnable),
+            ("concurrency_launch_type.csv", ["period", "launch_type", "xd_su"], launch),
+            ("concurrency_process_bands.csv", ["processes_per_node", "xd_su"],
+             sorted(result.process_bands_xd_su.items()))]
 
 
-def _an_exit_codes(ctx, filters, params, outdir):
+def _an_exit_codes(ctx, filters, params):
     table = statmodels.exit_code_table(_jobs(ctx, filters))
     statuses = [s.value for s in statmodels.ExitStatus]
     rows = [[resource] + [table[resource][s] for s in statuses] + [table[resource]["total"]]
             for resource in sorted(table)]
-    name = "exit_codes.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["resource"] + statuses + ["total"], rows))]
+    return [("exit_codes.csv", ["resource"] + statuses + ["total"], rows)]
 
 
-def _an_node_fail_fit(ctx, filters, params, outdir):
+def _an_node_fail_fit(ctx, filters, params):
     fit = statmodels.fit_node_fail(_jobs(ctx, filters),
                                    model=params.get("model", "nodes_linear"),
                                    include_failed=params.get("include_failed", False))
-    name = f"node_fail_fit_{fit.model}.json"
-    return [(name, write_json(os.path.join(outdir, name), dataclasses.asdict(fit)))]
+    return [(f"node_fail_fit_{fit.model}.json", dataclasses.asdict(fit))]
 
 
-def _an_backlog(ctx, filters, params, outdir):
+def _an_backlog(ctx, filters, params):
     sampling = params.get("sampling", "daily")
     jobs = _jobs(ctx, filters)
     rows = []
@@ -375,25 +364,22 @@ def _an_backlog(ctx, filters, params, outdir):
                          utc_date(point.time).isoformat(),
                          point.queued_core_years, point.running_nodes,
                          point.queued_nodes, point.required_nodes))
-    name = f"backlog_{sampling}.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["resource", "time", "date", "queued_core_years",
-                              "running_nodes", "queued_nodes", "required_nodes"], rows))]
+    return [(f"backlog_{sampling}.csv",
+             ["resource", "time", "date", "queued_core_years", "running_nodes",
+              "queued_nodes", "required_nodes"], rows)]
 
 
-def _an_wait_stats(ctx, filters, params, outdir):
+def _an_wait_stats(ctx, filters, params):
     stats = backlog_mod.wait_stats(_jobs(ctx, filters))
     rows = [(s.group, s.n_jobs, s.q1_hours, s.median_hours, s.q3_hours,
              s.mean_hours, s.core_hour_weighted_mean_hours)
             for s in (stats[k] for k in sorted(stats))]
-    name = "wait_stats.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["resource", "n_jobs", "q1_hours", "median_hours",
-                              "q3_hours", "mean_hours",
-                              "core_hour_weighted_mean_hours"], rows))]
+    return [("wait_stats.csv",
+             ["resource", "n_jobs", "q1_hours", "median_hours", "q3_hours",
+              "mean_hours", "core_hour_weighted_mean_hours"], rows)]
 
 
-def _an_capacity(ctx, filters, params, outdir):
+def _an_capacity(ctx, filters, params):
     targets = params.get("targets", (0.95, 0.99))
     jobs = _jobs(ctx, filters)
     rows = []
@@ -412,11 +398,10 @@ def _an_capacity(ctx, filters, params, outdir):
     header = (["resource", "nodes_actual"]
               + [f"nodes_p{int(t * 100)}" for t in targets]
               + ["cores_actual"] + [f"cores_p{int(t * 100)}" for t in targets])
-    name = "capacity.csv"
-    return [(name, write_csv(os.path.join(outdir, name), header, rows))]
+    return [("capacity.csv", header, rows)]
 
 
-def _an_user_queue_depth(ctx, filters, params, outdir):
+def _an_user_queue_depth(ctx, filters, params):
     rows_raw = backlog_mod.user_queue_depth(_jobs(ctx, filters), ctx.community_users)
     depth_dist: dict[tuple[str, int], int] = {}
     jobs_dist: dict[tuple[str, int], int] = {}
@@ -425,19 +410,13 @@ def _an_user_queue_depth(ctx, filters, params, outdir):
             (row.category, row.max_depth), 0) + 1
         jobs_dist[(row.category, row.job_count)] = jobs_dist.get(
             (row.category, row.job_count), 0) + 1
-    files = []
-    name = "user_max_queue_depth.csv"
-    files.append((name, write_csv(
-        os.path.join(outdir, name), ["category", "max_depth", "users"],
-        [(c, d, n) for (c, d), n in sorted(depth_dist.items())])))
-    name = "jobs_per_user.csv"
-    files.append((name, write_csv(
-        os.path.join(outdir, name), ["category", "job_count", "users"],
-        [(c, d, n) for (c, d), n in sorted(jobs_dist.items())])))
-    return files
+    return [("user_max_queue_depth.csv", ["category", "max_depth", "users"],
+             [(c, d, n) for (c, d), n in sorted(depth_dist.items())]),
+            ("jobs_per_user.csv", ["category", "job_count", "users"],
+             [(c, d, n) for (c, d), n in sorted(jobs_dist.items())])]
 
 
-def _an_periodogram(ctx, filters, params, outdir):
+def _an_periodogram(ctx, filters, params):
     jobs = _jobs(ctx, filters)
     resource = params.get("resource")
     if resource:
@@ -449,57 +428,48 @@ def _an_periodogram(ctx, filters, params, outdir):
     pgram = statmodels.lomb_scargle(centers, counts, grid)
     rows = [(f, 1.0 / f, p) for f, p in
             zip(pgram.frequencies_per_day, pgram.power)]
-    name = f"periodogram_{resource or 'all'}.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["frequency_per_day", "period_days", "power"], rows))]
+    return [(f"periodogram_{resource or 'all'}.csv",
+             ["frequency_per_day", "period_days", "power"], rows)]
 
 
-def _an_gateway_usage(ctx, filters, params, outdir):
+def _an_gateway_usage(ctx, filters, params):
     mode = params.get("mode", "community_user")
     usage = gateway_usage(_jobs(ctx, filters), ctx.dataset.allocations,
                           ctx.community_users, ctx.dataset.resources, mode=mode)
-    files = []
-    rows = [(gw, usage.per_gateway[gw]["job_count"],
-             usage.per_gateway[gw]["local_su"], usage.per_gateway[gw]["xd_su"])
-            for gw in sorted(usage.per_gateway)]
-    name = f"gateway_usage_{mode}.csv"
-    files.append((name, write_csv(os.path.join(outdir, name),
-                                  ["gateway", "job_count", "local_su", "xd_su"], rows)))
-    rows = [(period, gw, entry["job_count"], entry["local_su"], entry["xd_su"])
-            for period in sorted(usage.series)
-            for gw, entry in sorted(usage.series[period].items())]
-    name = f"gateway_usage_{mode}_series.csv"
-    files.append((name, write_csv(os.path.join(outdir, name),
-                                  ["period", "gateway", "job_count", "local_su",
-                                   "xd_su"], rows)))
-    return files
+    totals = [(gw, usage.per_gateway[gw]["job_count"],
+               usage.per_gateway[gw]["local_su"], usage.per_gateway[gw]["xd_su"])
+              for gw in sorted(usage.per_gateway)]
+    series = [(period, gw, entry["job_count"], entry["local_su"], entry["xd_su"])
+              for period in sorted(usage.series)
+              for gw, entry in sorted(usage.series[period].items())]
+    return [(f"gateway_usage_{mode}.csv",
+             ["gateway", "job_count", "local_su", "xd_su"], totals),
+            (f"gateway_usage_{mode}_series.csv",
+             ["period", "gateway", "job_count", "local_su", "xd_su"], series)]
 
 
-def _an_gateway_census(ctx, filters, params, outdir):
+def _an_gateway_census(ctx, filters, params):
     rows = [(r.period, r.active_hpc_users, r.new_hpc_users,
              r.active_gateway_users, r.new_gateway_users, r.combined_active,
              r.gateway_counts_lower_bound)
             for r in gateway_census(_jobs(ctx, filters), ctx.community_users)]
-    name = "gateway_census.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["period", "active_hpc_users", "new_hpc_users",
-                              "active_gateway_users", "new_gateway_users",
-                              "combined_active", "gateway_lower_bound"], rows))]
+    return [("gateway_census.csv",
+             ["period", "active_hpc_users", "new_hpc_users", "active_gateway_users",
+              "new_gateway_users", "combined_active", "gateway_lower_bound"], rows)]
 
 
-def _an_gateway_conversion(ctx, filters, params, outdir):
+def _an_gateway_conversion(ctx, filters, params):
     rows = [(r.gateway, r.user_key, r.gw_job_count, r.first_gw_job,
              r.xsede_job_count, r.first_xsede_job)
             for r in gateway_conversion(_jobs(ctx, filters), ctx.community_users,
                                         ctx.user_email,
                                         min_xsede_jobs=params.get("min_xsede_jobs", 10))]
-    name = "gateway_conversion.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["gateway", "user_key", "gw_job_count", "first_gw_job",
-                              "xsede_job_count", "first_xsede_job"], rows))]
+    return [("gateway_conversion.csv",
+             ["gateway", "user_key", "gw_job_count", "first_gw_job",
+              "xsede_job_count", "first_xsede_job"], rows)]
 
 
-def _an_geo(ctx, filters, params, outdir):
+def _an_geo(ctx, filters, params):
     table = usage_rollup(_jobs(ctx, filters), "state", "xd_su", "year",
                          ctx.dataset.resources)
     usage_by_state: dict[str, float] = {}
@@ -510,9 +480,7 @@ def _an_geo(ctx, filters, params, outdir):
                            ctx.tech_index_by_state)
     rows = [(r.state, r.raw, r.per_capita, r.per_capita_tech) for r in tables.rows]
     rows += [("flag", flag, None, None) for flag in tables.flags]
-    name = "geo_usage.csv"
-    return [(name, write_csv(os.path.join(outdir, name),
-                             ["state", "xd_su", "per_capita", "per_capita_tech"], rows))]
+    return [("geo_usage.csv", ["state", "xd_su", "per_capita", "per_capita_tech"], rows)]
 
 
 ANALYSES: dict[str, Callable] = {
@@ -543,41 +511,44 @@ ANALYSES: dict[str, Callable] = {
 }
 
 
+def _compute(ctx: _RunContext, name: str, params: Mapping, filters: Filters) -> list:
+    # looked up at call time, so a rebound ANALYSES entry is the one called
+    try:
+        return ANALYSES[name](ctx, filters, params)
+    except HpcwlError as err:
+        raise AnalysisError(name, err) from err
+
+
+def compute_analysis(ctx: ReportContext, name: str, params: Mapping,
+                     filters: Filters = Filters()) -> list:
+    """One analysis's entries over the jobs that filters keep, computed
+    without writing anything; ``render`` gives each entry's file text.
+    The allocation analyses read ``params["date_range"]``."""
+    return _compute(_RunContext.of(ctx), name, params, filters)
+
+
 def run_report(ctx: ReportContext, spec: ReportSpec) -> dict:
-    """Run every analysis in the spec and write the manifest last."""
-    ctx = _RunContext(**{f.name: getattr(ctx, f.name)
-                         for f in dataclasses.fields(ReportContext)})
-    outdir = spec.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    """Run every analysis in the spec, write and hash each entry's file, and
+    write the manifest last."""
+    ctx = _RunContext.of(ctx)
+    os.makedirs(spec.output_dir, exist_ok=True)
     filters = spec.effective_filters()
     manifest_files = []
     seen_names: set[str] = set()
     for analysis_name, params in spec.analyses:
-        func = ANALYSES.get(analysis_name)
-        if func is None:
-            raise UnknownAnalysis(analysis_name)
-        call_params = dict(params)
-        call_params.setdefault("date_range", spec.date_range)
-        try:
-            emitted = func(ctx, filters, call_params, outdir)
-        except HpcwlError as err:
-            raise AnalysisError(analysis_name, err) from err
-        for file_name, rows in emitted:
-            if file_name in seen_names:
+        call_params = {"date_range": spec.date_range, **params}
+        for entry in _compute(ctx, analysis_name, call_params, filters):
+            if entry[0] in seen_names:
                 raise AnalysisError(analysis_name,
-                                    ValueError(f"duplicate output file {file_name}"))
-            seen_names.add(file_name)
-            manifest_files.append({
-                "name": file_name,
-                "rows": rows,
-                "sha256": _sha256(os.path.join(outdir, file_name)),
-            })
+                                    ValueError(f"duplicate output file {entry[0]}"))
+            seen_names.add(entry[0])
+            manifest_files.append(_write(spec.output_dir, entry))
     manifest = {
         "report": spec.name,
         "date_range": [spec.date_range[0].isoformat(), spec.date_range[1].isoformat()],
         "files": sorted(manifest_files, key=lambda f: f["name"]),
     }
-    write_json(os.path.join(outdir, MANIFEST_NAME), manifest)
+    _write(spec.output_dir, (MANIFEST_NAME, manifest))
     return manifest
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hpcwl.cli import EXIT_ANALYSIS, EXIT_INPUT, EXIT_OK, main
 
 
@@ -79,6 +81,23 @@ def test_fit_failures_demo(capsys):
     fit = json.loads(out)
     assert fit["converged"] is True
     assert fit["model"] == "nodes_linear"
+
+
+@pytest.mark.parametrize("command,flags,analysis,params,file_name", [
+    ("periodogram", (), "periodogram", (), "periodogram_all.csv"),
+    ("periodogram", ("--resource", "TACC-STAMPEDE"), "periodogram",
+     ("--param", "resource=TACC-STAMPEDE"), "periodogram_TACC-STAMPEDE.csv"),
+    ("fit-failures", (), "node_fail_fit", (), "node_fail_fit_nodes_linear.json"),
+])
+def test_subcommand_prints_the_metric_file(tmp_path, capsys, command, flags,
+                                           analysis, params, file_name):
+    demo = ("--demo", "--demo-jobs", "4000")
+    code, printed, _ = run(capsys, command, *demo, *flags)
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "metric", analysis, *demo, *params,
+                     "--outdir", str(tmp_path))
+    assert code == EXIT_OK
+    assert printed.encode() == (tmp_path / file_name).read_bytes()
 
 
 def test_degenerate_fit_is_analysis_error(capsys):

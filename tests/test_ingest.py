@@ -134,10 +134,11 @@ def test_loading_is_deterministic(tmp_path):
 INT_FIELDS = ("submit_time", "start_time", "end_time", "nodes", "cores")
 BAD_NUMBERS = {
     "jsonl": {"int": (True, False, 4.7, -0.5, math.nan, math.inf, -math.inf,
-                      "nan", "4.7"),
+                      "nan", "4.7", "4_000", " 32 ", "+5", "\u0663\u0662"),
               "float": (True, False, math.nan, math.inf, -math.inf, "nan",
                         "NaN", "inf", "-Infinity")},
-    "csv": {"int": ("True", "4.7", "nan", "inf", "1e3"),
+    "csv": {"int": ("True", "4.7", "nan", "inf", "1e3", "4_000", " 32 ", "+5",
+                    "\u0663\u0662"),
             "float": ("True", "nan", "NaN", "inf", "-Infinity")},
 }
 
@@ -207,6 +208,11 @@ def test_numeric_fields_rejected_row_by_row_or_finite(fmt, data):
     ("jsonl", "cores", True),
     ("jsonl", "cores", 4.7),
     ("jsonl", "cores", math.inf),
+    ("csv", "cores", "4_000"),
+    ("csv", "nodes", " 32 "),
+    ("csv", "nodes", "+5"),
+    ("csv", "cores", "\u0663\u0662"),
+    ("jsonl", "cores", "4_000"),
 ])
 def test_bad_number_is_a_rejection(tmp_path, fmt, field, value):
     path = tmp_path / f"jobs.{fmt}"

@@ -166,3 +166,20 @@ def test_filters_given_plain_sets_run(ctx, tmp_path):
         run_report(ctx, spec)
         outputs.append(_files(out))
     assert outputs[0] == outputs[1]
+
+
+def test_computed_entries_write_nothing_and_match_the_report(ctx, tmp_path, monkeypatch):
+    spec = standard_bundle_spec(output_dir=str(tmp_path / "report"))
+    manifest = run_report(ctx, spec)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    entries = [entry for name, params in spec.analyses
+               for entry in report.compute_analysis(
+                   ctx, name, {"date_range": spec.date_range, **params},
+                   spec.effective_filters())]
+    assert os.listdir(cwd) == []
+    assert sorted(e[0] for e in entries) == [f["name"] for f in manifest["files"]]
+    for entry in entries:
+        assert (report.render(entry).encode()
+                == (tmp_path / "report" / entry[0]).read_bytes()), entry[0]
