@@ -338,7 +338,7 @@ def _as_float(raw, row: int, name: str) -> float:
         raise SchemaError(row, name)
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(row, name) from None
     if not math.isfinite(out):
         raise SchemaError(row, name)

@@ -129,3 +129,28 @@ def test_report_demo_and_config_override(tmp_path, capsys):
                        "--demo-jobs", "800", "--seed", "5", "--outdir", str(outdir))
     assert code == EXIT_OK
     assert (outdir / "manifest.json").exists()
+
+
+def test_summarize_rejects_a_non_finite_archive_value(tmp_path, capsys):
+    job = {"job_id": "a", "resource": "SDSC-COMET", "user": "u", "charge_number": "TG-1",
+           "directorate": "MPS", "parent_science": "Physics", "field_of_science": "X",
+           "nsf_user_status": "faculty", "submit_time": 100, "start_time": 200,
+           "end_time": 2000, "nodes": 1, "cores": 24, "queue": "q",
+           "exit_status": "completed", "local_su_charged": 12.0}
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text(json.dumps(job) + "\n")
+    perf = {"type": "perf", "job_id": "a", "node": "n1", "metric": "cpu_user_ticks",
+            "kind": "counter"}
+    archives = tmp_path / "archives.jsonl"
+    archives.write_text("\n".join([
+        json.dumps({"type": "job", "job_id": "a", "nodes": ["n1"]}),
+        json.dumps(dict(perf, time=200, value=0, tag="job_prolog")),
+        json.dumps(dict(perf, time=2000, value=float("nan"), tag="job_epilog")),
+    ]) + "\n")
+    out = tmp_path / "summaries.jsonl"
+    code, _, err = run(capsys, "summarize", "--jobs", str(jobs),
+                       "--archives", str(archives), "--out", str(out))
+    assert code == EXIT_INPUT
+    assert err == "input error: row 3: bad or missing field 'value'\n"
+    assert not out.exists()
+

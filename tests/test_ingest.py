@@ -213,6 +213,7 @@ def test_numeric_fields_rejected_row_by_row_or_finite(fmt, data):
     ("csv", "nodes", "+5"),
     ("csv", "cores", "\u0663\u0662"),
     ("jsonl", "cores", "4_000"),
+    ("jsonl", "local_su_charged", 10**400),
 ])
 def test_bad_number_is_a_rejection(tmp_path, fmt, field, value):
     path = tmp_path / f"jobs.{fmt}"
