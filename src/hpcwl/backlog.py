@@ -9,13 +9,13 @@ brute-force oracle reproduces every point exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Mapping, Sequence
 
 from .errors import EmptyGroup
 from .ingest import JobRecord, ResourceSpec, utc_date
+from .stats import inverse_cdf, quantile, total
 
 SECONDS_PER_CORE_YEAR = 3600.0 * 24.0 * 365.0
 
@@ -148,11 +148,6 @@ def required_nodes_at_submit(jobs: Sequence[JobRecord]) -> dict[str, int]:
     return required
 
 
-def _quantile_index(n: int, target: float) -> int:
-    """0-based index of the inverse-CDF quantile over n ordered samples."""
-    return max(1, math.ceil(target * n)) - 1
-
-
 @dataclass(frozen=True)
 class CapacityEstimate:
     resource: str
@@ -174,9 +169,9 @@ def capacity_for_percentile(jobs: Sequence[JobRecord], resource: str,
                             time_weighted: bool = False) -> CapacityEstimate:
     """Nodes needed so the target fraction of jobs could start at submit.
 
-    The default is the job-weighted inverse-CDF quantile of R_j over submit
-    instants; time_weighted switches to the duration-weighted quantile of
-    the required-nodes series, for comparison.
+    The default is the type 1 (inverse-CDF) quantile of R_j over submit
+    instants; time_weighted switches to the duration-weighted type 1
+    quantile of the required-nodes series, for comparison.
     """
     if not 0 < target < 1:
         raise ValueError("target must be in (0, 1)")
@@ -184,10 +179,16 @@ def capacity_for_percentile(jobs: Sequence[JobRecord], resource: str,
     if not pool:
         raise EmptyGroup(resource)
     if time_weighted:
-        nodes_required = _time_weighted_quantile(pool, target)
+        points = backlog_series(pool, sampling="event").points
+        # (required nodes, how long they were required) between events
+        spans = (sorted((cur.required_nodes, nxt.time - cur.time)
+                        for cur, nxt in zip(points, points[1:]))
+                 or [(points[0].required_nodes, 1)])
+        values, durations = zip(*spans)
+        nodes_required = inverse_cdf(values, target, durations)
     else:
-        values = sorted(required_nodes_at_submit(pool).values())
-        nodes_required = values[_quantile_index(len(values), target)]
+        nodes_required = inverse_cdf(
+            sorted(required_nodes_at_submit(pool).values()), target)
     return CapacityEstimate(
         resource=resource,
         target=target,
@@ -195,25 +196,6 @@ def capacity_for_percentile(jobs: Sequence[JobRecord], resource: str,
         cores_required=(nodes_required * spec.cores_per_node if spec else None),
         actual_nodes=spec.nodes if spec else None,
     )
-
-
-def _time_weighted_quantile(jobs: Sequence[JobRecord], target: float) -> int:
-    series = backlog_series(jobs, sampling="event").points
-    if len(series) == 1:
-        return series[0].required_nodes
-    spans: list[tuple[int, int]] = []  # (required_nodes, duration)
-    for cur, nxt in zip(series, series[1:]):
-        spans.append((cur.required_nodes, nxt.time - cur.time))
-    spans.sort()
-    total = sum(duration for _, duration in spans)
-    if total <= 0:
-        return max(point.required_nodes for point in series)
-    acc = 0
-    for value, duration in spans:
-        acc += duration
-        if acc >= target * total:
-            return value
-    return spans[-1][0]
 
 
 @dataclass(frozen=True)
@@ -225,18 +207,6 @@ class WaitStats:
     q3_hours: float
     mean_hours: float
     core_hour_weighted_mean_hours: float
-
-
-def _quantile_sorted(ordered: Sequence[float], q: float) -> float:
-    """Linear-interpolation quantile over an already sorted sequence."""
-    if not ordered:
-        raise ValueError("quantile of empty sequence")
-    pos = q * (len(ordered) - 1)
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    if lo == hi:
-        return ordered[lo]
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def wait_stats(jobs: Sequence[JobRecord],
@@ -251,18 +221,19 @@ def wait_stats(jobs: Sequence[JobRecord],
     for name in sorted(groups):
         members = groups[name]
         waits = sorted(job.wait_seconds / 3600.0 for job in members)
+        mean = total(waits) / len(waits)
         weights = [job.core_hours for job in members]
-        total_weight = sum(weights)
-        weighted = (sum(w * (job.wait_seconds / 3600.0)
-                        for w, job in zip(weights, members)) / total_weight
-                    if total_weight > 0 else sum(waits) / len(waits))
+        total_weight = total(weights)
+        weighted = (total(w * (job.wait_seconds / 3600.0)
+                          for w, job in zip(weights, members)) / total_weight
+                    if total_weight > 0 else mean)
         out[name] = WaitStats(
             group=name,
             n_jobs=len(members),
-            q1_hours=_quantile_sorted(waits, 0.25),
-            median_hours=_quantile_sorted(waits, 0.5),
-            q3_hours=_quantile_sorted(waits, 0.75),
-            mean_hours=sum(waits) / len(waits),
+            q1_hours=quantile(waits, 0.25),
+            median_hours=quantile(waits, 0.5),
+            q3_hours=quantile(waits, 0.75),
+            mean_hours=mean,
             core_hour_weighted_mean_hours=weighted,
         )
     return out

@@ -22,16 +22,18 @@ class TimestampOrderError(SchemaError):
                          message or f"row {row}: timestamps out of order")
 
 
-class OverlappingFactorWindows(HpcwlError):
+class OverlappingFactorWindows(SchemaError):
     def __init__(self, resource):
         self.resource = resource
-        super().__init__(f"overlapping SU factor windows for resource {resource!r}")
+        super().__init__(0, "su_factors",
+                         f"overlapping SU factor windows for resource {resource!r}")
 
 
-class MissingGeometry(HpcwlError):
+class MissingGeometry(SchemaError):
     def __init__(self, resource):
         self.resource = resource
-        super().__init__(f"resource {resource!r} lacks node/core geometry")
+        super().__init__(0, "nodes/cores_per_node",
+                         f"resource {resource!r} lacks node/core geometry")
 
 
 class NoFactorForDate(HpcwlError):

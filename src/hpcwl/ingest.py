@@ -353,6 +353,17 @@ def _as_enum(raw, row: int, name: str, enum_cls):
         raise SchemaError(row, name, f"row {row}: {value!r} is not a valid {name}") from None
 
 
+def _as_day(raw: Mapping, row: int, name: str, open_end: bool = False) -> date:
+    """An ISO date field; with open_end, an absent, empty or "current" one
+    means OPEN_END."""
+    if open_end and raw.get(name) in (None, "", "current", "Current"):
+        return OPEN_END
+    try:
+        return parse_date(str(_need(raw, row, name)))
+    except ValueError:
+        raise SchemaError(row, name) from None
+
+
 def _optional_str(raw: Mapping, name: str) -> str | None:
     value = raw.get(name)
     if value in (None, ""):
@@ -409,10 +420,7 @@ def _allocation_from_raw(raw: Mapping, row: int) -> AllocationRecord:
         tagged = tagged_raw.strip().lower() in ("1", "true", "yes")
     else:
         tagged = bool(tagged_raw)
-    try:
-        award_date = parse_date(str(_need(raw, row, "award_date")))
-    except ValueError:
-        raise SchemaError(row, "award_date") from None
+    award_date = _as_day(raw, row, "award_date")
     return AllocationRecord(
         charge_number=str(_need(raw, row, "charge_number")),
         resource=str(_need(raw, row, "resource")),
@@ -489,41 +497,65 @@ def write_rejection_report(rejections: Iterable[Rejection], path) -> None:
             handle.write("\n")
 
 
-def _parse_factor_end(value) -> date:
-    if value in (None, "", "current", "Current"):
-        return OPEN_END
-    return parse_date(str(value))
+def _as_names(raw: Mapping, row: int, name: str) -> frozenset[str]:
+    value = raw.get(name) or ()
+    if not isinstance(value, list | tuple) or not all(type(v) is str for v in value):
+        raise SchemaError(row, name)
+    return frozenset(value)
 
 
 def resource_from_dict(raw: Mapping) -> ResourceSpec:
+    """One resource description.  A missing or malformed field raises
+    SchemaError naming it, with row 0 (load_resources gives the entry's
+    1-based index instead)."""
+    if not isinstance(raw, Mapping):
+        raise SchemaError(0, "name", "a resource description must be an object")
     name = str(raw.get("name", ""))
     if not name:
         raise SchemaError(0, "name", "resource without a name")
     if not raw.get("nodes") or not raw.get("cores_per_node"):
         raise MissingGeometry(name)
-    windows = []
-    for win in raw.get("su_factors", ()):
-        windows.append(FactorWindow(
-            start=parse_date(str(win["start"])),
-            end=_parse_factor_end(win.get("end")),
-            factor=float(win["factor"]),
-        ))
+    try:
+        windows = tuple(FactorWindow(start=_as_day(win, 0, "start"),
+                                     end=_as_day(win, 0, "end", open_end=True),
+                                     factor=_as_float(win, 0, "factor"))
+                        for win in raw.get("su_factors", ()))
+    except (AttributeError, TypeError, ValueError, SchemaError):
+        # not a list of objects, a bad field, or a window FactorWindow refuses
+        raise SchemaError(0, "su_factors") from None
     mem = raw.get("mem_per_node")
     large_mem = raw.get("large_mem_per_node")
     return ResourceSpec(
         name=name,
-        rtype=ResourceType(raw["rtype"]),
-        nodes=int(raw["nodes"]),
-        cores_per_node=int(raw["cores_per_node"]),
-        production_start=parse_date(str(raw["production_start"])),
-        production_end=_parse_factor_end(raw.get("production_end")),
-        su_factors=tuple(windows),
-        su_unit=SuUnit(raw.get("su_unit", "core_hour")),
-        mem_per_node=int(mem) if mem is not None else None,
-        large_memory_queues=frozenset(raw.get("large_memory_queues", ())),
-        shared_queues=frozenset(raw.get("shared_queues", ())),
-        large_mem_per_node=int(large_mem) if large_mem is not None else None,
+        rtype=_as_enum(raw, 0, "rtype", ResourceType),
+        nodes=_as_int(raw, 0, "nodes"),
+        cores_per_node=_as_int(raw, 0, "cores_per_node"),
+        production_start=_as_day(raw, 0, "production_start"),
+        production_end=_as_day(raw, 0, "production_end", open_end=True),
+        su_factors=windows,
+        su_unit=(_as_enum(raw, 0, "su_unit", SuUnit)
+                 if raw.get("su_unit") is not None else SuUnit.CORE_HOUR),
+        mem_per_node=_as_int(raw, 0, "mem_per_node") if mem is not None else None,
+        large_memory_queues=_as_names(raw, 0, "large_memory_queues"),
+        shared_queues=_as_names(raw, 0, "shared_queues"),
+        large_mem_per_node=(_as_int(raw, 0, "large_mem_per_node")
+                            if large_mem is not None else None),
     )
+
+
+def _resource_table(entries) -> dict[str, ResourceSpec]:
+    """Resource descriptions by name; a malformed entry raises SchemaError
+    whose row is its 1-based index."""
+    if not isinstance(entries, list):
+        raise SchemaError(0, "resources", "resource descriptions must be a list")
+    out: dict[str, ResourceSpec] = {}
+    for row, raw in enumerate(entries, 1):
+        try:
+            spec = resource_from_dict(raw)
+        except SchemaError as err:
+            raise SchemaError(row, err.field) from err
+        out[spec.name] = spec
+    return out
 
 
 def load_resources(path) -> dict[str, ResourceSpec]:
@@ -532,11 +564,7 @@ def load_resources(path) -> dict[str, ResourceSpec]:
         doc = json.load(handle)
     if isinstance(doc, Mapping):
         doc = doc.get("resources", [])
-    out: dict[str, ResourceSpec] = {}
-    for raw in doc:
-        spec = resource_from_dict(raw)
-        out[spec.name] = spec
-    return out
+    return _resource_table(doc)
 
 
 def builtin_resources() -> dict[str, ResourceSpec]:
@@ -545,12 +573,7 @@ def builtin_resources() -> dict[str, ResourceSpec]:
     from importlib import resources as importlib_resources
 
     text = importlib_resources.files("hpcwl.data").joinpath("resources.json").read_text("utf-8")
-    doc = json.loads(text)
-    out: dict[str, ResourceSpec] = {}
-    for raw in doc["resources"]:
-        spec = resource_from_dict(raw)
-        out[spec.name] = spec
-    return out
+    return _resource_table(json.loads(text)["resources"])
 
 
 def su_convert(resources: Mapping[str, ResourceSpec], amount: float, resource: str,

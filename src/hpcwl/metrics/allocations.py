@@ -7,13 +7,12 @@ above 100%.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import EmptyGroup
 from ..ingest import AllocationRecord
-from ..perfsummary import median
+from ..stats import inverse_cdf, quantile, total
 
 
 @dataclass(frozen=True)
@@ -32,16 +31,16 @@ def _sample_variance(values: Sequence[float]) -> float:
     n = len(values)
     if n < 2:
         return 0.0
-    mean = sum(values) / n
-    return sum((v - mean) ** 2 for v in values) / (n - 1)
+    mean = total(values) / n
+    return total((v - mean) ** 2 for v in values) / (n - 1)
 
 
 def group_stats(group: str, allocs: Sequence[AllocationRecord]) -> AllocationStats:
     if not allocs:
         raise EmptyGroup(group)
     awarded = [a.awarded_local_su for a in allocs]
-    total_awarded = sum(awarded)
-    total_used = sum(a.used_local_su for a in allocs)
+    total_awarded = total(awarded)
+    total_used = total(a.used_local_su for a in allocs)
     return AllocationStats(
         group=group,
         n_alloc=len(allocs),
@@ -50,7 +49,7 @@ def group_stats(group: str, allocs: Sequence[AllocationRecord]) -> AllocationSta
                          if total_awarded > 0 else None),
         total=total_awarded,
         mean=total_awarded / len(allocs),
-        median=median(awarded),
+        median=quantile(sorted(awarded), 0.5),
         variance=_sample_variance(awarded),
     )
 
@@ -97,8 +96,7 @@ def select_size_fraction(allocs: Sequence[AllocationRecord], fraction: float,
     if not allocs:
         return []
     ordered = sorted(allocs, key=lambda a: a.awarded_local_su, reverse=from_top)
-    cutoff_index = max(1, math.ceil(fraction * len(ordered))) - 1
-    threshold = ordered[cutoff_index].awarded_local_su
+    threshold = inverse_cdf([a.awarded_local_su for a in ordered], fraction)
     if from_top:
         return [a for a in ordered if a.awarded_local_su >= threshold]
     return [a for a in ordered if a.awarded_local_su <= threshold]

@@ -13,6 +13,7 @@ from typing import Sequence
 
 from ..errors import EmptyProfile
 from ..ingest import JobRecord, utc_date
+from ..stats import total
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def joint_ratio(profile: DepthProfile) -> JointRatioResult:
     projects = profile.projects
     if not projects:
         raise EmptyProfile("no projects")
-    total_usage = sum(p.usage_core_hours for p in projects)
+    total_usage = total(p.usage_core_hours for p in projects)
     if total_usage <= 0:
         raise EmptyProfile("no usage")
     n = len(projects)
@@ -113,7 +114,7 @@ def joint_ratio(profile: DepthProfile) -> JointRatioResult:
         ratio_deep_projects_pct=100 - deep_usage_pct,
         depth_at_ratio=depth_star,
         projects_at_ratio=len(deep),
-        usage_at_ratio=sum(p.usage_core_hours for p in deep),
+        usage_at_ratio=total(p.usage_core_hours for p in deep),
         jobs_at_ratio=sum(p.job_count for p in deep),
     )
 
@@ -126,7 +127,7 @@ def width_curves(profile: DepthProfile) -> WidthCurves:
         raise EmptyProfile("no projects")
     n = len(projects)
     total_jobs = sum(p.job_count for p in projects)
-    total_usage = sum(p.usage_core_hours for p in projects)
+    total_usage = total(p.usage_core_hours for p in projects)
     ordered = sorted(projects, key=lambda p: p.depth)
     depths: list[int] = []
     proj_frac: list[float] = []

@@ -12,6 +12,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..stats import total
+
 
 def _check_edges(edges: Sequence[float]):
     if len(edges) < 2:
@@ -49,11 +51,8 @@ class Histogram1D:
     def add_absent(self, weight: float = 1.0) -> None:
         self.absent += weight
 
-    def binned_total(self) -> float:
-        return sum(self.weights) + self.underflow + self.overflow
-
     def grand_total(self) -> float:
-        return self.binned_total() + self.absent
+        return total(self.weights) + self.underflow + self.overflow + self.absent
 
     def labels(self) -> list[str]:
         return [bin_label(lo, hi) for lo, hi in zip(self.edges, self.edges[1:])]
@@ -102,11 +101,8 @@ class Histogram2D:
     def add_absent(self, weight: float = 1.0) -> None:
         self.absent += weight
 
-    def binned_total(self) -> float:
-        return sum(sum(row) for row in self.cells) + self.outside
-
     def grand_total(self) -> float:
-        return self.binned_total() + self.absent
+        return total(map(total, self.cells)) + self.outside + self.absent
 
 
 def fmt_edge(edge: float) -> str:

@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..errors import EmptyGroup, NoFactorForDate
 from ..ingest import JobRecord, ResourceSpec, job_xd_su
+from ..stats import total
 from .histograms import Histogram1D, default_job_size_edges
 
 OSG_RESOURCE = "OSG"
@@ -24,7 +25,7 @@ PERIODS = ("quarter", "year")
 
 @dataclass(frozen=True)
 class Filters:
-    """Row filters shared by the rollup-style operations."""
+    """Row filters a report applies to its jobs before any analysis sees them."""
 
     start: date | None = None          # keep jobs ending on/after this date
     end: date | None = None            # keep jobs ending strictly before this date
@@ -123,10 +124,10 @@ class RollupTable:
 
     def shares(self, period_label: str) -> dict[str, float]:
         bucket = self.totals.get(period_label, {})
-        total = sum(bucket.values())
-        if total == 0:
+        period_total = total(bucket.values())
+        if period_total == 0:
             return {value: 0.0 for value in bucket}
-        return {value: 100.0 * w / total for value, w in bucket.items()}
+        return {value: 100.0 * w / period_total for value, w in bucket.items()}
 
     def rows(self) -> list[tuple[str, str, float, float]]:
         """(period, value, total, pct_share) sorted for stable emission."""
@@ -140,8 +141,7 @@ class RollupTable:
 
 
 def usage_rollup(jobs: Sequence[JobRecord], dimension: str, weight: str,
-                 period: str, resources: Mapping[str, ResourceSpec],
-                 filters: Filters | None = None) -> RollupTable:
+                 period: str, resources: Mapping[str, ResourceSpec]) -> RollupTable:
     """Aggregate job weight per (period, dimension value) with period shares.
 
     Jobs whose XD SU factor cannot be resolved are excluded from xd_su
@@ -152,8 +152,7 @@ def usage_rollup(jobs: Sequence[JobRecord], dimension: str, weight: str,
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
     table = RollupTable(dimension=dimension, weight=weight, period=period)
-    kept = filters.apply(jobs) if filters else list(jobs)
-    for job in kept:
+    for job in jobs:
         try:
             w = job_weight(job, weight, resources)
         except (NoFactorForDate, KeyError):
@@ -167,8 +166,7 @@ def usage_rollup(jobs: Sequence[JobRecord], dimension: str, weight: str,
 def job_size_distribution(jobs: Sequence[JobRecord],
                           bins: Sequence[float] | None = None,
                           weight: str = "jobs",
-                          resources: Mapping[str, ResourceSpec] | None = None,
-                          filters: Filters | None = None) -> Histogram1D:
+                          resources: Mapping[str, ResourceSpec] | None = None) -> Histogram1D:
     """Histogram of job core counts under the given weighting.
 
     Jobs whose weight cannot be computed (missing SU factor) land in the
@@ -176,8 +174,7 @@ def job_size_distribution(jobs: Sequence[JobRecord],
     """
     hist = Histogram1D(edges=tuple(bins) if bins else default_job_size_edges(),
                        weight_kind=weight)
-    kept = filters.apply(jobs) if filters else jobs
-    for job in kept:
+    for job in jobs:
         try:
             hist.add(job.cores, job_weight(job, weight, resources))
         except (NoFactorForDate, KeyError):
@@ -198,25 +195,31 @@ def average_job_size(jobs: Sequence[JobRecord],
                      resources: Mapping[str, ResourceSpec],
                      weighted_by_xd_su: bool = False,
                      effective: bool = False,
-                     kraken_factor: float = 2.04,
-                     filters: Filters | None = None) -> float:
-    """Mean job size in (effective) cores, optionally XD-SU-weighted."""
-    kept = filters.apply(jobs) if filters else list(jobs)
-    if not kept:
-        raise EmptyGroup("no jobs to average")
+                     kraken_factor: float = 2.04) -> float:
+    """Mean job size in (effective) cores, optionally XD-SU-weighted.
+
+    Jobs with no SU factor are left out of the effective and the weighted
+    means; EmptyGroup is raised when no job or no weight is left.
+    """
     sizes = []
-    for job in kept:
-        if effective:
-            sizes.append(effective_cores(job, resources, kraken_factor))
-        else:
-            sizes.append(float(job.cores))
+    weights = []
+    for job in jobs:
+        try:
+            size = (effective_cores(job, resources, kraken_factor) if effective
+                    else float(job.cores))
+            if weighted_by_xd_su:
+                weights.append(job_xd_su(job, resources))
+        except (NoFactorForDate, KeyError):
+            continue
+        sizes.append(size)
+    if not sizes:
+        raise EmptyGroup("no jobs to average")
     if not weighted_by_xd_su:
-        return sum(sizes) / len(sizes)
-    weights = [job_xd_su(job, resources) for job in kept]
-    total = sum(weights)
-    if total <= 0:
+        return total(sizes) / len(sizes)
+    weight = total(weights)
+    if weight <= 0:
         raise EmptyGroup("zero total XD SU weight")
-    return sum(s * w for s, w in zip(sizes, weights)) / total
+    return total(s * w for s, w in zip(sizes, weights)) / weight
 
 
 def average_job_size_series(jobs: Sequence[JobRecord],
@@ -224,17 +227,20 @@ def average_job_size_series(jobs: Sequence[JobRecord],
                             period: str = "quarter",
                             weighted_by_xd_su: bool = False,
                             effective: bool = False,
-                            kraken_factor: float = 2.04,
-                            filters: Filters | None = None) -> dict[str, float]:
-    kept = filters.apply(jobs) if filters else list(jobs)
+                            kraken_factor: float = 2.04) -> dict[str, float]:
+    """average_job_size per period; a period left with no job or no weight
+    has no entry."""
     by_period: dict[str, list[JobRecord]] = {}
-    for job in kept:
+    for job in jobs:
         by_period.setdefault(job_period(job, period), []).append(job)
-    return {
-        label: average_job_size(group, resources, weighted_by_xd_su,
-                                effective, kraken_factor)
-        for label, group in sorted(by_period.items())
-    }
+    series = {}
+    for label, group in sorted(by_period.items()):
+        try:
+            series[label] = average_job_size(group, resources, weighted_by_xd_su,
+                                             effective, kraken_factor)
+        except EmptyGroup:
+            continue
+    return series
 
 
 @dataclass(frozen=True)

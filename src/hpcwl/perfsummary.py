@@ -30,6 +30,7 @@ import numpy as np
 from . import appident
 from .errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
 from .ingest import JobRecord, _as_float, _as_int, _need
+from .stats import quantile, total
 
 # canonical counter metric names in the archive schema
 CPU_USER = "cpu_user_ticks"
@@ -337,17 +338,6 @@ def classify_launch_type(n_processes: int, threads_per_process: int,
     return LaunchType.MULTI_PROCESS_MULTI_THREADED
 
 
-def median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("median of empty sequence")
-    mid = n // 2
-    if n % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 # counter metrics in the order their fields and flags are computed
 _COUNTERS = (CPU_USER, CPU_TOTAL, LUSTRE_RX, LUSTRE_TX, IB_RX, IB_TX, FILE_OPENS)
 
@@ -533,13 +523,13 @@ def summarize_job(job: JobRecord, archive: JobArchive, cores_per_node: int,
     runnable = samples.value[(samples.metric == runnable_code)
                              & (samples.kind == _INSTANTANEOUS)
                              & listed[samples.node] & in_window(samples.time)].tolist()
-    runnable_median = median(runnable) if runnable else None
+    runnable_median = quantile(sorted(runnable), 0.5) if runnable else None
 
     mem = archive.meminfo
     _, listed = _node_codes(mem.nodes, archive.nodes)
     rows = np.flatnonzero(listed[mem.node] & in_window(mem.time))
     mem_values = _mem_per_core(mem, rows, cores_per_node) if rows.size else []
-    mem_avg = sum(mem_values) / len(mem_values) if mem_values else None
+    mem_avg = total(mem_values) / len(mem_values) if mem_values else None
     mem_max = max(mem_values) if mem_values else None
 
     label = appident.resolve_job_app(

@@ -3,7 +3,8 @@
 
 This is the per-record implementation the columnar one replaced, unchanged
 except that it takes the job's records as sequences instead of a
-``JobArchive``.  ``load_archives`` used to hand it samples and meminfo sorted
+``JobArchive`` and takes its median and memory mean from ``hpcwl.stats``,
+as the columnar code does.  ``load_archives`` used to hand it samples and meminfo sorted
 stably by (node, time), so that is the order to pass them in.
 """
 from __future__ import annotations
@@ -31,10 +32,10 @@ from hpcwl.perfsummary import (
     SampleTag,
     classify_launch_type,
     counter_delta,
-    median,
     memory_per_core,
     non_lustre_ib,
 )
+from hpcwl.stats import quantile, total
 
 
 def loader_order(records):
@@ -125,12 +126,12 @@ def summarize_records(job: JobRecord, nodes: Sequence[str],
                 if s.metric == RUNNABLE_THREADS and s.kind is SampleKind.INSTANTANEOUS
                 and s.node in nodes and in_window(s.time)]
     samples_used += len(runnable)
-    runnable_median = median(runnable) if runnable else None
+    runnable_median = quantile(sorted(runnable), 0.5) if runnable else None
 
     mem_values = [memory_per_core(m, cores_per_node) for m in meminfo
                   if m.node in nodes and in_window(m.time)]
     samples_used += len(mem_values)
-    mem_avg = sum(mem_values) / len(mem_values) if mem_values else None
+    mem_avg = total(mem_values) / len(mem_values) if mem_values else None
     mem_max = max(mem_values) if mem_values else None
 
     label = appident.resolve_job_app(

@@ -217,8 +217,12 @@ def test_capacity_cores_and_ratio():
 def test_time_weighted_variant_available():
     jobs = [trace_job("a", 0, 100, 200, nodes=8),
             trace_job("b", 150, 160, 170, nodes=1)]
-    est = capacity_for_percentile(jobs, "TESTMACHINE", 0.5, time_weighted=True)
-    assert est.nodes_required >= 0
+    # required nodes over [0, 200): 8 for 180 s, 9 for 20 s
+    required = {q: capacity_for_percentile(jobs, "TESTMACHINE", q,
+                                           time_weighted=True).nodes_required
+                for q in (0.5, 0.9, 0.96)}
+    # at q = 0.9 the cumulative weight of 8 nodes is exactly 0.9 * 200
+    assert required == {0.5: 8, 0.9: 8, 0.96: 9}
 
 
 # --- user queue depth ---------------------------------------------------------------

@@ -1,6 +1,9 @@
+import csv
 import json
 
 import pytest
+
+from conftest import T0
 
 from hpcwl.cli import EXIT_ANALYSIS, EXIT_INPUT, EXIT_OK, main
 
@@ -154,3 +157,72 @@ def test_summarize_rejects_a_non_finite_archive_value(tmp_path, capsys):
     assert err == "input error: row 3: bad or missing field 'value'\n"
     assert not out.exists()
 
+
+
+def _job_row(job_id, resource, end_time, cores, local_su):
+    return {"job_id": job_id, "resource": resource, "user": "u", "charge_number": "TG-1",
+            "directorate": "MPS", "parent_science": "Physics", "field_of_science": "X",
+            "nsf_user_status": "faculty", "submit_time": end_time - 7200,
+            "start_time": end_time - 3600, "end_time": end_time, "nodes": 1,
+            "cores": cores, "queue": "q", "exit_status": "completed",
+            "local_su_charged": local_su}
+
+
+def test_average_core_counts_leaves_out_jobs_without_a_factor(tmp_path, capsys):
+    # NICS-KRAKEN's last SU factor window ends in 2014, so its jobs have none
+    aug_19, oct_2 = T0 + 18 * 86400 + 3600, T0 + 62 * 86400
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text("".join(json.dumps(row) + "\n" for row in (
+        _job_row("k1", "NICS-KRAKEN", aug_19, 24, 10.0),
+        _job_row("s1", "TACC-STAMPEDE", aug_19, 32, 20.0),
+        _job_row("k2", "NICS-KRAKEN", oct_2, 12, 5.0))))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "acc", "date_range": ["2015-07-01", "2016-01-01"],
+                                "analyses": [{"analysis": "average_core_counts"}]}))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "report", "--jobs", str(jobs), "--spec", str(spec),
+                       "--outdir", str(out))
+    assert code == EXIT_OK, err
+    with open(out / "average_core_counts.csv", newline="") as handle:
+        rows = {row.pop("period"): row for row in csv.DictReader(handle)}
+    stampede_effective = 32 * 4.599 / 2.04
+    for osg in ("osg_incl", "osg_excl"):
+        q3, q4 = rows["2015-Q3"], rows["2015-Q4"]
+        assert float(q3[f"{osg}_unweighted_actual"]) == (24 + 32) / 2
+        assert float(q3[f"{osg}_unweighted_effective"]) == pytest.approx(stampede_effective)
+        assert float(q3[f"{osg}_weighted_actual"]) == pytest.approx(32.0)
+        assert float(q3[f"{osg}_weighted_effective"]) == pytest.approx(stampede_effective)
+        assert float(q4[f"{osg}_unweighted_actual"]) == 12.0
+        for variant in ("unweighted_effective", "weighted_actual", "weighted_effective"):
+            assert q4[f"{osg}_{variant}"] == ""
+
+
+RESOURCE = {"name": "M", "rtype": "HPC", "nodes": 4, "cores_per_node": 8,
+            "production_start": "2012-01-01", "production_end": None,
+            "su_factors": [{"start": "2012-01-01", "end": None, "factor": 1.5}]}
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"rtype": None}, "rtype"),
+    ({"rtype": "Mainframe"}, "rtype"),
+    ({"nodes": "many"}, "nodes"),
+    ({"nodes": -4}, "nodes/cores_per_node"),
+    ({"production_start": "2012-13-01"}, "production_start"),
+    ({"su_unit": "furlong_hour"}, "su_unit"),
+    ({"su_factors": [{"start": "2012-01-01", "factor": "x"}]}, "su_factors"),
+    ({"su_factors": [{"start": "2012-01-01", "factor": -1.5}]}, "su_factors"),
+    ({"su_factors": [{"start": "2012/01/01", "factor": 1.5}]}, "su_factors"),
+    ({"su_factors": [{"start": "2012-01-01", "end": "2013-01-02", "factor": 1.0},
+                     {"start": "2013-01-01", "factor": 2.0}]}, "su_factors"),
+    ({"shared_queues": 3}, "shared_queues"),
+])
+def test_malformed_resource_file_is_input_error(tmp_path, capsys, change, field):
+    broken = {k: v for k, v in {**RESOURCE, "name": "N", **change}.items()
+              if v is not None or k == "production_end"}
+    resources = tmp_path / "resources.json"
+    resources.write_text(json.dumps({"resources": [RESOURCE, broken]}))
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text("")
+    code, _, err = run(capsys, "ingest", "--jobs", str(jobs), "--resources", str(resources))
+    assert code == EXIT_INPUT
+    assert err == f"input error: row 2: bad or missing field {field!r}\n"

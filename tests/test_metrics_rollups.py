@@ -41,8 +41,8 @@ def test_exclude_osg_filter(test_resources):
                                      nodes=1000, cores_per_node=1)
     jobs = [make_job(job_id="h", resource="OSG", nodes=1, cores=1),
             make_job(job_id="k")]
-    table = usage_rollup(jobs, "resource", "jobs", "quarter", resources,
-                         Filters(exclude_osg=True))
+    table = usage_rollup(Filters(exclude_osg=True).apply(jobs), "resource", "jobs",
+                         "quarter", resources)
     assert [row[1] for row in table.rows()] == ["TESTMACHINE"]
 
 

@@ -1,5 +1,7 @@
+import builtins
 import dataclasses
 import json
+import math
 import os
 from collections import Counter
 from datetime import date
@@ -183,3 +185,24 @@ def test_computed_entries_write_nothing_and_match_the_report(ctx, tmp_path, monk
     for entry in entries:
         assert (report.render(entry).encode()
                 == (tmp_path / "report" / entry[0]).read_bytes()), entry[0]
+
+
+def test_bundle_bytes_do_not_depend_on_builtin_float_sum(ctx, tmp_path, monkeypatch):
+    # Python 3.12+ sums floats with compensation; every total that reaches a
+    # file must not use builtin sum, so a compensated one changes no byte
+    run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "plain")))
+    plain_sum = builtins.sum
+
+    def compensated_sum(iterable, start=0):
+        values = list(iterable)
+        if values and start == 0 and all(type(v) is float for v in values):
+            return math.fsum(values)
+        return plain_sum(values, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    compensated = run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "fsum")))
+    monkeypatch.undo()
+    plain = json.loads((tmp_path / "plain" / MANIFEST_NAME).read_text())
+    changed = [a["name"] for a, b in zip(plain["files"], compensated["files"])
+               if a != b]
+    assert changed == []
