@@ -10,11 +10,13 @@ brute-force oracle reproduces every point exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, timedelta
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import EmptyGroup
-from .ingest import JobRecord, ResourceSpec, utc_date
+from .ingest import JobRecord, ResourceSpec
+from .jobtable import SECONDS_PER_DAY, JobTable
 from .stats import inverse_cdf, quantile, total
 
 SECONDS_PER_CORE_YEAR = 3600.0 * 24.0 * 365.0
@@ -45,107 +47,64 @@ class BacklogSeries:
     infeasible_times: list[int] = field(default_factory=list)
 
 
-def _state_deltas(jobs: Sequence[JobRecord]) -> dict[int, list[int]]:
-    """time -> [d_queued_nodes, d_queued_core_seconds, d_running_nodes]."""
-    deltas: dict[int, list[int]] = {}
-
-    def bump(t: int, dq: int, dcs: int, dr: int) -> None:
-        entry = deltas.setdefault(t, [0, 0, 0])
-        entry[0] += dq
-        entry[1] += dcs
-        entry[2] += dr
-
-    for job in jobs:
-        core_seconds = job.cores * job.wall_seconds
-        bump(job.submit_time, job.nodes, core_seconds, 0)
-        bump(job.start_time, -job.nodes, -core_seconds, job.nodes)
-        bump(job.end_time, 0, 0, -job.nodes)
-    return deltas
+def _through(times: np.ndarray, amounts: np.ndarray, instants: np.ndarray) -> np.ndarray:
+    """Total of the amounts whose time is at or before each instant."""
+    order = np.argsort(times, kind="stable")
+    running = np.concatenate(([0], np.cumsum(amounts[order])))
+    return running[np.searchsorted(times[order], instants, side="right")]
 
 
-def _midnights_between(lo: int, hi: int) -> list[int]:
-    out = []
-    day = utc_date(lo)
-    while True:
-        midnight = int((day - date(1970, 1, 1)).total_seconds())
-        if midnight > hi:
-            break
-        if midnight >= lo:
-            out.append(midnight)
-        day = day + timedelta(days=1)
-    return out
+def _of_resource(jobs: Sequence[JobRecord] | JobTable, resource: str | None) -> JobTable:
+    table = JobTable.of(jobs)
+    return table if resource is None else table.take(table.resource.isin((resource,)))
 
 
-def backlog_series(jobs: Sequence[JobRecord], resource: str | None = None,
+def backlog_series(jobs: Sequence[JobRecord] | JobTable, resource: str | None = None,
                    sampling: str = "event",
                    spec: ResourceSpec | None = None) -> BacklogSeries:
     """Replay one resource's trace into a queued-work series.
 
     sampling="event" emits a point at every distinct event timestamp;
-    "daily" emits points at UTC midnights spanning the trace.  When a
+    "daily" emits points at UTC midnights spanning the trace.  A point is
+    the state after every event at or before its instant.  When a
     ResourceSpec is given, instants where running nodes exceed the machine
     are recorded as infeasible rather than hidden.
     """
     if sampling not in ("event", "daily"):
         raise ValueError(f"unknown sampling {sampling!r}")
-    if resource is not None:
-        jobs = [job for job in jobs if job.resource == resource]
+    table = _of_resource(jobs, resource)
     series = BacklogSeries(resource=resource or "all", sampling=sampling)
-    if not jobs:
+    if not len(table):
         return series
-    deltas = _state_deltas(jobs)
-    event_times = sorted(deltas)
+    event_times = np.unique(np.concatenate((table.submit, table.start, table.end)))
     if sampling == "daily":
-        sample_times = _midnights_between(event_times[0], event_times[-1])
+        first = -(-event_times[0] // SECONDS_PER_DAY) * SECONDS_PER_DAY
+        samples = np.arange(first, event_times[-1] + 1, SECONDS_PER_DAY)
     else:
-        sample_times = event_times
-
-    queued_nodes = 0
-    queued_cs = 0
-    running_nodes = 0
-    sample_iter = iter(sample_times)
-    next_sample = next(sample_iter, None)
-    for t in event_times:
-        # emit samples for instants strictly before this event
-        while next_sample is not None and next_sample < t:
-            series.points.append(BacklogPoint(next_sample, queued_cs,
-                                              running_nodes, queued_nodes))
-            next_sample = next(sample_iter, None)
-        dq, dcs, dr = deltas[t]
-        queued_nodes += dq
-        queued_cs += dcs
-        running_nodes += dr
-        if spec is not None and running_nodes > spec.nodes:
-            series.infeasible_times.append(t)
-        if next_sample == t:
-            series.points.append(BacklogPoint(t, queued_cs, running_nodes, queued_nodes))
-            next_sample = next(sample_iter, None)
-    while next_sample is not None:
-        series.points.append(BacklogPoint(next_sample, queued_cs,
-                                          running_nodes, queued_nodes))
-        next_sample = next(sample_iter, None)
+        samples = event_times
+    core_seconds = table.cores * (table.end - table.start)
+    started = _through(table.start, table.nodes, samples)
+    running = started - _through(table.end, table.nodes, samples)
+    queued = _through(table.submit, table.nodes, samples) - started
+    queued_cs = (_through(table.submit, core_seconds, samples)
+                 - _through(table.start, core_seconds, samples))
+    series.points = list(map(BacklogPoint, samples.tolist(), queued_cs.tolist(),
+                             running.tolist(), queued.tolist()))
+    if spec is not None:
+        if sampling == "daily":
+            running = (_through(table.start, table.nodes, event_times)
+                       - _through(table.end, table.nodes, event_times))
+        series.infeasible_times = event_times[running > spec.nodes].tolist()
     return series
 
 
-def required_nodes_at_submit(jobs: Sequence[JobRecord]) -> dict[str, int]:
-    """R_j: running + queued nodes at each job's submit instant, the
-    submitting job included."""
-    if not jobs:
-        return {}
-    deltas = _state_deltas(jobs)
-    submits: dict[int, list[str]] = {}
-    for job in jobs:
-        submits.setdefault(job.submit_time, []).append(job.job_id)
-    required: dict[str, int] = {}
-    queued_nodes = 0
-    running_nodes = 0
-    for t in sorted(deltas):
-        dq, _, dr = deltas[t]
-        queued_nodes += dq
-        running_nodes += dr
-        for job_id in submits.get(t, ()):
-            required[job_id] = running_nodes + queued_nodes
-    return required
+def required_nodes_at_submit(jobs: Sequence[JobRecord] | JobTable) -> list[int]:
+    """R_j for each job, in job order: running + queued nodes at its submit
+    instant, every job submitted at that instant included.  That is the
+    nodes submitted at or before the instant less those ended by then."""
+    table = JobTable.of(jobs)
+    return (_through(table.submit, table.nodes, table.submit)
+            - _through(table.end, table.nodes, table.submit)).tolist()
 
 
 @dataclass(frozen=True)
@@ -163,20 +122,17 @@ class CapacityEstimate:
         return self.nodes_required / self.actual_nodes
 
 
-def capacity_for_percentile(jobs: Sequence[JobRecord], resource: str,
-                            target: float = 0.95,
-                            spec: ResourceSpec | None = None,
-                            time_weighted: bool = False) -> CapacityEstimate:
-    """Nodes needed so the target fraction of jobs could start at submit.
-
-    The default is the type 1 (inverse-CDF) quantile of R_j over submit
-    instants; time_weighted switches to the duration-weighted type 1
-    quantile of the required-nodes series, for comparison.
-    """
-    if not 0 < target < 1:
-        raise ValueError("target must be in (0, 1)")
-    pool = [job for job in jobs if job.resource == resource]
-    if not pool:
+def capacity_estimates(jobs: Sequence[JobRecord] | JobTable, resource: str,
+                       targets: Sequence[float] = (0.95,),
+                       spec: ResourceSpec | None = None,
+                       time_weighted: bool = False) -> list[CapacityEstimate]:
+    """``capacity_for_percentile`` for each target, with R_j (or the
+    required-nodes series) computed once."""
+    for target in targets:
+        if not 0 < target < 1:
+            raise ValueError("target must be in (0, 1)")
+    pool = _of_resource(jobs, resource)
+    if not len(pool):
         raise EmptyGroup(resource)
     if time_weighted:
         points = backlog_series(pool, sampling="event").points
@@ -185,17 +141,33 @@ def capacity_for_percentile(jobs: Sequence[JobRecord], resource: str,
                         for cur, nxt in zip(points, points[1:]))
                  or [(points[0].required_nodes, 1)])
         values, durations = zip(*spans)
-        nodes_required = inverse_cdf(values, target, durations)
     else:
-        nodes_required = inverse_cdf(
-            sorted(required_nodes_at_submit(pool).values()), target)
-    return CapacityEstimate(
-        resource=resource,
-        target=target,
-        nodes_required=nodes_required,
-        cores_required=(nodes_required * spec.cores_per_node if spec else None),
-        actual_nodes=spec.nodes if spec else None,
-    )
+        values, durations = sorted(required_nodes_at_submit(pool)), None
+    out = []
+    for target in targets:
+        nodes_required = inverse_cdf(values, target, durations)
+        out.append(CapacityEstimate(
+            resource=resource,
+            target=target,
+            nodes_required=nodes_required,
+            cores_required=(nodes_required * spec.cores_per_node if spec else None),
+            actual_nodes=spec.nodes if spec else None,
+        ))
+    return out
+
+
+def capacity_for_percentile(jobs: Sequence[JobRecord] | JobTable, resource: str,
+                            target: float = 0.95,
+                            spec: ResourceSpec | None = None,
+                            time_weighted: bool = False) -> CapacityEstimate:
+    """Nodes needed so the target fraction of jobs could start at submit.
+
+    The default is the type 1 (inverse-CDF) quantile of R_j over the jobs'
+    submit instants, one value per job; time_weighted switches to the
+    duration-weighted type 1 quantile of the required-nodes series, for
+    comparison.
+    """
+    return capacity_estimates(jobs, resource, (target,), spec, time_weighted)[0]
 
 
 @dataclass(frozen=True)

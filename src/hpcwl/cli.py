@@ -169,7 +169,7 @@ def _cmd_metric(args, config) -> int:
 def _cmd_backlog(args, config) -> int:
     ctx = _build_context(args, config)
     spec = ctx.dataset.resources.get(args.resource)
-    series = backlog.backlog_series(list(ctx.dataset.jobs), args.resource,
+    series = backlog.backlog_series(ctx.dataset.job_table, args.resource,
                                     sampling=args.sampling, spec=spec)
     print("time,queued_core_years,running_nodes,queued_nodes,required_nodes")
     for point in series.points:

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -24,6 +25,7 @@ from .errors import (
     SchemaError,
     TimestampOrderError,
 )
+from .jobtable import JobTable
 
 OPEN_END = date(9999, 12, 31)
 SECONDS_PER_HOUR = 3600.0
@@ -265,6 +267,11 @@ class Dataset:
     allocations: tuple[AllocationRecord, ...]
     resources: Mapping[str, ResourceSpec]
     quality_flags: tuple[QualityFlag, ...] = ()
+
+    @cached_property
+    def job_table(self) -> JobTable:
+        """The jobs as columns, built on first use."""
+        return JobTable.of(self.jobs, self.resources)
 
     def resource_of(self, job: JobRecord) -> ResourceSpec:
         return self.resources[job.resource]

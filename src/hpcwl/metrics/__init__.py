@@ -41,16 +41,17 @@ from .memory import (
     memory_2d,
     memory_histograms,
 )
+from ..jobtable import period_key
 from .rollups import (
     Filters,
     RollupTable,
     SingleNodeShare,
     average_job_size,
     average_job_size_series,
+    average_job_size_variants,
     effective_cores,
     job_size_distribution,
     job_weight,
-    period_key,
     single_node_serial_fractions,
     usage_rollup,
 )

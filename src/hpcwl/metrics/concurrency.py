@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 from ..errors import NoFactorForDate
 from ..ingest import JobRecord, ResourceSpec, job_xd_su
 from ..perfsummary import JobPerfSummary, LaunchType
-from .rollups import job_period
+from ..jobtable import period_key
 
 NA_BUCKET = "N/A"
 
@@ -81,7 +81,8 @@ def concurrency_histograms(jobs: Sequence[JobRecord],
         except NoFactorForDate:
             continue
         launch = summary.launch_type.value if summary else LaunchType.UNKNOWN.value
-        period_bucket = result.launch_type_xd_su.setdefault(job_period(job, period), {})
+        period_bucket = result.launch_type_xd_su.setdefault(
+            period_key(job.end_date, period), {})
         period_bucket[launch] = period_bucket.get(launch, 0.0) + su
 
         result.process_bands_xd_su[process_band(median_threads, bands)] += su

@@ -11,8 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import EmptyProfile
-from ..ingest import JobRecord, utc_date
+from ..ingest import JobRecord
+from ..jobtable import JobTable
 from ..stats import total
 
 
@@ -53,23 +56,24 @@ class WidthCurves:
     usage_fraction: tuple[float, ...]
 
 
-def depth_profile(jobs: Sequence[JobRecord], by: str = "cores",
+def depth_profile(jobs: Sequence[JobRecord] | JobTable, by: str = "cores",
                   window_year: int | None = None) -> DepthProfile:
     """Per-project depth, usage and job count, optionally for one calendar
     year (jobs assigned to years by end time, UTC)."""
     if by not in ("cores", "nodes"):
         raise ValueError("by must be cores or nodes")
-    depth_of = (lambda j: j.cores) if by == "cores" else (lambda j: j.nodes)
-    acc: dict[str, list] = {}  # project -> [depth, usage, count]
-    for job in jobs:
-        if window_year is not None and utc_date(job.end_time).year != window_year:
-            continue
-        entry = acc.setdefault(job.charge_number, [0, 0.0, 0])
-        entry[0] = max(entry[0], depth_of(job))
-        entry[1] += job.core_hours
-        entry[2] += 1
-    projects = tuple(ProjectDepth(pid, d, u, c)
-                     for pid, (d, u, c) in sorted(acc.items()))
+    table = JobTable.of(jobs)
+    if window_year is not None:
+        table = table.take(table.year.isin((str(window_year),)))
+    project = table.project
+    count = np.bincount(project.codes, minlength=len(project.names))
+    usage = np.bincount(project.codes, table.core_hours, minlength=len(project.names))
+    depth = np.zeros(len(project.names), dtype=np.int64)
+    np.maximum.at(depth, project.codes, getattr(table, by))
+    present = np.flatnonzero(count)
+    projects = tuple(map(ProjectDepth, [project.names[p] for p in present.tolist()],
+                         depth[present].tolist(), usage[present].tolist(),
+                         count[present].tolist()))
     return DepthProfile(by=by, window_year=window_year, projects=projects)
 
 

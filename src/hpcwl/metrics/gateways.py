@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from ..errors import NoFactorForDate
 from ..ingest import AllocationRecord, JobRecord, ResourceSpec, job_xd_su, utc_date
-from .rollups import job_period
+from ..jobtable import period_key
 
 MODES = ("community_user", "associated_allocation", "gateway_tagged")
 UNTAGGED_GATEWAY = "(untagged-gateway)"
@@ -109,7 +109,7 @@ def gateway_usage(jobs: Sequence[JobRecord],
             su_xd = None
             usage.excluded_no_factor += 1
         for gateway in gateways:
-            usage._add(gateway, job_period(job, period),
+            usage._add(gateway, period_key(job.end_date, period),
                        job.local_su_charged, su_xd)
     return usage
 
@@ -148,7 +148,7 @@ def gateway_census(jobs: Sequence[JobRecord],
     first_hpc: dict[str, str] = {}
     first_gw: dict[tuple[str, str], str] = {}
     for job in jobs:
-        label = job_period(job, period)
+        label = period_key(job.end_date, period)
         if job.gateway_user is not None:
             gateway = community_users.get(job.user, job.user)
             key = (gateway, job.gateway_user)

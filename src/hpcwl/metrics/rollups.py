@@ -2,7 +2,8 @@
 
 Jobs are assigned to calendar periods (UTC) by their end time: the SU charge
 is booked when the job ends, and XD SU conversion uses the factor in effect
-on that date.
+on that date.  Each function takes job records or a ``JobTable`` and
+computes on the table's columns.
 """
 from __future__ import annotations
 
@@ -10,8 +11,11 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, Mapping, Sequence
 
-from ..errors import EmptyGroup, NoFactorForDate
+import numpy as np
+
+from ..errors import EmptyGroup
 from ..ingest import JobRecord, ResourceSpec, job_xd_su
+from ..jobtable import Codes, JobTable, day_number
 from ..stats import total
 from .histograms import Histogram1D, default_job_size_edges
 
@@ -21,6 +25,8 @@ DIMENSIONS = ("resource", "directorate", "parent_science", "field_of_science",
               "rtype", "nsf_user_status", "state")
 WEIGHTS = ("jobs", "xd_su", "core_hours", "node_hours")
 PERIODS = ("quarter", "year")
+
+Jobs = Sequence[JobRecord] | JobTable
 
 
 @dataclass(frozen=True)
@@ -41,37 +47,30 @@ class Filters:
             if value is not None and type(value) is not frozenset:
                 object.__setattr__(self, name, frozenset(value))
 
-    def keep(self, job: JobRecord) -> bool:
-        if self.start is not None or self.end is not None:
-            day = job.end_date
-            if self.start is not None and day < self.start:
-                return False
-            if self.end is not None and day >= self.end:
-                return False
-        if self.resources is not None and job.resource not in self.resources:
-            return False
-        if job.resource in self.exclude_resources:
-            return False
-        if self.exclude_osg and job.resource == OSG_RESOURCE:
-            return False
-        if self.queues is not None and job.queue not in self.queues:
-            return False
-        return True
+    def mask(self, table: JobTable) -> np.ndarray:
+        """Mask of the rows of ``table`` that the filters keep."""
+        keep = np.ones(len(table), dtype=bool)
+        if self.start is not None:
+            keep &= table.end_day >= day_number(self.start)
+        if self.end is not None:
+            keep &= table.end_day < day_number(self.end)
+        if self.resources is not None:
+            keep &= table.resource.isin(self.resources)
+        excluded = self.exclude_resources | ({OSG_RESOURCE} if self.exclude_osg else set())
+        if excluded:
+            keep &= ~table.resource.isin(excluded)
+        if self.queues is not None:
+            keep &= table.queue.isin(self.queues)
+        return keep
 
-    def apply(self, jobs: Iterable[JobRecord]) -> list[JobRecord]:
-        return [job for job in jobs if self.keep(job)]
-
-
-def period_key(day: date, period: str) -> str:
-    if period == "year":
-        return f"{day.year}"
-    if period == "quarter":
-        return f"{day.year}-Q{(day.month - 1) // 3 + 1}"
-    raise ValueError(f"unknown period {period!r}")
-
-
-def job_period(job: JobRecord, period: str) -> str:
-    return period_key(job.end_date, period)
+    def apply(self, jobs: Iterable[JobRecord] | JobTable) -> list[JobRecord] | JobTable:
+        """The kept jobs: of records, a list of the kept ones; of a
+        JobTable, the table of its kept rows."""
+        if isinstance(jobs, JobTable):
+            return jobs.take(self.mask(jobs))
+        jobs = list(jobs)
+        return [job for job, kept in zip(jobs, self.mask(JobTable.of(jobs)).tolist())
+                if kept]
 
 
 def job_weight(job: JobRecord, weight: str,
@@ -87,27 +86,6 @@ def job_weight(job: JobRecord, weight: str,
             raise ValueError("xd_su weighting needs the resource map")
         return job_xd_su(job, resources)
     raise ValueError(f"unknown weight {weight!r}")
-
-
-def dimension_value(job: JobRecord, dimension: str,
-                    resources: Mapping[str, ResourceSpec] | None = None) -> str:
-    if dimension == "resource":
-        return job.resource
-    if dimension == "directorate":
-        return job.directorate
-    if dimension == "parent_science":
-        return job.parent_science
-    if dimension == "field_of_science":
-        return job.field_of_science
-    if dimension == "rtype":
-        if resources is None or job.resource not in resources:
-            return "unknown"
-        return resources[job.resource].rtype.value
-    if dimension == "nsf_user_status":
-        return job.nsf_user_status.value
-    if dimension == "state":
-        return job.state_of_origin or "unknown"
-    raise ValueError(f"unknown dimension {dimension!r}")
 
 
 @dataclass
@@ -140,30 +118,35 @@ class RollupTable:
         return out
 
 
-def usage_rollup(jobs: Sequence[JobRecord], dimension: str, weight: str,
+def usage_rollup(jobs: Jobs, dimension: str, weight: str,
                  period: str, resources: Mapping[str, ResourceSpec]) -> RollupTable:
     """Aggregate job weight per (period, dimension value) with period shares.
 
     Jobs whose XD SU factor cannot be resolved are excluded from xd_su
-    weighting and counted in excluded_no_factor.
+    weighting and counted in excluded_no_factor.  Buckets are added in the
+    order of their first job, the order ``shares`` sums them in.
     """
     if dimension not in DIMENSIONS:
         raise ValueError(f"unknown dimension {dimension!r}")
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
-    table = RollupTable(dimension=dimension, weight=weight, period=period)
-    for job in jobs:
-        try:
-            w = job_weight(job, weight, resources)
-        except (NoFactorForDate, KeyError):
-            table.excluded_no_factor += 1
-            continue
-        table.add(job_period(job, period),
-                  dimension_value(job, dimension, resources), w)
-    return table
+    table = JobTable.of(jobs, resources)
+    periods, values = table.periods(period), getattr(table, dimension)
+    w = table.weights(weight)
+    known = ~np.isnan(w)
+    rollup = RollupTable(dimension=dimension, weight=weight, period=period,
+                         excluded_no_factor=len(table) - int(np.count_nonzero(known)))
+    width = len(values.names)
+    bucket = periods.codes[known].astype(np.int64) * width + values.codes[known]
+    sums = np.bincount(bucket, weights=w[known]).tolist()
+    buckets, first = np.unique(bucket, return_index=True)
+    for b in buckets[np.argsort(first)].tolist():
+        p, v = divmod(b, width)
+        rollup.add(periods.names[p], values.names[v], sums[b])
+    return rollup
 
 
-def job_size_distribution(jobs: Sequence[JobRecord],
+def job_size_distribution(jobs: Jobs,
                           bins: Sequence[float] | None = None,
                           weight: str = "jobs",
                           resources: Mapping[str, ResourceSpec] | None = None) -> Histogram1D:
@@ -174,11 +157,16 @@ def job_size_distribution(jobs: Sequence[JobRecord],
     """
     hist = Histogram1D(edges=tuple(bins) if bins else default_job_size_edges(),
                        weight_kind=weight)
-    for job in jobs:
-        try:
-            hist.add(job.cores, job_weight(job, weight, resources))
-        except (NoFactorForDate, KeyError):
-            hist.add_absent(1.0)
+    table = JobTable.of(jobs, resources)
+    w = table.weights(weight)
+    known = ~np.isnan(w)
+    # slot 0 is underflow, slot i bin i - 1, slot len(edges) overflow; with
+    # no weights at all bincount returns integer zeros
+    slot = np.searchsorted(hist.edges, table.cores[known], side="right")
+    sums = np.bincount(slot, weights=w[known],
+                       minlength=len(hist.edges) + 1).astype(np.float64).tolist()
+    hist.underflow, hist.weights, hist.overflow = sums[0], sums[1:-1], sums[-1]
+    hist.absent = float(len(table) - np.count_nonzero(known))
     return hist
 
 
@@ -191,7 +179,37 @@ def effective_cores(job: JobRecord, resources: Mapping[str, ResourceSpec],
     return job.cores * factor / kraken_factor
 
 
-def average_job_size(jobs: Sequence[JobRecord],
+def _size_means(table: JobTable, groups: Codes, kraken_factor: float
+                ) -> dict[tuple[bool, bool], dict[str, float]]:
+    """Mean job size per group for each (weighted_by_xd_su, effective)
+    pair; a group left with no job or no weight has no entry.  Jobs with no
+    SU factor are left out of the effective and the weighted means."""
+    if kraken_factor <= 0:
+        raise ValueError("reference factor must be positive")
+    factored = ~np.isnan(table.su_factor)
+    in_group = groups.codes[factored]
+
+    def sums(codes: np.ndarray, weights: np.ndarray | None = None) -> list:
+        return np.bincount(codes, weights, minlength=len(groups.names)).tolist()
+
+    cores = table.cores.astype(np.float64)
+    sizes = {False: cores[factored],
+             True: (table.cores * table.su_factor / kraken_factor)[factored]}
+    xd_su = table.xd_su[factored]
+    weight = sums(in_group, xd_su)
+    means = {}
+    for effective in (False, True):
+        count, size_total = ((sums(in_group), sums(in_group, sizes[True])) if effective
+                             else (sums(groups.codes), sums(groups.codes, cores)))
+        means[False, effective] = {groups.names[g]: s / c for g, (s, c)
+                                   in enumerate(zip(size_total, count)) if c}
+        weighted = sums(in_group, sizes[effective] * xd_su)
+        means[True, effective] = {groups.names[g]: s / w for g, (s, w)
+                                  in enumerate(zip(weighted, weight)) if w > 0}
+    return means
+
+
+def average_job_size(jobs: Jobs,
                      resources: Mapping[str, ResourceSpec],
                      weighted_by_xd_su: bool = False,
                      effective: bool = False,
@@ -201,46 +219,35 @@ def average_job_size(jobs: Sequence[JobRecord],
     Jobs with no SU factor are left out of the effective and the weighted
     means; EmptyGroup is raised when no job or no weight is left.
     """
-    sizes = []
-    weights = []
-    for job in jobs:
-        try:
-            size = (effective_cores(job, resources, kraken_factor) if effective
-                    else float(job.cores))
-            if weighted_by_xd_su:
-                weights.append(job_xd_su(job, resources))
-        except (NoFactorForDate, KeyError):
-            continue
-        sizes.append(size)
-    if not sizes:
-        raise EmptyGroup("no jobs to average")
-    if not weighted_by_xd_su:
-        return total(sizes) / len(sizes)
-    weight = total(weights)
-    if weight <= 0:
-        raise EmptyGroup("zero total XD SU weight")
-    return total(s * w for s, w in zip(sizes, weights)) / weight
+    table = JobTable.of(jobs, resources)
+    one_group = Codes(("all",), np.zeros(len(table), dtype=np.int32))
+    mean = _size_means(table, one_group, kraken_factor)[weighted_by_xd_su, effective]
+    if not mean:
+        raise EmptyGroup("no jobs or no XD SU weight to average")
+    return mean["all"]
 
 
-def average_job_size_series(jobs: Sequence[JobRecord],
+def average_job_size_variants(jobs: Jobs,
+                              resources: Mapping[str, ResourceSpec],
+                              period: str = "quarter",
+                              kraken_factor: float = 2.04
+                              ) -> dict[tuple[bool, bool], dict[str, float]]:
+    """``average_job_size_series`` for every (weighted_by_xd_su, effective)
+    pair, from one set of per-period sums."""
+    table = JobTable.of(jobs, resources)
+    return _size_means(table, table.periods(period), kraken_factor)
+
+
+def average_job_size_series(jobs: Jobs,
                             resources: Mapping[str, ResourceSpec],
                             period: str = "quarter",
                             weighted_by_xd_su: bool = False,
                             effective: bool = False,
                             kraken_factor: float = 2.04) -> dict[str, float]:
-    """average_job_size per period; a period left with no job or no weight
-    has no entry."""
-    by_period: dict[str, list[JobRecord]] = {}
-    for job in jobs:
-        by_period.setdefault(job_period(job, period), []).append(job)
-    series = {}
-    for label, group in sorted(by_period.items()):
-        try:
-            series[label] = average_job_size(group, resources, weighted_by_xd_su,
-                                             effective, kraken_factor)
-        except EmptyGroup:
-            continue
-    return series
+    """average_job_size per period, in period order; a period left with no
+    job or no weight has no entry."""
+    return average_job_size_variants(jobs, resources, period,
+                                     kraken_factor)[weighted_by_xd_su, effective]
 
 
 @dataclass(frozen=True)
@@ -251,34 +258,28 @@ class SingleNodeShare:
     pct_xd_su_serial: float
 
 
-def single_node_serial_fractions(jobs: Sequence[JobRecord],
+def single_node_serial_fractions(jobs: Jobs,
                                  resources: Mapping[str, ResourceSpec],
                                  period: str = "quarter") -> list[SingleNodeShare]:
     """Per-period share of single-node jobs (by count and XD SU) and of
     serial jobs (by XD SU).  Single-node means nodes == 1; serial cores == 1.
     """
-    by_period: dict[str, list[JobRecord]] = {}
-    for job in jobs:
-        by_period.setdefault(job_period(job, period), []).append(job)
-    out = []
-    for label in sorted(by_period):
-        group = by_period[label]
-        n_single = sum(1 for job in group if job.nodes == 1)
-        su_total = su_single = su_serial = 0.0
-        for job in group:
-            try:
-                su = job_xd_su(job, resources)
-            except (NoFactorForDate, KeyError):
-                continue
-            su_total += su
-            if job.nodes == 1:
-                su_single += su
-            if job.cores == 1:
-                su_serial += su
-        out.append(SingleNodeShare(
-            period=label,
-            pct_jobs_single_node=100.0 * n_single / len(group),
-            pct_xd_su_single_node=100.0 * su_single / su_total if su_total else 0.0,
-            pct_xd_su_serial=100.0 * su_serial / su_total if su_total else 0.0,
-        ))
-    return out
+    table = JobTable.of(jobs, resources)
+    periods = table.periods(period)
+    factored = ~np.isnan(table.xd_su)
+    single = table.nodes == 1
+
+    def per_period(rows: np.ndarray, su: bool = False) -> list:
+        return np.bincount(periods.codes[rows], table.xd_su[rows] if su else None,
+                           minlength=len(periods.names)).tolist()
+
+    n_jobs, n_single = per_period(np.ones(len(table), dtype=bool)), per_period(single)
+    su_total = per_period(factored, su=True)
+    su_single = per_period(factored & single, su=True)
+    su_serial = per_period(factored & (table.cores == 1), su=True)
+    return [SingleNodeShare(
+        period=label,
+        pct_jobs_single_node=100.0 * n_single[p] / n_jobs[p],
+        pct_xd_su_single_node=100.0 * su_single[p] / su_total[p] if su_total[p] else 0.0,
+        pct_xd_su_serial=100.0 * su_serial[p] / su_total[p] if su_total[p] else 0.0,
+    ) for p, label in enumerate(periods.names) if n_jobs[p]]

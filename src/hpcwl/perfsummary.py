@@ -236,7 +236,8 @@ class JobArchive:
 
     ``samples`` and ``meminfo`` may be given as ``PerfSample`` and
     ``MemInfoSample`` records; they are stored as ``PerfColumns`` and
-    ``MemColumns``, and ``len()`` of each is the record count.
+    ``MemColumns``, and ``len()`` of each is the record count.  A node
+    listed twice in ``nodes`` is a ValueError.
     """
 
     job_id: str
@@ -247,6 +248,8 @@ class JobArchive:
     processes: tuple[appident.ProcessObservation, ...] = ()
 
     def __post_init__(self):
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError(f"job {self.job_id}: a node is listed twice")
         if not isinstance(self.samples, PerfColumns):
             object.__setattr__(self, "samples", _perf_from_records(self.samples))
         if not isinstance(self.meminfo, MemColumns):
@@ -663,7 +666,10 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
         listed = raw.get("nodes")
         if type(listed) is not list:
             raise SchemaError(row, "nodes", f"row {row}: nodes must be a list")
-        nodes[job_id] = tuple(str(n) for n in listed)
+        listed = tuple(str(n) for n in listed)
+        if len(set(listed)) != len(listed):
+            raise SchemaError(row, "nodes", f"row {row}: a node is listed twice")
+        nodes[job_id] = listed
     elif kind == "launcher":
         exe = raw.get("exe")
         if exe is not None and type(exe) is not str:

@@ -19,15 +19,18 @@ from datetime import date, datetime
 from enum import Enum
 from typing import Callable, Mapping
 
+import numpy as np
+
 from . import backlog as backlog_mod
 from . import statmodels
 from .errors import AnalysisError, HpcwlError, UnknownAnalysis
 from .ingest import Dataset, JobRecord, utc_date
+from .jobtable import JobTable
 from .metrics import (
     Filters,
     allocation_size_summary,
     allocation_utilization,
-    average_job_size_series,
+    average_job_size_variants,
     concurrency_histograms,
     depth_profile,
     gateway_census,
@@ -82,9 +85,11 @@ class ReportContext:
 @dataclass
 class _RunContext(ReportContext):
     """The context of one run_report call, with that call's kept jobs per
-    Filters value; it is dropped when the call returns."""
+    Filters value, as rows of the dataset's job table and as records; it is
+    dropped when the call returns."""
 
-    kept: dict[Filters, tuple[JobRecord, ...]] = field(default_factory=dict)
+    kept: dict[Filters, np.ndarray] = field(default_factory=dict)
+    records: dict[Filters, tuple[JobRecord, ...]] = field(default_factory=dict)
 
     @classmethod
     def of(cls, ctx: ReportContext) -> _RunContext:
@@ -142,12 +147,30 @@ def _sha256(path) -> str:
 # analyses; each returns its entries, [(file_name, header, rows) or
 # (file_name, obj), ...], and writes nothing
 
-def _jobs(ctx: _RunContext, filters: Filters) -> tuple[JobRecord, ...]:
-    """The dataset's jobs that pass filters, filtered once per value and run."""
+def _kept(ctx: _RunContext, filters: Filters) -> np.ndarray:
+    """Row numbers in the dataset's job table of the jobs that pass filters,
+    filtered once per value and run."""
     kept = ctx.kept.get(filters)
     if kept is None:
-        kept = ctx.kept[filters] = tuple(filters.apply(ctx.dataset.jobs))
+        kept = ctx.kept[filters] = filters.apply(ctx.dataset.job_table).row
     return kept
+
+
+def _table(ctx: _RunContext, filters: Filters) -> JobTable:
+    """The job table of the jobs that pass filters; it is taken afresh for
+    each analysis, so a run holds one table per Filters value only as row
+    numbers."""
+    return ctx.dataset.job_table.take(_kept(ctx, filters))
+
+
+def _jobs(ctx: _RunContext, filters: Filters) -> tuple[JobRecord, ...]:
+    """The records of the jobs that pass filters, taken once per value and
+    run."""
+    records = ctx.records.get(filters)
+    if records is None:
+        jobs = ctx.dataset.jobs
+        records = ctx.records[filters] = tuple(jobs[i] for i in _kept(ctx, filters).tolist())
+    return records
 
 
 def _allocations(ctx, params):
@@ -178,7 +201,7 @@ def _an_usage_rollup(ctx, filters, params):
     dimension = params.get("dimension", "parent_science")
     weight = params.get("weight", "xd_su")
     period = params.get("period", "quarter")
-    table = usage_rollup(_jobs(ctx, filters), dimension, weight, period,
+    table = usage_rollup(_table(ctx, filters), dimension, weight, period,
                          ctx.dataset.resources)
     return [(f"usage_{dimension}_{weight}_{period}.csv",
              ["period", dimension, weight, "pct_share"], table.rows())]
@@ -186,7 +209,7 @@ def _an_usage_rollup(ctx, filters, params):
 
 def _an_job_size_distribution(ctx, filters, params):
     weight = params.get("weight", "xd_su")
-    hist = job_size_distribution(_jobs(ctx, filters), weight=weight,
+    hist = job_size_distribution(_table(ctx, filters), weight=weight,
                                  resources=ctx.dataset.resources)
     return [(f"job_size_distribution_{weight}.csv", ["bin", "lo", "hi", weight],
              hist.rows())]
@@ -194,18 +217,16 @@ def _an_job_size_distribution(ctx, filters, params):
 
 def _an_average_core_counts(ctx, filters, params):
     kraken_factor = params.get("kraken_factor", 2.04)
-    resources = ctx.dataset.resources
     variants = {}
     for exclude_osg in (False, True):
         f = dataclasses.replace(filters, exclude_osg=exclude_osg)
-        for weighted in (False, True):
-            for effective in (False, True):
-                key = ("osg_excl" if exclude_osg else "osg_incl",
-                       "weighted" if weighted else "unweighted",
-                       "effective" if effective else "actual")
-                variants["_".join(key)] = average_job_size_series(
-                    _jobs(ctx, f), resources, weighted_by_xd_su=weighted,
-                    effective=effective, kraken_factor=kraken_factor)
+        series = average_job_size_variants(_table(ctx, f), ctx.dataset.resources,
+                                           kraken_factor=kraken_factor)
+        for (weighted, effective), means in series.items():
+            key = ("osg_excl" if exclude_osg else "osg_incl",
+                   "weighted" if weighted else "unweighted",
+                   "effective" if effective else "actual")
+            variants["_".join(key)] = means
     periods = sorted({p for series in variants.values() for p in series})
     header = ["period"] + sorted(variants)
     rows = [[p] + [variants[k].get(p) for k in sorted(variants)] for p in periods]
@@ -215,7 +236,7 @@ def _an_average_core_counts(ctx, filters, params):
 def _an_single_node_serial(ctx, filters, params):
     exclude_osg = filters.exclude_osg or params.get("exclude_osg", True)
     shares = single_node_serial_fractions(
-        _jobs(ctx, dataclasses.replace(filters, exclude_osg=exclude_osg)),
+        _table(ctx, dataclasses.replace(filters, exclude_osg=exclude_osg)),
         ctx.dataset.resources)
     rows = [(s.period, s.pct_jobs_single_node, s.pct_xd_su_single_node,
              s.pct_xd_su_serial) for s in shares]
@@ -225,11 +246,11 @@ def _an_single_node_serial(ctx, filters, params):
 
 
 def _an_joint_ratio(ctx, filters, params):
-    jobs = _jobs(ctx, filters)
+    table = _table(ctx, filters)
     rows = []
 
     def add(scope: str, by: str, window_year=None, pool=None):
-        profile = depth_profile(pool if pool is not None else jobs, by=by,
+        profile = depth_profile(pool if pool is not None else table, by=by,
                                 window_year=window_year)
         if not profile.projects:
             return
@@ -242,12 +263,11 @@ def _an_joint_ratio(ctx, filters, params):
 
     add("overall", "cores")
     add("overall", "nodes")
-    years = sorted({utc_date(j.end_time).year for j in jobs})
-    for year in years:
+    for year in sorted(map(int, table.year.present())):
         add(f"year:{year}", "cores", window_year=year)
-    for resource in sorted({j.resource for j in jobs}):
+    for resource in table.resource.present():
         add(f"resource:{resource}", "cores",
-            pool=[j for j in jobs if j.resource == resource])
+            pool=table.take(table.resource.isin((resource,))))
     return [("joint_ratio.csv",
              ["scope", "by", "joint_ratio", "depth_at_ratio", "projects_at_ratio",
               "usage_core_hours_at_ratio", "jobs_at_ratio"], rows)]
@@ -255,7 +275,7 @@ def _an_joint_ratio(ctx, filters, params):
 
 def _an_width_curves(ctx, filters, params):
     by = params.get("by", "cores")
-    curves = width_curves(depth_profile(_jobs(ctx, filters), by=by))
+    curves = width_curves(depth_profile(_table(ctx, filters), by=by))
     rows = list(zip(curves.depths, curves.project_fraction,
                     curves.job_fraction, curves.usage_fraction))
     return [(f"width_curves_{by}.csv",
@@ -354,11 +374,11 @@ def _an_node_fail_fit(ctx, filters, params):
 
 def _an_backlog(ctx, filters, params):
     sampling = params.get("sampling", "daily")
-    jobs = _jobs(ctx, filters)
+    table = _table(ctx, filters)
     rows = []
-    for resource in sorted({j.resource for j in jobs}):
+    for resource in table.resource.present():
         spec = ctx.dataset.resources.get(resource)
-        series = backlog_mod.backlog_series(jobs, resource, sampling=sampling, spec=spec)
+        series = backlog_mod.backlog_series(table, resource, sampling=sampling, spec=spec)
         for point in series.points:
             rows.append((resource, point.time,
                          utc_date(point.time).isoformat(),
@@ -381,14 +401,13 @@ def _an_wait_stats(ctx, filters, params):
 
 def _an_capacity(ctx, filters, params):
     targets = params.get("targets", (0.95, 0.99))
-    jobs = _jobs(ctx, filters)
+    table = _table(ctx, filters)
     rows = []
-    for resource in sorted({j.resource for j in jobs}):
+    for resource in table.resource.present():
         spec = ctx.dataset.resources.get(resource)
         row = [resource, spec.nodes if spec else None]
         cores_cells = [spec.total_cores if spec else None]
-        for target in targets:
-            est = backlog_mod.capacity_for_percentile(jobs, resource, target, spec=spec)
+        for est in backlog_mod.capacity_estimates(table, resource, targets, spec=spec):
             ratio = est.ratio_to_actual
             row.append(f"{est.nodes_required} ({ratio:.2f})" if ratio is not None
                        else str(est.nodes_required))
@@ -470,7 +489,7 @@ def _an_gateway_conversion(ctx, filters, params):
 
 
 def _an_geo(ctx, filters, params):
-    table = usage_rollup(_jobs(ctx, filters), "state", "xd_su", "year",
+    table = usage_rollup(_table(ctx, filters), "state", "xd_su", "year",
                          ctx.dataset.resources)
     usage_by_state: dict[str, float] = {}
     for _, state, weight, _ in table.rows():

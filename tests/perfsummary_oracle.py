@@ -83,9 +83,12 @@ def summarize_records(job: JobRecord, nodes: Sequence[str],
                       processes: Sequence[appident.ProcessObservation] = (),
                       db: Sequence[appident.AppPattern] | None = None,
                       ignore_list: Iterable[str] | None = None) -> JobPerfSummary:
-    """Build the per-job summary from the job's records."""
+    """Build the per-job summary from the job's records; ``nodes`` must be
+    distinct, as ``JobArchive`` and the loader require."""
     if not nodes:
         raise ValueError(f"job {job.job_id}: node list unknown")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"job {job.job_id}: a node is listed twice")
     if db is None:
         db = appident.load_pattern_db()
     if ignore_list is None:

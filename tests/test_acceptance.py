@@ -286,13 +286,13 @@ def test_criterion_5_backlog_capacity_oracle():
     assert checked == distinct_event_times > 1000
 
     required = required_nodes_at_submit(jobs)
-    oracle_required = {}
-    for i, job in enumerate(jobs):
+    oracle_required = []
+    for job in jobs:
         k = index[job.submit_time]
-        oracle_required[job.job_id] = int(oracle_running[k] + oracle_queued[k])
+        oracle_required.append(int(oracle_running[k] + oracle_queued[k]))
     assert required == oracle_required
 
-    ordered = sorted(oracle_required.values())
+    ordered = sorted(oracle_required)
     for target in (0.5, 0.9, 0.95, 0.99):
         estimate = capacity_for_percentile(jobs, "TESTMACHINE", target)
         idx = max(1, math.ceil(target * len(ordered))) - 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -178,16 +179,25 @@ def test_capacity_matches_brute_force_oracle():
     jobs = make_random_trace(rng, n_jobs=20)
     required = required_nodes_at_submit(jobs)
     # oracle: recompute R_j pointwise per job, then take the same quantile
-    oracle = {}
+    oracle = []
     for job in jobs:
         _, running, queued = brute_force_state(jobs, job.submit_time)
-        oracle[job.job_id] = running + queued
+        oracle.append(running + queued)
     assert required == oracle
     for target in (0.5, 0.9, 0.95, 0.99):
         estimate = capacity_for_percentile(jobs, "TESTMACHINE", target)
-        ordered = sorted(oracle.values())
+        ordered = sorted(oracle)
         k = max(1, math.ceil(target * len(ordered))) - 1
         assert estimate.nodes_required == ordered[k]
+
+
+def test_jobs_sharing_an_id_each_count_once():
+    jobs = [trace_job("42", 0, 0, 100, nodes=10), trace_job("42", 10, 10, 100, nodes=10),
+            trace_job("7", 200, 200, 300, nodes=1)]
+    assert required_nodes_at_submit(jobs) == [10, 20, 1]
+    assert capacity_for_percentile(jobs, "TESTMACHINE", 0.5).nodes_required == 10
+    distinct = [dataclasses.replace(job, job_id=str(i)) for i, job in enumerate(jobs)]
+    assert capacity_for_percentile(distinct, "TESTMACHINE", 0.5).nodes_required == 10
 
 
 def test_capacity_monotone_in_target():
@@ -203,7 +213,7 @@ def test_capacity_near_one_is_the_submit_time_maximum():
     rng = np.random.default_rng(13)
     jobs = make_random_trace(rng, n_jobs=50)
     top = capacity_for_percentile(jobs, "TESTMACHINE", 0.999999).nodes_required
-    assert top == max(required_nodes_at_submit(jobs).values())
+    assert top == max(required_nodes_at_submit(jobs))
 
 
 def test_capacity_cores_and_ratio():

@@ -1,0 +1,247 @@
+"""The columnar kernels against the record-at-a-time oracle, by repr."""
+import dataclasses
+import math
+from datetime import date
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rollups_oracle as oracle
+from conftest import make_job, make_resource
+from hpcwl import backlog, report, synth
+from hpcwl.errors import EmptyGroup
+from hpcwl.ingest import (
+    FactorWindow,
+    NsfUserStatus,
+    ResourceType,
+    job_xd_su,
+    utc_date,
+)
+from hpcwl.jobtable import JobTable, period_key
+from hpcwl.metrics import (
+    Filters,
+    average_job_size,
+    average_job_size_variants,
+    depth_profile,
+    job_size_distribution,
+    single_node_serial_fractions,
+    usage_rollup,
+)
+from hpcwl.metrics.rollups import DIMENSIONS, PERIODS, WEIGHTS
+from hpcwl.report import ReportContext, run_report, standard_bundle_spec
+
+DAY = 86400
+Q4_2015 = 1443657600  # 2015-10-01T00:00:00Z, a quarter boundary
+Y2016 = 1451606400    # 2016-01-01T00:00:00Z, a year boundary
+
+RESOURCES = {
+    "TESTMACHINE": make_resource(),  # factor 2.0 over 2010-2030
+    # no factor on 2015-10-01 itself, and none from 2016-01-01 on
+    "PARTIAL": dataclasses.replace(make_resource(name="PARTIAL"), su_factors=(
+        FactorWindow(date(2015, 1, 1), date(2015, 10, 1), 1.5),
+        FactorWindow(date(2015, 10, 2), date(2016, 1, 1), 3.0))),
+    "OSG": make_resource(name="OSG", rtype=ResourceType.HTC, nodes=4, cores_per_node=1,
+                         factor=0.7),
+}
+# GHOST has no description: no factor and rtype "unknown"
+RESOURCE_NAMES = ("TESTMACHINE", "PARTIAL", "OSG", "GHOST")
+
+
+# instants at midnights, quarter and year boundaries and before 1970
+ANCHORS = st.sampled_from((Q4_2015, Y2016, Q4_2015 - 40 * DAY, 0, -400 * DAY))
+OFFSETS = st.one_of(st.sampled_from((-DAY, -1, 0, 1, 3600, DAY)),
+                    st.integers(-3 * DAY, 3 * DAY))
+DURATIONS = st.one_of(st.sampled_from((0, 0, 1, 3600, DAY)), st.integers(0, 2 * DAY))
+
+
+@st.composite
+def jobs_strategy(draw, min_size=0, max_size=30, times=None):
+    jobs = []
+    for i in range(draw(st.integers(min_size, max_size))):
+        submit = draw(times) if times is not None else draw(ANCHORS) + draw(OFFSETS)
+        start = submit + draw(DURATIONS)
+        nodes = draw(st.integers(1, 4))
+        jobs.append(make_job(
+            job_id=draw(st.sampled_from(("a", "b", f"j{i}"))),  # ids may repeat
+            resource=draw(st.sampled_from(RESOURCE_NAMES)),
+            user=draw(st.sampled_from(("u1", "u2"))),
+            charge_number=draw(st.sampled_from(("TG-1", "TG-2", "TG-3"))),
+            submit=submit, start=start, end=start + draw(DURATIONS),
+            nodes=nodes, cores=nodes * draw(st.sampled_from((1, 1, 2, 16))),
+            queue=draw(st.sampled_from(("normal", "shared"))),
+            local_su=draw(st.floats(0.0, 1e6)),
+            directorate=draw(st.sampled_from(("MPS", "BIO"))),
+            parent_science=draw(st.sampled_from(("Physics", "Chemistry", "Biology"))),
+            field_of_science=draw(st.sampled_from(("Nuclear", "Organic"))),
+            nsf_user_status=draw(st.sampled_from(list(NsfUserStatus))),
+            state_of_origin=draw(st.sampled_from((None, "TX", "CA", "unknown")))))
+    return jobs
+
+
+def _outcome(compute):
+    try:
+        return repr(compute())
+    except EmptyGroup as err:
+        return type(err)
+
+
+def test_columns_match_the_records():
+    jobs = [make_job(job_id="a", submit=-DAY - 5, start=-DAY, end=-1),
+            make_job(job_id="b", resource="PARTIAL", submit=Q4_2015 - 600,
+                     start=Q4_2015 - 300, end=Q4_2015, state_of_origin="TX"),
+            make_job(job_id="c", resource="GHOST", submit=Y2016, end=Y2016 + 7200),
+            make_job(job_id="d", submit=Q4_2015 - DAY, end=Q4_2015 - 1, local_su=3.3)]
+    table = JobTable.of(jobs, RESOURCES)
+    for i, job in enumerate(jobs):
+        assert table.end_day[i] == (job.end_date - date(1970, 1, 1)).days
+        assert table.quarter.names[table.quarter.codes[i]] == period_key(job.end_date,
+                                                                         "quarter")
+        assert table.year.names[table.year.codes[i]] == str(utc_date(job.end_time).year)
+        assert repr(table.core_hours[i].item()) == repr(job.core_hours)
+        assert repr(table.node_hours[i].item()) == repr(job.node_hours)
+        assert table.resource.names[table.resource.codes[i]] == job.resource
+        assert table.state.names[table.state.codes[i]] == (job.state_of_origin or "unknown")
+    # 1969 is outside TESTMACHINE's window, 2015-10-01 between PARTIAL's,
+    # and GHOST has no description
+    assert np.isnan(table.xd_su[:3]).all()
+    assert table.xd_su[3].item() == job_xd_su(jobs[3], RESOURCES) == 6.6
+    assert table.rtype.present() == ["HPC", "unknown"]
+    assert JobTable.of(jobs).xd_su is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(jobs_strategy())
+def test_rollups_equal_the_oracle(jobs):
+    table = JobTable.of(jobs, RESOURCES)
+    for period in PERIODS:
+        for dimension in DIMENSIONS:
+            for weight in WEIGHTS:
+                assert repr(usage_rollup(table, dimension, weight, period, RESOURCES)) == repr(
+                    oracle.usage_rollup(jobs, dimension, weight, period, RESOURCES))
+        assert repr(single_node_serial_fractions(table, RESOURCES, period)) == repr(
+            oracle.single_node_serial_fractions(jobs, RESOURCES, period))
+        variants = average_job_size_variants(table, RESOURCES, period, kraken_factor=2.04)
+        for (weighted, effective), series in variants.items():
+            assert repr(series) == repr(oracle.average_job_size_series(
+                jobs, RESOURCES, period, weighted, effective, 2.04))
+    for weight in WEIGHTS:
+        assert repr(job_size_distribution(table, weight=weight)) == repr(
+            oracle.job_size_distribution(jobs, weight=weight, resources=RESOURCES))
+    for weighted in (False, True):
+        for effective in (False, True):
+            assert _outcome(lambda: average_job_size(
+                table, RESOURCES, weighted, effective)) == _outcome(
+                lambda: oracle.average_job_size(jobs, RESOURCES, weighted, effective))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jobs_strategy(), st.sampled_from((None, 1969, 1970, 2015, 2016)))
+def test_depth_profile_equals_the_oracle(jobs, window_year):
+    for by in ("cores", "nodes"):
+        assert repr(depth_profile(jobs, by, window_year)) == repr(
+            oracle.depth_profile(jobs, by, window_year))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jobs_strategy(), st.builds(
+    Filters, start=st.sampled_from((None, date(1969, 1, 1), date(2015, 10, 1))),
+    end=st.sampled_from((None, date(1970, 1, 1), date(2016, 1, 1))),
+    resources=st.sampled_from((None, {"PARTIAL", "OSG"})),
+    exclude_resources=st.sampled_from((frozenset(), {"GHOST"})),
+    queues=st.sampled_from((None, {"shared"})), exclude_osg=st.booleans()))
+def test_filters_equal_the_oracle(jobs, filters):
+    assert filters.apply(jobs) == [job for job in jobs if oracle.keep(filters, job)]
+    table = JobTable.of(jobs, RESOURCES)
+    assert filters.apply(table).row.tolist() == [
+        i for i, job in enumerate(jobs) if oracle.keep(filters, job)]
+
+
+SMALL_DURATIONS = st.one_of(st.sampled_from((0, 0, 60, DAY)), st.integers(0, DAY))
+
+
+@st.composite
+def trace_strategy(draw):
+    """Jobs within a few days of one midnight, after or before 1970, rich
+    in equal instants; one midnight per trace keeps its daily series short."""
+    base = draw(st.sampled_from((Q4_2015, -400 * DAY)))
+    minutes = st.one_of(st.sampled_from((0, 1)), st.integers(-2 * 24 * 60, 3 * 24 * 60))
+    jobs = []
+    for i in range(draw(st.integers(1, 25))):
+        submit = base + 60 * draw(minutes)
+        start = submit + draw(SMALL_DURATIONS)
+        nodes = draw(st.integers(1, 4))
+        jobs.append(make_job(job_id=draw(st.sampled_from(("42", f"j{i}"))),
+                             resource=draw(st.sampled_from(("TESTMACHINE", "OSG"))),
+                             submit=submit, start=start, end=start + draw(SMALL_DURATIONS),
+                             nodes=nodes, cores=nodes * draw(st.sampled_from((1, 16)))))
+    return jobs
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_strategy())
+def test_queue_replay_equals_the_oracle(jobs):
+    spec = make_resource(nodes=5)
+    assert backlog.required_nodes_at_submit(jobs) == oracle.required_nodes(jobs)
+    for sampling in ("event", "daily"):
+        for resource in (None, "OSG"):
+            assert repr(backlog.backlog_series(jobs, resource, sampling, spec)) == repr(
+                oracle.backlog_series(jobs, resource, sampling, spec))
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    b = synth.make_synthetic_dataset(seed=5, n_jobs=800)
+    return ReportContext(dataset=b.dataset, summaries=b.summaries,
+                         community_users=b.community_users, user_email=b.user_email,
+                         population_by_state=b.population_by_state,
+                         tech_index_by_state=b.tech_index_by_state)
+
+
+def test_bundle_from_the_record_oracle_is_byte_identical(ctx, tmp_path, monkeypatch):
+    run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "columns")))
+    jobs = ctx.dataset.jobs
+
+    def on_records(loop):
+        # the report passes rows of the dataset's table; hand the loop their records
+        def call(table, *args, **kwargs):
+            return loop([jobs[i] for i in table.row.tolist()], *args, **kwargs)
+        return call
+
+    def variants(table, resources, period="quarter", kraken_factor=2.04):
+        return {(w, e): oracle.average_job_size_series(
+            [jobs[i] for i in table.row.tolist()], resources, period, w, e, kraken_factor)
+            for w in (False, True) for e in (False, True)}
+
+    def capacity_estimates(table, resource, targets, spec=None):
+        pool = [jobs[i] for i in table.row.tolist() if jobs[i].resource == resource]
+        ordered = sorted(oracle.required_nodes(pool))
+        return [backlog.CapacityEstimate(
+            resource, t, ordered[max(1, math.ceil(t * len(ordered))) - 1],
+            ordered[max(1, math.ceil(t * len(ordered))) - 1] * spec.cores_per_node
+            if spec else None, spec.nodes if spec else None) for t in targets]
+
+    for name in ("usage_rollup", "job_size_distribution", "single_node_serial_fractions",
+                 "depth_profile"):
+        monkeypatch.setattr(report, name, on_records(getattr(oracle, name)))
+    monkeypatch.setattr(report, "average_job_size_variants", variants)
+    monkeypatch.setattr(report.backlog_mod, "backlog_series",
+                        on_records(oracle.backlog_series))
+    monkeypatch.setattr(report.backlog_mod, "capacity_estimates", capacity_estimates)
+    run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "records")))
+    for path in sorted((tmp_path / "columns").iterdir()):
+        assert path.read_bytes() == (tmp_path / "records" / path.name).read_bytes(), path.name
+
+
+def test_a_job_table_is_built_once_per_dataset(tmp_path):
+    dataset = synth.make_synthetic_dataset(seed=6, n_jobs=50).dataset
+    assert "job_table" not in vars(dataset)
+    spec = dataclasses.replace(standard_bundle_spec(), analyses=(("usage_rollup", {}),))
+    run_report(ReportContext(dataset=dataset),
+               dataclasses.replace(spec, output_dir=str(tmp_path / "a")))
+    table = dataset.job_table
+    run_report(ReportContext(dataset=dataset),
+               dataclasses.replace(spec, output_dir=str(tmp_path / "b")))
+    assert dataset.job_table is table
+    assert np.array_equal(table.row, np.arange(len(dataset.jobs)))

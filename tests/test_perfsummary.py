@@ -332,7 +332,8 @@ def numa_parts(draw):
 @st.composite
 def oracle_archives(draw):
     """(node list, perf records, meminfo records, cores per node)."""
-    listed = tuple(draw(st.lists(st.sampled_from(LISTABLE), min_size=1, max_size=4)))
+    listed = tuple(draw(st.lists(st.sampled_from(LISTABLE), min_size=1, max_size=3,
+                                 unique=True)))
     complete = draw(st.integers(0, 3)) > 0
     samples = []
     for node in NODES:
@@ -566,6 +567,7 @@ def _numa(**changes):
     ({"type": "job", "job_id": "j1", "nodes": "n1"}, "nodes"),
     ({"type": "node", "job_id": "j1"}, "type"),
     ({"job_id": "j1"}, "type"),
+    ({"type": "job", "job_id": "j1", "nodes": ["n1", "n2", "n1"]}, "nodes"),
 ])
 def test_malformed_record_is_a_schema_error_naming_its_line(tmp_path, record, field):
     path = tmp_path / "archive.jsonl"
@@ -585,6 +587,13 @@ def test_a_line_that_is_not_an_object_is_a_schema_error(tmp_path, text):
     with pytest.raises(SchemaError) as err:
         load_archives(path)
     assert err.value.row == 2
+
+
+def test_a_node_listed_twice_is_refused():
+    with pytest.raises(ValueError, match="listed twice"):
+        JobArchive(job_id="j1", nodes=("n1", "n2", "n1"))
+    with pytest.raises(ValueError, match="listed twice"):
+        summarize_records(ORACLE_JOB, ("n1", "n1"), [], [], 16, db=(), ignore_list=())
 
 
 def test_write_summaries_refuses_non_finite_values(tmp_path):

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from datetime import date
 
@@ -10,6 +12,7 @@ import pytest
 
 from hpcwl import report, synth
 from hpcwl.errors import UnknownAnalysis
+from hpcwl.jobtable import JobTable
 from hpcwl.metrics import Filters
 from hpcwl.report import (
     ANALYSES,
@@ -38,6 +41,7 @@ def ctx(small_bundle):
 
 
 RANGE = (date(2015, 7, 1), date(2017, 1, 1))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_single_rollup_spec_emits_csv_and_manifest(ctx, tmp_path):
@@ -125,23 +129,31 @@ def test_kept_jobs_memo_matches_filtering_afresh(ctx, tmp_path, monkeypatch):
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "memo")))
     monkeypatch.setattr(report, "_jobs",
                         lambda run_ctx, filters: tuple(filters.apply(run_ctx.dataset.jobs)))
+    # a table built afresh from the kept records, not rows of the dataset's
+    monkeypatch.setattr(report, "_table", lambda run_ctx, filters: JobTable.of(
+        filters.apply(run_ctx.dataset.jobs), run_ctx.dataset.resources))
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "fresh")))
     assert _files(tmp_path / "memo") == _files(tmp_path / "fresh")
 
 
 def test_filters_apply_runs_once_per_distinct_filters(ctx, tmp_path, monkeypatch):
-    calls = Counter()
-    apply = Filters.apply
+    calls = {"apply": Counter(), "mask": Counter()}
 
-    def counted(self, jobs):
-        calls[self] += 1
-        return apply(self, jobs)
+    def counted(name):
+        method = getattr(Filters, name)
 
-    monkeypatch.setattr(Filters, "apply", counted)
+        def wrapper(self, jobs):
+            calls[name][self] += 1
+            return method(self, jobs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Filters, name, counted(name))
     spec = standard_bundle_spec(output_dir=str(tmp_path))
     run_report(ctx, spec)
-    assert spec.effective_filters() in calls
-    assert set(calls.values()) == {1}
+    assert spec.effective_filters() in calls["mask"]
+    assert set(calls["mask"].values()) == {1}
+    assert calls["apply"] == calls["mask"]
 
 
 def test_runs_on_different_datasets_share_no_kept_jobs(ctx, small_bundle, tmp_path):
@@ -206,3 +218,16 @@ def test_bundle_bytes_do_not_depend_on_builtin_float_sum(ctx, tmp_path, monkeypa
     changed = [a["name"] for a, b in zip(plain["files"], compensated["files"])
                if a != b]
     assert changed == []
+
+
+def test_demo_bundle_does_not_depend_on_the_hash_seed(tmp_path):
+    # string sets iterate in hash order; the job table's codes must not
+    manifests = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "hpcwl.cli", "report", "--demo",
+                        "--outdir", str(out)], check=True, env=env, capture_output=True)
+        manifests.append((out / MANIFEST_NAME).read_bytes())
+    assert manifests[0] == manifests[1]
