@@ -199,6 +199,29 @@ def _cmd_fit_failures(args, config) -> int:
         "model": args.model, "include_failed": args.include_failed}, filters)
 
 
+SPEC_FILTER_SETS = ("resources", "exclude_resources", "queues")
+
+
+def _spec_filters(raw) -> Filters:
+    """The Filters of a report spec's "filters" object: lists of names for
+    ``resources``, ``exclude_resources`` and ``queues``, a boolean for
+    ``exclude_osg``."""
+    if not isinstance(raw, dict):
+        raise SchemaError(0, "filters", "spec: 'filters' must be an object")
+    values = {}
+    for key, value in raw.items():
+        if key in SPEC_FILTER_SETS:
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        elif key == "exclude_osg":
+            ok = isinstance(value, bool)
+        else:
+            raise SchemaError(0, key, f"spec: unknown filters key {key!r}")
+        if not ok:
+            raise SchemaError(0, key, f"spec: bad value for filters key {key!r}")
+        values[key] = value
+    return Filters(**values)
+
+
 def _cmd_report(args, config) -> int:
     ctx = _build_context(args, config)
     section = config["report"] if config.has_section("report") else {}
@@ -212,6 +235,7 @@ def _cmd_report(args, config) -> int:
                         date.fromisoformat(raw["date_range"][1])),
             analyses=tuple((a["analysis"], a.get("params", {}))
                            for a in raw["analyses"]),
+            filters=_spec_filters(raw.get("filters", {})),
             output_dir=outdir,
         )
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from datetime import date
 from operator import attrgetter
-from typing import TYPE_CHECKING, Collection, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,11 @@ def day_number(day: date) -> int:
     return (day - _EPOCH).days
 
 
+def day_date(day: int) -> date:
+    """The date ``day`` days after 1970-01-01; the inverse of ``day_number``."""
+    return date.fromordinal(_EPOCH.toordinal() + day)
+
+
 def period_key(day: date, period: str) -> str:
     if period == "year":
         return f"{day.year}"
@@ -68,6 +73,11 @@ class Codes:
         return cls(tuple(names),
                    np.fromiter(map(index.__getitem__, values), np.int32, len(values)))
 
+    def take(self, rows: np.ndarray) -> Codes:
+        """The rows a boolean mask or an index array selects, with the same
+        names."""
+        return Codes(self.names, self.codes[rows])
+
     def isin(self, values: Collection[str]) -> np.ndarray:
         """Mask of the rows whose value is one of ``values``."""
         return np.array([name in values for name in self.names], dtype=bool)[self.codes]
@@ -83,6 +93,7 @@ class JobTable:
     a table built without a resource map."""
 
     row: np.ndarray         # position in the job sequence the table was built from
+    job_id: np.ndarray      # object array of the job id strings; ids may repeat
     submit: np.ndarray      # int64 Unix seconds
     start: np.ndarray
     end: np.ndarray
@@ -129,7 +140,8 @@ class JobTable:
             xd_su = np.fromiter(map(attrgetter("local_su_charged"), jobs), np.float64, n)
             xd_su *= su_factor
             rtype = _resource_types(coded["resource"], resources)
-        return cls(row=np.arange(n), submit=submit, start=start, end=end, nodes=nodes, cores=cores,
+        return cls(row=np.arange(n), job_id=np.fromiter(map(attrgetter("job_id"), jobs), object, n),
+                   submit=submit, start=start, end=end, nodes=nodes, cores=cores,
                    end_day=end_day, quarter=_period_codes(end_day, "quarter"),
                    year=_period_codes(end_day, "year"),
                    core_hours=cores * hours, node_hours=nodes * hours,
@@ -145,7 +157,7 @@ class JobTable:
         for f in fields(self):
             column = getattr(self, f.name)
             if isinstance(column, Codes):
-                column = Codes(column.names, column.codes[rows])
+                column = column.take(rows)
             elif column is not None:
                 column = column[rows]
             out[f.name] = column
@@ -166,19 +178,47 @@ class JobTable:
             return self.xd_su
         raise ValueError(f"unknown weight {weight!r}")
 
+    def per_resource(self, resources: Mapping[str, ResourceSpec],
+                     value: Callable[[ResourceSpec], float | None]) -> np.ndarray:
+        """``value(spec)`` of each row's resource as float64: NaN for a
+        resource with no description or a None value."""
+        per_name = np.array([value(resources[name]) if name in resources else None
+                             for name in self.resource.names], dtype=np.float64)
+        return per_name[self.resource.codes]
+
     def periods(self, period: str) -> Codes:
         if period not in ("quarter", "year"):
             raise ValueError(f"unknown period {period!r}")
         return getattr(self, period)
 
 
+def labelled(values: np.ndarray, label: Callable[[float], str]) -> Codes:
+    """Codes of ``label(v)`` for each value v, with ``label`` called once per
+    distinct value (NaN is one value)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    per_value = Codes.encode([label(v) for v in distinct.tolist()])
+    return per_value.take(inverse.reshape(-1))
+
+
+def group_totals(outer: Codes, inner: Codes, weights: np.ndarray) -> dict[str, dict[str, float]]:
+    """The total weight of each (outer, inner) value pair that some row has,
+    nested by outer value.  Each dict holds its keys in the order of their
+    first row, and each total is an ``np.bincount`` over the rows in order."""
+    width = len(inner.names)
+    key = outer.codes.astype(np.int64) * width + inner.codes
+    sums = np.bincount(key, weights=weights).tolist()
+    keys, first = np.unique(key, return_index=True)
+    out: dict[str, dict[str, float]] = {}
+    for k in keys[np.argsort(first)].tolist():
+        o, i = divmod(k, width)
+        out.setdefault(outer.names[o], {})[inner.names[i]] = sums[k]
+    return out
+
+
 def _period_codes(end_day: np.ndarray, period: str) -> Codes:
     """Each row's period label, labelled through ``period_key`` once per
     distinct day."""
-    days, inverse = np.unique(end_day, return_inverse=True)
-    per_day = Codes.encode([period_key(date.fromordinal(_EPOCH.toordinal() + day),
-                                       period) for day in days.tolist()])
-    return Codes(per_day.names, per_day.codes[inverse.reshape(-1)])
+    return labelled(end_day, lambda day: period_key(day_date(day), period))
 
 
 def _su_factors(resource: Codes, end_day: np.ndarray,
@@ -199,4 +239,4 @@ def _su_factors(resource: Codes, end_day: np.ndarray,
 def _resource_types(resource: Codes, resources: Mapping[str, ResourceSpec]) -> Codes:
     per_resource = Codes.encode([resources[name].rtype.value if name in resources
                                  else "unknown" for name in resource.names])
-    return Codes(per_resource.names, per_resource.codes[resource.codes])
+    return per_resource.take(resource.codes)

@@ -37,11 +37,11 @@ from .lustre import LustreStats, lustre_stats
 from .memory import (
     LargeMemoryBreakdown,
     large_memory_breakdown,
-    mem_fraction,
     memory_2d,
     memory_histograms,
 )
 from ..jobtable import period_key
+from .perfcolumns import PerfColumns
 from .rollups import (
     Filters,
     RollupTable,
@@ -51,7 +51,6 @@ from .rollups import (
     average_job_size_variants,
     effective_cores,
     job_size_distribution,
-    job_weight,
     single_node_serial_fractions,
     usage_rollup,
 )

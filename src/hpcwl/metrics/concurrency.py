@@ -5,10 +5,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..errors import NoFactorForDate
-from ..ingest import JobRecord, ResourceSpec, job_xd_su
-from ..perfsummary import JobPerfSummary, LaunchType
-from ..jobtable import period_key
+import numpy as np
+
+from ..ingest import ResourceSpec
+from ..jobtable import Codes, JobTable, group_totals, labelled
+from .perfcolumns import PerfColumns, Summaries
+from .rollups import Jobs
 
 NA_BUCKET = "N/A"
 
@@ -23,14 +25,22 @@ class ConcurrencyResult:
     process_bands_xd_su: dict[str, float] = field(default_factory=dict)
 
 
-def thread_bucket(median_threads: float | None, cores_per_node: int) -> str:
-    """Integer bucket up to the node core count, with an overflow bucket."""
-    if median_threads is None:
+def _rounded(median_threads: float | None) -> float:
+    """The median rounded half up, NaN for None."""
+    return math.nan if median_threads is None else math.floor(median_threads + 0.5)
+
+
+def _thread_label(rounded: float, cores_per_node: int) -> str:
+    if math.isnan(rounded):
         return NA_BUCKET
-    rounded = int(math.floor(median_threads + 0.5))
     if rounded > cores_per_node:
         return f">{cores_per_node}"
-    return str(rounded)
+    return str(int(rounded))
+
+
+def thread_bucket(median_threads: float | None, cores_per_node: int) -> str:
+    """Integer bucket up to the node core count, with an overflow bucket."""
+    return _thread_label(_rounded(median_threads), cores_per_node)
 
 
 def band_labels(bands: Sequence[int]) -> list[str]:
@@ -42,48 +52,57 @@ def band_labels(bands: Sequence[int]) -> list[str]:
     return labels
 
 
-def process_band(median_threads: float | None, bands: Sequence[int]) -> str:
-    if median_threads is None:
+def _band_label(rounded: float, bands: Sequence[int]) -> str:
+    if math.isnan(rounded):
         return NA_BUCKET
-    value = int(math.floor(median_threads + 0.5))
-    if value <= bands[0]:
+    if rounded <= bands[0]:
         return f"<={bands[0]}"
     for lo, hi in zip(bands, bands[1:]):
-        if lo < value <= hi:
+        if lo < rounded <= hi:
             return f">{lo} <={hi}"
     return f">{bands[-1]}"
 
 
-def concurrency_histograms(jobs: Sequence[JobRecord],
-                           summaries: Mapping[str, JobPerfSummary],
+def process_band(median_threads: float | None, bands: Sequence[int]) -> str:
+    return _band_label(_rounded(median_threads), bands)
+
+
+def _thread_buckets(resource: Codes, rounded: np.ndarray,
+                    resources: Mapping[str, ResourceSpec]) -> Codes:
+    """Each row's thread bucket, labelled once per distinct (resource,
+    rounded median) pair; every row's resource must have a description."""
+    distinct, value = np.unique(rounded, return_inverse=True)
+    width = len(distinct)
+    pair = resource.codes.astype(np.int64) * width + value.reshape(-1)
+    return labelled(pair, lambda p: _thread_label(
+        distinct[p % width].item(), resources[resource.names[p // width]].cores_per_node))
+
+
+def concurrency_histograms(jobs: Jobs,
+                           summaries: PerfColumns | Summaries,
                            resources: Mapping[str, ResourceSpec],
                            bands: Sequence[int] = (32, 68),
                            period: str = "quarter") -> ConcurrencyResult:
     """Node-hour occupancy by runnable threads, XD SU by launch type over
     time, and XD SU by processes-per-node band.  Jobs without performance
-    data land in the N/A rows rather than disappearing."""
+    data land in the N/A rows rather than disappearing; jobs on a resource
+    with no description are left out, and jobs with no SU factor count in
+    the node-hours only."""
+    table = JobTable.of(jobs, resources)
+    perf = PerfColumns.of(table, summaries)
+    described = ~np.isnan(table.per_resource(resources, lambda spec: spec.cores_per_node))
+    rounded = np.floor(perf.runnable_threads_median + 0.5)
     result = ConcurrencyResult()
-    for label in band_labels(bands):
-        result.process_bands_xd_su[label] = 0.0
-    for job in jobs:
-        spec = resources.get(job.resource)
-        if spec is None:
-            continue
-        summary = summaries.get(job.job_id)
-        median_threads = summary.runnable_threads_median if summary else None
-
-        bucket = thread_bucket(median_threads, spec.cores_per_node)
-        per_resource = result.runnable_node_hours.setdefault(job.resource, {})
-        per_resource[bucket] = per_resource.get(bucket, 0.0) + job.node_hours
-
-        try:
-            su = job_xd_su(job, resources)
-        except NoFactorForDate:
-            continue
-        launch = summary.launch_type.value if summary else LaunchType.UNKNOWN.value
-        period_bucket = result.launch_type_xd_su.setdefault(
-            period_key(job.end_date, period), {})
-        period_bucket[launch] = period_bucket.get(launch, 0.0) + su
-
-        result.process_bands_xd_su[process_band(median_threads, bands)] += su
+    result.runnable_node_hours = group_totals(
+        table.resource.take(described),
+        _thread_buckets(table.resource.take(described), rounded[described], resources),
+        table.node_hours[described])
+    charged = described & ~np.isnan(table.xd_su)
+    su = table.xd_su[charged]
+    result.launch_type_xd_su = group_totals(table.periods(period).take(charged),
+                                            perf.launch_type.take(charged), su)
+    result.process_bands_xd_su = dict.fromkeys(band_labels(bands), 0.0)
+    band = labelled(rounded[charged], lambda r: _band_label(r, bands))
+    sums = np.bincount(band.codes, su, minlength=len(band.names)).astype(np.float64).tolist()
+    result.process_bands_xd_su.update(zip(band.names, sums))
     return result

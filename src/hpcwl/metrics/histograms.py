@@ -4,6 +4,11 @@ Bins are closed-open [lo, hi).  Weight that falls outside the edges is
 accumulated in underflow/overflow (1-D) or a single outside bucket (2-D);
 records lacking the binned quantity go to an absent bucket.  The grand total
 therefore always equals the weight of the input population.
+
+``Histogram1D.of`` and ``Histogram2D.of`` bin whole arrays: NaN marks a
+value as absent, and every bucket's weight is one ``np.bincount`` slot, so
+each is summed left to right from 0.0 in input order, as repeated ``add``
+calls sum it.
 """
 from __future__ import annotations
 
@@ -11,6 +16,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from ..stats import total
 
@@ -21,6 +28,11 @@ def _check_edges(edges: Sequence[float]):
     for lo, hi in zip(edges, edges[1:]):
         if not lo < hi:
             raise ValueError("bin edges must be strictly increasing")
+
+
+def _check_weights(weights: np.ndarray):
+    if (weights < 0).any():
+        raise ValueError("negative weight")
 
 
 @dataclass
@@ -37,6 +49,24 @@ class Histogram1D:
         _check_edges(self.edges)
         if not self.weights:
             self.weights = [0.0] * (len(self.edges) - 1)
+
+    @classmethod
+    def of(cls, edges: Sequence[float], values: np.ndarray, weights: np.ndarray,
+           weight_kind: str = "jobs") -> Histogram1D:
+        """The histogram of ``values`` (NaN: absent) under ``weights``."""
+        hist = cls(edges=edges, weight_kind=weight_kind)
+        _check_weights(weights)
+        e = np.array(hist.edges)
+        nb = len(e) - 1
+        # slots: bins 0..nb-1, then underflow, overflow and absent
+        slot = np.searchsorted(e, values, side="right") - 1
+        slot[values < e[0]] = nb
+        slot[values >= e[-1]] = nb + 1
+        slot[np.isnan(values)] = nb + 2
+        sums = np.bincount(slot, weights, minlength=nb + 3).astype(np.float64).tolist()
+        hist.weights = sums[:nb]
+        hist.underflow, hist.overflow, hist.absent = sums[nb:]
+        return hist
 
     def add(self, value: float, weight: float = 1.0) -> None:
         if weight < 0:
@@ -86,6 +116,25 @@ class Histogram2D:
         if not self.cells:
             self.cells = [[0.0] * (len(self.y_edges) - 1)
                           for _ in range(len(self.x_edges) - 1)]
+
+    @classmethod
+    def of(cls, x_edges: Sequence[float], y_edges: Sequence[float], x: np.ndarray,
+           y: np.ndarray, weights: np.ndarray, weight_kind: str = "jobs") -> Histogram2D:
+        """The histogram of the (x, y) pairs (NaN in either: absent) under
+        ``weights``."""
+        hist = cls(x_edges=x_edges, y_edges=y_edges, weight_kind=weight_kind)
+        _check_weights(weights)
+        xe, ye = np.array(hist.x_edges), np.array(hist.y_edges)
+        nx, ny = len(xe) - 1, len(ye) - 1
+        # slots: cell (i, j) at i * ny + j, then outside and absent
+        slot = ((np.searchsorted(xe, x, side="right") - 1) * ny
+                + np.searchsorted(ye, y, side="right") - 1)
+        slot[(x < xe[0]) | (x >= xe[-1]) | (y < ye[0]) | (y >= ye[-1])] = nx * ny
+        slot[np.isnan(x) | np.isnan(y)] = nx * ny + 1
+        sums = np.bincount(slot, weights, minlength=nx * ny + 2).astype(np.float64).tolist()
+        hist.cells = [sums[i * ny:(i + 1) * ny] for i in range(nx)]
+        hist.outside, hist.absent = sums[nx * ny:]
+        return hist
 
     def add(self, x: float, y: float, weight: float = 1.0) -> None:
         if weight < 0:

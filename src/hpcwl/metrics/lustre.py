@@ -6,12 +6,15 @@ Reads are bytes received by compute nodes (rx), writes are bytes transmitted
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from typing import Mapping, Sequence
 
-from ..ingest import JobRecord, utc_date
-from ..perfsummary import JobPerfSummary
+import numpy as np
+
+from ..jobtable import SECONDS_PER_DAY, JobTable, day_date
 from .histograms import Histogram1D, log_edges
+from .perfcolumns import PerfColumns, Summaries
+from .rollups import Jobs
 
 METRICS = ("file_opens", "bytes_read", "bytes_written", "read_rate", "write_rate")
 
@@ -24,26 +27,6 @@ DEFAULT_EDGES = {
 }
 
 
-def _values(job: JobRecord, summary: JobPerfSummary, normalize: str) -> dict[str, float | None]:
-    duration = max(job.wall_seconds, 1)
-    node_hours = max(job.node_hours, 1e-12)
-    opens = summary.file_opens
-    rx = summary.lustre_rx
-    tx = summary.lustre_tx
-    read_rate = None if rx is None else rx / duration
-    write_rate = None if tx is None else tx / duration
-    if normalize == "per_node_hour":
-        opens = None if opens is None else opens / node_hours
-        rx = None if rx is None else rx / node_hours
-        tx = None if tx is None else tx / node_hours
-        read_rate = None if read_rate is None else read_rate / job.nodes
-        write_rate = None if write_rate is None else write_rate / job.nodes
-    elif normalize != "per_job":
-        raise ValueError(f"unknown normalization {normalize!r}")
-    return {"file_opens": opens, "bytes_read": rx, "bytes_written": tx,
-            "read_rate": read_rate, "write_rate": write_rate}
-
-
 @dataclass
 class LustreStats:
     normalize: str
@@ -52,56 +35,64 @@ class LustreStats:
     daily: list[tuple[date, float, float]] = field(default_factory=list)
 
 
-def lustre_stats(jobs: Sequence[JobRecord],
-                 summaries: Mapping[str, JobPerfSummary],
+def lustre_stats(jobs: Jobs,
+                 summaries: PerfColumns | Summaries,
                  normalize: str = "per_job",
                  edges: Mapping[str, Sequence[float]] | None = None) -> LustreStats:
     """Distributions of filesystem activity per job, unweighted and
-    node-hour weighted, plus the daily aggregate read/write series."""
+    node-hour weighted, plus the daily aggregate read/write series.
+
+    Rates divide by the wall time, at least one second; per node-hour
+    values divide by the node-hours, at least 1e-12, and rates by the
+    nodes.  Each job's bytes are spread over its UTC days in proportion to
+    its run time on each; a zero-length job books them on its end day.
+    """
+    if normalize not in ("per_job", "per_node_hour"):
+        raise ValueError(f"unknown normalization {normalize!r}")
+    table = JobTable.of(jobs)
+    perf = PerfColumns.of(table, summaries)
+    wall = table.end - table.start
+    rx, tx, opens = perf.lustre_rx, perf.lustre_tx, perf.file_opens
+    duration = np.maximum(wall, 1)
+    values = {"file_opens": opens, "bytes_read": rx, "bytes_written": tx,
+              "read_rate": rx / duration, "write_rate": tx / duration}
+    if normalize == "per_node_hour":
+        node_hours = np.maximum(table.node_hours, 1e-12)
+        for metric in ("file_opens", "bytes_read", "bytes_written"):
+            values[metric] = values[metric] / node_hours
+        for metric in ("read_rate", "write_rate"):
+            values[metric] = values[metric] / table.nodes
     stats = LustreStats(normalize=normalize)
+    ones = np.ones(len(table))
     for metric in METRICS:
         metric_edges = tuple((edges or {}).get(metric, DEFAULT_EDGES[metric]))
-        stats.unweighted[metric] = Histogram1D(edges=metric_edges, weight_kind="jobs")
-        stats.node_hour_weighted[metric] = Histogram1D(edges=metric_edges,
-                                                       weight_kind="node_hours")
-    daily: dict[date, list[float]] = {}
-    for job in jobs:
-        summary = summaries.get(job.job_id)
-        values = (_values(job, summary, normalize) if summary is not None
-                  else {metric: None for metric in METRICS})
-        for metric in METRICS:
-            value = values[metric]
-            if value is None:
-                stats.unweighted[metric].add_absent(1.0)
-                stats.node_hour_weighted[metric].add_absent(job.node_hours)
-            else:
-                stats.unweighted[metric].add(value, 1.0)
-                stats.node_hour_weighted[metric].add(value, job.node_hours)
-        if summary is not None and (summary.lustre_rx is not None
-                                    or summary.lustre_tx is not None):
-            _apportion_daily(daily, job, summary.lustre_rx or 0.0,
-                             summary.lustre_tx or 0.0)
-    stats.daily = [(day, acc[0], acc[1]) for day, acc in sorted(daily.items())]
+        stats.unweighted[metric] = Histogram1D.of(metric_edges, values[metric], ones, "jobs")
+        stats.node_hour_weighted[metric] = Histogram1D.of(
+            metric_edges, values[metric], table.node_hours, "node_hours")
+    moved = ~(np.isnan(rx) & np.isnan(tx))
+    stats.daily = _daily(table.start[moved], table.end[moved],
+                         np.where(np.isnan(rx), 0.0, rx)[moved],
+                         np.where(np.isnan(tx), 0.0, tx)[moved])
     return stats
 
 
-def _apportion_daily(daily: dict[date, list[float]], job: JobRecord,
-                     rx: float, tx: float) -> None:
-    """Spread a job's bytes uniformly over its run window per UTC day."""
-    duration = job.wall_seconds
-    if duration <= 0:
-        day = utc_date(job.end_time)
-        acc = daily.setdefault(day, [0.0, 0.0])
-        acc[0] += rx
-        acc[1] += tx
-        return
-    cursor = job.start_time
-    while cursor < job.end_time:
-        day = utc_date(cursor)
-        next_midnight = int((day + timedelta(days=1) - date(1970, 1, 1)).total_seconds())
-        segment_end = min(job.end_time, next_midnight)
-        share = (segment_end - cursor) / duration
-        acc = daily.setdefault(day, [0.0, 0.0])
-        acc[0] += rx * share
-        acc[1] += tx * share
-        cursor = segment_end
+def _daily(start: np.ndarray, end: np.ndarray, rx: np.ndarray, tx: np.ndarray
+           ) -> list[tuple[date, float, float]]:
+    """Each job's bytes spread uniformly over its run window per UTC day,
+    summed per day over one segment per (job, day) in job-then-day order."""
+    wall = end - start
+    ran = wall > 0
+    first = np.where(ran, start, end) // SECONDS_PER_DAY
+    last = np.where(ran, end - 1, end) // SECONDS_PER_DAY
+    days = last - first + 1
+    job = np.repeat(np.arange(len(start)), days)
+    # each segment's day: the job's first day plus its place among the job's segments
+    day = first[job] + np.arange(len(job)) - np.repeat(np.cumsum(days) - days, days)
+    seg_start = np.maximum(start[job], day * SECONDS_PER_DAY)
+    seg_end = np.minimum(end[job], (day + 1) * SECONDS_PER_DAY)
+    share = np.where(ran[job], (seg_end - seg_start) / np.where(ran, wall, 1)[job], 1.0)
+    touched, slot = np.unique(day, return_inverse=True)
+    slot = slot.reshape(-1)
+    read = np.bincount(slot, rx[job] * share, minlength=len(touched)).tolist()
+    written = np.bincount(slot, tx[job] * share, minlength=len(touched)).tolist()
+    return [(day_date(d), r, w) for d, r, w in zip(touched.tolist(), read, written)]

@@ -9,9 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..errors import NoFactorForDate
-from ..ingest import JobRecord, ResourceSpec, job_xd_su
-from ..perfsummary import JobPerfSummary
+import numpy as np
+
+from ..ingest import ResourceSpec
+from ..jobtable import Codes, JobTable, group_totals
 from .histograms import (
     Histogram1D,
     Histogram2D,
@@ -20,7 +21,8 @@ from .histograms import (
     fraction_edges,
     log_edges,
 )
-from .rollups import job_weight
+from .perfcolumns import PerfColumns, Summaries
+from .rollups import Jobs
 
 
 def node_mem_available(spec: ResourceSpec, queue: str) -> float | None:
@@ -32,71 +34,69 @@ def node_mem_available(spec: ResourceSpec, queue: str) -> float | None:
     return float(spec.mem_per_node)
 
 
-def mem_fraction(job: JobRecord, summary: JobPerfSummary, spec: ResourceSpec,
-                 peak: bool = False) -> float | None:
-    """Fraction of the available node memory the job used (avg or peak).
-
-    Per-core usage is scaled by the node's core count, which reproduces the
-    per-node usage regardless of how many cores the job occupied.
-    """
-    per_core = summary.mem_max_per_core if peak else summary.mem_avg_per_core
-    if per_core is None:
-        return None
-    available = node_mem_available(spec, job.queue)
-    if available is None or available <= 0:
-        return None
-    return per_core * spec.cores_per_node / available
-
-
-def total_peak_mem(summary: JobPerfSummary, spec: ResourceSpec,
-                   nodes: int) -> float | None:
-    """Peak memory of the whole job in bytes."""
-    if summary.mem_max_per_core is None:
-        return None
-    return summary.mem_max_per_core * spec.cores_per_node * nodes
+def _node_memory(table: JobTable, resources: Mapping[str, ResourceSpec]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's available node memory in bytes (NaN where it is unknown or
+    not positive) and whether its queue is a large-memory queue, from one
+    ``node_mem_available`` call per (resource, queue) pair."""
+    width = len(table.queue.names)
+    pair = table.resource.codes.astype(np.int64) * width + table.queue.codes
+    pairs, inverse = np.unique(pair, return_inverse=True)
+    available, large = [], []
+    for p in pairs.tolist():
+        spec = resources.get(table.resource.names[p // width])
+        queue = table.queue.names[p % width]
+        mem = None if spec is None else node_mem_available(spec, queue)
+        available.append(mem if mem is not None and mem > 0 else None)
+        large.append(spec is not None and queue in spec.large_memory_queues)
+    inverse = inverse.reshape(-1)
+    return (np.array(available, dtype=np.float64)[inverse],
+            np.array(large, dtype=bool)[inverse])
 
 
-def memory_histograms(jobs: Sequence[JobRecord],
-                      summaries: Mapping[str, JobPerfSummary],
+def _known_weights(table: JobTable, weight: str) -> np.ndarray:
+    """The weights, with 0.0 for a job that has no SU factor."""
+    w = table.weights(weight)
+    return np.where(np.isnan(w), 0.0, w)
+
+
+def memory_histograms(jobs: Jobs,
+                      summaries: PerfColumns | Summaries,
                       resources: Mapping[str, ResourceSpec],
                       mode: str = "per_core_avg",
                       weight: str = "core_hours",
                       edges: Sequence[float] | None = None) -> Histogram1D:
-    """Histogram of per-core memory (bytes), average or peak, weighted."""
+    """Histogram of per-core memory (bytes), average or peak, weighted.
+    Jobs with no SU factor weigh 0.0 under "xd_su"."""
     if mode not in ("per_core_avg", "per_core_max"):
         raise ValueError(f"unknown mode {mode!r}")
-    hist = Histogram1D(edges=tuple(edges) if edges else default_memory_edges(),
-                       weight_kind=weight)
-    for job in jobs:
-        try:
-            w = job_weight(job, weight, resources)
-        except (NoFactorForDate, KeyError):
-            w = 0.0
-        summary = summaries.get(job.job_id)
-        value = None
-        if summary is not None:
-            value = (summary.mem_avg_per_core if mode == "per_core_avg"
-                     else summary.mem_max_per_core)
-        if value is None:
-            hist.add_absent(w)
-        else:
-            hist.add(value, w)
-    return hist
+    table = JobTable.of(jobs, resources)
+    perf = PerfColumns.of(table, summaries)
+    values = perf.mem_avg_per_core if mode == "per_core_avg" else perf.mem_max_per_core
+    return Histogram1D.of(tuple(edges) if edges else default_memory_edges(), values,
+                          _known_weights(table, weight), weight_kind=weight)
 
 
 X_AXES = ("fraction_cores_of_system", "cpu_user_fraction", "nodes")
 Y_AXES = ("fraction_mem_used", "total_peak_mem")
 
 
-def memory_2d(jobs: Sequence[JobRecord],
-              summaries: Mapping[str, JobPerfSummary],
+def memory_2d(jobs: Jobs,
+              summaries: PerfColumns | Summaries,
               resources: Mapping[str, ResourceSpec],
               x: str = "cpu_user_fraction",
               y: str = "fraction_mem_used",
               weight: str = "core_hours",
               x_edges: Sequence[float] | None = None,
               y_edges: Sequence[float] | None = None) -> Histogram2D:
-    """2-D histogram pairing a memory measure with a job-shape measure."""
+    """2-D histogram pairing a memory measure with a job-shape measure.
+    Jobs with no summary or on a resource with no description are absent
+    (both y measures are NaN for them).
+
+    ``fraction_mem_used`` is the average per-core memory scaled by the
+    node's core count over the node memory of the job's queue, which
+    reproduces the per-node usage whatever the job's core count.
+    """
     if x not in X_AXES:
         raise ValueError(f"unknown x axis {x!r}")
     if y not in Y_AXES:
@@ -105,32 +105,21 @@ def memory_2d(jobs: Sequence[JobRecord],
         x_edges = default_job_size_edges() if x == "nodes" else fraction_edges()
     if y_edges is None:
         y_edges = (log_edges(8, 15) if y == "total_peak_mem" else fraction_edges())
-    hist = Histogram2D(x_edges=tuple(x_edges), y_edges=tuple(y_edges),
-                       weight_kind=weight)
-    for job in jobs:
-        try:
-            w = job_weight(job, weight, resources)
-        except (NoFactorForDate, KeyError):
-            w = 0.0
-        summary = summaries.get(job.job_id)
-        spec = resources.get(job.resource)
-        xv = yv = None
-        if summary is not None and spec is not None:
-            if x == "fraction_cores_of_system":
-                xv = job.cores / spec.total_cores
-            elif x == "cpu_user_fraction":
-                xv = summary.cpu_user_fraction
-            else:
-                xv = float(job.nodes)
-            if y == "fraction_mem_used":
-                yv = mem_fraction(job, summary, spec)
-            else:
-                yv = total_peak_mem(summary, spec, job.nodes)
-        if xv is None or yv is None:
-            hist.add_absent(w)
-        else:
-            hist.add(xv, yv, w)
-    return hist
+    table = JobTable.of(jobs, resources)
+    perf = PerfColumns.of(table, summaries)
+    cores_per_node = table.per_resource(resources, lambda spec: spec.cores_per_node)
+    if x == "fraction_cores_of_system":
+        xv = table.cores / table.per_resource(resources, lambda spec: spec.total_cores)
+    elif x == "cpu_user_fraction":
+        xv = perf.cpu_user_fraction
+    else:
+        xv = table.nodes.astype(np.float64)
+    if y == "fraction_mem_used":
+        yv = perf.mem_avg_per_core * cores_per_node / _node_memory(table, resources)[0]
+    else:
+        yv = perf.mem_max_per_core * cores_per_node * table.nodes
+    return Histogram2D.of(tuple(x_edges), tuple(y_edges), xv, yv,
+                          _known_weights(table, weight), weight_kind=weight)
 
 
 @dataclass
@@ -144,15 +133,9 @@ class LargeMemoryBreakdown:
     by_app: dict[str, dict[str, float]] = field(default_factory=dict)
     absent_xd_su: float = 0.0  # usage that memory data cannot represent
 
-    def _add(self, series: str, parent_science: str, app: str, su: float) -> None:
-        ps = self.by_parent_science.setdefault(series, {})
-        ps[parent_science] = ps.get(parent_science, 0.0) + su
-        ap = self.by_app.setdefault(series, {})
-        ap[app] = ap.get(app, 0.0) + su
 
-
-def large_memory_breakdown(jobs: Sequence[JobRecord],
-                           summaries: Mapping[str, JobPerfSummary],
+def large_memory_breakdown(jobs: Jobs,
+                           summaries: PerfColumns | Summaries,
                            resources: Mapping[str, ResourceSpec],
                            normal_threshold: float = 0.8,
                            large_threshold: float = 0.1) -> LargeMemoryBreakdown:
@@ -160,26 +143,29 @@ def large_memory_breakdown(jobs: Sequence[JobRecord],
 
     Normal-queue jobs qualify above normal_threshold of node memory at peak;
     large-memory-queue jobs above large_threshold of the large node memory.
+    Jobs on a resource with no description or with no SU factor are left
+    out; jobs with no peak memory count in ``absent_xd_su``.
     """
-    out = LargeMemoryBreakdown(normal_threshold=normal_threshold,
-                               large_threshold=large_threshold)
-    for job in jobs:
-        spec = resources.get(job.resource)
-        if spec is None:
-            continue
-        try:
-            su = job_xd_su(job, resources)
-        except NoFactorForDate:
-            continue
-        summary = summaries.get(job.job_id)
-        fraction = (mem_fraction(job, summary, spec, peak=True)
-                    if summary is not None else None)
-        if fraction is None:
-            out.absent_xd_su += su
-            continue
-        on_large_queue = job.queue in spec.large_memory_queues
-        if on_large_queue and fraction > large_threshold:
-            out._add("large", job.parent_science, summary.app_label, su)
-        elif not on_large_queue and fraction > normal_threshold:
-            out._add("normal", job.parent_science, summary.app_label, su)
-    return out
+    table = JobTable.of(jobs, resources)
+    perf = PerfColumns.of(table, summaries)
+    available, on_large_queue = _node_memory(table, resources)
+    fraction = (perf.mem_max_per_core
+                * table.per_resource(resources, lambda spec: spec.cores_per_node) / available)
+    # series per row: 0 large, 1 normal, 2 absent, 3 neither
+    series = np.full(len(table), 3)
+    series[on_large_queue & (fraction > large_threshold)] = 0
+    series[~on_large_queue & (fraction > normal_threshold)] = 1
+    series[np.isnan(fraction)] = 2
+    # a job with no SU factor (which includes an unknown resource) counts nowhere
+    counted = ~np.isnan(table.xd_su)
+    su = table.xd_su[counted]
+    series = series[counted]
+    totals = np.bincount(series, su, minlength=4).astype(np.float64).tolist()
+    high = series < 2
+    names = Codes(("large", "normal"), series[high])
+    return LargeMemoryBreakdown(
+        normal_threshold=normal_threshold, large_threshold=large_threshold,
+        by_parent_science=group_totals(names, table.parent_science.take(counted).take(high),
+                                       su[high]),
+        by_app=group_totals(names, perf.app_label.take(counted).take(high), su[high]),
+        absent_xd_su=totals[2])

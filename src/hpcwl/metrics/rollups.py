@@ -14,8 +14,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import EmptyGroup
-from ..ingest import JobRecord, ResourceSpec, job_xd_su
-from ..jobtable import Codes, JobTable, day_number
+from ..ingest import JobRecord, ResourceSpec
+from ..jobtable import Codes, JobTable, day_number, group_totals
 from ..stats import total
 from .histograms import Histogram1D, default_job_size_edges
 
@@ -73,21 +73,6 @@ class Filters:
                 if kept]
 
 
-def job_weight(job: JobRecord, weight: str,
-               resources: Mapping[str, ResourceSpec] | None = None) -> float:
-    if weight == "jobs":
-        return 1.0
-    if weight == "core_hours":
-        return job.core_hours
-    if weight == "node_hours":
-        return job.node_hours
-    if weight == "xd_su":
-        if resources is None:
-            raise ValueError("xd_su weighting needs the resource map")
-        return job_xd_su(job, resources)
-    raise ValueError(f"unknown weight {weight!r}")
-
-
 @dataclass
 class RollupTable:
     dimension: str
@@ -95,10 +80,6 @@ class RollupTable:
     period: str
     totals: dict[str, dict[str, float]] = field(default_factory=dict)
     excluded_no_factor: int = 0
-
-    def add(self, period_label: str, value: str, weight: float) -> None:
-        bucket = self.totals.setdefault(period_label, {})
-        bucket[value] = bucket.get(value, 0.0) + weight
 
     def shares(self, period_label: str) -> dict[str, float]:
         bucket = self.totals.get(period_label, {})
@@ -136,13 +117,7 @@ def usage_rollup(jobs: Jobs, dimension: str, weight: str,
     known = ~np.isnan(w)
     rollup = RollupTable(dimension=dimension, weight=weight, period=period,
                          excluded_no_factor=len(table) - int(np.count_nonzero(known)))
-    width = len(values.names)
-    bucket = periods.codes[known].astype(np.int64) * width + values.codes[known]
-    sums = np.bincount(bucket, weights=w[known]).tolist()
-    buckets, first = np.unique(bucket, return_index=True)
-    for b in buckets[np.argsort(first)].tolist():
-        p, v = divmod(b, width)
-        rollup.add(periods.names[p], values.names[v], sums[b])
+    rollup.totals = group_totals(periods.take(known), values.take(known), w[known])
     return rollup
 
 
@@ -155,19 +130,13 @@ def job_size_distribution(jobs: Jobs,
     Jobs whose weight cannot be computed (missing SU factor) land in the
     absent bucket so the histogram still conserves the population count.
     """
-    hist = Histogram1D(edges=tuple(bins) if bins else default_job_size_edges(),
-                       weight_kind=weight)
     table = JobTable.of(jobs, resources)
     w = table.weights(weight)
     known = ~np.isnan(w)
-    # slot 0 is underflow, slot i bin i - 1, slot len(edges) overflow; with
-    # no weights at all bincount returns integer zeros
-    slot = np.searchsorted(hist.edges, table.cores[known], side="right")
-    sums = np.bincount(slot, weights=w[known],
-                       minlength=len(hist.edges) + 1).astype(np.float64).tolist()
-    hist.underflow, hist.weights, hist.overflow = sums[0], sums[1:-1], sums[-1]
-    hist.absent = float(len(table) - np.count_nonzero(known))
-    return hist
+    # an unknown weight makes the job absent, where it counts 1.0
+    return Histogram1D.of(tuple(bins) if bins else default_job_size_edges(),
+                          np.where(known, table.cores, np.nan), np.where(known, w, 1.0),
+                          weight_kind=weight)
 
 
 def effective_cores(job: JobRecord, resources: Mapping[str, ResourceSpec],

@@ -28,6 +28,7 @@ from .ingest import Dataset, JobRecord, utc_date
 from .jobtable import JobTable
 from .metrics import (
     Filters,
+    PerfColumns,
     allocation_size_summary,
     allocation_utilization,
     average_job_size_variants,
@@ -85,11 +86,13 @@ class ReportContext:
 @dataclass
 class _RunContext(ReportContext):
     """The context of one run_report call, with that call's kept jobs per
-    Filters value, as rows of the dataset's job table and as records; it is
-    dropped when the call returns."""
+    Filters value, as rows of the dataset's job table and as records, and
+    its summaries joined to that table; it is dropped when the call
+    returns."""
 
     kept: dict[Filters, np.ndarray] = field(default_factory=dict)
     records: dict[Filters, tuple[JobRecord, ...]] = field(default_factory=dict)
+    perf: PerfColumns | None = None  # the summaries joined to the dataset's job table
 
     @classmethod
     def of(cls, ctx: ReportContext) -> _RunContext:
@@ -161,6 +164,14 @@ def _table(ctx: _RunContext, filters: Filters) -> JobTable:
     each analysis, so a run holds one table per Filters value only as row
     numbers."""
     return ctx.dataset.job_table.take(_kept(ctx, filters))
+
+
+def _perf(ctx: _RunContext, filters: Filters) -> PerfColumns:
+    """The summaries of the rows ``_table(ctx, filters)`` gives; the join
+    runs once per run."""
+    if ctx.perf is None:
+        ctx.perf = PerfColumns.join(ctx.dataset.job_table, ctx.summaries)
+    return ctx.perf.take(_kept(ctx, filters))
 
 
 def _jobs(ctx: _RunContext, filters: Filters) -> tuple[JobRecord, ...]:
@@ -285,7 +296,7 @@ def _an_width_curves(ctx, filters, params):
 def _an_memory_histogram(ctx, filters, params):
     mode = params.get("mode", "per_core_avg")
     weight = params.get("weight", "core_hours")
-    hist = memory_histograms(_jobs(ctx, filters), ctx.summaries,
+    hist = memory_histograms(_table(ctx, filters), _perf(ctx, filters),
                              ctx.dataset.resources, mode=mode, weight=weight)
     return [(f"memory_{mode}_{weight}.csv", ["bin", "lo_bytes", "hi_bytes", weight],
              hist.rows())]
@@ -295,7 +306,7 @@ def _an_memory_2d(ctx, filters, params):
     x = params.get("x", "cpu_user_fraction")
     y = params.get("y", "fraction_mem_used")
     weight = params.get("weight", "core_hours")
-    hist = memory_2d(_jobs(ctx, filters), ctx.summaries, ctx.dataset.resources,
+    hist = memory_2d(_table(ctx, filters), _perf(ctx, filters), ctx.dataset.resources,
                      x=x, y=y, weight=weight)
     rows = []
     for i in range(len(hist.x_edges) - 1):
@@ -311,7 +322,7 @@ def _an_memory_2d(ctx, filters, params):
 
 
 def _an_large_memory(ctx, filters, params):
-    breakdown = large_memory_breakdown(_jobs(ctx, filters), ctx.summaries,
+    breakdown = large_memory_breakdown(_table(ctx, filters), _perf(ctx, filters),
                                        ctx.dataset.resources)
     rows = []
     for series in sorted(breakdown.by_parent_science):
@@ -326,7 +337,7 @@ def _an_large_memory(ctx, filters, params):
 
 
 def _an_lustre(ctx, filters, params):
-    stats = lustre_stats(_jobs(ctx, filters), ctx.summaries,
+    stats = lustre_stats(_table(ctx, filters), _perf(ctx, filters),
                          normalize=params.get("normalize", "per_job"))
     rows = []
     for metric in sorted(stats.unweighted):
@@ -341,7 +352,7 @@ def _an_lustre(ctx, filters, params):
 
 
 def _an_concurrency(ctx, filters, params):
-    result = concurrency_histograms(_jobs(ctx, filters), ctx.summaries,
+    result = concurrency_histograms(_table(ctx, filters), _perf(ctx, filters),
                                     ctx.dataset.resources,
                                     bands=tuple(params.get("bands", (32, 68))))
     runnable = [(resource, bucket, hours)

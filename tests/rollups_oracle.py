@@ -1,13 +1,18 @@
-"""Record-at-a-time rollups, depth profile and queue replay: the reference
-for the columnar kernels in ``hpcwl.metrics.rollups``, ``hpcwl.metrics.depth``
-and ``hpcwl.backlog``.
+"""Record-at-a-time rollups, depth profile, queue replay and the memory,
+Lustre and concurrency analyses: the reference for the columnar kernels in
+``hpcwl.metrics.rollups``, ``hpcwl.metrics.depth``, ``hpcwl.backlog``,
+``hpcwl.metrics.memory``, ``hpcwl.metrics.lustre`` and
+``hpcwl.metrics.concurrency``.
 
 These are the per-job loops the ``JobTable`` kernels replaced, unchanged
 except that ``required_nodes`` gives one R_j per job, in job order, where
-the loop it came from kept one per job id.
+the loop it came from kept one per job id, and that the performance loops
+read a NaN summary field as None (not present), as the kernels do.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 from datetime import date, timedelta
 from typing import Mapping, Sequence
 
@@ -19,14 +24,46 @@ from hpcwl.metrics import (
     ProjectDepth,
     RollupTable,
     SingleNodeShare,
+    ConcurrencyResult,
+    Histogram2D,
+    LargeMemoryBreakdown,
+    LustreStats,
     effective_cores,
-    job_weight,
     period_key,
 )
+from hpcwl.metrics.concurrency import band_labels, process_band, thread_bucket
+from hpcwl.metrics.histograms import (
+    default_memory_edges,
+    fraction_edges,
+    log_edges,
+)
+from hpcwl.metrics.lustre import DEFAULT_EDGES, METRICS
+from hpcwl.metrics.memory import node_mem_available
+from hpcwl.perfsummary import JobPerfSummary, LaunchType
 from hpcwl.metrics.depth import DepthProfile
 from hpcwl.metrics.histograms import Histogram1D, default_job_size_edges
 from hpcwl.metrics.rollups import OSG_RESOURCE
 from hpcwl.stats import total
+
+
+def job_weight(job: JobRecord, weight: str,
+               resources: Mapping[str, ResourceSpec] | None = None) -> float:
+    if weight == "jobs":
+        return 1.0
+    if weight == "core_hours":
+        return job.core_hours
+    if weight == "node_hours":
+        return job.node_hours
+    if weight == "xd_su":
+        if resources is None:
+            raise ValueError("xd_su weighting needs the resource map")
+        return job_xd_su(job, resources)
+    raise ValueError(f"unknown weight {weight!r}")
+
+
+def _add(totals: dict[str, dict[str, float]], outer: str, inner: str, weight: float) -> None:
+    bucket = totals.setdefault(outer, {})
+    bucket[inner] = bucket.get(inner, 0.0) + weight
 
 
 def keep(filters: Filters, job: JobRecord) -> bool:
@@ -81,8 +118,8 @@ def usage_rollup(jobs: Sequence[JobRecord], dimension: str, weight: str,
         except (NoFactorForDate, KeyError):
             table.excluded_no_factor += 1
             continue
-        table.add(job_period(job, period),
-                  dimension_value(job, dimension, resources), w)
+        _add(table.totals, job_period(job, period),
+             dimension_value(job, dimension, resources), w)
     return table
 
 
@@ -283,3 +320,248 @@ def required_nodes(jobs: Sequence[JobRecord]) -> list[int]:
         for index in submits.get(t, ()):
             required[index] = running_nodes + queued_nodes
     return required
+
+
+# ---------------------------------------------------------------------------
+# memory, Lustre and concurrency
+
+def present(summaries: Mapping[str, JobPerfSummary]) -> dict[str, JobPerfSummary]:
+    """The summaries with every NaN field set to None."""
+    def cleaned(summary: JobPerfSummary) -> JobPerfSummary:
+        nan = {f.name: None for f in dataclasses.fields(summary)
+               if isinstance(getattr(summary, f.name), float)
+               and math.isnan(getattr(summary, f.name))}
+        return dataclasses.replace(summary, **nan) if nan else summary
+    return {job_id: cleaned(summary) for job_id, summary in summaries.items()}
+
+
+def mem_fraction(job: JobRecord, summary: JobPerfSummary, spec: ResourceSpec,
+                 peak: bool = False) -> float | None:
+    """Fraction of the available node memory the job used (avg or peak).
+
+    Per-core usage is scaled by the node's core count, which reproduces the
+    per-node usage regardless of how many cores the job occupied.
+    """
+    per_core = summary.mem_max_per_core if peak else summary.mem_avg_per_core
+    if per_core is None:
+        return None
+    available = node_mem_available(spec, job.queue)
+    if available is None or available <= 0:
+        return None
+    return per_core * spec.cores_per_node / available
+
+
+def total_peak_mem(summary: JobPerfSummary, spec: ResourceSpec,
+                   nodes: int) -> float | None:
+    """Peak memory of the whole job in bytes."""
+    if summary.mem_max_per_core is None:
+        return None
+    return summary.mem_max_per_core * spec.cores_per_node * nodes
+
+
+def memory_histograms(jobs: Sequence[JobRecord],
+                      summaries: Mapping[str, JobPerfSummary],
+                      resources: Mapping[str, ResourceSpec],
+                      mode: str = "per_core_avg",
+                      weight: str = "core_hours",
+                      edges: Sequence[float] | None = None) -> Histogram1D:
+    if mode not in ("per_core_avg", "per_core_max"):
+        raise ValueError(f"unknown mode {mode!r}")
+    summaries = present(summaries)
+    hist = Histogram1D(edges=tuple(edges) if edges else default_memory_edges(),
+                       weight_kind=weight)
+    for job in jobs:
+        try:
+            w = job_weight(job, weight, resources)
+        except (NoFactorForDate, KeyError):
+            w = 0.0
+        summary = summaries.get(job.job_id)
+        value = None
+        if summary is not None:
+            value = (summary.mem_avg_per_core if mode == "per_core_avg"
+                     else summary.mem_max_per_core)
+        if value is None:
+            hist.add_absent(w)
+        else:
+            hist.add(value, w)
+    return hist
+
+
+def memory_2d(jobs: Sequence[JobRecord],
+              summaries: Mapping[str, JobPerfSummary],
+              resources: Mapping[str, ResourceSpec],
+              x: str = "cpu_user_fraction",
+              y: str = "fraction_mem_used",
+              weight: str = "core_hours",
+              x_edges: Sequence[float] | None = None,
+              y_edges: Sequence[float] | None = None) -> Histogram2D:
+    summaries = present(summaries)
+    if x_edges is None:
+        x_edges = default_job_size_edges() if x == "nodes" else fraction_edges()
+    if y_edges is None:
+        y_edges = (log_edges(8, 15) if y == "total_peak_mem" else fraction_edges())
+    hist = Histogram2D(x_edges=tuple(x_edges), y_edges=tuple(y_edges),
+                       weight_kind=weight)
+    for job in jobs:
+        try:
+            w = job_weight(job, weight, resources)
+        except (NoFactorForDate, KeyError):
+            w = 0.0
+        summary = summaries.get(job.job_id)
+        spec = resources.get(job.resource)
+        xv = yv = None
+        if summary is not None and spec is not None:
+            if x == "fraction_cores_of_system":
+                xv = job.cores / spec.total_cores
+            elif x == "cpu_user_fraction":
+                xv = summary.cpu_user_fraction
+            else:
+                xv = float(job.nodes)
+            if y == "fraction_mem_used":
+                yv = mem_fraction(job, summary, spec)
+            else:
+                yv = total_peak_mem(summary, spec, job.nodes)
+        if xv is None or yv is None:
+            hist.add_absent(w)
+        else:
+            hist.add(xv, yv, w)
+    return hist
+
+
+def large_memory_breakdown(jobs: Sequence[JobRecord],
+                           summaries: Mapping[str, JobPerfSummary],
+                           resources: Mapping[str, ResourceSpec],
+                           normal_threshold: float = 0.8,
+                           large_threshold: float = 0.1) -> LargeMemoryBreakdown:
+    summaries = present(summaries)
+    out = LargeMemoryBreakdown(normal_threshold=normal_threshold,
+                               large_threshold=large_threshold)
+    for job in jobs:
+        spec = resources.get(job.resource)
+        if spec is None:
+            continue
+        try:
+            su = job_xd_su(job, resources)
+        except NoFactorForDate:
+            continue
+        summary = summaries.get(job.job_id)
+        fraction = (mem_fraction(job, summary, spec, peak=True)
+                    if summary is not None else None)
+        if fraction is None:
+            out.absent_xd_su += su
+            continue
+        on_large_queue = job.queue in spec.large_memory_queues
+        series = None
+        if on_large_queue and fraction > large_threshold:
+            series = "large"
+        elif not on_large_queue and fraction > normal_threshold:
+            series = "normal"
+        if series is not None:
+            _add(out.by_parent_science, series, job.parent_science, su)
+            _add(out.by_app, series, summary.app_label, su)
+    return out
+
+
+def _lustre_values(job: JobRecord, summary: JobPerfSummary,
+                   normalize: str) -> dict[str, float | None]:
+    duration = max(job.wall_seconds, 1)
+    node_hours = max(job.node_hours, 1e-12)
+    opens = summary.file_opens
+    rx = summary.lustre_rx
+    tx = summary.lustre_tx
+    read_rate = None if rx is None else rx / duration
+    write_rate = None if tx is None else tx / duration
+    if normalize == "per_node_hour":
+        opens = None if opens is None else opens / node_hours
+        rx = None if rx is None else rx / node_hours
+        tx = None if tx is None else tx / node_hours
+        read_rate = None if read_rate is None else read_rate / job.nodes
+        write_rate = None if write_rate is None else write_rate / job.nodes
+    elif normalize != "per_job":
+        raise ValueError(f"unknown normalization {normalize!r}")
+    return {"file_opens": opens, "bytes_read": rx, "bytes_written": tx,
+            "read_rate": read_rate, "write_rate": write_rate}
+
+
+def lustre_stats(jobs: Sequence[JobRecord],
+                 summaries: Mapping[str, JobPerfSummary],
+                 normalize: str = "per_job",
+                 edges: Mapping[str, Sequence[float]] | None = None) -> LustreStats:
+    summaries = present(summaries)
+    stats = LustreStats(normalize=normalize)
+    for metric in METRICS:
+        metric_edges = tuple((edges or {}).get(metric, DEFAULT_EDGES[metric]))
+        stats.unweighted[metric] = Histogram1D(edges=metric_edges, weight_kind="jobs")
+        stats.node_hour_weighted[metric] = Histogram1D(edges=metric_edges,
+                                                       weight_kind="node_hours")
+    daily: dict[date, list[float]] = {}
+    for job in jobs:
+        summary = summaries.get(job.job_id)
+        values = (_lustre_values(job, summary, normalize) if summary is not None
+                  else {metric: None for metric in METRICS})
+        for metric in METRICS:
+            value = values[metric]
+            if value is None:
+                stats.unweighted[metric].add_absent(1.0)
+                stats.node_hour_weighted[metric].add_absent(job.node_hours)
+            else:
+                stats.unweighted[metric].add(value, 1.0)
+                stats.node_hour_weighted[metric].add(value, job.node_hours)
+        if summary is not None and (summary.lustre_rx is not None
+                                    or summary.lustre_tx is not None):
+            _apportion_daily(daily, job, summary.lustre_rx or 0.0,
+                             summary.lustre_tx or 0.0)
+    stats.daily = [(day, acc[0], acc[1]) for day, acc in sorted(daily.items())]
+    return stats
+
+
+def _apportion_daily(daily: dict[date, list[float]], job: JobRecord,
+                     rx: float, tx: float) -> None:
+    """Spread a job's bytes uniformly over its run window per UTC day."""
+    duration = job.wall_seconds
+    if duration <= 0:
+        day = utc_date(job.end_time)
+        acc = daily.setdefault(day, [0.0, 0.0])
+        acc[0] += rx
+        acc[1] += tx
+        return
+    cursor = job.start_time
+    while cursor < job.end_time:
+        day = utc_date(cursor)
+        next_midnight = int((day + timedelta(days=1) - date(1970, 1, 1)).total_seconds())
+        segment_end = min(job.end_time, next_midnight)
+        share = (segment_end - cursor) / duration
+        acc = daily.setdefault(day, [0.0, 0.0])
+        acc[0] += rx * share
+        acc[1] += tx * share
+        cursor = segment_end
+
+
+def concurrency_histograms(jobs: Sequence[JobRecord],
+                           summaries: Mapping[str, JobPerfSummary],
+                           resources: Mapping[str, ResourceSpec],
+                           bands: Sequence[int] = (32, 68),
+                           period: str = "quarter") -> ConcurrencyResult:
+    summaries = present(summaries)
+    result = ConcurrencyResult()
+    for label in band_labels(bands):
+        result.process_bands_xd_su[label] = 0.0
+    for job in jobs:
+        spec = resources.get(job.resource)
+        if spec is None:
+            continue
+        summary = summaries.get(job.job_id)
+        median_threads = summary.runnable_threads_median if summary else None
+
+        bucket = thread_bucket(median_threads, spec.cores_per_node)
+        _add(result.runnable_node_hours, job.resource, bucket, job.node_hours)
+
+        try:
+            su = job_xd_su(job, resources)
+        except NoFactorForDate:
+            continue
+        launch = summary.launch_type.value if summary else LaunchType.UNKNOWN.value
+        _add(result.launch_type_xd_su, period_key(job.end_date, period), launch, su)
+
+        result.process_bands_xd_su[process_band(median_threads, bands)] += su
+    return result

