@@ -7,13 +7,11 @@ therefore always equals the weight of the input population.
 
 ``Histogram1D.of`` and ``Histogram2D.of`` bin whole arrays: NaN marks a
 value as absent, and every bucket's weight is one ``np.bincount`` slot, so
-each is summed left to right from 0.0 in input order, as repeated ``add``
-calls sum it.
+each is summed left to right from 0.0 in input order.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,19 +65,6 @@ class Histogram1D:
         hist.weights = sums[:nb]
         hist.underflow, hist.overflow, hist.absent = sums[nb:]
         return hist
-
-    def add(self, value: float, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ValueError("negative weight")
-        if value < self.edges[0]:
-            self.underflow += weight
-        elif value >= self.edges[-1]:
-            self.overflow += weight
-        else:
-            self.weights[bisect_right(self.edges, value) - 1] += weight
-
-    def add_absent(self, weight: float = 1.0) -> None:
-        self.absent += weight
 
     def grand_total(self) -> float:
         return total(self.weights) + self.underflow + self.overflow + self.absent
@@ -135,20 +120,6 @@ class Histogram2D:
         hist.cells = [sums[i * ny:(i + 1) * ny] for i in range(nx)]
         hist.outside, hist.absent = sums[nx * ny:]
         return hist
-
-    def add(self, x: float, y: float, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ValueError("negative weight")
-        if (x < self.x_edges[0] or x >= self.x_edges[-1]
-                or y < self.y_edges[0] or y >= self.y_edges[-1]):
-            self.outside += weight
-            return
-        i = bisect_right(self.x_edges, x) - 1
-        j = bisect_right(self.y_edges, y) - 1
-        self.cells[i][j] += weight
-
-    def add_absent(self, weight: float = 1.0) -> None:
-        self.absent += weight
 
     def grand_total(self) -> float:
         return total(map(total, self.cells)) + self.outside + self.absent

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from datetime import date, timedelta
 from typing import Mapping, Sequence
 
@@ -64,6 +65,29 @@ def job_weight(job: JobRecord, weight: str,
 def _add(totals: dict[str, dict[str, float]], outer: str, inner: str, weight: float) -> None:
     bucket = totals.setdefault(outer, {})
     bucket[inner] = bucket.get(inner, 0.0) + weight
+
+
+def hist_add(hist: Histogram1D, value: float, weight: float = 1.0) -> None:
+    if weight < 0:
+        raise ValueError("negative weight")
+    if value < hist.edges[0]:
+        hist.underflow += weight
+    elif value >= hist.edges[-1]:
+        hist.overflow += weight
+    else:
+        hist.weights[bisect_right(hist.edges, value) - 1] += weight
+
+
+def hist2d_add(hist: Histogram2D, x: float, y: float, weight: float = 1.0) -> None:
+    if weight < 0:
+        raise ValueError("negative weight")
+    if (x < hist.x_edges[0] or x >= hist.x_edges[-1]
+            or y < hist.y_edges[0] or y >= hist.y_edges[-1]):
+        hist.outside += weight
+        return
+    i = bisect_right(hist.x_edges, x) - 1
+    j = bisect_right(hist.y_edges, y) - 1
+    hist.cells[i][j] += weight
 
 
 def keep(filters: Filters, job: JobRecord) -> bool:
@@ -131,9 +155,9 @@ def job_size_distribution(jobs: Sequence[JobRecord],
                        weight_kind=weight)
     for job in jobs:
         try:
-            hist.add(job.cores, job_weight(job, weight, resources))
+            hist_add(hist, job.cores, job_weight(job, weight, resources))
         except (NoFactorForDate, KeyError):
-            hist.add_absent(1.0)
+            hist.absent += 1.0
     return hist
 
 
@@ -381,9 +405,9 @@ def memory_histograms(jobs: Sequence[JobRecord],
             value = (summary.mem_avg_per_core if mode == "per_core_avg"
                      else summary.mem_max_per_core)
         if value is None:
-            hist.add_absent(w)
+            hist.absent += w
         else:
-            hist.add(value, w)
+            hist_add(hist, value, w)
     return hist
 
 
@@ -422,9 +446,9 @@ def memory_2d(jobs: Sequence[JobRecord],
             else:
                 yv = total_peak_mem(summary, spec, job.nodes)
         if xv is None or yv is None:
-            hist.add_absent(w)
+            hist.absent += w
         else:
-            hist.add(xv, yv, w)
+            hist2d_add(hist, xv, yv, w)
     return hist
 
 
@@ -502,11 +526,11 @@ def lustre_stats(jobs: Sequence[JobRecord],
         for metric in METRICS:
             value = values[metric]
             if value is None:
-                stats.unweighted[metric].add_absent(1.0)
-                stats.node_hour_weighted[metric].add_absent(job.node_hours)
+                stats.unweighted[metric].absent += 1.0
+                stats.node_hour_weighted[metric].absent += job.node_hours
             else:
-                stats.unweighted[metric].add(value, 1.0)
-                stats.node_hour_weighted[metric].add(value, job.node_hours)
+                hist_add(stats.unweighted[metric], value, 1.0)
+                hist_add(stats.node_hour_weighted[metric], value, job.node_hours)
         if summary is not None and (summary.lustre_rx is not None
                                     or summary.lustre_tx is not None):
             _apportion_daily(daily, job, summary.lustre_rx or 0.0,
