@@ -25,22 +25,14 @@ class ConcurrencyResult:
     process_bands_xd_su: dict[str, float] = field(default_factory=dict)
 
 
-def _rounded(median_threads: float | None) -> float:
-    """The median rounded half up, NaN for None."""
-    return math.nan if median_threads is None else math.floor(median_threads + 0.5)
-
-
-def _thread_label(rounded: float, cores_per_node: int) -> str:
-    if math.isnan(rounded):
-        return NA_BUCKET
-    if rounded > cores_per_node:
-        return f">{cores_per_node}"
-    return str(int(rounded))
-
-
 def thread_bucket(median_threads: float | None, cores_per_node: int) -> str:
     """Integer bucket up to the node core count, with an overflow bucket."""
-    return _thread_label(_rounded(median_threads), cores_per_node)
+    if median_threads is None:
+        return NA_BUCKET
+    rounded = int(math.floor(median_threads + 0.5))
+    if rounded > cores_per_node:
+        return f">{cores_per_node}"
+    return str(rounded)
 
 
 def band_labels(bands: Sequence[int]) -> list[str]:
@@ -52,30 +44,32 @@ def band_labels(bands: Sequence[int]) -> list[str]:
     return labels
 
 
-def _band_label(rounded: float, bands: Sequence[int]) -> str:
-    if math.isnan(rounded):
+def process_band(median_threads: float | None, bands: Sequence[int]) -> str:
+    if median_threads is None:
         return NA_BUCKET
-    if rounded <= bands[0]:
+    value = int(math.floor(median_threads + 0.5))
+    if value <= bands[0]:
         return f"<={bands[0]}"
     for lo, hi in zip(bands, bands[1:]):
-        if lo < rounded <= hi:
+        if lo < value <= hi:
             return f">{lo} <={hi}"
     return f">{bands[-1]}"
 
 
-def process_band(median_threads: float | None, bands: Sequence[int]) -> str:
-    return _band_label(_rounded(median_threads), bands)
+def _present(value: float) -> float | None:
+    return None if math.isnan(value) else value
 
 
-def _thread_buckets(resource: Codes, rounded: np.ndarray,
+def _thread_buckets(resource: Codes, median: np.ndarray,
                     resources: Mapping[str, ResourceSpec]) -> Codes:
     """Each row's thread bucket, labelled once per distinct (resource,
-    rounded median) pair; every row's resource must have a description."""
-    distinct, value = np.unique(rounded, return_inverse=True)
+    median) pair; every row's resource must have a description."""
+    distinct, value = np.unique(median, return_inverse=True)
     width = len(distinct)
     pair = resource.codes.astype(np.int64) * width + value.reshape(-1)
-    return labelled(pair, lambda p: _thread_label(
-        distinct[p % width].item(), resources[resource.names[p // width]].cores_per_node))
+    return labelled(pair, lambda p: thread_bucket(
+        _present(distinct[p % width].item()),
+        resources[resource.names[p // width]].cores_per_node))
 
 
 def concurrency_histograms(jobs: Jobs,
@@ -91,18 +85,18 @@ def concurrency_histograms(jobs: Jobs,
     table = JobTable.of(jobs, resources)
     perf = PerfColumns.of(table, summaries)
     described = ~np.isnan(table.per_resource(resources, lambda spec: spec.cores_per_node))
-    rounded = np.floor(perf.runnable_threads_median + 0.5)
+    median = perf.runnable_threads_median
     result = ConcurrencyResult()
     result.runnable_node_hours = group_totals(
         table.resource.take(described),
-        _thread_buckets(table.resource.take(described), rounded[described], resources),
+        _thread_buckets(table.resource.take(described), median[described], resources),
         table.node_hours[described])
     charged = described & ~np.isnan(table.xd_su)
     su = table.xd_su[charged]
     result.launch_type_xd_su = group_totals(table.periods(period).take(charged),
                                             perf.launch_type.take(charged), su)
     result.process_bands_xd_su = dict.fromkeys(band_labels(bands), 0.0)
-    band = labelled(rounded[charged], lambda r: _band_label(r, bands))
+    band = labelled(median[charged], lambda m: process_band(_present(m), bands))
     sums = np.bincount(band.codes, su, minlength=len(band.names)).astype(np.float64).tolist()
     result.process_bands_xd_su.update(zip(band.names, sums))
     return result

@@ -96,6 +96,8 @@ def test_process_band_rows():
     assert process_band(16.0, bands) == "<=32"
     assert process_band(100.0, bands) == ">68"
     assert process_band(None, bands) == "N/A"
+    assert process_band(32.5, bands) == ">32 <=68"  # round half up
+    assert process_band(32.4, bands) == "<=32"
 
 
 def test_concurrency_conserves_node_hours(test_resources):
