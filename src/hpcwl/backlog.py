@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyGroup
-from .ingest import JobRecord, ResourceSpec
-from .jobtable import SECONDS_PER_DAY, JobTable
+from .ingest import Jobs, ResourceSpec
+from .jobtable import SECONDS_PER_DAY, JobTable, one_group
 from .stats import inverse_cdf, quantile, total
 
 SECONDS_PER_CORE_YEAR = 3600.0 * 24.0 * 365.0
@@ -54,12 +54,12 @@ def _through(times: np.ndarray, amounts: np.ndarray, instants: np.ndarray) -> np
     return running[np.searchsorted(times[order], instants, side="right")]
 
 
-def _of_resource(jobs: Sequence[JobRecord] | JobTable, resource: str | None) -> JobTable:
+def _of_resource(jobs: Jobs, resource: str | None) -> JobTable:
     table = JobTable.of(jobs)
     return table if resource is None else table.take(table.resource.isin((resource,)))
 
 
-def backlog_series(jobs: Sequence[JobRecord] | JobTable, resource: str | None = None,
+def backlog_series(jobs: Jobs, resource: str | None = None,
                    sampling: str = "event",
                    spec: ResourceSpec | None = None) -> BacklogSeries:
     """Replay one resource's trace into a queued-work series.
@@ -98,7 +98,7 @@ def backlog_series(jobs: Sequence[JobRecord] | JobTable, resource: str | None = 
     return series
 
 
-def required_nodes_at_submit(jobs: Sequence[JobRecord] | JobTable) -> list[int]:
+def required_nodes_at_submit(jobs: Jobs) -> list[int]:
     """R_j for each job, in job order: running + queued nodes at its submit
     instant, every job submitted at that instant included.  That is the
     nodes submitted at or before the instant less those ended by then."""
@@ -122,7 +122,7 @@ class CapacityEstimate:
         return self.nodes_required / self.actual_nodes
 
 
-def capacity_estimates(jobs: Sequence[JobRecord] | JobTable, resource: str,
+def capacity_estimates(jobs: Jobs, resource: str,
                        targets: Sequence[float] = (0.95,),
                        spec: ResourceSpec | None = None,
                        time_weighted: bool = False) -> list[CapacityEstimate]:
@@ -156,7 +156,7 @@ def capacity_estimates(jobs: Sequence[JobRecord] | JobTable, resource: str,
     return out
 
 
-def capacity_for_percentile(jobs: Sequence[JobRecord] | JobTable, resource: str,
+def capacity_for_percentile(jobs: Jobs, resource: str,
                             target: float = 0.95,
                             spec: ResourceSpec | None = None,
                             time_weighted: bool = False) -> CapacityEstimate:
@@ -181,32 +181,32 @@ class WaitStats:
     core_hour_weighted_mean_hours: float
 
 
-def wait_stats(jobs: Sequence[JobRecord],
-               group_by_resource: bool = True) -> dict[str, WaitStats]:
-    """Quartiles, mean and core-hour-weighted mean of start - submit."""
-    groups: dict[str, list[JobRecord]] = {}
-    for job in jobs:
-        groups.setdefault(job.resource if group_by_resource else "all", []).append(job)
-    if not groups:
+def wait_stats(jobs: Jobs, group_by_resource: bool = True) -> dict[str, WaitStats]:
+    """Quartiles, mean and core-hour-weighted mean of start - submit.  The
+    mean adds each group's waits in ascending order, the weighted mean its
+    jobs in job order."""
+    table = JobTable.of(jobs)
+    if not len(table):
         raise EmptyGroup("no jobs")
+    groups = table.resource if group_by_resource else one_group(len(table))
+    waits = (table.start - table.submit) / 3600.0
+    weight, weighted = (np.bincount(groups.codes, w, len(groups.names)).tolist()
+                        for w in (table.core_hours, table.core_hours * waits))
+    n_jobs = np.bincount(groups.codes, minlength=len(groups.names))
+    by_group = np.split(waits[np.lexsort((waits, groups.codes))], np.cumsum(n_jobs)[:-1])
     out: dict[str, WaitStats] = {}
-    for name in sorted(groups):
-        members = groups[name]
-        waits = sorted(job.wait_seconds / 3600.0 for job in members)
-        mean = total(waits) / len(waits)
-        weights = [job.core_hours for job in members]
-        total_weight = total(weights)
-        weighted = (total(w * (job.wait_seconds / 3600.0)
-                          for w, job in zip(weights, members)) / total_weight
-                    if total_weight > 0 else mean)
-        out[name] = WaitStats(
-            group=name,
-            n_jobs=len(members),
-            q1_hours=quantile(waits, 0.25),
-            median_hours=quantile(waits, 0.5),
-            q3_hours=quantile(waits, 0.75),
+    for g, ordered in enumerate(map(np.ndarray.tolist, by_group)):
+        if not ordered:
+            continue
+        mean = total(ordered) / len(ordered)
+        out[groups.names[g]] = WaitStats(
+            group=groups.names[g],
+            n_jobs=len(ordered),
+            q1_hours=quantile(ordered, 0.25),
+            median_hours=quantile(ordered, 0.5),
+            q3_hours=quantile(ordered, 0.75),
             mean_hours=mean,
-            core_hour_weighted_mean_hours=weighted,
+            core_hour_weighted_mean_hours=weighted[g] / weight[g] if weight[g] > 0 else mean,
         )
     return out
 
@@ -219,31 +219,25 @@ class UserDepth:
     job_count: int
 
 
-def user_queue_depth(jobs: Sequence[JobRecord],
+def user_queue_depth(jobs: Jobs,
                      community_users: Mapping[str, str] | None = None) -> list[UserDepth]:
     """Per user: the most jobs simultaneously queued or running, and total
     job count.  Community accounts are labeled separately from regular
-    users."""
+    users.  A job counts from its submit instant to its end instant; at
+    equal instants the ends come first."""
+    table = JobTable.of(jobs)
     community = community_users or {}
-    per_user: dict[str, list[JobRecord]] = {}
-    for job in jobs:
-        per_user.setdefault(job.user, []).append(job)
-    rows = []
-    for user in sorted(per_user):
-        members = per_user[user]
-        deltas: dict[int, int] = {}
-        for job in members:
-            deltas[job.submit_time] = deltas.get(job.submit_time, 0) + 1
-            deltas[job.end_time] = deltas.get(job.end_time, 0) - 1
-        depth = 0
-        max_depth = 0
-        for t in sorted(deltas):
-            depth += deltas[t]
-            max_depth = max(max_depth, depth)
-        rows.append(UserDepth(
-            user=user,
-            category="community" if user in community else "regular",
-            max_depth=max_depth,
-            job_count=len(members),
-        ))
-    return rows
+    if not len(table):
+        return []
+    step = np.repeat(np.array([1, -1]), len(table))
+    order = np.lexsort((step, np.concatenate((table.submit, table.end)),
+                        np.tile(table.user.codes, 2)))
+    # each user's steps sum to 0, so the running total restarts at 0 for each user
+    depth = np.cumsum(step[order])
+    job_count = np.bincount(table.user.codes, minlength=len(table.user.names))
+    users = np.flatnonzero(job_count)
+    max_depth = np.maximum.reduceat(depth, 2 * (np.cumsum(job_count) - job_count)[users])
+    return [UserDepth(user=user, category="community" if user in community else "regular",
+                      max_depth=peak, job_count=count)
+            for user, peak, count in zip(map(table.user.names.__getitem__, users.tolist()),
+                                         max_depth.tolist(), job_count[users].tolist())]

@@ -126,10 +126,6 @@ class JobRecord:
             raise ValueError(f"job {self.job_id}: negative SU charge")
 
     @property
-    def project_hierarchy(self) -> tuple[str, str, str]:
-        return (self.directorate, self.parent_science, self.field_of_science)
-
-    @property
     def wait_seconds(self) -> int:
         return self.start_time - self.submit_time
 
@@ -153,9 +149,8 @@ class JobRecord:
     def end_date(self) -> date:
         return utc_date(self.end_time)
 
-    @property
-    def submit_date(self) -> date:
-        return utc_date(self.submit_time)
+
+Jobs = Sequence[JobRecord] | JobTable  # what an analysis takes
 
 
 @dataclass(frozen=True, slots=True)

@@ -36,6 +36,8 @@ _CODED = {
     "field_of_science": attrgetter("field_of_science"),
     "nsf_user_status": lambda job: job.nsf_user_status.value,
     "state": lambda job: job.state_of_origin or "unknown",
+    "exit_status": lambda job: job.exit_status.value,
+    "gateway_user": lambda job: job.gateway_user or "",
 }
 
 
@@ -104,6 +106,7 @@ class JobTable:
     year: Codes             # "YYYY" of the end day
     core_hours: np.ndarray  # cores * ((end - start) / 3600.0), as JobRecord
     node_hours: np.ndarray
+    local_su: np.ndarray    # float64 local SU charged
     su_factor: np.ndarray | None  # float64, NaN where no factor window covers the end day
     xd_su: np.ndarray | None      # local SU x su_factor (NaN likewise)
     rtype: Codes | None     # the resource's type, "unknown" for an unknown resource
@@ -116,6 +119,9 @@ class JobTable:
     field_of_science: Codes
     nsf_user_status: Codes
     state: Codes            # state of origin, "unknown" when absent
+    exit_status: Codes
+    gateway_user: Codes     # "" where there is none; has_gateway_user tells which
+    has_gateway_user: np.ndarray  # bool: the gateway user is not None ("" is a name)
 
     @classmethod
     def of(cls, jobs: JobTable | Sequence[JobRecord],
@@ -134,18 +140,20 @@ class JobTable:
         end_day = end // SECONDS_PER_DAY
         hours = (end - start) / 3600.0
         coded = {name: Codes.encode(list(map(value, jobs))) for name, value in _CODED.items()}
+        local_su = np.fromiter(map(attrgetter("local_su_charged"), jobs), np.float64, n)
         su_factor = xd_su = rtype = None
         if resources is not None:
             su_factor = _su_factors(coded["resource"], end_day, resources)
-            xd_su = np.fromiter(map(attrgetter("local_su_charged"), jobs), np.float64, n)
-            xd_su *= su_factor
+            xd_su = local_su * su_factor
             rtype = _resource_types(coded["resource"], resources)
         return cls(row=np.arange(n), job_id=np.fromiter(map(attrgetter("job_id"), jobs), object, n),
                    submit=submit, start=start, end=end, nodes=nodes, cores=cores,
                    end_day=end_day, quarter=_period_codes(end_day, "quarter"),
                    year=_period_codes(end_day, "year"),
-                   core_hours=cores * hours, node_hours=nodes * hours,
-                   su_factor=su_factor, xd_su=xd_su, rtype=rtype, **coded)
+                   core_hours=cores * hours, node_hours=nodes * hours, local_su=local_su,
+                   su_factor=su_factor, xd_su=xd_su, rtype=rtype,
+                   has_gateway_user=np.fromiter((job.gateway_user is not None for job in jobs),
+                                                bool, n), **coded)
 
     def __len__(self) -> int:
         return len(self.submit)
@@ -190,6 +198,11 @@ class JobTable:
         if period not in ("quarter", "year"):
             raise ValueError(f"unknown period {period!r}")
         return getattr(self, period)
+
+
+def one_group(n: int, name: str = "all") -> Codes:
+    """A string column of n rows that all hold ``name``."""
+    return Codes((name,), np.zeros(n, dtype=np.int32))
 
 
 def labelled(values: np.ndarray, label: Callable[[float], str]) -> Codes:

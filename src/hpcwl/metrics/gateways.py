@@ -5,6 +5,8 @@ attributed to a gateway by that account (the default and tightest rule), by
 any allocation its community users ever charged (a wider net), or by
 allocations tagged as gateway grants.  Gateway end-user identities are only
 meaningful within one gateway, so census keys are namespaced per gateway.
+Each function takes job records or a ``JobTable`` and computes on the
+table's columns.
 """
 from __future__ import annotations
 
@@ -14,9 +16,11 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping, Sequence
 
-from ..errors import NoFactorForDate
-from ..ingest import AllocationRecord, JobRecord, ResourceSpec, job_xd_su, utc_date
-from ..jobtable import period_key
+import numpy as np
+
+from ..ingest import AllocationRecord, ResourceSpec, utc_date
+from ..jobtable import Codes, JobTable, group_totals, one_group
+from .rollups import Jobs
 
 MODES = ("community_user", "associated_allocation", "gateway_tagged")
 UNTAGGED_GATEWAY = "(untagged-gateway)"
@@ -49,68 +53,69 @@ class GatewayUsage:
     unknown_gateway_jobs: list[str] = field(default_factory=list)
     excluded_no_factor: int = 0
 
-    def _add(self, gateway: str, period: str, su_local: float, su_xd: float | None):
-        entry = self.per_gateway.setdefault(
-            gateway, {"job_count": 0.0, "local_su": 0.0, "xd_su": 0.0})
-        entry["job_count"] += 1
-        entry["local_su"] += su_local
-        if su_xd is not None:
-            entry["xd_su"] += su_xd
-        p = self.series.setdefault(period, {}).setdefault(
-            gateway, {"job_count": 0.0, "local_su": 0.0, "xd_su": 0.0})
-        p["job_count"] += 1
-        p["local_su"] += su_local
-        if su_xd is not None:
-            p["xd_su"] += su_xd
+
+def _attributed(key: Codes, gateways_of: list[list[str]]) -> tuple[np.ndarray, Codes]:
+    """One (row, gateway) pair for each gateway in ``gateways_of[k]`` of
+    each row whose key is k, in row order and then list order: the pairs'
+    rows and their gateways."""
+    flat = Codes.encode([gateway for gateways in gateways_of for gateway in gateways])
+    size = np.array(list(map(len, gateways_of)), dtype=np.int64)
+    count = size[key.codes]
+    rows = np.repeat(np.arange(len(count)), count)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    return rows, flat.take((np.cumsum(size) - size)[key.codes[rows]] + slot)
 
 
-def _associated_charges(jobs: Sequence[JobRecord],
-                        community_users: Mapping[str, str]) -> dict[str, set[str]]:
-    """Charge numbers each gateway's community users ever charged."""
-    charges: dict[str, set[str]] = {}
-    for job in jobs:
-        gateway = community_users.get(job.user)
-        if gateway is not None:
-            charges.setdefault(job.charge_number, set()).add(gateway)
-    return charges
+def _entries(outer: Codes, gateway: Codes, columns: tuple[np.ndarray, ...]
+             ) -> dict[str, dict[str, dict[str, float]]]:
+    """The job count, local SU and XD SU totals of each (outer, gateway)
+    pair, nested by outer value as ``group_totals`` nests them."""
+    totals = [group_totals(outer, gateway, column) for column in columns]
+    return {o: {g: dict(zip(("job_count", "local_su", "xd_su"), (t[o][g] for t in totals)))
+                for g in inner} for o, inner in totals[0].items()}
 
 
-def gateway_usage(jobs: Sequence[JobRecord],
+def gateway_usage(jobs: Jobs,
                   allocations: Sequence[AllocationRecord],
                   community_users: Mapping[str, str],
                   resources: Mapping[str, ResourceSpec],
                   mode: str = "community_user",
                   period: str = "quarter") -> GatewayUsage:
-    """Per-gateway job counts and SU totals under one attribution mode."""
+    """Per-gateway job counts and SU totals under one attribution mode.
+
+    A job with no SU factor adds no XD SU and is counted in
+    ``excluded_no_factor``.  Totals are summed in job order, and gateways
+    and periods keep the order of their first job.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    table = JobTable.of(jobs, resources)
+    xd_su, periods = table.weights("xd_su"), table.periods(period)
+    gateway_of_user = [community_users.get(name) for name in table.user.names]
     usage = GatewayUsage(mode=mode)
-    charge_map = (_associated_charges(jobs, community_users)
-                  if mode in ("associated_allocation", "gateway_tagged") else {})
-    tagged = {a.charge_number for a in allocations if a.is_gateway_tagged}
-    for job in jobs:
-        gateways: list[str] = []
-        if mode == "community_user":
-            gateway = community_users.get(job.user)
-            if gateway is not None:
-                gateways = [gateway]
-            elif job.gateway_user is not None:
-                usage.unknown_gateway_jobs.append(job.job_id)
-        elif mode == "associated_allocation":
-            gateways = sorted(charge_map.get(job.charge_number, ()))
-        else:  # gateway_tagged
-            if job.charge_number in tagged:
-                gateways = sorted(charge_map.get(job.charge_number, ())) or [UNTAGGED_GATEWAY]
-        if not gateways:
-            continue
-        try:
-            su_xd = job_xd_su(job, resources)
-        except (NoFactorForDate, KeyError):
-            su_xd = None
-            usage.excluded_no_factor += 1
-        for gateway in gateways:
-            usage._add(gateway, period_key(job.end_date, period),
-                       job.local_su_charged, su_xd)
+    if mode == "community_user":
+        key, gateways_of = table.user, [[] if g is None else [g] for g in gateway_of_user]
+        unmapped = ~table.user.isin(community_users)
+        usage.unknown_gateway_jobs = table.job_id[unmapped & table.has_gateway_user].tolist()
+    else:
+        # the gateways whose community users charged each project
+        key, width = table.project, len(table.user.names)
+        charged: list[set[str]] = [set() for _ in key.names]
+        for pair in np.unique(key.codes.astype(np.int64) * width + table.user.codes).tolist():
+            project, user = divmod(pair, width)
+            if gateway_of_user[user] is not None:
+                charged[project].add(gateway_of_user[user])
+        gateways_of = list(map(sorted, charged))
+        if mode == "gateway_tagged":
+            tagged = {a.charge_number for a in allocations if a.is_gateway_tagged}
+            gateways_of = [(gateways or [UNTAGGED_GATEWAY]) if name in tagged else []
+                           for name, gateways in zip(key.names, gateways_of)]
+    rows, gateway = _attributed(key, gateways_of)
+    no_factor = np.isnan(xd_su)
+    usage.excluded_no_factor = int(np.count_nonzero(no_factor[np.unique(rows)]))
+    columns = (np.ones(len(rows)), table.local_su[rows], np.where(no_factor, 0.0, xd_su)[rows])
+    usage.per_gateway = _entries(one_group(len(rows)), gateway, columns).get("all", {})
+    usage.series = _entries(periods.take(rows), gateway, columns)
     return usage
 
 
@@ -132,7 +137,33 @@ def _period_start(label: str) -> date:
     return date(int(label), 1, 1)
 
 
-def gateway_census(jobs: Sequence[JobRecord],
+def _gateway_users(table: JobTable, community_users: Mapping[str, str]
+                   ) -> tuple[Codes, np.ndarray]:
+    """Each row's gateway (its account's, or the account name itself), and
+    its (gateway, gateway user) pair as an integer that sorts as the pair."""
+    gateway = Codes.encode([community_users.get(name, name)
+                            for name in table.user.names]).take(table.user.codes)
+    width = len(table.gateway_user.names)
+    return gateway, gateway.codes.astype(np.int64) * width + table.gateway_user.codes
+
+
+def _active_and_new(period: np.ndarray, who: np.ndarray, n_periods: int) -> list[list[int]]:
+    """Per period code: the distinct identities with a row in it, and those
+    whose first period (the least label) it is."""
+    active = np.unique(who.astype(np.int64) * n_periods + period) % n_periods
+    return [np.bincount(p, minlength=n_periods).tolist() for p in (active, _firsts(who, period)[1])]
+
+
+def _firsts(key: np.ndarray, time: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct key (a code, so not negative) in order, with its least
+    time and its row count."""
+    order = np.lexsort((time, key))
+    key, time = key[order], time[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[start], time[start], np.diff(start, append=len(key))
+
+
+def gateway_census(jobs: Jobs,
                    community_users: Mapping[str, str],
                    period: str = "quarter",
                    reliability_date: date = DEFAULT_RELIABILITY_DATE) -> list[CensusRow]:
@@ -143,36 +174,23 @@ def gateway_census(jobs: Sequence[JobRecord],
     unique within one gateway.  New-gateway counts are lower bounds before
     the reliability date.
     """
-    hpc_jobs: dict[str, set[str]] = {}
-    gw_jobs: dict[str, set[tuple[str, str]]] = {}
-    first_hpc: dict[str, str] = {}
-    first_gw: dict[tuple[str, str], str] = {}
-    for job in jobs:
-        label = period_key(job.end_date, period)
-        if job.gateway_user is not None:
-            gateway = community_users.get(job.user, job.user)
-            key = (gateway, job.gateway_user)
-            gw_jobs.setdefault(label, set()).add(key)
-            if key not in first_gw or label < first_gw[key]:
-                first_gw[key] = label
-        elif job.user not in community_users:
-            hpc_jobs.setdefault(label, set()).add(job.user)
-            if job.user not in first_hpc or label < first_hpc[job.user]:
-                first_hpc[job.user] = label
-    rows = []
-    for label in sorted(set(hpc_jobs) | set(gw_jobs)):
-        active_hpc = hpc_jobs.get(label, set())
-        active_gw = gw_jobs.get(label, set())
-        rows.append(CensusRow(
-            period=label,
-            active_hpc_users=len(active_hpc),
-            new_hpc_users=sum(1 for u in active_hpc if first_hpc[u] == label),
-            active_gateway_users=len(active_gw),
-            new_gateway_users=sum(1 for k in active_gw if first_gw[k] == label),
-            combined_active=len(active_hpc) + len(active_gw),
-            gateway_counts_lower_bound=_period_start(label) < reliability_date,
-        ))
-    return rows
+    table = JobTable.of(jobs)
+    periods = table.periods(period)
+    n_periods = len(periods.names)
+    gw = table.has_gateway_user
+    hpc = ~gw & ~table.user.isin(community_users)
+    active_hpc, new_hpc = _active_and_new(periods.codes[hpc], table.user.codes[hpc], n_periods)
+    active_gw, new_gw = _active_and_new(periods.codes[gw],
+                                        _gateway_users(table, community_users)[1][gw], n_periods)
+    return [CensusRow(
+        period=label,
+        active_hpc_users=active_hpc[p],
+        new_hpc_users=new_hpc[p],
+        active_gateway_users=active_gw[p],
+        new_gateway_users=new_gw[p],
+        combined_active=active_hpc[p] + active_gw[p],
+        gateway_counts_lower_bound=_period_start(label) < reliability_date,
+    ) for p, label in enumerate(periods.names) if active_hpc[p] or active_gw[p]]
 
 
 @dataclass(frozen=True)
@@ -185,7 +203,7 @@ class ConversionRow:
     first_xsede_job: date
 
 
-def gateway_conversion(jobs: Sequence[JobRecord],
+def gateway_conversion(jobs: Jobs,
                        community_users: Mapping[str, str],
                        user_email: Mapping[str, str],
                        min_xsede_jobs: int = 10) -> list[ConversionRow]:
@@ -195,36 +213,29 @@ def gateway_conversion(jobs: Sequence[JobRecord],
     gateway job precedes their first personal job and who ran strictly more
     than min_xsede_jobs personal jobs are reported.
     """
-    gw_first: dict[tuple[str, str], int] = {}
-    gw_count: dict[tuple[str, str], int] = {}
-    personal_first: dict[str, int] = {}
-    personal_count: dict[str, int] = {}
-    for job in jobs:
-        if job.gateway_user is not None:
-            gateway = community_users.get(job.user, job.user)
-            key = (gateway, job.gateway_user)
-            gw_count[key] = gw_count.get(key, 0) + 1
-            if key not in gw_first or job.submit_time < gw_first[key]:
-                gw_first[key] = job.submit_time
-        elif job.user in user_email:
-            email = user_email[job.user]
-            personal_count[email] = personal_count.get(email, 0) + 1
-            if email not in personal_first or job.submit_time < personal_first[email]:
-                personal_first[email] = job.submit_time
+    table = JobTable.of(jobs)
+    gateway, pair = _gateway_users(table, community_users)
+    gw = table.has_gateway_user
+    personal = ~gw & table.user.isin(user_email)
+    email = Codes.encode([user_email.get(name, "") for name in table.user.names])
+    e, first, count = _firsts(email.codes[table.user.codes[personal]], table.submit[personal])
+    personal_jobs = dict(zip(map(email.names.__getitem__, e.tolist()),
+                             zip(first.tolist(), count.tolist())))
+    width = len(table.gateway_user.names)
     rows = []
-    for (gateway, email), first_gw in sorted(gw_first.items()):
-        if email not in personal_first:
-            continue
-        if first_gw >= personal_first[email]:
-            continue
-        if personal_count[email] <= min_xsede_jobs:
+    for key, first_gw, count in zip(*(c.tolist() for c in _firsts(pair[gw], table.submit[gw]))):
+        g, u = divmod(key, width)
+        user_key = table.gateway_user.names[u]
+        first_personal, personal_count = personal_jobs.get(user_key, (None, 0))
+        if (first_personal is None or first_gw >= first_personal
+                or personal_count <= min_xsede_jobs):
             continue
         rows.append(ConversionRow(
-            gateway=gateway,
-            user_key=email,
-            gw_job_count=gw_count[(gateway, email)],
+            gateway=gateway.names[g],
+            user_key=user_key,
+            gw_job_count=count,
             first_gw_job=utc_date(first_gw),
-            xsede_job_count=personal_count[email],
-            first_xsede_job=utc_date(personal_first[email]),
+            xsede_job_count=personal_count,
+            first_xsede_job=utc_date(first_personal),
         ))
     return rows

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import EmptyGroup
-from ..ingest import JobRecord, ResourceSpec
-from ..jobtable import Codes, JobTable, day_number, group_totals
+from ..ingest import JobRecord, Jobs, ResourceSpec
+from ..jobtable import Codes, JobTable, day_number, group_totals, one_group
 from ..stats import total
 from .histograms import Histogram1D, default_job_size_edges
 
@@ -25,8 +26,6 @@ DIMENSIONS = ("resource", "directorate", "parent_science", "field_of_science",
               "rtype", "nsf_user_status", "state")
 WEIGHTS = ("jobs", "xd_su", "core_hours", "node_hours")
 PERIODS = ("quarter", "year")
-
-Jobs = Sequence[JobRecord] | JobTable
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,7 @@ class Filters:
         if isinstance(jobs, JobTable):
             return jobs.take(self.mask(jobs))
         jobs = list(jobs)
-        return [job for job, kept in zip(jobs, self.mask(JobTable.of(jobs)).tolist())
-                if kept]
+        return list(compress(jobs, self.mask(JobTable.of(jobs)).tolist()))
 
 
 @dataclass
@@ -189,8 +187,7 @@ def average_job_size(jobs: Jobs,
     means; EmptyGroup is raised when no job or no weight is left.
     """
     table = JobTable.of(jobs, resources)
-    one_group = Codes(("all",), np.zeros(len(table), dtype=np.int32))
-    mean = _size_means(table, one_group, kraken_factor)[weighted_by_xd_su, effective]
+    mean = _size_means(table, one_group(len(table)), kraken_factor)[weighted_by_xd_su, effective]
     if not mean:
         raise EmptyGroup("no jobs or no XD SU weight to average")
     return mean["all"]

@@ -8,7 +8,7 @@ used, unweighted.  Jobs with no in-window samples get absent fields, never
 zeros.
 
 A ``JobArchive`` holds its perf and meminfo records as numpy columns
-(``PerfColumns``, ``MemColumns``), ordered by node, metric and time, with
+(``SampleColumns``, ``MemColumns``), ordered by node, metric and time, with
 records of equal keys in the order they were read.  ``load_archives`` fills
 typed buffers straight from the file; archives built from ``PerfSample`` and
 ``MemInfoSample`` records are converted once, by the same column builder.
@@ -120,7 +120,7 @@ _EPILOG = _TAG_CODE[SampleTag.JOB_EPILOG.value]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class PerfColumns:
+class SampleColumns:
     """One job's perf samples, one array per field, ordered by (node,
     metric, time); samples with equal keys keep the order they were read in.
 
@@ -160,7 +160,7 @@ class MemColumns:
 
 class _ColumnBuilder:
     """Typed buffers for one job's perf and meminfo records in the order
-    they arrive; ``perf_columns``/``mem_columns`` sort them into columns."""
+    they arrive; ``sample_columns``/``mem_columns`` sort them into columns."""
 
     __slots__ = ("node_codes", "perf", "mem", "numa")
 
@@ -184,14 +184,14 @@ class _ColumnBuilder:
         rank[order] = np.arange(len(names))
         return tuple(names[code] for code in order), rank
 
-    def perf_columns(self, metrics: tuple[str, ...]) -> PerfColumns:
+    def sample_columns(self, metrics: tuple[str, ...]) -> SampleColumns:
         table, rank = self._node_table()
         rec = np.frombuffer(self.perf, dtype=np.float64).reshape(-1, 6)
         node = rank[rec[:, 0].astype(np.int64)]
         time = rec[:, 1].astype(np.int64)
         metric = rec[:, 2].astype(np.int64)
         order = np.lexsort((time, metric, node))
-        return PerfColumns(nodes=table, metrics=metrics, node=node[order], time=time[order],
+        return SampleColumns(nodes=table, metrics=metrics, node=node[order], time=time[order],
                            metric=metric[order], kind=rec[order, 3].astype(np.int8),
                            value=rec[order, 4], tag=rec[order, 5].astype(np.int8))
 
@@ -210,7 +210,7 @@ class _ColumnBuilder:
                           numa_bounds=bounds, numa=numa[rows])
 
 
-def _perf_from_records(samples: Iterable[PerfSample]) -> PerfColumns:
+def _perf_from_records(samples: Iterable[PerfSample]) -> SampleColumns:
     builder = _ColumnBuilder()
     metric_codes: dict[str, int] = {}
     for s in samples:
@@ -218,7 +218,7 @@ def _perf_from_records(samples: Iterable[PerfSample]) -> PerfColumns:
         builder.perf.extend((builder.node_code(s.node), s.time, metric,
                              _KIND_CODE[SampleKind(s.kind).value], s.value,
                              _TAG_CODE[SampleTag(s.tag).value]))
-    return builder.perf_columns(tuple(metric_codes))
+    return builder.sample_columns(tuple(metric_codes))
 
 
 def _mem_from_records(meminfo: Iterable[MemInfoSample]) -> MemColumns:
@@ -235,14 +235,14 @@ class JobArchive:
     """All performance records collected for one job.
 
     ``samples`` and ``meminfo`` may be given as ``PerfSample`` and
-    ``MemInfoSample`` records; they are stored as ``PerfColumns`` and
+    ``MemInfoSample`` records; they are stored as ``SampleColumns`` and
     ``MemColumns``, and ``len()`` of each is the record count.  A node
     listed twice in ``nodes`` is a ValueError.
     """
 
     job_id: str
     nodes: tuple[str, ...]
-    samples: PerfColumns | Sequence[PerfSample] = ()
+    samples: SampleColumns | Sequence[PerfSample] = ()
     meminfo: MemColumns | Sequence[MemInfoSample] = ()
     launcher: LauncherInfo | None = None
     processes: tuple[appident.ProcessObservation, ...] = ()
@@ -250,7 +250,7 @@ class JobArchive:
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError(f"job {self.job_id}: a node is listed twice")
-        if not isinstance(self.samples, PerfColumns):
+        if not isinstance(self.samples, SampleColumns):
             object.__setattr__(self, "samples", _perf_from_records(self.samples))
         if not isinstance(self.meminfo, MemColumns):
             object.__setattr__(self, "meminfo", _mem_from_records(self.meminfo))
@@ -355,7 +355,7 @@ def _node_codes(table: tuple[str, ...], nodes: Sequence[str]) -> tuple[np.ndarra
     return codes, listed[:-1]
 
 
-def _counter_totals(cols: PerfColumns, nodes: Sequence[str], codes: np.ndarray,
+def _counter_totals(cols: SampleColumns, nodes: Sequence[str], codes: np.ndarray,
                     listed: np.ndarray) -> tuple[list[float | None], list[tuple[int, int]]]:
     """Each ``_COUNTERS`` metric summed over ``nodes`` in their order (None
     when no listed node collected it), and the (metric index, position in
@@ -765,7 +765,7 @@ def load_archives(path) -> dict[str, JobArchive]:
         archives[job_id] = JobArchive(
             job_id=job_id,
             nodes=nodes.get(job_id, ()),
-            samples=builder.perf_columns(metrics),
+            samples=builder.sample_columns(metrics),
             meminfo=builder.mem_columns(),
             launcher=launcher.get(job_id),
             processes=tuple(processes.get(job_id, ())),

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
@@ -24,7 +25,7 @@ import numpy as np
 from . import backlog as backlog_mod
 from . import statmodels
 from .errors import AnalysisError, HpcwlError, UnknownAnalysis
-from .ingest import Dataset, JobRecord, utc_date
+from .ingest import Dataset, utc_date
 from .jobtable import JobTable
 from .metrics import (
     Filters,
@@ -86,12 +87,10 @@ class ReportContext:
 @dataclass
 class _RunContext(ReportContext):
     """The context of one run_report call, with that call's kept jobs per
-    Filters value, as rows of the dataset's job table and as records, and
-    its summaries joined to that table; it is dropped when the call
-    returns."""
+    Filters value, as rows of the dataset's job table, and its summaries
+    joined to that table; it is dropped when the call returns."""
 
     kept: dict[Filters, np.ndarray] = field(default_factory=dict)
-    records: dict[Filters, tuple[JobRecord, ...]] = field(default_factory=dict)
     perf: PerfColumns | None = None  # the summaries joined to the dataset's job table
 
     @classmethod
@@ -172,16 +171,6 @@ def _perf(ctx: _RunContext, filters: Filters) -> PerfColumns:
     if ctx.perf is None:
         ctx.perf = PerfColumns.join(ctx.dataset.job_table, ctx.summaries)
     return ctx.perf.take(_kept(ctx, filters))
-
-
-def _jobs(ctx: _RunContext, filters: Filters) -> tuple[JobRecord, ...]:
-    """The records of the jobs that pass filters, taken once per value and
-    run."""
-    records = ctx.records.get(filters)
-    if records is None:
-        jobs = ctx.dataset.jobs
-        records = ctx.records[filters] = tuple(jobs[i] for i in _kept(ctx, filters).tolist())
-    return records
 
 
 def _allocations(ctx, params):
@@ -369,7 +358,7 @@ def _an_concurrency(ctx, filters, params):
 
 
 def _an_exit_codes(ctx, filters, params):
-    table = statmodels.exit_code_table(_jobs(ctx, filters))
+    table = statmodels.exit_code_table(_table(ctx, filters))
     statuses = [s.value for s in statmodels.ExitStatus]
     rows = [[resource] + [table[resource][s] for s in statuses] + [table[resource]["total"]]
             for resource in sorted(table)]
@@ -377,7 +366,7 @@ def _an_exit_codes(ctx, filters, params):
 
 
 def _an_node_fail_fit(ctx, filters, params):
-    fit = statmodels.fit_node_fail(_jobs(ctx, filters),
+    fit = statmodels.fit_node_fail(_table(ctx, filters),
                                    model=params.get("model", "nodes_linear"),
                                    include_failed=params.get("include_failed", False))
     return [(f"node_fail_fit_{fit.model}.json", dataclasses.asdict(fit))]
@@ -401,7 +390,7 @@ def _an_backlog(ctx, filters, params):
 
 
 def _an_wait_stats(ctx, filters, params):
-    stats = backlog_mod.wait_stats(_jobs(ctx, filters))
+    stats = backlog_mod.wait_stats(_table(ctx, filters))
     rows = [(s.group, s.n_jobs, s.q1_hours, s.median_hours, s.q3_hours,
              s.mean_hours, s.core_hour_weighted_mean_hours)
             for s in (stats[k] for k in sorted(stats))]
@@ -432,14 +421,9 @@ def _an_capacity(ctx, filters, params):
 
 
 def _an_user_queue_depth(ctx, filters, params):
-    rows_raw = backlog_mod.user_queue_depth(_jobs(ctx, filters), ctx.community_users)
-    depth_dist: dict[tuple[str, int], int] = {}
-    jobs_dist: dict[tuple[str, int], int] = {}
-    for row in rows_raw:
-        depth_dist[(row.category, row.max_depth)] = depth_dist.get(
-            (row.category, row.max_depth), 0) + 1
-        jobs_dist[(row.category, row.job_count)] = jobs_dist.get(
-            (row.category, row.job_count), 0) + 1
+    rows_raw = backlog_mod.user_queue_depth(_table(ctx, filters), ctx.community_users)
+    depth_dist = Counter((row.category, row.max_depth) for row in rows_raw)
+    jobs_dist = Counter((row.category, row.job_count) for row in rows_raw)
     return [("user_max_queue_depth.csv", ["category", "max_depth", "users"],
              [(c, d, n) for (c, d), n in sorted(depth_dist.items())]),
             ("jobs_per_user.csv", ["category", "job_count", "users"],
@@ -447,12 +431,12 @@ def _an_user_queue_depth(ctx, filters, params):
 
 
 def _an_periodogram(ctx, filters, params):
-    jobs = _jobs(ctx, filters)
+    # the submit column alone: the periodogram's own arrays set the run's peak memory
+    table, kept = ctx.dataset.job_table, _kept(ctx, filters)
     resource = params.get("resource")
     if resource:
-        jobs = [j for j in jobs if j.resource == resource]
-    submits = [j.submit_time for j in jobs]
-    centers, counts = statmodels.bin_counts(submits, params.get("bin_seconds", 3600))
+        kept = kept[table.resource.isin((resource,))[kept]]
+    centers, counts = statmodels.bin_counts(table.submit[kept], params.get("bin_seconds", 3600))
     grid = statmodels.default_frequency_grid(
         centers, min_period_days=params.get("min_period_days", 2.0 / 24.0))
     pgram = statmodels.lomb_scargle(centers, counts, grid)
@@ -464,7 +448,7 @@ def _an_periodogram(ctx, filters, params):
 
 def _an_gateway_usage(ctx, filters, params):
     mode = params.get("mode", "community_user")
-    usage = gateway_usage(_jobs(ctx, filters), ctx.dataset.allocations,
+    usage = gateway_usage(_table(ctx, filters), ctx.dataset.allocations,
                           ctx.community_users, ctx.dataset.resources, mode=mode)
     totals = [(gw, usage.per_gateway[gw]["job_count"],
                usage.per_gateway[gw]["local_su"], usage.per_gateway[gw]["xd_su"])
@@ -482,7 +466,7 @@ def _an_gateway_census(ctx, filters, params):
     rows = [(r.period, r.active_hpc_users, r.new_hpc_users,
              r.active_gateway_users, r.new_gateway_users, r.combined_active,
              r.gateway_counts_lower_bound)
-            for r in gateway_census(_jobs(ctx, filters), ctx.community_users)]
+            for r in gateway_census(_table(ctx, filters), ctx.community_users)]
     return [("gateway_census.csv",
              ["period", "active_hpc_users", "new_hpc_users", "active_gateway_users",
               "new_gateway_users", "combined_active", "gateway_lower_bound"], rows)]
@@ -491,7 +475,7 @@ def _an_gateway_census(ctx, filters, params):
 def _an_gateway_conversion(ctx, filters, params):
     rows = [(r.gateway, r.user_key, r.gw_job_count, r.first_gw_job,
              r.xsede_job_count, r.first_xsede_job)
-            for r in gateway_conversion(_jobs(ctx, filters), ctx.community_users,
+            for r in gateway_conversion(_table(ctx, filters), ctx.community_users,
                                         ctx.user_email,
                                         min_xsede_jobs=params.get("min_xsede_jobs", 10))]
     return [("gateway_conversion.csv",

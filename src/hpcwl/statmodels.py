@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInput, NonConvergence, SeparationDetected
-from .ingest import ExitStatus, JobRecord
+from .ingest import ExitStatus, Jobs
+from .jobtable import JobTable, one_group
 
 SECONDS_PER_DAY = 86400.0
 SECONDS_PER_YEAR = 365.0 * SECONDS_PER_DAY
@@ -337,13 +338,14 @@ def _wald_p(beta: float, se: float) -> float:
     return math.erfc(abs(beta / se) / math.sqrt(2.0))
 
 
-def model_covariate(jobs: Sequence[JobRecord], model: str) -> tuple[np.ndarray, int]:
+def model_covariate(jobs: Jobs, model: str) -> tuple[np.ndarray, int]:
     """The model's x per job; returns (x, clamped_row_count)."""
-    nodes = np.array([job.nodes for job in jobs], dtype=float)
+    table = JobTable.of(jobs)
+    nodes = table.nodes.astype(float)
     if model == "nodes_linear":
         return nodes, 0
     if model == "walltime_pow_nodes":
-        wall_years = np.array([job.wall_seconds for job in jobs], dtype=float) / SECONDS_PER_YEAR
+        wall_years = (table.end - table.start).astype(float) / SECONDS_PER_YEAR
         if np.any(wall_years <= 0):
             raise ValueError("walltime_pow_nodes requires positive wall time")
         exponent = nodes * np.log(wall_years)
@@ -352,7 +354,7 @@ def model_covariate(jobs: Sequence[JobRecord], model: str) -> tuple[np.ndarray, 
     raise ValueError(f"unknown model {model!r}")
 
 
-def fit_node_fail(jobs: Sequence[JobRecord], model: str = "nodes_linear",
+def fit_node_fail(jobs: Jobs, model: str = "nodes_linear",
                   include_failed: bool = False,
                   max_iter: int = 100) -> LogisticFit:
     """Fit failure probability against job size (or wall-time^nodes).
@@ -360,16 +362,15 @@ def fit_node_fail(jobs: Sequence[JobRecord], model: str = "nodes_linear",
     The failure label is the scheduler's node-fail status; include_failed
     widens it to batch-script failures for the combined analysis.
     """
-    failure_statuses = {ExitStatus.NODE_FAIL}
+    failure_statuses = {ExitStatus.NODE_FAIL.value}
     if include_failed:
-        failure_statuses.add(ExitStatus.FAILED)
-    pool = list(jobs)
+        failure_statuses.add(ExitStatus.FAILED.value)
+    pool = JobTable.of(jobs)
     if model == "walltime_pow_nodes":
-        pool = [job for job in pool if job.wall_seconds > 0]
-    if not pool:
+        pool = pool.take(pool.end > pool.start)
+    if not len(pool):
         raise DegenerateInput("no usable jobs")
-    y = np.array([1.0 if job.exit_status in failure_statuses else 0.0
-                  for job in pool])
+    y = pool.exit_status.isin(failure_statuses).astype(float)
     x, clamped = model_covariate(pool, model)
     beta, cov, iterations = fit_logistic(x, y, max_iter=max_iter)
     se = np.sqrt(np.diag(cov))
@@ -390,15 +391,17 @@ def fit_node_fail(jobs: Sequence[JobRecord], model: str = "nodes_linear",
 # ---------------------------------------------------------------------------
 # exit codes
 
-def exit_code_table(jobs: Sequence[JobRecord],
+def exit_code_table(jobs: Jobs,
                     group_by_resource: bool = True) -> dict[str, dict[str, int]]:
-    """Job counts per exit status; every status appears, absent ones as 0."""
-    groups: dict[str, dict[str, int]] = {}
-    empty = {status.value: 0 for status in ExitStatus}
-    for job in jobs:
-        name = job.resource if group_by_resource else "all"
-        bucket = groups.setdefault(name, dict(empty))
-        bucket[job.exit_status.value] += 1
-    for bucket in groups.values():
-        bucket["total"] = sum(bucket[s.value] for s in ExitStatus)
-    return groups
+    """Job counts per exit status; every status appears, absent ones as 0.
+    Groups are in the order of their first job."""
+    table = JobTable.of(jobs)
+    groups = table.resource if group_by_resource else one_group(len(table))
+    statuses = [status.value for status in ExitStatus]
+    position = np.array([statuses.index(name) for name in table.exit_status.names], np.int64)
+    counts = np.bincount(groups.codes * len(statuses) + position[table.exit_status.codes],
+                         minlength=len(groups.names) * len(statuses))
+    counts = counts.reshape(-1, len(statuses)).tolist()
+    codes, first = np.unique(groups.codes, return_index=True)
+    return {groups.names[g]: dict(zip(statuses, counts[g]), total=sum(counts[g]))
+            for g in codes[np.argsort(first)].tolist()}

@@ -1,8 +1,7 @@
-"""Record-at-a-time rollups, depth profile, queue replay and the memory,
-Lustre and concurrency analyses: the reference for the columnar kernels in
-``hpcwl.metrics.rollups``, ``hpcwl.metrics.depth``, ``hpcwl.backlog``,
-``hpcwl.metrics.memory``, ``hpcwl.metrics.lustre`` and
-``hpcwl.metrics.concurrency``.
+"""Record-at-a-time rollups, depth profile, queue replay, the memory,
+Lustre, concurrency and gateway analyses, wait statistics, queue depth,
+exit codes and the node-failure fit: the reference for the columnar kernels
+in ``hpcwl.metrics``, ``hpcwl.backlog`` and ``hpcwl.statmodels``.
 
 These are the per-job loops the ``JobTable`` kernels replaced, unchanged
 except that ``required_nodes`` gives one R_j per job, in job order, where
@@ -17,9 +16,19 @@ from bisect import bisect_right
 from datetime import date, timedelta
 from typing import Mapping, Sequence
 
-from hpcwl.backlog import BacklogPoint, BacklogSeries
-from hpcwl.errors import EmptyGroup, NoFactorForDate
-from hpcwl.ingest import JobRecord, ResourceSpec, job_xd_su, utc_date
+import numpy as np
+
+from hpcwl import statmodels
+from hpcwl.backlog import BacklogPoint, BacklogSeries, UserDepth, WaitStats
+from hpcwl.errors import DegenerateInput, EmptyGroup, NoFactorForDate
+from hpcwl.ingest import (
+    AllocationRecord,
+    ExitStatus,
+    JobRecord,
+    ResourceSpec,
+    job_xd_su,
+    utc_date,
+)
 from hpcwl.metrics import (
     Filters,
     ProjectDepth,
@@ -33,6 +42,15 @@ from hpcwl.metrics import (
     period_key,
 )
 from hpcwl.metrics.concurrency import band_labels, process_band, thread_bucket
+from hpcwl.metrics.gateways import (
+    DEFAULT_RELIABILITY_DATE,
+    MODES,
+    UNTAGGED_GATEWAY,
+    CensusRow,
+    ConversionRow,
+    GatewayUsage,
+    _period_start,
+)
 from hpcwl.metrics.histograms import (
     default_memory_edges,
     fraction_edges,
@@ -44,7 +62,15 @@ from hpcwl.perfsummary import JobPerfSummary, LaunchType
 from hpcwl.metrics.depth import DepthProfile
 from hpcwl.metrics.histograms import Histogram1D, default_job_size_edges
 from hpcwl.metrics.rollups import OSG_RESOURCE
-from hpcwl.stats import total
+from hpcwl.statmodels import (
+    _CLAMP_HI,
+    _CLAMP_LO,
+    SECONDS_PER_YEAR,
+    LogisticFit,
+    _wald_p,
+    fit_logistic,
+)
+from hpcwl.stats import quantile, total
 
 
 def job_weight(job: JobRecord, weight: str,
@@ -589,3 +615,278 @@ def concurrency_histograms(jobs: Sequence[JobRecord],
 
         result.process_bands_xd_su[process_band(median_threads, bands)] += su
     return result
+
+
+# --- gateways ------------------------------------------------------------------
+
+def _gateway_add(usage: GatewayUsage, gateway: str, period: str, su_local: float,
+                 su_xd: float | None) -> None:
+    entry = usage.per_gateway.setdefault(
+        gateway, {"job_count": 0.0, "local_su": 0.0, "xd_su": 0.0})
+    entry["job_count"] += 1
+    entry["local_su"] += su_local
+    if su_xd is not None:
+        entry["xd_su"] += su_xd
+    p = usage.series.setdefault(period, {}).setdefault(
+        gateway, {"job_count": 0.0, "local_su": 0.0, "xd_su": 0.0})
+    p["job_count"] += 1
+    p["local_su"] += su_local
+    if su_xd is not None:
+        p["xd_su"] += su_xd
+
+
+def _associated_charges(jobs: Sequence[JobRecord],
+                        community_users: Mapping[str, str]) -> dict[str, set[str]]:
+    """Charge numbers each gateway's community users ever charged."""
+    charges: dict[str, set[str]] = {}
+    for job in jobs:
+        gateway = community_users.get(job.user)
+        if gateway is not None:
+            charges.setdefault(job.charge_number, set()).add(gateway)
+    return charges
+
+
+def gateway_usage(jobs: Sequence[JobRecord],
+                  allocations: Sequence[AllocationRecord],
+                  community_users: Mapping[str, str],
+                  resources: Mapping[str, ResourceSpec],
+                  mode: str = "community_user",
+                  period: str = "quarter") -> GatewayUsage:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    usage = GatewayUsage(mode=mode)
+    charge_map = (_associated_charges(jobs, community_users)
+                  if mode in ("associated_allocation", "gateway_tagged") else {})
+    tagged = {a.charge_number for a in allocations if a.is_gateway_tagged}
+    for job in jobs:
+        gateways: list[str] = []
+        if mode == "community_user":
+            gateway = community_users.get(job.user)
+            if gateway is not None:
+                gateways = [gateway]
+            elif job.gateway_user is not None:
+                usage.unknown_gateway_jobs.append(job.job_id)
+        elif mode == "associated_allocation":
+            gateways = sorted(charge_map.get(job.charge_number, ()))
+        else:  # gateway_tagged
+            if job.charge_number in tagged:
+                gateways = sorted(charge_map.get(job.charge_number, ())) or [UNTAGGED_GATEWAY]
+        if not gateways:
+            continue
+        try:
+            su_xd = job_xd_su(job, resources)
+        except (NoFactorForDate, KeyError):
+            su_xd = None
+            usage.excluded_no_factor += 1
+        for gateway in gateways:
+            _gateway_add(usage, gateway, period_key(job.end_date, period),
+                         job.local_su_charged, su_xd)
+    return usage
+
+
+def gateway_census(jobs: Sequence[JobRecord],
+                   community_users: Mapping[str, str],
+                   period: str = "quarter",
+                   reliability_date: date = DEFAULT_RELIABILITY_DATE) -> list[CensusRow]:
+    hpc_jobs: dict[str, set[str]] = {}
+    gw_jobs: dict[str, set[tuple[str, str]]] = {}
+    first_hpc: dict[str, str] = {}
+    first_gw: dict[tuple[str, str], str] = {}
+    for job in jobs:
+        label = period_key(job.end_date, period)
+        if job.gateway_user is not None:
+            gateway = community_users.get(job.user, job.user)
+            key = (gateway, job.gateway_user)
+            gw_jobs.setdefault(label, set()).add(key)
+            if key not in first_gw or label < first_gw[key]:
+                first_gw[key] = label
+        elif job.user not in community_users:
+            hpc_jobs.setdefault(label, set()).add(job.user)
+            if job.user not in first_hpc or label < first_hpc[job.user]:
+                first_hpc[job.user] = label
+    rows = []
+    for label in sorted(set(hpc_jobs) | set(gw_jobs)):
+        active_hpc = hpc_jobs.get(label, set())
+        active_gw = gw_jobs.get(label, set())
+        rows.append(CensusRow(
+            period=label,
+            active_hpc_users=len(active_hpc),
+            new_hpc_users=sum(1 for u in active_hpc if first_hpc[u] == label),
+            active_gateway_users=len(active_gw),
+            new_gateway_users=sum(1 for k in active_gw if first_gw[k] == label),
+            combined_active=len(active_hpc) + len(active_gw),
+            gateway_counts_lower_bound=_period_start(label) < reliability_date,
+        ))
+    return rows
+
+
+def gateway_conversion(jobs: Sequence[JobRecord],
+                       community_users: Mapping[str, str],
+                       user_email: Mapping[str, str],
+                       min_xsede_jobs: int = 10) -> list[ConversionRow]:
+    gw_first: dict[tuple[str, str], int] = {}
+    gw_count: dict[tuple[str, str], int] = {}
+    personal_first: dict[str, int] = {}
+    personal_count: dict[str, int] = {}
+    for job in jobs:
+        if job.gateway_user is not None:
+            gateway = community_users.get(job.user, job.user)
+            key = (gateway, job.gateway_user)
+            gw_count[key] = gw_count.get(key, 0) + 1
+            if key not in gw_first or job.submit_time < gw_first[key]:
+                gw_first[key] = job.submit_time
+        elif job.user in user_email:
+            email = user_email[job.user]
+            personal_count[email] = personal_count.get(email, 0) + 1
+            if email not in personal_first or job.submit_time < personal_first[email]:
+                personal_first[email] = job.submit_time
+    rows = []
+    for (gateway, email), first_gw in sorted(gw_first.items()):
+        if email not in personal_first:
+            continue
+        if first_gw >= personal_first[email]:
+            continue
+        if personal_count[email] <= min_xsede_jobs:
+            continue
+        rows.append(ConversionRow(
+            gateway=gateway,
+            user_key=email,
+            gw_job_count=gw_count[(gateway, email)],
+            first_gw_job=utc_date(first_gw),
+            xsede_job_count=personal_count[email],
+            first_xsede_job=utc_date(personal_first[email]),
+        ))
+    return rows
+
+
+# --- waits and queue depth ---------------------------------------------------------
+
+def wait_stats(jobs: Sequence[JobRecord],
+               group_by_resource: bool = True) -> dict[str, WaitStats]:
+    groups: dict[str, list[JobRecord]] = {}
+    for job in jobs:
+        groups.setdefault(job.resource if group_by_resource else "all", []).append(job)
+    if not groups:
+        raise EmptyGroup("no jobs")
+    out: dict[str, WaitStats] = {}
+    for name in sorted(groups):
+        members = groups[name]
+        waits = sorted(job.wait_seconds / 3600.0 for job in members)
+        mean = total(waits) / len(waits)
+        weights = [job.core_hours for job in members]
+        total_weight = total(weights)
+        weighted = (total(w * (job.wait_seconds / 3600.0)
+                          for w, job in zip(weights, members)) / total_weight
+                    if total_weight > 0 else mean)
+        out[name] = WaitStats(
+            group=name,
+            n_jobs=len(members),
+            q1_hours=quantile(waits, 0.25),
+            median_hours=quantile(waits, 0.5),
+            q3_hours=quantile(waits, 0.75),
+            mean_hours=mean,
+            core_hour_weighted_mean_hours=weighted,
+        )
+    return out
+
+
+def user_queue_depth(jobs: Sequence[JobRecord],
+                     community_users: Mapping[str, str] | None = None) -> list[UserDepth]:
+    community = community_users or {}
+    per_user: dict[str, list[JobRecord]] = {}
+    for job in jobs:
+        per_user.setdefault(job.user, []).append(job)
+    rows = []
+    for user in sorted(per_user):
+        members = per_user[user]
+        deltas: dict[int, int] = {}
+        for job in members:
+            deltas[job.submit_time] = deltas.get(job.submit_time, 0) + 1
+            deltas[job.end_time] = deltas.get(job.end_time, 0) - 1
+        depth = 0
+        max_depth = 0
+        for t in sorted(deltas):
+            depth += deltas[t]
+            max_depth = max(max_depth, depth)
+        rows.append(UserDepth(
+            user=user,
+            category="community" if user in community else "regular",
+            max_depth=max_depth,
+            job_count=len(members),
+        ))
+    return rows
+
+
+# --- exit codes, node failures and the periodogram's events ------------------------
+
+def exit_code_table(jobs: Sequence[JobRecord],
+                    group_by_resource: bool = True) -> dict[str, dict[str, int]]:
+    groups: dict[str, dict[str, int]] = {}
+    empty = {status.value: 0 for status in ExitStatus}
+    for job in jobs:
+        name = job.resource if group_by_resource else "all"
+        bucket = groups.setdefault(name, dict(empty))
+        bucket[job.exit_status.value] += 1
+    for bucket in groups.values():
+        bucket["total"] = sum(bucket[s.value] for s in ExitStatus)
+    return groups
+
+
+def model_covariate(jobs: Sequence[JobRecord], model: str) -> tuple[np.ndarray, int]:
+    nodes = np.array([job.nodes for job in jobs], dtype=float)
+    if model == "nodes_linear":
+        return nodes, 0
+    if model == "walltime_pow_nodes":
+        wall_years = np.array([job.wall_seconds for job in jobs], dtype=float) / SECONDS_PER_YEAR
+        if np.any(wall_years <= 0):
+            raise ValueError("walltime_pow_nodes requires positive wall time")
+        exponent = nodes * np.log(wall_years)
+        clamped = int(np.sum((exponent < _CLAMP_LO) | (exponent > _CLAMP_HI)))
+        return np.exp(np.clip(exponent, _CLAMP_LO, _CLAMP_HI)), clamped
+    raise ValueError(f"unknown model {model!r}")
+
+
+def fit_node_fail(jobs: Sequence[JobRecord], model: str = "nodes_linear",
+                  include_failed: bool = False,
+                  max_iter: int = 100) -> LogisticFit:
+    failure_statuses = {ExitStatus.NODE_FAIL}
+    if include_failed:
+        failure_statuses.add(ExitStatus.FAILED)
+    pool = list(jobs)
+    if model == "walltime_pow_nodes":
+        pool = [job for job in pool if job.wall_seconds > 0]
+    if not pool:
+        raise DegenerateInput("no usable jobs")
+    y = np.array([1.0 if job.exit_status in failure_statuses else 0.0
+                  for job in pool])
+    x, clamped = model_covariate(pool, model)
+    beta, cov, iterations = fit_logistic(x, y, max_iter=max_iter)
+    se = np.sqrt(np.diag(cov))
+    return LogisticFit(
+        model=model,
+        beta0=float(beta[0]), beta1=float(beta[1]),
+        se0=float(se[0]), se1=float(se[1]),
+        p_value0=_wald_p(beta[0], se[0]),
+        p_value1=_wald_p(beta[1], se[1]),
+        converged=True,
+        iterations=iterations,
+        n_used=len(pool),
+        n_failures=int(y.sum()),
+        n_clamped=clamped,
+    )
+
+
+def periodogram(jobs: Sequence[JobRecord], params: Mapping) -> list:
+    """The report's periodogram entries over the kept jobs' records."""
+    resource = params.get("resource")
+    if resource:
+        jobs = [j for j in jobs if j.resource == resource]
+    submits = [j.submit_time for j in jobs]
+    centers, counts = statmodels.bin_counts(submits, params.get("bin_seconds", 3600))
+    grid = statmodels.default_frequency_grid(
+        centers, min_period_days=params.get("min_period_days", 2.0 / 24.0))
+    pgram = statmodels.lomb_scargle(centers, counts, grid)
+    rows = [(f, 1.0 / f, p) for f, p in
+            zip(pgram.frequencies_per_day, pgram.power)]
+    return [(f"periodogram_{resource or 'all'}.csv",
+             ["frequency_per_day", "period_days", "power"], rows)]

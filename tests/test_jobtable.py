@@ -13,6 +13,7 @@ from conftest import make_job, make_resource
 from hpcwl import backlog, report, synth
 from hpcwl.errors import EmptyGroup
 from hpcwl.ingest import (
+    Dataset,
     FactorWindow,
     NsfUserStatus,
     ResourceType,
@@ -234,13 +235,46 @@ def test_bundle_from_the_record_oracle_is_byte_identical(ctx, tmp_path, monkeypa
     for name in ("memory_histograms", "memory_2d", "large_memory_breakdown", "lustre_stats",
                  "concurrency_histograms"):
         monkeypatch.setattr(report, name, with_summaries(getattr(oracle, name)))
+    for name in ("gateway_usage", "gateway_census", "gateway_conversion"):
+        monkeypatch.setattr(report, name, on_records(getattr(oracle, name)))
+    for name in ("backlog_series", "wait_stats", "user_queue_depth"):
+        monkeypatch.setattr(report.backlog_mod, name, on_records(getattr(oracle, name)))
+    for name in ("exit_code_table", "fit_node_fail"):
+        monkeypatch.setattr(report.statmodels, name, on_records(getattr(oracle, name)))
+    monkeypatch.setitem(report.ANALYSES, "periodogram", lambda run_ctx, filters, params:
+                        oracle.periodogram(filters.apply(jobs), params))
     monkeypatch.setattr(report, "average_job_size_variants", variants)
-    monkeypatch.setattr(report.backlog_mod, "backlog_series",
-                        on_records(oracle.backlog_series))
     monkeypatch.setattr(report.backlog_mod, "capacity_estimates", capacity_estimates)
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "records")))
     for path in sorted((tmp_path / "columns").iterdir()):
         assert path.read_bytes() == (tmp_path / "records" / path.name).read_bytes(), path.name
+
+
+class _TableOnly(Dataset):
+    """A dataset whose job records raise on any access; its job table is
+    set after it is built."""
+
+    @property
+    def jobs(self):
+        raise AssertionError("the report read the job records")
+
+    @jobs.setter
+    def jobs(self, value):
+        pass
+
+
+def test_a_report_reads_only_the_job_table(ctx, tmp_path):
+    run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "records")))
+    dataset = _TableOnly(jobs=(), allocations=ctx.dataset.allocations,
+                         resources=ctx.dataset.resources,
+                         quality_flags=ctx.dataset.quality_flags)
+    vars(dataset)["job_table"] = ctx.dataset.job_table  # where cached_property keeps it
+    with pytest.raises(AssertionError, match="read the job records"):
+        dataset.jobs
+    run_report(dataclasses.replace(ctx, dataset=dataset),
+               standard_bundle_spec(output_dir=str(tmp_path / "table")))
+    for path in sorted((tmp_path / "records").iterdir()):
+        assert path.read_bytes() == (tmp_path / "table" / path.name).read_bytes(), path.name
 
 
 def test_a_job_table_is_built_once_per_dataset(tmp_path):

@@ -127,8 +127,6 @@ def _files(out):
 
 def test_kept_jobs_memo_matches_filtering_afresh(ctx, tmp_path, monkeypatch):
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "memo")))
-    monkeypatch.setattr(report, "_jobs",
-                        lambda run_ctx, filters: tuple(filters.apply(run_ctx.dataset.jobs)))
     # a table built afresh from the kept records, not rows of the dataset's
     monkeypatch.setattr(report, "_table", lambda run_ctx, filters: JobTable.of(
         filters.apply(run_ctx.dataset.jobs), run_ctx.dataset.resources))
