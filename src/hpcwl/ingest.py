@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import json.scanner
 import math
 import re
 from dataclasses import dataclass, field
@@ -92,6 +93,16 @@ def parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
+class _BrokenRule(ValueError):
+    """A JobRecord breaks a job-row rule; ``field`` names the field the rule
+    blames (None for the timestamp order)."""
+
+    def __init__(self, job_id, field: str | None, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"job {job_id}: {reason}")
+
+
 @dataclass(frozen=True, slots=True)
 class JobRecord:
     """One scheduler accounting row."""
@@ -116,14 +127,16 @@ class JobRecord:
     local_su_charged: float = 0.0
 
     def __post_init__(self):
+        # the one copy of the job-row rules; the loaders turn a broken rule
+        # into a SchemaError naming the row
         if not self.submit_time <= self.start_time <= self.end_time:
-            raise ValueError(f"job {self.job_id}: timestamps out of order")
-        if self.nodes < 1 or self.cores < 1:
-            raise ValueError(f"job {self.job_id}: nodes and cores must be >= 1")
+            raise _BrokenRule(self.job_id, None, "timestamps out of order")
+        if self.nodes < 1:
+            raise _BrokenRule(self.job_id, "nodes", "nodes must be >= 1")
         if self.cores < self.nodes:
-            raise ValueError(f"job {self.job_id}: cores < nodes")
+            raise _BrokenRule(self.job_id, "cores", "cores must be >= nodes >= 1")
         if self.local_su_charged < 0:
-            raise ValueError(f"job {self.job_id}: negative SU charge")
+            raise _BrokenRule(self.job_id, "local_su_charged", "negative SU charge")
 
     @property
     def wait_seconds(self) -> int:
@@ -374,40 +387,39 @@ def _optional_str(raw: Mapping, name: str) -> str | None:
 
 
 def _job_from_raw(raw: Mapping, row: int) -> JobRecord:
+    """One job row: each field is checked in turn, then the cross-field
+    rules of ``JobRecord``."""
     submit = _as_int(raw, row, "submit_time")
     start = _as_int(raw, row, "start_time")
     end = _as_int(raw, row, "end_time")
-    if not submit <= start <= end:
-        raise TimestampOrderError(row)
     nodes = _as_int(raw, row, "nodes")
     cores = _as_int(raw, row, "cores")
-    if nodes < 1:
-        raise SchemaError(row, "nodes", f"row {row}: nodes must be >= 1")
-    if cores < 1 or cores < nodes:
-        raise SchemaError(row, "cores", f"row {row}: cores must be >= nodes >= 1")
     su = _as_float(raw, row, "local_su_charged")
-    if su < 0:
-        raise SchemaError(row, "local_su_charged", f"row {row}: negative SU charge")
-    return JobRecord(
-        job_id=str(_need(raw, row, "job_id")),
-        resource=str(_need(raw, row, "resource")),
-        user=str(_need(raw, row, "user")),
-        charge_number=str(_need(raw, row, "charge_number")),
-        directorate=str(_need(raw, row, "directorate")),
-        parent_science=str(_need(raw, row, "parent_science")),
-        field_of_science=str(_need(raw, row, "field_of_science")),
-        nsf_user_status=_as_enum(raw, row, "nsf_user_status", NsfUserStatus),
-        submit_time=submit,
-        start_time=start,
-        end_time=end,
-        nodes=nodes,
-        cores=cores,
-        queue=str(_need(raw, row, "queue")),
-        exit_status=_as_enum(raw, row, "exit_status", ExitStatus),
-        gateway_user=_optional_str(raw, "gateway_user"),
-        state_of_origin=_optional_str(raw, "state_of_origin"),
-        local_su_charged=su,
-    )
+    try:
+        return JobRecord(
+            job_id=str(_need(raw, row, "job_id")),
+            resource=str(_need(raw, row, "resource")),
+            user=str(_need(raw, row, "user")),
+            charge_number=str(_need(raw, row, "charge_number")),
+            directorate=str(_need(raw, row, "directorate")),
+            parent_science=str(_need(raw, row, "parent_science")),
+            field_of_science=str(_need(raw, row, "field_of_science")),
+            nsf_user_status=_as_enum(raw, row, "nsf_user_status", NsfUserStatus),
+            submit_time=submit,
+            start_time=start,
+            end_time=end,
+            nodes=nodes,
+            cores=cores,
+            queue=str(_need(raw, row, "queue")),
+            exit_status=_as_enum(raw, row, "exit_status", ExitStatus),
+            gateway_user=_optional_str(raw, "gateway_user"),
+            state_of_origin=_optional_str(raw, "state_of_origin"),
+            local_su_charged=su,
+        )
+    except _BrokenRule as err:
+        if err.field is None:
+            raise TimestampOrderError(row) from None
+        raise SchemaError(row, err.field, f"row {row}: {err.reason}") from None
 
 
 def _allocation_from_raw(raw: Mapping, row: int) -> AllocationRecord:
@@ -435,17 +447,44 @@ def _allocation_from_raw(raw: Mapping, row: int) -> AllocationRecord:
     )
 
 
+def _json_lines(handle):
+    """Yield (row, value) for each line of a JSON-lines text file; rows are
+    1-based line numbers, and a blank line is counted and skipped.
+
+    A line is one JSON value with optional surrounding whitespace, parsed
+    as ``json.loads`` parses it.  Where the C scanner is present, each line
+    is first parsed by one call to it; a line it does not take whole (up to
+    the final newline) is parsed again by ``json.loads``, so padded, blank
+    and invalid lines behave exactly as under ``json.loads`` alone.  A line
+    that is not JSON raises SchemaError "row N: invalid JSON".
+    """
+    loads = json.loads
+    # the pure-Python scanner is slower than loads, so it is not used
+    scan = json.JSONDecoder().scan_once if json.scanner.c_make_scanner is not None else None
+    for row, line in enumerate(handle, start=1):
+        if scan is not None:
+            try:
+                value, end = scan(line, 0)
+            except Exception:  # StopIteration, JSONDecodeError, ...: loads decides
+                pass
+            else:
+                if end == len(line) or (end + 1 == len(line) and line[end] == "\n"):
+                    yield row, value
+                    continue
+        try:
+            value = loads(line)
+        except json.JSONDecodeError:
+            if not line.strip():
+                continue
+            raise SchemaError(row, None, f"row {row}: invalid JSON") from None
+        yield row, value
+
+
 def _iter_raw_rows(path, fmt: str):
     """Yield (row_number, mapping) pairs; row numbers are 1-based data rows."""
     if fmt == "jsonl":
         with open(path, "r", encoding="utf-8") as handle:
-            for row, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    raise SchemaError(row, None, f"row {row}: invalid JSON") from None
+            for row, raw in _json_lines(handle):
                 if not isinstance(raw, dict):
                     raise SchemaError(row, None, f"row {row}: expected an object")
                 yield row, raw

@@ -9,9 +9,14 @@ zeros.
 
 A ``JobArchive`` holds its perf and meminfo records as numpy columns
 (``SampleColumns``, ``MemColumns``), ordered by node, metric and time, with
-records of equal keys in the order they were read.  ``load_archives`` fills
-typed buffers straight from the file; archives built from ``PerfSample`` and
-``MemInfoSample`` records are converted once, by the same column builder.
+records of equal keys in the order they were read.  ``load_archives`` reads
+the file with the loaders' one JSON-lines reader (``ingest._json_lines``:
+one JSON value per line, parsed by one call to the C scanner where it is
+present) and fills typed buffers straight from each record; a record whose
+fields are not all plainly valid (a name that is not a non-empty string, a
+bad number) is checked field by field and rejected with a SchemaError
+naming its line.  Archives built from ``PerfSample`` and ``MemInfoSample``
+records are converted once, by the same column builder.
 ``summarize_job`` reduces the columns with whole-array operations; the
 record-at-a-time implementation it replaced is kept in the tests as its
 reference.
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import appident
 from .errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
-from .ingest import JobRecord, _as_float, _as_int, _need
+from .ingest import JobRecord, _as_float, _as_int, _json_lines, _need
 from .stats import quantile, total
 
 # canonical counter metric names in the archive schema
@@ -618,6 +623,14 @@ def _code(codes: Mapping[str, int], raw: Mapping, row: int, name: str, default=N
     return code
 
 
+def _name(raw: Mapping, row: int, name: str) -> str:
+    """A name field: a non-empty string."""
+    value = _need(raw, row, name)
+    if type(value) is not str:
+        raise SchemaError(row, name, f"row {row}: {name} must be a string")
+    return value
+
+
 def _builder(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]) -> _ColumnBuilder:
     job_id = str(_need(raw, row, "job_id"))
     builder = builders.get(job_id)
@@ -635,8 +648,8 @@ def _perf_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder],
     value = _as_float(raw, row, "value")
     if value < 0:
         raise SchemaError(row, "value", f"row {row}: negative value")
-    metric = metric_codes.setdefault(str(_need(raw, row, "metric")), len(metric_codes))
-    return builder, (builder.node_code(str(_need(raw, row, "node"))), time, metric,
+    metric = metric_codes.setdefault(_name(raw, row, "metric"), len(metric_codes))
+    return builder, (builder.node_code(_name(raw, row, "node")), time, metric,
                      _code(_KIND_CODE, raw, row, "kind"), value,
                      _code(_TAG_CODE, raw, row, "tag", SampleTag.PERIODIC.value))
 
@@ -651,7 +664,7 @@ def _meminfo_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]
     if type(numa) is not list or not all(type(part) is dict for part in numa):
         raise SchemaError(row, "numa", f"row {row}: numa must be a list of objects")
     components = [_int_field(part, row, name) for part in numa for name in _NUMA_FIELDS]
-    return builder, (builder.node_code(str(_need(raw, row, "node"))), time, len(numa)), components
+    return builder, (builder.node_code(_name(raw, row, "node")), time, len(numa)), components
 
 
 def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
@@ -666,7 +679,9 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
         listed = raw.get("nodes")
         if type(listed) is not list:
             raise SchemaError(row, "nodes", f"row {row}: nodes must be a list")
-        listed = tuple(str(n) for n in listed)
+        if not all(type(node) is str and node for node in listed):
+            raise SchemaError(row, "nodes", f"row {row}: nodes must be non-empty strings")
+        listed = tuple(listed)
         if len(set(listed)) != len(listed):
             raise SchemaError(row, "nodes", f"row {row}: a node is listed twice")
         nodes[job_id] = listed
@@ -682,7 +697,7 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
                                  if "threads_per_process" in raw else 1))
     elif kind == "process":
         processes.setdefault(job_id, []).append(appident.ProcessObservation(
-            process_name=str(_need(raw, row, "process_name")),
+            process_name=_name(raw, row, "process_name"),
             unique_pid_count=_int_field(raw, row, "unique_pid_count", 1)))
     else:
         raise SchemaError(row, "type", f"row {row}: unknown archive record type {kind!r}")
@@ -701,15 +716,8 @@ def load_archives(path) -> dict[str, JobArchive]:
     nodes: dict[str, tuple[str, ...]] = {}
     launcher: dict[str, LauncherInfo] = {}
     processes: dict[str, list[appident.ProcessObservation]] = {}
-    loads = json.loads
     with open(path, "r", encoding="utf-8") as handle:
-        for row, line in enumerate(handle, start=1):
-            try:
-                raw = loads(line)
-            except json.JSONDecodeError:
-                if not line.strip():
-                    continue
-                raise SchemaError(row, None, f"row {row}: invalid JSON") from None
+        for row, raw in _json_lines(handle):
             try:
                 kind = raw["type"]
             except (KeyError, TypeError):

@@ -158,6 +158,34 @@ def test_summarize_rejects_a_non_finite_archive_value(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("record,field", [
+    ({"type": "perf", "job_id": "a", "node": "n1", "metric": ["cpu_user_ticks"],
+      "kind": "counter", "time": 200, "value": 0}, "metric"),
+    ({"type": "perf", "job_id": "a", "node": 1, "metric": "cpu_user_ticks",
+      "kind": "counter", "time": 200, "value": 0}, "node"),
+    ({"type": "process", "job_id": "a", "process_name": 12, "unique_pid_count": 1},
+     "process_name"),
+    ({"type": "job", "job_id": "b", "nodes": [1, None]}, "nodes"),
+])
+def test_summarize_rejects_a_non_string_name(tmp_path, capsys, record, field):
+    job = {"job_id": "a", "resource": "SDSC-COMET", "user": "u", "charge_number": "TG-1",
+           "directorate": "MPS", "parent_science": "Physics", "field_of_science": "X",
+           "nsf_user_status": "faculty", "submit_time": 100, "start_time": 200,
+           "end_time": 2000, "nodes": 1, "cores": 24, "queue": "q",
+           "exit_status": "completed", "local_su_charged": 12.0}
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text(json.dumps(job) + "\n")
+    archives = tmp_path / "archives.jsonl"
+    archives.write_text(json.dumps({"type": "job", "job_id": "a", "nodes": ["n1"]}) + "\n"
+                        + json.dumps(record) + "\n")
+    out = tmp_path / "summaries.jsonl"
+    code, _, err = run(capsys, "summarize", "--jobs", str(jobs),
+                       "--archives", str(archives), "--out", str(out))
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: row 2: ") and field in err
+    assert not out.exists()
+
+
 
 def _job_row(job_id, resource, end_time, cores, local_su):
     return {"job_id": job_id, "resource": resource, "user": "u", "charge_number": "TG-1",

@@ -18,6 +18,7 @@ from hpcwl.errors import (
     TimestampOrderError,
 )
 from hpcwl.ingest import (
+    JobRecord,
     ResourceType,
     SuUnit,
     build_dataset,
@@ -104,6 +105,23 @@ def test_reject_sink_collects_bad_rows(tmp_path):
     lines = [json.loads(line) for line in report.read_text().splitlines()]
     assert lines[0] == {"row": 2, "field": "submit_time/start_time/end_time",
                         "code": "timestamp_order"}
+
+
+@pytest.mark.parametrize("changes,field,message", [
+    ({"start_time": 50}, "submit_time/start_time/end_time", "timestamps out of order"),
+    ({"end_time": 150}, "submit_time/start_time/end_time", "timestamps out of order"),
+    ({"nodes": 0, "cores": 0}, "nodes", "nodes must be >= 1"),
+    ({"nodes": 4, "cores": 3}, "cores", "cores must be >= nodes >= 1"),
+    ({"local_su_charged": -0.5}, "local_su_charged", "negative SU charge"),
+])
+def test_job_rules_hold_for_loaded_and_built_records(tmp_path, changes, field, message):
+    path = tmp_path / "jobs.jsonl"
+    write_jsonl(path, [JOB_ROW, dict(JOB_ROW, **changes)])
+    with pytest.raises(SchemaError) as err:
+        load_jobs(path)
+    assert (err.value.row, err.value.field, str(err.value)) == (2, field, f"row 2: {message}")
+    with pytest.raises(ValueError, match=message):
+        JobRecord(**dict(JOB_ROW, **changes))
 
 
 def test_no_survivors_fails(tmp_path):

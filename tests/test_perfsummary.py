@@ -568,6 +568,16 @@ def _numa(**changes):
     ({"type": "node", "job_id": "j1"}, "type"),
     ({"job_id": "j1"}, "type"),
     ({"type": "job", "job_id": "j1", "nodes": ["n1", "n2", "n1"]}, "nodes"),
+    # names are non-empty strings, never the str() of another value
+    (dict(GOOD_PERF, metric=[CPU_USER]), "metric"),
+    (dict(GOOD_PERF, metric=7), "metric"),
+    (dict(GOOD_PERF, node=12), "node"),
+    (dict(GOOD_MEMINFO, node=["n1"]), "node"),
+    ({"type": "process", "job_id": "j1", "process_name": 12, "unique_pid_count": 2},
+     "process_name"),
+    ({"type": "job", "job_id": "j1", "nodes": [1, None]}, "nodes"),
+    ({"type": "job", "job_id": "j1", "nodes": ["n1", ""]}, "nodes"),
+    ({"type": "job", "job_id": "j1", "nodes": [["n1"]]}, "nodes"),
 ])
 def test_malformed_record_is_a_schema_error_naming_its_line(tmp_path, record, field):
     path = tmp_path / "archive.jsonl"
