@@ -12,12 +12,16 @@ import json
 import json.scanner
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress, islice, repeat
+from types import MappingProxyType, SimpleNamespace
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     MissingGeometry,
@@ -26,7 +30,7 @@ from .errors import (
     SchemaError,
     TimestampOrderError,
 )
-from .jobtable import JobTable
+from .jobtable import FLOAT_FIELDS, INT_FIELDS, Factor, JobColumns, JobTable
 
 OPEN_END = date(9999, 12, 31)
 SECONDS_PER_HOUR = 3600.0
@@ -103,6 +107,19 @@ class _BrokenRule(ValueError):
         super().__init__(f"job {job_id}: {reason}")
 
 
+# The job-row rules, in their one copy: (the field a broken rule blames, None
+# for the timestamp order; the reason; a predicate that holds for a valid
+# row).  The predicates use only <=, >= and &, so the same code checks one
+# JobRecord and the numpy columns of a whole chunk of rows.
+JOB_RULES = (
+    (None, "timestamps out of order",
+     lambda job: (job.submit_time <= job.start_time) & (job.start_time <= job.end_time)),
+    ("nodes", "nodes must be >= 1", lambda job: job.nodes >= 1),
+    ("cores", "cores must be >= nodes >= 1", lambda job: job.cores >= job.nodes),
+    ("local_su_charged", "negative SU charge", lambda job: job.local_su_charged >= 0),
+)
+
+
 @dataclass(frozen=True, slots=True)
 class JobRecord:
     """One scheduler accounting row."""
@@ -127,16 +144,10 @@ class JobRecord:
     local_su_charged: float = 0.0
 
     def __post_init__(self):
-        # the one copy of the job-row rules; the loaders turn a broken rule
-        # into a SchemaError naming the row
-        if not self.submit_time <= self.start_time <= self.end_time:
-            raise _BrokenRule(self.job_id, None, "timestamps out of order")
-        if self.nodes < 1:
-            raise _BrokenRule(self.job_id, "nodes", "nodes must be >= 1")
-        if self.cores < self.nodes:
-            raise _BrokenRule(self.job_id, "cores", "cores must be >= nodes >= 1")
-        if self.local_su_charged < 0:
-            raise _BrokenRule(self.job_id, "local_su_charged", "negative SU charge")
+        # the loaders turn a broken rule into a SchemaError naming the row
+        for field_name, reason, holds in JOB_RULES:
+            if not holds(self):
+                raise _BrokenRule(self.job_id, field_name, reason)
 
     @property
     def wait_seconds(self) -> int:
@@ -269,9 +280,11 @@ class Rejection:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable container for the four normalized inputs."""
+    """Immutable container for the four normalized inputs.  ``jobs`` is a
+    tuple of records, or the ``JobSequence`` of loaded jobs, which builds
+    its records only when they are read."""
 
-    jobs: tuple[JobRecord, ...]
+    jobs: Sequence[JobRecord]
     allocations: tuple[AllocationRecord, ...]
     resources: Mapping[str, ResourceSpec]
     quality_flags: tuple[QualityFlag, ...] = ()
@@ -302,12 +315,7 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # field parsing
 
-JOB_FIELDS = (
-    "job_id", "resource", "user", "charge_number",
-    "directorate", "parent_science", "field_of_science", "nsf_user_status",
-    "submit_time", "start_time", "end_time", "nodes", "cores", "queue",
-    "exit_status", "gateway_user", "state_of_origin", "local_su_charged",
-)
+JOB_FIELDS = tuple(f.name for f in fields(JobRecord))
 
 ALLOCATION_FIELDS = (
     "charge_number", "resource", "alloc_type", "discipline",
@@ -322,7 +330,16 @@ def _need(raw: Mapping, row: int, name: str):
     return value
 
 
+def _as_str(raw: Mapping, row: int, name: str) -> str:
+    """A required string field: a non-empty string."""
+    value = _need(raw, row, name)
+    if type(value) is not str:
+        raise SchemaError(row, name, f"row {row}: {name} must be a string")
+    return value
+
+
 _SIGNED_DIGITS = re.compile("-?[0-9]+")
+_INT64 = range(-2**63, 2**63)
 
 
 def _as_int(raw, row: int, name: str) -> int:
@@ -379,41 +396,52 @@ def _as_day(raw: Mapping, row: int, name: str, open_end: bool = False) -> date:
         raise SchemaError(row, name) from None
 
 
-def _optional_str(raw: Mapping, name: str) -> str | None:
+def _optional_str(raw: Mapping, row: int, name: str) -> str | None:
+    """An optional string field; absent, null and "" are None."""
     value = raw.get(name)
-    if value in (None, ""):
+    if value is None or value == "":
         return None
-    return str(value)
+    if type(value) is not str:
+        raise SchemaError(row, name, f"row {row}: {name} must be a string")
+    return value
+
+
+def _as_int64(raw: Mapping, row: int, name: str) -> int:
+    value = _as_int(raw, row, name)
+    if value not in _INT64:
+        raise SchemaError(row, name, f"row {row}: {name} out of range")
+    return value
 
 
 def _job_from_raw(raw: Mapping, row: int) -> JobRecord:
     """One job row: each field is checked in turn, then the cross-field
-    rules of ``JobRecord``."""
-    submit = _as_int(raw, row, "submit_time")
-    start = _as_int(raw, row, "start_time")
-    end = _as_int(raw, row, "end_time")
-    nodes = _as_int(raw, row, "nodes")
-    cores = _as_int(raw, row, "cores")
+    rules of ``JobRecord``.  This is the one judge of a malformed row; the
+    column screen of ``load_jobs`` sends it every row it does not accept."""
+    submit = _as_int64(raw, row, "submit_time")
+    start = _as_int64(raw, row, "start_time")
+    end = _as_int64(raw, row, "end_time")
+    nodes = _as_int64(raw, row, "nodes")
+    cores = _as_int64(raw, row, "cores")
     su = _as_float(raw, row, "local_su_charged")
     try:
         return JobRecord(
-            job_id=str(_need(raw, row, "job_id")),
-            resource=str(_need(raw, row, "resource")),
-            user=str(_need(raw, row, "user")),
-            charge_number=str(_need(raw, row, "charge_number")),
-            directorate=str(_need(raw, row, "directorate")),
-            parent_science=str(_need(raw, row, "parent_science")),
-            field_of_science=str(_need(raw, row, "field_of_science")),
+            job_id=_as_str(raw, row, "job_id"),
+            resource=_as_str(raw, row, "resource"),
+            user=_as_str(raw, row, "user"),
+            charge_number=_as_str(raw, row, "charge_number"),
+            directorate=_as_str(raw, row, "directorate"),
+            parent_science=_as_str(raw, row, "parent_science"),
+            field_of_science=_as_str(raw, row, "field_of_science"),
             nsf_user_status=_as_enum(raw, row, "nsf_user_status", NsfUserStatus),
             submit_time=submit,
             start_time=start,
             end_time=end,
             nodes=nodes,
             cores=cores,
-            queue=str(_need(raw, row, "queue")),
+            queue=_as_str(raw, row, "queue"),
             exit_status=_as_enum(raw, row, "exit_status", ExitStatus),
-            gateway_user=_optional_str(raw, "gateway_user"),
-            state_of_origin=_optional_str(raw, "state_of_origin"),
+            gateway_user=_optional_str(raw, row, "gateway_user"),
+            state_of_origin=_optional_str(raw, row, "state_of_origin"),
             local_su_charged=su,
         )
     except _BrokenRule as err:
@@ -436,10 +464,10 @@ def _allocation_from_raw(raw: Mapping, row: int) -> AllocationRecord:
         tagged = bool(tagged_raw)
     award_date = _as_day(raw, row, "award_date")
     return AllocationRecord(
-        charge_number=str(_need(raw, row, "charge_number")),
-        resource=str(_need(raw, row, "resource")),
+        charge_number=_as_str(raw, row, "charge_number"),
+        resource=_as_str(raw, row, "resource"),
         alloc_type=_as_enum(raw, row, "alloc_type", AllocType),
-        discipline=str(_need(raw, row, "discipline")),
+        discipline=_as_str(raw, row, "discipline"),
         awarded_local_su=awarded,
         used_local_su=used,
         award_date=award_date,
@@ -480,14 +508,30 @@ def _json_lines(handle):
         yield row, value
 
 
+def _json_objects(handle):
+    """Yield (row, object) for each line of a JSON-lines file, as
+    ``_json_lines`` reads it; a line that is not JSON or not an object is
+    yielded as (row, SchemaError), and reading goes on after it."""
+    offset = 0  # the rows read before the reader last stopped at an invalid line
+    while True:
+        try:
+            for row, value in _json_lines(handle):
+                row += offset
+                if not isinstance(value, dict):
+                    value = SchemaError(row, None, f"row {row}: expected an object")
+                yield row, value
+            return
+        except SchemaError as err:
+            offset += err.row
+            yield offset, SchemaError(offset, None, f"row {offset}: invalid JSON")
+
+
 def _iter_raw_rows(path, fmt: str):
-    """Yield (row_number, mapping) pairs; row numbers are 1-based data rows."""
+    """Yield (row_number, mapping or SchemaError) pairs; row numbers are
+    1-based data rows."""
     if fmt == "jsonl":
         with open(path, "r", encoding="utf-8") as handle:
-            for row, raw in _json_lines(handle):
-                if not isinstance(raw, dict):
-                    raise SchemaError(row, None, f"row {row}: expected an object")
-                yield row, raw
+            yield from _json_objects(handle)
     elif fmt == "csv":
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
@@ -497,36 +541,369 @@ def _iter_raw_rows(path, fmt: str):
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _reject(err: SchemaError, reject_sink: list | None) -> None:
+    """Report a malformed row to the sink, or raise its error with none."""
+    if reject_sink is None:
+        raise err
+    code = "timestamp_order" if isinstance(err, TimestampOrderError) else "schema"
+    reject_sink.append(Rejection(row=err.row, field=err.field, code=code))
+
+
 def _load_records(path, fmt, parse_one, reject_sink):
     records = []
     saw_rows = False
     for row, raw in _iter_raw_rows(path, fmt):
         saw_rows = True
         try:
+            if isinstance(raw, SchemaError):
+                raise raw
             records.append(parse_one(raw, row))
         except SchemaError as err:
-            if reject_sink is None:
-                raise
-            code = "timestamp_order" if isinstance(err, TimestampOrderError) else "schema"
-            reject_sink.append(Rejection(row=err.row, field=err.field, code=code))
+            _reject(err, reject_sink)
     if saw_rows and not records:
         raise SchemaError(0, None, "no rows survived validation")
     return records
 
 
-def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> list[JobRecord]:
-    """Load job accounting records in file order.
+# ---------------------------------------------------------------------------
+# jobs, column by column
+
+_CHUNK_ROWS = 2048  # rows parsed and screened at a time
+_INT_DIGITS = 18  # every string of at most this many ASCII digits is an int64
+_NUMBER = frozenset((int, float))
+_ENUMS = {"nsf_user_status": NsfUserStatus, "exit_status": ExitStatus}
+_OPTIONAL = ("gateway_user", "state_of_origin")
+_STRINGS = tuple(name for name in JOB_FIELDS
+                 if name not in INT_FIELDS + FLOAT_FIELDS + ("job_id",))
+_UNHASHABLE = object()  # stands for a JSON list or object in a string field
+
+
+def _plain_string(name: str) -> Callable[[object], bool]:
+    """Whether a value of string field ``name`` is plainly valid: a
+    non-empty string; None or any string for an optional field; a known
+    value for an enum."""
+    if name in _OPTIONAL:
+        return lambda value: value is None or type(value) is str
+    if name in _ENUMS:
+        known = frozenset(member.value for member in _ENUMS[name])
+        return lambda value: type(value) is str and value in known
+    return lambda value: type(value) is str and value != ""
+
+
+_PLAIN_STRING = {name: _plain_string(name) for name in _STRINGS}
+
+
+@dataclass
+class _Chunk:
+    """Up to _CHUNK_ROWS data rows of a jobs file: ``rows`` their row
+    numbers, ``column(name)`` the raw values of one field (None where it is
+    absent), ``raw(i)`` the mapping ``_job_from_raw`` reads for row i, or
+    the SchemaError of a line that holds no object, and ``text`` whether the
+    values are CSV text."""
+
+    rows: list[int]
+    column: Callable[[str], Sequence]
+    raw: Callable[[int], Mapping | SchemaError]
+    text: bool
+
+
+def _split_lines(lines: list[str], width: int) -> list[str] | None:
+    """The cells of CSV lines, row after row, by ``str.split``; None unless
+    that is certainly what ``csv.reader`` reads: no quote, carriage return
+    or NUL, no blank line, no line as long as the field size limit, and
+    ``width`` cells on every line."""
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\0" in text or "\n" in lines
+            or max(map(len, lines)) >= csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+        return None
+    return text.removesuffix("\n").replace("\n", ",").split(",")
+
+
+def _csv_chunks(handle):
+    """A CSV jobs file read as ``csv.DictReader`` reads it: the first line
+    is the header, a repeated header name means its last column, blank rows
+    are skipped and not counted, a short row's missing fields are None and
+    a long row's extra cells are ignored.  Lines are split by
+    ``_split_lines`` until one is not plainly splittable; from there on
+    ``csv.reader`` reads the rest."""
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None:
+        return
+    width = len(header)
+    position = {name: i for i, name in enumerate(header)}
+    split = width > 0
+    row = 0
+    while True:
+        if split:
+            lines = list(islice(handle, _CHUNK_ROWS))
+            if not lines:
+                return
+            flat = _split_lines(lines, width)
+            if flat is None:
+                split = False
+                reader = csv.reader(chain(lines, handle))
+                continue
+            n = len(lines)
+            columns = [flat[j::width] for j in range(width)]
+
+            def raw(i, flat=flat):
+                return dict(zip(header, flat[i * width:(i + 1) * width]))
+        else:
+            lines = list(islice(reader, _CHUNK_ROWS))
+            if not lines:
+                return
+            cells = [line if len(line) == width
+                     else (line + [None] * (width - len(line)))[:width]
+                     for line in lines if line]
+            n = len(cells)
+            if not n:
+                continue
+            columns = list(zip(*cells))
+
+            def raw(i, cells=cells):
+                return dict(zip(header, cells[i]))
+
+        def column(name, columns=columns, absent=(None,) * n):
+            return columns[position[name]] if name in position else absent
+
+        yield _Chunk(list(range(row + 1, row + 1 + n)), column, raw, True)
+        row += n
+
+
+def _jsonl_chunks(handle):
+    """A JSONL jobs file, a chunk at a time."""
+    objects = _json_objects(handle)
+    while lines := list(islice(objects, _CHUNK_ROWS)):
+        raws = [value for _, value in lines]
+        dicts = [value if type(value) is dict else {} for value in raws]
+
+        def column(name, dicts=dicts):
+            return list(map(dict.get, dicts, repeat(name, len(dicts))))
+
+        yield _Chunk([row for row, _ in lines], column, raws.__getitem__, False)
+
+
+def _int_column(values, text: bool) -> tuple[np.ndarray, np.ndarray | bool]:
+    """(int64 column, mask of the plainly valid values, or True for all):
+    ASCII digits, at most _INT_DIGITS of them, in text; exact ints inside
+    int64 in JSON.  Invalid values are 0 in the column."""
+    n = len(values)
+    if text:
+        if (all(values) and (joined := "".join(values)).isdigit() and joined.isascii()
+                and max(map(len, values)) <= _INT_DIGITS):
+            # every value is plain digits, which numpy's text parser reads
+            # exactly as int() does
+            return np.fromstring(",".join(values), np.int64, sep=","), True
+        good = [type(v) is str and v.isdigit() and v.isascii() and len(v) <= _INT_DIGITS
+                for v in values]
+    else:
+        if set(map(type, values)) == {int}:
+            try:
+                return np.fromiter(values, np.int64, n), True
+            except OverflowError:
+                pass
+        good = [type(v) is int and v in _INT64 for v in values]
+    return (np.fromiter((int(v) if ok else 0 for v, ok in zip(values, good)), np.int64, n),
+            np.array(good, dtype=bool))
+
+
+def _float_cell(value, text: bool) -> float:
+    """``float(value)`` of a text value, or of a JSON int or float; NaN for
+    anything else."""
+    plain = type(value) is str if text else type(value) in _NUMBER
+    if plain:
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    return math.nan
+
+
+def _float_column(values, text: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(float64 column, mask of the finite values)."""
+    column = None
+    if text or set(map(type, values)) <= _NUMBER:
+        try:
+            column = np.fromiter(map(float, values), np.float64, len(values))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if column is None:
+        column = np.fromiter((_float_cell(v, text) for v in values), np.float64, len(values))
+    return column, np.isfinite(column)
+
+
+def _string_column(name: str, values) -> tuple[dict, np.ndarray, np.ndarray | bool]:
+    """(index of the distinct values, int32 codes into it, mask of the
+    plainly valid values or True for all); each distinct value is judged
+    once."""
+    try:
+        index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    except TypeError:
+        values = [_UNHASHABLE if type(v) in (list, dict) else v for v in values]
+        index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+    plain = _PLAIN_STRING[name]
+    valid = np.fromiter(map(plain, index), bool, len(index))
+    return index, codes, True if valid.all() else valid[codes]
+
+
+def _screen(chunk: _Chunk, reject_sink: list | None):
+    """The chunk's columns without its rejected rows: (int and float
+    columns, job ids, (index, codes) of each string field).  A row is taken
+    from the columns when every field is plainly valid and the rules hold;
+    every other row goes, in row order, through ``_job_from_raw``, which
+    rejects it or gives the record whose numbers replace the row's."""
+    n = len(chunk.rows)
+    ok = np.ones(n, dtype=bool)
+    numbers = {}
+    for name in INT_FIELDS:
+        numbers[name], good = _int_column(chunk.column(name), chunk.text)
+        ok &= good
+    for name in FLOAT_FIELDS:
+        numbers[name], good = _float_column(chunk.column(name), chunk.text)
+        ok &= good
+    job_ids = chunk.column("job_id")
+    if not (all(job_ids) and (chunk.text or set(map(type, job_ids)) == {str})):
+        ok &= np.array([type(v) is str and v != "" for v in job_ids], dtype=bool)
+    strings = {}
+    for name in _STRINGS:
+        index, codes, good = _string_column(name, chunk.column(name))
+        strings[name] = index, codes
+        ok &= good
+    checked = SimpleNamespace(**numbers)
+    for _, _, holds in JOB_RULES:
+        ok &= holds(checked)
+    if ok.all():
+        return numbers, job_ids, strings
+    for i in np.flatnonzero(~ok).tolist():
+        raw = chunk.raw(i)
+        try:
+            if isinstance(raw, SchemaError):
+                raise raw
+            job = _job_from_raw(raw, chunk.rows[i])
+        except SchemaError as err:
+            _reject(err, reject_sink)
+            continue
+        # a string the oracle accepts is the raw value ("" is None, an enum
+        # its member), so only the numbers can differ
+        ok[i] = True
+        for name, column in numbers.items():
+            column[i] = getattr(job, name)
+    return ({name: column[ok] for name, column in numbers.items()},
+            list(compress(job_ids, ok.tolist())),
+            {name: (index, codes[ok]) for name, (index, codes) in strings.items()})
+
+
+def _value_of(name: str) -> Callable:
+    """The JobRecord value of a screened value of string field ``name``."""
+    if name in _ENUMS:
+        return _ENUMS[name]
+    if name in _OPTIONAL:
+        return lambda value: value or None
+    return lambda value: value
+
+
+def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobSequence:
+    """Load job accounting records in file order, as a read-only sequence
+    of JobRecords backed by columns (see ``JobSequence``).
 
     With reject_sink=None any malformed row raises immediately.  When a list
     is supplied, malformed rows are appended to it as Rejection entries and
     loading continues; the load fails only if no row survives.
+
+    Rows are parsed a chunk at a time into one column per field, and each
+    column is screened as a whole; ``_job_from_raw`` decides every row that
+    the screen does not plainly accept, so the jobs and rejections are those
+    of ``_job_from_raw`` on each row.
     """
-    return _load_records(path, fmt, _job_from_raw, reject_sink)
+    if fmt == "jsonl":
+        open_args, chunks = {}, _jsonl_chunks
+    elif fmt == "csv":
+        open_args, chunks = {"newline": ""}, _csv_chunks
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    numbers: dict[str, list[np.ndarray]] = {name: [] for name in INT_FIELDS + FLOAT_FIELDS}
+    job_ids: list[str] = []
+    seen: dict[str, dict] = {name: {} for name in _STRINGS}  # value -> code over the file
+    codes: dict[str, list[np.ndarray]] = {name: [] for name in _STRINGS}
+    saw_rows = False
+    with open(path, "r", encoding="utf-8", **open_args) as handle:
+        for chunk in chunks(handle):
+            saw_rows = True
+            chunk_numbers, chunk_ids, chunk_strings = _screen(chunk, reject_sink)
+            for name, column in chunk_numbers.items():
+                numbers[name].append(column)
+            job_ids.extend(chunk_ids)
+            for name, (index, chunk_codes) in chunk_strings.items():
+                # codes over the file, for the values some kept row has
+                values = list(index)
+                used = np.flatnonzero(np.bincount(chunk_codes, minlength=len(values)))
+                lookup = np.zeros(len(values), np.int32)
+                lookup[used] = [seen[name].setdefault(values[j], len(seen[name]))
+                                for j in used.tolist()]
+                codes[name].append(lookup[chunk_codes])
+    if saw_rows and not job_ids:
+        raise SchemaError(0, None, "no rows survived validation")
+    columns: dict[str, np.ndarray | Factor] = {
+        "job_id": np.fromiter(job_ids, object, len(job_ids))}
+    for name, parts in numbers.items():
+        dtype = np.float64 if name in FLOAT_FIELDS else np.int64
+        columns[name] = np.concatenate(parts) if parts else np.zeros(0, dtype)
+    for name in _STRINGS:
+        columns[name] = Factor(tuple(map(_value_of(name), seen[name])),
+                               np.concatenate(codes[name]) if codes[name]
+                               else np.zeros(0, np.int32))
+    return JobSequence(JobColumns(columns))
 
 
 def load_allocations(path, fmt: str = "jsonl", reject_sink: list | None = None) -> list[AllocationRecord]:
     """Load allocation records; zero-use and duplicate records are retained."""
     return _load_records(path, fmt, _allocation_from_raw, reject_sink)
+
+
+class JobSequence(SequenceABC):
+    """Loaded jobs: a read-only sequence of JobRecords backed by their
+    ``JobColumns``.  ``JobTable.of`` reads the columns and never a record;
+    the records are built, all at once, the first time one is read, and
+    kept.  Equal to a list or tuple of the same records."""
+
+    __slots__ = ("columns", "_records")
+
+    def __init__(self, columns: JobColumns):
+        self.columns = columns
+        self._records: tuple[JobRecord, ...] | None = None
+
+    def _built(self) -> tuple[JobRecord, ...]:
+        if self._records is None:
+            columns = self.columns
+            self._records = tuple(map(JobRecord, *(columns[name].tolist()
+                                                   for name in JOB_FIELDS)))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, JobSequence | list | tuple):
+            return len(self) == len(other) and self._built() == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"JobSequence({len(self)} jobs)"
+
+    def take(self, rows: np.ndarray) -> JobSequence:
+        """The jobs a boolean mask or an index array selects, in order."""
+        return JobSequence(self.columns.take(rows))
 
 
 def write_rejection_report(rejections: Iterable[Rejection], path) -> None:
@@ -645,14 +1022,26 @@ def build_dataset(jobs: Sequence[JobRecord],
                   allocations: Sequence[AllocationRecord],
                   resources: Mapping[str, ResourceSpec]) -> Dataset:
     """Assemble the immutable Dataset; jobs on unknown resources are dropped
-    with a quality flag so the resource-resolution invariant holds."""
+    with a quality flag so the resource-resolution invariant holds.  Loaded
+    jobs (a ``JobSequence``) are kept as one, without building a record."""
     flags: list[QualityFlag] = []
-    kept_jobs = []
-    for job in jobs:
-        if job.resource not in resources:
-            flags.append(QualityFlag("job", job.job_id, "unknown_resource", job.resource))
-        else:
-            kept_jobs.append(job)
+    if isinstance(jobs, JobSequence):
+        resource = jobs.columns["resource"]
+        known = np.array([name in resources for name in resource.values],
+                         dtype=bool)[resource.codes]
+        job_ids = jobs.columns["job_id"]
+        for i in np.flatnonzero(~known).tolist():
+            name = resource.values[resource.codes[i]]
+            flags.append(QualityFlag("job", job_ids[i], "unknown_resource", name))
+        kept_jobs = jobs if known.all() else jobs.take(known)
+    else:
+        kept_jobs = []
+        for job in jobs:
+            if job.resource not in resources:
+                flags.append(QualityFlag("job", job.job_id, "unknown_resource", job.resource))
+            else:
+                kept_jobs.append(job)
+        kept_jobs = tuple(kept_jobs)
     seen_keys: set[tuple[str, str]] = set()
     for alloc in allocations:
         locator = f"{alloc.charge_number}/{alloc.resource}"
@@ -664,7 +1053,7 @@ def build_dataset(jobs: Sequence[JobRecord],
         if alloc.resource not in resources:
             flags.append(QualityFlag("allocation", locator, "unknown_resource", alloc.resource))
     return Dataset(
-        jobs=tuple(kept_jobs),
+        jobs=kept_jobs,
         allocations=tuple(allocations),
         resources=MappingProxyType(dict(resources)),
         quality_flags=tuple(flags),

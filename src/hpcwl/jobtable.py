@@ -9,6 +9,10 @@ fields are integer codes into a sorted name table, so a group-by is an
 Float totals are ``np.bincount`` sums: each group's weights are added left
 to right from 0.0 in row order, as ``stats.total`` does (``np.sum`` sums
 pairwise and is not used for report values).
+
+``JobColumns`` holds the jobs as one column per ``JobRecord`` field, as the
+job loader fills them or as read from records; ``JobTable.from_columns`` is
+the one place the derived columns are computed.
 """
 from __future__ import annotations
 
@@ -25,20 +29,28 @@ if TYPE_CHECKING:
 SECONDS_PER_DAY = 86400
 _EPOCH = date(1970, 1, 1)
 
-# string columns: their JobRecord value
+
+def _same(value):
+    return value
+
+
+# string columns: (their JobRecord field, the name of one of its values)
 _CODED = {
-    "resource": attrgetter("resource"),
-    "project": attrgetter("charge_number"),
-    "user": attrgetter("user"),
-    "queue": attrgetter("queue"),
-    "directorate": attrgetter("directorate"),
-    "parent_science": attrgetter("parent_science"),
-    "field_of_science": attrgetter("field_of_science"),
-    "nsf_user_status": lambda job: job.nsf_user_status.value,
-    "state": lambda job: job.state_of_origin or "unknown",
-    "exit_status": lambda job: job.exit_status.value,
-    "gateway_user": lambda job: job.gateway_user or "",
+    "resource": ("resource", _same),
+    "project": ("charge_number", _same),
+    "user": ("user", _same),
+    "queue": ("queue", _same),
+    "directorate": ("directorate", _same),
+    "parent_science": ("parent_science", _same),
+    "field_of_science": ("field_of_science", _same),
+    "nsf_user_status": ("nsf_user_status", attrgetter("value")),
+    "state": ("state_of_origin", lambda value: value or "unknown"),
+    "exit_status": ("exit_status", attrgetter("value")),
+    "gateway_user": ("gateway_user", lambda value: value or ""),
 }
+# the JobRecord fields held as numbers
+INT_FIELDS = ("submit_time", "start_time", "end_time", "nodes", "cores")
+FLOAT_FIELDS = ("local_su_charged",)
 
 
 def day_number(day: date) -> int:
@@ -90,6 +102,71 @@ class Codes:
 
 
 @dataclass(frozen=True, eq=False)
+class Factor:
+    """A column as its distinct values and int32 codes: row i holds
+    ``values[codes[i]]``.  ``values`` is in no order, may repeat a value and
+    may hold values no row has."""
+
+    values: tuple
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, column: Sequence) -> Factor:
+        index = {value: code for code, value in enumerate(dict.fromkeys(column))}
+        return cls(tuple(index),
+                   np.fromiter(map(index.__getitem__, column), np.int32, len(column)))
+
+    def take(self, rows: np.ndarray) -> Factor:
+        return Factor(self.values, self.codes[rows])
+
+    def tolist(self) -> list:
+        return list(map(self.values.__getitem__, self.codes.tolist()))
+
+    def names(self, name_of: Callable) -> Codes:
+        """Codes of ``name_of(v)`` for each row's value v; ``name_of`` is
+        called once per distinct value that some row has."""
+        used = np.flatnonzero(np.bincount(self.codes, minlength=len(self.values)))
+        per_value = Codes.encode([name_of(self.values[i]) for i in used.tolist()])
+        lookup = np.zeros(len(self.values), np.int32)
+        lookup[used] = per_value.codes
+        return Codes(per_value.names, lookup[self.codes])
+
+
+@dataclass(frozen=True, eq=False)
+class JobColumns:
+    """Jobs as one column per JobRecord field, before any derived column:
+    ``job_id`` an object array, the int fields int64, ``local_su_charged``
+    float64 and every other field a ``Factor`` of the record's values
+    (enum members, and None for an absent optional string)."""
+
+    columns: Mapping[str, np.ndarray | Factor]
+
+    @classmethod
+    def of_records(cls, jobs: Sequence[JobRecord]) -> JobColumns:
+        n = len(jobs)
+        columns: dict[str, np.ndarray | Factor] = {
+            "job_id": np.fromiter(map(attrgetter("job_id"), jobs), object, n)}
+        for name in INT_FIELDS:
+            columns[name] = np.fromiter(map(attrgetter(name), jobs), np.int64, n)
+        for name in FLOAT_FIELDS:
+            columns[name] = np.fromiter(map(attrgetter(name), jobs), np.float64, n)
+        for name, _ in _CODED.values():
+            columns[name] = Factor.of(list(map(attrgetter(name), jobs)))
+        return cls(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns["job_id"])
+
+    def __getitem__(self, name: str) -> np.ndarray | Factor:
+        return self.columns[name]
+
+    def take(self, rows: np.ndarray) -> JobColumns:
+        """The rows a boolean mask or an index array selects, in order."""
+        return JobColumns({name: column.take(rows) if isinstance(column, Factor) else column[rows]
+                           for name, column in self.columns.items()})
+
+
+@dataclass(frozen=True, eq=False)
 class JobTable:
     """One row per job.  ``su_factor``, ``xd_su`` and ``rtype`` are None for
     a table built without a resource map."""
@@ -127,33 +204,41 @@ class JobTable:
     def of(cls, jobs: JobTable | Sequence[JobRecord],
            resources: Mapping[str, ResourceSpec] | None = None) -> JobTable:
         """The table of ``jobs``, in their order; a JobTable is returned as
-        it is.  ``resources`` gives the SU factor, XD SU and type columns."""
+        it is, and a sequence that carries its ``JobColumns`` (as loaded
+        jobs do) is built from them without reading a record.
+        ``resources`` gives the SU factor, XD SU and type columns."""
         if isinstance(jobs, JobTable):
             return jobs
-        n = len(jobs)
+        columns = getattr(jobs, "columns", None)
+        if not isinstance(columns, JobColumns):
+            columns = JobColumns.of_records(jobs)
+        return cls.from_columns(columns, resources)
 
-        def ints(attr: str) -> np.ndarray:
-            return np.fromiter(map(attrgetter(attr), jobs), np.int64, n)
-
-        submit, start, end = ints("submit_time"), ints("start_time"), ints("end_time")
-        nodes, cores = ints("nodes"), ints("cores")
+    @classmethod
+    def from_columns(cls, columns: JobColumns,
+                     resources: Mapping[str, ResourceSpec] | None = None) -> JobTable:
+        """The table of the jobs in ``columns``, with every derived column."""
+        submit, start, end = columns["submit_time"], columns["start_time"], columns["end_time"]
+        nodes, cores = columns["nodes"], columns["cores"]
         end_day = end // SECONDS_PER_DAY
         hours = (end - start) / 3600.0
-        coded = {name: Codes.encode(list(map(value, jobs))) for name, value in _CODED.items()}
-        local_su = np.fromiter(map(attrgetter("local_su_charged"), jobs), np.float64, n)
+        coded = {name: columns[field].names(name_of) for name, (field, name_of) in _CODED.items()}
+        local_su = columns["local_su_charged"]
         su_factor = xd_su = rtype = None
         if resources is not None:
             su_factor = _su_factors(coded["resource"], end_day, resources)
             xd_su = local_su * su_factor
             rtype = _resource_types(coded["resource"], resources)
-        return cls(row=np.arange(n), job_id=np.fromiter(map(attrgetter("job_id"), jobs), object, n),
+        gateway_user = columns["gateway_user"]
+        has_gateway_user = np.array([value is not None for value in gateway_user.values],
+                                    dtype=bool)[gateway_user.codes]
+        return cls(row=np.arange(len(columns)), job_id=columns["job_id"],
                    submit=submit, start=start, end=end, nodes=nodes, cores=cores,
                    end_day=end_day, quarter=_period_codes(end_day, "quarter"),
                    year=_period_codes(end_day, "year"),
                    core_hours=cores * hours, node_hours=nodes * hours, local_su=local_su,
                    su_factor=su_factor, xd_su=xd_su, rtype=rtype,
-                   has_gateway_user=np.fromiter((job.gateway_user is not None for job in jobs),
-                                                bool, n), **coded)
+                   has_gateway_user=has_gateway_user, **coded)
 
     def __len__(self) -> int:
         return len(self.submit)

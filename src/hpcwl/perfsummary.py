@@ -34,7 +34,7 @@ import numpy as np
 
 from . import appident
 from .errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
-from .ingest import JobRecord, _as_float, _as_int, _json_lines, _need
+from .ingest import JobRecord, _as_float, _as_int, _as_str, _json_lines, _need
 from .stats import quantile, total
 
 # canonical counter metric names in the archive schema
@@ -623,14 +623,6 @@ def _code(codes: Mapping[str, int], raw: Mapping, row: int, name: str, default=N
     return code
 
 
-def _name(raw: Mapping, row: int, name: str) -> str:
-    """A name field: a non-empty string."""
-    value = _need(raw, row, name)
-    if type(value) is not str:
-        raise SchemaError(row, name, f"row {row}: {name} must be a string")
-    return value
-
-
 def _builder(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]) -> _ColumnBuilder:
     job_id = str(_need(raw, row, "job_id"))
     builder = builders.get(job_id)
@@ -648,8 +640,8 @@ def _perf_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder],
     value = _as_float(raw, row, "value")
     if value < 0:
         raise SchemaError(row, "value", f"row {row}: negative value")
-    metric = metric_codes.setdefault(_name(raw, row, "metric"), len(metric_codes))
-    return builder, (builder.node_code(_name(raw, row, "node")), time, metric,
+    metric = metric_codes.setdefault(_as_str(raw, row, "metric"), len(metric_codes))
+    return builder, (builder.node_code(_as_str(raw, row, "node")), time, metric,
                      _code(_KIND_CODE, raw, row, "kind"), value,
                      _code(_TAG_CODE, raw, row, "tag", SampleTag.PERIODIC.value))
 
@@ -664,7 +656,7 @@ def _meminfo_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]
     if type(numa) is not list or not all(type(part) is dict for part in numa):
         raise SchemaError(row, "numa", f"row {row}: numa must be a list of objects")
     components = [_int_field(part, row, name) for part in numa for name in _NUMA_FIELDS]
-    return builder, (builder.node_code(_name(raw, row, "node")), time, len(numa)), components
+    return builder, (builder.node_code(_as_str(raw, row, "node")), time, len(numa)), components
 
 
 def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
@@ -697,7 +689,7 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
                                  if "threads_per_process" in raw else 1))
     elif kind == "process":
         processes.setdefault(job_id, []).append(appident.ProcessObservation(
-            process_name=_name(raw, row, "process_name"),
+            process_name=_as_str(raw, row, "process_name"),
             unique_pid_count=_int_field(raw, row, "unique_pid_count", 1)))
     else:
         raise SchemaError(row, "type", f"row {row}: unknown archive record type {kind!r}")

@@ -1,11 +1,18 @@
 import csv
+import dataclasses
 import json
+import os
 
+import numpy as np
 import pytest
 
 from conftest import T0
+from test_perfsummary import _archive_file, _write_lines
 
+from hpcwl import ingest, report, synth
 from hpcwl.cli import EXIT_ANALYSIS, EXIT_INPUT, EXIT_OK, main
+from hpcwl.ingest import JOB_FIELDS, build_dataset, builtin_resources, load_jobs
+from hpcwl.perfsummary import load_archives, summarize_all, write_summaries
 
 
 def run(capsys, *argv):
@@ -293,3 +300,83 @@ def test_report_spec_bad_filters_are_input_errors(tmp_path, capsys, filters, key
     assert code == EXIT_INPUT
     assert err.startswith("input error: spec: ") and repr(key) in err
     assert not path.exists()
+
+
+# --- jobs from files: the report path reads columns, never records ----------
+
+def _write_jobs(path, jobs):
+    rows = [{name: getattr(getattr(job, name), "value", getattr(job, name))
+             for name in JOB_FIELDS} for job in jobs]
+    if str(path).endswith(".jsonl"):
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return path
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(JOB_FIELDS))
+        writer.writeheader()
+        writer.writerows({k: "" if v is None else v for k, v in row.items()} for row in rows)
+    return path
+
+
+def _count_records(monkeypatch):
+    built = []
+    post_init = ingest.JobRecord.__post_init__
+    monkeypatch.setattr(ingest.JobRecord, "__post_init__",
+                        lambda job: built.append(job.job_id) or post_init(job))
+    return built
+
+
+def _files(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.fixture(scope="module")
+def synth_bundle():
+    return synth.make_synthetic_dataset(seed=5, n_jobs=400)
+
+
+@pytest.mark.parametrize("ext", ["csv", "jsonl"])
+def test_report_from_files_builds_no_records(tmp_path, capsys, monkeypatch, synth_bundle, ext):
+    records = list(synth_bundle.dataset.jobs)
+    jobs = _write_jobs(tmp_path / f"jobs.{ext}", records)
+    built = _count_records(monkeypatch)
+    code, _, _ = run(capsys, "report", "--jobs", str(jobs), "--outdir", str(tmp_path / "cli"))
+    assert code == EXIT_OK
+    assert built == []
+    # the same report as from the records themselves
+    monkeypatch.undo()
+    ctx = report.ReportContext(dataset=build_dataset(records, [], builtin_resources()))
+    report.run_report(ctx, report.standard_bundle_spec(output_dir=str(tmp_path / "records")))
+    assert _files(tmp_path / "cli") == _files(tmp_path / "records")
+
+
+def test_run_report_on_loaded_jobs_builds_no_records(tmp_path, monkeypatch, synth_bundle):
+    b = synth_bundle
+    jobs = load_jobs(_write_jobs(tmp_path / "jobs.jsonl", b.dataset.jobs))
+    dataset = build_dataset(jobs, b.dataset.allocations, b.dataset.resources)
+    ctx = report.ReportContext(dataset=dataset, summaries=b.summaries,
+                               community_users=b.community_users, user_email=b.user_email,
+                               population_by_state=b.population_by_state,
+                               tech_index_by_state=b.tech_index_by_state)
+    built = _count_records(monkeypatch)
+    report.run_report(ctx, report.standard_bundle_spec(output_dir=str(tmp_path / "loaded")))
+    assert built == []
+    demo = dataclasses.replace(ctx, dataset=b.dataset)
+    report.run_report(demo, report.standard_bundle_spec(output_dir=str(tmp_path / "demo")))
+    assert _files(tmp_path / "loaded") == _files(tmp_path / "demo")
+
+
+def test_summarize_from_files_matches_the_records(tmp_path, capsys, monkeypatch):
+    made, lines, _ = _archive_file(tmp_path, np.random.default_rng(3))
+    records = [dataclasses.replace(job, resource="SDSC-COMET") for job in made]
+    jobs = _write_jobs(tmp_path / "jobs.csv", records)
+    archives = _write_lines(tmp_path / "archives.jsonl", lines)
+    built = _count_records(monkeypatch)
+    out = tmp_path / "summaries.jsonl"
+    code, _, _ = run(capsys, "summarize", "--jobs", str(jobs), "--archives", str(archives),
+                     "--out", str(out))
+    assert code == EXIT_OK
+    assert sorted(built) == sorted(job.job_id for job in records)  # each built once
+    summaries, skipped = summarize_all(records, load_archives(archives), lambda job: 24)
+    assert len(summaries) == len(records) and not skipped
+    write_summaries(summaries, tmp_path / "expected.jsonl")
+    assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()

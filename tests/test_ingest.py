@@ -19,6 +19,7 @@ from hpcwl.errors import (
 )
 from hpcwl.ingest import (
     JobRecord,
+    Rejection,
     ResourceType,
     SuUnit,
     build_dataset,
@@ -410,3 +411,50 @@ def test_unknown_resource_job_dropped_with_flag(test_resources):
     dataset = build_dataset([job], [], test_resources)
     assert dataset.jobs == ()
     assert [f.code for f in dataset.quality_flags] == ["unknown_resource"]
+
+
+# --- malformed lines and non-string values ----------------------------------
+
+ALLOCATION_ROW = {"charge_number": "TG-1", "resource": "R", "alloc_type": "Startup",
+                  "discipline": "BIO", "awarded_local_su": 5, "used_local_su": 1,
+                  "award_date": "2015-01-01"}
+
+
+@pytest.mark.parametrize("loader,row", [(load_jobs, JOB_ROW), (load_allocations, ALLOCATION_ROW)])
+def test_invalid_and_non_object_lines_go_to_the_reject_sink(tmp_path, loader, row):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"job_id":"a"\n' + json.dumps(row) + "\n[1, 2]\n\n"
+                    + json.dumps(row) + "\n")
+    rejects = []
+    assert len(loader(path, reject_sink=rejects)) == 2
+    assert rejects == [Rejection(1, None, "schema"), Rejection(3, None, "schema")]
+    with pytest.raises(SchemaError, match="^row 1: invalid JSON$"):
+        loader(path)
+    path.write_text(json.dumps(row) + "\n7\n")
+    with pytest.raises(SchemaError, match="^row 2: expected an object$"):
+        loader(path)
+
+
+def test_a_lone_invalid_line_is_rejected_then_nothing_survives(tmp_path):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text('{"job_id":"a"')
+    rejects = []
+    with pytest.raises(SchemaError, match="no rows survived"):
+        load_jobs(path, reject_sink=rejects)
+    assert rejects == [Rejection(1, None, "schema")]
+
+
+@pytest.mark.parametrize("loader,row,changes", [
+    (load_jobs, JOB_ROW, [("user", ["alice"]), ("queue", {"q": 1}), ("gateway_user", 7),
+                          ("state_of_origin", False), ("job_id", 12)]),
+    (load_allocations, ALLOCATION_ROW, [("charge_number", 12), ("resource", True),
+                                        ("discipline", 1.5)]),
+])
+def test_non_string_json_values_of_string_fields_are_rejected(tmp_path, loader, row, changes):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [dict(row, **{name: value}) for name, value in changes] + [row])
+    rejects = []
+    assert len(loader(path, reject_sink=rejects)) == 1
+    assert rejects == [Rejection(i, name, "schema") for i, (name, _) in enumerate(changes, 1)]
+    with pytest.raises(SchemaError, match=f"^row 1: {changes[0][0]} must be a string$"):
+        loader(path)

@@ -89,8 +89,8 @@ def _loads_lines(handle):
 
 def _state(loaded):
     """What a loader returned, as text: records, or archives' columns."""
-    if isinstance(loaded, list):
-        return repr(loaded)
+    if not isinstance(loaded, dict):
+        return repr(list(loaded))
     out = []
     for job_id, archive in sorted(loaded.items()):
         samples, mem = archive.samples, archive.meminfo
