@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import os
 import sys
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except BrokenPipeError:
         return EXIT_OK  # downstream consumer (e.g. head) closed the pipe
-    except (FileNotFoundError, OSError, SchemaError, json.JSONDecodeError) as err:
+    except (FileNotFoundError, OSError, SchemaError, json.JSONDecodeError, csv.Error) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except HpcwlError as err:

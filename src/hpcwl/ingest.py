@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
+from operator import attrgetter
 from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -598,78 +599,56 @@ class _Chunk:
     """Up to _CHUNK_ROWS data rows of a jobs file: ``rows`` their row
     numbers, ``column(name)`` the raw values of one field (None where it is
     absent), ``raw(i)`` the mapping ``_job_from_raw`` reads for row i, or
-    the SchemaError of a line that holds no object, and ``text`` whether the
-    values are CSV text."""
+    the SchemaError of a line that holds no object, and ``int_column`` and
+    ``float_column`` the screens of the file format's number values."""
 
     rows: list[int]
     column: Callable[[str], Sequence]
     raw: Callable[[int], Mapping | SchemaError]
-    text: bool
-
-
-def _split_lines(lines: list[str], width: int) -> list[str] | None:
-    """The cells of CSV lines, row after row, by ``str.split``; None unless
-    that is certainly what ``csv.reader`` reads: no quote, carriage return
-    or NUL, no blank line, no line as long as the field size limit, and
-    ``width`` cells on every line."""
-    text = "".join(lines)
-    if ('"' in text or "\r" in text or "\0" in text or "\n" in lines
-            or max(map(len, lines)) >= csv.field_size_limit()
-            or set(map(str.count, lines, repeat(","))) != {width - 1}):
-        return None
-    return text.removesuffix("\n").replace("\n", ",").split(",")
+    int_column: Callable[[Sequence], tuple[np.ndarray, np.ndarray | bool]]
+    float_column: Callable[[Sequence], tuple[np.ndarray, np.ndarray]]
 
 
 def _csv_chunks(handle):
     """A CSV jobs file read as ``csv.DictReader`` reads it: the first line
     is the header, a repeated header name means its last column, blank rows
     are skipped and not counted, a short row's missing fields are None and
-    a long row's extra cells are ignored.  Lines are split by
-    ``_split_lines`` until one is not plainly splittable; from there on
-    ``csv.reader`` reads the rest."""
+    a long row's extra cells are ignored.  A ``csv.Error`` (a field over
+    the size limit, say) is raised once the rows before it are yielded, as
+    DictReader raises it when it reaches that row."""
     reader = csv.reader(handle)
     header = next(reader, None)
     if header is None:
         return
     width = len(header)
     position = {name: i for i, name in enumerate(header)}
-    split = width > 0
     row = 0
     while True:
-        if split:
-            lines = list(islice(handle, _CHUNK_ROWS))
-            if not lines:
-                return
-            flat = _split_lines(lines, width)
-            if flat is None:
-                split = False
-                reader = csv.reader(chain(lines, handle))
-                continue
-            n = len(lines)
-            columns = [flat[j::width] for j in range(width)]
-
-            def raw(i, flat=flat):
-                return dict(zip(header, flat[i * width:(i + 1) * width]))
-        else:
-            lines = list(islice(reader, _CHUNK_ROWS))
-            if not lines:
-                return
-            cells = [line if len(line) == width
-                     else (line + [None] * (width - len(line)))[:width]
-                     for line in lines if line]
-            n = len(cells)
-            if not n:
-                continue
+        lines, error = [], None
+        try:
+            for line in islice(reader, _CHUNK_ROWS):
+                lines.append(line)
+        except csv.Error as err:
+            error = err
+        cells = [line if len(line) == width
+                 else (line + [None] * (width - len(line)))[:width]
+                 for line in lines if line]
+        if n := len(cells):
             columns = list(zip(*cells))
+
+            def column(name, columns=columns, absent=(None,) * n):
+                return columns[position[name]] if name in position else absent
 
             def raw(i, cells=cells):
                 return dict(zip(header, cells[i]))
 
-        def column(name, columns=columns, absent=(None,) * n):
-            return columns[position[name]] if name in position else absent
-
-        yield _Chunk(list(range(row + 1, row + 1 + n)), column, raw, True)
-        row += n
+            yield _Chunk(list(range(row + 1, row + 1 + n)), column, raw,
+                         _text_int_column, _text_float_column)
+            row += n
+        if error is not None:
+            raise error
+        if not lines:
+            return
 
 
 def _jsonl_chunks(handle):
@@ -682,56 +661,61 @@ def _jsonl_chunks(handle):
         def column(name, dicts=dicts):
             return list(map(dict.get, dicts, repeat(name, len(dicts))))
 
-        yield _Chunk([row for row, _ in lines], column, raws.__getitem__, False)
+        yield _Chunk([row for row, _ in lines], column, raws.__getitem__,
+                     _json_int_column, _json_float_column)
 
 
-def _int_column(values, text: bool) -> tuple[np.ndarray, np.ndarray | bool]:
-    """(int64 column, mask of the plainly valid values, or True for all):
-    ASCII digits, at most _INT_DIGITS of them, in text; exact ints inside
-    int64 in JSON.  Invalid values are 0 in the column."""
-    n = len(values)
-    if text:
-        if (all(values) and (joined := "".join(values)).isdigit() and joined.isascii()
-                and max(map(len, values)) <= _INT_DIGITS):
-            # every value is plain digits, which numpy's text parser reads
-            # exactly as int() does
-            return np.fromstring(",".join(values), np.int64, sep=","), True
-        good = [type(v) is str and v.isdigit() and v.isascii() and len(v) <= _INT_DIGITS
-                for v in values]
-    else:
-        if set(map(type, values)) == {int}:
-            try:
-                return np.fromiter(values, np.int64, n), True
-            except OverflowError:
-                pass
-        good = [type(v) is int and v in _INT64 for v in values]
-    return (np.fromiter((int(v) if ok else 0 for v, ok in zip(values, good)), np.int64, n),
+def _text_int_column(values) -> tuple[np.ndarray, np.ndarray | bool]:
+    """(int64 column, mask of the plainly valid values, or True for all) of
+    CSV cells: plainly valid is ASCII digits, at most _INT_DIGITS of them.
+    Invalid values are 0 in the column."""
+    if (all(values) and (joined := "".join(values)).isdigit() and joined.isascii()
+            and max(map(len, values)) <= _INT_DIGITS):
+        # every value is plain digits, which numpy's text parser reads
+        # exactly as int() does
+        return np.fromstring(",".join(values), np.int64, sep=","), True
+    return _ints_where(values, [type(v) is str and v.isdigit() and v.isascii()
+                                and len(v) <= _INT_DIGITS for v in values])
+
+
+def _json_int_column(values) -> tuple[np.ndarray, np.ndarray | bool]:
+    """``_text_int_column`` of JSON values: plainly valid is an exact int
+    inside int64."""
+    if set(map(type, values)) == {int}:
+        try:
+            return np.fromiter(values, np.int64, len(values)), True
+        except OverflowError:
+            pass
+    return _ints_where(values, [type(v) is int and v in _INT64 for v in values])
+
+
+def _ints_where(values, good: list[bool]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.fromiter((int(v) if ok else 0 for v, ok in zip(values, good)),
+                        np.int64, len(values)),
             np.array(good, dtype=bool))
 
 
-def _float_cell(value, text: bool) -> float:
-    """``float(value)`` of a text value, or of a JSON int or float; NaN for
-    anything else."""
-    plain = type(value) is str if text else type(value) in _NUMBER
-    if plain:
-        try:
-            return float(value)
-        except (ValueError, OverflowError):
-            pass
-    return math.nan
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
-def _float_column(values, text: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(float64 column, mask of the finite values)."""
-    column = None
-    if text or set(map(type, values)) <= _NUMBER:
-        try:
-            column = np.fromiter(map(float, values), np.float64, len(values))
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if column is None:
-        column = np.fromiter((_float_cell(v, text) for v in values), np.float64, len(values))
+def _text_float_column(values) -> tuple[np.ndarray, np.ndarray]:
+    """(float64 column, mask of the finite values) of ``float()`` of CSV
+    cells; NaN where ``float()`` fails."""
+    try:
+        column = np.fromiter(map(float, values), np.float64, len(values))
+    except (TypeError, ValueError, OverflowError):
+        column = np.fromiter(map(_float_or_nan, values), np.float64, len(values))
     return column, np.isfinite(column)
+
+
+def _json_float_column(values) -> tuple[np.ndarray, np.ndarray]:
+    """``_text_float_column`` of JSON values, where only a JSON number
+    (not a bool or a string) is plainly valid."""
+    return _text_float_column([v if type(v) in _NUMBER else None for v in values])
 
 
 def _string_column(name: str, values) -> tuple[dict, np.ndarray, np.ndarray | bool]:
@@ -759,13 +743,13 @@ def _screen(chunk: _Chunk, reject_sink: list | None):
     ok = np.ones(n, dtype=bool)
     numbers = {}
     for name in INT_FIELDS:
-        numbers[name], good = _int_column(chunk.column(name), chunk.text)
+        numbers[name], good = chunk.int_column(chunk.column(name))
         ok &= good
     for name in FLOAT_FIELDS:
-        numbers[name], good = _float_column(chunk.column(name), chunk.text)
+        numbers[name], good = chunk.float_column(chunk.column(name))
         ok &= good
     job_ids = chunk.column("job_id")
-    if not (all(job_ids) and (chunk.text or set(map(type, job_ids)) == {str})):
+    if not (all(job_ids) and set(map(type, job_ids)) == {str}):
         ok &= np.array([type(v) is str and v != "" for v in job_ids], dtype=bool)
     strings = {}
     for name in _STRINGS:
@@ -1026,22 +1010,22 @@ def build_dataset(jobs: Sequence[JobRecord],
     jobs (a ``JobSequence``) are kept as one, without building a record."""
     flags: list[QualityFlag] = []
     if isinstance(jobs, JobSequence):
-        resource = jobs.columns["resource"]
-        known = np.array([name in resources for name in resource.values],
-                         dtype=bool)[resource.codes]
-        job_ids = jobs.columns["job_id"]
-        for i in np.flatnonzero(~known).tolist():
-            name = resource.values[resource.codes[i]]
-            flags.append(QualityFlag("job", job_ids[i], "unknown_resource", name))
-        kept_jobs = jobs if known.all() else jobs.take(known)
+        resource, job_ids = jobs.columns["resource"], jobs.columns["job_id"]
     else:
-        kept_jobs = []
-        for job in jobs:
-            if job.resource not in resources:
-                flags.append(QualityFlag("job", job.job_id, "unknown_resource", job.resource))
-            else:
-                kept_jobs.append(job)
-        kept_jobs = tuple(kept_jobs)
+        jobs = tuple(jobs)
+        resource = Factor.of(list(map(attrgetter("resource"), jobs)))
+        job_ids = list(map(attrgetter("job_id"), jobs))
+    known = np.array([name in resources for name in resource.values],
+                     dtype=bool)[resource.codes]
+    for i in np.flatnonzero(~known).tolist():
+        name = resource.values[resource.codes[i]]
+        flags.append(QualityFlag("job", job_ids[i], "unknown_resource", name))
+    if known.all():
+        kept_jobs = jobs
+    elif isinstance(jobs, JobSequence):
+        kept_jobs = jobs.take(known)
+    else:
+        kept_jobs = tuple(compress(jobs, known.tolist()))
     seen_keys: set[tuple[str, str]] = set()
     for alloc in allocations:
         locator = f"{alloc.charge_number}/{alloc.resource}"

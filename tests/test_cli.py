@@ -66,6 +66,15 @@ def test_missing_input_file_is_input_error(capsys):
     assert "input error" in err
 
 
+def test_csv_field_over_the_size_limit_is_input_error(tmp_path, capsys):
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text("job_id,user\na," + "u" * (csv.field_size_limit() + 1) + "\n")
+    code, _, err = run(capsys, "ingest", "--jobs", str(jobs), "--rejects",
+                       str(tmp_path / "rejects.jsonl"))
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: field larger than field limit")
+
+
 def test_validate_demo_runs(capsys):
     code, out, _ = run(capsys, "validate", "--demo", "--demo-jobs", "200")
     assert code == EXIT_OK

@@ -28,6 +28,7 @@ INTS = ("submit_time", "start_time", "end_time", "nodes", "cores")
 ENUMS = ("nsf_user_status", "exit_status")
 OPTIONAL = ("gateway_user", "state_of_origin")
 MISSING = object()  # the field is left out of the row
+FIELD_LIMIT = 100  # csv.field_size_limit while a drawn CSV file is read
 
 # malformed (and some oddly spelled but valid) values of each kind of field,
 # on top of test_ingest's BAD_NUMBERS; the oracle decides which are valid
@@ -46,7 +47,8 @@ ODD = {
                 str(2**63), str(-2**63), str(-2**63 - 1), "0" * 19 + "1", "", MISSING),
         "float": ("-5", "007", " 5", "1_0", "1e400", "-0.5", "-0.0", " 1.5 ", "0x10",
                   "", MISSING),
-        "str": ("", MISSING, " ", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "x"),
+        "str": ("", MISSING, " ", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "x",
+                "y" * (FIELD_LIMIT + 1)),
         "enum": ("", MISSING, "Faculty", "completed ", '"faculty"'),
         "optional": ("", MISSING, " ", "a,b", "x"),
     },
@@ -173,6 +175,8 @@ def _run(load, path, fmt, sink):
         return "loaded", load(path, fmt, sink)
     except SchemaError as err:
         return "raised", type(err).__name__, err.row, err.field, str(err)
+    except csv.Error as err:
+        return "raised", type(err).__name__, str(err)
 
 
 def _column_state(column):
@@ -226,9 +230,29 @@ CHUNKS = st.sampled_from((1, 2, 3, 2048))
 @settings(max_examples=150, deadline=None)
 @given(text=csv_files(), chunk_rows=CHUNKS)
 def test_csv_column_path_agrees_with_the_record_oracle(text, chunk_rows):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
-        _assert_agree(text, "csv")
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+            _assert_agree(text, "csv")
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("bad_row", [None, 1, 2])
+def test_a_csv_field_over_the_size_limit_fails_where_the_oracle_fails(bad_row):
+    """csv.Error comes at the oversize row (row 3), after the rows before
+    it in the same chunk are judged: a malformed row among them raises its
+    SchemaError without a sink, and is rejected with one."""
+    rows = [dict(JOB_ROW, job_id=f"j{i}") for i in range(4)]
+    if bad_row is not None:
+        rows[bad_row - 1]["nodes"] = "x"
+    rows[2]["user"] = "u" * (csv.field_size_limit() + 1)
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(out, fieldnames=list(JOB_FIELDS), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _assert_agree(out.getvalue(), "csv")
 
 
 @settings(max_examples=150, deadline=None)
