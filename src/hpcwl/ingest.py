@@ -16,11 +16,11 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import compress, islice, repeat
 from operator import attrgetter
 from types import MappingProxyType, SimpleNamespace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     TimestampOrderError,
 )
-from .jobtable import FLOAT_FIELDS, INT_FIELDS, Factor, JobColumns, JobTable
+from .jobtable import Factor, JobColumns, JobTable
 
 OPEN_END = date(9999, 12, 31)
 SECONDS_PER_HOUR = 3600.0
@@ -94,24 +94,28 @@ def utc_date(epoch_seconds: int) -> date:
     return date.fromordinal(_EPOCH_ORDINAL + epoch_seconds // 86400)
 
 
-def parse_date(text: str) -> date:
-    return date.fromisoformat(text)
-
-
 class _BrokenRule(ValueError):
-    """A JobRecord breaks a job-row rule; ``field`` names the field the rule
+    """A record breaks one of its rules; ``field`` names the field the rule
     blames (None for the timestamp order)."""
 
-    def __init__(self, job_id, field: str | None, reason: str):
+    def __init__(self, field: str | None, reason: str, record: str):
         self.field = field
         self.reason = reason
-        super().__init__(f"job {job_id}: {reason}")
+        super().__init__(f"{record}: {reason}")
 
 
-# The job-row rules, in their one copy: (the field a broken rule blames, None
+def _keep_rules(record, rules, describe: str) -> None:
+    """Raise _BrokenRule for the first of ``rules`` that ``record`` breaks;
+    ``describe.format(record)`` names the record in the message."""
+    for field_name, reason, holds in rules:
+        if not holds(record):
+            raise _BrokenRule(field_name, reason, describe.format(record))
+
+
+# The row rules, in their one copy each: (the field a broken rule blames, None
 # for the timestamp order; the reason; a predicate that holds for a valid
-# row).  The predicates use only <=, >= and &, so the same code checks one
-# JobRecord and the numpy columns of a whole chunk of rows.
+# row).  The job predicates use only <=, >= and &, so the same code checks
+# one JobRecord and the numpy columns of a whole chunk of rows.
 JOB_RULES = (
     (None, "timestamps out of order",
      lambda job: (job.submit_time <= job.start_time) & (job.start_time <= job.end_time)),
@@ -146,9 +150,7 @@ class JobRecord:
 
     def __post_init__(self):
         # the loaders turn a broken rule into a SchemaError naming the row
-        for field_name, reason, holds in JOB_RULES:
-            if not holds(self):
-                raise _BrokenRule(self.job_id, field_name, reason)
+        _keep_rules(self, JOB_RULES, "job {0.job_id}")
 
     @property
     def wait_seconds(self) -> int:
@@ -238,6 +240,12 @@ class ResourceSpec:
         return self.mem_per_node // self.cores_per_node
 
 
+ALLOCATION_RULES = (
+    ("awarded_local_su", "negative SU award", lambda alloc: alloc.awarded_local_su >= 0),
+    ("used_local_su", "negative SU use", lambda alloc: alloc.used_local_su >= 0),
+)
+
+
 @dataclass(frozen=True, slots=True)
 class AllocationRecord:
     """An award: charge number x resource."""
@@ -252,8 +260,7 @@ class AllocationRecord:
     is_gateway_tagged: bool = False
 
     def __post_init__(self):
-        if self.awarded_local_su < 0 or self.used_local_su < 0:
-            raise ValueError("allocation SU amounts must be nonnegative")
+        _keep_rules(self, ALLOCATION_RULES, "allocation {0.charge_number}/{0.resource}")
 
     @property
     def key(self) -> tuple[str, str]:
@@ -318,11 +325,6 @@ class Dataset:
 
 JOB_FIELDS = tuple(f.name for f in fields(JobRecord))
 
-ALLOCATION_FIELDS = (
-    "charge_number", "resource", "alloc_type", "discipline",
-    "awarded_local_su", "used_local_su", "award_date", "is_gateway_tagged",
-)
-
 
 def _need(raw: Mapping, row: int, name: str):
     value = raw.get(name)
@@ -341,6 +343,7 @@ def _as_str(raw: Mapping, row: int, name: str) -> str:
 
 _SIGNED_DIGITS = re.compile("-?[0-9]+")
 _INT64 = range(-2**63, 2**63)
+_ISO_DAY = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def _as_int(raw, row: int, name: str) -> int:
@@ -387,14 +390,19 @@ def _as_enum(raw, row: int, name: str, enum_cls):
 
 
 def _as_day(raw: Mapping, row: int, name: str, open_end: bool = False) -> date:
-    """An ISO date field; with open_end, an absent, empty or "current" one
+    """A date field: a ``YYYY-MM-DD`` string of ASCII digits (not a number,
+    nor another ISO form); with open_end, an absent, empty or "current" one
     means OPEN_END."""
-    if open_end and raw.get(name) in (None, "", "current", "Current"):
+    value = raw.get(name)
+    if open_end and value in (None, "", "current", "Current"):
         return OPEN_END
-    try:
-        return parse_date(str(_need(raw, row, name)))
-    except ValueError:
-        raise SchemaError(row, name) from None
+    value = _need(raw, row, name)
+    if type(value) is str and _ISO_DAY.fullmatch(value):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:  # no such day
+            pass
+    raise SchemaError(row, name)
 
 
 def _optional_str(raw: Mapping, row: int, name: str) -> str | None:
@@ -414,66 +422,59 @@ def _as_int64(raw: Mapping, row: int, name: str) -> int:
     return value
 
 
-def _job_from_raw(raw: Mapping, row: int) -> JobRecord:
-    """One job row: each field is checked in turn, then the cross-field
-    rules of ``JobRecord``.  This is the one judge of a malformed row; the
-    column screen of ``load_jobs`` sends it every row it does not accept."""
-    submit = _as_int64(raw, row, "submit_time")
-    start = _as_int64(raw, row, "start_time")
-    end = _as_int64(raw, row, "end_time")
-    nodes = _as_int64(raw, row, "nodes")
-    cores = _as_int64(raw, row, "cores")
-    su = _as_float(raw, row, "local_su_charged")
+def _as_flag(raw: Mapping, row: int, name: str) -> bool:
+    """A flag field, never malformed: a string is true when it is "1",
+    "true" or "yes" (any case, surrounding whitespace ignored), any other
+    value by its truth; absent is False."""
+    value = raw.get(name, False)
+    if isinstance(value, str):
+        return value.strip().lower() in ("1", "true", "yes")
+    return bool(value)
+
+
+# the reader of each record annotation but an Enum, which _as_enum reads
+_READERS = {int: _as_int64, float: _as_float, str: _as_str, str | None: _optional_str,
+            date: _as_day, bool: _as_flag}
+
+
+def _read(kind, raw: Mapping, row: int, name: str):
+    """Field ``name`` of a raw row as the record annotation ``kind`` says
+    it holds, or SchemaError."""
+    reader = _READERS.get(kind)
+    if reader is None:
+        return _as_enum(raw, row, name, kind)
+    return reader(raw, row, name)
+
+
+@cache
+def _schema(cls) -> tuple[tuple[str, object], ...]:
+    """(name, annotation) of each field of the record class ``cls``, in the
+    order a row's fields are checked: the numbers (int and float) first,
+    then the other fields, each group in declaration order."""
+    hints = get_type_hints(cls)
+    pairs = [(f.name, hints[f.name]) for f in fields(cls)]
+    return tuple(sorted(pairs, key=lambda pair: pair[1] not in (int, float)))
+
+
+def _from_raw(cls, raw: Mapping, row: int):
+    """A record of class ``cls`` from one raw row: each field of
+    ``_schema(cls)`` is read in turn, then the record's rules are kept.  A
+    broken rule raises SchemaError naming the field it blames, or
+    TimestampOrderError."""
+    values = {name: _read(kind, raw, row, name) for name, kind in _schema(cls)}
     try:
-        return JobRecord(
-            job_id=_as_str(raw, row, "job_id"),
-            resource=_as_str(raw, row, "resource"),
-            user=_as_str(raw, row, "user"),
-            charge_number=_as_str(raw, row, "charge_number"),
-            directorate=_as_str(raw, row, "directorate"),
-            parent_science=_as_str(raw, row, "parent_science"),
-            field_of_science=_as_str(raw, row, "field_of_science"),
-            nsf_user_status=_as_enum(raw, row, "nsf_user_status", NsfUserStatus),
-            submit_time=submit,
-            start_time=start,
-            end_time=end,
-            nodes=nodes,
-            cores=cores,
-            queue=_as_str(raw, row, "queue"),
-            exit_status=_as_enum(raw, row, "exit_status", ExitStatus),
-            gateway_user=_optional_str(raw, row, "gateway_user"),
-            state_of_origin=_optional_str(raw, row, "state_of_origin"),
-            local_su_charged=su,
-        )
+        return cls(**values)
     except _BrokenRule as err:
         if err.field is None:
             raise TimestampOrderError(row) from None
         raise SchemaError(row, err.field, f"row {row}: {err.reason}") from None
 
 
-def _allocation_from_raw(raw: Mapping, row: int) -> AllocationRecord:
-    awarded = _as_float(raw, row, "awarded_local_su")
-    used = _as_float(raw, row, "used_local_su")
-    if awarded < 0:
-        raise SchemaError(row, "awarded_local_su")
-    if used < 0:
-        raise SchemaError(row, "used_local_su")
-    tagged_raw = raw.get("is_gateway_tagged", False)
-    if isinstance(tagged_raw, str):
-        tagged = tagged_raw.strip().lower() in ("1", "true", "yes")
-    else:
-        tagged = bool(tagged_raw)
-    award_date = _as_day(raw, row, "award_date")
-    return AllocationRecord(
-        charge_number=_as_str(raw, row, "charge_number"),
-        resource=_as_str(raw, row, "resource"),
-        alloc_type=_as_enum(raw, row, "alloc_type", AllocType),
-        discipline=_as_str(raw, row, "discipline"),
-        awarded_local_su=awarded,
-        used_local_su=used,
-        award_date=award_date,
-        is_gateway_tagged=tagged,
-    )
+def _job_from_raw(raw: Mapping, row: int) -> JobRecord:
+    """One job row, as ``_from_raw`` reads it.  This is the one judge of a
+    malformed row; the column screen of ``load_jobs`` sends it every row it
+    does not accept."""
+    return _from_raw(JobRecord, raw, row)
 
 
 def _json_lines(handle):
@@ -572,26 +573,25 @@ def _load_records(path, fmt, parse_one, reject_sink):
 _CHUNK_ROWS = 2048  # rows parsed and screened at a time
 _INT_DIGITS = 18  # every string of at most this many ASCII digits is an int64
 _NUMBER = frozenset((int, float))
-_ENUMS = {"nsf_user_status": NsfUserStatus, "exit_status": ExitStatus}
-_OPTIONAL = ("gateway_user", "state_of_origin")
-_STRINGS = tuple(name for name in JOB_FIELDS
-                 if name not in INT_FIELDS + FLOAT_FIELDS + ("job_id",))
+# the job fields by annotation: the numbers, and the string fields the
+# screen factorizes (every other field but job_id)
+_NUMBERS = {name: kind for name, kind in _schema(JobRecord) if kind in (int, float)}
+_STRINGS = {name: kind for name, kind in _schema(JobRecord)
+            if name not in _NUMBERS and name != "job_id"}
 _UNHASHABLE = object()  # stands for a JSON list or object in a string field
 
 
-def _plain_string(name: str) -> Callable[[object], bool]:
-    """Whether a value of string field ``name`` is plainly valid: a
-    non-empty string; None or any string for an optional field; a known
-    value for an enum."""
-    if name in _OPTIONAL:
+@cache
+def _plain_string(kind) -> Callable[[object], bool]:
+    """Whether a value of a string field annotated ``kind`` is plainly
+    valid: a non-empty string; None or any string for ``str | None``; a
+    known value for an enum."""
+    if kind is str:
+        return lambda value: type(value) is str and value != ""
+    if kind == str | None:
         return lambda value: value is None or type(value) is str
-    if name in _ENUMS:
-        known = frozenset(member.value for member in _ENUMS[name])
-        return lambda value: type(value) is str and value in known
-    return lambda value: type(value) is str and value != ""
-
-
-_PLAIN_STRING = {name: _plain_string(name) for name in _STRINGS}
+    known = frozenset(member.value for member in kind)
+    return lambda value: type(value) is str and value in known
 
 
 @dataclass
@@ -718,43 +718,37 @@ def _json_float_column(values) -> tuple[np.ndarray, np.ndarray]:
     return _text_float_column([v if type(v) in _NUMBER else None for v in values])
 
 
-def _string_column(name: str, values) -> tuple[dict, np.ndarray, np.ndarray | bool]:
-    """(index of the distinct values, int32 codes into it, mask of the
-    plainly valid values or True for all); each distinct value is judged
-    once."""
+def _string_column(kind, values) -> tuple[Factor, np.ndarray | bool]:
+    """(the values as a Factor, mask of the plainly valid values or True for
+    all) of a string field annotated ``kind``; each distinct value is
+    judged once."""
     try:
-        index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+        factor = Factor.of(values)
     except TypeError:
-        values = [_UNHASHABLE if type(v) in (list, dict) else v for v in values]
-        index = {value: code for code, value in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
-    plain = _PLAIN_STRING[name]
-    valid = np.fromiter(map(plain, index), bool, len(index))
-    return index, codes, True if valid.all() else valid[codes]
+        factor = Factor.of([_UNHASHABLE if type(v) in (list, dict) else v for v in values])
+    valid = np.fromiter(map(_plain_string(kind), factor.values), bool, len(factor.values))
+    return factor, True if valid.all() else valid[factor.codes]
 
 
 def _screen(chunk: _Chunk, reject_sink: list | None):
     """The chunk's columns without its rejected rows: (int and float
-    columns, job ids, (index, codes) of each string field).  A row is taken
+    columns, job ids, a Factor of each string field).  A row is taken
     from the columns when every field is plainly valid and the rules hold;
     every other row goes, in row order, through ``_job_from_raw``, which
     rejects it or gives the record whose numbers replace the row's."""
     n = len(chunk.rows)
     ok = np.ones(n, dtype=bool)
     numbers = {}
-    for name in INT_FIELDS:
-        numbers[name], good = chunk.int_column(chunk.column(name))
-        ok &= good
-    for name in FLOAT_FIELDS:
-        numbers[name], good = chunk.float_column(chunk.column(name))
+    for name, kind in _NUMBERS.items():
+        screen = chunk.int_column if kind is int else chunk.float_column
+        numbers[name], good = screen(chunk.column(name))
         ok &= good
     job_ids = chunk.column("job_id")
     if not (all(job_ids) and set(map(type, job_ids)) == {str}):
-        ok &= np.array([type(v) is str and v != "" for v in job_ids], dtype=bool)
+        ok &= np.fromiter(map(_plain_string(str), job_ids), bool, n)
     strings = {}
-    for name in _STRINGS:
-        index, codes, good = _string_column(name, chunk.column(name))
-        strings[name] = index, codes
+    for name, kind in _STRINGS.items():
+        strings[name], good = _string_column(kind, chunk.column(name))
         ok &= good
     checked = SimpleNamespace(**numbers)
     for _, _, holds in JOB_RULES:
@@ -777,16 +771,7 @@ def _screen(chunk: _Chunk, reject_sink: list | None):
             column[i] = getattr(job, name)
     return ({name: column[ok] for name, column in numbers.items()},
             list(compress(job_ids, ok.tolist())),
-            {name: (index, codes[ok]) for name, (index, codes) in strings.items()})
-
-
-def _value_of(name: str) -> Callable:
-    """The JobRecord value of a screened value of string field ``name``."""
-    if name in _ENUMS:
-        return _ENUMS[name]
-    if name in _OPTIONAL:
-        return lambda value: value or None
-    return lambda value: value
+            {name: factor.take(ok) for name, factor in strings.items()})
 
 
 def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobSequence:
@@ -808,7 +793,7 @@ def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobS
         open_args, chunks = {"newline": ""}, _csv_chunks
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    numbers: dict[str, list[np.ndarray]] = {name: [] for name in INT_FIELDS + FLOAT_FIELDS}
+    numbers: dict[str, list[np.ndarray]] = {name: [] for name in _NUMBERS}
     job_ids: list[str] = []
     seen: dict[str, dict] = {name: {} for name in _STRINGS}  # value -> code over the file
     codes: dict[str, list[np.ndarray]] = {name: [] for name in _STRINGS}
@@ -820,31 +805,32 @@ def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobS
             for name, column in chunk_numbers.items():
                 numbers[name].append(column)
             job_ids.extend(chunk_ids)
-            for name, (index, chunk_codes) in chunk_strings.items():
+            for name, factor in chunk_strings.items():
                 # codes over the file, for the values some kept row has
-                values = list(index)
-                used = np.flatnonzero(np.bincount(chunk_codes, minlength=len(values)))
+                values = factor.values
+                used = np.flatnonzero(np.bincount(factor.codes, minlength=len(values)))
                 lookup = np.zeros(len(values), np.int32)
                 lookup[used] = [seen[name].setdefault(values[j], len(seen[name]))
                                 for j in used.tolist()]
-                codes[name].append(lookup[chunk_codes])
+                codes[name].append(lookup[factor.codes])
     if saw_rows and not job_ids:
         raise SchemaError(0, None, "no rows survived validation")
     columns: dict[str, np.ndarray | Factor] = {
         "job_id": np.fromiter(job_ids, object, len(job_ids))}
     for name, parts in numbers.items():
-        dtype = np.float64 if name in FLOAT_FIELDS else np.int64
+        dtype = np.int64 if _NUMBERS[name] is int else np.float64
         columns[name] = np.concatenate(parts) if parts else np.zeros(0, dtype)
-    for name in _STRINGS:
-        columns[name] = Factor(tuple(map(_value_of(name), seen[name])),
-                               np.concatenate(codes[name]) if codes[name]
+    for name, kind in _STRINGS.items():
+        # a value some kept row holds reads as its JobRecord value
+        values = tuple(_read(kind, {name: value}, 0, name) for value in seen[name])
+        columns[name] = Factor(values, np.concatenate(codes[name]) if codes[name]
                                else np.zeros(0, np.int32))
     return JobSequence(JobColumns(columns))
 
 
 def load_allocations(path, fmt: str = "jsonl", reject_sink: list | None = None) -> list[AllocationRecord]:
     """Load allocation records; zero-use and duplicate records are retained."""
-    return _load_records(path, fmt, _allocation_from_raw, reject_sink)
+    return _load_records(path, fmt, partial(_from_raw, AllocationRecord), reject_sink)
 
 
 class JobSequence(SequenceABC):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import appident
 from .errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
-from .ingest import JobRecord, _as_float, _as_int, _as_str, _json_lines, _need
+from .ingest import JobRecord, _as_float, _as_int, _as_str, _json_lines
 from .stats import quantile, total
 
 # canonical counter metric names in the archive schema
@@ -624,7 +624,7 @@ def _code(codes: Mapping[str, int], raw: Mapping, row: int, name: str, default=N
 
 
 def _builder(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]) -> _ColumnBuilder:
-    job_id = str(_need(raw, row, "job_id"))
+    job_id = _as_str(raw, row, "job_id")
     builder = builders.get(job_id)
     if builder is None:
         builder = builders[job_id] = _ColumnBuilder()
@@ -666,7 +666,7 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
     if type(raw) is not dict:
         raise SchemaError(row, None, f"row {row}: expected an object")
     kind = raw.get("type")
-    job_id = str(_need(raw, row, "job_id"))
+    job_id = _as_str(raw, row, "job_id")
     if kind == "job":
         listed = raw.get("nodes")
         if type(listed) is not list:

@@ -2,14 +2,18 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
+from dataclasses import fields
 from datetime import date, datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import T0, make_allocation, make_job, make_resource
+from hpcwl import ingest, jobtable
 from hpcwl.errors import (
     MissingGeometry,
     NoFactorForDate,
@@ -18,6 +22,7 @@ from hpcwl.errors import (
     TimestampOrderError,
 )
 from hpcwl.ingest import (
+    AllocationRecord,
     JobRecord,
     Rejection,
     ResourceType,
@@ -458,3 +463,123 @@ def test_non_string_json_values_of_string_fields_are_rejected(tmp_path, loader, 
     assert rejects == [Rejection(i, name, "schema") for i, (name, _) in enumerate(changes, 1)]
     with pytest.raises(SchemaError, match=f"^row 1: {changes[0][0]} must be a string$"):
         loader(path)
+
+
+# --- malformed allocation rows ------------------------------------------------
+
+MISSING = object()  # the field is left out of the row (an empty CSV cell)
+
+
+def _write_allocations(path, fmt, rows):
+    rows = [{k: v for k, v in row.items() if v is not MISSING} for row in rows]
+    if fmt == "jsonl":
+        write_jsonl(path, rows)
+        return
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(ALLOCATION_ROW))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("changes,field", [
+    ({"awarded_local_su": -5}, "awarded_local_su"),
+    ({"used_local_su": -0.5}, "used_local_su"),
+    ({"awarded_local_su": math.nan}, "awarded_local_su"),
+    ({"used_local_su": math.inf}, "used_local_su"),
+    ({"awarded_local_su": True}, "awarded_local_su"),
+    ({"used_local_su": "x"}, "used_local_su"),
+    ({"alloc_type": "Bogus"}, "alloc_type"),
+    ({"charge_number": MISSING}, "charge_number"),
+    ({"resource": MISSING}, "resource"),
+    ({"alloc_type": MISSING}, "alloc_type"),
+    ({"discipline": MISSING}, "discipline"),
+    ({"awarded_local_su": MISSING}, "awarded_local_su"),
+    ({"used_local_su": MISSING}, "used_local_su"),
+    ({"award_date": MISSING}, "award_date"),
+    ({"award_date": "2015-13-01"}, "award_date"),
+    ({"award_date": "2015-02-30"}, "award_date"),
+    ({"award_date": "x"}, "award_date"),
+    # a date is a YYYY-MM-DD string on every Python version, never a
+    # number or another ISO 8601 form
+    ({"award_date": 20150901}, "award_date"),
+    ({"award_date": "20150901"}, "award_date"),
+    ({"award_date": "2015-W36-2"}, "award_date"),
+    ({"award_date": "2015-09-01T00:00"}, "award_date"),
+    ({"award_date": "\u0662015-09-01"}, "award_date"),
+    # every field is read first, numbers before the others, then the rules
+    ({"awarded_local_su": -5, "discipline": MISSING}, "discipline"),
+    ({"used_local_su": -1, "alloc_type": "Bogus"}, "alloc_type"),
+    ({"award_date": "2015-13-01", "resource": MISSING}, "resource"),
+    ({"awarded_local_su": -5, "used_local_su": "x"}, "used_local_su"),
+    ({"awarded_local_su": -5, "used_local_su": -1}, "awarded_local_su"),
+])
+def test_malformed_allocation_row_is_rejected_for_its_field(tmp_path, fmt, changes, field):
+    path = tmp_path / f"allocations.{fmt}"
+    _write_allocations(path, fmt, [dict(ALLOCATION_ROW, **changes), ALLOCATION_ROW])
+    rejects = []
+    assert len(load_allocations(path, fmt, reject_sink=rejects)) == 1
+    assert rejects == [Rejection(1, field, "schema")]
+    with pytest.raises(SchemaError) as err:
+        load_allocations(path, fmt)
+    assert (err.value.row, err.value.field) == (1, field)
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"awarded_local_su": -5}, "negative SU award"),
+    ({"used_local_su": -1}, "negative SU use"),
+])
+def test_allocation_rules_hold_for_loaded_and_built_records(tmp_path, changes, message):
+    path = tmp_path / "allocations.jsonl"
+    write_jsonl(path, [dict(ALLOCATION_ROW, **changes)])
+    with pytest.raises(SchemaError, match=f"^row 1: {message}$"):
+        load_allocations(path)
+    row = dict(ALLOCATION_ROW, award_date=date(2015, 1, 1), **changes)
+    with pytest.raises(ValueError, match=message):
+        AllocationRecord(**row)
+
+
+# --- the field schema and docs/formats.md ----------------------------------
+
+TYPE_WORDS = {int: "int", float: "float", str: "string", str | None: "string?",
+              date: "date", bool: "bool"}
+
+
+def _doc_table(heading: str) -> list[tuple[str, str, str]]:
+    """(field, type word, notes) of each row of the field table under a
+    docs/formats.md heading."""
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text("utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    cells = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+             for line in section.splitlines() if line.startswith("| `")]
+    return [(name.strip("`"), word, notes) for name, word, notes in cells]
+
+
+@pytest.mark.parametrize("cls,heading,check_order", [
+    (JobRecord, "Job accounting records (`load_jobs`)",
+     ["submit_time", "start_time", "end_time", "nodes", "cores", "local_su_charged",
+      "job_id", "resource", "user", "charge_number", "directorate", "parent_science",
+      "field_of_science", "nsf_user_status", "queue", "exit_status", "gateway_user",
+      "state_of_origin"]),
+    (AllocationRecord, "Allocation records (`load_allocations`)",
+     ["awarded_local_su", "used_local_su", "charge_number", "resource", "alloc_type",
+      "discipline", "award_date", "is_gateway_tagged"]),
+])
+def test_docs_field_tables_match_the_record_schema(cls, heading, check_order):
+    schema = dict(ingest._schema(cls))
+    assert list(schema) == check_order
+    documented = _doc_table(heading)
+    assert [name for name, _, _ in documented] == [f.name for f in fields(cls)]
+    for name, word, notes in documented:
+        kind = schema[name]
+        if kind in TYPE_WORDS:
+            assert word == TYPE_WORDS[kind], name
+        else:
+            assert word == "enum", name
+            assert re.findall("`([^`]+)`", notes) == [member.value for member in kind]
+
+
+def test_the_job_table_numbers_are_the_schema_numbers():
+    schema = ingest._schema(JobRecord)
+    assert jobtable.INT_FIELDS == tuple(name for name, kind in schema if kind is int)
+    assert jobtable.FLOAT_FIELDS == tuple(name for name, kind in schema if kind is float)

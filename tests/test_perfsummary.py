@@ -578,6 +578,9 @@ def _numa(**changes):
     ({"type": "job", "job_id": "j1", "nodes": [1, None]}, "nodes"),
     ({"type": "job", "job_id": "j1", "nodes": ["n1", ""]}, "nodes"),
     ({"type": "job", "job_id": "j1", "nodes": [["n1"]]}, "nodes"),
+    (dict(GOOD_PERF, job_id=7), "job_id"),
+    (dict(GOOD_MEMINFO, job_id=["j1"]), "job_id"),
+    ({"type": "job", "job_id": 1, "nodes": ["n1"]}, "job_id"),
 ])
 def test_malformed_record_is_a_schema_error_naming_its_line(tmp_path, record, field):
     path = tmp_path / "archive.jsonl"
