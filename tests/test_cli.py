@@ -252,19 +252,19 @@ RESOURCE = {"name": "M", "rtype": "HPC", "nodes": 4, "cores_per_node": 8,
     ({"nodes": "many"}, "nodes"),
     ({"nodes": -4}, "nodes/cores_per_node"),
     ({"production_start": "2012-13-01"}, "production_start"),
-    # a date is a YYYY-MM-DD string, on every Python version
-    ({"production_start": 20120101}, "production_start"),
-    ({"production_start": "20120101"}, "production_start"),
-    ({"production_end": "2017-W35-4"}, "production_end"),
     ({"su_unit": "furlong_hour"}, "su_unit"),
     ({"su_factors": [{"start": "2012-01-01", "factor": "x"}]}, "su_factors"),
     ({"su_factors": [{"start": "2012-01-01", "factor": -1.5}]}, "su_factors"),
     ({"su_factors": [{"start": "2012/01/01", "factor": 1.5}]}, "su_factors"),
-    ({"su_factors": [{"start": "20120101", "factor": 1.5}]}, "su_factors"),
-    ({"su_factors": [{"start": "2012-01-01", "end": 20130101, "factor": 1.5}]}, "su_factors"),
     ({"su_factors": [{"start": "2012-01-01", "end": "2013-01-02", "factor": 1.0},
                      {"start": "2013-01-01", "factor": 2.0}]}, "su_factors"),
     ({"shared_queues": 3}, "shared_queues"),
+    # a date is a YYYY-MM-DD string, on every Python version
+    ({"production_start": 20120101}, "production_start"),
+    ({"production_start": "20120101"}, "production_start"),
+    ({"production_end": "2017-W35-4"}, "production_end"),
+    ({"su_factors": [{"start": "20120101", "factor": 1.5}]}, "su_factors"),
+    ({"su_factors": [{"start": "2012-01-01", "end": 20130101, "factor": 1.5}]}, "su_factors"),
 ])
 def test_malformed_resource_file_is_input_error(tmp_path, capsys, change, field):
     broken = {k: v for k, v in {**RESOURCE, "name": "N", **change}.items()
