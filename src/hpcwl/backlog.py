@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyGroup
-from .ingest import Jobs, ResourceSpec
+from .ingest import ResourceSpec
 from .jobtable import SECONDS_PER_DAY, JobTable, one_group
 from .stats import inverse_cdf, quantile, total
 
@@ -54,12 +54,11 @@ def _through(times: np.ndarray, amounts: np.ndarray, instants: np.ndarray) -> np
     return running[np.searchsorted(times[order], instants, side="right")]
 
 
-def _of_resource(jobs: Jobs, resource: str | None) -> JobTable:
-    table = JobTable.of(jobs)
+def _of_resource(table: JobTable, resource: str | None) -> JobTable:
     return table if resource is None else table.take(table.resource.isin((resource,)))
 
 
-def backlog_series(jobs: Jobs, resource: str | None = None,
+def backlog_series(table: JobTable, resource: str | None = None,
                    sampling: str = "event",
                    spec: ResourceSpec | None = None) -> BacklogSeries:
     """Replay one resource's trace into a queued-work series.
@@ -72,7 +71,7 @@ def backlog_series(jobs: Jobs, resource: str | None = None,
     """
     if sampling not in ("event", "daily"):
         raise ValueError(f"unknown sampling {sampling!r}")
-    table = _of_resource(jobs, resource)
+    table = _of_resource(table, resource)
     series = BacklogSeries(resource=resource or "all", sampling=sampling)
     if not len(table):
         return series
@@ -98,11 +97,10 @@ def backlog_series(jobs: Jobs, resource: str | None = None,
     return series
 
 
-def required_nodes_at_submit(jobs: Jobs) -> list[int]:
+def required_nodes_at_submit(table: JobTable) -> list[int]:
     """R_j for each job, in job order: running + queued nodes at its submit
     instant, every job submitted at that instant included.  That is the
     nodes submitted at or before the instant less those ended by then."""
-    table = JobTable.of(jobs)
     return (_through(table.submit, table.nodes, table.submit)
             - _through(table.end, table.nodes, table.submit)).tolist()
 
@@ -122,7 +120,7 @@ class CapacityEstimate:
         return self.nodes_required / self.actual_nodes
 
 
-def capacity_estimates(jobs: Jobs, resource: str,
+def capacity_estimates(table: JobTable, resource: str,
                        targets: Sequence[float] = (0.95,),
                        spec: ResourceSpec | None = None,
                        time_weighted: bool = False) -> list[CapacityEstimate]:
@@ -131,7 +129,7 @@ def capacity_estimates(jobs: Jobs, resource: str,
     for target in targets:
         if not 0 < target < 1:
             raise ValueError("target must be in (0, 1)")
-    pool = _of_resource(jobs, resource)
+    pool = _of_resource(table, resource)
     if not len(pool):
         raise EmptyGroup(resource)
     if time_weighted:
@@ -156,7 +154,7 @@ def capacity_estimates(jobs: Jobs, resource: str,
     return out
 
 
-def capacity_for_percentile(jobs: Jobs, resource: str,
+def capacity_for_percentile(table: JobTable, resource: str,
                             target: float = 0.95,
                             spec: ResourceSpec | None = None,
                             time_weighted: bool = False) -> CapacityEstimate:
@@ -167,7 +165,7 @@ def capacity_for_percentile(jobs: Jobs, resource: str,
     duration-weighted type 1 quantile of the required-nodes series, for
     comparison.
     """
-    return capacity_estimates(jobs, resource, (target,), spec, time_weighted)[0]
+    return capacity_estimates(table, resource, (target,), spec, time_weighted)[0]
 
 
 @dataclass(frozen=True)
@@ -181,11 +179,10 @@ class WaitStats:
     core_hour_weighted_mean_hours: float
 
 
-def wait_stats(jobs: Jobs, group_by_resource: bool = True) -> dict[str, WaitStats]:
+def wait_stats(table: JobTable, group_by_resource: bool = True) -> dict[str, WaitStats]:
     """Quartiles, mean and core-hour-weighted mean of start - submit.  The
     mean adds each group's waits in ascending order, the weighted mean its
     jobs in job order."""
-    table = JobTable.of(jobs)
     if not len(table):
         raise EmptyGroup("no jobs")
     groups = table.resource if group_by_resource else one_group(len(table))
@@ -219,13 +216,12 @@ class UserDepth:
     job_count: int
 
 
-def user_queue_depth(jobs: Jobs,
+def user_queue_depth(table: JobTable,
                      community_users: Mapping[str, str] | None = None) -> list[UserDepth]:
     """Per user: the most jobs simultaneously queued or running, and total
     job count.  Community accounts are labeled separately from regular
     users.  A job counts from its submit instant to its end instant; at
     equal instants the ends come first."""
-    table = JobTable.of(jobs)
     community = community_users or {}
     if not len(table):
         return []

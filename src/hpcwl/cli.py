@@ -18,6 +18,7 @@ from datetime import date
 from . import appident, backlog, report, statmodels, synth
 from .errors import HpcwlError, SchemaError
 from .ingest import (
+    _as_day,
     build_dataset,
     builtin_resources,
     load_allocations,
@@ -147,6 +148,13 @@ def _cmd_classify(args, config) -> int:
     return EXIT_OK
 
 
+def _date_range(start, end) -> tuple[date, date]:
+    """A [start, end) pair of dates, each a ``YYYY-MM-DD`` string as in the
+    input files."""
+    raw = {"start": start, "end": end}
+    return _as_day(raw, 0, "start"), _as_day(raw, 0, "end")
+
+
 def _cmd_metric(args, config) -> int:
     ctx = _build_context(args, config)
     params = {}
@@ -158,7 +166,7 @@ def _cmd_metric(args, config) -> int:
             params[key] = value
     spec = report.ReportSpec(
         name=f"metric-{args.name}",
-        date_range=(date.fromisoformat(args.start), date.fromisoformat(args.end)),
+        date_range=_date_range(args.start, args.end),
         analyses=((args.name, params),),
         output_dir=args.outdir,
     )
@@ -232,8 +240,7 @@ def _cmd_report(args, config) -> int:
             raw = json.load(handle)
         spec = report.ReportSpec(
             name=raw["name"],
-            date_range=(date.fromisoformat(raw["date_range"][0]),
-                        date.fromisoformat(raw["date_range"][1])),
+            date_range=_date_range(*raw["date_range"]),
             analyses=tuple((a["analysis"], a.get("params", {}))
                            for a in raw["analyses"]),
             filters=_spec_filters(raw.get("filters", {})),

@@ -177,9 +177,6 @@ class JobRecord:
         return utc_date(self.end_time)
 
 
-Jobs = Sequence[JobRecord] | JobTable  # what an analysis takes
-
-
 @dataclass(frozen=True, slots=True)
 class FactorWindow:
     """One [start, end) validity window of a local-SU -> XD-SU factor."""
@@ -422,14 +419,21 @@ def _as_int64(raw: Mapping, row: int, name: str) -> int:
     return value
 
 
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _as_flag(raw: Mapping, row: int, name: str) -> bool:
-    """A flag field, never malformed: a string is true when it is "1",
-    "true" or "yes" (any case, surrounding whitespace ignored), any other
-    value by its truth; absent is False."""
-    value = raw.get(name, False)
-    if isinstance(value, str):
-        return value.strip().lower() in ("1", "true", "yes")
-    return bool(value)
+    """A flag field: true, false, 0 or 1, or one of the strings "1",
+    "true", "yes", "0", "false" and "no" (any case, surrounding whitespace
+    ignored); absent, null and "" are False."""
+    value = raw.get(name)
+    if type(value) is str:
+        value = _FLAGS.get(value.strip().lower(), value)
+    if value is None or value == "":
+        return False
+    if type(value) in (bool, int) and value in (0, 1):
+        return bool(value)
+    raise SchemaError(row, name)
 
 
 # the reader of each record annotation but an Enum, which _as_enum reads
@@ -898,9 +902,7 @@ def resource_from_dict(raw: Mapping) -> ResourceSpec:
     1-based index instead)."""
     if not isinstance(raw, Mapping):
         raise SchemaError(0, "name", "a resource description must be an object")
-    name = str(raw.get("name", ""))
-    if not name:
-        raise SchemaError(0, "name", "resource without a name")
+    name = _as_str(raw, 0, "name")
     if not raw.get("nodes") or not raw.get("cores_per_node"):
         raise MissingGeometry(name)
     try:

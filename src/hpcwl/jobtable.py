@@ -201,14 +201,13 @@ class JobTable:
     has_gateway_user: np.ndarray  # bool: the gateway user is not None ("" is a name)
 
     @classmethod
-    def of(cls, jobs: JobTable | Sequence[JobRecord],
+    def of(cls, jobs: Sequence[JobRecord],
            resources: Mapping[str, ResourceSpec] | None = None) -> JobTable:
-        """The table of ``jobs``, in their order; a JobTable is returned as
-        it is, and a sequence that carries its ``JobColumns`` (as loaded
-        jobs do) is built from them without reading a record.
-        ``resources`` gives the SU factor, XD SU and type columns."""
-        if isinstance(jobs, JobTable):
-            return jobs
+        """The table of job records, in their order: the one place a record
+        list becomes the table every analysis takes.  A sequence that
+        carries its ``JobColumns`` (as loaded jobs do) is built from them
+        without reading a record.  ``resources`` gives the SU factor, XD SU
+        and type columns."""
         columns = getattr(jobs, "columns", None)
         if not isinstance(columns, JobColumns):
             columns = JobColumns.of_records(jobs)

@@ -49,7 +49,6 @@ from .rollups import (
     average_job_size,
     average_job_size_series,
     average_job_size_variants,
-    effective_cores,
     job_size_distribution,
     single_node_serial_fractions,
     usage_rollup,

@@ -9,8 +9,7 @@ import numpy as np
 
 from ..ingest import ResourceSpec
 from ..jobtable import Codes, JobTable, group_totals, labelled
-from .perfcolumns import PerfColumns, Summaries
-from .rollups import Jobs
+from .perfcolumns import PerfColumns
 
 NA_BUCKET = "N/A"
 
@@ -72,18 +71,17 @@ def _thread_buckets(resource: Codes, median: np.ndarray,
         resources[resource.names[p // width]].cores_per_node))
 
 
-def concurrency_histograms(jobs: Jobs,
-                           summaries: PerfColumns | Summaries,
+def concurrency_histograms(table: JobTable,
+                           perf: PerfColumns,
                            resources: Mapping[str, ResourceSpec],
                            bands: Sequence[int] = (32, 68),
                            period: str = "quarter") -> ConcurrencyResult:
     """Node-hour occupancy by runnable threads, XD SU by launch type over
-    time, and XD SU by processes-per-node band.  Jobs without performance
-    data land in the N/A rows rather than disappearing; jobs on a resource
+    time, and XD SU by processes-per-node band.  A job without performance
+    data lands in the N/A rows rather than disappearing; jobs on a resource
     with no description are left out, and jobs with no SU factor count in
     the node-hours only."""
-    table = JobTable.of(jobs, resources)
-    perf = PerfColumns.of(table, summaries)
+    perf.check(table)
     described = ~np.isnan(table.per_resource(resources, lambda spec: spec.cores_per_node))
     median = perf.runnable_threads_median
     result = ConcurrencyResult()
@@ -91,8 +89,9 @@ def concurrency_histograms(jobs: Jobs,
         table.resource.take(described),
         _thread_buckets(table.resource.take(described), median[described], resources),
         table.node_hours[described])
-    charged = described & ~np.isnan(table.xd_su)
-    su = table.xd_su[charged]
+    xd_su = table.weights("xd_su")
+    charged = described & ~np.isnan(xd_su)
+    su = xd_su[charged]
     result.launch_type_xd_su = group_totals(table.periods(period).take(charged),
                                             perf.launch_type.take(charged), su)
     result.process_bands_xd_su = dict.fromkeys(band_labels(bands), 0.0)

@@ -9,12 +9,10 @@ usage is consumed by the (100-x)% of projects above that depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..errors import EmptyProfile
-from ..ingest import JobRecord
 from ..jobtable import JobTable
 from ..stats import total
 
@@ -56,13 +54,12 @@ class WidthCurves:
     usage_fraction: tuple[float, ...]
 
 
-def depth_profile(jobs: Sequence[JobRecord] | JobTable, by: str = "cores",
+def depth_profile(table: JobTable, by: str = "cores",
                   window_year: int | None = None) -> DepthProfile:
     """Per-project depth, usage and job count, optionally for one calendar
     year (jobs assigned to years by end time, UTC)."""
     if by not in ("cores", "nodes"):
         raise ValueError("by must be cores or nodes")
-    table = JobTable.of(jobs)
     if window_year is not None:
         table = table.take(table.year.isin((str(window_year),)))
     project = table.project

@@ -5,8 +5,8 @@ attributed to a gateway by that account (the default and tightest rule), by
 any allocation its community users ever charged (a wider net), or by
 allocations tagged as gateway grants.  Gateway end-user identities are only
 meaningful within one gateway, so census keys are namespaced per gateway.
-Each function takes job records or a ``JobTable`` and computes on the
-table's columns.
+Each function takes a ``JobTable`` (``gateway_usage`` one built with the
+resource map, for its XD SU) and computes on its columns.
 """
 from __future__ import annotations
 
@@ -18,9 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..ingest import AllocationRecord, ResourceSpec, utc_date
+from ..ingest import AllocationRecord, utc_date
 from ..jobtable import Codes, JobTable, group_totals, one_group
-from .rollups import Jobs
 
 MODES = ("community_user", "associated_allocation", "gateway_tagged")
 UNTAGGED_GATEWAY = "(untagged-gateway)"
@@ -75,10 +74,9 @@ def _entries(outer: Codes, gateway: Codes, columns: tuple[np.ndarray, ...]
                 for g in inner} for o, inner in totals[0].items()}
 
 
-def gateway_usage(jobs: Jobs,
+def gateway_usage(table: JobTable,
                   allocations: Sequence[AllocationRecord],
                   community_users: Mapping[str, str],
-                  resources: Mapping[str, ResourceSpec],
                   mode: str = "community_user",
                   period: str = "quarter") -> GatewayUsage:
     """Per-gateway job counts and SU totals under one attribution mode.
@@ -89,7 +87,6 @@ def gateway_usage(jobs: Jobs,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    table = JobTable.of(jobs, resources)
     xd_su, periods = table.weights("xd_su"), table.periods(period)
     gateway_of_user = [community_users.get(name) for name in table.user.names]
     usage = GatewayUsage(mode=mode)
@@ -163,7 +160,7 @@ def _firsts(key: np.ndarray, time: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return key[start], time[start], np.diff(start, append=len(key))
 
 
-def gateway_census(jobs: Jobs,
+def gateway_census(table: JobTable,
                    community_users: Mapping[str, str],
                    period: str = "quarter",
                    reliability_date: date = DEFAULT_RELIABILITY_DATE) -> list[CensusRow]:
@@ -174,7 +171,6 @@ def gateway_census(jobs: Jobs,
     unique within one gateway.  New-gateway counts are lower bounds before
     the reliability date.
     """
-    table = JobTable.of(jobs)
     periods = table.periods(period)
     n_periods = len(periods.names)
     gw = table.has_gateway_user
@@ -203,7 +199,7 @@ class ConversionRow:
     first_xsede_job: date
 
 
-def gateway_conversion(jobs: Jobs,
+def gateway_conversion(table: JobTable,
                        community_users: Mapping[str, str],
                        user_email: Mapping[str, str],
                        min_xsede_jobs: int = 10) -> list[ConversionRow]:
@@ -213,7 +209,6 @@ def gateway_conversion(jobs: Jobs,
     gateway job precedes their first personal job and who ran strictly more
     than min_xsede_jobs personal jobs are reported.
     """
-    table = JobTable.of(jobs)
     gateway, pair = _gateway_users(table, community_users)
     gw = table.has_gateway_user
     personal = ~gw & table.user.isin(user_email)

@@ -13,8 +13,7 @@ import numpy as np
 
 from ..jobtable import SECONDS_PER_DAY, JobTable, day_date
 from .histograms import Histogram1D, log_edges
-from .perfcolumns import PerfColumns, Summaries
-from .rollups import Jobs
+from .perfcolumns import PerfColumns
 
 METRICS = ("file_opens", "bytes_read", "bytes_written", "read_rate", "write_rate")
 
@@ -35,8 +34,8 @@ class LustreStats:
     daily: list[tuple[date, float, float]] = field(default_factory=list)
 
 
-def lustre_stats(jobs: Jobs,
-                 summaries: PerfColumns | Summaries,
+def lustre_stats(table: JobTable,
+                 perf: PerfColumns,
                  normalize: str = "per_job",
                  edges: Mapping[str, Sequence[float]] | None = None) -> LustreStats:
     """Distributions of filesystem activity per job, unweighted and
@@ -49,8 +48,7 @@ def lustre_stats(jobs: Jobs,
     """
     if normalize not in ("per_job", "per_node_hour"):
         raise ValueError(f"unknown normalization {normalize!r}")
-    table = JobTable.of(jobs)
-    perf = PerfColumns.of(table, summaries)
+    perf.check(table)
     wall = table.end - table.start
     rx, tx, opens = perf.lustre_rx, perf.lustre_tx, perf.file_opens
     duration = np.maximum(wall, 1)

@@ -1,6 +1,6 @@
 """Memory usage distributions built from per-job performance summaries.
 
-Jobs without memory data are never dropped: their weight goes to the
+A job without memory data is never dropped: its weight goes to the
 histogram's absent bucket (or is totaled separately for the large-memory
 breakdown) so consumers can see how much usage the plots cannot represent.
 """
@@ -21,8 +21,7 @@ from .histograms import (
     fraction_edges,
     log_edges,
 )
-from .perfcolumns import PerfColumns, Summaries
-from .rollups import Jobs
+from .perfcolumns import PerfColumns
 
 
 def node_mem_available(spec: ResourceSpec, queue: str) -> float | None:
@@ -60,18 +59,17 @@ def _known_weights(table: JobTable, weight: str) -> np.ndarray:
     return np.where(np.isnan(w), 0.0, w)
 
 
-def memory_histograms(jobs: Jobs,
-                      summaries: PerfColumns | Summaries,
+def memory_histograms(table: JobTable,
+                      perf: PerfColumns,
                       resources: Mapping[str, ResourceSpec],
                       mode: str = "per_core_avg",
                       weight: str = "core_hours",
                       edges: Sequence[float] | None = None) -> Histogram1D:
     """Histogram of per-core memory (bytes), average or peak, weighted.
-    Jobs with no SU factor weigh 0.0 under "xd_su"."""
+    A job with no SU factor weighs 0.0 under "xd_su"."""
     if mode not in ("per_core_avg", "per_core_max"):
         raise ValueError(f"unknown mode {mode!r}")
-    table = JobTable.of(jobs, resources)
-    perf = PerfColumns.of(table, summaries)
+    perf.check(table)
     values = perf.mem_avg_per_core if mode == "per_core_avg" else perf.mem_max_per_core
     return Histogram1D.of(tuple(edges) if edges else default_memory_edges(), values,
                           _known_weights(table, weight), weight_kind=weight)
@@ -81,8 +79,8 @@ X_AXES = ("fraction_cores_of_system", "cpu_user_fraction", "nodes")
 Y_AXES = ("fraction_mem_used", "total_peak_mem")
 
 
-def memory_2d(jobs: Jobs,
-              summaries: PerfColumns | Summaries,
+def memory_2d(table: JobTable,
+              perf: PerfColumns,
               resources: Mapping[str, ResourceSpec],
               x: str = "cpu_user_fraction",
               y: str = "fraction_mem_used",
@@ -90,8 +88,8 @@ def memory_2d(jobs: Jobs,
               x_edges: Sequence[float] | None = None,
               y_edges: Sequence[float] | None = None) -> Histogram2D:
     """2-D histogram pairing a memory measure with a job-shape measure.
-    Jobs with no summary or on a resource with no description are absent
-    (both y measures are NaN for them).
+    A job with no summary or on a resource with no description is absent
+    (both y measures are NaN for it).
 
     ``fraction_mem_used`` is the average per-core memory scaled by the
     node's core count over the node memory of the job's queue, which
@@ -105,8 +103,7 @@ def memory_2d(jobs: Jobs,
         x_edges = default_job_size_edges() if x == "nodes" else fraction_edges()
     if y_edges is None:
         y_edges = (log_edges(8, 15) if y == "total_peak_mem" else fraction_edges())
-    table = JobTable.of(jobs, resources)
-    perf = PerfColumns.of(table, summaries)
+    perf.check(table)
     cores_per_node = table.per_resource(resources, lambda spec: spec.cores_per_node)
     if x == "fraction_cores_of_system":
         xv = table.cores / table.per_resource(resources, lambda spec: spec.total_cores)
@@ -134,8 +131,8 @@ class LargeMemoryBreakdown:
     absent_xd_su: float = 0.0  # usage that memory data cannot represent
 
 
-def large_memory_breakdown(jobs: Jobs,
-                           summaries: PerfColumns | Summaries,
+def large_memory_breakdown(table: JobTable,
+                           perf: PerfColumns,
                            resources: Mapping[str, ResourceSpec],
                            normal_threshold: float = 0.8,
                            large_threshold: float = 0.1) -> LargeMemoryBreakdown:
@@ -143,11 +140,10 @@ def large_memory_breakdown(jobs: Jobs,
 
     Normal-queue jobs qualify above normal_threshold of node memory at peak;
     large-memory-queue jobs above large_threshold of the large node memory.
-    Jobs on a resource with no description or with no SU factor are left
+    A job on a resource with no description or with no SU factor is left
     out; jobs with no peak memory count in ``absent_xd_su``.
     """
-    table = JobTable.of(jobs, resources)
-    perf = PerfColumns.of(table, summaries)
+    perf.check(table)
     available, on_large_queue = _node_memory(table, resources)
     fraction = (perf.mem_max_per_core
                 * table.per_resource(resources, lambda spec: spec.cores_per_node) / available)
@@ -157,8 +153,9 @@ def large_memory_breakdown(jobs: Jobs,
     series[~on_large_queue & (fraction > normal_threshold)] = 1
     series[np.isnan(fraction)] = 2
     # a job with no SU factor (which includes an unknown resource) counts nowhere
-    counted = ~np.isnan(table.xd_su)
-    su = table.xd_su[counted]
+    xd_su = table.weights("xd_su")
+    counted = ~np.isnan(xd_su)
+    su = xd_su[counted]
     series = series[counted]
     totals = np.bincount(series, su, minlength=4).astype(np.float64).tolist()
     high = series < 2

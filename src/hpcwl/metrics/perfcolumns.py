@@ -18,8 +18,6 @@ from ..appident import NOT_AVAILABLE
 from ..jobtable import Codes, JobTable
 from ..perfsummary import JobPerfSummary, LaunchType
 
-Summaries = Mapping[str, JobPerfSummary]
-
 FLOAT_FIELDS = ("mem_avg_per_core", "mem_max_per_core", "cpu_user_fraction",
                 "runnable_threads_median", "file_opens", "lustre_rx", "lustre_tx")
 
@@ -38,7 +36,7 @@ class PerfColumns:
     app_label: Codes    # "NA" for a job with no summary
 
     @classmethod
-    def join(cls, table: JobTable, summaries: Summaries) -> PerfColumns:
+    def join(cls, table: JobTable, summaries: Mapping[str, JobPerfSummary]) -> PerfColumns:
         """Each row's summary, looked up by the row's job id."""
         found = list(map(summaries.get, table.job_id.tolist()))
         summarized = np.array([s is not None for s in found], dtype=bool)
@@ -56,15 +54,11 @@ class PerfColumns:
                    app_label=_codes(list(map(attrgetter("app_label"), have)), summarized,
                                     NOT_AVAILABLE))
 
-    @classmethod
-    def of(cls, table: JobTable, summaries: PerfColumns | Summaries) -> PerfColumns:
-        """The columns of ``table``'s rows; PerfColumns are returned as they
-        are and must have the table's length."""
-        if not isinstance(summaries, PerfColumns):
-            return cls.join(table, summaries)
-        if len(summaries.summarized) != len(table):
+    def check(self, table: JobTable) -> None:
+        """Raise ValueError unless the columns have ``table``'s length (a
+        length-1 column would otherwise broadcast over every row)."""
+        if len(self.summarized) != len(table):
             raise ValueError("performance columns and job table differ in length")
-        return summaries
 
     def take(self, rows: np.ndarray) -> PerfColumns:
         """The rows a boolean mask or an index array selects, in order."""

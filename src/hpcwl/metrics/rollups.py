@@ -1,21 +1,20 @@
 """Usage rollups over time periods and job-trend metrics.
 
-Jobs are assigned to calendar periods (UTC) by their end time: the SU charge
+A job is assigned to a calendar period (UTC) by its end time: the SU charge
 is booked when the job ends, and XD SU conversion uses the factor in effect
-on that date.  Each function takes job records or a ``JobTable`` and
-computes on the table's columns.
+on that date.  Each function takes a ``JobTable``, built with the resource
+map where a weight or size needs the XD SU factor, and computes on its
+columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import EmptyGroup
-from ..ingest import JobRecord, Jobs, ResourceSpec
 from ..jobtable import Codes, JobTable, day_number, group_totals, one_group
 from ..stats import total
 from .histograms import Histogram1D, default_job_size_edges
@@ -62,13 +61,9 @@ class Filters:
             keep &= table.queue.isin(self.queues)
         return keep
 
-    def apply(self, jobs: Iterable[JobRecord] | JobTable) -> list[JobRecord] | JobTable:
-        """The kept jobs: of records, a list of the kept ones; of a
-        JobTable, the table of its kept rows."""
-        if isinstance(jobs, JobTable):
-            return jobs.take(self.mask(jobs))
-        jobs = list(jobs)
-        return list(compress(jobs, self.mask(JobTable.of(jobs)).tolist()))
+    def apply(self, table: JobTable) -> JobTable:
+        """The table of the rows of ``table`` that the filters keep."""
+        return table.take(self.mask(table))
 
 
 @dataclass
@@ -97,11 +92,10 @@ class RollupTable:
         return out
 
 
-def usage_rollup(jobs: Jobs, dimension: str, weight: str,
-                 period: str, resources: Mapping[str, ResourceSpec]) -> RollupTable:
+def usage_rollup(table: JobTable, dimension: str, weight: str, period: str) -> RollupTable:
     """Aggregate job weight per (period, dimension value) with period shares.
 
-    Jobs whose XD SU factor cannot be resolved are excluded from xd_su
+    A job whose XD SU factor cannot be resolved is excluded from xd_su
     weighting and counted in excluded_no_factor.  Buckets are added in the
     order of their first job, the order ``shares`` sums them in.
     """
@@ -109,7 +103,6 @@ def usage_rollup(jobs: Jobs, dimension: str, weight: str,
         raise ValueError(f"unknown dimension {dimension!r}")
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
-    table = JobTable.of(jobs, resources)
     periods, values = table.periods(period), getattr(table, dimension)
     w = table.weights(weight)
     known = ~np.isnan(w)
@@ -119,16 +112,14 @@ def usage_rollup(jobs: Jobs, dimension: str, weight: str,
     return rollup
 
 
-def job_size_distribution(jobs: Jobs,
+def job_size_distribution(table: JobTable,
                           bins: Sequence[float] | None = None,
-                          weight: str = "jobs",
-                          resources: Mapping[str, ResourceSpec] | None = None) -> Histogram1D:
+                          weight: str = "jobs") -> Histogram1D:
     """Histogram of job core counts under the given weighting.
 
-    Jobs whose weight cannot be computed (missing SU factor) land in the
+    A job whose weight cannot be computed (missing SU factor) lands in the
     absent bucket so the histogram still conserves the population count.
     """
-    table = JobTable.of(jobs, resources)
     w = table.weights(weight)
     known = ~np.isnan(w)
     # an unknown weight makes the job absent, where it counts 1.0
@@ -137,22 +128,14 @@ def job_size_distribution(jobs: Jobs,
                           weight_kind=weight)
 
 
-def effective_cores(job: JobRecord, resources: Mapping[str, ResourceSpec],
-                    kraken_factor: float) -> float:
-    """Core count scaled by the resource/reference SU-factor ratio."""
-    if kraken_factor <= 0:
-        raise ValueError("reference factor must be positive")
-    factor = resources[job.resource].factor_for(job.end_date)
-    return job.cores * factor / kraken_factor
-
-
 def _size_means(table: JobTable, groups: Codes, kraken_factor: float
                 ) -> dict[tuple[bool, bool], dict[str, float]]:
     """Mean job size per group for each (weighted_by_xd_su, effective)
-    pair; a group left with no job or no weight has no entry.  Jobs with no
-    SU factor are left out of the effective and the weighted means."""
+    pair; a group left with no job or no weight has no entry.  A job with no
+    SU factor is left out of the effective and the weighted means."""
     if kraken_factor <= 0:
         raise ValueError("reference factor must be positive")
+    xd_su = table.weights("xd_su")  # a ValueError for a table without the resource map
     factored = ~np.isnan(table.su_factor)
     in_group = groups.codes[factored]
 
@@ -162,7 +145,7 @@ def _size_means(table: JobTable, groups: Codes, kraken_factor: float
     cores = table.cores.astype(np.float64)
     sizes = {False: cores[factored],
              True: (table.cores * table.su_factor / kraken_factor)[factored]}
-    xd_su = table.xd_su[factored]
+    xd_su = xd_su[factored]
     weight = sums(in_group, xd_su)
     means = {}
     for effective in (False, True):
@@ -176,44 +159,38 @@ def _size_means(table: JobTable, groups: Codes, kraken_factor: float
     return means
 
 
-def average_job_size(jobs: Jobs,
-                     resources: Mapping[str, ResourceSpec],
+def average_job_size(table: JobTable,
                      weighted_by_xd_su: bool = False,
                      effective: bool = False,
                      kraken_factor: float = 2.04) -> float:
     """Mean job size in (effective) cores, optionally XD-SU-weighted.
 
-    Jobs with no SU factor are left out of the effective and the weighted
+    A job with no SU factor is left out of the effective and the weighted
     means; EmptyGroup is raised when no job or no weight is left.
     """
-    table = JobTable.of(jobs, resources)
     mean = _size_means(table, one_group(len(table)), kraken_factor)[weighted_by_xd_su, effective]
     if not mean:
         raise EmptyGroup("no jobs or no XD SU weight to average")
     return mean["all"]
 
 
-def average_job_size_variants(jobs: Jobs,
-                              resources: Mapping[str, ResourceSpec],
+def average_job_size_variants(table: JobTable,
                               period: str = "quarter",
                               kraken_factor: float = 2.04
                               ) -> dict[tuple[bool, bool], dict[str, float]]:
     """``average_job_size_series`` for every (weighted_by_xd_su, effective)
     pair, from one set of per-period sums."""
-    table = JobTable.of(jobs, resources)
     return _size_means(table, table.periods(period), kraken_factor)
 
 
-def average_job_size_series(jobs: Jobs,
-                            resources: Mapping[str, ResourceSpec],
+def average_job_size_series(table: JobTable,
                             period: str = "quarter",
                             weighted_by_xd_su: bool = False,
                             effective: bool = False,
                             kraken_factor: float = 2.04) -> dict[str, float]:
     """average_job_size per period, in period order; a period left with no
     job or no weight has no entry."""
-    return average_job_size_variants(jobs, resources, period,
-                                     kraken_factor)[weighted_by_xd_su, effective]
+    return average_job_size_variants(table, period, kraken_factor)[weighted_by_xd_su, effective]
 
 
 @dataclass(frozen=True)
@@ -224,19 +201,17 @@ class SingleNodeShare:
     pct_xd_su_serial: float
 
 
-def single_node_serial_fractions(jobs: Jobs,
-                                 resources: Mapping[str, ResourceSpec],
+def single_node_serial_fractions(table: JobTable,
                                  period: str = "quarter") -> list[SingleNodeShare]:
     """Per-period share of single-node jobs (by count and XD SU) and of
     serial jobs (by XD SU).  Single-node means nodes == 1; serial cores == 1.
     """
-    table = JobTable.of(jobs, resources)
-    periods = table.periods(period)
-    factored = ~np.isnan(table.xd_su)
+    periods, xd_su = table.periods(period), table.weights("xd_su")
+    factored = ~np.isnan(xd_su)
     single = table.nodes == 1
 
     def per_period(rows: np.ndarray, su: bool = False) -> list:
-        return np.bincount(periods.codes[rows], table.xd_su[rows] if su else None,
+        return np.bincount(periods.codes[rows], xd_su[rows] if su else None,
                            minlength=len(periods.names)).tolist()
 
     n_jobs, n_single = per_period(np.ones(len(table), dtype=bool)), per_period(single)

@@ -201,16 +201,14 @@ def _an_usage_rollup(ctx, filters, params):
     dimension = params.get("dimension", "parent_science")
     weight = params.get("weight", "xd_su")
     period = params.get("period", "quarter")
-    table = usage_rollup(_table(ctx, filters), dimension, weight, period,
-                         ctx.dataset.resources)
+    table = usage_rollup(_table(ctx, filters), dimension, weight, period)
     return [(f"usage_{dimension}_{weight}_{period}.csv",
              ["period", dimension, weight, "pct_share"], table.rows())]
 
 
 def _an_job_size_distribution(ctx, filters, params):
     weight = params.get("weight", "xd_su")
-    hist = job_size_distribution(_table(ctx, filters), weight=weight,
-                                 resources=ctx.dataset.resources)
+    hist = job_size_distribution(_table(ctx, filters), weight=weight)
     return [(f"job_size_distribution_{weight}.csv", ["bin", "lo", "hi", weight],
              hist.rows())]
 
@@ -220,8 +218,7 @@ def _an_average_core_counts(ctx, filters, params):
     variants = {}
     for exclude_osg in (False, True):
         f = dataclasses.replace(filters, exclude_osg=exclude_osg)
-        series = average_job_size_variants(_table(ctx, f), ctx.dataset.resources,
-                                           kraken_factor=kraken_factor)
+        series = average_job_size_variants(_table(ctx, f), kraken_factor=kraken_factor)
         for (weighted, effective), means in series.items():
             key = ("osg_excl" if exclude_osg else "osg_incl",
                    "weighted" if weighted else "unweighted",
@@ -236,8 +233,7 @@ def _an_average_core_counts(ctx, filters, params):
 def _an_single_node_serial(ctx, filters, params):
     exclude_osg = filters.exclude_osg or params.get("exclude_osg", True)
     shares = single_node_serial_fractions(
-        _table(ctx, dataclasses.replace(filters, exclude_osg=exclude_osg)),
-        ctx.dataset.resources)
+        _table(ctx, dataclasses.replace(filters, exclude_osg=exclude_osg)))
     rows = [(s.period, s.pct_jobs_single_node, s.pct_xd_su_single_node,
              s.pct_xd_su_serial) for s in shares]
     return [("single_node_serial.csv",
@@ -449,7 +445,7 @@ def _an_periodogram(ctx, filters, params):
 def _an_gateway_usage(ctx, filters, params):
     mode = params.get("mode", "community_user")
     usage = gateway_usage(_table(ctx, filters), ctx.dataset.allocations,
-                          ctx.community_users, ctx.dataset.resources, mode=mode)
+                          ctx.community_users, mode=mode)
     totals = [(gw, usage.per_gateway[gw]["job_count"],
                usage.per_gateway[gw]["local_su"], usage.per_gateway[gw]["xd_su"])
               for gw in sorted(usage.per_gateway)]
@@ -484,8 +480,7 @@ def _an_gateway_conversion(ctx, filters, params):
 
 
 def _an_geo(ctx, filters, params):
-    table = usage_rollup(_table(ctx, filters), "state", "xd_su", "year",
-                         ctx.dataset.resources)
+    table = usage_rollup(_table(ctx, filters), "state", "xd_su", "year")
     usage_by_state: dict[str, float] = {}
     for _, state, weight, _ in table.rows():
         usage_by_state[state] = usage_by_state.get(state, 0.0) + weight

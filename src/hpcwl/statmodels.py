@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInput, NonConvergence, SeparationDetected
-from .ingest import ExitStatus, Jobs
+from .ingest import ExitStatus
 from .jobtable import JobTable, one_group
 
 SECONDS_PER_DAY = 86400.0
@@ -338,9 +338,8 @@ def _wald_p(beta: float, se: float) -> float:
     return math.erfc(abs(beta / se) / math.sqrt(2.0))
 
 
-def model_covariate(jobs: Jobs, model: str) -> tuple[np.ndarray, int]:
+def model_covariate(table: JobTable, model: str) -> tuple[np.ndarray, int]:
     """The model's x per job; returns (x, clamped_row_count)."""
-    table = JobTable.of(jobs)
     nodes = table.nodes.astype(float)
     if model == "nodes_linear":
         return nodes, 0
@@ -354,7 +353,7 @@ def model_covariate(jobs: Jobs, model: str) -> tuple[np.ndarray, int]:
     raise ValueError(f"unknown model {model!r}")
 
 
-def fit_node_fail(jobs: Jobs, model: str = "nodes_linear",
+def fit_node_fail(table: JobTable, model: str = "nodes_linear",
                   include_failed: bool = False,
                   max_iter: int = 100) -> LogisticFit:
     """Fit failure probability against job size (or wall-time^nodes).
@@ -365,13 +364,12 @@ def fit_node_fail(jobs: Jobs, model: str = "nodes_linear",
     failure_statuses = {ExitStatus.NODE_FAIL.value}
     if include_failed:
         failure_statuses.add(ExitStatus.FAILED.value)
-    pool = JobTable.of(jobs)
     if model == "walltime_pow_nodes":
-        pool = pool.take(pool.end > pool.start)
-    if not len(pool):
+        table = table.take(table.end > table.start)
+    if not len(table):
         raise DegenerateInput("no usable jobs")
-    y = pool.exit_status.isin(failure_statuses).astype(float)
-    x, clamped = model_covariate(pool, model)
+    y = table.exit_status.isin(failure_statuses).astype(float)
+    x, clamped = model_covariate(table, model)
     beta, cov, iterations = fit_logistic(x, y, max_iter=max_iter)
     se = np.sqrt(np.diag(cov))
     return LogisticFit(
@@ -382,7 +380,7 @@ def fit_node_fail(jobs: Jobs, model: str = "nodes_linear",
         p_value1=_wald_p(beta[1], se[1]),
         converged=True,
         iterations=iterations,
-        n_used=len(pool),
+        n_used=len(table),
         n_failures=int(y.sum()),
         n_clamped=clamped,
     )
@@ -391,11 +389,10 @@ def fit_node_fail(jobs: Jobs, model: str = "nodes_linear",
 # ---------------------------------------------------------------------------
 # exit codes
 
-def exit_code_table(jobs: Jobs,
+def exit_code_table(table: JobTable,
                     group_by_resource: bool = True) -> dict[str, dict[str, int]]:
     """Job counts per exit status; every status appears, absent ones as 0.
     Groups are in the order of their first job."""
-    table = JobTable.of(jobs)
     groups = table.resource if group_by_resource else one_group(len(table))
     statuses = [status.value for status in ExitStatus]
     position = np.array([statuses.index(name) for name in table.exit_status.names], np.int64)

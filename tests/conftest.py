@@ -15,6 +15,8 @@ from hpcwl.ingest import (
     ResourceSpec,
     ResourceType,
 )
+from hpcwl.jobtable import JobTable
+from hpcwl.metrics import PerfColumns
 
 # 2015-08-01T00:00:00Z
 T0 = 1438387200
@@ -49,6 +51,14 @@ def make_job(job_id="j1", resource="TESTMACHINE", user="alice",
         nodes=nodes, cores=cores, queue=queue, exit_status=exit_status,
         local_su_charged=cores * wall_hours if local_su is None else local_su,
         **kwargs)
+
+
+def perf_columns(jobs, summaries, resources=None):
+    """The jobs' table, built with ``resources``, and the summaries joined to
+    it: the first two arguments of the memory, Lustre and concurrency
+    analyses."""
+    table = JobTable.of(jobs, resources)
+    return table, PerfColumns.join(table, summaries)
 
 
 def make_allocation(charge_number="TG-001", resource="TESTMACHINE",

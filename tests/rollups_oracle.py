@@ -38,7 +38,6 @@ from hpcwl.metrics import (
     Histogram2D,
     LargeMemoryBreakdown,
     LustreStats,
-    effective_cores,
     period_key,
 )
 from hpcwl.metrics.concurrency import band_labels, process_band, thread_bucket
@@ -185,6 +184,15 @@ def job_size_distribution(jobs: Sequence[JobRecord],
         except (NoFactorForDate, KeyError):
             hist.absent += 1.0
     return hist
+
+
+def effective_cores(job: JobRecord, resources: Mapping[str, ResourceSpec],
+                    kraken_factor: float) -> float:
+    """Core count scaled by the resource/reference SU-factor ratio."""
+    if kraken_factor <= 0:
+        raise ValueError("reference factor must be positive")
+    factor = resources[job.resource].factor_for(job.end_date)
+    return job.cores * factor / kraken_factor
 
 
 def average_job_size(jobs: Sequence[JobRecord],

@@ -16,7 +16,9 @@ from hpcwl import appident, synth
 from hpcwl.backlog import backlog_series, capacity_for_percentile, required_nodes_at_submit
 from hpcwl.errors import SeparationDetected
 from hpcwl.ingest import ExitStatus, builtin_resources, su_convert
+from hpcwl.jobtable import JobTable
 from hpcwl.metrics import (
+    PerfColumns,
     job_size_distribution,
     joint_ratio,
     lustre_stats,
@@ -204,12 +206,12 @@ def test_criterion_4_effective_cores():
                             nodes=int(n), cores=int(n) * 12,
                             local_su=float(rng.uniform(1, 1e4)))
                    for i, n in enumerate(rng.integers(1, 500, 400))]
-    actual = average_job_size(kraken_jobs, resources, effective=False)
-    effective = average_job_size(kraken_jobs, resources, effective=True,
-                                 kraken_factor=2.04)
+    kraken = JobTable.of(kraken_jobs, resources)
+    actual = average_job_size(kraken, effective=False)
+    effective = average_job_size(kraken, effective=True, kraken_factor=2.04)
     assert abs(effective - actual) <= 1e-9 * actual
-    weighted_actual = average_job_size(kraken_jobs, resources, True, False)
-    weighted_effective = average_job_size(kraken_jobs, resources, True, True, 2.04)
+    weighted_actual = average_job_size(kraken, True, False)
+    weighted_effective = average_job_size(kraken, True, True, 2.04)
     assert abs(weighted_effective - weighted_actual) <= 1e-9 * weighted_actual
 
     # mixed trace vs a per-job brute-force recomputation
@@ -222,7 +224,7 @@ def test_criterion_4_effective_cores():
                               submit=T0 + i * 3600, nodes=nodes,
                               cores=nodes * spec.cores_per_node,
                               local_su=float(rng.uniform(1, 1e4))))
-    got = average_job_size(mixed, resources, weighted_by_xd_su=True,
+    got = average_job_size(JobTable.of(mixed, resources), weighted_by_xd_su=True,
                            effective=True, kraken_factor=2.04)
     num = den = 0.0
     for job in mixed:
@@ -272,7 +274,8 @@ def test_criterion_5_backlog_capacity_oracle():
     oracle_queued = queued_mask @ nodes
     oracle_running = running_mask @ nodes
 
-    series = backlog_series(jobs).points
+    table = JobTable.of(jobs)
+    series = backlog_series(table).points
     index = {int(t): k for k, t in enumerate(grid)}
     checked = 0
     for point in series:
@@ -285,7 +288,7 @@ def test_criterion_5_backlog_capacity_oracle():
                                 for t in (j.submit_time, j.start_time, j.end_time)})
     assert checked == distinct_event_times > 1000
 
-    required = required_nodes_at_submit(jobs)
+    required = required_nodes_at_submit(table)
     oracle_required = []
     for job in jobs:
         k = index[job.submit_time]
@@ -294,13 +297,13 @@ def test_criterion_5_backlog_capacity_oracle():
 
     ordered = sorted(oracle_required)
     for target in (0.5, 0.9, 0.95, 0.99):
-        estimate = capacity_for_percentile(jobs, "TESTMACHINE", target)
+        estimate = capacity_for_percentile(table, "TESTMACHINE", target)
         idx = max(1, math.ceil(target * len(ordered))) - 1
         assert estimate.nodes_required == ordered[idx]
 
     for trial in range(50):
-        small = _minute_trace(np.random.default_rng(1000 + trial), 120,
-                              span_minutes=1000, prefix=f"t{trial}_")
+        small = JobTable.of(_minute_trace(np.random.default_rng(1000 + trial), 120,
+                                          span_minutes=1000, prefix=f"t{trial}_"))
         c95 = capacity_for_percentile(small, "TESTMACHINE", 0.95).nodes_required
         c99 = capacity_for_percentile(small, "TESTMACHINE", 0.99).nodes_required
         assert c99 >= c95
@@ -353,7 +356,7 @@ def test_criterion_7_logistic_recovery():
                      exit_status=(ExitStatus.NODE_FAIL if fails[i]
                                   else ExitStatus.COMPLETED))
             for i in range(n)]
-    fit = fit_node_fail(jobs, model="nodes_linear")
+    fit = fit_node_fail(JobTable.of(jobs), model="nodes_linear")
     err0 = abs(fit.beta0 - (-6.0)) / 6.0
     err1 = abs(fit.beta1 - 0.002) / 0.002
     assert err0 < 0.05 and err1 < 0.05
@@ -460,7 +463,8 @@ def test_criterion_9_histogram_conservation():
     bundle = synth.make_synthetic_dataset(seed=99, n_jobs=1500)
     jobs = list(bundle.dataset.jobs)
     resources = bundle.dataset.resources
-    summaries = bundle.summaries
+    table = bundle.dataset.job_table
+    perf = PerfColumns.join(table, bundle.summaries)
 
     def check(total, expected):
         assert abs(total - expected) <= 1e-9 * max(1.0, abs(expected))
@@ -473,22 +477,21 @@ def test_criterion_9_histogram_conservation():
             job.node_hours if weight == "node_hours" else
             job.local_su_charged * resources[job.resource].factor_for(job.end_date)
             for job in jobs)
-        hist = job_size_distribution(jobs, weight=weight, resources=resources)
+        hist = job_size_distribution(table, weight=weight)
         check(hist.grand_total(), expected)
         n_checked += 1
         for mode in ("per_core_avg", "per_core_max"):
-            mem = memory_histograms(jobs, summaries, resources, mode=mode,
-                                    weight=weight)
+            mem = memory_histograms(table, perf, resources, mode=mode, weight=weight)
             check(mem.grand_total(), expected)
             n_checked += 1
         for x, y in (("cpu_user_fraction", "fraction_mem_used"),
                      ("fraction_cores_of_system", "fraction_mem_used"),
                      ("nodes", "total_peak_mem")):
-            h2 = memory_2d(jobs, summaries, resources, x=x, y=y, weight=weight)
+            h2 = memory_2d(table, perf, resources, x=x, y=y, weight=weight)
             check(h2.grand_total(), expected)
             n_checked += 1
 
-    stats = lustre_stats(jobs, summaries)
+    stats = lustre_stats(table, perf)
     expected_nh = sum(j.node_hours for j in jobs)
     for metric, hist in stats.unweighted.items():
         check(hist.grand_total(), float(len(jobs)))

@@ -14,6 +14,7 @@ from hpcwl.backlog import (
     wait_stats,
 )
 from hpcwl.errors import EmptyGroup
+from hpcwl.jobtable import JobTable
 
 MIN = 60
 
@@ -50,7 +51,7 @@ def make_random_trace(rng, n_jobs=40, span_minutes=2000):
 
 def test_single_job_backlog_window():
     job = trace_job("a", 0, 60, 120, nodes=4)
-    points = backlog_series([job]).points
+    points = backlog_series(JobTable.of([job])).points
     by_time = {p.time: p for p in points}
     assert by_time[job.submit_time].queued_nodes == 4
     assert by_time[job.submit_time].queued_core_years > 0
@@ -65,7 +66,7 @@ def test_single_job_backlog_window():
 def test_two_overlapping_queued_jobs_sum():
     jobs = [trace_job("a", 0, 100, 200, nodes=2),
             trace_job("b", 50, 100, 160, nodes=3)]
-    points = {p.time: p for p in backlog_series(jobs).points}
+    points = {p.time: p for p in backlog_series(JobTable.of(jobs)).points}
     t = T0 + 50 * MIN
     assert points[t].queued_nodes == 5
     expected_cs = (jobs[0].cores * jobs[0].wall_seconds
@@ -81,7 +82,7 @@ def test_five_job_series_matches_per_minute_oracle():
         trace_job("d", 45, 45, 100, nodes=8),   # starts immediately
         trace_job("e", 95, 120, 125, nodes=1),
     ]
-    points = backlog_series(jobs).points
+    points = backlog_series(JobTable.of(jobs)).points
     assert points  # sanity
     for point in points:
         cs, running, queued = brute_force_state(jobs, point.time)
@@ -100,8 +101,8 @@ def test_five_job_series_matches_per_minute_oracle():
 def test_daily_sampling_agrees_with_event_at_shared_times():
     jobs = [trace_job("a", 0, 2000, 4000, nodes=3),
             trace_job("b", 500, 3000, 9000, nodes=5)]
-    event = {p.time: p for p in backlog_series(jobs, sampling="event").points}
-    daily = backlog_series(jobs, sampling="daily").points
+    event = {p.time: p for p in backlog_series(JobTable.of(jobs), sampling="event").points}
+    daily = backlog_series(JobTable.of(jobs), sampling="daily").points
     assert daily  # spans several days
     for point in daily:
         cs, running, queued = brute_force_state(jobs, point.time)
@@ -114,8 +115,8 @@ def test_daily_sampling_agrees_with_event_at_shared_times():
 def test_removing_a_job_never_increases_backlog():
     rng = np.random.default_rng(7)
     jobs = make_random_trace(rng, n_jobs=25)
-    base = {p.time: p for p in backlog_series(jobs).points}
-    reduced = backlog_series(jobs[1:]).points
+    base = {p.time: p for p in backlog_series(JobTable.of(jobs)).points}
+    reduced = backlog_series(JobTable.of(jobs[1:])).points
     for point in reduced:
         if point.time in base:
             assert point.queued_core_seconds <= base[point.time].queued_core_seconds
@@ -125,7 +126,7 @@ def test_removing_a_job_never_increases_backlog():
 def test_infeasible_running_flagged():
     tiny = make_resource(nodes=2)
     jobs = [trace_job("a", 0, 0, 100, nodes=2), trace_job("b", 0, 0, 100, nodes=1)]
-    series = backlog_series(jobs, spec=tiny)
+    series = backlog_series(JobTable.of(jobs), spec=tiny)
     assert series.infeasible_times
 
 
@@ -133,7 +134,7 @@ def test_infeasible_running_flagged():
 
 def test_constant_waits():
     jobs = [trace_job(f"j{i}", 0, 60, 120 + i) for i in range(5)]
-    stats = wait_stats(jobs)["TESTMACHINE"]
+    stats = wait_stats(JobTable.of(jobs))["TESTMACHINE"]
     assert stats.q1_hours == stats.median_hours == stats.q3_hours == 1.0
     assert stats.mean_hours == 1.0
     assert stats.core_hour_weighted_mean_hours == pytest.approx(1.0)
@@ -143,7 +144,7 @@ def test_weighted_mean_hand_arithmetic():
     # waits 1h and 3h with core-hour weights 1 and 3
     jobs = [trace_job("a", 0, 60, 120, nodes=1, cores=1),
             trace_job("b", 0, 180, 360, nodes=1, cores=1)]
-    stats = wait_stats(jobs)["TESTMACHINE"]
+    stats = wait_stats(JobTable.of(jobs))["TESTMACHINE"]
     assert stats.mean_hours == pytest.approx(2.0)
     assert stats.core_hour_weighted_mean_hours == pytest.approx(2.5)
 
@@ -152,7 +153,7 @@ def test_quartiles_match_sorted_list_oracle():
     waits_hours = [1, 2, 3, 4, 5, 6, 7, 8]
     jobs = [trace_job(f"j{i}", 0, w * 60, w * 60 + 60, cores=16)
             for i, w in enumerate(waits_hours)]
-    stats = wait_stats(jobs)["TESTMACHINE"]
+    stats = wait_stats(JobTable.of(jobs))["TESTMACHINE"]
     # sorted-list linear interpolation: pos = q*(n-1)
     assert stats.q1_hours == pytest.approx(1 + 0.25 * 7)   # 2.75
     assert stats.median_hours == pytest.approx(4.5)
@@ -162,7 +163,7 @@ def test_quartiles_match_sorted_list_oracle():
 
 def test_empty_group_raises():
     with pytest.raises(EmptyGroup):
-        wait_stats([])
+        wait_stats(JobTable.of([]))
 
 
 # --- capacity --------------------------------------------------------------------
@@ -170,14 +171,14 @@ def test_empty_group_raises():
 def test_single_job_capacity_at_any_target():
     job = trace_job("a", 0, 60, 120, nodes=4)
     for target in (0.5, 0.95, 0.99):
-        estimate = capacity_for_percentile([job], "TESTMACHINE", target)
+        estimate = capacity_for_percentile(JobTable.of([job]), "TESTMACHINE", target)
         assert estimate.nodes_required == 4
 
 
 def test_capacity_matches_brute_force_oracle():
     rng = np.random.default_rng(42)
     jobs = make_random_trace(rng, n_jobs=20)
-    required = required_nodes_at_submit(jobs)
+    required = required_nodes_at_submit(JobTable.of(jobs))
     # oracle: recompute R_j pointwise per job, then take the same quantile
     oracle = []
     for job in jobs:
@@ -185,7 +186,7 @@ def test_capacity_matches_brute_force_oracle():
         oracle.append(running + queued)
     assert required == oracle
     for target in (0.5, 0.9, 0.95, 0.99):
-        estimate = capacity_for_percentile(jobs, "TESTMACHINE", target)
+        estimate = capacity_for_percentile(JobTable.of(jobs), "TESTMACHINE", target)
         ordered = sorted(oracle)
         k = max(1, math.ceil(target * len(ordered))) - 1
         assert estimate.nodes_required == ordered[k]
@@ -194,32 +195,33 @@ def test_capacity_matches_brute_force_oracle():
 def test_jobs_sharing_an_id_each_count_once():
     jobs = [trace_job("42", 0, 0, 100, nodes=10), trace_job("42", 10, 10, 100, nodes=10),
             trace_job("7", 200, 200, 300, nodes=1)]
-    assert required_nodes_at_submit(jobs) == [10, 20, 1]
-    assert capacity_for_percentile(jobs, "TESTMACHINE", 0.5).nodes_required == 10
+    table = JobTable.of(jobs)
+    assert required_nodes_at_submit(table) == [10, 20, 1]
+    assert capacity_for_percentile(table, "TESTMACHINE", 0.5).nodes_required == 10
     distinct = [dataclasses.replace(job, job_id=str(i)) for i, job in enumerate(jobs)]
-    assert capacity_for_percentile(distinct, "TESTMACHINE", 0.5).nodes_required == 10
+    assert capacity_for_percentile(JobTable.of(distinct), "TESTMACHINE", 0.5).nodes_required == 10
 
 
 def test_capacity_monotone_in_target():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        jobs = make_random_trace(rng, n_jobs=30)
-        c95 = capacity_for_percentile(jobs, "TESTMACHINE", 0.95).nodes_required
-        c99 = capacity_for_percentile(jobs, "TESTMACHINE", 0.99).nodes_required
+        table = JobTable.of(make_random_trace(rng, n_jobs=30))
+        c95 = capacity_for_percentile(table, "TESTMACHINE", 0.95).nodes_required
+        c99 = capacity_for_percentile(table, "TESTMACHINE", 0.99).nodes_required
         assert c99 >= c95
 
 
 def test_capacity_near_one_is_the_submit_time_maximum():
     rng = np.random.default_rng(13)
-    jobs = make_random_trace(rng, n_jobs=50)
-    top = capacity_for_percentile(jobs, "TESTMACHINE", 0.999999).nodes_required
-    assert top == max(required_nodes_at_submit(jobs))
+    table = JobTable.of(make_random_trace(rng, n_jobs=50))
+    top = capacity_for_percentile(table, "TESTMACHINE", 0.999999).nodes_required
+    assert top == max(required_nodes_at_submit(table))
 
 
 def test_capacity_cores_and_ratio():
     spec = make_resource(nodes=10, cores_per_node=16)
     job = trace_job("a", 0, 60, 120, nodes=5)
-    estimate = capacity_for_percentile([job], "TESTMACHINE", 0.95, spec=spec)
+    estimate = capacity_for_percentile(JobTable.of([job]), "TESTMACHINE", 0.95, spec=spec)
     assert estimate.cores_required == 80
     assert estimate.ratio_to_actual == pytest.approx(0.5)
 
@@ -228,7 +230,7 @@ def test_time_weighted_variant_available():
     jobs = [trace_job("a", 0, 100, 200, nodes=8),
             trace_job("b", 150, 160, 170, nodes=1)]
     # required nodes over [0, 200): 8 for 180 s, 9 for 20 s
-    required = {q: capacity_for_percentile(jobs, "TESTMACHINE", q,
+    required = {q: capacity_for_percentile(JobTable.of(jobs), "TESTMACHINE", q,
                                            time_weighted=True).nodes_required
                 for q in (0.5, 0.9, 0.96)}
     # at q = 0.9 the cumulative weight of 8 nodes is exactly 0.9 * 200
@@ -241,7 +243,7 @@ def test_three_overlapping_jobs_depth_three():
     jobs = [trace_job("a", 0, 100, 200, user="u1"),
             trace_job("b", 10, 100, 150, user="u1"),
             trace_job("c", 20, 100, 130, user="u1")]
-    rows = user_queue_depth(jobs)
+    rows = user_queue_depth(JobTable.of(jobs))
     assert rows[0].max_depth == 3
     assert rows[0].job_count == 3
 
@@ -250,7 +252,7 @@ def test_sequential_jobs_depth_one():
     jobs = [trace_job("a", 0, 10, 100, user="u1"),
             trace_job("b", 100, 110, 200, user="u1"),  # starts as 'a' ends
             trace_job("c", 250, 260, 300, user="u1")]
-    assert user_queue_depth(jobs)[0].max_depth == 1
+    assert user_queue_depth(JobTable.of(jobs))[0].max_depth == 1
 
 
 def test_depth_matches_brute_force_sweep():
@@ -261,7 +263,7 @@ def test_depth_matches_brute_force_sweep():
         jobs.append(trace_job(f"j{i}", submit, submit + int(rng.integers(0, 50)),
                               submit + int(rng.integers(51, 200)),
                               user=f"u{int(rng.integers(3))}"))
-    rows = {r.user: r for r in user_queue_depth(jobs)}
+    rows = {r.user: r for r in user_queue_depth(JobTable.of(jobs))}
     for user in {j.user for j in jobs}:
         mine = [j for j in jobs if j.user == user]
         brute_max = max(
@@ -274,6 +276,6 @@ def test_depth_matches_brute_force_sweep():
 def test_community_category_label():
     jobs = [trace_job("a", 0, 10, 20, user="cipres_comm"),
             trace_job("b", 0, 10, 20, user="alice")]
-    rows = {r.user: r for r in user_queue_depth(jobs, {"cipres_comm": "Cipres"})}
+    rows = {r.user: r for r in user_queue_depth(JobTable.of(jobs), {"cipres_comm": "Cipres"})}
     assert rows["cipres_comm"].category == "community"
     assert rows["alice"].category == "regular"

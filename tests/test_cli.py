@@ -265,6 +265,9 @@ RESOURCE = {"name": "M", "rtype": "HPC", "nodes": 4, "cores_per_node": 8,
     ({"production_end": "2017-W35-4"}, "production_end"),
     ({"su_factors": [{"start": "20120101", "factor": 1.5}]}, "su_factors"),
     ({"su_factors": [{"start": "2012-01-01", "end": 20130101, "factor": 1.5}]}, "su_factors"),
+    # a name is a string, never a number or a list read by its repr
+    ({"name": 7}, "name"),
+    ({"name": ["M"]}, "name"),
 ])
 def test_malformed_resource_file_is_input_error(tmp_path, capsys, change, field):
     broken = {k: v for k, v in {**RESOURCE, "name": "N", **change}.items()
@@ -315,6 +318,22 @@ def test_report_spec_bad_filters_are_input_errors(tmp_path, capsys, filters, key
     assert code == EXIT_INPUT
     assert err.startswith("input error: spec: ") and repr(key) in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("day", ["20150701", "2015-W36-2"])
+def test_cli_dates_are_yyyy_mm_dd_strings(tmp_path, capsys, day):
+    # date.fromisoformat reads both on Python 3.11 and neither on 3.10
+    demo = ("--demo", "--demo-jobs", "20")
+    code, _, err = run(capsys, "metric", "usage_rollup", *demo, "--start", day,
+                       "--outdir", str(tmp_path / "metric"))
+    assert code == EXIT_INPUT and err.startswith("input error: ")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "dates", "date_range": ["2015-07-01", day],
+                                "analyses": [{"analysis": "usage_rollup"}]}))
+    code, _, err = run(capsys, "report", *demo, "--spec", str(spec),
+                       "--outdir", str(tmp_path / "report"))
+    assert code == EXIT_INPUT and err.startswith("input error: ")
+    assert not (tmp_path / "metric").exists() and not (tmp_path / "report").exists()
 
 
 # --- jobs from files: the report path reads columns, never records ----------

@@ -476,7 +476,7 @@ def _write_allocations(path, fmt, rows):
         write_jsonl(path, rows)
         return
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(ALLOCATION_ROW))
+        writer = csv.DictWriter(handle, fieldnames=[*ALLOCATION_ROW, "is_gateway_tagged"])
         writer.writeheader()
         writer.writerows(rows)
 
@@ -513,6 +513,11 @@ def _write_allocations(path, fmt, rows):
     ({"award_date": "2015-13-01", "resource": MISSING}, "resource"),
     ({"awarded_local_su": -5, "used_local_su": "x"}, "used_local_su"),
     ({"awarded_local_su": -5, "used_local_su": -1}, "awarded_local_su"),
+    # a gateway tag is a yes/no value: a misspelt one is not read as "no"
+    ({"is_gateway_tagged": "ture"}, "is_gateway_tagged"),
+    ({"is_gateway_tagged": 2}, "is_gateway_tagged"),
+    ({"is_gateway_tagged": 1.5}, "is_gateway_tagged"),
+    ({"is_gateway_tagged": ["yes"]}, "is_gateway_tagged"),
 ])
 def test_malformed_allocation_row_is_rejected_for_its_field(tmp_path, fmt, changes, field):
     path = tmp_path / f"allocations.{fmt}"
@@ -523,6 +528,18 @@ def test_malformed_allocation_row_is_rejected_for_its_field(tmp_path, fmt, chang
     with pytest.raises(SchemaError) as err:
         load_allocations(path, fmt)
     assert (err.value.row, err.value.field) == (1, field)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_gateway_tag_reads_yes_and_no_values(tmp_path, fmt):
+    tags = [(True, True), (False, False), (1, True), (0, False), (" YES ", True),
+            ("no", False), ("True", True), ("0", False), ("", False), (None, False),
+            (MISSING, False)]
+    path = tmp_path / f"allocations.{fmt}"
+    _write_allocations(path, fmt, [dict(ALLOCATION_ROW, is_gateway_tagged=value)
+                                   for value, _ in tags])
+    assert [a.is_gateway_tagged for a in load_allocations(path, fmt)] == [
+        tagged for _, tagged in tags]
 
 
 @pytest.mark.parametrize("changes,message", [

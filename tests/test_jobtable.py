@@ -119,11 +119,11 @@ def test_rollups_equal_the_oracle(jobs):
     for period in PERIODS:
         for dimension in DIMENSIONS:
             for weight in WEIGHTS:
-                assert repr(usage_rollup(table, dimension, weight, period, RESOURCES)) == repr(
+                assert repr(usage_rollup(table, dimension, weight, period)) == repr(
                     oracle.usage_rollup(jobs, dimension, weight, period, RESOURCES))
-        assert repr(single_node_serial_fractions(table, RESOURCES, period)) == repr(
+        assert repr(single_node_serial_fractions(table, period)) == repr(
             oracle.single_node_serial_fractions(jobs, RESOURCES, period))
-        variants = average_job_size_variants(table, RESOURCES, period, kraken_factor=2.04)
+        variants = average_job_size_variants(table, period, kraken_factor=2.04)
         for (weighted, effective), series in variants.items():
             assert repr(series) == repr(oracle.average_job_size_series(
                 jobs, RESOURCES, period, weighted, effective, 2.04))
@@ -132,16 +132,16 @@ def test_rollups_equal_the_oracle(jobs):
             oracle.job_size_distribution(jobs, weight=weight, resources=RESOURCES))
     for weighted in (False, True):
         for effective in (False, True):
-            assert _outcome(lambda: average_job_size(
-                table, RESOURCES, weighted, effective)) == _outcome(
+            assert _outcome(lambda: average_job_size(table, weighted, effective)) == _outcome(
                 lambda: oracle.average_job_size(jobs, RESOURCES, weighted, effective))
 
 
 @settings(max_examples=60, deadline=None)
 @given(jobs_strategy(), st.sampled_from((None, 1969, 1970, 2015, 2016)))
 def test_depth_profile_equals_the_oracle(jobs, window_year):
+    table = JobTable.of(jobs)
     for by in ("cores", "nodes"):
-        assert repr(depth_profile(jobs, by, window_year)) == repr(
+        assert repr(depth_profile(table, by, window_year)) == repr(
             oracle.depth_profile(jobs, by, window_year))
 
 
@@ -153,7 +153,6 @@ def test_depth_profile_equals_the_oracle(jobs, window_year):
     exclude_resources=st.sampled_from((frozenset(), {"GHOST"})),
     queues=st.sampled_from((None, {"shared"})), exclude_osg=st.booleans()))
 def test_filters_equal_the_oracle(jobs, filters):
-    assert filters.apply(jobs) == [job for job in jobs if oracle.keep(filters, job)]
     table = JobTable.of(jobs, RESOURCES)
     assert filters.apply(table).row.tolist() == [
         i for i, job in enumerate(jobs) if oracle.keep(filters, job)]
@@ -183,11 +182,11 @@ def trace_strategy(draw):
 @settings(max_examples=100, deadline=None)
 @given(trace_strategy())
 def test_queue_replay_equals_the_oracle(jobs):
-    spec = make_resource(nodes=5)
-    assert backlog.required_nodes_at_submit(jobs) == oracle.required_nodes(jobs)
+    spec, table = make_resource(nodes=5), JobTable.of(jobs)
+    assert backlog.required_nodes_at_submit(table) == oracle.required_nodes(jobs)
     for sampling in ("event", "daily"):
         for resource in (None, "OSG"):
-            assert repr(backlog.backlog_series(jobs, resource, sampling, spec)) == repr(
+            assert repr(backlog.backlog_series(table, resource, sampling, spec)) == repr(
                 oracle.backlog_series(jobs, resource, sampling, spec))
 
 
@@ -202,15 +201,16 @@ def ctx():
 
 def test_bundle_from_the_record_oracle_is_byte_identical(ctx, tmp_path, monkeypatch):
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "columns")))
-    jobs = ctx.dataset.jobs
+    jobs, resources = ctx.dataset.jobs, ctx.dataset.resources
 
-    def on_records(loop):
-        # the report passes rows of the dataset's table; hand the loop their records
+    def on_records(loop, **extra):
+        # the report passes rows of the dataset's table; hand the loop their
+        # records, and the resource map where the loop needs it
         def call(table, *args, **kwargs):
-            return loop([jobs[i] for i in table.row.tolist()], *args, **kwargs)
+            return loop([jobs[i] for i in table.row.tolist()], *args, **kwargs, **extra)
         return call
 
-    def variants(table, resources, period="quarter", kraken_factor=2.04):
+    def variants(table, period="quarter", kraken_factor=2.04):
         return {(w, e): oracle.average_job_size_series(
             [jobs[i] for i in table.row.tolist()], resources, period, w, e, kraken_factor)
             for w in (False, True) for e in (False, True)}
@@ -230,19 +230,21 @@ def test_bundle_from_the_record_oracle_is_byte_identical(ctx, tmp_path, monkeypa
         return call
 
     for name in ("usage_rollup", "job_size_distribution", "single_node_serial_fractions",
-                 "depth_profile"):
-        monkeypatch.setattr(report, name, on_records(getattr(oracle, name)))
+                 "gateway_usage"):
+        monkeypatch.setattr(report, name, on_records(getattr(oracle, name),
+                                                     resources=resources))
     for name in ("memory_histograms", "memory_2d", "large_memory_breakdown", "lustre_stats",
                  "concurrency_histograms"):
         monkeypatch.setattr(report, name, with_summaries(getattr(oracle, name)))
-    for name in ("gateway_usage", "gateway_census", "gateway_conversion"):
+    for name in ("depth_profile", "gateway_census", "gateway_conversion"):
         monkeypatch.setattr(report, name, on_records(getattr(oracle, name)))
     for name in ("backlog_series", "wait_stats", "user_queue_depth"):
         monkeypatch.setattr(report.backlog_mod, name, on_records(getattr(oracle, name)))
     for name in ("exit_code_table", "fit_node_fail"):
         monkeypatch.setattr(report.statmodels, name, on_records(getattr(oracle, name)))
     monkeypatch.setitem(report.ANALYSES, "periodogram", lambda run_ctx, filters, params:
-                        oracle.periodogram(filters.apply(jobs), params))
+                        oracle.periodogram([job for job in jobs if oracle.keep(filters, job)],
+                                           params))
     monkeypatch.setattr(report, "average_job_size_variants", variants)
     monkeypatch.setattr(report.backlog_mod, "capacity_estimates", capacity_estimates)
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "records")))

@@ -3,7 +3,7 @@ from datetime import date
 
 import pytest
 
-from conftest import T0, make_job
+from conftest import T0, make_job, perf_columns
 from hpcwl.metrics import concurrency_histograms, geo_normalize, lustre_stats
 from hpcwl.metrics.concurrency import process_band, thread_bucket
 from hpcwl.perfsummary import JobPerfSummary, LaunchType
@@ -21,7 +21,7 @@ def lustre_summary(job, rx=0.0, tx=0.0, opens=0.0, runnable=None,
 def test_per_node_hour_normalization(test_resources):
     # 10 GB read over 2 node-hours -> 5 GB per node-hour
     job = make_job(nodes=2, cores=32, end=T0 + 600 + 3600)
-    stats = lustre_stats([job], {job.job_id: lustre_summary(job, rx=10 * GB)},
+    stats = lustre_stats(*perf_columns([job], {job.job_id: lustre_summary(job, rx=10 * GB)}),
                          normalize="per_node_hour")
     hist = stats.unweighted["bytes_read"]
     populated = [(lo, hi) for (lo, hi, w) in
@@ -36,7 +36,7 @@ def test_daily_aggregates_sum_same_day(test_resources):
     j2 = make_job(job_id="b", submit=T0 + 7200)
     summaries = {"a": lustre_summary(j1, rx=3 * GB, tx=1 * GB),
                  "b": lustre_summary(j2, rx=2 * GB, tx=5 * GB)}
-    stats = lustre_stats([j1, j2], summaries)
+    stats = lustre_stats(*perf_columns([j1, j2], summaries))
     assert len(stats.daily) == 1
     day, rx, tx = stats.daily[0]
     assert day == date(2015, 8, 1)
@@ -48,7 +48,7 @@ def test_multi_day_job_apportioned_by_overlap():
     # 12h on day one, 12h on day two
     start = T0 + 12 * 3600
     job = make_job(submit=start - 600, start=start, end=start + 24 * 3600)
-    stats = lustre_stats([job], {job.job_id: lustre_summary(job, rx=10 * GB)})
+    stats = lustre_stats(*perf_columns([job], {job.job_id: lustre_summary(job, rx=10 * GB)}))
     assert len(stats.daily) == 2
     assert stats.daily[0][1] == pytest.approx(5 * GB)
     assert stats.daily[1][1] == pytest.approx(5 * GB)
@@ -60,7 +60,7 @@ def test_weighted_vs_unweighted_match_oracle(test_resources):
             make_job(job_id="c", nodes=4, cores=64)]
     reads = {"a": 1e6, "b": 1e9, "c": 1e12}
     summaries = {j.job_id: lustre_summary(j, rx=reads[j.job_id]) for j in jobs}
-    stats = lustre_stats(jobs, summaries)
+    stats = lustre_stats(*perf_columns(jobs, summaries))
     hist_u = stats.unweighted["bytes_read"]
     hist_w = stats.node_hour_weighted["bytes_read"]
     assert hist_u.grand_total() == pytest.approx(3.0)
@@ -76,7 +76,7 @@ def test_weighted_vs_unweighted_match_oracle(test_resources):
 
 def test_jobs_without_summaries_counted_absent(test_resources):
     job = make_job()
-    stats = lustre_stats([job], {})
+    stats = lustre_stats(*perf_columns([job], {}))
     assert stats.unweighted["bytes_read"].absent == 1.0
     assert stats.node_hour_weighted["bytes_read"].absent == pytest.approx(job.node_hours)
 
@@ -109,7 +109,8 @@ def test_concurrency_conserves_node_hours(test_resources):
         "b": lustre_summary(jobs[1], runnable=40.0, launch=LaunchType.MULTI_PROCESS),
         # job c has no summary -> N/A rows
     }
-    result = concurrency_histograms(jobs, summaries, test_resources)
+    result = concurrency_histograms(*perf_columns(jobs, summaries, test_resources),
+                                    test_resources)
     per = result.runnable_node_hours["TESTMACHINE"]
     assert sum(per.values()) == pytest.approx(sum(j.node_hours for j in jobs))
     assert per["N/A"] == pytest.approx(jobs[2].node_hours)
@@ -126,7 +127,8 @@ def test_launch_type_series(test_resources):
         "a": lustre_summary(jobs[0], runnable=1.0, launch=LaunchType.SERIAL),
         "b": lustre_summary(jobs[1], runnable=16.0, launch=LaunchType.MULTI_PROCESS),
     }
-    result = concurrency_histograms(jobs, summaries, test_resources)
+    result = concurrency_histograms(*perf_columns(jobs, summaries, test_resources),
+                                    test_resources)
     period = "2015-Q3"
     assert result.launch_type_xd_su[period]["serial"] == pytest.approx(8.0)
     assert result.launch_type_xd_su[period]["multi_process"] == pytest.approx(12.0)

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from conftest import T0, make_job, make_resource
 from hpcwl.ingest import ResourceType, builtin_resources
+from hpcwl.jobtable import JobTable
 from hpcwl.metrics import (
     Filters,
     average_job_size,
-    effective_cores,
     job_size_distribution,
     single_node_serial_fractions,
     usage_rollup,
 )
+from rollups_oracle import effective_cores
 
 # 2010-06-01, inside Kraken's 2.04 window and Stampede's production overlap
 KRAKEN_T = 1275350400
@@ -26,7 +27,8 @@ def real_resources():
 
 def test_two_jobs_same_quarter_full_share(test_resources):
     jobs = [make_job(job_id="a", local_su=30.0), make_job(job_id="b", local_su=70.0)]
-    table = usage_rollup(jobs, "parent_science", "xd_su", "quarter", test_resources)
+    table = usage_rollup(JobTable.of(jobs, test_resources), "parent_science", "xd_su",
+                         "quarter")
     rows = table.rows()
     assert len(rows) == 1
     period, value, total, share = rows[0]
@@ -41,8 +43,8 @@ def test_exclude_osg_filter(test_resources):
                                      nodes=1000, cores_per_node=1)
     jobs = [make_job(job_id="h", resource="OSG", nodes=1, cores=1),
             make_job(job_id="k")]
-    table = usage_rollup(Filters(exclude_osg=True).apply(jobs), "resource", "jobs",
-                         "quarter", resources)
+    table = usage_rollup(Filters(exclude_osg=True).apply(JobTable.of(jobs, resources)),
+                         "resource", "jobs", "quarter")
     assert [row[1] for row in table.rows()] == ["TESTMACHINE"]
 
 
@@ -52,21 +54,22 @@ def test_queue_and_resource_filters(test_resources):
     jobs = [make_job(job_id="a", queue="shared"),
             make_job(job_id="b", queue="normal"),
             make_job(job_id="c", queue="shared", resource="OTHER")]
+    table = JobTable.of(jobs, resources)
     shared_only = Filters(queues=frozenset({"shared"}))
-    assert [j.job_id for j in shared_only.apply(jobs)] == ["a", "c"]
+    assert shared_only.apply(table).job_id.tolist() == ["a", "c"]
     not_other = Filters(exclude_resources=frozenset({"OTHER"}))
-    assert [j.job_id for j in not_other.apply(jobs)] == ["a", "b"]
+    assert not_other.apply(table).job_id.tolist() == ["a", "b"]
     only_other = Filters(resources=frozenset({"OTHER"}))
-    assert [j.job_id for j in only_other.apply(jobs)] == ["c"]
+    assert only_other.apply(table).job_id.tolist() == ["c"]
     window = Filters(start=date(2015, 8, 1), end=date(2015, 8, 2))
-    assert len(window.apply(jobs)) == 3
+    assert len(window.apply(table)) == 3
 
 
 def test_job_without_factor_excluded_from_xd_rollup(real_resources):
     good = make_job(job_id="g", resource="TACC-STAMPEDE")
     bad = make_job(job_id="b", resource="NICS-KRAKEN")  # 2015: no Kraken factor
-    table = usage_rollup([good, bad], "resource", "xd_su", "quarter",
-                         real_resources)
+    table = usage_rollup(JobTable.of([good, bad], real_resources), "resource", "xd_su",
+                         "quarter")
     assert table.excluded_no_factor == 1
     assert list(table.totals["2015-Q3"]) == ["TACC-STAMPEDE"]
 
@@ -85,7 +88,8 @@ def test_twelve_job_fixture_matches_hand_table(test_resources):
             (q4, "Physics", 45), (q4, "Physics", 50)]):
         jobs.append(make_job(job_id=f"j{i}", submit=when,
                              parent_science=science, local_su=float(su)))
-    table = usage_rollup(jobs, "parent_science", "xd_su", "quarter", test_resources)
+    table = usage_rollup(JobTable.of(jobs, test_resources), "parent_science", "xd_su",
+                         "quarter")
     # hand table (local SU sums x factor 2.0):
     #   2015-Q3: Chemistry 80, Physics 120  -> shares 40 / 60
     #   2015-Q4: Chemistry 90, Physics 200  -> shares 31.03 / 68.97
@@ -107,16 +111,25 @@ def test_period_shares_sum_to_100(cases):
     jobs = [make_job(job_id=f"j{i}", submit=T0 + day * 86400,
                      parent_science=science, local_su=su)
             for i, (science, su, day) in enumerate(cases)]
-    table = usage_rollup(jobs, "parent_science", "xd_su", "quarter", resources)
+    table = usage_rollup(JobTable.of(jobs, resources), "parent_science", "xd_su", "quarter")
     for period in table.totals:
         if sum(table.totals[period].values()) > 0:
             assert sum(table.shares(period).values()) == pytest.approx(100.0, abs=1e-6)
 
 
+def test_xd_su_analyses_need_a_table_built_with_the_resource_map():
+    table = JobTable.of([make_job()])
+    for compute in (lambda: usage_rollup(table, "resource", "xd_su", "year"),
+                    lambda: average_job_size(table),
+                    lambda: single_node_serial_fractions(table)):
+        with pytest.raises(ValueError, match="needs the resource map"):
+            compute()
+
+
 # --- job size distribution ---------------------------------------------------
 
 def test_single_core_job_in_first_bin(test_resources):
-    hist = job_size_distribution([make_job(cores=1, nodes=1)], weight="jobs")
+    hist = job_size_distribution(JobTable.of([make_job(cores=1, nodes=1)]), weight="jobs")
     assert hist.weights[0] == 1.0
     assert hist.labels()[0] == "1"
     assert hist.grand_total() == 1.0
@@ -125,7 +138,7 @@ def test_single_core_job_in_first_bin(test_resources):
 def test_adjacent_bins_at_power_edge(test_resources):
     jobs = [make_job(job_id="a", cores=1024, nodes=64),
             make_job(job_id="b", cores=1025, nodes=65)]
-    hist = job_size_distribution(jobs, weight="jobs")
+    hist = job_size_distribution(JobTable.of(jobs), weight="jobs")
     edges = hist.edges
     labels = hist.labels()
     bin_a = labels[[i for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
@@ -139,14 +152,13 @@ def test_adjacent_bins_at_power_edge(test_resources):
 def test_weight_conservation(test_resources):
     jobs = [make_job(job_id=f"j{i}", cores=2 ** i, nodes=max(1, 2 ** i // 16))
             for i in range(10)]
-    hist = job_size_distribution(jobs, weight="core_hours",
-                                 resources=test_resources)
+    hist = job_size_distribution(JobTable.of(jobs, test_resources), weight="core_hours")
     assert hist.grand_total() == pytest.approx(sum(j.core_hours for j in jobs),
                                                rel=1e-12)
 
 
 def test_oversize_jobs_land_in_tail_bin():
-    hist = job_size_distribution([make_job(cores=200000, nodes=12500)])
+    hist = job_size_distribution(JobTable.of([make_job(cores=200000, nodes=12500)]))
     assert hist.labels()[-1] == ">131072"
     assert hist.weights[-1] == 1.0
     assert hist.overflow == 0.0  # the tail bin is explicit, not overflow
@@ -162,9 +174,9 @@ def kraken_job(job_id="k1", cores=16, **kwargs):
 
 def test_all_kraken_effective_equals_actual(real_resources):
     jobs = [kraken_job(job_id=f"k{i}", cores=12 * (i + 1)) for i in range(5)]
-    actual = average_job_size(jobs, real_resources, effective=False)
-    effective = average_job_size(jobs, real_resources, effective=True,
-                                 kraken_factor=2.04)
+    table = JobTable.of(jobs, real_resources)
+    actual = average_job_size(table, effective=False)
+    effective = average_job_size(table, effective=True, kraken_factor=2.04)
     assert effective == pytest.approx(actual, rel=1e-12)
 
 
@@ -180,7 +192,7 @@ def test_weighted_average_is_convex_combination(real_resources):
                      local_su=100.0),
             make_job(job_id="b", resource="TACC-STAMPEDE", cores=256, nodes=16,
                      local_su=10.0)]
-    avg = average_job_size(jobs, real_resources, weighted_by_xd_su=True)
+    avg = average_job_size(JobTable.of(jobs, real_resources), weighted_by_xd_su=True)
     assert 16.0 <= avg <= 256.0
 
 
@@ -188,7 +200,7 @@ def test_weighted_average_is_convex_combination(real_resources):
 
 def test_all_single_node_is_100_pct(test_resources):
     jobs = [make_job(job_id=f"j{i}", nodes=1, cores=16) for i in range(4)]
-    shares = single_node_serial_fractions(jobs, test_resources)
+    shares = single_node_serial_fractions(JobTable.of(jobs, test_resources))
     assert shares[0].pct_jobs_single_node == 100.0
     assert shares[0].pct_xd_su_single_node == 100.0
 
@@ -199,7 +211,7 @@ def test_mixed_fixture_hand_count(test_resources):
         make_job(job_id="b", nodes=1, cores=16, local_su=30.0),  # single node
         make_job(job_id="c", nodes=4, cores=64, local_su=60.0),  # multi node
     ]
-    share = single_node_serial_fractions(jobs, test_resources)[0]
+    share = single_node_serial_fractions(JobTable.of(jobs, test_resources))[0]
     assert share.pct_jobs_single_node == pytest.approx(100 * 2 / 3)
     assert share.pct_xd_su_single_node == pytest.approx(40.0)
     assert share.pct_xd_su_serial == pytest.approx(10.0)
@@ -209,5 +221,5 @@ def test_serial_share_never_exceeds_single_node_share(test_resources):
     jobs = [make_job(job_id=f"j{i}", nodes=1, cores=1 if i % 2 else 16,
                      local_su=float(i + 1)) for i in range(9)]
     jobs.append(make_job(job_id="m", nodes=2, cores=32, local_su=11.0))
-    share = single_node_serial_fractions(jobs, test_resources)[0]
+    share = single_node_serial_fractions(JobTable.of(jobs, test_resources))[0]
     assert share.pct_xd_su_serial <= share.pct_xd_su_single_node

@@ -1,5 +1,6 @@
-"""The memory, Lustre and concurrency kernels against the record-at-a-time
-oracle, by repr, and the run's one join of summaries to the job table."""
+"""The memory, Lustre and concurrency kernels, on a job table and its
+joined performance columns, against the record-at-a-time oracle, by repr,
+and the run's one join of summaries to the job table."""
 import csv
 import dataclasses
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rollups_oracle as oracle
-from conftest import GIB, make_job, make_resource
+from conftest import GIB, make_job, make_resource, perf_columns
 from hpcwl import synth
 from hpcwl.ingest import FactorWindow
 from hpcwl.jobtable import JobTable
@@ -114,47 +115,40 @@ def summaries_strategy(draw):
     return summaries
 
 
-def _forms(jobs, summaries):
-    """The same input as a table with joined columns and as records with the
-    summary mapping."""
-    table = JobTable.of(jobs, RESOURCES)
-    return [(table, PerfColumns.join(table, summaries)), (jobs, summaries)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(jobs_strategy(), summaries_strategy())
 def test_memory_kernels_equal_the_oracle(jobs, summaries):
-    for form in _forms(jobs, summaries):
-        for weight in WEIGHTS:
-            for mode in ("per_core_avg", "per_core_max"):
-                assert repr(memory_histograms(*form, RESOURCES, mode, weight)) == repr(
-                    oracle.memory_histograms(jobs, summaries, RESOURCES, mode, weight))
-            for x in X_AXES:
-                for y in Y_AXES:
-                    assert repr(memory_2d(*form, RESOURCES, x, y, weight)) == repr(
-                        oracle.memory_2d(jobs, summaries, RESOURCES, x, y, weight))
-        for thresholds in ((0.8, 0.1), (0.05, 0.5)):
-            assert repr(large_memory_breakdown(*form, RESOURCES, *thresholds)) == repr(
-                oracle.large_memory_breakdown(jobs, summaries, RESOURCES, *thresholds))
+    columns = perf_columns(jobs, summaries, RESOURCES)
+    for weight in WEIGHTS:
+        for mode in ("per_core_avg", "per_core_max"):
+            assert repr(memory_histograms(*columns, RESOURCES, mode, weight)) == repr(
+                oracle.memory_histograms(jobs, summaries, RESOURCES, mode, weight))
+        for x in X_AXES:
+            for y in Y_AXES:
+                assert repr(memory_2d(*columns, RESOURCES, x, y, weight)) == repr(
+                    oracle.memory_2d(jobs, summaries, RESOURCES, x, y, weight))
+    for thresholds in ((0.8, 0.1), (0.05, 0.5)):
+        assert repr(large_memory_breakdown(*columns, RESOURCES, *thresholds)) == repr(
+            oracle.large_memory_breakdown(jobs, summaries, RESOURCES, *thresholds))
 
 
 @settings(max_examples=80, deadline=None)
 @given(jobs_strategy(), summaries_strategy())
 def test_lustre_kernel_equals_the_oracle(jobs, summaries):
-    for form in _forms(jobs, summaries):
-        for normalize in ("per_job", "per_node_hour"):
-            assert repr(lustre_stats(*form, normalize)) == repr(
-                oracle.lustre_stats(jobs, summaries, normalize))
+    columns = perf_columns(jobs, summaries, RESOURCES)
+    for normalize in ("per_job", "per_node_hour"):
+        assert repr(lustre_stats(*columns, normalize)) == repr(
+            oracle.lustre_stats(jobs, summaries, normalize))
 
 
 @settings(max_examples=80, deadline=None)
 @given(jobs_strategy(), summaries_strategy())
 def test_concurrency_kernel_equals_the_oracle(jobs, summaries):
-    for form in _forms(jobs, summaries):
-        for bands in ((32, 68), (2, 8), (4,)):
-            for period in ("quarter", "year"):
-                assert repr(concurrency_histograms(*form, RESOURCES, bands, period)) == repr(
-                    oracle.concurrency_histograms(jobs, summaries, RESOURCES, bands, period))
+    columns = perf_columns(jobs, summaries, RESOURCES)
+    for bands in ((32, 68), (2, 8), (4,)):
+        for period in ("quarter", "year"):
+            assert repr(concurrency_histograms(*columns, RESOURCES, bands, period)) == repr(
+                oracle.concurrency_histograms(jobs, summaries, RESOURCES, bands, period))
 
 
 def test_a_day_split_at_midnight_and_a_zero_length_job():
@@ -164,7 +158,7 @@ def test_a_day_split_at_midnight_and_a_zero_length_job():
     summaries = {"a": JobPerfSummary(job_id="a", lustre_rx=400.0),
                  "b": JobPerfSummary(job_id="b", lustre_tx=8.0),
                  "c": JobPerfSummary(job_id="c", lustre_rx=1.0, lustre_tx=math.nan)}
-    assert lustre_stats(jobs, summaries).daily == [
+    assert lustre_stats(*perf_columns(jobs, summaries, RESOURCES)).daily == [
         (date(1969, 12, 31), 1.0, 0.0),
         (date(2015, 9, 30), 100.0, 0.0),
         (date(2015, 10, 1), 300.0, 8.0)]
@@ -175,12 +169,13 @@ def test_rates_of_short_jobs_divide_by_at_least_a_second():
             for job_id, wall in (("a", 0), ("b", 1), ("c", 2))]
     summaries = {job_id: JobPerfSummary(job_id=job_id, lustre_rx=600.0, file_opens=1.0)
                  for job_id in "abc"}
-    per_job = lustre_stats(jobs, summaries)
+    per_job = lustre_stats(*perf_columns(jobs, summaries, RESOURCES))
     rates = [(label, w) for label, _, _, w in per_job.unweighted["read_rate"].rows() if w]
     assert rates == [("[100, 316.22776601683796)", 1.0), ("[316.22776601683796, 1000)", 2.0)]
     # a zero-length job's node-hours are floored at 1e-12: 1e12 opens per
     # node-hour, in the open last bin [1e8, inf)
-    opens = lustre_stats(jobs[:1], summaries, "per_node_hour").unweighted["file_opens"]
+    opens = lustre_stats(*perf_columns(jobs[:1], summaries, RESOURCES),
+                         "per_node_hour").unweighted["file_opens"]
     assert opens.weights[-1] == 1.0
 
 
@@ -193,11 +188,12 @@ def test_totals_add_in_job_order():
     summaries = {job.job_id: JobPerfSummary(job_id=job.job_id, lustre_rx=value,
                                             mem_avg_per_core=1.0, runnable_threads_median=1.0)
                  for job, value in zip(jobs, rx)}
-    assert lustre_stats(jobs, summaries).daily == [(date(2015, 10, 1), total(rx), 0.0)]
+    columns = perf_columns(jobs, summaries, RESOURCES)
+    assert lustre_stats(*columns).daily == [(date(2015, 10, 1), total(rx), 0.0)]
     xd_su = total(2.0 * value for value in rx)  # factor 2.0
     assert xd_su != float(np.sum(2.0 * np.array(rx)))
-    assert memory_histograms(jobs, summaries, RESOURCES, weight="xd_su").weights[0] == xd_su
-    result = concurrency_histograms(jobs, summaries, RESOURCES)
+    assert memory_histograms(*columns, RESOURCES, weight="xd_su").weights[0] == xd_su
+    result = concurrency_histograms(*columns, RESOURCES)
     assert result.process_bands_xd_su["<=32"] == xd_su
     assert result.launch_type_xd_su == {"2015-Q4": {"unknown": xd_su}}
 
@@ -206,7 +202,7 @@ def test_summary_lengths_must_match_the_table():
     jobs = [make_job(job_id="a"), make_job(job_id="b")]
     perf = PerfColumns.join(JobTable.of(jobs[:1]), {})
     with pytest.raises(ValueError, match="differ in length"):
-        lustre_stats(jobs, perf)
+        lustre_stats(JobTable.of(jobs), perf)
 
 
 # --- in the report --------------------------------------------------------------

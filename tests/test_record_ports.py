@@ -1,8 +1,7 @@
 """The gateway, wait-time, queue-depth, exit-status, node-failure and
 periodogram kernels against the record loops (tests/rollups_oracle.py), by
-repr, in records and in table form.  The table form is the whole table with
-some rows taken, as a report passes it, so its name tables hold values no
-kept row has."""
+repr.  The kernels take the whole table with some rows taken, as a report
+passes it, so its name tables hold values no kept row has."""
 import dataclasses
 from datetime import date
 
@@ -83,7 +82,8 @@ def kept_strategy(draw, max_size=30):
 
 
 def _forms(jobs, keep):
-    """The kept jobs as records, and as rows taken from the whole table."""
+    """The kept jobs as records, for the oracle, and as rows taken from the
+    whole table."""
     table = JobTable.of(jobs, RESOURCES).take(keep)
     return [job for job, kept in zip(jobs, keep.tolist()) if kept], table
 
@@ -100,11 +100,8 @@ def _outcome(compute):
 def test_gateway_usage_equals_the_oracle(kept, period):
     records, table = _forms(*kept)
     for mode in MODES:
-        expected = repr(oracle.gateway_usage(records, ALLOCATIONS, COMMUNITY, RESOURCES,
-                                             mode, period))
-        for jobs in (records, table):
-            assert repr(gateway_usage(jobs, ALLOCATIONS, COMMUNITY, RESOURCES,
-                                      mode, period)) == expected
+        assert repr(gateway_usage(table, ALLOCATIONS, COMMUNITY, mode, period)) == repr(
+            oracle.gateway_usage(records, ALLOCATIONS, COMMUNITY, RESOURCES, mode, period))
 
 
 @settings(max_examples=80, deadline=None)
@@ -112,48 +109,43 @@ def test_gateway_usage_equals_the_oracle(kept, period):
        st.sampled_from((DEFAULT_RELIABILITY_DATE, date(2015, 10, 1), date(2016, 1, 1))))
 def test_gateway_census_equals_the_oracle(kept, period, reliability_date):
     records, table = _forms(*kept)
-    expected = repr(oracle.gateway_census(records, COMMUNITY, period, reliability_date))
-    for jobs in (records, table):
-        assert repr(gateway_census(jobs, COMMUNITY, period, reliability_date)) == expected
+    assert repr(gateway_census(table, COMMUNITY, period, reliability_date)) == repr(
+        oracle.gateway_census(records, COMMUNITY, period, reliability_date))
 
 
 @settings(max_examples=80, deadline=None)
 @given(kept_strategy(), st.integers(0, 3))
 def test_gateway_conversion_equals_the_oracle(kept, min_xsede_jobs):
     records, table = _forms(*kept)
-    expected = repr(oracle.gateway_conversion(records, COMMUNITY, EMAILS, min_xsede_jobs))
-    for jobs in (records, table):
-        assert repr(gateway_conversion(jobs, COMMUNITY, EMAILS, min_xsede_jobs)) == expected
+    assert repr(gateway_conversion(table, COMMUNITY, EMAILS, min_xsede_jobs)) == repr(
+        oracle.gateway_conversion(records, COMMUNITY, EMAILS, min_xsede_jobs))
 
 
 @settings(max_examples=80, deadline=None)
 @given(kept_strategy())
 def test_waits_depths_and_exit_codes_equal_the_oracle(kept):
     records, table = _forms(*kept)
-    for jobs in (records, table):
-        for by_resource in (False, True):
-            assert _outcome(lambda: backlog.wait_stats(jobs, by_resource)) == _outcome(
-                lambda: oracle.wait_stats(records, by_resource))
-            assert repr(statmodels.exit_code_table(jobs, by_resource)) == repr(
-                oracle.exit_code_table(records, by_resource))
-        for community in (None, COMMUNITY):
-            assert repr(backlog.user_queue_depth(jobs, community)) == repr(
-                oracle.user_queue_depth(records, community))
+    for by_resource in (False, True):
+        assert _outcome(lambda: backlog.wait_stats(table, by_resource)) == _outcome(
+            lambda: oracle.wait_stats(records, by_resource))
+        assert repr(statmodels.exit_code_table(table, by_resource)) == repr(
+            oracle.exit_code_table(records, by_resource))
+    for community in (None, COMMUNITY):
+        assert repr(backlog.user_queue_depth(table, community)) == repr(
+            oracle.user_queue_depth(records, community))
 
 
 @settings(max_examples=80, deadline=None)
 @given(kept_strategy(max_size=40), st.sampled_from(statmodels.MODELS), st.booleans())
 def test_node_fail_fit_equals_the_oracle(kept, model, include_failed):
     records, table = _forms(*kept)
-    expected = _outcome(lambda: oracle.fit_node_fail(records, model, include_failed))
-    for jobs in (records, table):
-        assert _outcome(lambda: statmodels.fit_node_fail(jobs, model, include_failed)) \
-            == expected
-        # zero wall times reach the covariate only when called directly
-        assert _outcome(lambda: [v.tolist() if isinstance(v, np.ndarray) else v
-                                 for v in statmodels.model_covariate(jobs, model)]) \
-            == _outcome(lambda: [v.tolist() if isinstance(v, np.ndarray) else v
-                                 for v in oracle.model_covariate(records, model)])
+    assert _outcome(lambda: statmodels.fit_node_fail(table, model, include_failed)) \
+        == _outcome(lambda: oracle.fit_node_fail(records, model, include_failed))
+    # zero wall times reach the covariate only when called directly
+    assert _outcome(lambda: [v.tolist() if isinstance(v, np.ndarray) else v
+                             for v in statmodels.model_covariate(table, model)]) \
+        == _outcome(lambda: [v.tolist() if isinstance(v, np.ndarray) else v
+                             for v in oracle.model_covariate(records, model)])
 
 
 def test_fixed_cases_equal_the_oracle():
@@ -174,20 +166,19 @@ def test_fixed_cases_equal_the_oracle():
         make_job(job_id="y", user="alice", submit=t - 60, start=t - 30, end=t),
     ]
     records, table = _forms(jobs, np.ones(len(jobs), dtype=bool))
-    for jobs_form in (records, table):
-        usage = gateway_usage(jobs_form, ALLOCATIONS, COMMUNITY, RESOURCES)
-        assert repr(usage) == repr(oracle.gateway_usage(records, ALLOCATIONS, COMMUNITY,
-                                                        RESOURCES))
-        assert usage.excluded_no_factor == 2
-        assert usage.per_gateway["Cipres"]["job_count"] == 3.0
-        assert usage.per_gateway["Cipres"]["xd_su"] == 2.0  # only job g has a factor
-        conversion = gateway_conversion(jobs_form, COMMUNITY, EMAILS, min_xsede_jobs=0)
-        assert [(r.gateway, r.user_key) for r in conversion] == [("Cipres", "")]
-        assert repr(conversion) == repr(oracle.gateway_conversion(records, COMMUNITY,
-                                                                  EMAILS, 0))
-        depth = {r.user: r.max_depth for r in backlog.user_queue_depth(jobs_form)}
-        assert depth["alice"] == 1
-        assert statmodels.exit_code_table(jobs_form)["TESTMACHINE"]["canceled"] == 0
+    usage = gateway_usage(table, ALLOCATIONS, COMMUNITY)
+    assert repr(usage) == repr(oracle.gateway_usage(records, ALLOCATIONS, COMMUNITY,
+                                                    RESOURCES))
+    assert usage.excluded_no_factor == 2
+    assert usage.per_gateway["Cipres"]["job_count"] == 3.0
+    assert usage.per_gateway["Cipres"]["xd_su"] == 2.0  # only job g has a factor
+    conversion = gateway_conversion(table, COMMUNITY, EMAILS, min_xsede_jobs=0)
+    assert [(r.gateway, r.user_key) for r in conversion] == [("Cipres", "")]
+    assert repr(conversion) == repr(oracle.gateway_conversion(records, COMMUNITY,
+                                                              EMAILS, 0))
+    depth = {r.user: r.max_depth for r in backlog.user_queue_depth(table)}
+    assert depth["alice"] == 1
+    assert statmodels.exit_code_table(table)["TESTMACHINE"]["canceled"] == 0
     with pytest.raises(ValueError, match="positive wall time"):
         statmodels.model_covariate(table, "walltime_pow_nodes")
 

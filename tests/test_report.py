@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from datetime import date
+from itertools import compress
 
 import pytest
 
@@ -127,12 +128,17 @@ def _files(out):
 
 def test_kept_jobs_memo_matches_filtering_afresh(ctx, tmp_path, monkeypatch):
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "memo")))
+
+    def kept(run_ctx, filters):
+        jobs = run_ctx.dataset.jobs
+        return list(compress(jobs, filters.mask(JobTable.of(jobs)).tolist()))
+
     # a table built afresh from the kept records, not rows of the dataset's
     monkeypatch.setattr(report, "_table", lambda run_ctx, filters: JobTable.of(
-        filters.apply(run_ctx.dataset.jobs), run_ctx.dataset.resources))
+        kept(run_ctx, filters), run_ctx.dataset.resources))
     # and the summaries joined afresh to those rows
     monkeypatch.setattr(report, "_perf", lambda run_ctx, filters: PerfColumns.join(
-        JobTable.of(filters.apply(run_ctx.dataset.jobs)), run_ctx.summaries))
+        JobTable.of(kept(run_ctx, filters)), run_ctx.summaries))
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "fresh")))
     assert _files(tmp_path / "memo") == _files(tmp_path / "fresh")
 

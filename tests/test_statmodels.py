@@ -6,6 +6,7 @@ import pytest
 from conftest import T0, make_job
 from hpcwl.errors import DegenerateInput, SeparationDetected
 from hpcwl.ingest import ExitStatus
+from hpcwl.jobtable import JobTable
 from hpcwl.statmodels import (
     bin_counts,
     default_frequency_grid,
@@ -187,7 +188,7 @@ def failure_jobs(n, seed, beta0=-6.0, beta1=0.002, wall_seconds=3600):
 
 
 def test_coefficient_recovery_moderate_sample():
-    fit = fit_node_fail(failure_jobs(40000, seed=3))
+    fit = fit_node_fail(JobTable.of(failure_jobs(40000, seed=3)))
     assert fit.converged
     assert abs(fit.beta0 - (-6.0)) / 6.0 < 0.1
     assert abs(fit.beta1 - 0.002) / 0.002 < 0.1
@@ -198,11 +199,11 @@ def test_all_success_is_an_error():
     jobs = [make_job(job_id=f"j{i}", exit_status=ExitStatus.COMPLETED)
             for i in range(100)]
     with pytest.raises(DegenerateInput):
-        fit_node_fail(jobs)
+        fit_node_fail(JobTable.of(jobs))
 
 
 def test_predicted_probability_monotone_in_nodes():
-    fit = fit_node_fail(failure_jobs(20000, seed=1))
+    fit = fit_node_fail(JobTable.of(failure_jobs(20000, seed=1)))
     assert fit.beta1 > 0
     probs = [fit.predict(x) for x in (1, 10, 100, 1000, 6400)]
     assert all(a < b for a, b in zip(probs, probs[1:]))
@@ -210,11 +211,11 @@ def test_predicted_probability_monotone_in_nodes():
 
 def test_fit_invariant_under_permutation():
     jobs = failure_jobs(5000, seed=7)
-    fit_a = fit_node_fail(jobs)
+    fit_a = fit_node_fail(JobTable.of(jobs))
     rng = np.random.default_rng(0)
     shuffled = list(jobs)
     rng.shuffle(shuffled)
-    fit_b = fit_node_fail(shuffled)
+    fit_b = fit_node_fail(JobTable.of(shuffled))
     assert fit_a.beta0 == pytest.approx(fit_b.beta0, rel=1e-9)
     assert fit_a.beta1 == pytest.approx(fit_b.beta1, rel=1e-9)
 
@@ -222,7 +223,7 @@ def test_fit_invariant_under_permutation():
 def test_recovery_error_decreases_with_sample_size():
     errors = []
     for n in (10**4, 10**5):
-        fit = fit_node_fail(failure_jobs(n, seed=3))
+        fit = fit_node_fail(JobTable.of(failure_jobs(n, seed=3)))
         errors.append(max(abs(fit.beta0 + 6.0) / 6.0,
                           abs(fit.beta1 - 0.002) / 0.002))
     assert errors[1] < errors[0]
@@ -255,7 +256,7 @@ def test_perfect_separation_detected():
                                   else ExitStatus.COMPLETED))
             for i, n in enumerate(list(range(1, 101)) + list(range(101, 201)))]
     with pytest.raises(SeparationDetected):
-        fit_node_fail(jobs)
+        fit_node_fail(JobTable.of(jobs))
 
 
 def test_include_failed_widens_label():
@@ -267,8 +268,8 @@ def test_include_failed_widens_label():
         jobs.append(make_job(job_id=f"j{i}", nodes=nd, cores=nd * 16,
                              exit_status=status))
     with pytest.raises(DegenerateInput):
-        fit_node_fail(jobs)  # no node_fail labels at all
-    fit = fit_node_fail(jobs, include_failed=True)
+        fit_node_fail(JobTable.of(jobs))  # no node_fail labels at all
+    fit = fit_node_fail(JobTable.of(jobs), include_failed=True)
     assert fit.n_failures == sum(1 for j in jobs
                                  if j.exit_status is ExitStatus.FAILED)
 
@@ -277,7 +278,7 @@ def test_walltime_pow_nodes_covariate_clamps():
     # tiny wall years to a large node power underflows without the clamp
     jobs = [make_job(job_id="a", nodes=400, cores=6400, end=T0 + 600 + 60),
             make_job(job_id="b", nodes=1, cores=16)]
-    x, clamped = model_covariate(jobs, "walltime_pow_nodes")
+    x, clamped = model_covariate(JobTable.of(jobs), "walltime_pow_nodes")
     assert clamped == 1
     assert np.all(np.isfinite(x))
     assert x[0] > 0
@@ -296,7 +297,7 @@ def test_walltime_model_fits_data_from_its_own_family():
         jobs.append(make_job(job_id=f"j{i}", nodes=nd, cores=nd * 16,
                              end=T0 + 600 + int(wall_years * year_seconds),
                              exit_status=status))
-    fit = fit_node_fail(jobs, model="walltime_pow_nodes")
+    fit = fit_node_fail(JobTable.of(jobs), model="walltime_pow_nodes")
     assert fit.converged
     assert math.isfinite(fit.beta1) and math.isfinite(fit.se1)
     assert abs(fit.beta1 - 0.8) / 0.8 < 0.3
@@ -308,14 +309,14 @@ def test_walltime_model_fits_data_from_its_own_family():
 def test_exit_code_counts():
     jobs = ([make_job(job_id=f"c{i}") for i in range(3)]
             + [make_job(job_id="f", exit_status=ExitStatus.FAILED)])
-    table = exit_code_table(jobs)["TESTMACHINE"]
+    table = exit_code_table(JobTable.of(jobs))["TESTMACHINE"]
     assert table["completed"] == 3
     assert table["failed"] == 1
     assert table["total"] == 4
 
 
 def test_absent_statuses_are_zero():
-    table = exit_code_table([make_job()])["TESTMACHINE"]
+    table = exit_code_table(JobTable.of([make_job()]))["TESTMACHINE"]
     for status in ("canceled", "timeout", "failed", "node_fail", "not_available"):
         assert table[status] == 0
 
@@ -325,7 +326,7 @@ def test_fixture_matches_hand_tally():
         [ExitStatus.TIMEOUT, ExitStatus.NODE_FAIL, ExitStatus.NODE_FAIL]
     jobs = [make_job(job_id=f"j{i}", exit_status=s, resource="TESTMACHINE")
             for i, s in enumerate(statuses)]
-    table = exit_code_table(jobs)["TESTMACHINE"]
+    table = exit_code_table(JobTable.of(jobs))["TESTMACHINE"]
     assert (table["completed"], table["canceled"], table["timeout"],
             table["node_fail"], table["failed"]) == (5, 2, 1, 2, 0)
     assert table["total"] == len(jobs)
