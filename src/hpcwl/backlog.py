@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyGroup
-from .ingest import ResourceSpec
 from .jobtable import SECONDS_PER_DAY, JobTable, one_group
 from .stats import inverse_cdf, quantile, total
 
@@ -59,18 +58,19 @@ def _of_resource(table: JobTable, resource: str | None) -> JobTable:
 
 
 def backlog_series(table: JobTable, resource: str | None = None,
-                   sampling: str = "event",
-                   spec: ResourceSpec | None = None) -> BacklogSeries:
+                   sampling: str = "event") -> BacklogSeries:
     """Replay one resource's trace into a queued-work series.
 
     sampling="event" emits a point at every distinct event timestamp;
     "daily" emits points at UTC midnights spanning the trace.  A point is
-    the state after every event at or before its instant.  When a
-    ResourceSpec is given, instants where running nodes exceed the machine
-    are recorded as infeasible rather than hidden.
+    the state after every event at or before its instant.  When the
+    resource is named and the table's resource map describes it, instants
+    where running nodes exceed the machine are recorded as infeasible
+    rather than hidden.
     """
     if sampling not in ("event", "daily"):
         raise ValueError(f"unknown sampling {sampling!r}")
+    spec = (table.resources or {}).get(resource)
     table = _of_resource(table, resource)
     series = BacklogSeries(resource=resource or "all", sampling=sampling)
     if not len(table):
@@ -122,14 +122,13 @@ class CapacityEstimate:
 
 def capacity_estimates(table: JobTable, resource: str,
                        targets: Sequence[float] = (0.95,),
-                       spec: ResourceSpec | None = None,
                        time_weighted: bool = False) -> list[CapacityEstimate]:
     """``capacity_for_percentile`` for each target, with R_j (or the
     required-nodes series) computed once."""
     for target in targets:
         if not 0 < target < 1:
             raise ValueError("target must be in (0, 1)")
-    pool = _of_resource(table, resource)
+    spec, pool = (table.resources or {}).get(resource), _of_resource(table, resource)
     if not len(pool):
         raise EmptyGroup(resource)
     if time_weighted:
@@ -156,16 +155,16 @@ def capacity_estimates(table: JobTable, resource: str,
 
 def capacity_for_percentile(table: JobTable, resource: str,
                             target: float = 0.95,
-                            spec: ResourceSpec | None = None,
                             time_weighted: bool = False) -> CapacityEstimate:
     """Nodes needed so the target fraction of jobs could start at submit.
 
     The default is the type 1 (inverse-CDF) quantile of R_j over the jobs'
     submit instants, one value per job; time_weighted switches to the
     duration-weighted type 1 quantile of the required-nodes series, for
-    comparison.
+    comparison.  Cores required and actual nodes are None where the
+    table's resource map does not describe the resource.
     """
-    return capacity_estimates(table, resource, (target,), spec, time_weighted)[0]
+    return capacity_estimates(table, resource, (target,), time_weighted)[0]
 
 
 @dataclass(frozen=True)

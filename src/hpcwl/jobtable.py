@@ -168,8 +168,9 @@ class JobColumns:
 
 @dataclass(frozen=True, eq=False)
 class JobTable:
-    """One row per job.  ``su_factor``, ``xd_su`` and ``rtype`` are None for
-    a table built without a resource map."""
+    """One row per job.  ``resources`` is the resource map the table was
+    built with; it, ``su_factor``, ``xd_su`` and ``rtype`` are None for a
+    table built without one."""
 
     row: np.ndarray         # position in the job sequence the table was built from
     job_id: np.ndarray      # object array of the job id strings; ids may repeat
@@ -199,6 +200,7 @@ class JobTable:
     exit_status: Codes
     gateway_user: Codes     # "" where there is none; has_gateway_user tells which
     has_gateway_user: np.ndarray  # bool: the gateway user is not None ("" is a name)
+    resources: Mapping[str, ResourceSpec] | None
 
     @classmethod
     def of(cls, jobs: Sequence[JobRecord],
@@ -237,20 +239,21 @@ class JobTable:
                    year=_period_codes(end_day, "year"),
                    core_hours=cores * hours, node_hours=nodes * hours, local_su=local_su,
                    su_factor=su_factor, xd_su=xd_su, rtype=rtype,
-                   has_gateway_user=has_gateway_user, **coded)
+                   has_gateway_user=has_gateway_user, resources=resources, **coded)
 
     def __len__(self) -> int:
         return len(self.submit)
 
     def take(self, rows: np.ndarray) -> JobTable:
         """The rows a boolean mask or an index array selects, in order; the
-        name tables are shared, so codes keep their meaning."""
+        name tables and the resource map are shared, so codes keep their
+        meaning."""
         out = {}
         for f in fields(self):
             column = getattr(self, f.name)
             if isinstance(column, Codes):
                 column = column.take(rows)
-            elif column is not None:
+            elif isinstance(column, np.ndarray):
                 column = column[rows]
             out[f.name] = column
         return JobTable(**out)
@@ -270,10 +273,12 @@ class JobTable:
             return self.xd_su
         raise ValueError(f"unknown weight {weight!r}")
 
-    def per_resource(self, resources: Mapping[str, ResourceSpec],
-                     value: Callable[[ResourceSpec], float | None]) -> np.ndarray:
+    def per_resource(self, value: Callable[[ResourceSpec], float | None]) -> np.ndarray:
         """``value(spec)`` of each row's resource as float64: NaN for a
         resource with no description or a None value."""
+        resources = self.resources
+        if resources is None:
+            raise ValueError("per_resource needs the resource map")
         per_name = np.array([value(resources[name]) if name in resources else None
                              for name in self.resource.names], dtype=np.float64)
         return per_name[self.resource.codes]

@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..ingest import ResourceSpec
 from ..jobtable import Codes, JobTable, group_totals, labelled
 from .perfcolumns import PerfColumns
 
@@ -59,21 +58,19 @@ def _present(value: float) -> float | None:
     return None if math.isnan(value) else value
 
 
-def _thread_buckets(resource: Codes, median: np.ndarray,
-                    resources: Mapping[str, ResourceSpec]) -> Codes:
+def _thread_buckets(table: JobTable, median: np.ndarray) -> Codes:
     """Each row's thread bucket, labelled once per distinct (resource,
     median) pair; every row's resource must have a description."""
     distinct, value = np.unique(median, return_inverse=True)
     width = len(distinct)
-    pair = resource.codes.astype(np.int64) * width + value.reshape(-1)
+    pair = table.resource.codes.astype(np.int64) * width + value.reshape(-1)
     return labelled(pair, lambda p: thread_bucket(
         _present(distinct[p % width].item()),
-        resources[resource.names[p // width]].cores_per_node))
+        table.resources[table.resource.names[p // width]].cores_per_node))
 
 
 def concurrency_histograms(table: JobTable,
                            perf: PerfColumns,
-                           resources: Mapping[str, ResourceSpec],
                            bands: Sequence[int] = (32, 68),
                            period: str = "quarter") -> ConcurrencyResult:
     """Node-hour occupancy by runnable threads, XD SU by launch type over
@@ -82,15 +79,14 @@ def concurrency_histograms(table: JobTable,
     with no description are left out, and jobs with no SU factor count in
     the node-hours only."""
     perf.check(table)
-    described = ~np.isnan(table.per_resource(resources, lambda spec: spec.cores_per_node))
+    described = ~np.isnan(table.per_resource(lambda spec: spec.cores_per_node))
+    table, perf = table.take(described), perf.take(described)
     median = perf.runnable_threads_median
     result = ConcurrencyResult()
-    result.runnable_node_hours = group_totals(
-        table.resource.take(described),
-        _thread_buckets(table.resource.take(described), median[described], resources),
-        table.node_hours[described])
+    result.runnable_node_hours = group_totals(table.resource, _thread_buckets(table, median),
+                                              table.node_hours)
     xd_su = table.weights("xd_su")
-    charged = described & ~np.isnan(xd_su)
+    charged = ~np.isnan(xd_su)
     su = xd_su[charged]
     result.launch_type_xd_su = group_totals(table.periods(period).take(charged),
                                             perf.launch_type.take(charged), su)

@@ -7,7 +7,7 @@ breakdown) so consumers can see how much usage the plots cannot represent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,17 +33,17 @@ def node_mem_available(spec: ResourceSpec, queue: str) -> float | None:
     return float(spec.mem_per_node)
 
 
-def _node_memory(table: JobTable, resources: Mapping[str, ResourceSpec]
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _node_memory(table: JobTable) -> tuple[np.ndarray, np.ndarray]:
     """Each row's available node memory in bytes (NaN where it is unknown or
     not positive) and whether its queue is a large-memory queue, from one
-    ``node_mem_available`` call per (resource, queue) pair."""
+    ``node_mem_available`` call per (resource, queue) pair; the table must
+    carry its resource map."""
     width = len(table.queue.names)
     pair = table.resource.codes.astype(np.int64) * width + table.queue.codes
     pairs, inverse = np.unique(pair, return_inverse=True)
     available, large = [], []
     for p in pairs.tolist():
-        spec = resources.get(table.resource.names[p // width])
+        spec = table.resources.get(table.resource.names[p // width])
         queue = table.queue.names[p % width]
         mem = None if spec is None else node_mem_available(spec, queue)
         available.append(mem if mem is not None and mem > 0 else None)
@@ -61,7 +61,6 @@ def _known_weights(table: JobTable, weight: str) -> np.ndarray:
 
 def memory_histograms(table: JobTable,
                       perf: PerfColumns,
-                      resources: Mapping[str, ResourceSpec],
                       mode: str = "per_core_avg",
                       weight: str = "core_hours",
                       edges: Sequence[float] | None = None) -> Histogram1D:
@@ -81,7 +80,6 @@ Y_AXES = ("fraction_mem_used", "total_peak_mem")
 
 def memory_2d(table: JobTable,
               perf: PerfColumns,
-              resources: Mapping[str, ResourceSpec],
               x: str = "cpu_user_fraction",
               y: str = "fraction_mem_used",
               weight: str = "core_hours",
@@ -104,15 +102,15 @@ def memory_2d(table: JobTable,
     if y_edges is None:
         y_edges = (log_edges(8, 15) if y == "total_peak_mem" else fraction_edges())
     perf.check(table)
-    cores_per_node = table.per_resource(resources, lambda spec: spec.cores_per_node)
+    cores_per_node = table.per_resource(lambda spec: spec.cores_per_node)
     if x == "fraction_cores_of_system":
-        xv = table.cores / table.per_resource(resources, lambda spec: spec.total_cores)
+        xv = table.cores / table.per_resource(lambda spec: spec.total_cores)
     elif x == "cpu_user_fraction":
         xv = perf.cpu_user_fraction
     else:
         xv = table.nodes.astype(np.float64)
     if y == "fraction_mem_used":
-        yv = perf.mem_avg_per_core * cores_per_node / _node_memory(table, resources)[0]
+        yv = perf.mem_avg_per_core * cores_per_node / _node_memory(table)[0]
     else:
         yv = perf.mem_max_per_core * cores_per_node * table.nodes
     return Histogram2D.of(tuple(x_edges), tuple(y_edges), xv, yv,
@@ -133,7 +131,6 @@ class LargeMemoryBreakdown:
 
 def large_memory_breakdown(table: JobTable,
                            perf: PerfColumns,
-                           resources: Mapping[str, ResourceSpec],
                            normal_threshold: float = 0.8,
                            large_threshold: float = 0.1) -> LargeMemoryBreakdown:
     """High-memory usage by parent science and application, in XD SU.
@@ -144,9 +141,9 @@ def large_memory_breakdown(table: JobTable,
     out; jobs with no peak memory count in ``absent_xd_su``.
     """
     perf.check(table)
-    available, on_large_queue = _node_memory(table, resources)
-    fraction = (perf.mem_max_per_core
-                * table.per_resource(resources, lambda spec: spec.cores_per_node) / available)
+    cores_per_node = table.per_resource(lambda spec: spec.cores_per_node)
+    available, on_large_queue = _node_memory(table)
+    fraction = perf.mem_max_per_core * cores_per_node / available
     # series per row: 0 large, 1 normal, 2 absent, 3 neither
     series = np.full(len(table), 3)
     series[on_large_queue & (fraction > large_threshold)] = 0

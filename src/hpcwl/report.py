@@ -281,8 +281,7 @@ def _an_width_curves(ctx, filters, params):
 def _an_memory_histogram(ctx, filters, params):
     mode = params.get("mode", "per_core_avg")
     weight = params.get("weight", "core_hours")
-    hist = memory_histograms(_table(ctx, filters), _perf(ctx, filters),
-                             ctx.dataset.resources, mode=mode, weight=weight)
+    hist = memory_histograms(_table(ctx, filters), _perf(ctx, filters), mode=mode, weight=weight)
     return [(f"memory_{mode}_{weight}.csv", ["bin", "lo_bytes", "hi_bytes", weight],
              hist.rows())]
 
@@ -291,8 +290,7 @@ def _an_memory_2d(ctx, filters, params):
     x = params.get("x", "cpu_user_fraction")
     y = params.get("y", "fraction_mem_used")
     weight = params.get("weight", "core_hours")
-    hist = memory_2d(_table(ctx, filters), _perf(ctx, filters), ctx.dataset.resources,
-                     x=x, y=y, weight=weight)
+    hist = memory_2d(_table(ctx, filters), _perf(ctx, filters), x=x, y=y, weight=weight)
     rows = []
     for i in range(len(hist.x_edges) - 1):
         for j in range(len(hist.y_edges) - 1):
@@ -307,8 +305,7 @@ def _an_memory_2d(ctx, filters, params):
 
 
 def _an_large_memory(ctx, filters, params):
-    breakdown = large_memory_breakdown(_table(ctx, filters), _perf(ctx, filters),
-                                       ctx.dataset.resources)
+    breakdown = large_memory_breakdown(_table(ctx, filters), _perf(ctx, filters))
     rows = []
     for series in sorted(breakdown.by_parent_science):
         for group, su in sorted(breakdown.by_parent_science[series].items()):
@@ -338,7 +335,6 @@ def _an_lustre(ctx, filters, params):
 
 def _an_concurrency(ctx, filters, params):
     result = concurrency_histograms(_table(ctx, filters), _perf(ctx, filters),
-                                    ctx.dataset.resources,
                                     bands=tuple(params.get("bands", (32, 68))))
     runnable = [(resource, bucket, hours)
                 for resource in sorted(result.runnable_node_hours)
@@ -373,8 +369,7 @@ def _an_backlog(ctx, filters, params):
     table = _table(ctx, filters)
     rows = []
     for resource in table.resource.present():
-        spec = ctx.dataset.resources.get(resource)
-        series = backlog_mod.backlog_series(table, resource, sampling=sampling, spec=spec)
+        series = backlog_mod.backlog_series(table, resource, sampling=sampling)
         for point in series.points:
             rows.append((resource, point.time,
                          utc_date(point.time).isoformat(),
@@ -400,10 +395,10 @@ def _an_capacity(ctx, filters, params):
     table = _table(ctx, filters)
     rows = []
     for resource in table.resource.present():
-        spec = ctx.dataset.resources.get(resource)
+        spec = table.resources.get(resource)
         row = [resource, spec.nodes if spec else None]
         cores_cells = [spec.total_cores if spec else None]
-        for est in backlog_mod.capacity_estimates(table, resource, targets, spec=spec):
+        for est in backlog_mod.capacity_estimates(table, resource, targets):
             ratio = est.ratio_to_actual
             row.append(f"{est.nodes_required} ({ratio:.2f})" if ratio is not None
                        else str(est.nodes_required))

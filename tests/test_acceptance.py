@@ -481,13 +481,13 @@ def test_criterion_9_histogram_conservation():
         check(hist.grand_total(), expected)
         n_checked += 1
         for mode in ("per_core_avg", "per_core_max"):
-            mem = memory_histograms(table, perf, resources, mode=mode, weight=weight)
+            mem = memory_histograms(table, perf, mode=mode, weight=weight)
             check(mem.grand_total(), expected)
             n_checked += 1
         for x, y in (("cpu_user_fraction", "fraction_mem_used"),
                      ("fraction_cores_of_system", "fraction_mem_used"),
                      ("nodes", "total_peak_mem")):
-            h2 = memory_2d(table, perf, resources, x=x, y=y, weight=weight)
+            h2 = memory_2d(table, perf, x=x, y=y, weight=weight)
             check(h2.grand_total(), expected)
             n_checked += 1
 

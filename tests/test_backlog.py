@@ -126,7 +126,7 @@ def test_removing_a_job_never_increases_backlog():
 def test_infeasible_running_flagged():
     tiny = make_resource(nodes=2)
     jobs = [trace_job("a", 0, 0, 100, nodes=2), trace_job("b", 0, 0, 100, nodes=1)]
-    series = backlog_series(JobTable.of(jobs), spec=tiny)
+    series = backlog_series(JobTable.of(jobs, {"TESTMACHINE": tiny}), "TESTMACHINE")
     assert series.infeasible_times
 
 
@@ -221,7 +221,8 @@ def test_capacity_near_one_is_the_submit_time_maximum():
 def test_capacity_cores_and_ratio():
     spec = make_resource(nodes=10, cores_per_node=16)
     job = trace_job("a", 0, 60, 120, nodes=5)
-    estimate = capacity_for_percentile(JobTable.of([job]), "TESTMACHINE", 0.95, spec=spec)
+    estimate = capacity_for_percentile(JobTable.of([job], {"TESTMACHINE": spec}), "TESTMACHINE",
+                                       0.95)
     assert estimate.cores_required == 80
     assert estimate.ratio_to_actual == pytest.approx(0.5)
 

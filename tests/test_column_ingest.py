@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -182,6 +183,8 @@ def _run(load, path, fmt, sink):
 def _column_state(column):
     if column is None:
         return None
+    if isinstance(column, Mapping):  # the resource map, by its names
+        return ("resources", sorted(column))
     if isinstance(column, Codes):
         return ("codes", column.names, column.codes.dtype.str, column.codes.tolist())
     return (column.dtype.str, repr(column.tolist()))

@@ -182,12 +182,13 @@ def trace_strategy(draw):
 @settings(max_examples=100, deadline=None)
 @given(trace_strategy())
 def test_queue_replay_equals_the_oracle(jobs):
-    spec, table = make_resource(nodes=5), JobTable.of(jobs)
+    resources = {"OSG": make_resource(name="OSG", nodes=5)}
+    table = JobTable.of(jobs, resources)
     assert backlog.required_nodes_at_submit(table) == oracle.required_nodes(jobs)
     for sampling in ("event", "daily"):
-        for resource in (None, "OSG"):
-            assert repr(backlog.backlog_series(table, resource, sampling, spec)) == repr(
-                oracle.backlog_series(jobs, resource, sampling, spec))
+        for resource in (None, "OSG", "TESTMACHINE"):
+            assert repr(backlog.backlog_series(table, resource, sampling)) == repr(
+                oracle.backlog_series(jobs, resource, sampling, resources.get(resource)))
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +216,8 @@ def test_bundle_from_the_record_oracle_is_byte_identical(ctx, tmp_path, monkeypa
             [jobs[i] for i in table.row.tolist()], resources, period, w, e, kraken_factor)
             for w in (False, True) for e in (False, True)}
 
-    def capacity_estimates(table, resource, targets, spec=None):
+    def capacity_estimates(table, resource, targets):
+        spec = table.resources.get(resource)
         pool = [jobs[i] for i in table.row.tolist() if jobs[i].resource == resource]
         ordered = sorted(oracle.required_nodes(pool))
         return [backlog.CapacityEstimate(
@@ -223,19 +225,22 @@ def test_bundle_from_the_record_oracle_is_byte_identical(ctx, tmp_path, monkeypa
             ordered[max(1, math.ceil(t * len(ordered))) - 1] * spec.cores_per_node
             if spec else None, spec.nodes if spec else None) for t in targets]
 
-    def with_summaries(loop):
+    def with_summaries(loop, **extra):
         # and the summary mapping in place of the joined columns
         def call(table, perf, *args, **kwargs):
-            return loop([jobs[i] for i in table.row.tolist()], ctx.summaries, *args, **kwargs)
+            return loop([jobs[i] for i in table.row.tolist()], ctx.summaries, *args, **kwargs,
+                        **extra)
         return call
 
     for name in ("usage_rollup", "job_size_distribution", "single_node_serial_fractions",
                  "gateway_usage"):
         monkeypatch.setattr(report, name, on_records(getattr(oracle, name),
                                                      resources=resources))
-    for name in ("memory_histograms", "memory_2d", "large_memory_breakdown", "lustre_stats",
+    for name in ("memory_histograms", "memory_2d", "large_memory_breakdown",
                  "concurrency_histograms"):
-        monkeypatch.setattr(report, name, with_summaries(getattr(oracle, name)))
+        monkeypatch.setattr(report, name, with_summaries(getattr(oracle, name),
+                                                         resources=resources))
+    monkeypatch.setattr(report, "lustre_stats", with_summaries(oracle.lustre_stats))
     for name in ("depth_profile", "gateway_census", "gateway_conversion"):
         monkeypatch.setattr(report, name, on_records(getattr(oracle, name)))
     for name in ("backlog_series", "wait_stats", "user_queue_depth"):

@@ -109,8 +109,7 @@ def test_concurrency_conserves_node_hours(test_resources):
         "b": lustre_summary(jobs[1], runnable=40.0, launch=LaunchType.MULTI_PROCESS),
         # job c has no summary -> N/A rows
     }
-    result = concurrency_histograms(*perf_columns(jobs, summaries, test_resources),
-                                    test_resources)
+    result = concurrency_histograms(*perf_columns(jobs, summaries, test_resources))
     per = result.runnable_node_hours["TESTMACHINE"]
     assert sum(per.values()) == pytest.approx(sum(j.node_hours for j in jobs))
     assert per["N/A"] == pytest.approx(jobs[2].node_hours)
@@ -127,8 +126,7 @@ def test_launch_type_series(test_resources):
         "a": lustre_summary(jobs[0], runnable=1.0, launch=LaunchType.SERIAL),
         "b": lustre_summary(jobs[1], runnable=16.0, launch=LaunchType.MULTI_PROCESS),
     }
-    result = concurrency_histograms(*perf_columns(jobs, summaries, test_resources),
-                                    test_resources)
+    result = concurrency_histograms(*perf_columns(jobs, summaries, test_resources))
     period = "2015-Q3"
     assert result.launch_type_xd_su[period]["serial"] == pytest.approx(8.0)
     assert result.launch_type_xd_su[period]["multi_process"] == pytest.approx(12.0)

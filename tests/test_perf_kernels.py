@@ -121,14 +121,14 @@ def test_memory_kernels_equal_the_oracle(jobs, summaries):
     columns = perf_columns(jobs, summaries, RESOURCES)
     for weight in WEIGHTS:
         for mode in ("per_core_avg", "per_core_max"):
-            assert repr(memory_histograms(*columns, RESOURCES, mode, weight)) == repr(
+            assert repr(memory_histograms(*columns, mode, weight)) == repr(
                 oracle.memory_histograms(jobs, summaries, RESOURCES, mode, weight))
         for x in X_AXES:
             for y in Y_AXES:
-                assert repr(memory_2d(*columns, RESOURCES, x, y, weight)) == repr(
+                assert repr(memory_2d(*columns, x, y, weight)) == repr(
                     oracle.memory_2d(jobs, summaries, RESOURCES, x, y, weight))
     for thresholds in ((0.8, 0.1), (0.05, 0.5)):
-        assert repr(large_memory_breakdown(*columns, RESOURCES, *thresholds)) == repr(
+        assert repr(large_memory_breakdown(*columns, *thresholds)) == repr(
             oracle.large_memory_breakdown(jobs, summaries, RESOURCES, *thresholds))
 
 
@@ -147,7 +147,7 @@ def test_concurrency_kernel_equals_the_oracle(jobs, summaries):
     columns = perf_columns(jobs, summaries, RESOURCES)
     for bands in ((32, 68), (2, 8), (4,)):
         for period in ("quarter", "year"):
-            assert repr(concurrency_histograms(*columns, RESOURCES, bands, period)) == repr(
+            assert repr(concurrency_histograms(*columns, bands, period)) == repr(
                 oracle.concurrency_histograms(jobs, summaries, RESOURCES, bands, period))
 
 
@@ -192,8 +192,8 @@ def test_totals_add_in_job_order():
     assert lustre_stats(*columns).daily == [(date(2015, 10, 1), total(rx), 0.0)]
     xd_su = total(2.0 * value for value in rx)  # factor 2.0
     assert xd_su != float(np.sum(2.0 * np.array(rx)))
-    assert memory_histograms(*columns, RESOURCES, weight="xd_su").weights[0] == xd_su
-    result = concurrency_histograms(*columns, RESOURCES)
+    assert memory_histograms(*columns, weight="xd_su").weights[0] == xd_su
+    result = concurrency_histograms(*columns)
     assert result.process_bands_xd_su["<=32"] == xd_su
     assert result.launch_type_xd_su == {"2015-Q4": {"unknown": xd_su}}
 
