@@ -230,21 +230,45 @@ def _spec_filters(raw) -> Filters:
     return Filters(**values)
 
 
+def _spec_analysis(entry) -> tuple[str, dict]:
+    """One entry of a report spec's "analyses": an object with a string
+    ``analysis`` and an optional ``params`` object."""
+    if not isinstance(entry, dict):
+        raise SchemaError(0, "analyses", "spec: each 'analyses' entry must be an object")
+    name, params = entry.get("analysis"), entry.get("params", {})
+    if not isinstance(name, str):
+        raise SchemaError(0, "analysis", "spec: an 'analyses' entry needs a string 'analysis'")
+    if not isinstance(params, dict):
+        raise SchemaError(0, "params", f"spec: 'params' of {name!r} must be an object")
+    return name, params
+
+
+def _report_spec(raw, output_dir: str) -> report.ReportSpec:
+    """The ReportSpec of a report spec file: a string ``name``, a
+    ``date_range`` of two dates, a list of ``analyses`` and optional
+    ``filters``."""
+    if not isinstance(raw, dict):
+        raise SchemaError(0, None, "spec: expected an object")
+    name, dates, analyses = raw.get("name"), raw.get("date_range"), raw.get("analyses")
+    if not isinstance(name, str):
+        raise SchemaError(0, "name", "spec: 'name' must be a string")
+    if not (isinstance(dates, list) and len(dates) == 2):
+        raise SchemaError(0, "date_range", "spec: 'date_range' must be a list of two dates")
+    if not isinstance(analyses, list):
+        raise SchemaError(0, "analyses", "spec: 'analyses' must be a list")
+    return report.ReportSpec(name=name, date_range=_date_range(*dates),
+                             analyses=tuple(map(_spec_analysis, analyses)),
+                             filters=_spec_filters(raw.get("filters", {})),
+                             output_dir=output_dir)
+
+
 def _cmd_report(args, config) -> int:
     ctx = _build_context(args, config)
     section = config["report"] if config.has_section("report") else {}
     outdir = args.outdir or section.get("output_dir", "report_out")
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        spec = report.ReportSpec(
-            name=raw["name"],
-            date_range=_date_range(*raw["date_range"]),
-            analyses=tuple((a["analysis"], a.get("params", {}))
-                           for a in raw["analyses"]),
-            filters=_spec_filters(raw.get("filters", {})),
-            output_dir=outdir,
-        )
+            spec = _report_spec(json.load(handle), outdir)
     else:
         spec = report.standard_bundle_spec(output_dir=outdir)
     manifest = report.run_report(ctx, spec)

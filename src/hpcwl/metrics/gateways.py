@@ -10,7 +10,6 @@ resource map, for its XD SU) and computes on its columns.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from datetime import date
@@ -18,7 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..ingest import AllocationRecord, utc_date
+from ..errors import SchemaError
+from ..ingest import AllocationRecord, _as_str, _iter_raw_rows, utc_date
 from ..jobtable import Codes, JobTable, group_totals, one_group
 
 MODES = ("community_user", "associated_allocation", "gateway_tagged")
@@ -30,17 +30,25 @@ def load_community_users(path) -> dict[str, str]:
     """Load the community-user mapping: user account id -> gateway name.
 
     Accepts CSV with a gateway,user header or JSON {gateway: [users]}.
+    Names are non-empty strings; a malformed one raises SchemaError naming
+    its row (the CSV data row, or the gateway's place in the JSON object,
+    from 1) and its field.
     """
-    text_path = str(path)
-    if text_path.endswith(".json"):
+    mapping: dict[str, str] = {}
+    if str(path).endswith(".json"):
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        return {str(user): str(gateway)
-                for gateway, users in doc.items() for user in users}
-    mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            mapping[row["user"]] = row["gateway"]
+        if not isinstance(doc, dict):
+            raise SchemaError(0, None, "community users: expected a JSON object")
+        for row, (gateway, users) in enumerate(doc.items(), 1):
+            gateway = _as_str({"gateway": gateway}, row, "gateway")
+            if not isinstance(users, list):
+                raise SchemaError(row, "users", f"row {row}: users must be a list")
+            for user in users:
+                mapping[_as_str({"user": user}, row, "user")] = gateway
+        return mapping
+    for row, raw in _iter_raw_rows(path, "csv"):
+        mapping[_as_str(raw, row, "user")] = _as_str(raw, row, "gateway")
     return mapping
 
 

@@ -406,8 +406,8 @@ def _an_capacity(ctx, filters, params):
                                if est.cores_required is not None else "")
         rows.append(row + cores_cells)
     header = (["resource", "nodes_actual"]
-              + [f"nodes_p{int(t * 100)}" for t in targets]
-              + ["cores_actual"] + [f"cores_p{int(t * 100)}" for t in targets])
+              + [f"nodes_p{t * 100:g}" for t in targets]
+              + ["cores_actual"] + [f"cores_p{t * 100:g}" for t in targets])
     return [("capacity.csv", header, rows)]
 
 

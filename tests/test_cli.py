@@ -320,6 +320,38 @@ def test_report_spec_bad_filters_are_input_errors(tmp_path, capsys, filters, key
     assert not path.exists()
 
 
+@pytest.mark.parametrize("change,key", [
+    ({"name": None}, "name"),
+    ({"date_range": ["2015-07-01"]}, "date_range"),
+    ({"analyses": [{"params": {}}]}, "analysis"),
+    ({"analyses": [{"analysis": "usage_rollup", "params": [1]}]}, "params"),
+], ids=["no-name", "one-date", "no-analysis", "params-list"])
+def test_report_spec_bad_keys_are_input_errors(tmp_path, capsys, change, key):
+    # a None value leaves the key out
+    raw = {"name": "bad", "date_range": ["2015-07-01", "2016-01-01"],
+           "analyses": [{"analysis": "usage_rollup"}], **change}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    code, _, err = run(capsys, "report", "--demo", "--demo-jobs", "20", "--spec", str(spec),
+                       "--outdir", str(tmp_path / "out"))
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: spec: ") and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,text", [("users.csv", "gateway,account\nCipres,c\n"),
+                                       ("users.json", '["Cipres"]')], ids=["csv", "json"])
+def test_malformed_community_user_map_is_input_error(tmp_path, capsys, name, text):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text(json.dumps(_job_row("s1", "TACC-STAMPEDE", T0 + 3600, 16, 1.0)) + "\n")
+    users = tmp_path / name
+    users.write_text(text)
+    code, _, err = run(capsys, "report", "--jobs", str(jobs), "--community-users", str(users),
+                       "--outdir", str(tmp_path / "out"))
+    assert code == EXIT_INPUT and err.startswith("input error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("day", ["20150701", "2015-W36-2"])
 def test_cli_dates_are_yyyy_mm_dd_strings(tmp_path, capsys, day):
     # date.fromisoformat reads both on Python 3.11 and neither on 3.10

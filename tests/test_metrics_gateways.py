@@ -1,7 +1,10 @@
 import json
 from datetime import date
 
+import pytest
+
 from conftest import T0, make_allocation, make_job
+from hpcwl.errors import SchemaError
 from hpcwl.jobtable import JobTable
 from hpcwl.metrics import (
     gateway_census,
@@ -181,3 +184,21 @@ def test_load_community_users_csv_and_json(tmp_path):
     json_path.write_text(json.dumps({"Cipres": ["cipres_comm", "cipres2"]}))
     assert load_community_users(json_path) == {
         "cipres_comm": "Cipres", "cipres2": "Cipres"}
+
+
+@pytest.mark.parametrize("name,text,row,field", [
+    ("map.csv", "gateway,account\nCipres,cipres_comm\n", 1, "user"),
+    ("map.csv", "gateway,user\nCipres,a\n,b\n", 2, "gateway"),
+    ("map.json", '{"7": "abc"}', 1, "users"),
+    ("map.json", '{"Cipres": [7, ["u"]]}', 1, "user"),
+    ("map.json", '{"Cipres": ["a"], "Gridchem": ["b", ""]}', 2, "user"),
+    ("map.json", '{"": ["a"]}', 1, "gateway"),
+    ("map.json", '[["Cipres", "a"]]', 0, None),
+], ids=["csv-no-user-column", "csv-empty-gateway", "json-string-of-users",
+        "json-non-string-users", "json-empty-user", "json-empty-gateway", "json-list"])
+def test_malformed_community_user_map_is_a_schema_error(tmp_path, name, text, row, field):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        load_community_users(path)
+    assert (err.value.row, err.value.field) == (row, field)

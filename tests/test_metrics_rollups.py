@@ -1,3 +1,4 @@
+import inspect
 from datetime import date
 
 import pytest
@@ -5,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, make_job, make_resource
+from hpcwl import backlog, metrics, statmodels
 from hpcwl.ingest import ResourceType, builtin_resources
 from hpcwl.jobtable import JobTable
 from hpcwl.metrics import (
     Filters,
+    PerfColumns,
     average_job_size,
     job_size_distribution,
+    memory_2d,
     single_node_serial_fractions,
     usage_rollup,
 )
@@ -121,9 +125,19 @@ def test_xd_su_analyses_need_a_table_built_with_the_resource_map():
     table = JobTable.of([make_job()])
     for compute in (lambda: usage_rollup(table, "resource", "xd_su", "year"),
                     lambda: average_job_size(table),
-                    lambda: single_node_serial_fractions(table)):
+                    lambda: single_node_serial_fractions(table),
+                    lambda: memory_2d(table, PerfColumns.join(table, {}))):
         with pytest.raises(ValueError, match="needs the resource map"):
             compute()
+
+
+def test_no_analysis_takes_its_own_resource_map():
+    # the map lives in the JobTable, so no analysis can be handed another one
+    for module in (metrics, backlog, statmodels):
+        for name, function in inspect.getmembers(module, inspect.isfunction):
+            if not name.startswith("_"):
+                parameters = inspect.signature(function).parameters
+                assert not {"resources", "spec"} & set(parameters), (module.__name__, name)
 
 
 # --- job size distribution ---------------------------------------------------

@@ -117,6 +117,15 @@ def test_standard_bundle_covers_key_tables(ctx, tmp_path):
             "gateway_census.csv", "backlog_daily.csv"} <= names
 
 
+def test_capacity_header_names_the_targets_given(ctx):
+    # int(0.29 * 100) is 28, and int(0.999 * 100) is 99
+    [(name, header, _)] = report.compute_analysis(ctx, "capacity",
+                                                  {"targets": [0.29, 0.57, 0.999]})
+    assert name == "capacity.csv"
+    assert header == ["resource", "nodes_actual", "nodes_p29", "nodes_p57", "nodes_p99.9",
+                      "cores_actual", "cores_p29", "cores_p57", "cores_p99.9"]
+
+
 def test_analysis_registry_matches_bundle(ctx):
     spec = standard_bundle_spec()
     assert {name for name, _ in spec.analyses} <= set(ANALYSES)
