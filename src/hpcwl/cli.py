@@ -150,9 +150,12 @@ def _cmd_classify(args, config) -> int:
 
 def _date_range(start, end) -> tuple[date, date]:
     """A [start, end) pair of dates, each a ``YYYY-MM-DD`` string as in the
-    input files."""
+    input files, with start before end."""
     raw = {"start": start, "end": end}
-    return _as_day(raw, 0, "start"), _as_day(raw, 0, "end")
+    first, last = _as_day(raw, 0, "start"), _as_day(raw, 0, "end")
+    if not first < last:
+        raise SchemaError(0, "end", f"date range: start {start} must precede end {end}")
+    return first, last
 
 
 def _cmd_metric(args, config) -> int:

@@ -202,6 +202,9 @@ class JobTable:
     has_gateway_user: np.ndarray  # bool: the gateway user is not None ("" is a name)
     resources: Mapping[str, ResourceSpec] | None
 
+    def __post_init__(self):
+        read_only(self)
+
     @classmethod
     def of(cls, jobs: Sequence[JobRecord],
            resources: Mapping[str, ResourceSpec] | None = None) -> JobTable:
@@ -247,7 +250,9 @@ class JobTable:
     def take(self, rows: np.ndarray) -> JobTable:
         """The rows a boolean mask or an index array selects, in order; the
         name tables and the resource map are shared, so codes keep their
-        meaning."""
+        meaning.  A selection of every row in order gives this table."""
+        if selects_all(rows, len(self)):
+            return self
         out = {}
         for f in fields(self):
             column = getattr(self, f.name)
@@ -287,6 +292,30 @@ class JobTable:
         if period not in ("quarter", "year"):
             raise ValueError(f"unknown period {period!r}")
         return getattr(self, period)
+
+
+def selects_all(rows: np.ndarray, n: int) -> bool:
+    """Whether ``rows`` selects each of n rows once, in order: an all-True
+    mask or the index array ``arange(n)``.  A take of such rows may return
+    the table itself, since its columns are read-only."""
+    rows = np.asarray(rows)
+    if len(rows) != n:
+        return False
+    if rows.dtype == bool:
+        return bool(rows.all())
+    return np.array_equal(rows, np.arange(n))
+
+
+def read_only(table) -> None:
+    """Make every array of a dataclass of columns read-only, each
+    ``Codes.codes`` included, so tables that share a column cannot write
+    into each other's rows."""
+    for f in fields(table):
+        column = getattr(table, f.name)
+        if isinstance(column, Codes):
+            column = column.codes
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
 
 
 def one_group(n: int, name: str = "all") -> Codes:

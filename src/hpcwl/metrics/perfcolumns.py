@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from ..appident import NOT_AVAILABLE
-from ..jobtable import Codes, JobTable
+from ..jobtable import Codes, JobTable, read_only, selects_all
 from ..perfsummary import JobPerfSummary, LaunchType
 
 FLOAT_FIELDS = ("mem_avg_per_core", "mem_max_per_core", "cpu_user_fraction",
@@ -34,6 +34,9 @@ class PerfColumns:
     lustre_tx: np.ndarray
     launch_type: Codes  # "unknown" for a job with no summary
     app_label: Codes    # "NA" for a job with no summary
+
+    def __post_init__(self):
+        read_only(self)
 
     @classmethod
     def join(cls, table: JobTable, summaries: Mapping[str, JobPerfSummary]) -> PerfColumns:
@@ -61,7 +64,10 @@ class PerfColumns:
             raise ValueError("performance columns and job table differ in length")
 
     def take(self, rows: np.ndarray) -> PerfColumns:
-        """The rows a boolean mask or an index array selects, in order."""
+        """The rows a boolean mask or an index array selects, in order; a
+        selection of every row in order gives these columns."""
+        if selects_all(rows, len(self.summarized)):
+            return self
         columns = {f.name: getattr(self, f.name) for f in fields(self)}
         return PerfColumns(**{name: column.take(rows) if isinstance(column, Codes)
                               else column[rows] for name, column in columns.items()})

@@ -16,8 +16,8 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime
-from enum import Enum
+from datetime import date
+from itertools import chain
 from typing import Callable, Mapping
 
 import numpy as np
@@ -99,31 +99,30 @@ class _RunContext(ReportContext):
                       for f in dataclasses.fields(ReportContext)})
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Enum):
-        return str(value.value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (date, datetime)):
-        return value.isoformat()
-    return str(value)
+# the cell types a CSV row may hold; csv.writer writes None as "", a float
+# as its repr (the shortest round trip) and a date as YYYY-MM-DD
+_CELL_TYPES = frozenset((str, int, float, bool, date, type(None)))
 
 
 def render(entry) -> str:
     """The text of one analysis output, exactly as run_report writes it.
 
     An entry is ``(file_name, header, rows)`` for a CSV file or
-    ``(file_name, obj)`` for a JSON file.
+    ``(file_name, obj)`` for a JSON file.  A CSV cell of a type outside
+    ``_CELL_TYPES`` (a subclass such as an Enum, a datetime or a numpy
+    scalar included) raises TypeError naming the file.
     """
     if len(entry) == 2:
         return json.dumps(entry[1], sort_keys=True, indent=2) + "\n"
-    _, header, rows = entry
+    name, header, rows = entry
+    other = set(map(type, chain.from_iterable(rows))) - _CELL_TYPES
+    if other:
+        raise TypeError(f"{name}: cannot write cells of type "
+                        + ", ".join(sorted(t.__qualname__ for t in other)))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -159,9 +158,9 @@ def _kept(ctx: _RunContext, filters: Filters) -> np.ndarray:
 
 
 def _table(ctx: _RunContext, filters: Filters) -> JobTable:
-    """The job table of the jobs that pass filters; it is taken afresh for
-    each analysis, so a run holds one table per Filters value only as row
-    numbers."""
+    """The job table of the jobs that pass filters: the dataset's own table
+    when they keep every job, else taken afresh for each analysis, so a run
+    holds one table per Filters value only as row numbers."""
     return ctx.dataset.job_table.take(_kept(ctx, filters))
 
 

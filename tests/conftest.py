@@ -1,8 +1,10 @@
 """Shared fixtures: a small test machine and a job factory."""
 from __future__ import annotations
 
+from dataclasses import fields
 from datetime import date
 
+import numpy as np
 import pytest
 
 from hpcwl.ingest import (
@@ -15,7 +17,7 @@ from hpcwl.ingest import (
     ResourceSpec,
     ResourceType,
 )
-from hpcwl.jobtable import JobTable
+from hpcwl.jobtable import Codes, JobTable
 from hpcwl.metrics import PerfColumns
 
 # 2015-08-01T00:00:00Z
@@ -59,6 +61,19 @@ def perf_columns(jobs, summaries, resources=None):
     analyses."""
     table = JobTable.of(jobs, resources)
     return table, PerfColumns.join(table, summaries)
+
+
+def column_arrays(columns) -> dict[str, np.ndarray]:
+    """Every array of a JobTable or PerfColumns by field name, a string
+    column's codes included."""
+    out = {}
+    for f in fields(columns):
+        column = getattr(columns, f.name)
+        if isinstance(column, Codes):
+            column = column.codes
+        if isinstance(column, np.ndarray):
+            out[f.name] = column
+    return out
 
 
 def make_allocation(charge_number="TG-001", resource="TESTMACHINE",

@@ -446,3 +446,17 @@ def test_summarize_from_files_matches_the_records(tmp_path, capsys, monkeypatch)
     assert len(summaries) == len(records) and not skipped
     write_summaries(summaries, tmp_path / "expected.jsonl")
     assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+def test_reversed_date_range_is_input_error(tmp_path, capsys):
+    demo = ("--demo", "--demo-jobs", "20")
+    code, _, err = run(capsys, "metric", "usage_rollup", *demo, "--start", "2016-01-01",
+                       "--end", "2015-01-01", "--outdir", str(tmp_path / "metric"))
+    assert code == EXIT_INPUT and err.startswith("input error: date range: ")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "reversed", "date_range": ["2016-01-01", "2015-01-01"],
+                                "analyses": [{"analysis": "usage_rollup"}]}))
+    code, _, err = run(capsys, "report", *demo, "--spec", str(spec),
+                       "--outdir", str(tmp_path / "report"))
+    assert code == EXIT_INPUT and err.startswith("input error: date range: ")
+    assert not (tmp_path / "metric").exists() and not (tmp_path / "report").exists()

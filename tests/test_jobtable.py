@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rollups_oracle as oracle
-from conftest import make_job, make_resource
+from conftest import column_arrays, make_job, make_resource
 from hpcwl import backlog, report, synth
 from hpcwl.errors import EmptyGroup
 from hpcwl.ingest import (
@@ -295,3 +295,42 @@ def test_a_job_table_is_built_once_per_dataset(tmp_path):
                dataclasses.replace(spec, output_dir=str(tmp_path / "b")))
     assert dataset.job_table is table
     assert np.array_equal(table.row, np.arange(len(dataset.jobs)))
+
+
+# --- shared, read-only columns ---------------------------------------------------
+
+def test_a_take_of_every_row_in_order_is_the_table_itself(ctx):
+    table = ctx.dataset.job_table
+    n = len(table)
+    assert table.take(np.ones(n, dtype=bool)) is table
+    assert table.take(np.arange(n)) is table
+    assert Filters().apply(table) is table
+
+
+@pytest.mark.parametrize("rows", [
+    lambda n: np.arange(n) > 0,
+    lambda n: np.arange(n - 1),
+    lambda n: np.arange(n)[::-1],
+    lambda n: np.r_[1, 0, np.arange(2, n)],
+    lambda n: np.r_[0, np.arange(n - 1)],
+], ids=["partial-mask", "partial-index", "reversed", "swapped", "repeated"])
+def test_any_other_take_is_a_copy(ctx, rows):
+    table = ctx.dataset.job_table
+    rows = rows(len(table))
+    taken = table.take(rows)
+    assert taken is not table
+    assert np.array_equal(taken.row, table.row[rows])
+    assert np.array_equal(taken.user.codes, table.user.codes[rows])
+
+
+def test_every_column_is_read_only(ctx):
+    table = ctx.dataset.job_table
+    named = {f.name for f in dataclasses.fields(table)} - {"resources"}
+    for columns in (table, table.take(table.nodes > 1)):
+        arrays = column_arrays(columns)
+        assert set(arrays) == named
+        assert not [name for name, column in arrays.items() if column.flags.writeable]
+    with pytest.raises(ValueError, match="read-only"):
+        table.submit[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        table.resource.codes[:] = 0

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rollups_oracle as oracle
-from conftest import GIB, make_job, make_resource, perf_columns
+from conftest import GIB, column_arrays, make_job, make_resource, perf_columns
 from hpcwl import synth
 from hpcwl.ingest import FactorWindow
 from hpcwl.jobtable import JobTable
@@ -227,6 +227,24 @@ def test_the_join_runs_once_per_run(bundle, tmp_path, monkeypatch):
     assert calls == [len(bundle.dataset.jobs)]
     run_report(ctx, dataclasses.replace(spec, output_dir=str(tmp_path / "b")))
     assert calls == [len(bundle.dataset.jobs)] * 2
+
+
+def test_joined_columns_are_shared_whole_and_read_only(bundle):
+    table = bundle.dataset.job_table
+    perf = PerfColumns.join(table, bundle.summaries)
+    n = len(table)
+    assert perf.take(np.ones(n, dtype=bool)) is perf
+    assert perf.take(np.arange(n)) is perf
+    for rows in (np.arange(n) > 0, np.arange(n)[::-1], np.zeros(n, dtype=int)):
+        taken = perf.take(rows)
+        assert taken is not perf
+        assert np.array_equal(taken.app_label.codes, perf.app_label.codes[rows])
+    for columns in (perf, perf.take(table.nodes > 1)):
+        arrays = column_arrays(columns)
+        assert set(arrays) == {f.name for f in dataclasses.fields(PerfColumns)}
+        assert not [name for name, column in arrays.items() if column.flags.writeable]
+    with pytest.raises(ValueError, match="read-only"):
+        perf.lustre_rx[0] = 1.0
 
 
 def _rows(path):

@@ -1,18 +1,25 @@
 import builtins
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from collections import Counter
-from datetime import date
+from datetime import date, datetime
+from enum import Enum
 from itertools import compress
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hpcwl import report, synth
 from hpcwl.errors import UnknownAnalysis
+from hpcwl.ingest import ExitStatus
 from hpcwl.jobtable import JobTable
 from hpcwl.metrics import Filters, PerfColumns
 from hpcwl.report import (
@@ -198,8 +205,56 @@ def test_filters_given_plain_sets_run(ctx, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _fmt(value) -> str:
+    """One cell's text, as the report wrote each cell before csv.writer was
+    handed the rows."""
+    if value is None:
+        return ""
+    if isinstance(value, Enum):
+        return str(value.value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (date, datetime)):
+        return value.isoformat()
+    return str(value)
+
+
+def _render_by_fmt(entry) -> str:
+    """The text of a CSV entry with every cell formatted by ``_fmt``: the
+    oracle of ``report.render``."""
+    _, header, rows = entry
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buffer.getvalue()
+
+
+CELLS = st.one_of(
+    st.text(st.sampled_from(',"\n\r\t\' a\u00e9')), st.text(),
+    st.integers(), st.booleans(), st.dates(), st.none(),
+    st.floats(), st.sampled_from((-0.0, 1e16, 1e-5, 5e-324, math.inf, -math.inf)))
+
+
+@given(st.lists(st.text(), max_size=4),
+       st.lists(st.lists(CELLS, max_size=6), max_size=6))
+def test_render_writes_each_cell_as_the_fmt_oracle(header, rows):
+    entry = ("cells.csv", header, rows)
+    assert report.render(entry) == _render_by_fmt(entry)
+
+
+@pytest.mark.parametrize("cell", [ExitStatus.COMPLETED, datetime(2016, 1, 1, 12),
+                                  np.float64(0.5), np.int64(3)],
+                         ids=["enum", "datetime", "float64", "int64"])
+def test_cells_of_other_types_are_refused(cell):
+    with pytest.raises(TypeError, match=r"^odd\.csv: .*" + type(cell).__name__):
+        report.render(("odd.csv", ["a", "b"], [("x", 1.5), (cell, None)]))
+
+
 def test_computed_entries_write_nothing_and_match_the_report(ctx, tmp_path, monkeypatch):
+    # every analysis, with its standard-bundle params
     spec = standard_bundle_spec(output_dir=str(tmp_path / "report"))
+    assert {name for name, _ in spec.analyses} == set(ANALYSES)
     manifest = run_report(ctx, spec)
     cwd = tmp_path / "cwd"
     cwd.mkdir()
@@ -211,8 +266,10 @@ def test_computed_entries_write_nothing_and_match_the_report(ctx, tmp_path, monk
     assert os.listdir(cwd) == []
     assert sorted(e[0] for e in entries) == [f["name"] for f in manifest["files"]]
     for entry in entries:
-        assert (report.render(entry).encode()
-                == (tmp_path / "report" / entry[0]).read_bytes()), entry[0]
+        text = report.render(entry)
+        assert text.encode() == (tmp_path / "report" / entry[0]).read_bytes(), entry[0]
+        if len(entry) == 3:
+            assert text == _render_by_fmt(entry), entry[0]
 
 
 def test_bundle_bytes_do_not_depend_on_builtin_float_sum(ctx, tmp_path, monkeypatch):
