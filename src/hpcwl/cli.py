@@ -135,8 +135,10 @@ def _cmd_summarize(args, config) -> int:
 
     summaries, skipped = summarize_all(ctx.dataset.jobs, archives, cores_per_node_of)
     write_summaries(summaries, args.out)
-    print(json.dumps({"summarized": len(summaries), "skipped": len(skipped)},
-                     sort_keys=True))
+    no_archive = sum(reason == "no_archive" for reason in skipped.values())
+    print(json.dumps({"summarized": len(summaries), "skipped": len(skipped),
+                      "no_archive": no_archive,
+                      "missing_counter": len(skipped) - no_archive}, sort_keys=True))
     return EXIT_OK
 
 

@@ -17,13 +17,19 @@ fields are not all plainly valid (a name that is not a non-empty string, a
 bad number) is checked field by field and rejected with a SchemaError
 naming its line.  Archives built from ``PerfSample`` and ``MemInfoSample``
 records are converted once, by the same column builder.
-``summarize_job`` reduces the columns with whole-array operations; the
-record-at-a-time implementation it replaced is kept in the tests as its
-reference.
+``summarize_all`` gathers consecutive jobs into blocks of up to
+``_BLOCK_SAMPLES`` samples and reduces each block with one run of whole-array
+kernels keyed by (job, node, metric): counter totals and resets, missing
+prologs and epilogs, runnable-thread medians and memory per core.  Only the
+application label, the flags and the summary object are built job by job.
+``summarize_job`` is the same kernels run on a block of one job; the
+record-at-a-time implementation they replaced is kept in the tests as their
+reference.  ``write_summaries`` replaces its target whole or not at all.
 """
 from __future__ import annotations
 
 import json
+import os
 import sys
 from array import array
 from dataclasses import dataclass
@@ -35,7 +41,6 @@ import numpy as np
 from . import appident
 from .errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
 from .ingest import JobRecord, _as_float, _as_int, _as_str, _json_lines
-from .stats import quantile, total
 
 # canonical counter metric names in the archive schema
 CPU_USER = "cpu_user_ticks"
@@ -348,75 +353,105 @@ def classify_launch_type(n_processes: int, threads_per_process: int,
 
 # counter metrics in the order their fields and flags are computed
 _COUNTERS = (CPU_USER, CPU_TOTAL, LUSTRE_RX, LUSTRE_TX, IB_RX, IB_TX, FILE_OPENS)
+# the slot of RUNNABLE_THREADS after them in the block kernels' metric map
+_RUNNABLE = len(_COUNTERS)
+
+# perf plus meminfo samples that one run of the block kernels reduces; a job
+# with more samples than this is a block of its own
+_BLOCK_SAMPLES = 16_384
 
 
-def _node_codes(table: tuple[str, ...], nodes: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The code of each of ``nodes`` in a column's node table (-1 for a node
-    with no samples) and a mask over codes that is True for listed nodes."""
-    index = {name: code for code, name in enumerate(table)}
-    codes = np.array([index.get(name, -1) for name in nodes], dtype=np.int64)
-    listed = np.zeros(len(table) + 1, dtype=bool)
-    listed[codes] = True  # code -1 marks the spare last slot
-    return codes, listed[:-1]
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run number of each entry of ``key`` (a run is a stretch of equal
+    values) and the index of each run's first entry."""
+    starts = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    return np.cumsum(starts) - 1, np.flatnonzero(starts)
 
 
-def _counter_totals(cols: SampleColumns, nodes: Sequence[str], codes: np.ndarray,
-                    listed: np.ndarray) -> tuple[list[float | None], list[tuple[int, int]]]:
-    """Each ``_COUNTERS`` metric summed over ``nodes`` in their order (None
-    when no listed node collected it), and the (metric index, position in
-    ``nodes``) of each node delta that saw a reset, in row-major order.
-    ``codes`` and ``listed`` are ``_node_codes(cols.nodes, nodes)``.
+def _ordered_sums(values: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
+    """Each group's values added left to right from 0.0, as ``stats.total``
+    adds them (0.0 for a group with none).  ``group`` is ascending, so a
+    group's values are one stretch, in the order they are added."""
+    count = np.bincount(group, minlength=n_groups)
+    column = np.arange(len(values)) - (np.cumsum(count) - count)[group] + 1
+    sums = np.zeros(n_groups)
+    # cumsum adds left to right, so each row of a padded table sums its
+    # group in order from 0.0, and trailing zeros leave the sum as it is;
+    # one table per bit length of the counts is at most twice as large as
+    # its entries, however long the longest group is
+    bits = np.frexp(count)[1]
+    for width in np.flatnonzero(np.bincount(bits[count > 0])).tolist():
+        rows = np.flatnonzero(bits == width)
+        row_of = np.zeros(n_groups, dtype=np.int64)
+        row_of[rows] = np.arange(len(rows))
+        entries = np.flatnonzero(bits[group] == width)
+        table = np.zeros((len(rows), int(count[rows].max()) + 1))
+        table[row_of[group[entries]], column[entries]] = values[entries]
+        sums[rows] = table.cumsum(axis=1)[:, -1]
+    return sums
+
+
+def _counter_kernel(job: np.ndarray, pos: np.ndarray, slot: np.ndarray, key: np.ndarray,
+                    time: np.ndarray, tag: np.ndarray, value: np.ndarray, n_jobs: int
+                    ) -> tuple[dict, list[list[float | None]], dict]:
+    """Counter totals of the jobs of a block, from their samples of
+    ``_COUNTERS`` metrics on listed nodes.
+
+    Sample i is of job ``job[i]`` (0 to ``n_jobs`` - 1), on the node at
+    ``pos[i]`` in the job's node list, of metric ``_COUNTERS[slot[i]]``;
+    ``key`` is equal for the samples of one (job, node, metric), which are
+    one stretch in time order.
 
     A (node, metric) group runs from the latest prolog (the first read of
     those at the latest time) to the earliest epilog (the first read at the
     earliest time) through the periodic samples between them, in time order;
     an epilog before the prolog gives the pair [epilog, prolog].  Its delta
-    is ``counter_delta`` of those values, summed in the same order.  Raises
-    MissingProlog/MissingEpilog for the first (metric, node) in row-major
-    order that lacks one.
-    """
-    slot_of = np.full(len(cols.metrics), -1, dtype=np.int64)
-    for slot, name in enumerate(_COUNTERS):
-        if name in cols.metrics:
-            slot_of[cols.metrics.index(name)] = slot
-    slot = slot_of[cols.metric]
-    picked = np.flatnonzero((slot >= 0) & listed[cols.node])
-    if not picked.size:
-        return [None] * len(_COUNTERS), []
-    node, slot = cols.node[picked], slot[picked]
-    time, tag, value = cols.time[picked], cols.tag[picked], cols.value[picked]
-    n = len(picked)
+    is ``counter_delta`` of those values, summed in the same order, and a
+    job's total of a metric is the sum of its deltas over the job's nodes in
+    list order, from 0.0.
 
-    # groups are runs of one (node, metric); rows in a group are time-ordered
-    key = node * len(_COUNTERS) + slot
-    starts_group = np.ones(n, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=starts_group[1:])
-    first = np.flatnonzero(starts_group)
-    last = np.append(first[1:], n) - 1
-    group = np.cumsum(starts_group) - 1
+    Returns (missing, totals, resets):
+    - missing: for each job with a group that lacks a prolog or an epilog,
+      (MissingProlog or MissingEpilog, node position, slot) of its first
+      such group in row-major (metric, node) order;
+    - totals: per job, each ``_COUNTERS`` total, None when no listed node
+      collected the metric (a job in ``missing`` has no meaningful totals);
+    - resets: per job with a reset, the (slot, node position) of each group
+      delta that saw one, in row-major order.
+    """
+    totals: list[list[float | None]] = [[None] * len(_COUNTERS) for _ in range(n_jobs)]
+    missing: dict[int, tuple[type, int, int]] = {}
+    resets: dict[int, list[tuple[int, int]]] = {}
+    group, first = _runs(key)
+    has_prolog = np.zeros(len(first), dtype=bool)
+    has_prolog[group[tag == _PROLOG]] = True
+    has_epilog = np.zeros(len(first), dtype=bool)
+    has_epilog[group[tag == _EPILOG]] = True
+    complete = has_prolog & has_epilog
+    if not complete.all():
+        g_job, g_pos, g_slot = job[first], pos[first], slot[first]
+        grid = np.lexsort((g_pos, g_slot, g_job))
+        lacking = grid[~complete[grid]]
+        firsts = lacking[_runs(g_job[lacking])[1]]
+        for b, g in zip(g_job[firsts].tolist(), firsts.tolist()):
+            missing[b] = (MissingEpilog if has_prolog[g] else MissingProlog,
+                          int(g_pos[g]), int(g_slot[g]))
+        # the failing jobs are skipped: reduce only the complete groups
+        keep = complete[group]
+        job, pos, slot, key, time, tag, value = (
+            column[keep] for column in (job, pos, slot, key, time, tag, value))
+        group, first = _runs(key)
+    n = len(key)
+    if not n:
+        return missing, totals, resets
     n_groups = len(first)
     ids = np.arange(n_groups)
-    # grid[m, j]: group of metric m on nodes[j], or -1, which indexes the
-    # spare last slot of the per-group arrays below
-    group_of = np.full((len(cols.nodes), len(_COUNTERS)), -1, dtype=np.int64)
-    group_of[node[first], slot[first]] = ids
-    grid = np.where(codes >= 0, group_of[codes].T, -1)
-    present = grid >= 0
+    last = np.append(first[1:], n) - 1
 
+    # every group has both now: pick its prolog and epilog
     prologs = np.flatnonzero(tag == _PROLOG)
     epilogs = np.flatnonzero(tag == _EPILOG)
-    has_prolog = np.zeros(n_groups + 1, dtype=bool)
-    has_prolog[group[prologs]] = True
-    has_epilog = np.zeros(n_groups + 1, dtype=bool)
-    has_epilog[group[epilogs]] = True
-    missing = present & ~(has_prolog[grid] & has_epilog[grid])
-    if missing.any():
-        m, j = np.argwhere(missing)[0]
-        if not has_prolog[grid[m, j]]:
-            raise MissingProlog(nodes[j], _COUNTERS[m])
-        raise MissingEpilog(nodes[j], _COUNTERS[m])
-
-    # every group now has both: pick its prolog and epilog
     prolog_group = group[prologs]
     latest = np.maximum.reduceat(time[prologs], np.flatnonzero(
         np.append(True, prolog_group[1:] != prolog_group[:-1])))
@@ -443,69 +478,200 @@ def _counter_totals(cols: SampleColumns, nodes: Sequence[str], codes: np.ndarray
     prev, cur = values[:-1][same], values[1:][same]
     step_group = seq_group[1:][same]
     up = cur >= prev
-    steps = np.where(up, cur - prev, cur)
-    reset = np.zeros(n_groups + 1, dtype=bool)
+    delta = _ordered_sums(np.where(up, cur - prev, cur), step_group, n_groups)
+    reset = np.zeros(n_groups, dtype=bool)
     reset[step_group[~up]] = True
-    # cumsum adds left to right, so each row of the padded table sums its
-    # group's steps in order from 0.0; trailing zeros leave the sum as is
-    count = np.bincount(step_group, minlength=n_groups)
-    column = np.arange(len(steps)) - (np.cumsum(count) - count)[step_group] + 1
-    padded = np.zeros((n_groups, int(count.max()) + 1))
-    padded[step_group, column] = steps
-    delta = np.append(padded.cumsum(axis=1)[:, -1], 0.0)
 
-    # totals over nodes in order, from 0.0, as one cumsum per metric
-    by_node = np.zeros((len(_COUNTERS), len(nodes) + 1))
-    by_node[:, 1:] = delta[grid]
-    totals = by_node.cumsum(axis=1)[:, -1].tolist()
-    seen = present.any(axis=1).tolist()
-    return ([total if s else None for total, s in zip(totals, seen)],
-            [(int(m), int(j)) for m, j in np.argwhere(present & reset[grid])])
+    # each job's groups in row-major (metric, node) order; a (job, metric)
+    # pair adds its node deltas in list order
+    g_job, g_pos, g_slot = job[first], pos[first], slot[first]
+    grid = np.lexsort((g_pos, g_slot, g_job))
+    pair = g_job[grid] * len(_COUNTERS) + g_slot[grid]
+    pair_group, pair_first = _runs(pair)
+    sums = _ordered_sums(delta[grid], pair_group, len(pair_first))
+    for p, s in zip(pair[pair_first].tolist(), sums.tolist()):
+        totals[p // len(_COUNTERS)][p % len(_COUNTERS)] = s
+    flagged = grid[reset[grid]]
+    for b, m, j in zip(g_job[flagged].tolist(), g_slot[flagged].tolist(),
+                       g_pos[flagged].tolist()):
+        resets.setdefault(b, []).append((m, j))
+    return missing, totals, resets
 
 
-def _mem_per_core(mem: MemColumns, rows: np.ndarray, cores_per_node: int) -> list[float]:
-    """``memory_per_core`` of the meminfo samples at ``rows``, in order."""
-    if cores_per_node < 1:
-        raise ValueError("n_cores must be >= 1")
-    lo, hi = mem.numa_bounds[rows], mem.numa_bounds[rows + 1]
+def _medians(job: np.ndarray, value: np.ndarray, n_jobs: int) -> tuple[list[int], list[float]]:
+    """The count of each job's values and ``stats.quantile(sorted(values),
+    0.5)`` of them (NaN for a job with none); ``job`` numbers the jobs."""
+    count = np.bincount(job, minlength=n_jobs)
+    # a stable sort, so equal values keep their order, as sorted() keeps it
+    ordered = value[np.lexsort((value, job))]
+    begin = (np.cumsum(count) - count)[count > 0]
+    lo = begin + (count[count > 0] - 1) // 2
+    hi = begin + count[count > 0] // 2
+    middle = ordered[lo]
+    even = lo != hi
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as it is in Python
+        middle[even] += (ordered[hi[even]] - middle[even]) * 0.5
+    median = np.full(n_jobs, np.nan)
+    median[count > 0] = middle
+    return count.tolist(), median.tolist()
+
+
+def _mem_kernel(job: np.ndarray, lo: np.ndarray, hi: np.ndarray, numa: np.ndarray,
+                cores: list, n_jobs: int) -> tuple[list[int], list[float], list[float], dict]:
+    """``memory_per_core`` of meminfo samples whose NUMA nodes are rows
+    ``lo[i]:hi[i]`` of ``numa``, sample i of job ``job[i]`` (ascending) with
+    ``cores[job[i]]`` cores per node.
+
+    Returns, per job, the sample count, the sum of the values from 0.0 in
+    order (as ``stats.total`` adds them) and their max, and for each job
+    with an invalid NUMA row the InvalidMemInfo message of the first.
+    """
     count = hi - lo
-    bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+    bounds = np.zeros(len(lo) + 1, dtype=np.int64)
     np.cumsum(count, out=bounds[1:])
-    numa = mem.numa[np.repeat(lo - bounds[:-1], count) + np.arange(bounds[-1])]
-    used = numa[:, 0] - numa[:, 1] - numa[:, 2] - numa[:, 3]
-    negative = (numa < 0).any(axis=1)
-    bad = negative | (used < 0)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise InvalidMemInfo("negative meminfo component" if negative[first]
-                             else "free+cache exceeds MemTotal")
+    parts = numa[np.repeat(lo - bounds[:-1], count) + np.arange(bounds[-1])]
+    used = parts[:, 0] - parts[:, 1] - parts[:, 2] - parts[:, 3]
+    negative = (parts < 0).any(axis=1)
+    bad = np.flatnonzero(negative | (used < 0))
+    invalid: dict[int, str] = {}
+    if bad.size:
+        bad_job = np.repeat(job, count)[bad]
+        firsts = _runs(bad_job)[1]
+        for b, k in zip(bad_job[firsts].tolist(), bad[firsts].tolist()):
+            invalid[b] = ("negative meminfo component" if negative[k]
+                          else "free+cache exceeds MemTotal")
     running = np.zeros(len(used) + 1, dtype=np.int64)
     np.cumsum(used, out=running[1:])
     per_node = running[bounds[1:]] - running[bounds[:-1]]
-    if per_node.size and per_node.max() > _EXACT:
-        # int / int rounds once; a float64 conversion first would round twice
-        return [total / cores_per_node for total in per_node.tolist()]
-    return (per_node / cores_per_node).tolist()
+    values = per_node / np.array(cores)[job]
+    # int / int rounds once; a float64 conversion first would round twice
+    for k in np.flatnonzero(per_node > _EXACT).tolist():
+        values[k] = int(per_node[k]) / cores[job[k]]
+    samples = np.bincount(job, minlength=n_jobs)
+    peak = np.zeros(n_jobs)
+    has = np.flatnonzero(samples)
+    if has.size:
+        peak[has] = np.maximum.reduceat(values, (np.cumsum(samples) - samples)[has])
+    return (samples.tolist(), _ordered_sums(values, job, n_jobs).tolist(), peak.tolist(),
+            invalid)
 
 
-def summarize_job(job: JobRecord, archive: JobArchive, cores_per_node: int,
-                  db: Sequence[appident.AppPattern] | None = None,
-                  ignore_list: Iterable[str] | None = None) -> JobPerfSummary:
-    """Build the per-job summary from the job's node archives."""
-    if not archive.nodes:
-        raise ValueError(f"job {job.job_id}: node list unknown")
-    if db is None:
-        db = appident.load_pattern_db()
-    if ignore_list is None:
-        ignore_list = appident.load_ignore_list()
+@dataclass(frozen=True, slots=True)
+class _Reduced:
+    """What the block kernels found for one job."""
+
+    totals: list[float | None]
+    resets: Sequence[tuple[int, int]]
+    runnable_median: float | None
+    mem_avg: float | None
+    mem_max: float | None
+    samples_used: int
+
+
+def _block_kernels(block: Sequence[tuple[JobRecord, JobArchive, object]]
+                   ) -> list[_Reduced | Exception]:
+    """Reduce every (job, archive, cores per node) entry of a block with one
+    run of the kernels over the block's samples, in order.
+
+    An entry's result is its ``_Reduced`` or the error its summary raises:
+    MissingProlog/MissingEpilog, else ValueError for fewer than one core
+    per node (when the job has in-window meminfo on a listed node), else
+    InvalidMemInfo for its first bad in-window NUMA row.
+    """
+    n = len(block)
+    if not n:
+        return []
+    # the block's node tables, each entry's position in its job's node list
+    # (-1 for unlisted), and its distinct metric tables, each entry's
+    # _COUNTERS slot, _RUNNABLE or -1; each job's offsets into them and its
+    # row counts place its codes and rows in the block's columns
+    perf_rows, mem_rows, numa_rows = [], [], 0
+    node_pos, mem_pos, node_base, mem_base, numa_base, metric_base = [], [], [], [], [], []
+    slots: list[int] = []
+    metric_tables: dict[tuple[str, ...], int] = {}
+    for _, archive, _ in block:
+        perf, mem = archive.samples, archive.meminfo
+        position = {name: j for j, name in enumerate(archive.nodes)}
+        node_base.append(len(node_pos))
+        node_pos += [position.get(name, -1) for name in perf.nodes]
+        mem_base.append(len(mem_pos))
+        mem_pos += [position.get(name, -1) for name in mem.nodes]
+        base = metric_tables.get(perf.metrics)
+        if base is None:
+            base = metric_tables[perf.metrics] = len(slots)
+            table = [-1] * len(perf.metrics)
+            for slot, name in enumerate(_COUNTERS + (RUNNABLE_THREADS,)):
+                if name in perf.metrics:
+                    table[perf.metrics.index(name)] = slot
+            slots += table
+        metric_base.append(base)
+        numa_base.append(numa_rows)
+        numa_rows += len(mem.numa)
+        perf_rows.append(len(perf))
+        mem_rows.append(len(mem))
+    job_start = np.array([job.start_time for job, _, _ in block])
+    job_end = np.array([job.end_time for job, _, _ in block])
+    numbers = np.arange(n)
+
+    def column(name, part="samples"):
+        return np.concatenate([getattr(getattr(archive, part), name) for _, archive, _ in block])
+
+    job = np.repeat(numbers, perf_rows)
+    node = column("node") + np.repeat(node_base, perf_rows)
+    pos = np.array(node_pos, dtype=np.int64)[node]
+    slot = np.array(slots, dtype=np.int64)[column("metric") + np.repeat(metric_base, perf_rows)]
+    time, value, tag = column("time"), column("value"), column("tag")
+    rows = np.flatnonzero((pos >= 0) & (slot >= 0) & (slot < len(_COUNTERS)))
+    missing, totals, resets = _counter_kernel(
+        job[rows], pos[rows], slot[rows], node[rows] * len(_COUNTERS) + slot[rows],
+        time[rows], tag[rows], value[rows], n)
+
+    in_window = (np.repeat(job_start, perf_rows) < time) & (time < np.repeat(job_end, perf_rows))
+    rows = np.flatnonzero((slot == _RUNNABLE) & (column("kind") == _INSTANTANEOUS)
+                          & (pos >= 0) & in_window)
+    runnable, median = _medians(job[rows], value[rows], n)
+
+    job = np.repeat(numbers, mem_rows)
+    time = column("time", "meminfo")
+    rows = np.flatnonzero(
+        (np.array(mem_pos, dtype=np.int64)[column("node", "meminfo")
+                                           + np.repeat(mem_base, mem_rows)] >= 0)
+        & (np.repeat(job_start, mem_rows) < time) & (time < np.repeat(job_end, mem_rows)))
+    offset = np.repeat(numa_base, mem_rows)[rows]
+    lo = np.concatenate([archive.meminfo.numa_bounds[:-1] for _, archive, _ in block])
+    hi = np.concatenate([archive.meminfo.numa_bounds[1:] for _, archive, _ in block])
+    cores = [entry[2] for entry in block]
+    mem, mem_sum, mem_max, invalid = _mem_kernel(
+        job[rows], lo[rows] + offset, hi[rows] + offset, column("numa", "meminfo"),
+        [c if c >= 1 else 1 for c in cores], n)
+
+    results: list[_Reduced | Exception] = []
+    for b, (_, archive, _) in enumerate(block):
+        if b in missing:
+            error, j, m = missing[b]
+            results.append(error(archive.nodes[j], _COUNTERS[m]))
+        elif mem[b] and cores[b] < 1:
+            results.append(ValueError("n_cores must be >= 1"))
+        elif b in invalid:
+            results.append(InvalidMemInfo(invalid[b]))
+        else:
+            results.append(_Reduced(
+                totals=totals[b], resets=resets.get(b, ()),
+                runnable_median=median[b] if runnable[b] else None,
+                mem_avg=mem_sum[b] / mem[b] if mem[b] else None,
+                mem_max=mem_max[b] if mem[b] else None,
+                samples_used=runnable[b] + mem[b]))
+    return results
+
+
+def _job_summary(job: JobRecord, archive: JobArchive, reduced: _Reduced,
+                 db: Sequence[appident.AppPattern], ignore_list: Iterable[str]) -> JobPerfSummary:
+    """The summary of a job from what the block kernels found for it: its
+    flags, derived fields, application label and launch type."""
     flags: list[str] = []
-
-    samples = archive.samples
-    codes, listed = _node_codes(samples.nodes, archive.nodes)
-    totals, resets = _counter_totals(samples, archive.nodes, codes, listed)
     regressions = [(m, f"counter_regression:{archive.nodes[j]}:{_COUNTERS[m]}")
-                   for m, j in resets]
-    user_delta, total_delta, lustre_rx, lustre_tx, ib_rx, ib_tx, opens = totals
+                   for m, j in reduced.resets]
+    user_delta, total_delta, lustre_rx, lustre_tx, ib_rx, ib_tx, opens = reduced.totals
     flags.extend(flag for m, flag in regressions if m < 2)
     cpu_fraction = None
     if user_delta is not None and total_delta is not None and total_delta > 0:
@@ -523,23 +689,6 @@ def summarize_job(job: JobRecord, archive: JobArchive, cores_per_node: int,
         if clamped:
             flags.append("non_lustre_ib_clamped")
 
-    def in_window(time):
-        return (job.start_time < time) & (time < job.end_time)
-
-    runnable_code = (samples.metrics.index(RUNNABLE_THREADS)
-                     if RUNNABLE_THREADS in samples.metrics else -1)
-    runnable = samples.value[(samples.metric == runnable_code)
-                             & (samples.kind == _INSTANTANEOUS)
-                             & listed[samples.node] & in_window(samples.time)].tolist()
-    runnable_median = quantile(sorted(runnable), 0.5) if runnable else None
-
-    mem = archive.meminfo
-    _, listed = _node_codes(mem.nodes, archive.nodes)
-    rows = np.flatnonzero(listed[mem.node] & in_window(mem.time))
-    mem_values = _mem_per_core(mem, rows, cores_per_node) if rows.size else []
-    mem_avg = total(mem_values) / len(mem_values) if mem_values else None
-    mem_max = max(mem_values) if mem_values else None
-
     label = appident.resolve_job_app(
         launcher_present=archive.launcher is not None,
         launcher_exe=archive.launcher.exe if archive.launcher else None,
@@ -555,20 +704,58 @@ def summarize_job(job: JobRecord, archive: JobArchive, cores_per_node: int,
     return JobPerfSummary(
         job_id=job.job_id,
         cpu_user_fraction=cpu_fraction,
-        mem_avg_per_core=mem_avg,
-        mem_max_per_core=mem_max,
+        mem_avg_per_core=reduced.mem_avg,
+        mem_max_per_core=reduced.mem_max,
         lustre_rx=lustre_rx,
         lustre_tx=lustre_tx,
         ib_rx=ib_rx,
         ib_tx=ib_tx,
         non_lustre_ib=nli,
-        runnable_threads_median=runnable_median,
+        runnable_threads_median=reduced.runnable_median,
         file_opens=opens,
         app_label=label,
         launch_type=launch,
-        samples_used=len(runnable) + len(mem_values),
+        samples_used=reduced.samples_used,
         flags=tuple(flags),
     )
+
+
+def summarize_job(job: JobRecord, archive: JobArchive, cores_per_node: int,
+                  db: Sequence[appident.AppPattern] | None = None,
+                  ignore_list: Iterable[str] | None = None) -> JobPerfSummary:
+    """Build the per-job summary from the job's node archives: the kernels
+    of ``summarize_all`` run on a block of this one job."""
+    if not archive.nodes:
+        raise ValueError(f"job {job.job_id}: node list unknown")
+    if db is None:
+        db = appident.load_pattern_db()
+    if ignore_list is None:
+        ignore_list = appident.load_ignore_list()
+    (reduced,) = _block_kernels([(job, archive, cores_per_node)])
+    if isinstance(reduced, Exception):
+        raise reduced
+    return _job_summary(job, archive, reduced, db, ignore_list)
+
+
+def _settle(block: Sequence[tuple[JobRecord, JobArchive | None, object]],
+            summaries: dict[str, JobPerfSummary], skipped: dict[str, str],
+            db, ignore_list) -> None:
+    """Record the outcome of each (job, archive or None, cores per node)
+    entry of a block, in order, and raise the first failure."""
+    results = iter(_block_kernels([entry for entry in block if entry[1] is not None]))
+    for job, archive, _ in block:
+        if archive is None:
+            skipped[job.job_id] = "no_archive"
+            continue
+        reduced = next(results)
+        if isinstance(reduced, (MissingProlog, MissingEpilog)):
+            skipped[job.job_id] = str(reduced)
+        elif isinstance(reduced, InvalidMemInfo):
+            raise InvalidMemInfo(f"job {job.job_id}: {reduced}")
+        elif isinstance(reduced, Exception):
+            raise reduced
+        else:
+            summaries[job.job_id] = _job_summary(job, archive, reduced, db, ignore_list)
 
 
 def summarize_all(jobs: Sequence[JobRecord],
@@ -578,7 +765,11 @@ def summarize_all(jobs: Sequence[JobRecord],
 
     cores_per_node_of maps a JobRecord to its resource's cores per node.
     Returns (summaries by job_id, skip reasons by job_id).  Jobs without an
-    archive get no summary, never a partial one.
+    archive get no summary, never a partial one; a job missing a counter's
+    prolog or epilog is skipped with the reason.  Jobs are reduced in
+    blocks of consecutive jobs, and the first failure in ``jobs`` order is
+    raised: an error of ``cores_per_node_of``, InvalidMemInfo naming the
+    job, or the ValueError of fewer than one core per node.
     """
     if db is None:
         db = appident.load_pattern_db()
@@ -586,16 +777,28 @@ def summarize_all(jobs: Sequence[JobRecord],
         ignore_list = appident.load_ignore_list()
     summaries: dict[str, JobPerfSummary] = {}
     skipped: dict[str, str] = {}
+    block: list[tuple[JobRecord, JobArchive | None, object]] = []
+    size = 0
     for job in jobs:
         archive = archives.get(job.job_id)
         if archive is None or not archive.nodes:
-            skipped[job.job_id] = "no_archive"
+            block.append((job, None, None))
             continue
+        samples = len(archive.samples) + len(archive.meminfo)
+        if size and size + samples > _BLOCK_SAMPLES:
+            _settle(block, summaries, skipped, db, ignore_list)
+            block, size = [], 0
+        failure = None
         try:
-            summaries[job.job_id] = summarize_job(
-                job, archive, cores_per_node_of(job), db=db, ignore_list=ignore_list)
-        except (MissingProlog, MissingEpilog) as err:
-            skipped[job.job_id] = str(err)
+            cores = cores_per_node_of(job)
+        except Exception as err:
+            failure = err
+        if failure is not None:
+            _settle(block, summaries, skipped, db, ignore_list)  # an earlier failure wins
+            raise failure
+        block.append((job, archive, cores))
+        size += samples
+    _settle(block, summaries, skipped, db, ignore_list)
     return summaries, skipped
 
 
@@ -774,25 +977,38 @@ def load_archives(path) -> dict[str, JobArchive]:
 
 
 def write_summaries(summaries: Mapping[str, JobPerfSummary], path) -> None:
-    """Emit summaries as JSONL keyed by job_id, sorted for reproducibility."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for job_id in sorted(summaries):
-            s = summaries[job_id]
-            handle.write(json.dumps({
-                "job_id": s.job_id,
-                "cpu_user_fraction": s.cpu_user_fraction,
-                "mem_avg_per_core": s.mem_avg_per_core,
-                "mem_max_per_core": s.mem_max_per_core,
-                "lustre_rx": s.lustre_rx,
-                "lustre_tx": s.lustre_tx,
-                "ib_rx": s.ib_rx,
-                "ib_tx": s.ib_tx,
-                "non_lustre_ib": s.non_lustre_ib,
-                "runnable_threads_median": s.runnable_threads_median,
-                "file_opens": s.file_opens,
-                "app_label": s.app_label,
-                "launch_type": s.launch_type.value,
-                "samples_used": s.samples_used,
-                "flags": list(s.flags),
-            }, sort_keys=True, allow_nan=False))
-            handle.write("\n")
+    """Emit summaries as JSONL keyed by job_id, sorted for reproducibility.
+
+    The lines go to a temporary file in the target's directory that then
+    replaces the target, so a value JSON cannot hold (NaN, inf) raises
+    ValueError and leaves any file already at ``path`` as it was.
+    """
+    path = os.fspath(path)
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            for job_id in sorted(summaries):
+                s = summaries[job_id]
+                handle.write(json.dumps({
+                    "job_id": s.job_id,
+                    "cpu_user_fraction": s.cpu_user_fraction,
+                    "mem_avg_per_core": s.mem_avg_per_core,
+                    "mem_max_per_core": s.mem_max_per_core,
+                    "lustre_rx": s.lustre_rx,
+                    "lustre_tx": s.lustre_tx,
+                    "ib_rx": s.ib_rx,
+                    "ib_tx": s.ib_tx,
+                    "non_lustre_ib": s.non_lustre_ib,
+                    "runnable_threads_median": s.runnable_threads_median,
+                    "file_opens": s.file_opens,
+                    "app_label": s.app_label,
+                    "launch_type": s.launch_type.value,
+                    "samples_used": s.samples_used,
+                    "flags": list(s.flags),
+                }, sort_keys=True, allow_nan=False))
+                handle.write("\n")
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise

@@ -448,6 +448,42 @@ def test_summarize_from_files_matches_the_records(tmp_path, capsys, monkeypatch)
     assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
+def test_summarize_counts_what_it_left_out(tmp_path, capsys):
+    made, lines, _ = _archive_file(tmp_path, np.random.default_rng(4), n_jobs=3)
+    records = [dataclasses.replace(job, resource="SDSC-COMET") for job in made]
+    records.append(dataclasses.replace(records[0], job_id="none"))  # no archive
+    # a1 loses its first counter's prolog: skipped for a missing counter
+    lines = [line for line in lines if not (line["job_id"] == "a1"
+                                            and line.get("tag") == "job_prolog"
+                                            and line["metric"] == "cpu_user_ticks")]
+    jobs = _write_jobs(tmp_path / "jobs.csv", records)
+    archives = _write_lines(tmp_path / "archives.jsonl", lines)
+    out = tmp_path / "summaries.jsonl"
+    code, stdout, _ = run(capsys, "summarize", "--jobs", str(jobs), "--archives",
+                          str(archives), "--out", str(out))
+    assert code == EXIT_OK
+    assert json.loads(stdout) == {"summarized": 2, "skipped": 2, "no_archive": 1,
+                                  "missing_counter": 1}
+    assert [json.loads(line)["job_id"] for line in out.read_text().splitlines()] == ["a0", "a2"]
+
+
+def test_summarize_names_the_job_with_bad_meminfo(tmp_path, capsys):
+    made, lines, _ = _archive_file(tmp_path, np.random.default_rng(6), n_jobs=3)
+    records = [dataclasses.replace(job, resource="SDSC-COMET") for job in made]
+    bad = next(k for k, line in enumerate(lines)
+               if line["job_id"] == "a2" and line["type"] == "meminfo"
+               and records[2].start_time < line["time"] < records[2].end_time)
+    lines[bad]["numa"][0]["slab"] = -1
+    jobs = _write_jobs(tmp_path / "jobs.csv", records)
+    archives = _write_lines(tmp_path / "archives.jsonl", lines)
+    out = tmp_path / "summaries.jsonl"
+    code, _, err = run(capsys, "summarize", "--jobs", str(jobs), "--archives",
+                       str(archives), "--out", str(out))
+    assert code == EXIT_ANALYSIS
+    assert err == "analysis error: job a2: negative meminfo component\n"
+    assert not out.exists()
+
+
 def test_reversed_date_range_is_input_error(tmp_path, capsys):
     demo = ("--demo", "--demo-jobs", "20")
     code, _, err = run(capsys, "metric", "usage_rollup", *demo, "--start", "2016-01-01",

@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import T0, make_job
 from perfsummary_oracle import loader_order, summarize_records
+from hpcwl import perfsummary
 from hpcwl.errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
 from hpcwl.perfsummary import (
     CPU_TOTAL,
@@ -21,9 +26,11 @@ from hpcwl.perfsummary import (
     JobPerfSummary,
     LauncherInfo,
     LaunchType,
+    MemColumns,
     MemInfoSample,
     NumaMem,
     PerfSample,
+    SampleColumns,
     SampleKind,
     SampleTag,
     classify_launch_type,
@@ -614,3 +621,205 @@ def test_write_summaries_refuses_non_finite_values(tmp_path):
                 JobPerfSummary(job_id="j", runnable_threads_median=float("inf"))):
         with pytest.raises(ValueError):
             write_summaries({"j": bad}, tmp_path / "out.jsonl")
+
+
+# --- block kernels against a per-job loop over the oracle ----------------------
+
+POOL = ("p0", "p1", "p2", "p3", "p4")  # few ids, so jobs repeat them
+
+
+def _valid(sample):
+    return all(min(n.mem_total, n.mem_free, n.file_pages, n.slab) >= 0
+               and n.mem_total >= n.mem_free + n.file_pages + n.slab for n in sample.numa_nodes)
+
+
+@st.composite
+def block_cases(draw):
+    """(jobs, their records by job id, cores of each job, block size in
+    jobs' worth of samples).  A job id's records are (node list, perf
+    records, meminfo records, launcher), or None for no archive; a job's
+    user names its position, which picks its cores.  One case in four may
+    fail: cores of None (cores_per_node_of raises), cores of 0, and invalid
+    meminfo; the others summarize or skip every job."""
+    failures = draw(st.integers(0, 3)) == 0
+    records = {}
+    for job_id in POOL:
+        choice = draw(st.integers(0, 7))
+        if choice == 0:
+            records[job_id] = None
+        elif choice == 1:  # an archive without a node list
+            records[job_id] = ((), [], [], None)
+        else:
+            listed, samples, meminfo, _ = draw(oracle_archives())
+            launcher = draw(st.none() | st.builds(
+                LauncherInfo, st.sampled_from(("/apps/namd2", "/bin/sh", None)),
+                st.integers(0, 3), st.integers(0, 3)))
+            records[job_id] = (listed, samples, meminfo if failures
+                               else [m for m in meminfo if _valid(m)], launcher)
+    jobs = []
+    for k in range(draw(st.integers(1, 8))):
+        start = ORACLE_JOB.start_time + 300 * draw(st.integers(-2, 4))
+        jobs.append(make_job(job_id=draw(st.sampled_from(POOL)), user=f"u{k}", submit=T0,
+                             start=start, end=start + 300 * draw(st.integers(1, 12))))
+    cores = draw(st.lists(st.sampled_from((None, 0, 1, 16, 24, 24, 24) if failures
+                                          else (1, 16, 24)),
+                          min_size=len(jobs), max_size=len(jobs)))
+    return jobs, records, cores, draw(st.integers(1, 3))
+
+
+def _cores_of(cores):
+    def cores_per_node_of(job):
+        found = cores[int(job.user[1:])]
+        if found is None:
+            raise LookupError(f"no cores per node for {job.job_id}")
+        return found
+    return cores_per_node_of
+
+
+def _oracle_all(jobs, records, cores_per_node_of):
+    """summarize_all as a loop of the record-at-a-time oracle over the jobs."""
+    summaries, skipped = {}, {}
+    for job in jobs:
+        found = records.get(job.job_id)
+        if found is None or not found[0]:
+            skipped[job.job_id] = "no_archive"
+            continue
+        listed, samples, meminfo, launcher = found
+        cores = cores_per_node_of(job)
+        try:
+            summaries[job.job_id] = summarize_records(
+                job, listed, loader_order(samples), loader_order(meminfo), cores,
+                launcher=launcher, db=(), ignore_list=())
+        except (MissingProlog, MissingEpilog) as err:
+            skipped[job.job_id] = str(err)
+        except InvalidMemInfo as err:
+            raise InvalidMemInfo(f"job {job.job_id}: {err}") from None
+    return summaries, skipped
+
+
+def _settled(summarize):
+    """The outcome of summarize_all, dicts as lists so their order counts."""
+    try:
+        summaries, skipped = summarize()
+    except (InvalidMemInfo, ValueError, LookupError) as err:
+        return type(err), str(err)
+    return list(summaries.items()), list(skipped.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_cases())
+def test_block_summaries_equal_a_per_job_loop_of_the_oracle(case):
+    jobs, records, cores, per_block = case
+    archives = {job_id: JobArchive(job_id=job_id, nodes=found[0], samples=tuple(found[1]),
+                                   meminfo=tuple(found[2]), launcher=found[3])
+                for job_id, found in records.items() if found is not None}
+    sizes = [len(a.samples) + len(a.meminfo) for a in archives.values()]
+    block = max(1, per_block * sum(sizes) // max(1, len(sizes)))
+    with mock.patch.object(perfsummary, "_BLOCK_SAMPLES", block):
+        blocked = _settled(lambda: summarize_all(jobs, archives, _cores_of(cores), db=(),
+                                                 ignore_list=()))
+    assert blocked == _settled(lambda: _oracle_all(jobs, records, _cores_of(cores)))
+
+
+def test_the_first_failure_in_job_order_wins_across_blocks():
+    job, start, end = job_and_window()
+    good = JobArchive(job_id="g", nodes=("n1",), meminfo=(
+        meminfo("n1", start + 600, 64 * GIB, 32 * GIB, 0, 0),))
+    bad = JobArchive(job_id="b", nodes=("n1",), meminfo=(
+        meminfo("n1", start + 600, 64 * GIB, -1, 0, 0),))
+    jobs = [make_job(job_id=i, start=start, end=end) for i in ("g", "b", "g", "x")]
+    archives = {"g": good, "b": bad, "x": good}
+
+    def cores_of(job):
+        if job.job_id == "x":
+            raise LookupError("no cores for x")
+        return 16
+
+    for block in (1, 2, 3, 100):
+        with mock.patch.object(perfsummary, "_BLOCK_SAMPLES", block):
+            with pytest.raises(InvalidMemInfo, match="^job b: negative meminfo component$"):
+                summarize_all(jobs, archives, cores_of, db=(), ignore_list=())
+            with pytest.raises(LookupError, match="no cores for x"):
+                summarize_all(jobs[:1] + jobs[2:], archives, cores_of, db=(), ignore_list=())
+
+
+def _many_job_archives(n_jobs, times=48):
+    """Archives of ``n_jobs`` jobs on 1-4 nodes, built as columns: every
+    counter with a prolog and an epilog, runnable threads and two-NUMA
+    meminfo on a 10-minute grid inside the run window."""
+    rng = np.random.default_rng(11)
+    metrics = (CPU_USER, CPU_TOTAL, LUSTRE_RX, LUSTRE_TX, IB_RX, IB_TX, FILE_OPENS,
+               RUNNABLE_THREADS)
+    tag_code = {tag: code for code, tag in enumerate(SampleTag)}
+    jobs, archives = [], {}
+    for k in range(n_jobs):
+        nodes = tuple(f"c{k}-{i}" for i in range(1 + k % 4))
+        job = make_job(job_id=f"m{k}", submit=T0, start=T0 + 600,
+                       end=T0 + 600 + 600 * (times + 1), nodes=len(nodes))
+        time = job.start_time + 600 * np.arange(1, times + 1)
+        time[0], time[-1] = job.start_time, job.end_time
+        n_series = len(nodes) * len(metrics)
+        tag = np.full((n_series, times), tag_code[SampleTag.PERIODIC], dtype=np.int8)
+        tag[:, 0] = tag_code[SampleTag.JOB_PROLOG]
+        tag[:, -1] = tag_code[SampleTag.JOB_EPILOG]
+        kind = np.zeros((len(nodes), len(metrics), times), dtype=np.int8)
+        kind[:, -1] = list(SampleKind).index(SampleKind.INSTANTANEOUS)
+        samples = SampleColumns(
+            nodes=nodes, metrics=metrics,
+            node=np.repeat(np.arange(len(nodes)), len(metrics) * times),
+            time=np.tile(time, n_series),
+            metric=np.tile(np.repeat(np.arange(len(metrics)), times), len(nodes)),
+            kind=kind.ravel(), tag=tag.ravel(),
+            value=np.cumsum(rng.integers(0, 1 << 20, size=(n_series, times)), axis=1)
+            .ravel().astype(np.float64))
+        used = rng.integers(0, 8 * GIB, size=(len(nodes) * times * 2, 1))
+        numa = np.hstack([np.full_like(used, 32 * GIB), 32 * GIB - used - 1024,
+                          np.full_like(used, 512), np.full_like(used, 512)])
+        mem = MemColumns(nodes=nodes, node=np.repeat(np.arange(len(nodes)), times),
+                         time=np.tile(time, len(nodes)),
+                         numa_bounds=2 * np.arange(len(nodes) * times + 1), numa=numa)
+        jobs.append(job)
+        archives[job.job_id] = JobArchive(job_id=job.job_id, nodes=nodes, samples=samples,
+                                          meminfo=mem)
+    return jobs, archives
+
+
+def _traced_peak(summarize):
+    tracemalloc.start()
+    try:
+        summarize()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_summarize_all_keeps_a_small_working_set():
+    jobs, archives = _many_job_archives(600)
+    column_bytes = sum(getattr(part, field.name).nbytes for archive in archives.values()
+                       for part in (archive.samples, archive.meminfo)
+                       for field in dataclasses.fields(part)
+                       if isinstance(getattr(part, field.name), np.ndarray))
+    summaries, skipped = summarize_all(jobs, archives, lambda job: 16, db=(), ignore_list=())
+    assert len(summaries) == len(jobs) and not skipped
+    peak = _traced_peak(lambda: summarize_all(jobs, archives, lambda job: 16, db=(),
+                                              ignore_list=()))
+    assert peak < column_bytes / 4
+    # one block of the whole archive is past the bound
+    with mock.patch.object(perfsummary, "_BLOCK_SAMPLES", 1 << 62):
+        whole = _traced_peak(lambda: summarize_all(jobs, archives, lambda job: 16, db=(),
+                                                   ignore_list=()))
+    assert whole > column_bytes / 4
+
+
+def test_write_summaries_keeps_the_old_file_when_a_value_is_refused(tmp_path):
+    out = tmp_path / "summaries.jsonl"
+    out.write_text("old contents\n")
+    good = JobPerfSummary(job_id="a", cpu_user_fraction=0.5)
+    bad = JobPerfSummary(job_id="b", cpu_user_fraction=float("nan"))
+    with pytest.raises(ValueError):
+        write_summaries({"a": good, "b": bad}, out)
+    assert out.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["summaries.jsonl"]
+    write_summaries({"a": good}, out)
+    assert [json.loads(line)["job_id"] for line in out.read_text().splitlines()] == ["a"]
+    assert os.listdir(tmp_path) == ["summaries.jsonl"]
