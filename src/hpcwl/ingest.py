@@ -481,37 +481,52 @@ def _job_from_raw(raw: Mapping, row: int) -> JobRecord:
     return _from_raw(JobRecord, raw, row)
 
 
-def _json_lines(handle):
-    """Yield (row, value) for each line of a JSON-lines text file; rows are
-    1-based line numbers, and a blank line is counted and skipped.
+_BLANK = object()  # what ``_json_line`` returns for a blank line
+
+
+def _json_scanner():
+    """The C scanner's ``scan_once`` for ``_json_line``, or None where it is
+    absent: the pure-Python scanner is slower than ``json.loads``."""
+    return json.JSONDecoder().scan_once if json.scanner.c_make_scanner is not None else None
+
+
+def _json_line(line: str, row: int, scan):
+    """The JSON value of one line of a JSON-lines text file, or ``_BLANK``
+    for a blank line; ``row`` is its 1-based line number.
 
     A line is one JSON value with optional surrounding whitespace, parsed
-    as ``json.loads`` parses it.  Where the C scanner is present, each line
-    is first parsed by one call to it; a line it does not take whole (up to
-    the final newline) is parsed again by ``json.loads``, so padded, blank
-    and invalid lines behave exactly as under ``json.loads`` alone.  A line
-    that is not JSON raises SchemaError "row N: invalid JSON".
+    as ``json.loads`` parses it.  Where ``scan`` (``_json_scanner()``) is
+    not None, the line is first parsed by one call to it; a line it does not
+    take whole (up to the final newline) is parsed again by ``json.loads``,
+    so padded, blank and invalid lines behave exactly as under
+    ``json.loads`` alone.  A line that is not JSON raises SchemaError
+    "row N: invalid JSON".
     """
-    loads = json.loads
-    # the pure-Python scanner is slower than loads, so it is not used
-    scan = json.JSONDecoder().scan_once if json.scanner.c_make_scanner is not None else None
-    for row, line in enumerate(handle, start=1):
-        if scan is not None:
-            try:
-                value, end = scan(line, 0)
-            except Exception:  # StopIteration, JSONDecodeError, ...: loads decides
-                pass
-            else:
-                if end == len(line) or (end + 1 == len(line) and line[end] == "\n"):
-                    yield row, value
-                    continue
+    if scan is not None:
         try:
-            value = loads(line)
-        except json.JSONDecodeError:
-            if not line.strip():
-                continue
-            raise SchemaError(row, None, f"row {row}: invalid JSON") from None
-        yield row, value
+            value, end = scan(line, 0)
+        except Exception:  # StopIteration, JSONDecodeError, ...: loads decides
+            pass
+        else:
+            if end == len(line) or (end + 1 == len(line) and line[end] == "\n"):
+                return value
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        if not line.strip():
+            return _BLANK
+        raise SchemaError(row, None, f"row {row}: invalid JSON") from None
+
+
+def _json_lines(handle):
+    """Yield (row, value) for each line of a JSON-lines text file, as
+    ``_json_line`` reads it; rows are 1-based line numbers, and a blank
+    line is counted and skipped."""
+    scan = _json_scanner()
+    for row, line in enumerate(handle, start=1):
+        value = _json_line(line, row, scan)
+        if value is not _BLANK:
+            yield row, value
 
 
 def _json_objects(handle):

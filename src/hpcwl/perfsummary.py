@@ -10,13 +10,18 @@ zeros.
 A ``JobArchive`` holds its perf and meminfo records as numpy columns
 (``SampleColumns``, ``MemColumns``), ordered by node, metric and time, with
 records of equal keys in the order they were read.  ``load_archives`` reads
-the file with the loaders' one JSON-lines reader (``ingest._json_lines``:
-one JSON value per line, parsed by one call to the C scanner where it is
-present) and fills typed buffers straight from each record; a record whose
-fields are not all plainly valid (a name that is not a non-empty string, a
-bad number) is checked field by field and rejected with a SchemaError
-naming its line.  Archives built from ``PerfSample`` and ``MemInfoSample``
-records are converted once, by the same column builder.
+the file a chunk of lines at a time into typed buffers per job.  A perf or
+meminfo line spelled as ``json.dumps`` writes the record with its keys in
+the documented order (plain names, integers of at most 15 digits, an
+unsigned ``value`` without exponent; docs/formats.md) is taken by one
+pattern match, and each stretch of such lines is converted a column at a
+time.  Every other line, in its place in the file, goes through the
+loaders' per-line JSON reader (``ingest._json_line``) and loads the same
+columns: a record whose fields are not all plainly valid (a name that is
+not a non-empty string, a bad number) is checked field by field and
+rejected with a SchemaError naming its line.  Archives built from
+``PerfSample`` and ``MemInfoSample`` records are converted once, by the
+same column builder.
 ``summarize_all`` gathers consecutive jobs into blocks of up to
 ``_BLOCK_SAMPLES`` samples and reduces each block with one run of whole-array
 kernels keyed by (job, node, metric): counter totals and resets, missing
@@ -30,17 +35,30 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import chain, compress, groupby, repeat
+from operator import itemgetter, not_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import appident
 from .errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
-from .ingest import JobRecord, _as_float, _as_int, _as_str, _json_lines
+from .ingest import (
+    _BLANK,
+    JobRecord,
+    _as_float,
+    _as_int,
+    _as_str,
+    _json_line,
+    _json_lines,  # noqa: F401  tests/test_json_lines.py swaps in its reference reader here
+    _json_scanner,
+)
 
 # canonical counter metric names in the archive schema
 CPU_USER = "cpu_user_ticks"
@@ -83,8 +101,9 @@ class PerfSample:
     tag: SampleTag = SampleTag.PERIODIC
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"negative sample value for {self.metric}")
+        # the loader's rule: NaN fails both comparisons
+        if not 0 <= self.value <= _FLOAT_MAX:
+            raise ValueError(f"sample value for {self.metric} must be finite and >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +139,7 @@ class LauncherInfo:
 # integers in archives must be exact in a double, so the columns hold them
 # without rounding: times, NUMA components and counts
 _EXACT = 2 ** 53
+_FLOAT_MAX = sys.float_info.max
 # codes of the enum members in the columns: their position in the enum
 _KIND_CODE = {kind.value: code for code, kind in enumerate(SampleKind)}
 _TAG_CODE = {tag.value: code for code, tag in enumerate(SampleTag)}
@@ -168,6 +188,17 @@ class MemColumns:
         return len(self.time)
 
 
+class _Codes(dict):
+    """Codes of names in order of first appearance: looking up a name not
+    seen before gives it the next code."""
+
+    __slots__ = ()
+
+    def __missing__(self, name) -> int:
+        code = self[name] = len(self)
+        return code
+
+
 class _ColumnBuilder:
     """Typed buffers for one job's perf and meminfo records in the order
     they arrive; ``sample_columns``/``mem_columns`` sort them into columns."""
@@ -175,16 +206,10 @@ class _ColumnBuilder:
     __slots__ = ("node_codes", "perf", "mem", "numa")
 
     def __init__(self):
-        self.node_codes: dict[str, int] = {}  # in order of first appearance
+        self.node_codes = _Codes()
         self.perf = array("d")  # node, time, metric, kind, value, tag per sample
         self.mem = array("q")  # node, time, NUMA count per sample
         self.numa = array("q")  # mem_total, mem_free, file_pages, slab per NUMA node
-
-    def node_code(self, node: str) -> int:
-        code = self.node_codes.get(node)
-        if code is None:
-            code = self.node_codes[node] = len(self.node_codes)
-        return code
 
     def _node_table(self) -> tuple[tuple[str, ...], np.ndarray]:
         """Sorted node names and the sorted position of each node code."""
@@ -222,21 +247,20 @@ class _ColumnBuilder:
 
 def _perf_from_records(samples: Iterable[PerfSample]) -> SampleColumns:
     builder = _ColumnBuilder()
-    metric_codes: dict[str, int] = {}
+    metric_codes = _Codes()
     for s in samples:
-        metric = metric_codes.setdefault(s.metric, len(metric_codes))
-        builder.perf.extend((builder.node_code(s.node), s.time, metric,
-                             _KIND_CODE[SampleKind(s.kind).value], s.value,
-                             _TAG_CODE[SampleTag(s.tag).value]))
+        builder.perf.fromlist([builder.node_codes[s.node], s.time, metric_codes[s.metric],
+                               _KIND_CODE[SampleKind(s.kind).value], s.value,
+                               _TAG_CODE[SampleTag(s.tag).value]])
     return builder.sample_columns(tuple(metric_codes))
 
 
 def _mem_from_records(meminfo: Iterable[MemInfoSample]) -> MemColumns:
     builder = _ColumnBuilder()
     for m in meminfo:
-        builder.mem.extend((builder.node_code(m.node), m.time, len(m.numa_nodes)))
+        builder.mem.fromlist([builder.node_codes[m.node], m.time, len(m.numa_nodes)])
         for numa in m.numa_nodes:
-            builder.numa.extend((numa.mem_total, numa.mem_free, numa.file_pages, numa.slab))
+            builder.numa.fromlist([numa.mem_total, numa.mem_free, numa.file_pages, numa.slab])
     return builder.mem_columns()
 
 
@@ -805,9 +829,33 @@ def summarize_all(jobs: Sequence[JobRecord],
 # ---------------------------------------------------------------------------
 # archive JSONL
 
-_FLOAT_MAX = sys.float_info.max
 _NUMBER = frozenset((int, float))
 _NUMA_FIELDS = ("mem_total", "mem_free", "file_pages", "slab")
+_CHUNK_BYTES = 1 << 16  # the size hint of the lines read at a time
+
+
+# A perf or meminfo line as json.dumps writes the record with its keys in
+# the order docs/formats.md lists them.  Names hold no quote, backslash or
+# control character, so each is its own text; integers have at most 15
+# digits, so each is exact in a double; and `value` has neither sign nor
+# exponent, so it is finite and >= 0.  A line it takes is valid JSON whose
+# fields are all valid, and its groups are the fields: (1) "perf" for a
+# perf record, (2) job_id, (3) node, (4) time, then (5) metric, (6) kind,
+# (7) value, (8) tag of a perf record or (9) the text inside a meminfo
+# record's `numa` brackets.
+_DIGITS = "(?:0|[1-9][0-9]{0,14})"
+_INT = "-?" + _DIGITS
+_NUMA_PART = r"\{" + ", ".join(f'"{name}": {_INT}' for name in _NUMA_FIELDS) + r"\}"
+_LINE = re.compile((
+    r'\{"type": "(?:(perf)|meminfo)", "job_id": %(name)s, "node": %(name)s, '
+    r'"time": (%(int)s), (?(1)'
+    r'"metric": %(name)s, "kind": "(%(kind)s)", '
+    r'"value": (%(digits)s(?:\.[0-9]+)?), "tag": "(%(tag)s)"'
+    r'|"numa": \[((?:%(numa)s(?:, %(numa)s)*)?)\])\}\n?') % dict(
+        name=r'"([^"\\\x00-\x1f]+)"', int=_INT, digits=_DIGITS, numa=_NUMA_PART,
+        kind="|".join(_KIND_CODE), tag="|".join(_TAG_CODE)))
+# turns each character of a meminfo line's `numa` text but the integers' into a blank
+_BLANK_NAMES = str.maketrans(dict.fromkeys(set("".join(_NUMA_FIELDS)) | set('{}":, '), " "))
 
 
 def _int_field(raw: Mapping, row: int, name: str, low: int = -_EXACT) -> int:
@@ -826,8 +874,7 @@ def _code(codes: Mapping[str, int], raw: Mapping, row: int, name: str, default=N
     return code
 
 
-def _builder(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]) -> _ColumnBuilder:
-    job_id = _as_str(raw, row, "job_id")
+def _builder(builders: dict[str, _ColumnBuilder], job_id: str) -> _ColumnBuilder:
     builder = builders.get(job_id)
     if builder is None:
         builder = builders[job_id] = _ColumnBuilder()
@@ -835,31 +882,31 @@ def _builder(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]) -> _Co
 
 
 def _perf_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder],
-                 metric_codes: dict[str, int]) -> tuple[_ColumnBuilder, tuple]:
+                 metric_codes: _Codes) -> tuple[_ColumnBuilder, list]:
     """Check one perf record field by field: its job's builder and the
     fields it appends, or SchemaError."""
-    builder = _builder(raw, row, builders)
+    builder = _builder(builders, _as_str(raw, row, "job_id"))
     time = _int_field(raw, row, "time")
     value = _as_float(raw, row, "value")
     if value < 0:
         raise SchemaError(row, "value", f"row {row}: negative value")
-    metric = metric_codes.setdefault(_as_str(raw, row, "metric"), len(metric_codes))
-    return builder, (builder.node_code(_as_str(raw, row, "node")), time, metric,
+    metric = metric_codes[_as_str(raw, row, "metric")]
+    return builder, [builder.node_codes[_as_str(raw, row, "node")], time, metric,
                      _code(_KIND_CODE, raw, row, "kind"), value,
-                     _code(_TAG_CODE, raw, row, "tag", SampleTag.PERIODIC.value))
+                     _code(_TAG_CODE, raw, row, "tag", SampleTag.PERIODIC.value)]
 
 
 def _meminfo_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]
-                    ) -> tuple[_ColumnBuilder, tuple, list[int]]:
+                    ) -> tuple[_ColumnBuilder, list, list[int]]:
     """Check one meminfo record field by field: its job's builder, its
     sample fields and its NUMA components, or SchemaError."""
-    builder = _builder(raw, row, builders)
+    builder = _builder(builders, _as_str(raw, row, "job_id"))
     time = _int_field(raw, row, "time")
     numa = raw.get("numa")
     if type(numa) is not list or not all(type(part) is dict for part in numa):
         raise SchemaError(row, "numa", f"row {row}: numa must be a list of objects")
     components = [_int_field(part, row, name) for part in numa for name in _NUMA_FIELDS]
-    return builder, (builder.node_code(_as_str(raw, row, "node")), time, len(numa)), components
+    return builder, [builder.node_codes[_as_str(raw, row, "node")], time, len(numa)], components
 
 
 def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
@@ -898,49 +945,82 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
         raise SchemaError(row, "type", f"row {row}: unknown archive record type {kind!r}")
 
 
-def load_archives(path) -> dict[str, JobArchive]:
-    """Read the archive JSONL (schema in docs/formats.md) grouped by job.
+class _ArchiveReader:
+    """The records of an archive file read so far: each job's column
+    builder, the metric codes shared by all jobs, and the job, launcher and
+    process records by job."""
 
-    Each line is one JSON object.  Record order in the file does not matter,
-    except among records of one job with equal (node, metric, time), which
-    keep it.  A malformed record raises SchemaError whose row is its 1-based
-    line number.
-    """
-    builders: dict[str, _ColumnBuilder] = {}
-    metric_codes: dict[str, int] = {}
-    nodes: dict[str, tuple[str, ...]] = {}
-    launcher: dict[str, LauncherInfo] = {}
-    processes: dict[str, list[appident.ProcessObservation]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for row, raw in _json_lines(handle):
+    def __init__(self):
+        self.builders: dict[str, _ColumnBuilder] = {}
+        self.metric_codes = _Codes()
+        self.nodes: dict[str, tuple[str, ...]] = {}
+        self.launcher: dict[str, LauncherInfo] = {}
+        self.processes: dict[str, list[appident.ProcessObservation]] = {}
+        self.scan = _json_scanner()
+
+    def take_matches(self, matches: list[re.Match]) -> None:
+        """Append the records of consecutive lines that ``_LINE`` took,
+        column by column, each job's in file order."""
+        rows = list(map(re.Match.groups, matches))
+        perf = list(map(itemgetter(0), rows))
+        job = itemgetter(1)
+        metric_code = self.metric_codes.__getitem__
+        # extend() of an iterator grows a buffer as appending record by
+        # record does; fromlist() of a whole stretch would leave up to a
+        # sixteenth of it spare.  A time of at most 15 digits is exact as a
+        # float, which the perf buffer takes without a conversion.
+        for job_id, run in groupby(compress(rows, perf), job):
+            builder = _builder(self.builders, job_id)
+            _, _, node, time, metric, kind, value, tag, _ = zip(*run)
+            builder.perf.extend(chain.from_iterable(zip(
+                map(builder.node_codes.__getitem__, node), map(float, time),
+                map(metric_code, metric), map(_KIND_CODE.__getitem__, kind),
+                map(float, value), map(_TAG_CODE.__getitem__, tag))))
+        for job_id, run in groupby(compress(rows, map(not_, perf)), job):
+            builder = _builder(self.builders, job_id)
+            _, _, node, time, _, _, _, _, numa = zip(*run)
+            builder.mem.extend(chain.from_iterable(zip(
+                map(builder.node_codes.__getitem__, node), map(int, time),
+                map(str.count, numa, repeat("{")))))
+            builder.numa.extend(map(int, ", ".join(numa).translate(_BLANK_NAMES).split()))
+
+    def take_lines(self, lines: list[str], first_row: int) -> None:
+        """Parse and check the records of consecutive lines one at a time;
+        ``first_row`` is the line number of the first."""
+        builders, metric_codes, scan = self.builders, self.metric_codes, self.scan
+        for row, line in enumerate(lines, start=first_row):
+            raw = _json_line(line, row, scan)
+            if raw is _BLANK:
+                continue
             try:
                 kind = raw["type"]
             except (KeyError, TypeError):
                 kind = None
-            # perf and meminfo records are nearly all of a file: take those
-            # whose fields are all plainly valid without a call, and check
-            # any other field by field
+            # take a perf or meminfo record whose fields are all plainly
+            # valid without a call, and check any other field by field
             if kind == "perf":
                 try:
                     builder = builders[raw["job_id"]]
-                    time, value = raw["time"], raw["value"]
-                    record = (builder.node_codes[raw["node"]], time,
-                              metric_codes[raw["metric"]], _KIND_CODE[raw["kind"]],
-                              value, _TAG_CODE[raw["tag"]])
-                    valid = (type(time) is int and -_EXACT <= time <= _EXACT
+                    node, metric, time, value = (raw["node"], raw["metric"], raw["time"],
+                                                 raw["value"])
+                    record = [builder.node_codes[node], time, metric_codes[metric],
+                              _KIND_CODE[raw["kind"]], value, _TAG_CODE[raw["tag"]]]
+                    valid = (type(node) is str and node != "" and type(metric) is str
+                             and metric != "" and type(time) is int
+                             and -_EXACT <= time <= _EXACT
                              and type(value) in _NUMBER and 0 <= value <= _FLOAT_MAX)
                 except (KeyError, TypeError):
                     valid = False
                 if not valid:
                     builder, record = _perf_record(raw, row, builders, metric_codes)
-                builder.perf.extend(record)
+                builder.perf.fromlist(record)
             elif kind == "meminfo":
                 try:
                     builder = builders[raw["job_id"]]
-                    time, numa = raw["time"], raw["numa"]
-                    sample = (builder.node_codes[raw["node"]], time, len(numa))
-                    valid = (type(time) is int and -_EXACT <= time <= _EXACT
-                             and type(numa) is list)
+                    node, time, numa = raw["node"], raw["time"], raw["numa"]
+                    sample = [builder.node_codes[node], time, len(numa)]
+                    valid = (type(node) is str and node != "" and type(time) is int
+                             and -_EXACT <= time <= _EXACT and type(numa) is list)
                     components = []
                     for part in numa:
                         c = (part["mem_total"], part["mem_free"], part["file_pages"],
@@ -956,24 +1036,54 @@ def load_archives(path) -> dict[str, JobArchive]:
                     valid = False
                 if not valid:
                     builder, sample, components = _meminfo_record(raw, row, builders)
-                builder.mem.extend(sample)
-                builder.numa.extend(components)
+                builder.mem.fromlist(sample)
+                builder.numa.fromlist(components)
             else:
-                _other_record(raw, row, nodes, launcher, processes)
-    metrics = tuple(metric_codes)
-    empty = _ColumnBuilder()
-    archives = {}
-    for job_id in sorted(set(nodes) | set(builders) | set(launcher) | set(processes)):
-        builder = builders.pop(job_id, empty)
-        archives[job_id] = JobArchive(
-            job_id=job_id,
-            nodes=nodes.get(job_id, ()),
-            samples=builder.sample_columns(metrics),
-            meminfo=builder.mem_columns(),
-            launcher=launcher.get(job_id),
-            processes=tuple(processes.get(job_id, ())),
-        )
-    return archives
+                _other_record(raw, row, self.nodes, self.launcher, self.processes)
+
+    def archives(self) -> dict[str, JobArchive]:
+        """Each job's archive, in job_id order."""
+        metrics = tuple(self.metric_codes)
+        empty = _ColumnBuilder()
+        archives = {}
+        for job_id in sorted(set(self.nodes) | set(self.builders) | set(self.launcher)
+                             | set(self.processes)):
+            builder = self.builders.pop(job_id, empty)
+            archives[job_id] = JobArchive(
+                job_id=job_id,
+                nodes=self.nodes.get(job_id, ()),
+                samples=builder.sample_columns(metrics),
+                meminfo=builder.mem_columns(),
+                launcher=self.launcher.get(job_id),
+                processes=tuple(self.processes.get(job_id, ())),
+            )
+        return archives
+
+
+def load_archives(path) -> dict[str, JobArchive]:
+    """Read the archive JSONL (schema in docs/formats.md) grouped by job.
+
+    Each line is one JSON object.  Record order in the file does not matter,
+    except among records of one job with equal (node, metric, time), which
+    keep it.  A malformed record raises SchemaError whose row is its 1-based
+    line number.
+    """
+    reader = _ArchiveReader()
+    row = 1  # the line number of the chunk's first line
+    with open(path, "r", encoding="utf-8") as handle:
+        for chunk in iter(partial(handle.readlines, _CHUNK_BYTES), []):
+            # stretches of lines that _LINE takes, and of lines it does not,
+            # in file order
+            start = 0
+            for taken, run in groupby(map(_LINE.fullmatch, chunk), bool):
+                run = list(run)
+                if taken:
+                    reader.take_matches(run)
+                else:
+                    reader.take_lines(chunk[start:start + len(run)], row + start)
+                start += len(run)
+            row += len(chunk)
+    return reader.archives()
 
 
 def write_summaries(summaries: Mapping[str, JobPerfSummary], path) -> None:

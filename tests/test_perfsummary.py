@@ -91,6 +91,15 @@ def test_memory_negative_component_rejected():
         memory_per_core(overfull, 4)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_a_sample_value_must_be_finite_and_nonnegative(value):
+    """The loader's rule for ``value``: two inf counter samples would give
+    an inf - inf total."""
+    with pytest.raises(ValueError):
+        counter("n1", T0, LUSTRE_RX, value, SampleTag.JOB_PROLOG)
+    assert counter("n1", T0, LUSTRE_RX, 1e308).value == 1e308
+
+
 # --- counter semantics -------------------------------------------------------
 
 def test_counter_delta_simple_and_reset():
