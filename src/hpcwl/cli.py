@@ -15,7 +15,7 @@ import os
 import sys
 from datetime import date
 
-from . import appident, backlog, report, statmodels, synth
+from . import appident, report, statmodels, synth
 from .errors import HpcwlError, SchemaError
 from .ingest import (
     _as_day,
@@ -181,14 +181,8 @@ def _cmd_metric(args, config) -> int:
 
 
 def _cmd_backlog(args, config) -> int:
-    ctx = _build_context(args, config)
-    series = backlog.backlog_series(ctx.dataset.job_table, args.resource,
-                                    sampling=args.sampling)
-    print("time,queued_core_years,running_nodes,queued_nodes,required_nodes")
-    for point in series.points:
-        print(f"{point.time},{point.queued_core_years!r},{point.running_nodes},"
-              f"{point.queued_nodes},{point.required_nodes}")
-    return EXIT_OK
+    return _print_analysis(args, config, "backlog", {"sampling": args.sampling},
+                           Filters(resources={args.resource}))
 
 
 def _print_analysis(args, config, name: str, params: dict,

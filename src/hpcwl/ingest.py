@@ -518,33 +518,23 @@ def _json_line(line: str, row: int, scan):
         raise SchemaError(row, None, f"row {row}: invalid JSON") from None
 
 
-def _json_lines(handle):
-    """Yield (row, value) for each line of a JSON-lines text file, as
-    ``_json_line`` reads it; rows are 1-based line numbers, and a blank
-    line is counted and skipped."""
-    scan = _json_scanner()
-    for row, line in enumerate(handle, start=1):
-        value = _json_line(line, row, scan)
-        if value is not _BLANK:
-            yield row, value
-
-
 def _json_objects(handle):
     """Yield (row, object) for each line of a JSON-lines file, as
-    ``_json_lines`` reads it; a line that is not JSON or not an object is
-    yielded as (row, SchemaError), and reading goes on after it."""
-    offset = 0  # the rows read before the reader last stopped at an invalid line
-    while True:
+    ``_json_line`` reads it; rows are 1-based line numbers, a blank line is
+    counted and skipped, and a line that is not JSON or not an object is
+    yielded as (row, SchemaError)."""
+    scan = _json_scanner()
+    for row, line in enumerate(handle, start=1):
         try:
-            for row, value in _json_lines(handle):
-                row += offset
-                if not isinstance(value, dict):
-                    value = SchemaError(row, None, f"row {row}: expected an object")
-                yield row, value
-            return
+            value = _json_line(line, row, scan)
         except SchemaError as err:
-            offset += err.row
-            yield offset, SchemaError(offset, None, f"row {offset}: invalid JSON")
+            value = err
+        else:
+            if value is _BLANK:
+                continue
+            if not isinstance(value, dict):
+                value = SchemaError(row, None, f"row {row}: expected an object")
+        yield row, value
 
 
 def _iter_raw_rows(path, fmt: str):
@@ -964,11 +954,12 @@ def _resource_table(entries) -> dict[str, ResourceSpec]:
 
 
 def load_resources(path) -> dict[str, ResourceSpec]:
-    """Load resource descriptions from a JSON file (list of objects)."""
+    """Load resource descriptions from a JSON file: a list of objects, or an
+    object whose ``resources`` is that list."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if isinstance(doc, Mapping):
-        doc = doc.get("resources", [])
+        doc = doc.get("resources")
     return _resource_table(doc)
 
 

@@ -16,12 +16,10 @@ the documented order (plain names, integers of at most 15 digits, an
 unsigned ``value`` without exponent; docs/formats.md) is taken by one
 pattern match, and each stretch of such lines is converted a column at a
 time.  Every other line, in its place in the file, goes through the
-loaders' per-line JSON reader (``ingest._json_line``) and loads the same
-columns: a record whose fields are not all plainly valid (a name that is
-not a non-empty string, a bad number) is checked field by field and
-rejected with a SchemaError naming its line.  Archives built from
-``PerfSample`` and ``MemInfoSample`` records are converted once, by the
-same column builder.
+loaders' per-line JSON reader (``ingest._json_line``), is checked field by
+field and loads the same columns, or is rejected with a SchemaError naming
+its line.  Archives built from ``PerfSample`` and ``MemInfoSample``
+records are converted once, by the same column builder.
 ``summarize_all`` gathers consecutive jobs into blocks of up to
 ``_BLOCK_SAMPLES`` samples and reduces each block with one run of whole-array
 kernels keyed by (job, node, metric): counter totals and resets, missing
@@ -56,7 +54,6 @@ from .ingest import (
     _as_int,
     _as_str,
     _json_line,
-    _json_lines,  # noqa: F401  tests/test_json_lines.py swaps in its reference reader here
     _json_scanner,
 )
 
@@ -829,7 +826,6 @@ def summarize_all(jobs: Sequence[JobRecord],
 # ---------------------------------------------------------------------------
 # archive JSONL
 
-_NUMBER = frozenset((int, float))
 _NUMA_FIELDS = ("mem_total", "mem_free", "file_pages", "slab")
 _CHUNK_BYTES = 1 << 16  # the size hint of the lines read at a time
 
@@ -985,57 +981,18 @@ class _ArchiveReader:
             builder.numa.extend(map(int, ", ".join(numa).translate(_BLANK_NAMES).split()))
 
     def take_lines(self, lines: list[str], first_row: int) -> None:
-        """Parse and check the records of consecutive lines one at a time;
-        ``first_row`` is the line number of the first."""
-        builders, metric_codes, scan = self.builders, self.metric_codes, self.scan
+        """Parse and check the records of consecutive lines one at a time,
+        field by field; ``first_row`` is the line number of the first."""
         for row, line in enumerate(lines, start=first_row):
-            raw = _json_line(line, row, scan)
+            raw = _json_line(line, row, self.scan)
             if raw is _BLANK:
                 continue
-            try:
-                kind = raw["type"]
-            except (KeyError, TypeError):
-                kind = None
-            # take a perf or meminfo record whose fields are all plainly
-            # valid without a call, and check any other field by field
+            kind = raw.get("type") if type(raw) is dict else None
             if kind == "perf":
-                try:
-                    builder = builders[raw["job_id"]]
-                    node, metric, time, value = (raw["node"], raw["metric"], raw["time"],
-                                                 raw["value"])
-                    record = [builder.node_codes[node], time, metric_codes[metric],
-                              _KIND_CODE[raw["kind"]], value, _TAG_CODE[raw["tag"]]]
-                    valid = (type(node) is str and node != "" and type(metric) is str
-                             and metric != "" and type(time) is int
-                             and -_EXACT <= time <= _EXACT
-                             and type(value) in _NUMBER and 0 <= value <= _FLOAT_MAX)
-                except (KeyError, TypeError):
-                    valid = False
-                if not valid:
-                    builder, record = _perf_record(raw, row, builders, metric_codes)
+                builder, record = _perf_record(raw, row, self.builders, self.metric_codes)
                 builder.perf.fromlist(record)
             elif kind == "meminfo":
-                try:
-                    builder = builders[raw["job_id"]]
-                    node, time, numa = raw["node"], raw["time"], raw["numa"]
-                    sample = [builder.node_codes[node], time, len(numa)]
-                    valid = (type(node) is str and node != "" and type(time) is int
-                             and -_EXACT <= time <= _EXACT and type(numa) is list)
-                    components = []
-                    for part in numa:
-                        c = (part["mem_total"], part["mem_free"], part["file_pages"],
-                             part["slab"])
-                        valid = valid and (type(c[0]) is type(c[1]) is type(c[2])
-                                           is type(c[3]) is int
-                                           and -_EXACT <= c[0] <= _EXACT
-                                           and -_EXACT <= c[1] <= _EXACT
-                                           and -_EXACT <= c[2] <= _EXACT
-                                           and -_EXACT <= c[3] <= _EXACT)
-                        components += c
-                except (KeyError, TypeError):
-                    valid = False
-                if not valid:
-                    builder, sample, components = _meminfo_record(raw, row, builders)
+                builder, sample, components = _meminfo_record(raw, row, self.builders)
                 builder.mem.fromlist(sample)
                 builder.numa.fromlist(components)
             else:

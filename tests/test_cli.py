@@ -132,7 +132,8 @@ def test_backlog_demo(capsys):
                        "--resource", "TACC-STAMPEDE")
     assert code == EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[0].startswith("time,queued_core_years")
+    assert lines[0] == ("resource,time,date,queued_core_years,running_nodes,"
+                        "queued_nodes,required_nodes")
     assert len(lines) > 10
 
 
@@ -431,18 +432,27 @@ def test_run_report_on_loaded_jobs_builds_no_records(tmp_path, monkeypatch, synt
     assert _files(tmp_path / "loaded") == _files(tmp_path / "demo")
 
 
-def test_summarize_from_files_matches_the_records(tmp_path, capsys, monkeypatch):
+# the spelling json.dumps writes, whose perf and meminfo lines the loader's
+# bulk path takes, and a compact one that goes record by record
+SPELLINGS = {"canonical": {}, "compact": {"separators": (",", ":")}}
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_summarize_from_files_matches_the_records(tmp_path, capsys, monkeypatch, spelling):
     made, lines, _ = _archive_file(tmp_path, np.random.default_rng(3))
     records = [dataclasses.replace(job, resource="SDSC-COMET") for job in made]
     jobs = _write_jobs(tmp_path / "jobs.csv", records)
-    archives = _write_lines(tmp_path / "archives.jsonl", lines)
+    canonical = _write_lines(tmp_path / "canonical.jsonl", lines)
+    archives = tmp_path / "archives.jsonl"
+    archives.write_text("".join(json.dumps(line, **SPELLINGS[spelling]) + "\n"
+                                for line in lines))
     built = _count_records(monkeypatch)
     out = tmp_path / "summaries.jsonl"
     code, _, _ = run(capsys, "summarize", "--jobs", str(jobs), "--archives", str(archives),
                      "--out", str(out))
     assert code == EXIT_OK
     assert sorted(built) == sorted(job.job_id for job in records)  # each built once
-    summaries, skipped = summarize_all(records, load_archives(archives), lambda job: 24)
+    summaries, skipped = summarize_all(records, load_archives(canonical), lambda job: 24)
     assert len(summaries) == len(records) and not skipped
     write_summaries(summaries, tmp_path / "expected.jsonl")
     assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import T0, make_allocation, make_job, make_resource
 from hpcwl import ingest, jobtable
+from hpcwl.cli import main
 from hpcwl.errors import (
     MissingGeometry,
     NoFactorForDate,
@@ -313,6 +314,18 @@ def test_load_resources_file(tmp_path):
     specs = load_resources(path)
     assert specs["M"].total_cores == 32
     assert specs["M"].factor_for(date(2099, 1, 1)) == 1.5
+
+
+def test_load_resources_object_without_resources_key(tmp_path, capsys):
+    # a misspelt key must not load as an empty table that drops every job
+    path = tmp_path / "resources.json"
+    path.write_text(json.dumps({"resourcez": [{"name": "A"}]}))
+    with pytest.raises(SchemaError) as info:
+        load_resources(path)
+    assert info.value.field == "resources"
+    assert main(["ingest", "--jobs", str(tmp_path / "jobs.jsonl"),
+                 "--resources", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 # --- allocations -----------------------------------------------------------

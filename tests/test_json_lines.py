@@ -75,16 +75,14 @@ def _write(path, lines):
     return path
 
 
-def _loads_lines(handle):
-    """The reference reader: ``json.loads`` of every line."""
-    for row, line in enumerate(handle, start=1):
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError:
-            if not line.strip():
-                continue
-            raise SchemaError(row, None, f"row {row}: invalid JSON") from None
-        yield row, value
+def _loads_line(line, row, scan):
+    """The reference per-line reader: ``json.loads`` of the line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        if not line.strip():
+            return ingest._BLANK
+        raise SchemaError(row, None, f"row {row}: invalid JSON") from None
 
 
 def _state(loaded):
@@ -110,12 +108,10 @@ def _outcome(load, path):
         return "rejected", type(err).__name__, err.row, err.field, str(err)
 
 
-def _read(reader, path):
+def _objects(path):
+    """What the job loaders' reader yields for a file, as text."""
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return repr(list(reader(handle)))
-        except SchemaError as err:
-            return ("rejected", err.row, err.field, str(err))
+        return repr(list(ingest._json_objects(handle)))
 
 
 @pytest.mark.parametrize("scanner", ["c", "absent"])
@@ -127,11 +123,11 @@ def test_reader_matches_json_loads_of_each_line(tmp_path, monkeypatch, kind, cas
     path = _write(tmp_path / f"{kind}.jsonl", CASES[case](texts, records, field))
     if scanner == "absent":
         monkeypatch.setattr(json.scanner, "c_make_scanner", None)
-    got_rows = _read(ingest._json_lines, path)
+    got_rows = _objects(path)
     got = _outcome(load, path)
-    monkeypatch.setattr(ingest, "_json_lines", _loads_lines)
-    monkeypatch.setattr(perfsummary, "_json_lines", _loads_lines)
-    assert got_rows == _read(_loads_lines, path)
+    monkeypatch.setattr(ingest, "_json_line", _loads_line)
+    monkeypatch.setattr(perfsummary, "_json_line", _loads_line)
+    assert got_rows == _objects(path)
     assert got == _outcome(load, path)
     if case == "clean":
         assert got[0] == "loaded"
