@@ -16,7 +16,7 @@ import sys
 from datetime import date
 
 from . import appident, report, statmodels, synth
-from .errors import HpcwlError, SchemaError
+from .errors import AnalysisError, DegenerateInput, HpcwlError, SchemaError
 from .ingest import (
     _as_day,
     build_dataset,
@@ -181,28 +181,30 @@ def _cmd_metric(args, config) -> int:
 
 
 def _cmd_backlog(args, config) -> int:
-    return _print_analysis(args, config, "backlog", {"sampling": args.sampling},
+    ctx = _build_context(args, config)
+    if args.resource not in ctx.dataset.job_table.resource.present():
+        raise AnalysisError("backlog", DegenerateInput(f"no job ran on {args.resource!r}"))
+    return _print_analysis(ctx, "backlog", {"sampling": args.sampling},
                            Filters(resources={args.resource}))
 
 
-def _print_analysis(args, config, name: str, params: dict,
+def _print_analysis(ctx: report.ReportContext, name: str, params: dict,
                     filters: Filters = Filters()) -> int:
     """Print one analysis's files, as `hpcwl metric` would write them."""
-    ctx = _build_context(args, config)
     for entry in report.compute_analysis(ctx, name, params, filters):
         sys.stdout.write(report.render(entry))
     return EXIT_OK
 
 
 def _cmd_periodogram(args, config) -> int:
-    return _print_analysis(args, config, "periodogram", {
+    return _print_analysis(_build_context(args, config), "periodogram", {
         "resource": args.resource, "bin_seconds": args.bin_seconds,
         "min_period_days": args.min_period_days})
 
 
 def _cmd_fit_failures(args, config) -> int:
     filters = Filters(resources={args.resource}) if args.resource else Filters()
-    return _print_analysis(args, config, "node_fail_fit", {
+    return _print_analysis(_build_context(args, config), "node_fail_fit", {
         "model": args.model, "include_failed": args.include_failed}, filters)
 
 

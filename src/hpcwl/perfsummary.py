@@ -10,16 +10,19 @@ zeros.
 A ``JobArchive`` holds its perf and meminfo records as numpy columns
 (``SampleColumns``, ``MemColumns``), ordered by node, metric and time, with
 records of equal keys in the order they were read.  ``load_archives`` reads
-the file a chunk of lines at a time into typed buffers per job.  A perf or
-meminfo line spelled as ``json.dumps`` writes the record with its keys in
-the documented order (plain names, integers of at most 15 digits, an
-unsigned ``value`` without exponent; docs/formats.md) is taken by one
-pattern match, and each stretch of such lines is converted a column at a
-time.  Every other line, in its place in the file, goes through the
-loaders' per-line JSON reader (``ingest._json_line``), is checked field by
-field and loads the same columns, or is rejected with a SchemaError naming
-its line.  Archives built from ``PerfSample`` and ``MemInfoSample``
-records are converted once, by the same column builder.
+the file a chunk of lines at a time into one typed ``array`` per column per
+job (int32 codes, int64 times, int8 kind and tag, float64 values), and the
+NUMA components of every meminfo sample into one int64 buffer for the file.
+A perf or meminfo line spelled as ``json.dumps`` writes the record with its
+keys in the documented order (plain names, integers of at most 15 digits,
+an unsigned ``value`` without exponent; docs/formats.md) is taken by one
+pattern match, and each job's run of such lines is appended a column at a
+time, its integers parsed by numpy's text parser.  Every other line, in its
+place in the file, goes through the loaders' per-line JSON reader
+(``ingest._json_line``), is checked field by field and appended one record
+at a time to the same buffers, or is rejected with a SchemaError naming its
+line.  Archives built from ``PerfSample`` and ``MemInfoSample`` records are
+converted once, by the same column builder.
 ``summarize_all`` gathers consecutive jobs into blocks of up to
 ``_BLOCK_SAMPLES`` samples and reduces each block with one run of whole-array
 kernels keyed by (job, node, metric): counter totals and resets, missing
@@ -39,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, groupby, repeat
+from itertools import accumulate, compress, groupby, repeat
 from operator import itemgetter, not_
 from typing import Iterable, Mapping, Sequence
 
@@ -196,17 +199,47 @@ class _Codes(dict):
         return code
 
 
-class _ColumnBuilder:
-    """Typed buffers for one job's perf and meminfo records in the order
-    they arrive; ``sample_columns``/``mem_columns`` sort them into columns."""
+_NUMA_FIELDS = ("mem_total", "mem_free", "file_pages", "slab")
 
-    __slots__ = ("node_codes", "perf", "mem", "numa")
+
+class _ColumnBuilder:
+    """One typed buffer per column of one job's perf and meminfo samples,
+    in the order they arrive; ``sample_columns``/``mem_columns`` sort them
+    into columns.  A meminfo sample's NUMA components go to a buffer of the
+    caller's, which the builder records rows of."""
+
+    __slots__ = ("node_codes", "node", "time", "metric", "kind", "value", "tag",
+                 "mem_node", "mem_time", "numa_row", "numa_count")
 
     def __init__(self):
         self.node_codes = _Codes()
-        self.perf = array("d")  # node, time, metric, kind, value, tag per sample
-        self.mem = array("q")  # node, time, NUMA count per sample
-        self.numa = array("q")  # mem_total, mem_free, file_pages, slab per NUMA node
+        self.node, self.time, self.metric = array("i"), array("q"), array("i")
+        self.kind, self.value, self.tag = array("b"), array("d"), array("b")
+        self._empty_meminfo()
+
+    def _empty_meminfo(self) -> None:
+        self.mem_node, self.mem_time = array("i"), array("q")
+        # the sample's first row in the NUMA buffer, and its row count
+        self.numa_row, self.numa_count = array("q"), array("i")
+
+    def add_perf(self, node: int, time: int, metric: int, kind: int, value: float,
+                 tag: int) -> None:
+        """Append one perf sample, its names given as codes."""
+        self.node.append(node)
+        self.time.append(time)
+        self.metric.append(metric)
+        self.kind.append(kind)
+        self.value.append(value)
+        self.tag.append(tag)
+
+    def add_meminfo(self, numa: array, node: int, time: int, components: list[int]) -> None:
+        """Append one meminfo sample, and its NUMA components (mem_total,
+        mem_free, file_pages, slab per NUMA node) to ``numa``."""
+        self.mem_node.append(node)
+        self.mem_time.append(time)
+        self.numa_row.append(len(numa) // len(_NUMA_FIELDS))
+        self.numa_count.append(len(components) // len(_NUMA_FIELDS))
+        numa.fromlist(components)
 
     def _node_table(self) -> tuple[tuple[str, ...], np.ndarray]:
         """Sorted node names and the sorted position of each node code."""
@@ -218,47 +251,58 @@ class _ColumnBuilder:
 
     def sample_columns(self, metrics: tuple[str, ...]) -> SampleColumns:
         table, rank = self._node_table()
-        rec = np.frombuffer(self.perf, dtype=np.float64).reshape(-1, 6)
-        node = rank[rec[:, 0].astype(np.int64)]
-        time = rec[:, 1].astype(np.int64)
-        metric = rec[:, 2].astype(np.int64)
+        node = rank[np.asarray(self.node)]
+        time = np.frombuffer(self.time, dtype=np.int64)
+        metric = np.asarray(self.metric)
         order = np.lexsort((time, metric, node))
         return SampleColumns(nodes=table, metrics=metrics, node=node[order], time=time[order],
-                           metric=metric[order], kind=rec[order, 3].astype(np.int8),
-                           value=rec[order, 4], tag=rec[order, 5].astype(np.int8))
+                             metric=metric[order].astype(np.int64),
+                             kind=np.asarray(self.kind)[order],
+                             value=np.asarray(self.value)[order],
+                             tag=np.asarray(self.tag)[order])
 
-    def mem_columns(self) -> MemColumns:
+    def mem_columns(self, numa: np.ndarray) -> MemColumns:
+        """The meminfo samples as columns, their NUMA rows gathered from
+        ``numa`` (the NUMA buffer, one row per NUMA node); the meminfo
+        buffers are emptied."""
         table, rank = self._node_table()
-        rec = np.frombuffer(self.mem, dtype=np.int64).reshape(-1, 3)
-        node, time, count = rank[rec[:, 0]], rec[:, 1], rec[:, 2]
+        node = rank[np.asarray(self.mem_node)]
+        time = np.frombuffer(self.mem_time, dtype=np.int64)
         order = np.lexsort((time, node))
-        first_row = (np.cumsum(count) - count)[order]
-        count = count[order]
+        first_row = np.frombuffer(self.numa_row, dtype=np.int64)[order]
+        count = np.asarray(self.numa_count)[order]
         bounds = np.zeros(len(count) + 1, dtype=np.int64)
         np.cumsum(count, out=bounds[1:])
         rows = np.repeat(first_row - bounds[:-1], count) + np.arange(bounds[-1])
-        numa = np.frombuffer(self.numa, dtype=np.int64).reshape(-1, 4)
-        return MemColumns(nodes=table, node=node[order], time=time[order],
-                          numa_bounds=bounds, numa=numa[rows])
+        columns = MemColumns(nodes=table, node=node[order], time=time[order],
+                             numa_bounds=bounds, numa=numa[rows])
+        self._empty_meminfo()
+        return columns
+
+
+def _numa_rows(numa: array) -> np.ndarray:
+    """A NUMA buffer as rows of mem_total, mem_free, file_pages, slab."""
+    return np.frombuffer(numa, dtype=np.int64).reshape(-1, len(_NUMA_FIELDS))
 
 
 def _perf_from_records(samples: Iterable[PerfSample]) -> SampleColumns:
     builder = _ColumnBuilder()
     metric_codes = _Codes()
     for s in samples:
-        builder.perf.fromlist([builder.node_codes[s.node], s.time, metric_codes[s.metric],
-                               _KIND_CODE[SampleKind(s.kind).value], s.value,
-                               _TAG_CODE[SampleTag(s.tag).value]])
+        builder.add_perf(builder.node_codes[s.node], s.time, metric_codes[s.metric],
+                         _KIND_CODE[SampleKind(s.kind).value], s.value,
+                         _TAG_CODE[SampleTag(s.tag).value])
     return builder.sample_columns(tuple(metric_codes))
 
 
 def _mem_from_records(meminfo: Iterable[MemInfoSample]) -> MemColumns:
     builder = _ColumnBuilder()
+    numa = array("q")
     for m in meminfo:
-        builder.mem.fromlist([builder.node_codes[m.node], m.time, len(m.numa_nodes)])
-        for numa in m.numa_nodes:
-            builder.numa.fromlist([numa.mem_total, numa.mem_free, numa.file_pages, numa.slab])
-    return builder.mem_columns()
+        builder.add_meminfo(numa, builder.node_codes[m.node], m.time, [
+            part for n in m.numa_nodes
+            for part in (n.mem_total, n.mem_free, n.file_pages, n.slab)])
+    return builder.mem_columns(_numa_rows(numa))
 
 
 @dataclass(frozen=True, slots=True)
@@ -826,7 +870,6 @@ def summarize_all(jobs: Sequence[JobRecord],
 # ---------------------------------------------------------------------------
 # archive JSONL
 
-_NUMA_FIELDS = ("mem_total", "mem_free", "file_pages", "slab")
 _CHUNK_BYTES = 1 << 16  # the size hint of the lines read at a time
 
 
@@ -854,6 +897,13 @@ _LINE = re.compile((
 _BLANK_NAMES = str.maketrans(dict.fromkeys(set("".join(_NUMA_FIELDS)) | set('{}":, '), " "))
 
 
+def _int64_bytes(text: str) -> bytes:
+    """The machine bytes of the int64 values of blank-separated integer
+    texts that ``_LINE`` took: each has at most 15 digits, so numpy's
+    parse is exact."""
+    return np.fromstring(text, dtype=np.int64, sep=" ").tobytes()
+
+
 def _int_field(raw: Mapping, row: int, name: str, low: int = -_EXACT) -> int:
     """An integer field by ``ingest._as_int``'s rules, within [low, 2**53]."""
     value = _as_int(raw, row, name)
@@ -878,31 +928,31 @@ def _builder(builders: dict[str, _ColumnBuilder], job_id: str) -> _ColumnBuilder
 
 
 def _perf_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder],
-                 metric_codes: _Codes) -> tuple[_ColumnBuilder, list]:
+                 metric_codes: _Codes) -> tuple[_ColumnBuilder, tuple]:
     """Check one perf record field by field: its job's builder and the
-    fields it appends, or SchemaError."""
+    arguments of its ``add_perf``, or SchemaError."""
     builder = _builder(builders, _as_str(raw, row, "job_id"))
     time = _int_field(raw, row, "time")
     value = _as_float(raw, row, "value")
     if value < 0:
         raise SchemaError(row, "value", f"row {row}: negative value")
     metric = metric_codes[_as_str(raw, row, "metric")]
-    return builder, [builder.node_codes[_as_str(raw, row, "node")], time, metric,
+    return builder, (builder.node_codes[_as_str(raw, row, "node")], time, metric,
                      _code(_KIND_CODE, raw, row, "kind"), value,
-                     _code(_TAG_CODE, raw, row, "tag", SampleTag.PERIODIC.value)]
+                     _code(_TAG_CODE, raw, row, "tag", SampleTag.PERIODIC.value))
 
 
 def _meminfo_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]
-                    ) -> tuple[_ColumnBuilder, list, list[int]]:
-    """Check one meminfo record field by field: its job's builder, its
-    sample fields and its NUMA components, or SchemaError."""
+                    ) -> tuple[_ColumnBuilder, tuple]:
+    """Check one meminfo record field by field: its job's builder and the
+    arguments of its ``add_meminfo``, or SchemaError."""
     builder = _builder(builders, _as_str(raw, row, "job_id"))
     time = _int_field(raw, row, "time")
     numa = raw.get("numa")
     if type(numa) is not list or not all(type(part) is dict for part in numa):
         raise SchemaError(row, "numa", f"row {row}: numa must be a list of objects")
     components = [_int_field(part, row, name) for part in numa for name in _NUMA_FIELDS]
-    return builder, [builder.node_codes[_as_str(raw, row, "node")], time, len(numa)], components
+    return builder, (builder.node_codes[_as_str(raw, row, "node")], time, components)
 
 
 def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
@@ -943,12 +993,14 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
 
 class _ArchiveReader:
     """The records of an archive file read so far: each job's column
-    builder, the metric codes shared by all jobs, and the job, launcher and
-    process records by job."""
+    builder, the metric codes shared by all jobs, the NUMA buffer of every
+    meminfo sample in file order, and the job, launcher and process records
+    by job."""
 
     def __init__(self):
         self.builders: dict[str, _ColumnBuilder] = {}
         self.metric_codes = _Codes()
+        self.numa = array("q")
         self.nodes: dict[str, tuple[str, ...]] = {}
         self.launcher: dict[str, LauncherInfo] = {}
         self.processes: dict[str, list[appident.ProcessObservation]] = {}
@@ -956,29 +1008,31 @@ class _ArchiveReader:
 
     def take_matches(self, matches: list[re.Match]) -> None:
         """Append the records of consecutive lines that ``_LINE`` took,
-        column by column, each job's in file order."""
+        each job's in file order, a column of a job's run at a time."""
         rows = list(map(re.Match.groups, matches))
         perf = list(map(itemgetter(0), rows))
         job = itemgetter(1)
         metric_code = self.metric_codes.__getitem__
-        # extend() of an iterator grows a buffer as appending record by
-        # record does; fromlist() of a whole stretch would leave up to a
-        # sixteenth of it spare.  A time of at most 15 digits is exact as a
-        # float, which the perf buffer takes without a conversion.
         for job_id, run in groupby(compress(rows, perf), job):
             builder = _builder(self.builders, job_id)
             _, _, node, time, metric, kind, value, tag, _ = zip(*run)
-            builder.perf.extend(chain.from_iterable(zip(
-                map(builder.node_codes.__getitem__, node), map(float, time),
-                map(metric_code, metric), map(_KIND_CODE.__getitem__, kind),
-                map(float, value), map(_TAG_CODE.__getitem__, tag))))
+            builder.node.fromlist(list(map(builder.node_codes.__getitem__, node)))
+            builder.time.frombytes(_int64_bytes(" ".join(time)))
+            builder.metric.fromlist(list(map(metric_code, metric)))
+            builder.kind.fromlist(list(map(_KIND_CODE.__getitem__, kind)))
+            builder.value.fromlist(list(map(float, value)))
+            builder.tag.fromlist(list(map(_TAG_CODE.__getitem__, tag)))
         for job_id, run in groupby(compress(rows, map(not_, perf)), job):
             builder = _builder(self.builders, job_id)
             _, _, node, time, _, _, _, _, numa = zip(*run)
-            builder.mem.extend(chain.from_iterable(zip(
-                map(builder.node_codes.__getitem__, node), map(int, time),
-                map(str.count, numa, repeat("{")))))
-            builder.numa.extend(map(int, ", ".join(numa).translate(_BLANK_NAMES).split()))
+            builder.mem_node.fromlist(list(map(builder.node_codes.__getitem__, node)))
+            builder.mem_time.frombytes(_int64_bytes(" ".join(time)))
+            counts = list(map(str.count, numa, repeat("{")))
+            first = len(self.numa) // len(_NUMA_FIELDS)
+            builder.numa_row.fromlist(list(accumulate(counts, initial=first))[:-1])
+            builder.numa_count.fromlist(counts)
+            if any(counts):
+                self.numa.frombytes(_int64_bytes(" ".join(numa).translate(_BLANK_NAMES)))
 
     def take_lines(self, lines: list[str], first_row: int) -> None:
         """Parse and check the records of consecutive lines one at a time,
@@ -989,28 +1043,40 @@ class _ArchiveReader:
                 continue
             kind = raw.get("type") if type(raw) is dict else None
             if kind == "perf":
-                builder, record = _perf_record(raw, row, self.builders, self.metric_codes)
-                builder.perf.fromlist(record)
+                builder, fields = _perf_record(raw, row, self.builders, self.metric_codes)
+                builder.add_perf(*fields)
             elif kind == "meminfo":
-                builder, sample, components = _meminfo_record(raw, row, self.builders)
-                builder.mem.fromlist(sample)
-                builder.numa.fromlist(components)
+                builder, fields = _meminfo_record(raw, row, self.builders)
+                builder.add_meminfo(self.numa, *fields)
             else:
                 _other_record(raw, row, self.nodes, self.launcher, self.processes)
 
     def archives(self) -> dict[str, JobArchive]:
-        """Each job's archive, in job_id order."""
-        metrics = tuple(self.metric_codes)
+        """Each job's archive, in job_id order.
+
+        Every job's meminfo columns are built first and the NUMA buffer is
+        freed before the perf columns are built: those take more room than
+        their buffers, so the peak stays where they are all built.  That
+        one large free also makes glibc's malloc keep, rather than return,
+        the heap that ``summarize_all`` reuses block after block (on the
+        benchmark's archive, ~600 page faults there instead of ~10,000).
+        """
+        job_ids = sorted(set(self.nodes) | set(self.builders) | set(self.launcher)
+                         | set(self.processes))
         empty = _ColumnBuilder()
+        numa = _numa_rows(self.numa)
+        meminfo = [self.builders.get(job_id, empty).mem_columns(numa) for job_id in job_ids]
+        del numa  # the last view of the buffer, which then goes with it
+        self.numa = array("q")
+        metrics = tuple(self.metric_codes)
         archives = {}
-        for job_id in sorted(set(self.nodes) | set(self.builders) | set(self.launcher)
-                             | set(self.processes)):
+        for job_id, mem in zip(job_ids, meminfo):
             builder = self.builders.pop(job_id, empty)
             archives[job_id] = JobArchive(
                 job_id=job_id,
                 nodes=self.nodes.get(job_id, ()),
                 samples=builder.sample_columns(metrics),
-                meminfo=builder.mem_columns(),
+                meminfo=mem,
                 launcher=self.launcher.get(job_id),
                 processes=tuple(self.processes.get(job_id, ())),
             )

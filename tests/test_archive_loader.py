@@ -1,22 +1,25 @@
 """``load_archives`` against a reference loader that parses every line with
-``json.loads`` and checks every record field by field.
+``json.loads`` and checks every record field by field, and against a column
+layout oracle that sorts the records with Python's ``sorted``.
 
 The loader takes canonical perf and meminfo lines (``json.dumps`` of the
 record, keys in the documented order) column by column and every other line
 one record at a time; both paths must load the same columns in the same
-order, and fail on the same line with the same error.
+order, and fail on the same line with the same error.  The reference loader
+shares the loader's column builder; the oracle shares nothing with it.
 """
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpcwl import perfsummary
 from hpcwl.errors import SchemaError
-from hpcwl.perfsummary import load_archives
+from hpcwl.perfsummary import SampleKind, SampleTag, load_archives
 
 
 def reference_load_archives(path):
@@ -33,14 +36,12 @@ def reference_load_archives(path):
                 raise SchemaError(row, None, f"row {row}: invalid JSON") from None
             kind = raw.get("type") if type(raw) is dict else None
             if kind == "perf":
-                builder, record = perfsummary._perf_record(raw, row, reader.builders,
+                builder, fields = perfsummary._perf_record(raw, row, reader.builders,
                                                            reader.metric_codes)
-                builder.perf.fromlist(record)
+                builder.add_perf(*fields)
             elif kind == "meminfo":
-                builder, sample, components = perfsummary._meminfo_record(
-                    raw, row, reader.builders)
-                builder.mem.fromlist(sample)
-                builder.numa.fromlist(components)
+                builder, fields = perfsummary._meminfo_record(raw, row, reader.builders)
+                builder.add_meminfo(reader.numa, *fields)
             else:
                 perfsummary._other_record(raw, row, reader.nodes, reader.launcher,
                                           reader.processes)
@@ -54,7 +55,8 @@ def _state(archives):
         samples, mem = archive.samples, archive.meminfo
         out.append((job_id, archive.nodes, samples.nodes, samples.metrics, mem.nodes,
                     archive.launcher, archive.processes,
-                    [(name, column.dtype.str, column.tobytes()) for name, column in (
+                    [(name, column.dtype.str, column.shape, column.tobytes())
+                     for name, column in (
                         ("node", samples.node), ("time", samples.time),
                         ("metric", samples.metric), ("kind", samples.kind),
                         ("value", samples.value), ("tag", samples.tag),
@@ -104,9 +106,10 @@ def _respell(text, record, how):
 
 
 @st.composite
-def archive_lines(draw):
+def archive_lines(draw, valid=False):
     """Lines of a small archive whose records of equal (job, node, metric,
-    time) keys are spelled both ways, interleaved."""
+    time) keys are spelled both ways, interleaved; with ``valid``, only
+    lines the loader accepts."""
     lines = []
     for _ in range(draw(st.integers(1, 40))):
         job_id = draw(st.sampled_from(("j1", "j2")))
@@ -129,9 +132,10 @@ def archive_lines(draw):
                                         draw(st.lists(INTEGERS, min_size=4, max_size=4))))
                                for _ in range(draw(st.integers(0, 2)))]}
         how = draw(st.sampled_from(("canonical",) * 6 + (
-            "reversed", "compact", "raw_unicode", "digit_time", "negative_zero")))
+            "reversed", "compact", "raw_unicode", "negative_zero")
+            + (() if valid else ("digit_time",))))
         lines.append(_respell(json.dumps(record), record, how) + "\n")
-    if draw(st.integers(0, 9)) == 0:  # now and then a time out of range
+    if not valid and draw(st.integers(0, 9)) == 0:  # now and then a time out of range
         record = {"type": "perf", "job_id": "j1", "node": "n1", "time": 2**53 + 1,
                   "metric": "cpu_user_ticks", "kind": "counter", "value": 0, "tag": "periodic"}
         lines.insert(draw(st.integers(0, len(lines))), json.dumps(record) + "\n")
@@ -149,6 +153,77 @@ def test_both_paths_load_what_the_reference_loader_loads(lines, chunk_bytes):
             patch.setattr(perfsummary, "_CHUNK_BYTES", chunk_bytes)
             got = _outcome(load_archives, path)
         assert got == _outcome(reference_load_archives, path)
+
+
+NUMA_FIELDS = ("mem_total", "mem_free", "file_pages", "slab")
+KINDS = [kind.value for kind in SampleKind]
+TAGS = [tag.value for tag in SampleTag]
+
+
+def oracle_columns(path):
+    """``_state`` of the archives of a file of job, perf and meminfo records
+    that the loader accepts, from ``json.loads`` of each line and Python's
+    stable ``sorted``:
+
+    - a job's node table is the sorted union of its perf and meminfo node
+      names, and the metric table is the file's metric names in order of
+      first appearance;
+    - perf samples are ordered by (node, metric, time) and meminfo samples
+      by (node, time), records of equal keys in file order;
+    - codes and times are int64, kind and tag int8, values float64.
+    """
+    nodes, perf, mem, metrics = {}, {}, {}, {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            raw = json.loads(line)
+            job_id = raw["job_id"]
+            if raw["type"] == "job":
+                nodes[job_id] = tuple(raw["nodes"])
+            elif raw["type"] == "perf":
+                metrics.setdefault(raw["metric"], len(metrics))
+                perf.setdefault(job_id, []).append(raw)
+            else:
+                mem.setdefault(job_id, []).append(raw)
+    out = []
+    for job_id in sorted(set(nodes) | set(perf) | set(mem)):
+        table = tuple(sorted({r["node"] for r in perf.get(job_id, ())}
+                             | {r["node"] for r in mem.get(job_id, ())}))
+        rank = {name: code for code, name in enumerate(table)}
+        p = sorted(perf.get(job_id, ()),
+                   key=lambda r: (rank[r["node"]], metrics[r["metric"]], r["time"]))
+        m = sorted(mem.get(job_id, ()), key=lambda r: (rank[r["node"]], r["time"]))
+        columns = [
+            ("node", np.array([rank[r["node"]] for r in p], dtype=np.int64)),
+            ("time", np.array([r["time"] for r in p], dtype=np.int64)),
+            ("metric", np.array([metrics[r["metric"]] for r in p], dtype=np.int64)),
+            ("kind", np.array([KINDS.index(r["kind"]) for r in p], dtype=np.int8)),
+            ("value", np.array([float(r["value"]) for r in p], dtype=np.float64)),
+            ("tag", np.array([TAGS.index(r.get("tag", "periodic")) for r in p],
+                             dtype=np.int8)),
+            ("mem_node", np.array([rank[r["node"]] for r in m], dtype=np.int64)),
+            ("mem_time", np.array([r["time"] for r in m], dtype=np.int64)),
+            ("numa_bounds", np.cumsum([0] + [len(r["numa"]) for r in m], dtype=np.int64)),
+            ("numa", np.array([[part[name] for name in NUMA_FIELDS]
+                               for r in m for part in r["numa"]],
+                              dtype=np.int64).reshape(-1, len(NUMA_FIELDS)))]
+        out.append((job_id, nodes.get(job_id, ()), table, tuple(metrics), table, None, (),
+                    [(name, c.dtype.str, c.shape, c.tobytes()) for name, c in columns]))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=archive_lines(valid=True), chunk_bytes=st.sampled_from((1, 300, 1 << 16)))
+def test_loaded_columns_match_the_sorted_oracle(lines, chunk_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "archive.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(lines))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(perfsummary, "_CHUNK_BYTES", chunk_bytes)
+            got = _state(load_archives(path))
+        assert got == oracle_columns(path)
 
 
 def _perf(k):

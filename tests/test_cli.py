@@ -137,6 +137,14 @@ def test_backlog_demo(capsys):
     assert len(lines) > 10
 
 
+def test_backlog_of_a_resource_no_job_ran_on_is_analysis_error(capsys):
+    code, out, err = run(capsys, "backlog", "--demo", "--demo-jobs", "300",
+                         "--resource", "NOPE")
+    assert code == EXIT_ANALYSIS
+    assert out == ""
+    assert err == "analysis error: analysis 'backlog' failed: no job ran on 'NOPE'\n"
+
+
 def test_report_demo_and_config_override(tmp_path, capsys):
     config = tmp_path / "hpcwl.ini"
     config.write_text("[report]\noutput_dir = %s\n" % (tmp_path / "from_config"))
