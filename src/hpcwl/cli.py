@@ -16,7 +16,8 @@ import sys
 from datetime import date
 
 from . import appident, report, statmodels, synth
-from .errors import AnalysisError, DegenerateInput, HpcwlError, SchemaError
+from .archives import load_archives
+from .errors import HpcwlError, SchemaError
 from .ingest import (
     _as_day,
     build_dataset,
@@ -28,7 +29,7 @@ from .ingest import (
     write_rejection_report,
 )
 from .metrics import Filters, load_community_users
-from .perfsummary import load_archives, summarize_all, write_summaries
+from .perfsummary import summarize_all, write_summaries
 
 CONFIG_ENV = "HPCWL_CONFIG"
 
@@ -181,11 +182,8 @@ def _cmd_metric(args, config) -> int:
 
 
 def _cmd_backlog(args, config) -> int:
-    ctx = _build_context(args, config)
-    if args.resource not in ctx.dataset.job_table.resource.present():
-        raise AnalysisError("backlog", DegenerateInput(f"no job ran on {args.resource!r}"))
-    return _print_analysis(ctx, "backlog", {"sampling": args.sampling},
-                           Filters(resources={args.resource}))
+    return _print_analysis(_build_context(args, config), "backlog",
+                           {"sampling": args.sampling}, Filters(resources={args.resource}))
 
 
 def _print_analysis(ctx: report.ReportContext, name: str, params: dict,

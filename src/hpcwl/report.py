@@ -24,7 +24,7 @@ import numpy as np
 
 from . import backlog as backlog_mod
 from . import statmodels
-from .errors import AnalysisError, HpcwlError, UnknownAnalysis
+from .errors import AnalysisError, DegenerateInput, HpcwlError, UnknownAnalysis
 from .ingest import Dataset, utc_date
 from .jobtable import JobTable
 from .metrics import (
@@ -150,10 +150,15 @@ def _sha256(path) -> str:
 
 def _kept(ctx: _RunContext, filters: Filters) -> np.ndarray:
     """Row numbers in the dataset's job table of the jobs that pass filters,
-    filtered once per value and run."""
+    filtered once per value and run.  Filters whose ``resources`` names no
+    resource a job ran on raise DegenerateInput."""
     kept = ctx.kept.get(filters)
     if kept is None:
-        kept = ctx.kept[filters] = filters.apply(ctx.dataset.job_table).row
+        table = ctx.dataset.job_table
+        if filters.resources and filters.resources.isdisjoint(table.resource.present()):
+            names = ", ".join(map(repr, sorted(filters.resources)))
+            raise DegenerateInput(f"no job ran on {names}")
+        kept = ctx.kept[filters] = filters.apply(table).row
     return kept
 
 

@@ -1,20 +1,23 @@
 """Record-at-a-time job summary: the reference for the columnar
-``perfsummary.summarize_job``.
+``perfsummary.summarize_job``, and the per-record archive types it reads.
 
 This is the per-record implementation the columnar one replaced, unchanged
 except that it takes the job's records as sequences instead of a
 ``JobArchive`` and takes its median and memory mean from ``hpcwl.stats``,
 as the columnar code does.  ``load_archives`` used to hand it samples and meminfo sorted
 stably by (node, time), so that is the order to pass them in.
+``record_archive`` builds the columnar ``JobArchive`` of the same records,
+by the loader's column builder.
 """
 from __future__ import annotations
 
+import sys
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from hpcwl import appident
-from hpcwl.errors import MissingEpilog, MissingProlog
-from hpcwl.ingest import JobRecord
-from hpcwl.perfsummary import (
+from hpcwl.archives import (
     CPU_TOTAL,
     CPU_USER,
     FILE_OPENS,
@@ -23,19 +26,118 @@ from hpcwl.perfsummary import (
     LUSTRE_RX,
     LUSTRE_TX,
     RUNNABLE_THREADS,
-    JobPerfSummary,
+    _KIND_CODE,
+    _TAG_CODE,
+    JobArchive,
     LauncherInfo,
-    LaunchType,
-    MemInfoSample,
-    PerfSample,
+    MemColumns,
+    SampleColumns,
     SampleKind,
     SampleTag,
-    classify_launch_type,
-    counter_delta,
-    memory_per_core,
-    non_lustre_ib,
+    _Codes,
+    _ColumnBuilder,
+    _numa_rows,
 )
+from hpcwl.errors import InvalidMemInfo, MissingEpilog, MissingProlog
+from hpcwl.ingest import JobRecord
+from hpcwl.perfsummary import JobPerfSummary, LaunchType, classify_launch_type, non_lustre_ib
 from hpcwl.stats import quantile, total
+
+_FLOAT_MAX = sys.float_info.max
+
+
+@dataclass(frozen=True, slots=True)
+class PerfSample:
+    node: str
+    time: int
+    metric: str
+    kind: SampleKind
+    value: float
+    tag: SampleTag = SampleTag.PERIODIC
+
+    def __post_init__(self):
+        # the loader's rule: NaN fails both comparisons
+        if not 0 <= self.value <= _FLOAT_MAX:
+            raise ValueError(f"sample value for {self.metric} must be finite and >= 0")
+
+
+@dataclass(frozen=True, slots=True)
+class NumaMem:
+    mem_total: int
+    mem_free: int
+    file_pages: int
+    slab: int
+
+    def used_bytes(self) -> int:
+        if min(self.mem_total, self.mem_free, self.file_pages, self.slab) < 0:
+            raise InvalidMemInfo("negative meminfo component")
+        used = self.mem_total - self.mem_free - self.file_pages - self.slab
+        if used < 0:
+            raise InvalidMemInfo("free+cache exceeds MemTotal")
+        return used
+
+
+@dataclass(frozen=True, slots=True)
+class MemInfoSample:
+    node: str
+    time: int
+    numa_nodes: tuple[NumaMem, ...]
+
+
+def _perf_from_records(samples: Iterable[PerfSample]) -> SampleColumns:
+    builder = _ColumnBuilder()
+    metric_codes = _Codes()
+    for s in samples:
+        builder.add_perf(builder.node_codes[s.node], s.time, metric_codes[s.metric],
+                         _KIND_CODE[SampleKind(s.kind).value], s.value,
+                         _TAG_CODE[SampleTag(s.tag).value])
+    return builder.sample_columns(tuple(metric_codes))
+
+
+def _mem_from_records(meminfo: Iterable[MemInfoSample]) -> MemColumns:
+    builder = _ColumnBuilder()
+    numa = array("q")
+    for m in meminfo:
+        builder.add_meminfo(numa, builder.node_codes[m.node], m.time, [
+            part for n in m.numa_nodes
+            for part in (n.mem_total, n.mem_free, n.file_pages, n.slab)])
+    return builder.mem_columns(_numa_rows(numa))
+
+
+def record_archive(job_id: str, nodes: tuple[str, ...],
+                   samples: Iterable[PerfSample] = (), meminfo: Iterable[MemInfoSample] = (),
+                   launcher: LauncherInfo | None = None,
+                   processes: tuple[appident.ProcessObservation, ...] = ()) -> JobArchive:
+    """The ``JobArchive`` of a job's perf and meminfo records."""
+    return JobArchive(job_id=job_id, nodes=nodes, samples=_perf_from_records(samples),
+                      meminfo=_mem_from_records(meminfo), launcher=launcher,
+                      processes=processes)
+
+
+def memory_per_core(sample: MemInfoSample, n_cores: int) -> float:
+    """Used bytes per core: non-cache memory summed over NUMA nodes divided
+    by the node's core count."""
+    if n_cores < 1:
+        raise ValueError("n_cores must be >= 1")
+    return sum(numa.used_bytes() for numa in sample.numa_nodes) / n_cores
+
+
+def counter_delta(values: Sequence[float]) -> tuple[float, bool]:
+    """Total accumulation over an ordered counter sample list.
+
+    A decrease is a counter reset: that segment contributes the post-reset
+    value.  Returns (delta, reset_seen).  Splitting the list at any interior
+    sample and summing the two deltas reproduces the whole-list delta.
+    """
+    delta = 0.0
+    reset = False
+    for prev, cur in zip(values, values[1:]):
+        if cur >= prev:
+            delta += cur - prev
+        else:
+            delta += cur
+            reset = True
+    return delta, reset
 
 
 def loader_order(records):

@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 from conftest import GIB, T0, make_job
+from perfsummary_oracle import (
+    MemInfoSample,
+    NumaMem,
+    PerfSample,
+    counter_delta,
+    memory_per_core,
+    record_archive,
+)
 from hpcwl import appident, synth
+from hpcwl.archives import SampleKind
 from hpcwl.backlog import backlog_series, capacity_for_percentile, required_nodes_at_submit
 from hpcwl.errors import SeparationDetected
 from hpcwl.ingest import ExitStatus, builtin_resources, su_convert
@@ -26,16 +35,7 @@ from hpcwl.metrics import (
     memory_histograms,
 )
 from hpcwl.metrics.depth import DepthProfile, ProjectDepth
-from hpcwl.perfsummary import (
-    JobArchive,
-    MemInfoSample,
-    NumaMem,
-    PerfSample,
-    SampleKind,
-    counter_delta,
-    memory_per_core,
-    summarize_job,
-)
+from hpcwl.perfsummary import summarize_job
 from hpcwl.report import ReportContext, standard_bundle_spec, run_report, verify_manifest
 from hpcwl.statmodels import (
     default_frequency_grid,
@@ -170,8 +170,8 @@ def test_criterion_3_memory_and_sampling_semantics():
             samples.extend(extra)
             meminfo = [MemInfoSample("n1", int(t), (NumaMem(
                 64 * GIB, 32 * GIB, 0, 0),)) for t in times[1:-1]]
-            return JobArchive(job_id=job.job_id, nodes=("n1",),
-                              samples=tuple(samples), meminfo=tuple(meminfo))
+            return record_archive(job_id=job.job_id, nodes=("n1",),
+                                  samples=tuple(samples), meminfo=tuple(meminfo))
 
         rng_state = rng.bit_generator.state
         base = summarize_job(job, archive(), 16)

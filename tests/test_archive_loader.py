@@ -17,15 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpcwl import perfsummary
+from hpcwl import archives
 from hpcwl.errors import SchemaError
-from hpcwl.perfsummary import SampleKind, SampleTag, load_archives
+from hpcwl.archives import SampleKind, SampleTag, load_archives
 
 
 def reference_load_archives(path):
     """``json.loads`` of each line, then ``_perf_record``,
     ``_meminfo_record`` or ``_other_record`` on each record."""
-    reader = perfsummary._ArchiveReader()
+    reader = archives._ArchiveReader()
     with open(path, "r", encoding="utf-8") as handle:
         for row, line in enumerate(handle, start=1):
             try:
@@ -36,15 +36,15 @@ def reference_load_archives(path):
                 raise SchemaError(row, None, f"row {row}: invalid JSON") from None
             kind = raw.get("type") if type(raw) is dict else None
             if kind == "perf":
-                builder, fields = perfsummary._perf_record(raw, row, reader.builders,
-                                                           reader.metric_codes)
+                builder, fields = archives._perf_record(raw, row, reader.builders,
+                                                        reader.metric_codes)
                 builder.add_perf(*fields)
             elif kind == "meminfo":
-                builder, fields = perfsummary._meminfo_record(raw, row, reader.builders)
+                builder, fields = archives._meminfo_record(raw, row, reader.builders)
                 builder.add_meminfo(reader.numa, *fields)
             else:
-                perfsummary._other_record(raw, row, reader.nodes, reader.launcher,
-                                          reader.processes)
+                archives._other_record(raw, row, reader.nodes, reader.launcher,
+                                       reader.processes)
     return reader.archives()
 
 
@@ -150,7 +150,7 @@ def test_both_paths_load_what_the_reference_loader_loads(lines, chunk_bytes):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("".join(lines))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(perfsummary, "_CHUNK_BYTES", chunk_bytes)
+            patch.setattr(archives, "_CHUNK_BYTES", chunk_bytes)
             got = _outcome(load_archives, path)
         assert got == _outcome(reference_load_archives, path)
 
@@ -221,7 +221,7 @@ def test_loaded_columns_match_the_sorted_oracle(lines, chunk_bytes):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("".join(lines))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(perfsummary, "_CHUNK_BYTES", chunk_bytes)
+            patch.setattr(archives, "_CHUNK_BYTES", chunk_bytes)
             got = _state(load_archives(path))
         assert got == oracle_columns(path)
 
@@ -235,7 +235,7 @@ def _perf(k):
 def test_a_malformed_record_past_the_first_chunk_names_its_line(tmp_path):
     bad = _perf(0).replace('"counter"', '"gauge"')
     lines = [_perf(k) for k in range(4_998)] + ["\n", bad] + [_perf(k) for k in range(50)]
-    assert sum(map(len, lines[:4_999])) > 2 * perfsummary._CHUNK_BYTES
+    assert sum(map(len, lines[:4_999])) > 2 * archives._CHUNK_BYTES
     path = tmp_path / "archive.jsonl"
     path.write_text("".join(lines))
     with pytest.raises(SchemaError) as err:

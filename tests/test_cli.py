@@ -10,9 +10,10 @@ from conftest import T0
 from test_perfsummary import _archive_file, _write_lines
 
 from hpcwl import ingest, report, synth
+from hpcwl.archives import load_archives
 from hpcwl.cli import EXIT_ANALYSIS, EXIT_INPUT, EXIT_OK, main
 from hpcwl.ingest import JOB_FIELDS, build_dataset, builtin_resources, load_jobs
-from hpcwl.perfsummary import load_archives, summarize_all, write_summaries
+from hpcwl.perfsummary import summarize_all, write_summaries
 
 
 def run(capsys, *argv):
@@ -143,6 +144,22 @@ def test_backlog_of_a_resource_no_job_ran_on_is_analysis_error(capsys):
     assert code == EXIT_ANALYSIS
     assert out == ""
     assert err == "analysis error: analysis 'backlog' failed: no job ran on 'NOPE'\n"
+
+
+@pytest.mark.parametrize("resources,names", [(["NOPE"], "'NOPE'"),
+                                             (["ZZ", "NOPE"], "'NOPE', 'ZZ'")])
+def test_report_spec_of_resources_no_job_ran_on_is_analysis_error(tmp_path, capsys,
+                                                                 resources, names):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "name": "nope", "date_range": ["2015-07-01", "2016-01-01"],
+        "filters": {"resources": resources}, "analyses": [{"analysis": "backlog"}]}))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "report", "--demo", "--demo-jobs", "300", "--spec", str(spec),
+                       "--outdir", str(out))
+    assert code == EXIT_ANALYSIS
+    assert err == f"analysis error: analysis 'backlog' failed: no job ran on {names}\n"
+    assert not (out / "backlog_daily.csv").exists()
 
 
 def test_report_demo_and_config_override(tmp_path, capsys):

@@ -6,10 +6,10 @@ import json.scanner
 import pytest
 
 from test_ingest import JOB_ROW
-from hpcwl import ingest, perfsummary
+from hpcwl import archives, ingest
 from hpcwl.errors import SchemaError
 from hpcwl.ingest import load_jobs
-from hpcwl.perfsummary import load_archives
+from hpcwl.archives import load_archives
 
 PERF = {"type": "perf", "job_id": "j1", "node": "n1", "time": 1000,
         "metric": "cpu_user_ticks", "kind": "counter", "value": 5, "tag": "periodic"}
@@ -126,7 +126,7 @@ def test_reader_matches_json_loads_of_each_line(tmp_path, monkeypatch, kind, cas
     got_rows = _objects(path)
     got = _outcome(load, path)
     monkeypatch.setattr(ingest, "_json_line", _loads_line)
-    monkeypatch.setattr(perfsummary, "_json_line", _loads_line)
+    monkeypatch.setattr(archives, "_json_line", _loads_line)
     assert got_rows == _objects(path)
     assert got == _outcome(load, path)
     if case == "clean":

@@ -10,10 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, make_job
-from perfsummary_oracle import loader_order, summarize_records
+from perfsummary_oracle import (
+    MemInfoSample,
+    NumaMem,
+    PerfSample,
+    counter_delta,
+    loader_order,
+    memory_per_core,
+    record_archive,
+    summarize_records,
+)
 from hpcwl import perfsummary
-from hpcwl.errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
-from hpcwl.perfsummary import (
+from hpcwl.archives import (
     CPU_TOTAL,
     CPU_USER,
     FILE_OPENS,
@@ -23,20 +31,18 @@ from hpcwl.perfsummary import (
     LUSTRE_TX,
     RUNNABLE_THREADS,
     JobArchive,
-    JobPerfSummary,
     LauncherInfo,
-    LaunchType,
     MemColumns,
-    MemInfoSample,
-    NumaMem,
-    PerfSample,
     SampleColumns,
     SampleKind,
     SampleTag,
-    classify_launch_type,
-    counter_delta,
     load_archives,
-    memory_per_core,
+)
+from hpcwl.errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaError
+from hpcwl.perfsummary import (
+    JobPerfSummary,
+    LaunchType,
+    classify_launch_type,
     non_lustre_ib,
     summarize_all,
     summarize_job,
@@ -127,7 +133,7 @@ def job_and_window():
 
 def test_cpu_user_fraction_hand_arithmetic():
     job, start, end = job_and_window()
-    archive = JobArchive(job_id=job.job_id, nodes=("n1",), samples=(
+    archive = record_archive(job_id=job.job_id, nodes=("n1",), samples=(
         counter("n1", start, CPU_USER, 1000, SampleTag.JOB_PROLOG),
         counter("n1", start, CPU_TOTAL, 2000, SampleTag.JOB_PROLOG),
         counter("n1", end, CPU_USER, 1900, SampleTag.JOB_EPILOG),
@@ -140,7 +146,7 @@ def test_cpu_user_fraction_hand_arithmetic():
 def test_no_in_window_samples_fields_absent():
     job, start, end = job_and_window()
     # samples exactly at the boundary are out of the open window
-    archive = JobArchive(job_id=job.job_id, nodes=("n1",), meminfo=(
+    archive = record_archive(job_id=job.job_id, nodes=("n1",), meminfo=(
         meminfo("n1", start, 64 * GIB, 32 * GIB, 0, 0),
         meminfo("n1", end, 64 * GIB, 32 * GIB, 0, 0),
     ))
@@ -156,7 +162,7 @@ def test_memory_avg_and_max_small_set():
     samples = tuple(
         meminfo("n1", start + 600 * (i + 1), 64 * GIB, 64 * GIB - used, 0, 0)
         for i, used in enumerate((16 * GIB, 32 * GIB, 48 * GIB)))
-    archive = JobArchive(job_id=job.job_id, nodes=("n1",), meminfo=samples)
+    archive = record_archive(job_id=job.job_id, nodes=("n1",), meminfo=samples)
     summary = summarize_job(job, archive, cores_per_node=16)
     assert summary.mem_avg_per_core == 2 * GIB
     assert summary.mem_max_per_core == 3 * GIB
@@ -168,9 +174,9 @@ def test_out_of_window_instantaneous_samples_ignored():
     inside = (instant("n1", start + 600, 16), instant("n1", start + 1200, 16))
     outside = (instant("n1", start - 60, 1), instant("n1", end + 60, 99),
                instant("n1", start, 2), instant("n1", end, 98))
-    with_noise = JobArchive(job_id=job.job_id, nodes=("n1",),
-                            samples=inside + outside)
-    clean = JobArchive(job_id=job.job_id, nodes=("n1",), samples=inside)
+    with_noise = record_archive(job_id=job.job_id, nodes=("n1",),
+                                samples=inside + outside)
+    clean = record_archive(job_id=job.job_id, nodes=("n1",), samples=inside)
     s_noise = summarize_job(job, with_noise, 16)
     s_clean = summarize_job(job, clean, 16)
     assert s_noise.runnable_threads_median == s_clean.runnable_threads_median == 16
@@ -185,7 +191,7 @@ def test_median_of_constant_stream_is_constant():
 
 def test_counter_regression_flagged_and_reset_handled():
     job, start, end = job_and_window()
-    archive = JobArchive(job_id=job.job_id, nodes=("n1",), samples=(
+    archive = record_archive(job_id=job.job_id, nodes=("n1",), samples=(
         counter("n1", start, LUSTRE_RX, 1000, SampleTag.JOB_PROLOG),
         counter("n1", start + 1200, LUSTRE_RX, 4000),
         counter("n1", start + 2400, LUSTRE_RX, 500),  # reset
@@ -198,11 +204,11 @@ def test_counter_regression_flagged_and_reset_handled():
 
 def test_missing_prolog_and_epilog():
     job, start, end = job_and_window()
-    no_prolog = JobArchive(job_id=job.job_id, nodes=("n1",), samples=(
+    no_prolog = record_archive(job_id=job.job_id, nodes=("n1",), samples=(
         counter("n1", end, CPU_USER, 10, SampleTag.JOB_EPILOG),))
     with pytest.raises(MissingProlog):
         summarize_job(job, no_prolog, 16)
-    no_epilog = JobArchive(job_id=job.job_id, nodes=("n1",), samples=(
+    no_epilog = record_archive(job_id=job.job_id, nodes=("n1",), samples=(
         counter("n1", start, CPU_USER, 10, SampleTag.JOB_PROLOG),))
     with pytest.raises(MissingEpilog):
         summarize_job(job, no_epilog, 16)
@@ -215,8 +221,8 @@ def test_counters_sum_over_nodes():
     for node, (rx0, rx1) in (("n1", (100, 600)), ("n2", (50, 250))):
         samples.append(counter(node, start, LUSTRE_RX, rx0, SampleTag.JOB_PROLOG))
         samples.append(counter(node, end, LUSTRE_RX, rx1, SampleTag.JOB_EPILOG))
-    archive = JobArchive(job_id=job.job_id, nodes=("n1", "n2"),
-                         samples=tuple(samples))
+    archive = record_archive(job_id=job.job_id, nodes=("n1", "n2"),
+                             samples=tuple(samples))
     summary = summarize_job(job, archive, 16)
     assert summary.lustre_rx == 500 + 200
 
@@ -234,7 +240,7 @@ def test_non_lustre_ib_field_and_clamp_flag():
                            (LUSTRE_RX, 0, 500), (LUSTRE_TX, 0, 500)):
         samples.append(counter("n1", start, metric, v0, SampleTag.JOB_PROLOG))
         samples.append(counter("n1", end, metric, v1, SampleTag.JOB_EPILOG))
-    archive = JobArchive(job_id=job.job_id, nodes=("n1",), samples=tuple(samples))
+    archive = record_archive(job_id=job.job_id, nodes=("n1",), samples=tuple(samples))
     summary = summarize_job(job, archive, 16)
     assert summary.non_lustre_ib == 0.0
     assert "non_lustre_ib_clamped" in summary.flags
@@ -250,9 +256,9 @@ def test_classify_launch_type_table():
 
 def test_launcher_info_drives_label_and_type():
     job, start, end = job_and_window()
-    archive = JobArchive(job_id=job.job_id, nodes=("n1",),
-                         launcher=LauncherInfo(exe="/apps/namd2", n_processes=16,
-                                               threads_per_process=1))
+    archive = record_archive(job_id=job.job_id, nodes=("n1",),
+                             launcher=LauncherInfo(exe="/apps/namd2", n_processes=16,
+                                                   threads_per_process=1))
     summary = summarize_job(job, archive, 16)
     assert summary.app_label == "NAMD"
     assert summary.launch_type is LaunchType.MULTI_PROCESS
@@ -382,8 +388,8 @@ def _outcome(summarize):
 @given(oracle_archives())
 def test_columnar_summary_equals_the_record_oracle(drawn):
     listed, samples, meminfo, cores = drawn
-    archive = JobArchive(job_id="jo", nodes=listed, samples=tuple(samples),
-                         meminfo=tuple(meminfo))
+    archive = record_archive(job_id="jo", nodes=listed, samples=tuple(samples),
+                             meminfo=tuple(meminfo))
     columnar = _outcome(lambda: summarize_job(ORACLE_JOB, archive, cores, db=(),
                                               ignore_list=()))
     oracle = _outcome(lambda: summarize_records(
@@ -396,7 +402,7 @@ def test_columnar_summary_equals_the_record_oracle(drawn):
 
 def test_epilog_before_prolog_takes_the_pair_in_time_order():
     job, start, end = job_and_window()
-    archive = JobArchive(job_id=job.job_id, nodes=("n1",), samples=(
+    archive = record_archive(job_id=job.job_id, nodes=("n1",), samples=(
         counter("n1", end, LUSTRE_RX, 100, SampleTag.JOB_PROLOG),
         counter("n1", start + 600, LUSTRE_RX, 5000),
         counter("n1", start, LUSTRE_RX, 400, SampleTag.JOB_EPILOG),
@@ -409,7 +415,7 @@ def test_epilog_before_prolog_takes_the_pair_in_time_order():
 
 def test_first_of_tied_prologs_and_epilogs_is_used():
     job, start, end = job_and_window()
-    archive = JobArchive(job_id=job.job_id, nodes=("n1",), samples=(
+    archive = record_archive(job_id=job.job_id, nodes=("n1",), samples=(
         counter("n1", start, LUSTRE_RX, 10, SampleTag.JOB_PROLOG),
         counter("n1", start, LUSTRE_RX, 50, SampleTag.JOB_PROLOG),
         counter("n1", end, LUSTRE_RX, 110, SampleTag.JOB_EPILOG),
@@ -620,7 +626,7 @@ def test_a_line_that_is_not_an_object_is_a_schema_error(tmp_path, text):
 
 def test_a_node_listed_twice_is_refused():
     with pytest.raises(ValueError, match="listed twice"):
-        JobArchive(job_id="j1", nodes=("n1", "n2", "n1"))
+        record_archive(job_id="j1", nodes=("n1", "n2", "n1"))
     with pytest.raises(ValueError, match="listed twice"):
         summarize_records(ORACLE_JOB, ("n1", "n1"), [], [], 16, db=(), ignore_list=())
 
@@ -719,8 +725,9 @@ def _settled(summarize):
 @given(block_cases())
 def test_block_summaries_equal_a_per_job_loop_of_the_oracle(case):
     jobs, records, cores, per_block = case
-    archives = {job_id: JobArchive(job_id=job_id, nodes=found[0], samples=tuple(found[1]),
-                                   meminfo=tuple(found[2]), launcher=found[3])
+    archives = {job_id: record_archive(job_id=job_id, nodes=found[0],
+                                       samples=tuple(found[1]), meminfo=tuple(found[2]),
+                                       launcher=found[3])
                 for job_id, found in records.items() if found is not None}
     sizes = [len(a.samples) + len(a.meminfo) for a in archives.values()]
     block = max(1, per_block * sum(sizes) // max(1, len(sizes)))
@@ -732,9 +739,9 @@ def test_block_summaries_equal_a_per_job_loop_of_the_oracle(case):
 
 def test_the_first_failure_in_job_order_wins_across_blocks():
     job, start, end = job_and_window()
-    good = JobArchive(job_id="g", nodes=("n1",), meminfo=(
+    good = record_archive(job_id="g", nodes=("n1",), meminfo=(
         meminfo("n1", start + 600, 64 * GIB, 32 * GIB, 0, 0),))
-    bad = JobArchive(job_id="b", nodes=("n1",), meminfo=(
+    bad = record_archive(job_id="b", nodes=("n1",), meminfo=(
         meminfo("n1", start + 600, 64 * GIB, -1, 0, 0),))
     jobs = [make_job(job_id=i, start=start, end=end) for i in ("g", "b", "g", "x")]
     archives = {"g": good, "b": bad, "x": good}
@@ -832,3 +839,21 @@ def test_write_summaries_keeps_the_old_file_when_a_value_is_refused(tmp_path):
     write_summaries({"a": good}, out)
     assert [json.loads(line)["job_id"] for line in out.read_text().splitlines()] == ["a"]
     assert os.listdir(tmp_path) == ["summaries.jsonl"]
+
+
+def test_write_summaries_writes_each_field_under_its_name(tmp_path):
+    summary = JobPerfSummary(
+        job_id="j7", cpu_user_fraction=0.25, mem_avg_per_core=1073741824.0,
+        mem_max_per_core=2147483648.5, lustre_rx=1000.0, lustre_tx=24.5, ib_rx=4096.0,
+        ib_tx=0.0, non_lustre_ib=3071.5, runnable_threads_median=None, file_opens=12.0,
+        app_label="NAMD", launch_type=LaunchType.MULTI_PROCESS, samples_used=48,
+        flags=("counter_regression:n1:lustre_rx_bytes", "non_lustre_ib_clamped"))
+    out = tmp_path / "summaries.jsonl"
+    write_summaries({"j7": summary}, out)
+    assert out.read_bytes() == (
+        b'{"app_label": "NAMD", "cpu_user_fraction": 0.25, "file_opens": 12.0, '
+        b'"flags": ["counter_regression:n1:lustre_rx_bytes", "non_lustre_ib_clamped"], '
+        b'"ib_rx": 4096.0, "ib_tx": 0.0, "job_id": "j7", "launch_type": "multi_process", '
+        b'"lustre_rx": 1000.0, "lustre_tx": 24.5, "mem_avg_per_core": 1073741824.0, '
+        b'"mem_max_per_core": 2147483648.5, "non_lustre_ib": 3071.5, '
+        b'"runnable_threads_median": null, "samples_used": 48}\n')
