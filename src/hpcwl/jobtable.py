@@ -13,6 +13,11 @@ pairwise and is not used for report values).
 ``JobColumns`` holds the jobs as one column per ``JobRecord`` field, as the
 job loader fills them or as read from records; ``JobTable.from_columns`` is
 the one place the derived columns are computed.
+
+``JobTable.take`` copies no column up front.  A taken table holds the table
+built by ``from_columns`` and the numbers of its selected rows, and copies a
+column on its first read, so an analysis of a subset pays only for the
+columns it reads.
 """
 from __future__ import annotations
 
@@ -245,23 +250,42 @@ class JobTable:
                    has_gateway_user=has_gateway_user, resources=resources, **coded)
 
     def __len__(self) -> int:
-        return len(self.submit)
+        taken = self.__dict__.get("_taken")
+        return len(self.submit) if taken is None else len(taken[1])
+
+    def __getattr__(self, name: str):
+        """A column of a taken table, copied from the built table on its
+        first read, made read-only and kept."""
+        taken = self.__dict__.get("_taken")
+        if taken is None or name not in _FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        built, rows = taken
+        column = getattr(built, name)
+        if isinstance(column, Codes):
+            column = column.take(rows)
+            column.codes.flags.writeable = False
+        elif isinstance(column, np.ndarray):
+            column = column[rows]
+            column.flags.writeable = False
+        self.__dict__[name] = column
+        return column
 
     def take(self, rows: np.ndarray) -> JobTable:
         """The rows a boolean mask or an index array selects, in order; the
         name tables and the resource map are shared, so codes keep their
-        meaning.  A selection of every row in order gives this table."""
+        meaning.  A selection of every row in order gives this table.  Any
+        other holds the numbers of its rows in the built table, a take of a
+        take included, and copies each column on its first read."""
         if selects_all(rows, len(self)):
             return self
-        out = {}
-        for f in fields(self):
-            column = getattr(self, f.name)
-            if isinstance(column, Codes):
-                column = column.take(rows)
-            elif isinstance(column, np.ndarray):
-                column = column[rows]
-            out[f.name] = column
-        return JobTable(**out)
+        built, within = self.__dict__.get("_taken", (self, None))
+        if within is None:
+            within = np.arange(len(self))
+        taken = object.__new__(JobTable)
+        # indexing checks the rows as a column's take would: a mask of
+        # another length or a row out of range raises IndexError here
+        taken.__dict__["_taken"] = (built, within[rows])
+        return taken
 
     def weights(self, weight: str) -> np.ndarray:
         """The float weight of each row: "jobs" (1.0), "core_hours",
@@ -292,6 +316,9 @@ class JobTable:
         if period not in ("quarter", "year"):
             raise ValueError(f"unknown period {period!r}")
         return getattr(self, period)
+
+
+_FIELDS = frozenset(f.name for f in fields(JobTable))
 
 
 def selects_all(rows: np.ndarray, n: int) -> bool:

@@ -150,14 +150,20 @@ def _sha256(path) -> str:
 
 def _kept(ctx: _RunContext, filters: Filters) -> np.ndarray:
     """Row numbers in the dataset's job table of the jobs that pass filters,
-    filtered once per value and run.  Filters whose ``resources`` names no
-    resource a job ran on raise DegenerateInput."""
+    filtered once per value and run.  Filters whose ``resources`` or
+    ``queues`` name no resource or queue a job ran on, an empty list
+    included, raise DegenerateInput."""
     kept = ctx.kept.get(filters)
     if kept is None:
         table = ctx.dataset.job_table
-        if filters.resources and filters.resources.isdisjoint(table.resource.present()):
-            names = ", ".join(map(repr, sorted(filters.resources)))
-            raise DegenerateInput(f"no job ran on {names}")
+        for key, column, where in (("resources", table.resource, "on"),
+                                   ("queues", table.queue, "in queue")):
+            names = getattr(filters, key)
+            if names is not None and names.isdisjoint(column.present()):
+                if not names:
+                    raise DegenerateInput(f"the filters name no {key}")
+                raise DegenerateInput(f"no job ran {where} "
+                                      + ", ".join(map(repr, sorted(names))))
         kept = ctx.kept[filters] = filters.apply(table).row
     return kept
 

@@ -146,19 +146,24 @@ def test_backlog_of_a_resource_no_job_ran_on_is_analysis_error(capsys):
     assert err == "analysis error: analysis 'backlog' failed: no job ran on 'NOPE'\n"
 
 
-@pytest.mark.parametrize("resources,names", [(["NOPE"], "'NOPE'"),
-                                             (["ZZ", "NOPE"], "'NOPE', 'ZZ'")])
+@pytest.mark.parametrize("filters,message", [
+    ({"resources": ["NOPE"]}, "no job ran on 'NOPE'"),
+    ({"resources": ["ZZ", "NOPE"]}, "no job ran on 'NOPE', 'ZZ'"),
+    ({"resources": []}, "the filters name no resources"),
+    ({"queues": ["NOPE"]}, "no job ran in queue 'NOPE'"),
+    ({"queues": []}, "the filters name no queues"),
+], ids=["resource", "resources", "no-resources", "queue", "no-queues"])
 def test_report_spec_of_resources_no_job_ran_on_is_analysis_error(tmp_path, capsys,
-                                                                 resources, names):
+                                                                 filters, message):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "name": "nope", "date_range": ["2015-07-01", "2016-01-01"],
-        "filters": {"resources": resources}, "analyses": [{"analysis": "backlog"}]}))
+        "filters": filters, "analyses": [{"analysis": "backlog"}]}))
     out = tmp_path / "out"
     code, _, err = run(capsys, "report", "--demo", "--demo-jobs", "300", "--spec", str(spec),
                        "--outdir", str(out))
     assert code == EXIT_ANALYSIS
-    assert err == f"analysis error: analysis 'backlog' failed: no job ran on {names}\n"
+    assert err == f"analysis error: analysis 'backlog' failed: {message}\n"
     assert not (out / "backlog_daily.csv").exists()
 
 

@@ -20,7 +20,7 @@ from hpcwl.ingest import (
     job_xd_su,
     utc_date,
 )
-from hpcwl.jobtable import JobTable, period_key
+from hpcwl.jobtable import Codes, JobTable, period_key
 from hpcwl.metrics import (
     Filters,
     average_job_size,
@@ -334,3 +334,70 @@ def test_every_column_is_read_only(ctx):
         table.submit[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         table.resource.codes[:] = 0
+
+
+# --- lazy takes ---------------------------------------------------------------
+
+COLUMNS = frozenset(f.name for f in dataclasses.fields(JobTable))
+
+
+def row_selections(n):
+    """Masks and index arrays over n rows: reversed, repeated and empty ones
+    among them."""
+    index = st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([])
+    return st.one_of(
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda m: np.array(m, dtype=bool)),
+        index.map(lambda rows: np.array(rows, dtype=np.intp)),
+        st.just(np.arange(n)[::-1]),
+        st.just(np.array([], dtype=np.intp)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jobs_strategy(min_size=1), st.data())
+def test_a_take_of_a_take_reads_the_rows_of_the_built_table(jobs, data):
+    table = JobTable.of(jobs, RESOURCES)
+    taken, rows = table, np.arange(len(table))
+    for _ in range(data.draw(st.integers(1, 3))):
+        selection = data.draw(row_selections(len(taken)))
+        if data.draw(st.booleans()):
+            taken.user  # a column read before the next take changes nothing
+        taken, rows = taken.take(selection), rows[selection]
+    assert len(taken) == len(rows)
+    for name in sorted(COLUMNS):
+        column, got = getattr(table, name), getattr(taken, name)
+        if isinstance(column, Codes):
+            assert got.names is column.names
+            column, got = column.codes, got.codes
+        if isinstance(column, np.ndarray):
+            assert got.dtype == column.dtype
+            assert repr(got.tolist()) == repr(column[rows].tolist()), name
+            assert not got.flags.writeable, name
+        else:
+            assert got is column, name
+
+
+def test_a_take_copies_only_the_columns_read(ctx, monkeypatch):
+    table = ctx.dataset.job_table
+    fresh = table.take(table.nodes > 1)
+    assert len(fresh) == np.count_nonzero(table.nodes > 1)
+    assert not COLUMNS & set(vars(fresh))
+    subsets, of = [], backlog._of_resource
+
+    def of_resource(table, resource):
+        subsets.append(of(table, resource))
+        return subsets[-1]
+
+    monkeypatch.setattr(backlog, "_of_resource", of_resource)
+    backlog.backlog_series(table, table.resource.present()[0])
+    [subset] = subsets
+    assert subset is not table
+    assert COLUMNS & set(vars(subset)) == {"submit", "start", "end", "nodes", "cores"}
+
+
+def test_a_take_of_rows_the_table_lacks_is_an_index_error(ctx):
+    table = ctx.dataset.job_table
+    for columns in (table, table.take(np.arange(1, len(table)))):
+        n = len(columns)
+        for rows in (np.ones(n - 1, dtype=bool), np.array([0, n]), np.array([-n - 1])):
+            with pytest.raises(IndexError):
+                columns.take(rows)
