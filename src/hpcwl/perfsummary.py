@@ -11,18 +11,23 @@ Each job's samples come as the columns of an ``hpcwl.archives.JobArchive``.
 ``summarize_all`` gathers consecutive jobs into blocks of up to
 ``_BLOCK_SAMPLES`` samples and reduces each block with one run of whole-array
 kernels keyed by (job, node, metric): counter totals and resets, missing
-prologs and epilogs, runnable-thread medians and memory per core.  Only the
-application label, the flags and the summary object are built job by job.
-``summarize_job`` is the same kernels run on a block of one job; the
-record-at-a-time implementation they replaced is kept in the tests as their
-reference.  ``write_summaries`` replaces its target whole or not at all.
+prologs and epilogs, runnable-thread medians and memory per core.  Their
+sums are ``np.bincount`` sums, which add each group's values left to right
+from 0.0 in row order, as ``stats.total`` does.  The derived fields, clamps and launch types are computed on the kernels' arrays,
+and the summaries come back as one ``SummaryColumns`` table: a flags tuple is
+built only for a job with a reset or a clamp, and an application label once
+per distinct launcher executable and process list.  ``summarize_job`` is the
+same kernels run on a block of one job; the record-at-a-time implementation
+they replaced is kept in the tests as their reference.  ``write_summaries``
+renders the table column by column and replaces its target whole or not at
+all.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,6 +55,7 @@ from .archives import (
 from .archives import load_archives  # noqa: F401
 from .errors import InvalidMemInfo, MissingEpilog, MissingProlog
 from .ingest import JobRecord
+from .jobtable import Codes, Factor
 
 
 class LaunchType(str, Enum):
@@ -79,38 +85,52 @@ class JobPerfSummary:
     flags: tuple[str, ...] = ()
 
 
-def non_lustre_ib(ib_bytes: float, lustre_bytes: float) -> tuple[float, bool]:
-    """Interconnect traffic net of filesystem traffic, clamped at zero.
-
-    Returns (bytes, clamped).
-    """
-    if ib_bytes < 0 or lustre_bytes < 0:
-        raise ValueError("byte totals must be nonnegative")
-    remainder = ib_bytes - lustre_bytes
-    if remainder < 0:
-        return 0.0, True
-    return remainder, False
+# the optional float fields of JobPerfSummary (those None by default), in order
+OPTIONAL = tuple(f.name for f in fields(JobPerfSummary) if f.default is None)
+# the LaunchType values as the sorted names of a Codes
+_LAUNCH_NAMES = tuple(sorted(kind.value for kind in LaunchType))
 
 
-def classify_launch_type(n_processes: int, threads_per_process: int,
-                         instrumented: bool) -> LaunchType:
-    if n_processes < 0 or threads_per_process < 0:
-        raise ValueError("counts must be >= 0")
-    if not instrumented or n_processes == 0 or threads_per_process == 0:
-        return LaunchType.UNKNOWN
-    if n_processes == 1 and threads_per_process == 1:
-        return LaunchType.SERIAL
-    if n_processes > 1 and threads_per_process == 1:
-        return LaunchType.MULTI_PROCESS
-    if n_processes == 1:
-        return LaunchType.MULTI_THREADED
-    return LaunchType.MULTI_PROCESS_MULTI_THREADED
+@dataclass(frozen=True, eq=False)
+class SummaryColumns:
+    """Job summaries as one column per ``JobPerfSummary`` field, a row per
+    job.  Each ``OPTIONAL`` field is a float64 column with its own presence
+    mask, so an absent field (None) stays distinct from a computed NaN or
+    infinity; ``flags`` holds each row's whole tuple, in emitted order."""
+
+    job_id: tuple[str, ...]
+    values: Mapping[str, np.ndarray]  # each OPTIONAL field; any value where not present
+    present: Mapping[str, np.ndarray]  # each OPTIONAL field, bool
+    app_label: Codes
+    launch_type: Codes  # of LaunchType values
+    samples_used: np.ndarray  # int64
+    flags: Factor
+
+    def __len__(self) -> int:
+        return len(self.job_id)
+
+    def row(self, i: int) -> JobPerfSummary:
+        """Row ``i`` as a record."""
+        return JobPerfSummary(
+            job_id=self.job_id[i],
+            **{name: float(self.values[name][i]) if self.present[name][i] else None
+               for name in OPTIONAL},
+            app_label=self.app_label.names[self.app_label.codes[i]],
+            launch_type=LaunchType(self.launch_type.names[self.launch_type.codes[i]]),
+            samples_used=int(self.samples_used[i]),
+            flags=self.flags.values[self.flags.codes[i]])
+
+    def rows(self) -> list[JobPerfSummary]:
+        return [self.row(i) for i in range(len(self))]
 
 
 # counter metrics in the order their fields and flags are computed
 _COUNTERS = (CPU_USER, CPU_TOTAL, LUSTRE_RX, LUSTRE_TX, IB_RX, IB_TX, FILE_OPENS)
 # the slot of RUNNABLE_THREADS after them in the block kernels' metric map
 _RUNNABLE = len(_COUNTERS)
+# the summary field of each counter total that is one
+_COUNTER_FIELDS = {LUSTRE_RX: "lustre_rx", LUSTRE_TX: "lustre_tx", IB_RX: "ib_rx",
+                   IB_TX: "ib_tx", FILE_OPENS: "file_opens"}
 
 # perf plus meminfo samples that one run of the block kernels reduces; a job
 # with more samples than this is a block of its own
@@ -125,32 +145,9 @@ def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(starts) - 1, np.flatnonzero(starts)
 
 
-def _ordered_sums(values: np.ndarray, group: np.ndarray, n_groups: int) -> np.ndarray:
-    """Each group's values added left to right from 0.0, as ``stats.total``
-    adds them (0.0 for a group with none).  ``group`` is ascending, so a
-    group's values are one stretch, in the order they are added."""
-    count = np.bincount(group, minlength=n_groups)
-    column = np.arange(len(values)) - (np.cumsum(count) - count)[group] + 1
-    sums = np.zeros(n_groups)
-    # cumsum adds left to right, so each row of a padded table sums its
-    # group in order from 0.0, and trailing zeros leave the sum as it is;
-    # one table per bit length of the counts is at most twice as large as
-    # its entries, however long the longest group is
-    bits = np.frexp(count)[1]
-    for width in np.flatnonzero(np.bincount(bits[count > 0])).tolist():
-        rows = np.flatnonzero(bits == width)
-        row_of = np.zeros(n_groups, dtype=np.int64)
-        row_of[rows] = np.arange(len(rows))
-        entries = np.flatnonzero(bits[group] == width)
-        table = np.zeros((len(rows), int(count[rows].max()) + 1))
-        table[row_of[group[entries]], column[entries]] = values[entries]
-        sums[rows] = table.cumsum(axis=1)[:, -1]
-    return sums
-
-
 def _counter_kernel(job: np.ndarray, pos: np.ndarray, slot: np.ndarray, key: np.ndarray,
                     time: np.ndarray, tag: np.ndarray, value: np.ndarray, n_jobs: int
-                    ) -> tuple[dict, list[list[float | None]], dict]:
+                    ) -> tuple[dict, np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
     """Counter totals of the jobs of a block, from their samples of
     ``_COUNTERS`` metrics on listed nodes.
 
@@ -167,18 +164,19 @@ def _counter_kernel(job: np.ndarray, pos: np.ndarray, slot: np.ndarray, key: np.
     same order, and a job's total of a metric is the sum of its deltas over
     the job's nodes in list order, from 0.0.
 
-    Returns (missing, totals, resets):
+    Returns (missing, totals, present, resets):
     - missing: for each job with a group that lacks a prolog or an epilog,
       (MissingProlog or MissingEpilog, node position, slot) of its first
       such group in row-major (metric, node) order;
-    - totals: per job, each ``_COUNTERS`` total, None when no listed node
-      collected the metric (a job in ``missing`` has no meaningful totals);
-    - resets: per job with a reset, the (slot, node position) of each group
-      delta that saw one, in row-major order.
+    - totals: an (``n_jobs``, ``len(_COUNTERS)``) array of each job's total
+      of each metric, 0.0 where not ``present``: no listed node collected
+      the metric (a job in ``missing`` has no meaningful totals);
+    - resets: the (job, slot, node position) of each group delta that saw
+      a reset, in row-major order.
     """
-    totals: list[list[float | None]] = [[None] * len(_COUNTERS) for _ in range(n_jobs)]
+    totals = np.zeros((n_jobs, len(_COUNTERS)))
+    present = np.zeros((n_jobs, len(_COUNTERS)), dtype=bool)
     missing: dict[int, tuple[type, int, int]] = {}
-    resets: dict[int, list[tuple[int, int]]] = {}
     group, first = _runs(key)
     has_prolog = np.zeros(len(first), dtype=bool)
     has_prolog[group[tag == _PROLOG]] = True
@@ -200,7 +198,7 @@ def _counter_kernel(job: np.ndarray, pos: np.ndarray, slot: np.ndarray, key: np.
         group, first = _runs(key)
     n = len(key)
     if not n:
-        return missing, totals, resets
+        return missing, totals, present, []
     n_groups = len(first)
     ids = np.arange(n_groups)
     last = np.append(first[1:], n) - 1
@@ -234,7 +232,7 @@ def _counter_kernel(job: np.ndarray, pos: np.ndarray, slot: np.ndarray, key: np.
     prev, cur = values[:-1][same], values[1:][same]
     step_group = seq_group[1:][same]
     up = cur >= prev
-    delta = _ordered_sums(np.where(up, cur - prev, cur), step_group, n_groups)
+    delta = np.bincount(step_group, np.where(up, cur - prev, cur), n_groups)
     reset = np.zeros(n_groups, dtype=bool)
     reset[step_group[~up]] = True
 
@@ -244,17 +242,14 @@ def _counter_kernel(job: np.ndarray, pos: np.ndarray, slot: np.ndarray, key: np.
     grid = np.lexsort((g_pos, g_slot, g_job))
     pair = g_job[grid] * len(_COUNTERS) + g_slot[grid]
     pair_group, pair_first = _runs(pair)
-    sums = _ordered_sums(delta[grid], pair_group, len(pair_first))
-    for p, s in zip(pair[pair_first].tolist(), sums.tolist()):
-        totals[p // len(_COUNTERS)][p % len(_COUNTERS)] = s
+    totals.flat[pair[pair_first]] = np.bincount(pair_group, delta[grid], len(pair_first))
+    present.flat[pair[pair_first]] = True
     flagged = grid[reset[grid]]
-    for b, m, j in zip(g_job[flagged].tolist(), g_slot[flagged].tolist(),
-                       g_pos[flagged].tolist()):
-        resets.setdefault(b, []).append((m, j))
-    return missing, totals, resets
+    return missing, totals, present, list(zip(
+        g_job[flagged].tolist(), g_slot[flagged].tolist(), g_pos[flagged].tolist()))
 
 
-def _medians(job: np.ndarray, value: np.ndarray, n_jobs: int) -> tuple[list[int], list[float]]:
+def _medians(job: np.ndarray, value: np.ndarray, n_jobs: int) -> tuple[np.ndarray, np.ndarray]:
     """The count of each job's values and ``stats.quantile(sorted(values),
     0.5)`` of them (NaN for a job with none); ``job`` numbers the jobs."""
     count = np.bincount(job, minlength=n_jobs)
@@ -269,11 +264,11 @@ def _medians(job: np.ndarray, value: np.ndarray, n_jobs: int) -> tuple[list[int]
         middle[even] += (ordered[hi[even]] - middle[even]) * 0.5
     median = np.full(n_jobs, np.nan)
     median[count > 0] = middle
-    return count.tolist(), median.tolist()
+    return count, median
 
 
 def _mem_kernel(job: np.ndarray, lo: np.ndarray, hi: np.ndarray, numa: np.ndarray,
-                cores: list, n_jobs: int) -> tuple[list[int], list[float], list[float], dict]:
+                cores: list, n_jobs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """The test oracle's ``memory_per_core`` of meminfo samples whose NUMA
     nodes are rows ``lo[i]:hi[i]`` of ``numa``, sample i of job ``job[i]``
     (ascending) with ``cores[job[i]]`` cores per node: used bytes (MemTotal
@@ -309,35 +304,37 @@ def _mem_kernel(job: np.ndarray, lo: np.ndarray, hi: np.ndarray, numa: np.ndarra
     has = np.flatnonzero(samples)
     if has.size:
         peak[has] = np.maximum.reduceat(values, (np.cumsum(samples) - samples)[has])
-    return (samples.tolist(), _ordered_sums(values, job, n_jobs).tolist(), peak.tolist(),
-            invalid)
+    return samples, np.bincount(job, values, n_jobs), peak, invalid
 
 
 @dataclass(frozen=True, slots=True)
-class _Reduced:
-    """What the block kernels found for one job."""
+class _Block:
+    """What the block kernels found for the entries of a block, in order."""
 
-    totals: list[float | None]
-    resets: Sequence[tuple[int, int]]
-    runnable_median: float | None
-    mem_avg: float | None
-    mem_max: float | None
-    samples_used: int
+    errors: list[Exception | None]  # the error an entry's summary raises
+    values: np.ndarray  # (entries, len(OPTIONAL)) float64
+    present: np.ndarray  # (entries, len(OPTIONAL)) bool
+    samples_used: np.ndarray
+    launch_type: np.ndarray  # codes into _LAUNCH_NAMES
+    flags: list[tuple[str, ...]]
+    apps: list[tuple[str | None, tuple]]  # (launcher exe or None, process list)
 
 
 def _block_kernels(block: Sequence[tuple[JobRecord, JobArchive, object]]
-                   ) -> list[_Reduced | Exception]:
+                   ) -> _Block:
     """Reduce every (job, archive, cores per node) entry of a block with one
     run of the kernels over the block's samples, in order.
 
-    An entry's result is its ``_Reduced`` or the error its summary raises:
-    MissingProlog/MissingEpilog, else ValueError for fewer than one core
-    per node (when the job has in-window meminfo on a listed node), else
-    InvalidMemInfo for its first bad in-window NUMA row.
+    An entry's error is the one its summary raises: MissingProlog or
+    MissingEpilog, else ValueError for fewer than one core per node (when
+    the job has in-window meminfo on a listed node), else InvalidMemInfo for
+    its first bad in-window NUMA row, else ValueError for a negative
+    launcher count.
     """
     n = len(block)
     if not n:
-        return []
+        return _Block([], np.zeros((0, len(OPTIONAL))), np.zeros((0, len(OPTIONAL)), bool),
+                      np.zeros(0, np.int64), np.zeros(0, np.int64), [], [])
     # the block's node tables, each entry's position in its job's node list
     # (-1 for unlisted), and its distinct metric tables, each entry's
     # _COUNTERS slot, _RUNNABLE or -1; each job's offsets into them and its
@@ -346,8 +343,13 @@ def _block_kernels(block: Sequence[tuple[JobRecord, JobArchive, object]]
     node_pos, mem_pos, node_base, mem_base, numa_base, metric_base = [], [], [], [], [], []
     slots: list[int] = []
     metric_tables: dict[tuple[str, ...], int] = {}
+    counts, apps = [], []
     for _, archive, _ in block:
-        perf, mem = archive.samples, archive.meminfo
+        perf, mem, launcher = archive.samples, archive.meminfo, archive.launcher
+        # no launcher is 0 processes, which is an unknown launch type
+        counts.append((launcher.n_processes, launcher.threads_per_process) if launcher
+                      else (0, 0))
+        apps.append((launcher.exe if launcher else None, archive.processes))
         position = {name: j for j, name in enumerate(archive.nodes)}
         node_base.append(len(node_pos))
         node_pos += [position.get(name, -1) for name in perf.nodes]
@@ -379,7 +381,7 @@ def _block_kernels(block: Sequence[tuple[JobRecord, JobArchive, object]]
     slot = np.array(slots, dtype=np.int64)[column("metric") + np.repeat(metric_base, perf_rows)]
     time, value, tag = column("time"), column("value"), column("tag")
     rows = np.flatnonzero((pos >= 0) & (slot >= 0) & (slot < len(_COUNTERS)))
-    missing, totals, resets = _counter_kernel(
+    missing, totals, present, resets = _counter_kernel(
         job[rows], pos[rows], slot[rows], node[rows] * len(_COUNTERS) + slot[rows],
         time[rows], tag[rows], value[rows], n)
 
@@ -402,78 +404,84 @@ def _block_kernels(block: Sequence[tuple[JobRecord, JobArchive, object]]
         job[rows], lo[rows] + offset, hi[rows] + offset, column("numa", "meminfo"),
         [c if c >= 1 else 1 for c in cores], n)
 
-    results: list[_Reduced | Exception] = []
-    for b, (_, archive, _) in enumerate(block):
-        if b in missing:
-            error, j, m = missing[b]
-            results.append(error(archive.nodes[j], _COUNTERS[m]))
-        elif mem[b] and cores[b] < 1:
-            results.append(ValueError("n_cores must be >= 1"))
-        elif b in invalid:
-            results.append(InvalidMemInfo(invalid[b]))
-        else:
-            results.append(_Reduced(
-                totals=totals[b], resets=resets.get(b, ()),
-                runnable_median=median[b] if runnable[b] else None,
-                mem_avg=mem_sum[b] / mem[b] if mem[b] else None,
-                mem_max=mem_max[b] if mem[b] else None,
-                samples_used=runnable[b] + mem[b]))
-    return results
+    total = dict(zip(_COUNTERS, totals.T))
+    has = dict(zip(_COUNTERS, present.T))
+    with np.errstate(all="ignore"):  # as in Python: inf / inf is NaN, inf - inf too
+        has_cpu = has[CPU_USER] & has[CPU_TOTAL] & (total[CPU_TOTAL] > 0)
+        cpu = total[CPU_USER] / total[CPU_TOTAL]
+        # an absent total is 0.0, as Python's ``total or 0.0`` makes it
+        has_nli = has[IB_RX] | has[IB_TX]
+        nli = total[IB_RX] + total[IB_TX] - (total[LUSTRE_RX] + total[LUSTRE_TX])
+        mem_avg = mem_sum / np.maximum(mem, 1)
+    cpu_clamped = has_cpu & ((cpu > 1.0) | (cpu < 0.0))
+    cpu[cpu_clamped] = cpu[cpu_clamped].clip(0.0, 1.0)
+    nli_clamped = has_nli & (nli < 0)
+    nli[nli_clamped] = 0.0
+
+    regressions: dict[int, list[tuple[int, str]]] = {}
+    for b, m, j in resets:
+        regressions.setdefault(b, []).append(
+            (m, f"counter_regression:{block[b][1].nodes[j]}:{_COUNTERS[m]}"))
+    flags: list[tuple[str, ...]] = [()] * n
+    for b in regressions.keys() | set(np.flatnonzero(cpu_clamped | nli_clamped).tolist()):
+        found = regressions.get(b, ())
+        flags[b] = (*(flag for m, flag in found if m < 2),
+                    *(("cpu_fraction_clamped",) if cpu_clamped[b] else ()),
+                    *(flag for m, flag in found if m >= 2),
+                    *(("non_lustre_ib_clamped",) if nli_clamped[b] else ()))
+
+    n_proc, threads = np.array(counts, dtype=np.int64).reshape(n, 2).T
+    launch = np.select(  # the oracle's classify_launch_type
+        [(n_proc == 0) | (threads == 0), (n_proc == 1) & (threads == 1), threads == 1,
+         n_proc == 1],
+        [_LAUNCH_NAMES.index(v) for v in ("unknown", "serial", "multi_process", "multi_threaded")],
+        _LAUNCH_NAMES.index("multi_process_multi_threaded"))
+
+    # later errors take precedence over earlier ones
+    errors: list[Exception | None] = [None] * n
+    for b in np.flatnonzero((n_proc < 0) | (threads < 0)).tolist():
+        errors[b] = ValueError("counts must be >= 0")
+    for b, message in invalid.items():
+        errors[b] = InvalidMemInfo(message)
+    for b in np.flatnonzero(mem).tolist():
+        if cores[b] < 1:
+            errors[b] = ValueError("n_cores must be >= 1")
+    for b, (error, j, m) in missing.items():
+        errors[b] = error(block[b][1].nodes[j], _COUNTERS[m])
+
+    has_mem = mem > 0
+    columns = {"cpu_user_fraction": (cpu, has_cpu), "mem_avg_per_core": (mem_avg, has_mem),
+               "mem_max_per_core": (mem_max, has_mem), "non_lustre_ib": (nli, has_nli),
+               "runnable_threads_median": (median, runnable > 0)}
+    columns.update((field, (total[name], has[name])) for name, field in _COUNTER_FIELDS.items())
+    return _Block(errors, np.column_stack([columns[name][0] for name in OPTIONAL]),
+                  np.column_stack([columns[name][1] for name in OPTIONAL]),
+                  runnable + mem, launch, flags, apps)
 
 
-def _job_summary(job: JobRecord, archive: JobArchive, reduced: _Reduced,
-                 db: Sequence[appident.AppPattern], ignore_list: Iterable[str]) -> JobPerfSummary:
-    """The summary of a job from what the block kernels found for it: its
-    flags, derived fields, application label and launch type."""
-    flags: list[str] = []
-    regressions = [(m, f"counter_regression:{archive.nodes[j]}:{_COUNTERS[m]}")
-                   for m, j in reduced.resets]
-    user_delta, total_delta, lustre_rx, lustre_tx, ib_rx, ib_tx, opens = reduced.totals
-    flags.extend(flag for m, flag in regressions if m < 2)
-    cpu_fraction = None
-    if user_delta is not None and total_delta is not None and total_delta > 0:
-        cpu_fraction = user_delta / total_delta
-        if cpu_fraction > 1.0 or cpu_fraction < 0.0:
-            flags.append("cpu_fraction_clamped")
-            cpu_fraction = min(1.0, max(0.0, cpu_fraction))
-    flags.extend(flag for m, flag in regressions if m >= 2)
-
-    nli = None
-    if ib_rx is not None or ib_tx is not None:
-        nli, clamped = non_lustre_ib((ib_rx or 0.0) + (ib_tx or 0.0),
-                                     (lustre_rx or 0.0) + (lustre_tx or 0.0))
-        if clamped:
-            flags.append("non_lustre_ib_clamped")
-
-    label = appident.resolve_job_app(
-        launcher_present=archive.launcher is not None,
-        launcher_exe=archive.launcher.exe if archive.launcher else None,
-        observations=archive.processes,
-        db=db, ignore_list=ignore_list)
-    if archive.launcher is not None:
-        launch = classify_launch_type(archive.launcher.n_processes,
-                                      archive.launcher.threads_per_process,
-                                      instrumented=True)
-    else:
-        launch = LaunchType.UNKNOWN
-
-    return JobPerfSummary(
-        job_id=job.job_id,
-        cpu_user_fraction=cpu_fraction,
-        mem_avg_per_core=reduced.mem_avg,
-        mem_max_per_core=reduced.mem_max,
-        lustre_rx=lustre_rx,
-        lustre_tx=lustre_tx,
-        ib_rx=ib_rx,
-        ib_tx=ib_tx,
-        non_lustre_ib=nli,
-        runnable_threads_median=reduced.runnable_median,
-        file_opens=opens,
-        app_label=label,
-        launch_type=launch,
-        samples_used=reduced.samples_used,
-        flags=tuple(flags),
-    )
+def _table(blocks: Sequence[_Block], rows: Mapping[str, int], db, ignore_list
+           ) -> SummaryColumns:
+    """The summaries of the jobs in ``rows``, in its order: each job id's
+    entry in the blocks' entries, numbered in order across them.  Each
+    distinct launcher executable and process list is labelled once."""
+    db = appident.load_pattern_db() if db is None else db
+    ignore_list = appident.load_ignore_list() if ignore_list is None else ignore_list
+    take = np.fromiter(rows.values(), np.int64, len(rows))
+    values, present, samples_used, launch = (np.concatenate(parts)[take] for parts in zip(
+        *((b.values, b.present, b.samples_used, b.launch_type) for b in blocks)))
+    flags = [f for b in blocks for f in b.flags]
+    apps = [a for b in blocks for a in b.apps]
+    take = take.tolist()
+    labels = Factor.of([apps[k] for k in take]).names(
+        lambda app: appident.resolve_job_app(
+            launcher_present=app[0] is not None, launcher_exe=app[0], observations=app[1],
+            db=db, ignore_list=ignore_list))
+    return SummaryColumns(
+        job_id=tuple(rows),
+        values={name: values[:, k].copy() for k, name in enumerate(OPTIONAL)},
+        present={name: present[:, k].copy() for k, name in enumerate(OPTIONAL)},
+        app_label=labels, launch_type=Codes(_LAUNCH_NAMES, launch.astype(np.int32)),
+        samples_used=samples_used, flags=Factor.of([flags[k] for k in take]))
 
 
 def summarize_job(job: JobRecord, archive: JobArchive, cores_per_node: int,
@@ -483,55 +491,55 @@ def summarize_job(job: JobRecord, archive: JobArchive, cores_per_node: int,
     of ``summarize_all`` run on a block of this one job."""
     if not archive.nodes:
         raise ValueError(f"job {job.job_id}: node list unknown")
-    if db is None:
-        db = appident.load_pattern_db()
-    if ignore_list is None:
-        ignore_list = appident.load_ignore_list()
-    (reduced,) = _block_kernels([(job, archive, cores_per_node)])
-    if isinstance(reduced, Exception):
-        raise reduced
-    return _job_summary(job, archive, reduced, db, ignore_list)
+    block = _block_kernels([(job, archive, cores_per_node)])
+    if block.errors[0] is not None:
+        raise block.errors[0]
+    return _table([block], {job.job_id: 0}, db, ignore_list).row(0)
 
 
 def _settle(block: Sequence[tuple[JobRecord, JobArchive | None, object]],
-            summaries: dict[str, JobPerfSummary], skipped: dict[str, str],
-            db, ignore_list) -> None:
-    """Record the outcome of each (job, archive or None, cores per node)
-    entry of a block, in order, and raise the first failure."""
-    results = iter(_block_kernels([entry for entry in block if entry[1] is not None]))
+            blocks: list[_Block], rows: dict[str, int], skipped: dict[str, str]) -> None:
+    """Reduce a block of (job, archive or None, cores per node) entries and
+    record each outcome, in order: a skip reason, the entry as its job id's
+    row (a later one replaces an earlier one in place), or the first
+    failure, raised."""
+    entry = sum(len(b.errors) for b in blocks)
+    blocks.append(_block_kernels([item for item in block if item[1] is not None]))
+    errors = iter(blocks[-1].errors)
     for job, archive, _ in block:
         if archive is None:
             skipped[job.job_id] = "no_archive"
             continue
-        reduced = next(results)
-        if isinstance(reduced, (MissingProlog, MissingEpilog)):
-            skipped[job.job_id] = str(reduced)
-        elif isinstance(reduced, InvalidMemInfo):
-            raise InvalidMemInfo(f"job {job.job_id}: {reduced}")
-        elif isinstance(reduced, Exception):
-            raise reduced
+        error = next(errors)
+        if error is None:
+            rows[job.job_id] = entry
+        elif isinstance(error, (MissingProlog, MissingEpilog)):
+            skipped[job.job_id] = str(error)
+        elif isinstance(error, InvalidMemInfo):
+            raise InvalidMemInfo(f"job {job.job_id}: {error}")
         else:
-            summaries[job.job_id] = _job_summary(job, archive, reduced, db, ignore_list)
+            raise error
+        entry += 1
 
 
 def summarize_all(jobs: Sequence[JobRecord],
                   archives: Mapping[str, JobArchive],
-                  cores_per_node_of, db=None, ignore_list=None):
+                  cores_per_node_of, db=None, ignore_list=None
+                  ) -> tuple[SummaryColumns, dict[str, str]]:
     """Summarize every job that has an archive with a known node list.
 
     cores_per_node_of maps a JobRecord to its resource's cores per node.
-    Returns (summaries by job_id, skip reasons by job_id).  Jobs without an
-    archive get no summary, never a partial one; a job missing a counter's
-    prolog or epilog is skipped with the reason.  Jobs are reduced in
-    blocks of consecutive jobs, and the first failure in ``jobs`` order is
-    raised: an error of ``cores_per_node_of``, InvalidMemInfo naming the
-    job, or the ValueError of fewer than one core per node.
+    Returns (the summaries, skip reasons by job_id).  The summaries are a
+    row per job id, in the order the ids first come in ``jobs``, each the
+    summary of the id's last job.  Jobs without an archive get no summary,
+    never a partial one; a job missing a counter's prolog or epilog is
+    skipped with the reason.  Jobs are reduced in blocks of consecutive
+    jobs, and the first failure in ``jobs`` order is raised: an error of
+    ``cores_per_node_of``, InvalidMemInfo naming the job, or the ValueError
+    of fewer than one core per node.
     """
-    if db is None:
-        db = appident.load_pattern_db()
-    if ignore_list is None:
-        ignore_list = appident.load_ignore_list()
-    summaries: dict[str, JobPerfSummary] = {}
+    blocks: list[_Block] = []
+    rows: dict[str, int] = {}
     skipped: dict[str, str] = {}
     block: list[tuple[JobRecord, JobArchive | None, object]] = []
     size = 0
@@ -542,7 +550,7 @@ def summarize_all(jobs: Sequence[JobRecord],
             continue
         samples = len(archive.samples) + len(archive.meminfo)
         if size and size + samples > _BLOCK_SAMPLES:
-            _settle(block, summaries, skipped, db, ignore_list)
+            _settle(block, blocks, rows, skipped)
             block, size = [], 0
         failure = None
         try:
@@ -550,33 +558,53 @@ def summarize_all(jobs: Sequence[JobRecord],
         except Exception as err:
             failure = err
         if failure is not None:
-            _settle(block, summaries, skipped, db, ignore_list)  # an earlier failure wins
+            _settle(block, blocks, rows, skipped)  # an earlier failure wins
             raise failure
         block.append((job, archive, cores))
         size += samples
-    _settle(block, summaries, skipped, db, ignore_list)
-    return summaries, skipped
+    _settle(block, blocks, rows, skipped)
+    return _table(blocks, rows, db, ignore_list), skipped
 
 
-def write_summaries(summaries: Mapping[str, JobPerfSummary], path) -> None:
-    """Emit summaries as JSONL keyed by job_id, sorted for reproducibility.
+def _rendered(values: Sequence, codes: np.ndarray, render=encode_basestring_ascii) -> list[str]:
+    """``render`` of ``values[code]`` for each code, called once per value."""
+    return list(map([render(value) for value in values].__getitem__, codes.tolist()))
 
-    The lines go to a temporary file in the target's directory that then
-    replaces the target, so a value JSON cannot hold (NaN, inf) raises
-    ValueError and leaves any file already at ``path`` as it was.
+
+def write_summaries(summaries: SummaryColumns, path) -> None:
+    """Emit summaries as JSONL sorted by job_id: each line is what
+    ``json.dumps(record, sort_keys=True)`` writes of a row, rendered a column
+    at a time.
+
+    A present value JSON cannot hold (NaN, inf) raises ValueError before
+    anything is written.  The lines go to a temporary file in the target's
+    directory that then replaces the target, so any file already at
+    ``path`` is replaced whole or not at all.
     """
+    for name in OPTIONAL:
+        bad = np.flatnonzero(summaries.present[name] & ~np.isfinite(summaries.values[name]))
+        if bad.size:
+            raise ValueError(f"job {summaries.job_id[bad[0]]}: {name} is "
+                             f"{summaries.values[name][bad[0]]}, which JSON cannot hold")
+    at = np.array(sorted(range(len(summaries)), key=summaries.job_id.__getitem__), np.int64)
+    text = {"job_id": _rendered(summaries.job_id, at),
+            "app_label": _rendered(summaries.app_label.names, summaries.app_label.codes[at]),
+            "launch_type": _rendered(summaries.launch_type.names,
+                                     summaries.launch_type.codes[at]),
+            "samples_used": list(map(int.__repr__, summaries.samples_used[at].tolist())),
+            "flags": _rendered(summaries.flags.values, summaries.flags.codes[at],
+                               lambda flags: f"[{', '.join(map(encode_basestring_ascii, flags))}]")}
+    for name in OPTIONAL:
+        column = text[name] = list(map(float.__repr__, summaries.values[name][at].tolist()))
+        for k in np.flatnonzero(~summaries.present[name][at]).tolist():
+            column[k] = "null"
+    keys = sorted(text)
+    line = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}\n"
     path = os.fspath(path)
     temp = f"{path}.{os.getpid()}.tmp"
-    names = [field.name for field in fields(JobPerfSummary)]
     try:
         with open(temp, "w", encoding="utf-8") as handle:
-            for job_id in sorted(summaries):
-                s = summaries[job_id]
-                record = {name: getattr(s, name) for name in names}
-                record["launch_type"] = s.launch_type.value
-                record["flags"] = list(s.flags)
-                handle.write(json.dumps(record, sort_keys=True, allow_nan=False))
-                handle.write("\n")
+            handle.write("".join(map(line.__mod__, zip(*(text[key] for key in keys)))))
         os.replace(temp, path)
     except BaseException:
         if os.path.exists(temp):

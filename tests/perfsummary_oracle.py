@@ -8,13 +8,22 @@ as the columnar code does.  ``load_archives`` used to hand it samples and meminf
 stably by (node, time), so that is the order to pass them in.
 ``record_archive`` builds the columnar ``JobArchive`` of the same records,
 by the loader's column builder.
+
+``non_lustre_ib`` and ``classify_launch_type`` are its per-job formulas,
+which ``perfsummary`` computes on whole arrays.  ``render_summaries`` is the
+record-at-a-time summaries writer that the column renderer of
+``perfsummary.write_summaries`` replaced, and ``summary_columns`` builds the
+``SummaryColumns`` of summary records.
 """
 from __future__ import annotations
 
+import json
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from hpcwl import appident
 from hpcwl.archives import (
@@ -40,7 +49,8 @@ from hpcwl.archives import (
 )
 from hpcwl.errors import InvalidMemInfo, MissingEpilog, MissingProlog
 from hpcwl.ingest import JobRecord
-from hpcwl.perfsummary import JobPerfSummary, LaunchType, classify_launch_type, non_lustre_ib
+from hpcwl.jobtable import Codes, Factor
+from hpcwl.perfsummary import OPTIONAL, JobPerfSummary, LaunchType, SummaryColumns
 from hpcwl.stats import quantile, total
 
 _FLOAT_MAX = sys.float_info.max
@@ -179,6 +189,34 @@ def _sum_counter(by_node: Mapping[tuple[str, str], list[PerfSample]],
     return total if seen else None
 
 
+def non_lustre_ib(ib_bytes: float, lustre_bytes: float) -> tuple[float, bool]:
+    """Interconnect traffic net of filesystem traffic, clamped at zero.
+
+    Returns (bytes, clamped).
+    """
+    if ib_bytes < 0 or lustre_bytes < 0:
+        raise ValueError("byte totals must be nonnegative")
+    remainder = ib_bytes - lustre_bytes
+    if remainder < 0:
+        return 0.0, True
+    return remainder, False
+
+
+def classify_launch_type(n_processes: int, threads_per_process: int,
+                         instrumented: bool) -> LaunchType:
+    if n_processes < 0 or threads_per_process < 0:
+        raise ValueError("counts must be >= 0")
+    if not instrumented or n_processes == 0 or threads_per_process == 0:
+        return LaunchType.UNKNOWN
+    if n_processes == 1 and threads_per_process == 1:
+        return LaunchType.SERIAL
+    if n_processes > 1 and threads_per_process == 1:
+        return LaunchType.MULTI_PROCESS
+    if n_processes == 1:
+        return LaunchType.MULTI_THREADED
+    return LaunchType.MULTI_PROCESS_MULTI_THREADED
+
+
 def summarize_records(job: JobRecord, nodes: Sequence[str],
                       samples: Sequence[PerfSample], meminfo: Sequence[MemInfoSample],
                       cores_per_node: int, launcher: LauncherInfo | None = None,
@@ -268,3 +306,34 @@ def summarize_records(job: JobRecord, nodes: Sequence[str],
         samples_used=samples_used,
         flags=tuple(flags),
     )
+
+
+def summary_columns(summaries: Sequence[JobPerfSummary]) -> SummaryColumns:
+    """The columns of summary records, a row per record in order."""
+    def present(name):
+        return np.array([getattr(s, name) is not None for s in summaries], dtype=bool)
+
+    return SummaryColumns(
+        job_id=tuple(s.job_id for s in summaries),
+        values={name: np.array([0.0 if getattr(s, name) is None else getattr(s, name)
+                                for s in summaries], dtype=np.float64) for name in OPTIONAL},
+        present={name: present(name) for name in OPTIONAL},
+        app_label=Codes.encode([s.app_label for s in summaries]),
+        launch_type=Codes.encode([s.launch_type.value for s in summaries]),
+        samples_used=np.array([s.samples_used for s in summaries], dtype=np.int64),
+        flags=Factor.of([s.flags for s in summaries]))
+
+
+def render_summaries(summaries: Mapping[str, JobPerfSummary]) -> bytes:
+    """The summaries JSONL of summary records by job id: a record per line,
+    sorted by job id, keys sorted.  A value JSON cannot hold (NaN, inf) is
+    a ValueError."""
+    names = [field.name for field in fields(JobPerfSummary)]
+    lines = []
+    for job_id in sorted(summaries):
+        s = summaries[job_id]
+        record = {name: getattr(s, name) for name in names}
+        record["launch_type"] = s.launch_type.value
+        record["flags"] = list(s.flags)
+        lines.append(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+    return "".join(lines).encode("utf-8")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -14,11 +15,15 @@ from perfsummary_oracle import (
     MemInfoSample,
     NumaMem,
     PerfSample,
+    classify_launch_type,
     counter_delta,
     loader_order,
     memory_per_core,
+    non_lustre_ib,
     record_archive,
+    render_summaries,
     summarize_records,
+    summary_columns,
 )
 from hpcwl import perfsummary
 from hpcwl.archives import (
@@ -42,8 +47,7 @@ from hpcwl.errors import InvalidMemInfo, MissingEpilog, MissingProlog, SchemaErr
 from hpcwl.perfsummary import (
     JobPerfSummary,
     LaunchType,
-    classify_launch_type,
-    non_lustre_ib,
+    SummaryColumns,
     summarize_all,
     summarize_job,
     write_summaries,
@@ -254,6 +258,25 @@ def test_classify_launch_type_table():
     assert classify_launch_type(16, 2, True) is LaunchType.MULTI_PROCESS_MULTI_THREADED
 
 
+def test_launch_types_of_the_columns_equal_the_oracle_table():
+    job, start, end = job_and_window()
+    counts = [(n, t) for n in (0, 1, 2, 17) for t in (0, 1, 2, 17)]
+    jobs = [make_job(job_id=f"l{n}-{t}", start=start, end=end) for n, t in counts]
+    archives = {job.job_id: record_archive(job_id=job.job_id, nodes=("n1",), launcher=(
+        LauncherInfo(exe=None, n_processes=n, threads_per_process=t)))
+        for job, (n, t) in zip(jobs, counts)}
+    archives["none"] = record_archive(job_id="none", nodes=("n1",))
+    summaries, _ = summarize_all(jobs + [make_job(job_id="none")], archives, lambda job: 16,
+                                 db=(), ignore_list=())
+    assert [row.launch_type for row in summaries.rows()] == [
+        classify_launch_type(n, t, True) for n, t in counts] + [LaunchType.UNKNOWN]
+    for n, t in ((-1, 1), (1, -1)):
+        archive = record_archive(job_id=job.job_id, nodes=("n1",), launcher=LauncherInfo(
+            exe="/apps/namd2", n_processes=n, threads_per_process=t))
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            summarize_job(job, archive, 16)
+
+
 def test_launcher_info_drives_label_and_type():
     job, start, end = job_and_window()
     archive = record_archive(job_id=job.job_id, nodes=("n1",),
@@ -267,7 +290,7 @@ def test_launcher_info_drives_label_and_type():
 def test_jobs_without_archive_get_no_summary():
     job = make_job()
     summaries, skipped = summarize_all([job], {}, lambda j: 16)
-    assert summaries == {}
+    assert summaries.rows() == []
     assert skipped == {job.job_id: "no_archive"}
 
 
@@ -299,7 +322,8 @@ def test_archive_jsonl_round_trip(tmp_path):
     assert set(archives) == {job.job_id}
     summaries, skipped = summarize_all([job], archives, lambda j: 16)
     assert not skipped
-    summary = summaries[job.job_id]
+    (summary,) = summaries.rows()
+    assert summary.job_id == job.job_id
     assert summary.cpu_user_fraction == 0.9
     assert summary.mem_avg_per_core == 1 * GIB
     out = tmp_path / "summaries.jsonl"
@@ -400,6 +424,26 @@ def test_columnar_summary_equals_the_record_oracle(drawn):
     assert len(archive.meminfo) == len(meminfo)
 
 
+def test_sums_add_left_to_right_as_the_oracle_does():
+    """A large value and then many small ones: added left to right, each
+    small one is lost to rounding, where a pairwise sum would keep them."""
+    job, start, end = job_and_window()
+    steps = [start + 100 * k for k in range(1, 25)]
+    samples = ([counter("n1", start, LUSTRE_RX, 0, SampleTag.JOB_PROLOG),
+                counter("n1", steps[0], LUSTRE_RX, 1e16)]
+               + [counter("n1", t, LUSTRE_RX, 0.5 * k) for k, t in enumerate(steps[1:])]
+               + [counter("n1", end, LUSTRE_RX, 0.5 * len(steps), SampleTag.JOB_EPILOG)])
+    memory = [meminfo("n1", steps[0], 2 ** 53, 0, 0, 0)] + [
+        meminfo("n1", t, 2 ** 40, 2 ** 40 - 1, 0, 0) for t in steps[1:]]
+    archive = record_archive(job_id=job.job_id, nodes=("n1",), samples=tuple(samples),
+                             meminfo=tuple(memory))
+    summary = summarize_job(job, archive, 1, db=(), ignore_list=())
+    assert summary == summarize_records(job, ("n1",), loader_order(samples),
+                                        loader_order(memory), 1, db=(), ignore_list=())
+    assert summary.lustre_rx == 1e16
+    assert summary.mem_avg_per_core == 2.0 ** 53 / len(steps)
+
+
 def test_epilog_before_prolog_takes_the_pair_in_time_order():
     job, start, end = job_and_window()
     archive = record_archive(job_id=job.job_id, nodes=("n1",), samples=(
@@ -489,17 +533,18 @@ def test_shuffled_file_loads_to_the_same_summaries(tmp_path):
     cores = lambda job: 16
     expected, skipped = summarize_all(jobs, in_order, cores, db=(), ignore_list=())
     assert not skipped and len(expected) == len(jobs)
-    assert summarize_all(jobs, mixed, cores, db=(), ignore_list=()) == (expected, {})
-    for job in jobs:
+    summaries, skipped = summarize_all(jobs, mixed, cores, db=(), ignore_list=())
+    assert (summaries.rows(), skipped) == (expected.rows(), {})
+    for job, summary in zip(jobs, expected.rows(), strict=True):
         nodes, samples, meminfo = records[job.job_id]
-        assert expected[job.job_id] == summarize_records(
+        assert summary == summarize_records(
             job, nodes, loader_order(samples), loader_order(meminfo), 16,
             db=(), ignore_list=())
         for archive in (in_order[job.job_id], mixed[job.job_id]):
             assert len(archive.samples) == len(samples)
             assert len(archive.meminfo) == len(meminfo)
     assert any("counter_regression" in flag
-               for summary in expected.values() for flag in summary.flags)
+               for summary in expected.rows() for flag in summary.flags)
 
 
 def test_other_spellings_of_valid_fields_load_the_same_columns(tmp_path):
@@ -635,7 +680,9 @@ def test_write_summaries_refuses_non_finite_values(tmp_path):
     for bad in (JobPerfSummary(job_id="j", cpu_user_fraction=float("nan")),
                 JobPerfSummary(job_id="j", runnable_threads_median=float("inf"))):
         with pytest.raises(ValueError):
-            write_summaries({"j": bad}, tmp_path / "out.jsonl")
+            render_summaries({"j": bad})
+        with pytest.raises(ValueError):
+            write_summaries(summary_columns([bad]), tmp_path / "out.jsonl")
 
 
 # --- block kernels against a per-job loop over the oracle ----------------------
@@ -709,16 +756,19 @@ def _oracle_all(jobs, records, cores_per_node_of):
             skipped[job.job_id] = str(err)
         except InvalidMemInfo as err:
             raise InvalidMemInfo(f"job {job.job_id}: {err}") from None
-    return summaries, skipped
+    return list(summaries.values()), skipped
 
 
 def _settled(summarize):
-    """The outcome of summarize_all, dicts as lists so their order counts."""
+    """The outcome of summarize_all: its summaries as rows, in order, and its
+    skip reasons as a list, so their order counts."""
     try:
         summaries, skipped = summarize()
     except (InvalidMemInfo, ValueError, LookupError) as err:
         return type(err), str(err)
-    return list(summaries.items()), list(skipped.items())
+    if isinstance(summaries, SummaryColumns):
+        summaries = summaries.rows()
+    return summaries, list(skipped.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -833,10 +883,10 @@ def test_write_summaries_keeps_the_old_file_when_a_value_is_refused(tmp_path):
     good = JobPerfSummary(job_id="a", cpu_user_fraction=0.5)
     bad = JobPerfSummary(job_id="b", cpu_user_fraction=float("nan"))
     with pytest.raises(ValueError):
-        write_summaries({"a": good, "b": bad}, out)
+        write_summaries(summary_columns([good, bad]), out)
     assert out.read_text() == "old contents\n"
     assert os.listdir(tmp_path) == ["summaries.jsonl"]
-    write_summaries({"a": good}, out)
+    write_summaries(summary_columns([good]), out)
     assert [json.loads(line)["job_id"] for line in out.read_text().splitlines()] == ["a"]
     assert os.listdir(tmp_path) == ["summaries.jsonl"]
 
@@ -849,7 +899,7 @@ def test_write_summaries_writes_each_field_under_its_name(tmp_path):
         app_label="NAMD", launch_type=LaunchType.MULTI_PROCESS, samples_used=48,
         flags=("counter_regression:n1:lustre_rx_bytes", "non_lustre_ib_clamped"))
     out = tmp_path / "summaries.jsonl"
-    write_summaries({"j7": summary}, out)
+    write_summaries(summary_columns([summary]), out)
     assert out.read_bytes() == (
         b'{"app_label": "NAMD", "cpu_user_fraction": 0.25, "file_opens": 12.0, '
         b'"flags": ["counter_regression:n1:lustre_rx_bytes", "non_lustre_ib_clamped"], '
@@ -857,3 +907,118 @@ def test_write_summaries_writes_each_field_under_its_name(tmp_path):
         b'"lustre_rx": 1000.0, "lustre_tx": 24.5, "mem_avg_per_core": 1073741824.0, '
         b'"mem_max_per_core": 2147483648.5, "non_lustre_ib": 3071.5, '
         b'"runnable_threads_median": null, "samples_used": 48}\n')
+
+
+# --- repeated job ids and non-finite totals -----------------------------------
+
+def test_a_repeated_job_id_keeps_its_first_position_and_its_last_summary(tmp_path):
+    """Two runs of one job id with different windows over the same archive:
+    the summaries keep the id where it first came and the later run's
+    values, as assigning into a dict does."""
+    start = T0 + 600
+    archive = record_archive(job_id="a", nodes=("n1",), meminfo=tuple(
+        meminfo("n1", start + 600 * k, 64 * GIB, 64 * GIB - k * GIB, 0, 0)
+        for k in range(1, 9)))
+    other = record_archive(job_id="b", nodes=("n1",), meminfo=(
+        meminfo("n1", start + 600, 64 * GIB, 32 * GIB, 0, 0),))
+    early = make_job(job_id="a", start=start, end=start + 600 * 4)
+    late = make_job(job_id="a", start=start + 600 * 4, end=start + 600 * 9)
+    jobs = [early, make_job(job_id="b", start=start, end=start + 1200), late]
+    for block in (1, 100):
+        with mock.patch.object(perfsummary, "_BLOCK_SAMPLES", block):
+            summaries, skipped = summarize_all(jobs, {"a": archive, "b": other},
+                                               lambda job: 16, db=(), ignore_list=())
+        assert not skipped
+        rows = summaries.rows()
+        assert [row.job_id for row in rows] == ["a", "b"]
+        assert rows[0] == summarize_job(late, archive, 16, db=(), ignore_list=())
+        assert rows[0] != summarize_job(early, archive, 16, db=(), ignore_list=())
+    out = tmp_path / "summaries.jsonl"
+    write_summaries(summaries, out)
+    written = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["job_id"] for row in written] == ["a", "b"]
+    assert written[0]["mem_max_per_core"] == 8 * GIB / 16
+    assert written[0]["samples_used"] == 4
+
+
+def test_overflowing_counter_totals_are_present_and_refused_by_the_writer(tmp_path):
+    """Deltas of 1e308 on two nodes add to inf, and inf / inf is a NaN CPU
+    fraction: both are computed values, not absent ones, and JSON holds
+    neither."""
+    job = make_job(job_id="big", start=T0 + 600, end=T0 + 4200, nodes=2)
+    samples = []
+    for node in ("n1", "n2"):
+        for metric in (CPU_USER, CPU_TOTAL, LUSTRE_RX):
+            samples += [counter(node, job.start_time, metric, 0, SampleTag.JOB_PROLOG),
+                        counter(node, job.end_time, metric, 1e308, SampleTag.JOB_EPILOG)]
+    archive = record_archive(job_id="big", nodes=("n1", "n2"), samples=tuple(samples))
+    summaries, skipped = summarize_all([job], {"big": archive}, lambda job: 16,
+                                       db=(), ignore_list=())
+    assert not skipped
+    assert summaries.present["cpu_user_fraction"].all()
+    (summary,) = summaries.rows()
+    assert summary.lustre_rx == float("inf")
+    assert summary.cpu_user_fraction is not None and np.isnan(summary.cpu_user_fraction)
+    assert summary.ib_rx is None and summary.non_lustre_ib is None
+    out = tmp_path / "summaries.jsonl"
+    out.write_text("old contents\n")
+    with pytest.raises(ValueError):
+        write_summaries(summaries, out)
+    assert out.read_text() == "old contents\n"
+    assert os.listdir(tmp_path) == ["summaries.jsonl"]
+
+
+# --- the column renderer against the record-at-a-time writer -------------------
+
+# quotes, backslashes, control, non-ASCII and astral characters
+AWKWARD = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\té \U0001f600'), max_size=6)
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 1e22, 0.1, 1 / 3,
+               -1.5, 1.7976931348623157e308)
+OPTIONAL_VALUES = (st.none() | st.sampled_from(EDGE_FLOATS)
+                   | st.floats(allow_nan=False, allow_infinity=False))
+FLAGS = st.lists(st.sampled_from(("cpu_fraction_clamped", "counter_regression:n1:ib_rx_bytes"))
+                 | AWKWARD, max_size=3).map(tuple)
+
+
+@st.composite
+def summary_rows(draw):
+    """Summary records with distinct job ids; labels and flag tuples repeat."""
+    ids = draw(st.lists(AWKWARD, unique=True, max_size=8))
+    labels = draw(st.lists(AWKWARD, min_size=1, max_size=3))
+    return [JobPerfSummary(job_id=job_id,
+                           **{name: draw(OPTIONAL_VALUES) for name in perfsummary.OPTIONAL},
+                           app_label=draw(st.sampled_from(labels)),
+                           launch_type=draw(st.sampled_from(LaunchType)),
+                           samples_used=draw(st.integers(0, 2 ** 62)),
+                           flags=draw(FLAGS | st.just(()) | st.just(("a", "a"))))
+            for job_id in ids]
+
+
+@settings(max_examples=200, deadline=None)
+@given(summary_rows())
+def test_written_summaries_equal_the_record_writer(rows):
+    rows.append(JobPerfSummary(job_id="all none"))  # every optional field None
+    with tempfile.TemporaryDirectory() as scratch:
+        out = os.path.join(scratch, "summaries.jsonl")
+        write_summaries(summary_columns(rows), out)
+        with open(out, "rb") as handle:
+            assert handle.read() == render_summaries({row.job_id: row for row in rows})
+
+
+def test_the_summarize_path_builds_no_summary_record(tmp_path):
+    """summarize_all and write_summaries go from kernel arrays to text
+    without a JobPerfSummary, flags, labels and launch types included."""
+    jobs, archives = _many_job_archives(6)
+    first = archives[jobs[0].job_id]
+    archives[jobs[0].job_id] = dataclasses.replace(
+        first, launcher=LauncherInfo("/apps/namd2", n_processes=4, threads_per_process=2),
+        samples=dataclasses.replace(first.samples, value=first.samples.value[::-1].copy()))
+    expected, _ = summarize_all(jobs, archives, lambda job: 16)
+    assert any(expected.flags.tolist()) and "NAMD" in expected.app_label.present()
+    with mock.patch.object(perfsummary, "JobPerfSummary",
+                           side_effect=AssertionError("a summary record was built")):
+        summaries, skipped = summarize_all(jobs, archives, lambda job: 16)
+        write_summaries(summaries, tmp_path / "summaries.jsonl")
+    assert not skipped and summaries.rows() == expected.rows()
+    assert (tmp_path / "summaries.jsonl").read_bytes() == render_summaries(
+        {row.job_id: row for row in expected.rows()})
