@@ -1,9 +1,12 @@
 """Load, validate and normalize job accounting, allocation and resource data.
 
 Input formats are JSON-lines and CSV with the headers documented in
-docs/formats.md.  Loaded records are immutable; a Dataset is safe to share
-across threads.  Local SU amounts are converted to XD SU through per-resource,
-date-ranged conversion factors.
+docs/formats.md; one reader per format serves the job and allocation
+loaders.  A Dataset holds its jobs as columns (a ``JobSequence``), and
+``JobRecord`` is the job schema and the judge of a malformed row.  Loaded
+inputs are immutable; a Dataset is safe to share across threads.  Local SU
+amounts are converted to XD SU through per-resource, date-ranged
+conversion factors.
 """
 from __future__ import annotations
 
@@ -16,9 +19,8 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import compress, islice, repeat
-from operator import attrgetter
 from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
@@ -31,7 +33,7 @@ from .errors import (
     SchemaError,
     TimestampOrderError,
 )
-from .jobtable import Factor, JobColumns, JobTable
+from .jobtable import SECONDS_PER_DAY, Factor, JobTable, day_date, day_number
 
 OPEN_END = date(9999, 12, 31)
 SECONDS_PER_HOUR = 3600.0
@@ -285,11 +287,11 @@ class Rejection:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable container for the four normalized inputs.  ``jobs`` is a
-    tuple of records, or the ``JobSequence`` of loaded jobs, which builds
-    its records only when they are read."""
+    """Immutable container for the four normalized inputs.  ``jobs`` is the
+    ``JobSequence`` of the jobs, which builds its records only when they
+    are read."""
 
-    jobs: Sequence[JobRecord]
+    jobs: JobSequence
     allocations: tuple[AllocationRecord, ...]
     resources: Mapping[str, ResourceSpec]
     quality_flags: tuple[QualityFlag, ...] = ()
@@ -297,10 +299,7 @@ class Dataset:
     @cached_property
     def job_table(self) -> JobTable:
         """The jobs as columns, built on first use."""
-        return JobTable.of(self.jobs, self.resources)
-
-    def resource_of(self, job: JobRecord) -> ResourceSpec:
-        return self.resources[job.resource]
+        return JobTable.from_columns(self.jobs.columns, self.resources)
 
     def resolve_flag(self, flag: QualityFlag):
         """Return the record a quality flag points at, or None."""
@@ -537,43 +536,12 @@ def _json_objects(handle):
         yield row, value
 
 
-def _iter_raw_rows(path, fmt: str):
-    """Yield (row_number, mapping or SchemaError) pairs; row numbers are
-    1-based data rows."""
-    if fmt == "jsonl":
-        with open(path, "r", encoding="utf-8") as handle:
-            yield from _json_objects(handle)
-    elif fmt == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row, raw in enumerate(reader, start=1):
-                yield row, raw
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
 def _reject(err: SchemaError, reject_sink: list | None) -> None:
     """Report a malformed row to the sink, or raise its error with none."""
     if reject_sink is None:
         raise err
     code = "timestamp_order" if isinstance(err, TimestampOrderError) else "schema"
     reject_sink.append(Rejection(row=err.row, field=err.field, code=code))
-
-
-def _load_records(path, fmt, parse_one, reject_sink):
-    records = []
-    saw_rows = False
-    for row, raw in _iter_raw_rows(path, fmt):
-        saw_rows = True
-        try:
-            if isinstance(raw, SchemaError):
-                raise raw
-            records.append(parse_one(raw, row))
-        except SchemaError as err:
-            _reject(err, reject_sink)
-    if saw_rows and not records:
-        raise SchemaError(0, None, "no rows survived validation")
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +573,12 @@ def _plain_string(kind) -> Callable[[object], bool]:
 
 @dataclass
 class _Chunk:
-    """Up to _CHUNK_ROWS data rows of a jobs file: ``rows`` their row
-    numbers, ``column(name)`` the raw values of one field (None where it is
-    absent), ``raw(i)`` the mapping ``_job_from_raw`` reads for row i, or
-    the SchemaError of a line that holds no object, and ``int_column`` and
-    ``float_column`` the screens of the file format's number values."""
+    """Up to _CHUNK_ROWS data rows of a jobs or allocations file: ``rows``
+    their row numbers, ``column(name)`` the raw values of one field (None
+    where it is absent), ``raw(i)`` the mapping ``_from_raw`` reads for row
+    i, or the SchemaError of a line that holds no object, and
+    ``int_column`` and ``float_column`` the screens of the file format's
+    number values."""
 
     rows: list[int]
     column: Callable[[str], Sequence]
@@ -619,7 +588,7 @@ class _Chunk:
 
 
 def _csv_chunks(handle):
-    """A CSV jobs file read as ``csv.DictReader`` reads it: the first line
+    """A CSV file read as ``csv.DictReader`` reads it: the first line
     is the header, a repeated header name means its last column, blank rows
     are skipped and not counted, a short row's missing fields are None and
     a long row's extra cells are ignored.  A ``csv.Error`` (a field over
@@ -661,7 +630,7 @@ def _csv_chunks(handle):
 
 
 def _jsonl_chunks(handle):
-    """A JSONL jobs file, a chunk at a time."""
+    """A JSONL file, a chunk at a time."""
     objects = _json_objects(handle)
     while lines := list(islice(objects, _CHUNK_ROWS)):
         raws = [value for _, value in lines]
@@ -672,6 +641,21 @@ def _jsonl_chunks(handle):
 
         yield _Chunk([row for row, _ in lines], column, raws.__getitem__,
                      _json_int_column, _json_float_column)
+
+
+def _file_chunks(path, fmt: str):
+    """The chunks of a file in format ``fmt``, "jsonl" or "csv"."""
+    if fmt not in ("jsonl", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as handle:
+        yield from (_csv_chunks if fmt == "csv" else _jsonl_chunks)(handle)
+
+
+def _raw_rows(path, fmt: str):
+    """Yield (row, mapping or SchemaError) for each data row of a file, as
+    ``_file_chunks`` reads it; rows are 1-based data rows."""
+    for chunk in _file_chunks(path, fmt):
+        yield from zip(chunk.rows, map(chunk.raw, range(len(chunk.rows))))
 
 
 def _text_int_column(values) -> tuple[np.ndarray, np.ndarray | bool]:
@@ -796,32 +780,25 @@ def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobS
     the screen does not plainly accept, so the jobs and rejections are those
     of ``_job_from_raw`` on each row.
     """
-    if fmt == "jsonl":
-        open_args, chunks = {}, _jsonl_chunks
-    elif fmt == "csv":
-        open_args, chunks = {"newline": ""}, _csv_chunks
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     numbers: dict[str, list[np.ndarray]] = {name: [] for name in _NUMBERS}
     job_ids: list[str] = []
     seen: dict[str, dict] = {name: {} for name in _STRINGS}  # value -> code over the file
     codes: dict[str, list[np.ndarray]] = {name: [] for name in _STRINGS}
     saw_rows = False
-    with open(path, "r", encoding="utf-8", **open_args) as handle:
-        for chunk in chunks(handle):
-            saw_rows = True
-            chunk_numbers, chunk_ids, chunk_strings = _screen(chunk, reject_sink)
-            for name, column in chunk_numbers.items():
-                numbers[name].append(column)
-            job_ids.extend(chunk_ids)
-            for name, factor in chunk_strings.items():
-                # codes over the file, for the values some kept row has
-                values = factor.values
-                used = np.flatnonzero(np.bincount(factor.codes, minlength=len(values)))
-                lookup = np.zeros(len(values), np.int32)
-                lookup[used] = [seen[name].setdefault(values[j], len(seen[name]))
-                                for j in used.tolist()]
-                codes[name].append(lookup[factor.codes])
+    for chunk in _file_chunks(path, fmt):
+        saw_rows = True
+        chunk_numbers, chunk_ids, chunk_strings = _screen(chunk, reject_sink)
+        for name, column in chunk_numbers.items():
+            numbers[name].append(column)
+        job_ids.extend(chunk_ids)
+        for name, factor in chunk_strings.items():
+            # codes over the file, for the values some kept row has
+            values = factor.values
+            used = np.flatnonzero(np.bincount(factor.codes, minlength=len(values)))
+            lookup = np.zeros(len(values), np.int32)
+            lookup[used] = [seen[name].setdefault(values[j], len(seen[name]))
+                            for j in used.tolist()]
+            codes[name].append(lookup[factor.codes])
     if saw_rows and not job_ids:
         raise SchemaError(0, None, "no rows survived validation")
     columns: dict[str, np.ndarray | Factor] = {
@@ -834,25 +811,60 @@ def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobS
         values = tuple(_read(kind, {name: value}, 0, name) for value in seen[name])
         columns[name] = Factor(values, np.concatenate(codes[name]) if codes[name]
                                else np.zeros(0, np.int32))
-    return JobSequence(JobColumns(columns))
+    return JobSequence(columns)
 
 
 def load_allocations(path, fmt: str = "jsonl", reject_sink: list | None = None) -> list[AllocationRecord]:
-    """Load allocation records; zero-use and duplicate records are retained."""
-    return _load_records(path, fmt, partial(_from_raw, AllocationRecord), reject_sink)
+    """Load allocation records, through the job loader's row reader;
+    zero-use and duplicate records are retained."""
+    records = []
+    saw_rows = False
+    for row, raw in _raw_rows(path, fmt):
+        saw_rows = True
+        try:
+            if isinstance(raw, SchemaError):
+                raise raw
+            records.append(_from_raw(AllocationRecord, raw, row))
+        except SchemaError as err:
+            _reject(err, reject_sink)
+    if saw_rows and not records:
+        raise SchemaError(0, None, "no rows survived validation")
+    return records
 
 
 class JobSequence(SequenceABC):
-    """Loaded jobs: a read-only sequence of JobRecords backed by their
-    ``JobColumns``.  ``JobTable.of`` reads the columns and never a record;
-    the records are built, all at once, the first time one is read, and
-    kept.  Equal to a list or tuple of the same records."""
+    """Jobs as ``columns``, one per JobRecord field as
+    ``JobTable.from_columns`` reads them, and a read-only sequence of
+    JobRecords: the records are built, all at once, the first time one is
+    read, and kept.  Equal to a list or tuple of the same records."""
 
     __slots__ = ("columns", "_records")
 
-    def __init__(self, columns: JobColumns):
+    def __init__(self, columns: Mapping[str, np.ndarray | Factor]):
         self.columns = columns
         self._records: tuple[JobRecord, ...] | None = None
+
+    @classmethod
+    def from_values(cls, values: Mapping[str, Sequence]) -> JobSequence:
+        """Jobs from one list of values per JobRecord field, in job order,
+        each value as a record holds it (an enum member, None for an absent
+        optional string).  A job that breaks a JobRecord rule raises
+        ValueError naming it."""
+        if sorted(values) != sorted(JOB_FIELDS) or len(set(map(len, values.values()))) > 1:
+            raise ValueError("need one value list per JobRecord field, all of one length")
+        n = len(values["job_id"])
+        columns: dict[str, np.ndarray | Factor] = {
+            "job_id": np.fromiter(values["job_id"], object, n)}
+        for name, kind in _NUMBERS.items():
+            columns[name] = np.fromiter(values[name], np.int64 if kind is int else np.float64, n)
+        for name in _STRINGS:
+            columns[name] = Factor.of(values[name])
+        checked = SimpleNamespace(**{name: columns[name] for name in _NUMBERS})
+        for field_name, reason, holds in JOB_RULES:
+            broken = np.flatnonzero(~holds(checked))
+            if len(broken):
+                raise _BrokenRule(field_name, reason, f"job {columns['job_id'][broken[0]]}")
+        return cls(columns)
 
     def _built(self) -> tuple[JobRecord, ...]:
         if self._records is None:
@@ -862,7 +874,7 @@ class JobSequence(SequenceABC):
         return self._records
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.columns["job_id"])
 
     def __getitem__(self, index):
         return self._built()[index]
@@ -882,7 +894,8 @@ class JobSequence(SequenceABC):
 
     def take(self, rows: np.ndarray) -> JobSequence:
         """The jobs a boolean mask or an index array selects, in order."""
-        return JobSequence(self.columns.take(rows))
+        return JobSequence({name: column.take(rows) if isinstance(column, Factor)
+                            else column[rows] for name, column in self.columns.items()})
 
 
 def write_rejection_report(rejections: Iterable[Rejection], path) -> None:
@@ -996,30 +1009,22 @@ def job_xd_su(job: JobRecord, resources: Mapping[str, ResourceSpec]) -> float:
                       job.end_date, "to_xd")
 
 
-def build_dataset(jobs: Sequence[JobRecord],
+def build_dataset(jobs: JobSequence,
                   allocations: Sequence[AllocationRecord],
                   resources: Mapping[str, ResourceSpec]) -> Dataset:
-    """Assemble the immutable Dataset; jobs on unknown resources are dropped
-    with a quality flag so the resource-resolution invariant holds.  Loaded
-    jobs (a ``JobSequence``) are kept as one, without building a record."""
+    """Assemble the immutable Dataset from jobs as columns (a
+    ``JobSequence``, from ``load_jobs`` or ``JobSequence.from_values``),
+    without building a record; jobs on unknown resources are dropped with a
+    quality flag so the resource-resolution invariant holds."""
+    if not isinstance(jobs, JobSequence):
+        raise TypeError(f"build_dataset takes a JobSequence, not {type(jobs).__name__}")
     flags: list[QualityFlag] = []
-    if isinstance(jobs, JobSequence):
-        resource, job_ids = jobs.columns["resource"], jobs.columns["job_id"]
-    else:
-        jobs = tuple(jobs)
-        resource = Factor.of(list(map(attrgetter("resource"), jobs)))
-        job_ids = list(map(attrgetter("job_id"), jobs))
+    resource, job_ids = jobs.columns["resource"], jobs.columns["job_id"]
     known = np.array([name in resources for name in resource.values],
                      dtype=bool)[resource.codes]
     for i in np.flatnonzero(~known).tolist():
         name = resource.values[resource.codes[i]]
         flags.append(QualityFlag("job", job_ids[i], "unknown_resource", name))
-    if known.all():
-        kept_jobs = jobs
-    elif isinstance(jobs, JobSequence):
-        kept_jobs = jobs.take(known)
-    else:
-        kept_jobs = tuple(compress(jobs, known.tolist()))
     seen_keys: set[tuple[str, str]] = set()
     for alloc in allocations:
         locator = f"{alloc.charge_number}/{alloc.resource}"
@@ -1031,7 +1036,7 @@ def build_dataset(jobs: Sequence[JobRecord],
         if alloc.resource not in resources:
             flags.append(QualityFlag("allocation", locator, "unknown_resource", alloc.resource))
     return Dataset(
-        jobs=kept_jobs,
+        jobs=jobs if known.all() else jobs.take(known),
         allocations=tuple(allocations),
         resources=MappingProxyType(dict(resources)),
         quality_flags=tuple(flags),
@@ -1040,19 +1045,32 @@ def build_dataset(jobs: Sequence[JobRecord],
 
 def validate(dataset: Dataset) -> list[QualityFlag]:
     """Flag jobs outside production windows, geometry violations and
-    aggregated-accounting suspects (cloud rows spanning more than 30 days)."""
+    aggregated-accounting suspects (cloud rows spanning more than 30 days),
+    in job order."""
+    table = dataset.job_table
+    specs = [dataset.resources[name] for name in table.resource.names]
+
+    def per_job(value, dtype=np.int64) -> np.ndarray:
+        return np.array([value(spec) for spec in specs], dtype=dtype)[table.resource.codes]
+
+    start_day = table.start // SECONDS_PER_DAY
+    wall = table.end - table.start
+    outside = ((start_day < per_job(lambda spec: day_number(spec.production_start)))
+               | (start_day > per_job(lambda spec: day_number(spec.production_end))))
+    too_big = table.cores > per_job(lambda spec: spec.total_cores)
+    aggregated = (per_job(lambda spec: spec.rtype is ResourceType.CLOUD, bool)
+                  & (wall > AGGREGATED_ACCOUNTING_SECONDS))
     flags: list[QualityFlag] = []
-    for job in dataset.jobs:
-        spec = dataset.resource_of(job)
-        start_day = utc_date(job.start_time)
-        if start_day < spec.production_start or start_day > spec.production_end:
-            flags.append(QualityFlag("job", job.job_id, "production_window",
-                                     f"{start_day} outside {spec.production_start}..{spec.production_end}"))
-        if job.cores > spec.total_cores:
-            flags.append(QualityFlag("job", job.job_id, "geometry",
-                                     f"{job.cores} cores > {spec.total_cores} available"))
-        if (spec.rtype is ResourceType.CLOUD
-                and job.wall_seconds > AGGREGATED_ACCOUNTING_SECONDS):
-            flags.append(QualityFlag("job", job.job_id, "aggregated_accounting",
-                                     f"{job.wall_seconds}s duration on cloud resource"))
+    for i in np.flatnonzero(outside | too_big | aggregated).tolist():
+        job_id, spec = table.job_id[i], specs[table.resource.codes[i]]
+        if outside[i]:
+            flags.append(QualityFlag("job", job_id, "production_window",
+                                     f"{day_date(int(start_day[i]))} outside "
+                                     f"{spec.production_start}..{spec.production_end}"))
+        if too_big[i]:
+            flags.append(QualityFlag("job", job_id, "geometry",
+                                     f"{int(table.cores[i])} cores > {spec.total_cores} available"))
+        if aggregated[i]:
+            flags.append(QualityFlag("job", job_id, "aggregated_accounting",
+                                     f"{int(wall[i])}s duration on cloud resource"))
     return flags

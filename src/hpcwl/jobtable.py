@@ -10,9 +10,9 @@ Float totals are ``np.bincount`` sums: each group's weights are added left
 to right from 0.0 in row order, as ``stats.total`` does (``np.sum`` sums
 pairwise and is not used for report values).
 
-``JobColumns`` holds the jobs as one column per ``JobRecord`` field, as the
-job loader fills them or as read from records; ``JobTable.from_columns`` is
-the one place the derived columns are computed.
+``JobTable.from_columns`` builds the table from the jobs' columns, one per
+``JobRecord`` field (``ingest.JobSequence.columns``), and is the one place
+the derived columns are computed.
 
 ``JobTable.take`` copies no column up front.  A taken table holds the table
 built by ``from_columns`` and the numbers of its selected rows, and copies a
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Mapping, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
-    from .ingest import JobRecord, ResourceSpec
+    from .ingest import ResourceSpec
 
 SECONDS_PER_DAY = 86400
 _EPOCH = date(1970, 1, 1)
@@ -53,9 +53,6 @@ _CODED = {
     "exit_status": ("exit_status", attrgetter("value")),
     "gateway_user": ("gateway_user", lambda value: value or ""),
 }
-# the JobRecord fields held as numbers
-INT_FIELDS = ("submit_time", "start_time", "end_time", "nodes", "cores")
-FLOAT_FIELDS = ("local_su_charged",)
 
 
 def day_number(day: date) -> int:
@@ -138,40 +135,6 @@ class Factor:
 
 
 @dataclass(frozen=True, eq=False)
-class JobColumns:
-    """Jobs as one column per JobRecord field, before any derived column:
-    ``job_id`` an object array, the int fields int64, ``local_su_charged``
-    float64 and every other field a ``Factor`` of the record's values
-    (enum members, and None for an absent optional string)."""
-
-    columns: Mapping[str, np.ndarray | Factor]
-
-    @classmethod
-    def of_records(cls, jobs: Sequence[JobRecord]) -> JobColumns:
-        n = len(jobs)
-        columns: dict[str, np.ndarray | Factor] = {
-            "job_id": np.fromiter(map(attrgetter("job_id"), jobs), object, n)}
-        for name in INT_FIELDS:
-            columns[name] = np.fromiter(map(attrgetter(name), jobs), np.int64, n)
-        for name in FLOAT_FIELDS:
-            columns[name] = np.fromiter(map(attrgetter(name), jobs), np.float64, n)
-        for name, _ in _CODED.values():
-            columns[name] = Factor.of(list(map(attrgetter(name), jobs)))
-        return cls(columns)
-
-    def __len__(self) -> int:
-        return len(self.columns["job_id"])
-
-    def __getitem__(self, name: str) -> np.ndarray | Factor:
-        return self.columns[name]
-
-    def take(self, rows: np.ndarray) -> JobColumns:
-        """The rows a boolean mask or an index array selects, in order."""
-        return JobColumns({name: column.take(rows) if isinstance(column, Factor) else column[rows]
-                           for name, column in self.columns.items()})
-
-
-@dataclass(frozen=True, eq=False)
 class JobTable:
     """One row per job.  ``resources`` is the resource map the table was
     built with; it, ``su_factor``, ``xd_su`` and ``rtype`` are None for a
@@ -211,22 +174,14 @@ class JobTable:
         read_only(self)
 
     @classmethod
-    def of(cls, jobs: Sequence[JobRecord],
-           resources: Mapping[str, ResourceSpec] | None = None) -> JobTable:
-        """The table of job records, in their order: the one place a record
-        list becomes the table every analysis takes.  A sequence that
-        carries its ``JobColumns`` (as loaded jobs do) is built from them
-        without reading a record.  ``resources`` gives the SU factor, XD SU
-        and type columns."""
-        columns = getattr(jobs, "columns", None)
-        if not isinstance(columns, JobColumns):
-            columns = JobColumns.of_records(jobs)
-        return cls.from_columns(columns, resources)
-
-    @classmethod
-    def from_columns(cls, columns: JobColumns,
+    def from_columns(cls, columns: Mapping[str, np.ndarray | Factor],
                      resources: Mapping[str, ResourceSpec] | None = None) -> JobTable:
-        """The table of the jobs in ``columns``, with every derived column."""
+        """The table of the jobs in ``columns``, one per JobRecord field:
+        ``job_id`` an object array, the int fields int64,
+        ``local_su_charged`` float64 and every other field a ``Factor`` of
+        the record's values (enum members, and None for an absent optional
+        string).  ``resources`` gives the SU factor, XD SU and type
+        columns."""
         submit, start, end = columns["submit_time"], columns["start_time"], columns["end_time"]
         nodes, cores = columns["nodes"], columns["cores"]
         end_day = end // SECONDS_PER_DAY
@@ -241,7 +196,7 @@ class JobTable:
         gateway_user = columns["gateway_user"]
         has_gateway_user = np.array([value is not None for value in gateway_user.values],
                                     dtype=bool)[gateway_user.codes]
-        return cls(row=np.arange(len(columns)), job_id=columns["job_id"],
+        return cls(row=np.arange(len(end)), job_id=columns["job_id"],
                    submit=submit, start=start, end=end, nodes=nodes, cores=cores,
                    end_day=end_day, quarter=_period_codes(end_day, "quarter"),
                    year=_period_codes(end_day, "year"),

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from ..ingest import AllocationRecord, _as_str, _iter_raw_rows, utc_date
+from ..ingest import AllocationRecord, _as_str, _raw_rows, utc_date
 from ..jobtable import Codes, JobTable, group_totals, one_group
 
 MODES = ("community_user", "associated_allocation", "gateway_tagged")
@@ -47,7 +47,7 @@ def load_community_users(path) -> dict[str, str]:
             for user in users:
                 mapping[_as_str({"user": user}, row, "user")] = gateway
         return mapping
-    for row, raw in _iter_raw_rows(path, "csv"):
+    for row, raw in _raw_rows(path, "csv"):
         mapping[_as_str(raw, row, "user")] = _as_str(raw, row, "gateway")
     return mapping
 

@@ -140,17 +140,6 @@ def lomb_scargle(times_seconds: Sequence[float],
     return _periodogram(freqs, fit / (2.0 * variance), len(t))
 
 
-def _lomb_scargle_direct(times_seconds: Sequence[float],
-                         values: Sequence[float] | None = None,
-                         freq_grid_per_day: Sequence[float] | None = None,
-                         bin_seconds: int = 3600) -> Periodogram:
-    """lomb_scargle by the direct O(N*M) sums alone (the test oracle)."""
-    _, t, dy, variance, freqs = _series(times_seconds, values,
-                                              freq_grid_per_day, bin_seconds)
-    return _periodogram(freqs, _direct_power(t, dy, freqs) / (2.0 * variance),
-                        len(t))
-
-
 def _direct_power(t: np.ndarray, dy: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Fit improvement at each frequency (power times twice the variance),
     by direct sums over every sample; t is centred, dy has zero mean."""

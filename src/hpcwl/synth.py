@@ -2,7 +2,7 @@
 report run.
 
 Everything derives from one seeded generator, so two runs with the same seed
-produce identical records.  Timestamps land on whole minutes, which keeps
+produce identical jobs.  Timestamps land on whole minutes, which keeps
 replay oracles cheap.
 """
 from __future__ import annotations
@@ -13,11 +13,12 @@ from datetime import date, datetime, timezone
 import numpy as np
 
 from .ingest import (
+    JOB_FIELDS,
     AllocationRecord,
     AllocType,
     Dataset,
     ExitStatus,
-    JobRecord,
+    JobSequence,
     NsfUserStatus,
     build_dataset,
     builtin_resources,
@@ -113,7 +114,7 @@ def make_synthetic_dataset(seed: int = 20170930, n_jobs: int = 10000) -> SynthBu
     # each project has its own capability ceiling, so depths spread out
     project_max_nodes = {p: int(2 ** rng.integers(0, 9)) for p in projects}
 
-    jobs: list[JobRecord] = []
+    jobs: dict[str, list] = {name: [] for name in JOB_FIELDS}
     summaries: dict[str, JobPerfSummary] = {}
     charge_used: dict[tuple[str, str], float] = {}
 
@@ -173,7 +174,7 @@ def make_synthetic_dataset(seed: int = 20170930, n_jobs: int = 10000) -> SynthBu
                 queue = "shared"
 
         local_su = cores * duration / 3600.0
-        job = JobRecord(
+        job = dict(
             job_id=f"j{i:06d}", resource=resource, user=user,
             charge_number=project, directorate=directorate,
             parent_science=parent, field_of_science=fos,
@@ -182,15 +183,17 @@ def make_synthetic_dataset(seed: int = 20170930, n_jobs: int = 10000) -> SynthBu
             exit_status=exit_status, gateway_user=gateway_user,
             state_of_origin=state, local_su_charged=local_su,
         )
-        jobs.append(job)
+        for name, value in job.items():
+            jobs[name].append(value)
         key = (project, resource)
         charge_used[key] = charge_used.get(key, 0.0) + local_su
 
         if resource != "OSG" and rng.random() < 0.85:
-            summaries[job.job_id] = _make_summary(job, spec, rng)
+            summaries[job["job_id"]] = _make_summary(job["job_id"], queue, nodes, cores,
+                                                     duration, spec, rng)
 
     allocations = _make_allocations(charge_used, rng)
-    dataset = build_dataset(jobs, allocations, resources)
+    dataset = build_dataset(JobSequence.from_values(jobs), allocations, resources)
     population = {state: float(rng.integers(2, 40)) * 1e6 for state in STATES}
     tech = {state: round(0.5 + rng.random() * 2.0, 2) for state in STATES}
     return SynthBundle(dataset=dataset, summaries=summaries,
@@ -198,8 +201,9 @@ def make_synthetic_dataset(seed: int = 20170930, n_jobs: int = 10000) -> SynthBu
                        population_by_state=population, tech_index_by_state=tech)
 
 
-def _make_summary(job: JobRecord, spec, rng) -> JobPerfSummary:
-    if job.queue in spec.large_memory_queues and spec.large_mem_per_node:
+def _make_summary(job_id: str, queue: str, nodes: int, cores: int, duration: int,
+                  spec, rng) -> JobPerfSummary:
+    if queue in spec.large_memory_queues and spec.large_mem_per_node:
         per_core_avail = spec.large_mem_per_node / spec.cores_per_node
     else:
         per_core_avail = (spec.mem_per_node or 64 << 30) / spec.cores_per_node
@@ -209,23 +213,22 @@ def _make_summary(job: JobRecord, spec, rng) -> JobPerfSummary:
     mem_avg = frac * per_core_avail * 0.8
     mem_max = min(per_core_avail, mem_avg * (1.05 + 0.5 * rng.random()))
 
-    duration = job.wall_seconds
     lustre_rx = float(rng.lognormal(18, 2))  # ~bytes
     lustre_tx = float(rng.lognormal(18, 2))
-    extra_ib = float(rng.lognormal(19, 2)) if job.nodes > 1 else float(rng.lognormal(14, 2))
+    extra_ib = float(rng.lognormal(19, 2)) if nodes > 1 else float(rng.lognormal(14, 2))
     ib_rx = (lustre_rx + extra_ib) / 2.0
     ib_tx = (lustre_tx + extra_ib) / 2.0
     nli = max(0.0, ib_rx + ib_tx - lustre_rx - lustre_tx)
 
-    procs_per_node = max(1, job.cores // job.nodes)
-    launch = _pick_launch(job.cores, job.nodes, rng)
+    procs_per_node = max(1, cores // nodes)
+    launch = _pick_launch(cores, nodes, rng)
     if launch is LaunchType.MULTI_THREADED:
         runnable = float(min(spec.cores_per_node, procs_per_node))
     else:
         runnable = float(procs_per_node)
 
     return JobPerfSummary(
-        job_id=job.job_id,
+        job_id=job_id,
         cpu_user_fraction=float(np.clip(rng.beta(9, 1.2), 0.0, 1.0)),
         mem_avg_per_core=mem_avg,
         mem_max_per_core=mem_max,

@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 
 from hpcwl.ingest import (
+    JOB_FIELDS,
     AllocationRecord,
     AllocType,
+    Dataset,
     ExitStatus,
     FactorWindow,
     JobRecord,
+    JobSequence,
     NsfUserStatus,
     ResourceSpec,
     ResourceType,
+    build_dataset,
 )
 from hpcwl.jobtable import Codes, JobTable
 from hpcwl.metrics import PerfColumns
@@ -55,11 +59,32 @@ def make_job(job_id="j1", resource="TESTMACHINE", user="alice",
         **kwargs)
 
 
+def jobs_of(jobs) -> JobSequence:
+    """Job records as the JobSequence a Dataset holds, in their order;
+    loaded jobs (a JobSequence already) as they are."""
+    if isinstance(jobs, JobSequence):
+        return jobs
+    jobs = list(jobs)
+    return JobSequence.from_values({name: [getattr(job, name) for job in jobs]
+                                    for name in JOB_FIELDS})
+
+
+def table_of(jobs, resources=None) -> JobTable:
+    """The job table of records or loaded jobs, in their order; with
+    ``resources``, the SU factor, XD SU and type columns too."""
+    return JobTable.from_columns(jobs_of(jobs).columns, resources)
+
+
+def dataset_of(jobs, allocations, resources) -> Dataset:
+    """``build_dataset`` of job records or loaded jobs."""
+    return build_dataset(jobs_of(jobs), allocations, resources)
+
+
 def perf_columns(jobs, summaries, resources=None):
     """The jobs' table, built with ``resources``, and the summaries joined to
     it: the first two arguments of the memory, Lustre and concurrency
     analyses."""
-    table = JobTable.of(jobs, resources)
+    table = table_of(jobs, resources)
     return table, PerfColumns.join(table, summaries)
 
 

@@ -1,7 +1,8 @@
 """Record-at-a-time rollups, depth profile, queue replay, the memory,
 Lustre, concurrency and gateway analyses, wait statistics, queue depth,
-exit codes and the node-failure fit: the reference for the columnar kernels
-in ``hpcwl.metrics``, ``hpcwl.backlog`` and ``hpcwl.statmodels``.
+exit codes, the node-failure fit and the job quality flags: the reference
+for the columnar kernels in ``hpcwl.metrics``, ``hpcwl.backlog``,
+``hpcwl.statmodels`` and ``hpcwl.ingest.validate``.
 
 These are the per-job loops the ``JobTable`` kernels replaced, unchanged
 except that ``required_nodes`` gives one R_j per job, in job order, where
@@ -22,10 +23,14 @@ from hpcwl import statmodels
 from hpcwl.backlog import BacklogPoint, BacklogSeries, UserDepth, WaitStats
 from hpcwl.errors import DegenerateInput, EmptyGroup, NoFactorForDate
 from hpcwl.ingest import (
+    AGGREGATED_ACCOUNTING_SECONDS,
     AllocationRecord,
+    Dataset,
     ExitStatus,
     JobRecord,
+    QualityFlag,
     ResourceSpec,
+    ResourceType,
     job_xd_su,
     utc_date,
 )
@@ -898,3 +903,22 @@ def periodogram(jobs: Sequence[JobRecord], params: Mapping) -> list:
             zip(pgram.frequencies_per_day, pgram.power)]
     return [(f"periodogram_{resource or 'all'}.csv",
              ["frequency_per_day", "period_days", "power"], rows)]
+
+
+def validate(dataset: Dataset) -> list[QualityFlag]:
+    """``ingest.validate`` as a loop over the job records."""
+    flags: list[QualityFlag] = []
+    for job in dataset.jobs:
+        spec = dataset.resources[job.resource]
+        start_day = utc_date(job.start_time)
+        if start_day < spec.production_start or start_day > spec.production_end:
+            flags.append(QualityFlag("job", job.job_id, "production_window",
+                                     f"{start_day} outside {spec.production_start}..{spec.production_end}"))
+        if job.cores > spec.total_cores:
+            flags.append(QualityFlag("job", job.job_id, "geometry",
+                                     f"{job.cores} cores > {spec.total_cores} available"))
+        if (spec.rtype is ResourceType.CLOUD
+                and job.wall_seconds > AGGREGATED_ACCOUNTING_SECONDS):
+            flags.append(QualityFlag("job", job.job_id, "aggregated_accounting",
+                                     f"{job.wall_seconds}s duration on cloud resource"))
+    return flags

@@ -11,7 +11,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from conftest import GIB, T0, make_job
+from conftest import GIB, T0, make_job, table_of
 from perfsummary_oracle import (
     MemInfoSample,
     NumaMem,
@@ -25,7 +25,6 @@ from hpcwl.archives import SampleKind
 from hpcwl.backlog import backlog_series, capacity_for_percentile, required_nodes_at_submit
 from hpcwl.errors import SeparationDetected
 from hpcwl.ingest import ExitStatus, builtin_resources, su_convert
-from hpcwl.jobtable import JobTable
 from hpcwl.metrics import (
     PerfColumns,
     job_size_distribution,
@@ -206,7 +205,7 @@ def test_criterion_4_effective_cores():
                             nodes=int(n), cores=int(n) * 12,
                             local_su=float(rng.uniform(1, 1e4)))
                    for i, n in enumerate(rng.integers(1, 500, 400))]
-    kraken = JobTable.of(kraken_jobs, resources)
+    kraken = table_of(kraken_jobs, resources)
     actual = average_job_size(kraken, effective=False)
     effective = average_job_size(kraken, effective=True, kraken_factor=2.04)
     assert abs(effective - actual) <= 1e-9 * actual
@@ -224,7 +223,7 @@ def test_criterion_4_effective_cores():
                               submit=T0 + i * 3600, nodes=nodes,
                               cores=nodes * spec.cores_per_node,
                               local_su=float(rng.uniform(1, 1e4))))
-    got = average_job_size(JobTable.of(mixed, resources), weighted_by_xd_su=True,
+    got = average_job_size(table_of(mixed, resources), weighted_by_xd_su=True,
                            effective=True, kraken_factor=2.04)
     num = den = 0.0
     for job in mixed:
@@ -274,7 +273,7 @@ def test_criterion_5_backlog_capacity_oracle():
     oracle_queued = queued_mask @ nodes
     oracle_running = running_mask @ nodes
 
-    table = JobTable.of(jobs)
+    table = table_of(jobs)
     series = backlog_series(table).points
     index = {int(t): k for k, t in enumerate(grid)}
     checked = 0
@@ -302,7 +301,7 @@ def test_criterion_5_backlog_capacity_oracle():
         assert estimate.nodes_required == ordered[idx]
 
     for trial in range(50):
-        small = JobTable.of(_minute_trace(np.random.default_rng(1000 + trial), 120,
+        small = table_of(_minute_trace(np.random.default_rng(1000 + trial), 120,
                                           span_minutes=1000, prefix=f"t{trial}_"))
         c95 = capacity_for_percentile(small, "TESTMACHINE", 0.95).nodes_required
         c99 = capacity_for_percentile(small, "TESTMACHINE", 0.99).nodes_required
@@ -356,7 +355,7 @@ def test_criterion_7_logistic_recovery():
                      exit_status=(ExitStatus.NODE_FAIL if fails[i]
                                   else ExitStatus.COMPLETED))
             for i in range(n)]
-    fit = fit_node_fail(JobTable.of(jobs), model="nodes_linear")
+    fit = fit_node_fail(table_of(jobs), model="nodes_linear")
     err0 = abs(fit.beta0 - (-6.0)) / 6.0
     err1 = abs(fit.beta1 - 0.002) / 0.002
     assert err0 < 0.05 and err1 < 0.05

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import T0
+from conftest import T0, dataset_of
 from test_perfsummary import _archive_file, _write_lines
 
 from hpcwl import ingest, report, synth
@@ -441,7 +441,7 @@ def test_report_from_files_builds_no_records(tmp_path, capsys, monkeypatch, synt
     assert built == []
     # the same report as from the records themselves
     monkeypatch.undo()
-    ctx = report.ReportContext(dataset=build_dataset(records, [], builtin_resources()))
+    ctx = report.ReportContext(dataset=dataset_of(records, [], builtin_resources()))
     report.run_report(ctx, report.standard_bundle_spec(output_dir=str(tmp_path / "records")))
     assert _files(tmp_path / "cli") == _files(tmp_path / "records")
 

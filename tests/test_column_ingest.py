@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+from functools import partial
 from collections.abc import Mapping
 
 import numpy as np
@@ -17,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_job, make_resource
+from conftest import dataset_of, make_job, make_resource, table_of
 from test_ingest import BAD_NUMBERS, JOB_ROW
 from hpcwl import ingest
 from hpcwl.errors import SchemaError
-from hpcwl.ingest import JOB_FIELDS, JobSequence, build_dataset, load_jobs
-from hpcwl.jobtable import Codes, JobTable
+from hpcwl.ingest import JOB_FIELDS, AllocationRecord, JobSequence, load_allocations, load_jobs
+from hpcwl.jobtable import Codes
 
 RESOURCES = {"TESTMACHINE": make_resource()}
 INTS = ("submit_time", "start_time", "end_time", "nodes", "cores")
@@ -165,10 +166,33 @@ def jsonl_files(draw):
     return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
 
 
-def _oracle(path, fmt, sink):
-    """The record loop: each row as DictReader or the JSON-lines reader
-    reads it, passed to ``_job_from_raw``."""
-    return ingest._load_records(path, fmt, ingest._job_from_raw, sink)
+def _oracle_rows(path, fmt):
+    """(row, mapping or SchemaError) of each data row, as csv.DictReader or
+    the JSON-lines reader reads it."""
+    if fmt == "csv":
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            yield from enumerate(csv.DictReader(handle), start=1)
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield from ingest._json_objects(handle)
+
+
+def _oracle(path, fmt, sink, parse_one=ingest._job_from_raw):
+    """The record loop: each row of ``_oracle_rows`` passed to
+    ``parse_one``."""
+    records = []
+    saw_rows = False
+    for row, raw in _oracle_rows(path, fmt):
+        saw_rows = True
+        try:
+            if isinstance(raw, SchemaError):
+                raise raw
+            records.append(parse_one(raw, row))
+        except SchemaError as err:
+            ingest._reject(err, sink)
+    if saw_rows and not records:
+        raise SchemaError(0, None, "no rows survived validation")
+    return records
 
 
 def _run(load, path, fmt, sink):
@@ -199,7 +223,7 @@ def _table_state(make):
 
 
 def _dataset_state(jobs):
-    dataset = build_dataset(jobs, [], RESOURCES)
+    dataset = dataset_of(jobs, [], RESOURCES)
     return (dataset.quality_flags, repr(list(dataset.jobs)),
             _table_state(lambda: dataset.job_table))
 
@@ -221,8 +245,8 @@ def _assert_agree(text, fmt):
             assert isinstance(jobs, JobSequence)
             assert repr(list(jobs)) == repr(records)
         if got[0] == "loaded":
-            assert _table_state(lambda: JobTable.of(jobs, RESOURCES)) == _table_state(
-                lambda: JobTable.of(records, RESOURCES))
+            assert _table_state(lambda: table_of(jobs, RESOURCES)) == _table_state(
+                lambda: table_of(records, RESOURCES))
             assert _dataset_state(jobs) == _dataset_state(records)
 
 
@@ -266,6 +290,44 @@ def test_jsonl_column_path_agrees_with_the_record_oracle(text, chunk_rows):
         _assert_agree(text, "jsonl")
 
 
+ALLOCATION_HEADER = ("charge_number,resource,alloc_type,discipline,awarded_local_su,"
+                     "used_local_su,award_date")
+ALLOCATION_ROW = "TG-1,R,Startup,BIO,5,1,2015-01-01"
+ALLOCATION_JSON = json.dumps(dict(zip(ALLOCATION_HEADER.split(","), ALLOCATION_ROW.split(","))))
+
+
+@pytest.mark.parametrize("chunk_rows", (1, 2, 2048))
+@pytest.mark.parametrize("fmt,text", [
+    # a repeated header name means its last column
+    ("csv", f"{ALLOCATION_HEADER},resource\n{ALLOCATION_ROW},S\n{ALLOCATION_ROW}\n"),
+    # short, long and blank rows, and a broken rule
+    ("csv", f"{ALLOCATION_HEADER}\n\n{ALLOCATION_ROW}\nTG-2,R,Startup\n\n\n"
+            f"{ALLOCATION_ROW},extra,cells\nTG-3,R,Startup,BIO,-5,1,2015-01-01\n"),
+    # a field over the size limit: csv.Error after the rows before it
+    ("csv", f"{ALLOCATION_HEADER}\n{ALLOCATION_ROW}\nTG-2,R,Startup,BIO,5,1,2015-01-01\n"
+            f"TG-3,R,Startup,{'x' * (FIELD_LIMIT + 1)},5,1,2015-01-01\n{ALLOCATION_ROW}\n"),
+    ("csv", ""),
+    ("csv", f"{ALLOCATION_HEADER}\n"),
+    ("csv", "TG-2,R,Startup\n"),
+    ("jsonl", f"{ALLOCATION_JSON}\n\n[1]\n{{bad\n{ALLOCATION_JSON}"),
+    ("jsonl", "\n\n"),
+])
+def test_allocations_load_as_the_record_oracle_reads_them(tmp_path, fmt, text, chunk_rows):
+    path = tmp_path / f"allocations.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    oracle = partial(_oracle, parse_one=partial(ingest._from_raw, AllocationRecord))
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+            for got_sink, want_sink in ((None, None), ([], [])):
+                assert (_run(load_allocations, path, fmt, got_sink)
+                        == _run(oracle, path, fmt, want_sink))
+                assert got_sink == want_sink
+    finally:
+        csv.field_size_limit(limit)
+
+
 def _row_of(job):
     return {name: getattr(getattr(job, name), "value", getattr(job, name))
             for name in JOB_FIELDS}
@@ -305,7 +367,7 @@ def test_loaded_jobs_build_their_records_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest.JobRecord, "__post_init__",
                         lambda self: built.append(self.job_id) or post_init(self))
     assert len(jobs) == 5 and built == []
-    assert JobTable.of(jobs).job_id.tolist() == [f"j{i}" for i in range(5)]
+    assert table_of(jobs).job_id.tolist() == [f"j{i}" for i in range(5)]
     assert built == []
     assert jobs[2].job_id == "j2" and [job.job_id for job in jobs][-1] == "j4"
     assert jobs[1:3] == tuple(jobs)[1:3]
@@ -317,5 +379,5 @@ def test_a_json_float_in_an_int_field_loads_as_the_oracle_reads_it(tmp_path):
     path.write_text(json.dumps(dict(JOB_ROW, nodes=2.0, cores=32)) + "\n")
     (job,) = load_jobs(path)
     assert type(job.nodes) is int and job.nodes == 2
-    assert JobTable.of(load_jobs(path)).nodes.dtype == np.int64
+    assert table_of(load_jobs(path)).nodes.dtype == np.int64
     assert math.isclose(job.local_su_charged, 12.5)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -7,13 +8,15 @@ import tempfile
 from dataclasses import fields
 from datetime import date, datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import T0, make_allocation, make_job, make_resource
-from hpcwl import ingest, jobtable
+import rollups_oracle as oracle
+from conftest import T0, dataset_of, jobs_of, make_allocation, make_job, make_resource
+from hpcwl import ingest, synth
 from hpcwl.cli import main
 from hpcwl.errors import (
     MissingGeometry,
@@ -23,8 +26,10 @@ from hpcwl.errors import (
     TimestampOrderError,
 )
 from hpcwl.ingest import (
+    JOB_RULES,
     AllocationRecord,
     JobRecord,
+    JobSequence,
     Rejection,
     ResourceType,
     SuUnit,
@@ -39,6 +44,7 @@ from hpcwl.ingest import (
     validate,
     write_rejection_report,
 )
+from hpcwl.jobtable import day_number
 
 JOB_ROW = {
     "job_id": "a-1", "resource": "TESTMACHINE", "user": "alice",
@@ -332,7 +338,7 @@ def test_load_resources_object_without_resources_key(tmp_path, capsys):
 
 def test_zero_use_allocation_flagged(test_resources):
     alloc = make_allocation(awarded=50000.0, used=0.0)
-    dataset = build_dataset([], [alloc], test_resources)
+    dataset = dataset_of([], [alloc], test_resources)
     assert len(dataset.allocations) == 1
     assert any(f.code == "unused_allocation" for f in dataset.quality_flags)
 
@@ -345,7 +351,7 @@ def test_overcharge_allowed():
 def test_duplicate_allocations_retained_and_flagged(test_resources):
     a1 = make_allocation()
     a2 = make_allocation(awarded=200.0)
-    dataset = build_dataset([], [a1, a2], test_resources)
+    dataset = dataset_of([], [a1, a2], test_resources)
     assert len(dataset.allocations) == 2
     dupes = [f for f in dataset.quality_flags if f.code == "duplicate_allocation"]
     assert len(dupes) == 1
@@ -399,7 +405,7 @@ def test_round_trip_identity(amount):
 
 def test_flags_production_window(test_resources):
     job = make_job(submit=946684800, start=946684900, end=946685000)  # year 2000
-    dataset = build_dataset([job], [], test_resources)
+    dataset = dataset_of([job], [], test_resources)
     flags = validate(dataset)
     assert [f.code for f in flags] == ["production_window"]
     assert dataset.resolve_flag(flags[0]).job_id == job.job_id
@@ -407,28 +413,88 @@ def test_flags_production_window(test_resources):
 
 def test_flags_geometry(test_resources):
     job = make_job(nodes=1, cores=3200)  # machine has 1600 cores
-    flags = validate(build_dataset([job], [], test_resources))
+    flags = validate(dataset_of([job], [], test_resources))
     assert [f.code for f in flags] == ["geometry"]
 
 
 def test_flags_cloud_aggregated_accounting():
     cloud = make_resource(name="CLOUDY", rtype=ResourceType.CLOUD)
     job = make_job(resource="CLOUDY", end=T0 + 600 + 31 * 86400, cores=16)
-    flags = validate(build_dataset([job], [], {"CLOUDY": cloud}))
+    flags = validate(dataset_of([job], [], {"CLOUDY": cloud}))
     assert "aggregated_accounting" in [f.code for f in flags]
 
 
 def test_clean_fixture_has_no_flags(test_resources):
     jobs = [make_job(job_id=f"j{i}", submit=T0 + i * 7200) for i in range(10)]
-    dataset = build_dataset(jobs, [], test_resources)
+    dataset = dataset_of(jobs, [], test_resources)
     assert validate(dataset) == []
 
 
 def test_unknown_resource_job_dropped_with_flag(test_resources):
     job = make_job(resource="NOPE")
-    dataset = build_dataset([job], [], test_resources)
+    dataset = dataset_of([job], [], test_resources)
     assert dataset.jobs == ()
     assert [f.code for f in dataset.quality_flags] == ["unknown_resource"]
+
+
+def test_validate_masks_match_the_record_loop():
+    demo = synth.make_synthetic_dataset(n_jobs=3000).dataset
+    records = list(demo.jobs)
+    starts: dict[str, list[date]] = {}
+    for job in records:
+        starts.setdefault(job.resource, []).append(utc_date(job.start_time))
+    # each production window is the middle half of its jobs' start days, so
+    # some demo job starts on its first and on its last day
+    resources = dict(demo.resources)
+    for name, days in starts.items():
+        days.sort()
+        resources[name] = dataclasses.replace(
+            resources[name], production_start=days[len(days) // 4],
+            production_end=days[3 * len(days) // 4])
+    resources["SDSC-COMET"] = dataclasses.replace(resources["SDSC-COMET"], nodes=16)
+    resources["OSG"] = dataclasses.replace(resources["OSG"], rtype=ResourceType.CLOUD, nodes=8)
+    osg = resources["OSG"]
+    first, last = (day_number(osg.production_start) * 86400,
+                   day_number(osg.production_end) * 86400)
+    extra = [make_job(job_id="all-three", resource="OSG", submit=first - 60, start=first - 60,
+                      end=first - 60 + 31 * 86400, cores=16),
+             make_job(job_id="first-day", resource="OSG", submit=first, start=first, cores=1),
+             make_job(job_id="last-day", resource="OSG", submit=last, start=last + 86399,
+                      cores=1),
+             make_job(job_id="day-after", resource="OSG", submit=last, start=last + 86400,
+                      cores=1)]
+    dataset = dataset_of(records[:1000] + extra + records[1000:], [], resources)
+    flags = validate(dataset)
+    assert flags == oracle.validate(dataset)
+    codes = ["production_window", "geometry", "aggregated_accounting"]
+    assert {flag.code for flag in flags} == set(codes)
+    assert [flag.code for flag in flags if flag.locator == "all-three"] == codes
+    flagged = {flag.locator for flag in flags}
+    assert "day-after" in flagged and not {"first-day", "last-day"} & flagged
+    for name, days in starts.items():
+        spec = resources[name]
+        assert spec.production_start in days and spec.production_end in days
+
+
+def test_demo_columns_keep_every_job_rule():
+    columns = synth.make_synthetic_dataset(n_jobs=3000).dataset.jobs.columns
+    numbers = SimpleNamespace(**{name: columns[name] for name in ingest._NUMBERS})
+    for _, reason, holds in JOB_RULES:
+        assert holds(numbers).all(), reason
+
+
+def test_jobs_from_values_keep_every_job_rule():
+    values = {name: [getattr(make_job(), name)] for name in ingest.JOB_FIELDS}
+    assert jobs_of([make_job()]) == JobSequence.from_values(values)
+    with pytest.raises(ValueError, match="job j1: cores must be >= nodes >= 1"):
+        JobSequence.from_values(dict(values, nodes=[4], cores=[2]))
+    with pytest.raises(ValueError, match="one value list per JobRecord field"):
+        JobSequence.from_values({name: values[name] for name in list(values)[1:]})
+
+
+def test_build_dataset_takes_loaded_jobs_only(test_resources):
+    with pytest.raises(TypeError, match="JobSequence"):
+        build_dataset([make_job()], [], test_resources)
 
 
 # --- malformed lines and non-string values ----------------------------------
@@ -607,9 +673,3 @@ def test_docs_field_tables_match_the_record_schema(cls, heading, check_order):
         else:
             assert word == "enum", name
             assert re.findall("`([^`]+)`", notes) == [member.value for member in kind]
-
-
-def test_the_job_table_numbers_are_the_schema_numbers():
-    schema = ingest._schema(JobRecord)
-    assert jobtable.INT_FIELDS == tuple(name for name, kind in schema if kind is int)
-    assert jobtable.FLOAT_FIELDS == tuple(name for name, kind in schema if kind is float)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rollups_oracle as oracle
-from conftest import column_arrays, make_job, make_resource
+from conftest import column_arrays, make_job, make_resource, table_of
 from hpcwl import backlog, report, synth
 from hpcwl.errors import EmptyGroup
 from hpcwl.ingest import (
@@ -94,7 +94,7 @@ def test_columns_match_the_records():
                      start=Q4_2015 - 300, end=Q4_2015, state_of_origin="TX"),
             make_job(job_id="c", resource="GHOST", submit=Y2016, end=Y2016 + 7200),
             make_job(job_id="d", submit=Q4_2015 - DAY, end=Q4_2015 - 1, local_su=3.3)]
-    table = JobTable.of(jobs, RESOURCES)
+    table = table_of(jobs, RESOURCES)
     for i, job in enumerate(jobs):
         assert table.end_day[i] == (job.end_date - date(1970, 1, 1)).days
         assert table.quarter.names[table.quarter.codes[i]] == period_key(job.end_date,
@@ -109,13 +109,13 @@ def test_columns_match_the_records():
     assert np.isnan(table.xd_su[:3]).all()
     assert table.xd_su[3].item() == job_xd_su(jobs[3], RESOURCES) == 6.6
     assert table.rtype.present() == ["HPC", "unknown"]
-    assert JobTable.of(jobs).xd_su is None
+    assert table_of(jobs).xd_su is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(jobs_strategy())
 def test_rollups_equal_the_oracle(jobs):
-    table = JobTable.of(jobs, RESOURCES)
+    table = table_of(jobs, RESOURCES)
     for period in PERIODS:
         for dimension in DIMENSIONS:
             for weight in WEIGHTS:
@@ -139,7 +139,7 @@ def test_rollups_equal_the_oracle(jobs):
 @settings(max_examples=60, deadline=None)
 @given(jobs_strategy(), st.sampled_from((None, 1969, 1970, 2015, 2016)))
 def test_depth_profile_equals_the_oracle(jobs, window_year):
-    table = JobTable.of(jobs)
+    table = table_of(jobs)
     for by in ("cores", "nodes"):
         assert repr(depth_profile(table, by, window_year)) == repr(
             oracle.depth_profile(jobs, by, window_year))
@@ -153,7 +153,7 @@ def test_depth_profile_equals_the_oracle(jobs, window_year):
     exclude_resources=st.sampled_from((frozenset(), {"GHOST"})),
     queues=st.sampled_from((None, {"shared"})), exclude_osg=st.booleans()))
 def test_filters_equal_the_oracle(jobs, filters):
-    table = JobTable.of(jobs, RESOURCES)
+    table = table_of(jobs, RESOURCES)
     assert filters.apply(table).row.tolist() == [
         i for i, job in enumerate(jobs) if oracle.keep(filters, job)]
 
@@ -183,7 +183,7 @@ def trace_strategy(draw):
 @given(trace_strategy())
 def test_queue_replay_equals_the_oracle(jobs):
     resources = {"OSG": make_resource(name="OSG", nodes=5)}
-    table = JobTable.of(jobs, resources)
+    table = table_of(jobs, resources)
     assert backlog.required_nodes_at_submit(table) == oracle.required_nodes(jobs)
     for sampling in ("event", "daily"):
         for resource in (None, "OSG", "TESTMACHINE"):
@@ -355,7 +355,7 @@ def row_selections(n):
 @settings(max_examples=60, deadline=None)
 @given(jobs_strategy(min_size=1), st.data())
 def test_a_take_of_a_take_reads_the_rows_of_the_built_table(jobs, data):
-    table = JobTable.of(jobs, RESOURCES)
+    table = table_of(jobs, RESOURCES)
     taken, rows = table, np.arange(len(table))
     for _ in range(data.draw(st.integers(1, 3))):
         selection = data.draw(row_selections(len(taken)))

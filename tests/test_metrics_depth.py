@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_job
+from conftest import T0, make_job, table_of
 from hpcwl.errors import EmptyProfile
-from hpcwl.jobtable import JobTable
 from hpcwl.metrics import DepthProfile, ProjectDepth, depth_profile, joint_ratio, width_curves
 
 YEAR = 365 * 86400
@@ -41,7 +40,7 @@ def oracle_joint_ratio(pairs):
 def test_depth_is_max_job_size():
     jobs = [make_job(job_id="a", cores=8, nodes=1),
             make_job(job_id="b", cores=1024, nodes=64)]
-    profile = depth_profile(JobTable.of(jobs), by="cores")
+    profile = depth_profile(table_of(jobs), by="cores")
     assert profile.projects[0].depth == 1024
     assert profile.projects[0].job_count == 2
 
@@ -49,7 +48,7 @@ def test_depth_is_max_job_size():
 def test_window_year_excludes_other_years():
     jobs = [make_job(job_id="a", cores=2048, nodes=128, submit=T0 - YEAR),
             make_job(job_id="b", cores=8, nodes=1, submit=T0)]
-    profile = depth_profile(JobTable.of(jobs), by="cores", window_year=2015)
+    profile = depth_profile(table_of(jobs), by="cores", window_year=2015)
     assert profile.projects[0].depth == 8
     assert profile.projects[0].job_count == 1
 
@@ -63,7 +62,7 @@ def test_five_project_fixture_matches_brute_force():
         for i, c in enumerate(sizes):
             jobs.append(make_job(job_id=f"{p}-{i}", charge_number=p,
                                  cores=c, nodes=max(1, c // 16)))
-    profile = depth_profile(JobTable.of(jobs), by="cores")
+    profile = depth_profile(table_of(jobs), by="cores")
     for project in profile.projects:
         depth, count = expect[project.project_id]
         assert project.depth == depth
@@ -74,7 +73,7 @@ def test_five_project_fixture_matches_brute_force():
 
 def test_nodes_variant():
     jobs = [make_job(job_id="a", cores=64, nodes=4)]
-    assert depth_profile(JobTable.of(jobs), by="nodes").projects[0].depth == 4
+    assert depth_profile(table_of(jobs), by="nodes").projects[0].depth == 4
 
 
 # --- joint_ratio ---------------------------------------------------------------

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_job, make_resource
+from conftest import T0, make_job, make_resource, table_of
 from hpcwl import backlog, metrics, statmodels
 from hpcwl.ingest import ResourceType, builtin_resources
-from hpcwl.jobtable import JobTable
 from hpcwl.metrics import (
     Filters,
     PerfColumns,
@@ -31,7 +30,7 @@ def real_resources():
 
 def test_two_jobs_same_quarter_full_share(test_resources):
     jobs = [make_job(job_id="a", local_su=30.0), make_job(job_id="b", local_su=70.0)]
-    table = usage_rollup(JobTable.of(jobs, test_resources), "parent_science", "xd_su",
+    table = usage_rollup(table_of(jobs, test_resources), "parent_science", "xd_su",
                          "quarter")
     rows = table.rows()
     assert len(rows) == 1
@@ -47,7 +46,7 @@ def test_exclude_osg_filter(test_resources):
                                      nodes=1000, cores_per_node=1)
     jobs = [make_job(job_id="h", resource="OSG", nodes=1, cores=1),
             make_job(job_id="k")]
-    table = usage_rollup(Filters(exclude_osg=True).apply(JobTable.of(jobs, resources)),
+    table = usage_rollup(Filters(exclude_osg=True).apply(table_of(jobs, resources)),
                          "resource", "jobs", "quarter")
     assert [row[1] for row in table.rows()] == ["TESTMACHINE"]
 
@@ -58,7 +57,7 @@ def test_queue_and_resource_filters(test_resources):
     jobs = [make_job(job_id="a", queue="shared"),
             make_job(job_id="b", queue="normal"),
             make_job(job_id="c", queue="shared", resource="OTHER")]
-    table = JobTable.of(jobs, resources)
+    table = table_of(jobs, resources)
     shared_only = Filters(queues=frozenset({"shared"}))
     assert shared_only.apply(table).job_id.tolist() == ["a", "c"]
     not_other = Filters(exclude_resources=frozenset({"OTHER"}))
@@ -72,7 +71,7 @@ def test_queue_and_resource_filters(test_resources):
 def test_job_without_factor_excluded_from_xd_rollup(real_resources):
     good = make_job(job_id="g", resource="TACC-STAMPEDE")
     bad = make_job(job_id="b", resource="NICS-KRAKEN")  # 2015: no Kraken factor
-    table = usage_rollup(JobTable.of([good, bad], real_resources), "resource", "xd_su",
+    table = usage_rollup(table_of([good, bad], real_resources), "resource", "xd_su",
                          "quarter")
     assert table.excluded_no_factor == 1
     assert list(table.totals["2015-Q3"]) == ["TACC-STAMPEDE"]
@@ -92,7 +91,7 @@ def test_twelve_job_fixture_matches_hand_table(test_resources):
             (q4, "Physics", 45), (q4, "Physics", 50)]):
         jobs.append(make_job(job_id=f"j{i}", submit=when,
                              parent_science=science, local_su=float(su)))
-    table = usage_rollup(JobTable.of(jobs, test_resources), "parent_science", "xd_su",
+    table = usage_rollup(table_of(jobs, test_resources), "parent_science", "xd_su",
                          "quarter")
     # hand table (local SU sums x factor 2.0):
     #   2015-Q3: Chemistry 80, Physics 120  -> shares 40 / 60
@@ -115,14 +114,14 @@ def test_period_shares_sum_to_100(cases):
     jobs = [make_job(job_id=f"j{i}", submit=T0 + day * 86400,
                      parent_science=science, local_su=su)
             for i, (science, su, day) in enumerate(cases)]
-    table = usage_rollup(JobTable.of(jobs, resources), "parent_science", "xd_su", "quarter")
+    table = usage_rollup(table_of(jobs, resources), "parent_science", "xd_su", "quarter")
     for period in table.totals:
         if sum(table.totals[period].values()) > 0:
             assert sum(table.shares(period).values()) == pytest.approx(100.0, abs=1e-6)
 
 
 def test_xd_su_analyses_need_a_table_built_with_the_resource_map():
-    table = JobTable.of([make_job()])
+    table = table_of([make_job()])
     for compute in (lambda: usage_rollup(table, "resource", "xd_su", "year"),
                     lambda: average_job_size(table),
                     lambda: single_node_serial_fractions(table),
@@ -143,7 +142,7 @@ def test_no_analysis_takes_its_own_resource_map():
 # --- job size distribution ---------------------------------------------------
 
 def test_single_core_job_in_first_bin(test_resources):
-    hist = job_size_distribution(JobTable.of([make_job(cores=1, nodes=1)]), weight="jobs")
+    hist = job_size_distribution(table_of([make_job(cores=1, nodes=1)]), weight="jobs")
     assert hist.weights[0] == 1.0
     assert hist.labels()[0] == "1"
     assert hist.grand_total() == 1.0
@@ -152,7 +151,7 @@ def test_single_core_job_in_first_bin(test_resources):
 def test_adjacent_bins_at_power_edge(test_resources):
     jobs = [make_job(job_id="a", cores=1024, nodes=64),
             make_job(job_id="b", cores=1025, nodes=65)]
-    hist = job_size_distribution(JobTable.of(jobs), weight="jobs")
+    hist = job_size_distribution(table_of(jobs), weight="jobs")
     edges = hist.edges
     labels = hist.labels()
     bin_a = labels[[i for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
@@ -166,13 +165,13 @@ def test_adjacent_bins_at_power_edge(test_resources):
 def test_weight_conservation(test_resources):
     jobs = [make_job(job_id=f"j{i}", cores=2 ** i, nodes=max(1, 2 ** i // 16))
             for i in range(10)]
-    hist = job_size_distribution(JobTable.of(jobs, test_resources), weight="core_hours")
+    hist = job_size_distribution(table_of(jobs, test_resources), weight="core_hours")
     assert hist.grand_total() == pytest.approx(sum(j.core_hours for j in jobs),
                                                rel=1e-12)
 
 
 def test_oversize_jobs_land_in_tail_bin():
-    hist = job_size_distribution(JobTable.of([make_job(cores=200000, nodes=12500)]))
+    hist = job_size_distribution(table_of([make_job(cores=200000, nodes=12500)]))
     assert hist.labels()[-1] == ">131072"
     assert hist.weights[-1] == 1.0
     assert hist.overflow == 0.0  # the tail bin is explicit, not overflow
@@ -188,7 +187,7 @@ def kraken_job(job_id="k1", cores=16, **kwargs):
 
 def test_all_kraken_effective_equals_actual(real_resources):
     jobs = [kraken_job(job_id=f"k{i}", cores=12 * (i + 1)) for i in range(5)]
-    table = JobTable.of(jobs, real_resources)
+    table = table_of(jobs, real_resources)
     actual = average_job_size(table, effective=False)
     effective = average_job_size(table, effective=True, kraken_factor=2.04)
     assert effective == pytest.approx(actual, rel=1e-12)
@@ -206,7 +205,7 @@ def test_weighted_average_is_convex_combination(real_resources):
                      local_su=100.0),
             make_job(job_id="b", resource="TACC-STAMPEDE", cores=256, nodes=16,
                      local_su=10.0)]
-    avg = average_job_size(JobTable.of(jobs, real_resources), weighted_by_xd_su=True)
+    avg = average_job_size(table_of(jobs, real_resources), weighted_by_xd_su=True)
     assert 16.0 <= avg <= 256.0
 
 
@@ -214,7 +213,7 @@ def test_weighted_average_is_convex_combination(real_resources):
 
 def test_all_single_node_is_100_pct(test_resources):
     jobs = [make_job(job_id=f"j{i}", nodes=1, cores=16) for i in range(4)]
-    shares = single_node_serial_fractions(JobTable.of(jobs, test_resources))
+    shares = single_node_serial_fractions(table_of(jobs, test_resources))
     assert shares[0].pct_jobs_single_node == 100.0
     assert shares[0].pct_xd_su_single_node == 100.0
 
@@ -225,7 +224,7 @@ def test_mixed_fixture_hand_count(test_resources):
         make_job(job_id="b", nodes=1, cores=16, local_su=30.0),  # single node
         make_job(job_id="c", nodes=4, cores=64, local_su=60.0),  # multi node
     ]
-    share = single_node_serial_fractions(JobTable.of(jobs, test_resources))[0]
+    share = single_node_serial_fractions(table_of(jobs, test_resources))[0]
     assert share.pct_jobs_single_node == pytest.approx(100 * 2 / 3)
     assert share.pct_xd_su_single_node == pytest.approx(40.0)
     assert share.pct_xd_su_serial == pytest.approx(10.0)
@@ -235,5 +234,5 @@ def test_serial_share_never_exceeds_single_node_share(test_resources):
     jobs = [make_job(job_id=f"j{i}", nodes=1, cores=1 if i % 2 else 16,
                      local_su=float(i + 1)) for i in range(9)]
     jobs.append(make_job(job_id="m", nodes=2, cores=32, local_su=11.0))
-    share = single_node_serial_fractions(JobTable.of(jobs, test_resources))[0]
+    share = single_node_serial_fractions(table_of(jobs, test_resources))[0]
     assert share.pct_xd_su_serial <= share.pct_xd_su_single_node

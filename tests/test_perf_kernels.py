@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rollups_oracle as oracle
-from conftest import GIB, column_arrays, make_job, make_resource, perf_columns
+from conftest import (GIB, column_arrays, jobs_of, make_job, make_resource, perf_columns,
+                      table_of)
 from hpcwl import synth
 from hpcwl.ingest import FactorWindow
-from hpcwl.jobtable import JobTable
 from hpcwl.metrics import (
     PerfColumns,
     concurrency_histograms,
@@ -200,9 +200,9 @@ def test_totals_add_in_job_order():
 
 def test_summary_lengths_must_match_the_table():
     jobs = [make_job(job_id="a"), make_job(job_id="b")]
-    perf = PerfColumns.join(JobTable.of(jobs[:1]), {})
+    perf = PerfColumns.join(table_of(jobs[:1]), {})
     with pytest.raises(ValueError, match="differ in length"):
-        lustre_stats(JobTable.of(jobs), perf)
+        lustre_stats(table_of(jobs), perf)
 
 
 # --- in the report --------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_nan_summary_fields_count_as_absent(tmp_path):
     base = synth.make_synthetic_dataset(seed=8, n_jobs=20).dataset
     job = make_job(job_id="nan-job", end=Q4_2015 + 3600, start=Q4_2015, submit=Q4_2015,
                    cores=16, local_su=10.0)
-    dataset = dataclasses.replace(base, jobs=[job], resources={spec.name: spec})
+    dataset = dataclasses.replace(base, jobs=jobs_of([job]), resources={spec.name: spec})
     nan_fields = {name: math.nan for name in (
         "cpu_user_fraction", "mem_avg_per_core", "mem_max_per_core", "lustre_rx",
         "lustre_tx", "runnable_threads_median", "file_opens")}

@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rollups_oracle as oracle
-from conftest import make_allocation, make_job, make_resource
+from conftest import make_allocation, make_job, make_resource, table_of
 from hpcwl import backlog, report, statmodels, synth
 from hpcwl.errors import HpcwlError
 from hpcwl.ingest import ExitStatus, FactorWindow
-from hpcwl.jobtable import JobTable
 from hpcwl.metrics import gateway_census, gateway_conversion, gateway_usage
 from hpcwl.metrics.gateways import DEFAULT_RELIABILITY_DATE, MODES
 from hpcwl.report import ReportContext
@@ -84,7 +83,7 @@ def kept_strategy(draw, max_size=30):
 def _forms(jobs, keep):
     """The kept jobs as records, for the oracle, and as rows taken from the
     whole table."""
-    table = JobTable.of(jobs, RESOURCES).take(keep)
+    table = table_of(jobs, RESOURCES).take(keep)
     return [job for job, kept in zip(jobs, keep.tolist()) if kept], table
 
 

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import jobs_of, table_of
 from hpcwl import report, synth
 from hpcwl.errors import UnknownAnalysis
 from hpcwl.ingest import ExitStatus
-from hpcwl.jobtable import JobTable
 from hpcwl.metrics import Filters, PerfColumns
 from hpcwl.report import (
     ANALYSES,
@@ -147,14 +147,14 @@ def test_kept_jobs_memo_matches_filtering_afresh(ctx, tmp_path, monkeypatch):
 
     def kept(run_ctx, filters):
         jobs = run_ctx.dataset.jobs
-        return list(compress(jobs, filters.mask(JobTable.of(jobs)).tolist()))
+        return list(compress(jobs, filters.mask(table_of(jobs)).tolist()))
 
     # a table built afresh from the kept records, not rows of the dataset's
-    monkeypatch.setattr(report, "_table", lambda run_ctx, filters: JobTable.of(
+    monkeypatch.setattr(report, "_table", lambda run_ctx, filters: table_of(
         kept(run_ctx, filters), run_ctx.dataset.resources))
     # and the summaries joined afresh to those rows
     monkeypatch.setattr(report, "_perf", lambda run_ctx, filters: PerfColumns.join(
-        JobTable.of(kept(run_ctx, filters)), run_ctx.summaries))
+        table_of(kept(run_ctx, filters)), run_ctx.summaries))
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "fresh")))
     assert _files(tmp_path / "memo") == _files(tmp_path / "fresh")
 
@@ -180,7 +180,7 @@ def test_filters_apply_runs_once_per_distinct_filters(ctx, tmp_path, monkeypatch
 
 
 def test_runs_on_different_datasets_share_no_kept_jobs(ctx, small_bundle, tmp_path):
-    fewer = dataclasses.replace(small_bundle.dataset, jobs=small_bundle.dataset.jobs[1:])
+    fewer = dataclasses.replace(small_bundle.dataset, jobs=jobs_of(small_bundle.dataset.jobs[1:]))
     mutable = dataclasses.replace(ctx)
     run_report(mutable, standard_bundle_spec(output_dir=str(tmp_path / "full")))
     mutable.dataset = fewer

@@ -3,24 +3,35 @@ import math
 import numpy as np
 import pytest
 
-from conftest import T0, make_job
+from conftest import T0, make_job, table_of
 from hpcwl.errors import DegenerateInput, SeparationDetected
 from hpcwl.ingest import ExitStatus
-from hpcwl.jobtable import JobTable
 from hpcwl.statmodels import (
+    Periodogram,
+    _direct_power,
+    _periodogram,
+    _series,
     bin_counts,
     default_frequency_grid,
     exit_code_table,
     fit_logistic,
     fit_node_fail,
     lomb_scargle,
-    _lomb_scargle_direct,
     logistic_gradient,
     logistic_loglike,
     model_covariate,
 )
 
 HOURS_180D = 180 * 24
+
+
+def _lomb_scargle_direct(times_seconds, values=None, freq_grid_per_day=None,
+                         bin_seconds: int = 3600) -> Periodogram:
+    """lomb_scargle by the direct O(N*M) sums alone (the test oracle)."""
+    _, t, dy, variance, freqs = _series(times_seconds, values,
+                                        freq_grid_per_day, bin_seconds)
+    return _periodogram(freqs, _direct_power(t, dy, freqs) / (2.0 * variance),
+                        len(t))
 
 
 def hourly_times():
@@ -188,7 +199,7 @@ def failure_jobs(n, seed, beta0=-6.0, beta1=0.002, wall_seconds=3600):
 
 
 def test_coefficient_recovery_moderate_sample():
-    fit = fit_node_fail(JobTable.of(failure_jobs(40000, seed=3)))
+    fit = fit_node_fail(table_of(failure_jobs(40000, seed=3)))
     assert fit.converged
     assert abs(fit.beta0 - (-6.0)) / 6.0 < 0.1
     assert abs(fit.beta1 - 0.002) / 0.002 < 0.1
@@ -199,11 +210,11 @@ def test_all_success_is_an_error():
     jobs = [make_job(job_id=f"j{i}", exit_status=ExitStatus.COMPLETED)
             for i in range(100)]
     with pytest.raises(DegenerateInput):
-        fit_node_fail(JobTable.of(jobs))
+        fit_node_fail(table_of(jobs))
 
 
 def test_predicted_probability_monotone_in_nodes():
-    fit = fit_node_fail(JobTable.of(failure_jobs(20000, seed=1)))
+    fit = fit_node_fail(table_of(failure_jobs(20000, seed=1)))
     assert fit.beta1 > 0
     probs = [fit.predict(x) for x in (1, 10, 100, 1000, 6400)]
     assert all(a < b for a, b in zip(probs, probs[1:]))
@@ -211,11 +222,11 @@ def test_predicted_probability_monotone_in_nodes():
 
 def test_fit_invariant_under_permutation():
     jobs = failure_jobs(5000, seed=7)
-    fit_a = fit_node_fail(JobTable.of(jobs))
+    fit_a = fit_node_fail(table_of(jobs))
     rng = np.random.default_rng(0)
     shuffled = list(jobs)
     rng.shuffle(shuffled)
-    fit_b = fit_node_fail(JobTable.of(shuffled))
+    fit_b = fit_node_fail(table_of(shuffled))
     assert fit_a.beta0 == pytest.approx(fit_b.beta0, rel=1e-9)
     assert fit_a.beta1 == pytest.approx(fit_b.beta1, rel=1e-9)
 
@@ -223,7 +234,7 @@ def test_fit_invariant_under_permutation():
 def test_recovery_error_decreases_with_sample_size():
     errors = []
     for n in (10**4, 10**5):
-        fit = fit_node_fail(JobTable.of(failure_jobs(n, seed=3)))
+        fit = fit_node_fail(table_of(failure_jobs(n, seed=3)))
         errors.append(max(abs(fit.beta0 + 6.0) / 6.0,
                           abs(fit.beta1 - 0.002) / 0.002))
     assert errors[1] < errors[0]
@@ -256,7 +267,7 @@ def test_perfect_separation_detected():
                                   else ExitStatus.COMPLETED))
             for i, n in enumerate(list(range(1, 101)) + list(range(101, 201)))]
     with pytest.raises(SeparationDetected):
-        fit_node_fail(JobTable.of(jobs))
+        fit_node_fail(table_of(jobs))
 
 
 def test_include_failed_widens_label():
@@ -268,8 +279,8 @@ def test_include_failed_widens_label():
         jobs.append(make_job(job_id=f"j{i}", nodes=nd, cores=nd * 16,
                              exit_status=status))
     with pytest.raises(DegenerateInput):
-        fit_node_fail(JobTable.of(jobs))  # no node_fail labels at all
-    fit = fit_node_fail(JobTable.of(jobs), include_failed=True)
+        fit_node_fail(table_of(jobs))  # no node_fail labels at all
+    fit = fit_node_fail(table_of(jobs), include_failed=True)
     assert fit.n_failures == sum(1 for j in jobs
                                  if j.exit_status is ExitStatus.FAILED)
 
@@ -278,7 +289,7 @@ def test_walltime_pow_nodes_covariate_clamps():
     # tiny wall years to a large node power underflows without the clamp
     jobs = [make_job(job_id="a", nodes=400, cores=6400, end=T0 + 600 + 60),
             make_job(job_id="b", nodes=1, cores=16)]
-    x, clamped = model_covariate(JobTable.of(jobs), "walltime_pow_nodes")
+    x, clamped = model_covariate(table_of(jobs), "walltime_pow_nodes")
     assert clamped == 1
     assert np.all(np.isfinite(x))
     assert x[0] > 0
@@ -297,7 +308,7 @@ def test_walltime_model_fits_data_from_its_own_family():
         jobs.append(make_job(job_id=f"j{i}", nodes=nd, cores=nd * 16,
                              end=T0 + 600 + int(wall_years * year_seconds),
                              exit_status=status))
-    fit = fit_node_fail(JobTable.of(jobs), model="walltime_pow_nodes")
+    fit = fit_node_fail(table_of(jobs), model="walltime_pow_nodes")
     assert fit.converged
     assert math.isfinite(fit.beta1) and math.isfinite(fit.se1)
     assert abs(fit.beta1 - 0.8) / 0.8 < 0.3
@@ -309,14 +320,14 @@ def test_walltime_model_fits_data_from_its_own_family():
 def test_exit_code_counts():
     jobs = ([make_job(job_id=f"c{i}") for i in range(3)]
             + [make_job(job_id="f", exit_status=ExitStatus.FAILED)])
-    table = exit_code_table(JobTable.of(jobs))["TESTMACHINE"]
+    table = exit_code_table(table_of(jobs))["TESTMACHINE"]
     assert table["completed"] == 3
     assert table["failed"] == 1
     assert table["total"] == 4
 
 
 def test_absent_statuses_are_zero():
-    table = exit_code_table(JobTable.of([make_job()]))["TESTMACHINE"]
+    table = exit_code_table(table_of([make_job()]))["TESTMACHINE"]
     for status in ("canceled", "timeout", "failed", "node_fail", "not_available"):
         assert table[status] == 0
 
@@ -326,7 +337,7 @@ def test_fixture_matches_hand_tally():
         [ExitStatus.TIMEOUT, ExitStatus.NODE_FAIL, ExitStatus.NODE_FAIL]
     jobs = [make_job(job_id=f"j{i}", exit_status=s, resource="TESTMACHINE")
             for i, s in enumerate(statuses)]
-    table = exit_code_table(JobTable.of(jobs))["TESTMACHINE"]
+    table = exit_code_table(table_of(jobs))["TESTMACHINE"]
     assert (table["completed"], table["canceled"], table["timeout"],
             table["node_fail"], table["failed"]) == (5, 2, 1, 2, 0)
     assert table["total"] == len(jobs)
