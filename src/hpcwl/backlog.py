@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyGroup
-from .jobtable import SECONDS_PER_DAY, JobTable, one_group
+from .jobtable import SECONDS_PER_DAY, JobTable, distinct, one_group
 from .stats import inverse_cdf, quantile, total
 
 SECONDS_PER_CORE_YEAR = 3600.0 * 24.0 * 365.0
@@ -46,11 +46,21 @@ class BacklogSeries:
     infeasible_times: list[int] = field(default_factory=list)
 
 
-def _through(times: np.ndarray, amounts: np.ndarray, instants: np.ndarray) -> np.ndarray:
-    """Total of the amounts whose time is at or before each instant."""
-    order = np.argsort(times, kind="stable")
-    running = np.concatenate(([0], np.cumsum(amounts[order])))
-    return running[np.searchsorted(times[order], instants, side="right")]
+class _Sorted:
+    """One time column in stable time order, sorted once for any number of
+    totals over its rows."""
+
+    __slots__ = ("order", "times")
+
+    def __init__(self, times: np.ndarray):
+        self.order = np.argsort(times, kind="stable")
+        self.times = times[self.order]
+
+    def through(self, amounts: np.ndarray, instants: np.ndarray) -> np.ndarray:
+        """Total of the amounts, one per row, whose time is at or before
+        each instant."""
+        running = np.concatenate(([0], np.cumsum(amounts[self.order])))
+        return running[np.searchsorted(self.times, instants, side="right")]
 
 
 def _of_resource(table: JobTable, resource: str | None) -> JobTable:
@@ -75,24 +85,23 @@ def backlog_series(table: JobTable, resource: str | None = None,
     series = BacklogSeries(resource=resource or "all", sampling=sampling)
     if not len(table):
         return series
-    event_times = np.unique(np.concatenate((table.submit, table.start, table.end)))
+    submit, start, end = map(_Sorted, (table.submit, table.start, table.end))
+    event_times = distinct(np.concatenate((submit.times, start.times, end.times)))
     if sampling == "daily":
         first = -(-event_times[0] // SECONDS_PER_DAY) * SECONDS_PER_DAY
         samples = np.arange(first, event_times[-1] + 1, SECONDS_PER_DAY)
     else:
         samples = event_times
-    core_seconds = table.cores * (table.end - table.start)
-    started = _through(table.start, table.nodes, samples)
-    running = started - _through(table.end, table.nodes, samples)
-    queued = _through(table.submit, table.nodes, samples) - started
-    queued_cs = (_through(table.submit, core_seconds, samples)
-                 - _through(table.start, core_seconds, samples))
+    nodes, core_seconds = table.nodes, table.cores * (table.end - table.start)
+    started = start.through(nodes, samples)
+    running = started - end.through(nodes, samples)
+    queued = submit.through(nodes, samples) - started
+    queued_cs = submit.through(core_seconds, samples) - start.through(core_seconds, samples)
     series.points = list(map(BacklogPoint, samples.tolist(), queued_cs.tolist(),
                              running.tolist(), queued.tolist()))
     if spec is not None:
         if sampling == "daily":
-            running = (_through(table.start, table.nodes, event_times)
-                       - _through(table.end, table.nodes, event_times))
+            running = start.through(nodes, event_times) - end.through(nodes, event_times)
         series.infeasible_times = event_times[running > spec.nodes].tolist()
     return series
 
@@ -101,8 +110,8 @@ def required_nodes_at_submit(table: JobTable) -> list[int]:
     """R_j for each job, in job order: running + queued nodes at its submit
     instant, every job submitted at that instant included.  That is the
     nodes submitted at or before the instant less those ended by then."""
-    return (_through(table.submit, table.nodes, table.submit)
-            - _through(table.end, table.nodes, table.submit)).tolist()
+    return (_Sorted(table.submit).through(table.nodes, table.submit)
+            - _Sorted(table.end).through(table.nodes, table.submit)).tolist()
 
 
 @dataclass(frozen=True)

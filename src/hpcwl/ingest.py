@@ -16,7 +16,7 @@ import json.scanner
 import math
 import re
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from enum import Enum
 from functools import cache, cached_property
@@ -296,17 +296,21 @@ class Dataset:
     resources: Mapping[str, ResourceSpec]
     quality_flags: tuple[QualityFlag, ...] = ()
 
+    def __post_init__(self):
+        if not isinstance(self.jobs, JobSequence):
+            raise TypeError(f"Dataset.jobs must be a JobSequence, not {type(self.jobs).__name__}")
+
     @cached_property
     def job_table(self) -> JobTable:
         """The jobs as columns, built on first use."""
         return JobTable.from_columns(self.jobs.columns, self.resources)
 
     def resolve_flag(self, flag: QualityFlag):
-        """Return the record a quality flag points at, or None."""
+        """Return the record a quality flag points at, or None.  A job's
+        record is built for the first job with the flag's job_id only."""
         if flag.kind == "job":
-            for job in self.jobs:
-                if job.job_id == flag.locator:
-                    return job
+            rows = np.flatnonzero(self.jobs.columns["job_id"] == flag.locator)
+            return self.jobs.take(rows[:1])[0] if len(rows) else None
         elif flag.kind == "allocation":
             for alloc in self.allocations:
                 if f"{alloc.charge_number}/{alloc.resource}" == flag.locator:
@@ -1016,8 +1020,8 @@ def build_dataset(jobs: JobSequence,
     ``JobSequence``, from ``load_jobs`` or ``JobSequence.from_values``),
     without building a record; jobs on unknown resources are dropped with a
     quality flag so the resource-resolution invariant holds."""
-    if not isinstance(jobs, JobSequence):
-        raise TypeError(f"build_dataset takes a JobSequence, not {type(jobs).__name__}")
+    dataset = Dataset(jobs=jobs, allocations=tuple(allocations),
+                      resources=MappingProxyType(dict(resources)))
     flags: list[QualityFlag] = []
     resource, job_ids = jobs.columns["resource"], jobs.columns["job_id"]
     known = np.array([name in resources for name in resource.values],
@@ -1026,7 +1030,7 @@ def build_dataset(jobs: JobSequence,
         name = resource.values[resource.codes[i]]
         flags.append(QualityFlag("job", job_ids[i], "unknown_resource", name))
     seen_keys: set[tuple[str, str]] = set()
-    for alloc in allocations:
+    for alloc in dataset.allocations:
         locator = f"{alloc.charge_number}/{alloc.resource}"
         if alloc.key in seen_keys:
             flags.append(QualityFlag("allocation", locator, "duplicate_allocation"))
@@ -1035,12 +1039,8 @@ def build_dataset(jobs: JobSequence,
             flags.append(QualityFlag("allocation", locator, "unused_allocation"))
         if alloc.resource not in resources:
             flags.append(QualityFlag("allocation", locator, "unknown_resource", alloc.resource))
-    return Dataset(
-        jobs=jobs if known.all() else jobs.take(known),
-        allocations=tuple(allocations),
-        resources=MappingProxyType(dict(resources)),
-        quality_flags=tuple(flags),
-    )
+    return replace(dataset, jobs=jobs if known.all() else jobs.take(known),
+                   quality_flags=tuple(flags))
 
 
 def validate(dataset: Dataset) -> list[QualityFlag]:

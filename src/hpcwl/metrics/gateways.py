@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import SchemaError
 from ..ingest import AllocationRecord, _as_str, _raw_rows, utc_date
-from ..jobtable import Codes, JobTable, group_totals, one_group
+from ..jobtable import Codes, JobTable, distinct, group_totals, one_group
 
 MODES = ("community_user", "associated_allocation", "gateway_tagged")
 UNTAGGED_GATEWAY = "(untagged-gateway)"
@@ -106,7 +106,7 @@ def gateway_usage(table: JobTable,
         # the gateways whose community users charged each project
         key, width = table.project, len(table.user.names)
         charged: list[set[str]] = [set() for _ in key.names]
-        for pair in np.unique(key.codes.astype(np.int64) * width + table.user.codes).tolist():
+        for pair in distinct(key.codes.astype(np.int64) * width + table.user.codes).tolist():
             project, user = divmod(pair, width)
             if gateway_of_user[user] is not None:
                 charged[project].add(gateway_of_user[user])
@@ -117,7 +117,7 @@ def gateway_usage(table: JobTable,
                            for name, gateways in zip(key.names, gateways_of)]
     rows, gateway = _attributed(key, gateways_of)
     no_factor = np.isnan(xd_su)
-    usage.excluded_no_factor = int(np.count_nonzero(no_factor[np.unique(rows)]))
+    usage.excluded_no_factor = int(np.count_nonzero(no_factor[distinct(rows)]))
     columns = (np.ones(len(rows)), table.local_su[rows], np.where(no_factor, 0.0, xd_su)[rows])
     usage.per_gateway = _entries(one_group(len(rows)), gateway, columns).get("all", {})
     usage.series = _entries(periods.take(rows), gateway, columns)
@@ -155,7 +155,7 @@ def _gateway_users(table: JobTable, community_users: Mapping[str, str]
 def _active_and_new(period: np.ndarray, who: np.ndarray, n_periods: int) -> list[list[int]]:
     """Per period code: the distinct identities with a row in it, and those
     whose first period (the least label) it is."""
-    active = np.unique(who.astype(np.int64) * n_periods + period) % n_periods
+    active = distinct(who.astype(np.int64) * n_periods + period) % n_periods
     return [np.bincount(p, minlength=n_periods).tolist() for p in (active, _firsts(who, period)[1])]
 
 

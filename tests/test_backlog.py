@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import T0, make_job, make_resource, table_of
+from hpcwl import backlog
 from hpcwl.backlog import (
     SECONDS_PER_CORE_YEAR,
     backlog_series,
@@ -127,6 +130,31 @@ def test_infeasible_running_flagged():
     jobs = [trace_job("a", 0, 0, 100, nodes=2), trace_job("b", 0, 0, 100, nodes=1)]
     series = backlog_series(table_of(jobs, {"TESTMACHINE": tiny}), "TESTMACHINE")
     assert series.infeasible_times
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 2**40)), max_size=40),
+       st.lists(st.integers(-7, 7), max_size=10))
+def test_sorted_totals_equal_the_brute_force_sums(rows, instants):
+    times = np.array([t for t, _ in rows], dtype=np.int64)
+    amounts = np.array([a for _, a in rows], dtype=np.int64)
+    got = backlog._Sorted(times).through(amounts, np.array(instants, dtype=np.int64))
+    assert got.tolist() == [sum(a for t, a in rows if t <= x) for x in instants]
+
+
+@pytest.mark.parametrize("sampling", ["event", "daily"])
+def test_a_replay_sorts_each_time_column_once(sampling, monkeypatch):
+    tiny = make_resource(nodes=2)
+    jobs = [trace_job("a", 0, 0, 3000, nodes=2), trace_job("b", 10, 20, 4000, nodes=1),
+            trace_job("c", 5, 2000, 2100, nodes=1)]
+    table = table_of(jobs, {"TESTMACHINE": tiny})
+    expected = backlog_series(table, "TESTMACHINE", sampling)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    series = backlog_series(table, "TESTMACHINE", sampling)
+    assert len(calls) == 3
+    assert series.infeasible_times and series == expected
 
 
 # --- wait statistics ------------------------------------------------------------

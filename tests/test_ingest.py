@@ -497,6 +497,30 @@ def test_build_dataset_takes_loaded_jobs_only(test_resources):
         build_dataset([make_job()], [], test_resources)
 
 
+def test_a_dataset_holds_loaded_jobs_only(test_resources):
+    dataset = dataset_of([make_job()], [], test_resources)
+    with pytest.raises(TypeError, match="must be a JobSequence, not list"):
+        ingest.Dataset(jobs=[make_job()], allocations=(), resources=test_resources)
+    with pytest.raises(TypeError, match="must be a JobSequence, not list"):
+        dataclasses.replace(dataset, jobs=list(dataset.jobs))
+
+
+def test_resolving_a_job_flag_builds_one_record(test_resources, monkeypatch):
+    jobs = [make_job(job_id=f"j{i % 4}", nodes=1 + i, cores=16 * (1 + i)) for i in range(8)]
+    flags = [ingest.QualityFlag("job", locator, "geometry") for locator in ("j2", "j0", "nope")]
+    expected = [next((job for job in dataset_of(jobs, [], test_resources).jobs
+                      if job.job_id == flag.locator), None) for flag in flags]
+    assert expected[0].nodes == 3 and expected[2] is None
+    built = []
+    post_init = JobRecord.__post_init__
+    monkeypatch.setattr(JobRecord, "__post_init__", lambda job: built.append(job) or post_init(job))
+    for flag, record in zip(flags, expected):
+        dataset = dataset_of(jobs, [], test_resources)
+        built.clear()
+        assert dataset.resolve_flag(flag) == record
+        assert len(built) == (record is not None)
+
+
 # --- malformed lines and non-string values ----------------------------------
 
 ALLOCATION_ROW = {"charge_number": "TG-1", "resource": "R", "alloc_type": "Startup",

@@ -1,7 +1,9 @@
 """The columnar kernels against the record-at-a-time oracle, by repr."""
+import ast
 import dataclasses
 import math
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hpcwl.ingest import (
     job_xd_su,
     utc_date,
 )
-from hpcwl.jobtable import Codes, JobTable, period_key
+from hpcwl.jobtable import Codes, JobTable, distinct, period_key
 from hpcwl.metrics import (
     Filters,
     average_job_size,
@@ -261,6 +263,9 @@ class _TableOnly(Dataset):
     """A dataset whose job records raise on any access; its job table is
     set after it is built."""
 
+    def __post_init__(self):
+        pass  # it holds no jobs to check
+
     @property
     def jobs(self):
         raise AssertionError("the report read the job records")
@@ -401,3 +406,43 @@ def test_a_take_of_rows_the_table_lacks_is_an_index_error(ctx):
         for rows in (np.ones(n - 1, dtype=bool), np.array([0, n]), np.array([-n - 1])):
             with pytest.raises(IndexError):
                 columns.take(rows)
+
+
+# --- distinct values without numpy.ma -----------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**62, 2**62) | st.integers(-3, 3), max_size=60))
+def test_distinct_equals_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    expected = np.unique(values)
+    got = distinct(values)
+    assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), max_size=30))))
+def test_present_is_the_names_some_row_has(case):
+    n, codes = case
+    column = Codes(tuple(f"name{i}" for i in range(n)), np.array(codes, dtype=np.int32))
+    assert column.present() == [column.names[code] for code in np.unique(column.codes).tolist()]
+
+
+def _plain_unique_calls(source: str) -> list[int]:
+    """Lines of the np.unique calls in some source that pass no return_* flag."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and not any((k.arg or "").startswith("return_") for k in node.keywords)]
+
+
+def test_src_has_no_plain_np_unique_call():
+    # a plain np.unique imports numpy.ma on its first call; jobtable.distinct
+    # gives the same values without it
+    assert _plain_unique_calls("np.unique(a)\nnp.unique(a, return_index=True)\n"
+                               "numpy.unique(\n    a, axis=0)\n") == [1, 3]
+    src = Path(__file__).resolve().parents[1] / "src" / "hpcwl"
+    found = {str(path.relative_to(src)): lines for path in sorted(src.rglob("*.py"))
+             if (lines := _plain_unique_calls(path.read_text("utf-8")))}
+    assert found == {}

@@ -293,6 +293,24 @@ def test_bundle_bytes_do_not_depend_on_builtin_float_sum(ctx, tmp_path, monkeypa
     assert changed == []
 
 
+def _python(code: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *args], check=True, env=env,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_a_report_run_imports_no_numpy_ma(tmp_path):
+    # np.unique with no return_* flag imports numpy.ma on its first call
+    if _python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("this numpy loads numpy.ma on import")
+    code = ("import sys\n"
+            "from hpcwl.cli import main\n"
+            "status = main(['report', '--demo', '--demo-jobs', '1000', '--outdir', sys.argv[1]])\n"
+            "print(status, 'numpy.ma' in sys.modules)\n")
+    assert _python(code, str(tmp_path / "demo")).splitlines()[-1] == "0 False"
+    assert verify_manifest(tmp_path / "demo")
+
+
 def test_demo_bundle_does_not_depend_on_the_hash_seed(tmp_path):
     # string sets iterate in hash order; the job table's codes must not
     manifests = []
