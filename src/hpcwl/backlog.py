@@ -80,7 +80,7 @@ def backlog_series(table: JobTable, resource: str | None = None,
     """
     if sampling not in ("event", "daily"):
         raise ValueError(f"unknown sampling {sampling!r}")
-    spec = (table.resources or {}).get(resource)
+    spec = table.resources.get(resource)
     table = _of_resource(table, resource)
     series = BacklogSeries(resource=resource or "all", sampling=sampling)
     if not len(table):
@@ -137,7 +137,7 @@ def capacity_estimates(table: JobTable, resource: str,
     for target in targets:
         if not 0 < target < 1:
             raise ValueError("target must be in (0, 1)")
-    spec, pool = (table.resources or {}).get(resource), _of_resource(table, resource)
+    spec, pool = table.resources.get(resource), _of_resource(table, resource)
     if not len(pool):
         raise EmptyGroup(resource)
     if time_weighted:

@@ -19,6 +19,7 @@ from . import appident, report, statmodels, synth
 from .archives import load_archives
 from .errors import HpcwlError, SchemaError
 from .ingest import (
+    Dataset,
     _as_day,
     build_dataset,
     builtin_resources,
@@ -66,6 +67,19 @@ def _guess_format(path: str, override: str | None) -> str:
     return "csv" if path.endswith(".csv") else "jsonl"
 
 
+def _load_inputs(jobs_path: str, alloc_path: str | None, resources_path: str | None,
+                 fmt: str | None) -> tuple[Dataset, list]:
+    """The dataset of the input files and the rows they rejected, loaded
+    resources first, then jobs, then allocations.  With no resources path
+    the built-in table is used; with no allocations path there are none."""
+    resources = load_resources(resources_path) if resources_path else builtin_resources()
+    rejects: list = []
+    jobs = load_jobs(jobs_path, _guess_format(jobs_path, fmt), rejects)
+    allocations = (load_allocations(alloc_path, _guess_format(alloc_path, fmt), rejects)
+                   if alloc_path else [])
+    return build_dataset(jobs, allocations, resources), rejects
+
+
 def _build_context(args, config) -> report.ReportContext:
     section = config["inputs"] if config.has_section("inputs") else {}
     jobs_path = args.jobs or section.get("jobs")
@@ -73,20 +87,9 @@ def _build_context(args, config) -> report.ReportContext:
         raise FileNotFoundError("no job input: pass --jobs (or configure "
                                 "[inputs] jobs) or use --demo")
     if args.demo:
-        bundle = synth.make_synthetic_dataset(seed=args.seed, n_jobs=args.demo_jobs)
-        return report.ReportContext(
-            dataset=bundle.dataset, summaries=bundle.summaries,
-            community_users=bundle.community_users, user_email=bundle.user_email,
-            population_by_state=bundle.population_by_state,
-            tech_index_by_state=bundle.tech_index_by_state)
-    resources_path = args.resources or section.get("resources")
-    resources = load_resources(resources_path) if resources_path else builtin_resources()
-    rejects: list = []
-    jobs = load_jobs(jobs_path, _guess_format(jobs_path, args.format), rejects)
-    alloc_path = args.allocations or section.get("allocations")
-    allocations = (load_allocations(alloc_path, _guess_format(alloc_path, args.format), rejects)
-                   if alloc_path else [])
-    dataset = build_dataset(jobs, allocations, resources)
+        return synth.make_synthetic_dataset(seed=args.seed, n_jobs=args.demo_jobs)
+    dataset, rejects = _load_inputs(jobs_path, args.allocations or section.get("allocations"),
+                                    args.resources or section.get("resources"), args.format)
     community_path = args.community_users or section.get("community_users")
     community = {}
     if community_path:
@@ -97,14 +100,7 @@ def _build_context(args, config) -> report.ReportContext:
 
 
 def _cmd_ingest(args, config) -> int:
-    resources = (load_resources(args.resources) if args.resources
-                 else builtin_resources())
-    rejects: list = []
-    jobs = load_jobs(args.jobs, _guess_format(args.jobs, args.format), rejects)
-    allocations = (load_allocations(args.allocations,
-                                    _guess_format(args.allocations, args.format), rejects)
-                   if args.allocations else [])
-    dataset = build_dataset(jobs, allocations, resources)
+    dataset, rejects = _load_inputs(args.jobs, args.allocations, args.resources, args.format)
     if args.rejects:
         write_rejection_report(rejects, args.rejects)
     print(json.dumps({

@@ -15,7 +15,6 @@ import json
 import json.scanner
 import math
 import re
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from enum import Enum
@@ -84,16 +83,13 @@ class AllocType(str, Enum):
     SOFTWARE_TESTBEDS = "SoftwareTestbeds"
 
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
 def utc_date(epoch_seconds: int) -> date:
     """UTC calendar day of integer Unix seconds.
 
     Floor division keeps days before 1970 right; equals
     ``datetime.fromtimestamp(epoch_seconds, tz=timezone.utc).date()``.
     """
-    return date.fromordinal(_EPOCH_ORDINAL + epoch_seconds // 86400)
+    return day_date(epoch_seconds // SECONDS_PER_DAY)
 
 
 class _BrokenRule(ValueError):
@@ -288,8 +284,7 @@ class Rejection:
 @dataclass(frozen=True)
 class Dataset:
     """Immutable container for the four normalized inputs.  ``jobs`` is the
-    ``JobSequence`` of the jobs, which builds its records only when they
-    are read."""
+    ``JobSequence`` of the jobs, held as columns."""
 
     jobs: JobSequence
     allocations: tuple[AllocationRecord, ...]
@@ -310,7 +305,7 @@ class Dataset:
         record is built for the first job with the flag's job_id only."""
         if flag.kind == "job":
             rows = np.flatnonzero(self.jobs.columns["job_id"] == flag.locator)
-            return self.jobs.take(rows[:1])[0] if len(rows) else None
+            return self.jobs.take(rows[:1]).records()[0] if len(rows) else None
         elif flag.kind == "allocation":
             for alloc in self.allocations:
                 if f"{alloc.charge_number}/{alloc.resource}" == flag.locator:
@@ -772,8 +767,8 @@ def _screen(chunk: _Chunk, reject_sink: list | None):
 
 
 def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobSequence:
-    """Load job accounting records in file order, as a read-only sequence
-    of JobRecords backed by columns (see ``JobSequence``).
+    """Load job accounting records in file order, as the columns of a
+    ``JobSequence``.
 
     With reject_sink=None any malformed row raises immediately.  When a list
     is supplied, malformed rows are appended to it as Rejection entries and
@@ -836,17 +831,15 @@ def load_allocations(path, fmt: str = "jsonl", reject_sink: list | None = None) 
     return records
 
 
-class JobSequence(SequenceABC):
+class JobSequence:
     """Jobs as ``columns``, one per JobRecord field as
-    ``JobTable.from_columns`` reads them, and a read-only sequence of
-    JobRecords: the records are built, all at once, the first time one is
-    read, and kept.  Equal to a list or tuple of the same records."""
+    ``JobTable.from_columns`` reads them.  ``records()`` builds the jobs'
+    JobRecords on request; nothing keeps them."""
 
-    __slots__ = ("columns", "_records")
+    __slots__ = ("columns",)
 
     def __init__(self, columns: Mapping[str, np.ndarray | Factor]):
         self.columns = columns
-        self._records: tuple[JobRecord, ...] | None = None
 
     @classmethod
     def from_values(cls, values: Mapping[str, Sequence]) -> JobSequence:
@@ -870,28 +863,14 @@ class JobSequence(SequenceABC):
                 raise _BrokenRule(field_name, reason, f"job {columns['job_id'][broken[0]]}")
         return cls(columns)
 
-    def _built(self) -> tuple[JobRecord, ...]:
-        if self._records is None:
-            columns = self.columns
-            self._records = tuple(map(JobRecord, *(columns[name].tolist()
-                                                   for name in JOB_FIELDS)))
-        return self._records
+    def records(self) -> list[JobRecord]:
+        """The jobs' JobRecords in order, built in one pass over the
+        columns on each call."""
+        columns = self.columns
+        return list(map(JobRecord, *(columns[name].tolist() for name in JOB_FIELDS)))
 
     def __len__(self) -> int:
         return len(self.columns["job_id"])
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __eq__(self, other):
-        if isinstance(other, JobSequence | list | tuple):
-            return len(self) == len(other) and self._built() == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"JobSequence({len(self)} jobs)"

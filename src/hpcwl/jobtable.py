@@ -11,8 +11,10 @@ to right from 0.0 in row order, as ``stats.total`` does (``np.sum`` sums
 pairwise and is not used for report values).
 
 ``JobTable.from_columns`` builds the table from the jobs' columns, one per
-``JobRecord`` field (``ingest.JobSequence.columns``), and is the one place
-the derived columns are computed.
+``JobRecord`` field (``ingest.JobSequence.columns``), and a resource map,
+and is the one place the derived columns are computed.  A resource the map
+does not describe (every resource, for an empty map) has a NaN SU factor
+and XD SU and the type "unknown".
 
 ``JobTable.take`` copies no column up front.  A taken table holds the table
 built by ``from_columns`` and the numbers of its selected rows, and copies a
@@ -138,8 +140,7 @@ class Factor:
 @dataclass(frozen=True, eq=False)
 class JobTable:
     """One row per job.  ``resources`` is the resource map the table was
-    built with; it, ``su_factor``, ``xd_su`` and ``rtype`` are None for a
-    table built without one."""
+    built with."""
 
     row: np.ndarray         # position in the job sequence the table was built from
     job_id: np.ndarray      # object array of the job id strings; ids may repeat
@@ -154,9 +155,9 @@ class JobTable:
     core_hours: np.ndarray  # cores * ((end - start) / 3600.0), as JobRecord
     node_hours: np.ndarray
     local_su: np.ndarray    # float64 local SU charged
-    su_factor: np.ndarray | None  # float64, NaN where no factor window covers the end day
-    xd_su: np.ndarray | None      # local SU x su_factor (NaN likewise)
-    rtype: Codes | None     # the resource's type, "unknown" for an unknown resource
+    su_factor: np.ndarray   # float64, NaN where no factor window covers the end day
+    xd_su: np.ndarray       # local SU x su_factor (NaN likewise)
+    rtype: Codes            # the resource's type, "unknown" for an undescribed resource
     resource: Codes
     project: Codes          # charge number
     user: Codes
@@ -169,31 +170,27 @@ class JobTable:
     exit_status: Codes
     gateway_user: Codes     # "" where there is none; has_gateway_user tells which
     has_gateway_user: np.ndarray  # bool: the gateway user is not None ("" is a name)
-    resources: Mapping[str, ResourceSpec] | None
+    resources: Mapping[str, ResourceSpec]
 
     def __post_init__(self):
         read_only(self)
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, np.ndarray | Factor],
-                     resources: Mapping[str, ResourceSpec] | None = None) -> JobTable:
+                     resources: Mapping[str, ResourceSpec]) -> JobTable:
         """The table of the jobs in ``columns``, one per JobRecord field:
         ``job_id`` an object array, the int fields int64,
         ``local_su_charged`` float64 and every other field a ``Factor`` of
         the record's values (enum members, and None for an absent optional
         string).  ``resources`` gives the SU factor, XD SU and type
-        columns."""
+        columns; an empty map describes no resource."""
         submit, start, end = columns["submit_time"], columns["start_time"], columns["end_time"]
         nodes, cores = columns["nodes"], columns["cores"]
         end_day = end // SECONDS_PER_DAY
         hours = (end - start) / 3600.0
         coded = {name: columns[field].names(name_of) for name, (field, name_of) in _CODED.items()}
         local_su = columns["local_su_charged"]
-        su_factor = xd_su = rtype = None
-        if resources is not None:
-            su_factor = _su_factors(coded["resource"], end_day, resources)
-            xd_su = local_su * su_factor
-            rtype = _resource_types(coded["resource"], resources)
+        su_factor = _su_factors(coded["resource"], end_day, resources)
         gateway_user = columns["gateway_user"]
         has_gateway_user = np.array([value is not None for value in gateway_user.values],
                                     dtype=bool)[gateway_user.codes]
@@ -202,7 +199,8 @@ class JobTable:
                    end_day=end_day, quarter=_period_codes(end_day, "quarter"),
                    year=_period_codes(end_day, "year"),
                    core_hours=cores * hours, node_hours=nodes * hours, local_su=local_su,
-                   su_factor=su_factor, xd_su=xd_su, rtype=rtype,
+                   su_factor=su_factor, xd_su=local_su * su_factor,
+                   rtype=_resource_types(coded["resource"], resources),
                    has_gateway_user=has_gateway_user, resources=resources, **coded)
 
     def __len__(self) -> int:
@@ -253,8 +251,6 @@ class JobTable:
         if weight == "node_hours":
             return self.node_hours
         if weight == "xd_su":
-            if self.xd_su is None:
-                raise ValueError("xd_su weighting needs the resource map")
             return self.xd_su
         raise ValueError(f"unknown weight {weight!r}")
 
@@ -262,8 +258,6 @@ class JobTable:
         """``value(spec)`` of each row's resource as float64: NaN for a
         resource with no description or a None value."""
         resources = self.resources
-        if resources is None:
-            raise ValueError("per_resource needs the resource map")
         per_name = np.array([value(resources[name]) if name in resources else None
                              for name in self.resource.names], dtype=np.float64)
         return per_name[self.resource.codes]

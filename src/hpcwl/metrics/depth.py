@@ -8,6 +8,7 @@ usage is consumed by the (100-x)% of projects above that depth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,39 +76,23 @@ def depth_profile(table: JobTable, by: str = "cores",
 
 
 def _round_half_up(value: float) -> int:
-    import math
     return int(math.floor(value + 0.5))
 
 
 def joint_ratio(profile: DepthProfile) -> JointRatioResult:
     """Find the smallest observed depth where cumulative project fraction
-    plus cumulative usage fraction reaches one; no interpolation."""
+    plus cumulative usage fraction reaches one (the ``width_curves``
+    fractions); no interpolation."""
     projects = profile.projects
     if not projects:
         raise EmptyProfile("no projects")
-    total_usage = total(p.usage_core_hours for p in projects)
-    if total_usage <= 0:
+    if total(p.usage_core_hours for p in projects) <= 0:
         raise EmptyProfile("no usage")
-    n = len(projects)
-    ordered = sorted(projects, key=lambda p: p.depth)
-    # cumulative fractions at each distinct depth
-    cum_projects = 0
-    cum_usage = 0.0
-    i = 0
-    crossing = None
-    while i < len(ordered):
-        depth = ordered[i].depth
-        while i < len(ordered) and ordered[i].depth == depth:
-            cum_projects += 1
-            cum_usage += ordered[i].usage_core_hours
-            i += 1
-        f_p = cum_projects / n
-        f_u = cum_usage / total_usage
-        if f_p + f_u >= 1.0:
-            crossing = (depth, f_u)
-            break
-    assert crossing is not None  # f_p + f_u reaches 2 at the max depth
-    depth_star, f_u_star = crossing
+    curves = width_curves(profile)
+    # the sum reaches 2 at the max depth
+    k = next(k for k, f_p in enumerate(curves.project_fraction)
+             if f_p + curves.usage_fraction[k] >= 1.0)
+    depth_star, f_u_star = curves.depths[k], curves.usage_fraction[k]
     deep_usage_pct = _round_half_up(100.0 * (1.0 - f_u_star))
     deep = [p for p in projects if p.depth > depth_star]
     return JointRatioResult(

@@ -36,8 +36,7 @@ def node_mem_available(spec: ResourceSpec, queue: str) -> float | None:
 def _node_memory(table: JobTable) -> tuple[np.ndarray, np.ndarray]:
     """Each row's available node memory in bytes (NaN where it is unknown or
     not positive) and whether its queue is a large-memory queue, from one
-    ``node_mem_available`` call per (resource, queue) pair; the table must
-    carry its resource map."""
+    ``node_mem_available`` call per (resource, queue) pair."""
     width = len(table.queue.names)
     pair = table.resource.codes.astype(np.int64) * width + table.queue.codes
     pairs, inverse = np.unique(pair, return_inverse=True)

@@ -135,7 +135,7 @@ def _size_means(table: JobTable, groups: Codes, kraken_factor: float
     SU factor is left out of the effective and the weighted means."""
     if kraken_factor <= 0:
         raise ValueError("reference factor must be positive")
-    xd_su = table.weights("xd_su")  # a ValueError for a table without the resource map
+    xd_su = table.weights("xd_su")
     factored = ~np.isnan(table.su_factor)
     in_group = groups.codes[factored]
 

@@ -54,7 +54,7 @@ from .archives import (
 # item 8)
 from .archives import load_archives  # noqa: F401
 from .errors import InvalidMemInfo, MissingEpilog, MissingProlog
-from .ingest import JobRecord
+from .ingest import JobRecord, JobSequence
 from .jobtable import Codes, Factor
 
 
@@ -522,13 +522,15 @@ def _settle(block: Sequence[tuple[JobRecord, JobArchive | None, object]],
         entry += 1
 
 
-def summarize_all(jobs: Sequence[JobRecord],
+def summarize_all(jobs: JobSequence,
                   archives: Mapping[str, JobArchive],
                   cores_per_node_of, db=None, ignore_list=None
                   ) -> tuple[SummaryColumns, dict[str, str]]:
-    """Summarize every job that has an archive with a known node list.
+    """Summarize every job of a ``JobSequence`` that has an archive with a
+    known node list; any other ``jobs`` raises TypeError.
 
-    cores_per_node_of maps a JobRecord to its resource's cores per node.
+    The jobs' records are built in one pass, and cores_per_node_of maps a
+    JobRecord to its resource's cores per node.
     Returns (the summaries, skip reasons by job_id).  The summaries are a
     row per job id, in the order the ids first come in ``jobs``, each the
     summary of the id's last job.  Jobs without an archive get no summary,
@@ -538,12 +540,14 @@ def summarize_all(jobs: Sequence[JobRecord],
     ``cores_per_node_of``, InvalidMemInfo naming the job, or the ValueError
     of fewer than one core per node.
     """
+    if not isinstance(jobs, JobSequence):
+        raise TypeError(f"summarize_all needs a JobSequence, not {type(jobs).__name__}")
     blocks: list[_Block] = []
     rows: dict[str, int] = {}
     skipped: dict[str, str] = {}
     block: list[tuple[JobRecord, JobArchive | None, object]] = []
     size = 0
-    for job in jobs:
+    for job in jobs.records():
         archive = archives.get(job.job_id)
         if archive is None or not archive.nodes:
             block.append((job, None, None))

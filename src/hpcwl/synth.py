@@ -7,7 +7,6 @@ replay oracles cheap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -16,7 +15,6 @@ from .ingest import (
     JOB_FIELDS,
     AllocationRecord,
     AllocType,
-    Dataset,
     ExitStatus,
     JobSequence,
     NsfUserStatus,
@@ -24,6 +22,7 @@ from .ingest import (
     builtin_resources,
 )
 from .perfsummary import JobPerfSummary, LaunchType
+from .report import ReportContext
 
 RESOURCE_MIX = (
     ("TACC-STAMPEDE", 0.45),
@@ -69,16 +68,6 @@ RANGE_START = _epoch(date(2015, 7, 1))
 RANGE_END = _epoch(date(2016, 12, 31))
 
 
-@dataclass
-class SynthBundle:
-    dataset: Dataset
-    summaries: dict[str, JobPerfSummary]
-    community_users: dict[str, str]
-    user_email: dict[str, str]
-    population_by_state: dict[str, float] = field(default_factory=dict)
-    tech_index_by_state: dict[str, float] = field(default_factory=dict)
-
-
 def _pick_launch(cores: int, nodes: int, rng) -> LaunchType:
     if cores == 1:
         return LaunchType.SERIAL
@@ -89,7 +78,9 @@ def _pick_launch(cores: int, nodes: int, rng) -> LaunchType:
     return LaunchType.MULTI_PROCESS
 
 
-def make_synthetic_dataset(seed: int = 20170930, n_jobs: int = 10000) -> SynthBundle:
+def make_synthetic_dataset(seed: int = 20170930, n_jobs: int = 10000) -> ReportContext:
+    """The demo's jobs, allocations, summaries, community and e-mail maps
+    and state statistics, ready for a report run."""
     rng = np.random.default_rng(seed)
     resources = builtin_resources()
     names = [name for name, _ in RESOURCE_MIX]
@@ -196,9 +187,9 @@ def make_synthetic_dataset(seed: int = 20170930, n_jobs: int = 10000) -> SynthBu
     dataset = build_dataset(JobSequence.from_values(jobs), allocations, resources)
     population = {state: float(rng.integers(2, 40)) * 1e6 for state in STATES}
     tech = {state: round(0.5 + rng.random() * 2.0, 2) for state in STATES}
-    return SynthBundle(dataset=dataset, summaries=summaries,
-                       community_users=community_users, user_email=user_email,
-                       population_by_state=population, tech_index_by_state=tech)
+    return ReportContext(dataset=dataset, summaries=summaries,
+                         community_users=community_users, user_email=user_email,
+                         population_by_state=population, tech_index_by_state=tech)
 
 
 def _make_summary(job_id: str, queue: str, nodes: int, cores: int, duration: int,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from datetime import date
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from hpcwl.metrics import PerfColumns
 
 # 2015-08-01T00:00:00Z
 T0 = 1438387200
+
+# the resource map that describes no resource
+NO_RESOURCES = MappingProxyType({})
 
 GIB = 1 << 30
 
@@ -69,9 +73,9 @@ def jobs_of(jobs) -> JobSequence:
                                     for name in JOB_FIELDS})
 
 
-def table_of(jobs, resources=None) -> JobTable:
-    """The job table of records or loaded jobs, in their order; with
-    ``resources``, the SU factor, XD SU and type columns too."""
+def table_of(jobs, resources=NO_RESOURCES) -> JobTable:
+    """The job table of records or loaded jobs, in their order, built with
+    ``resources`` (by default none: NaN SU factor, and type "unknown")."""
     return JobTable.from_columns(jobs_of(jobs).columns, resources)
 
 
@@ -80,7 +84,7 @@ def dataset_of(jobs, allocations, resources) -> Dataset:
     return build_dataset(jobs_of(jobs), allocations, resources)
 
 
-def perf_columns(jobs, summaries, resources=None):
+def perf_columns(jobs, summaries, resources=NO_RESOURCES):
     """The jobs' table, built with ``resources``, and the summaries joined to
     it: the first two arguments of the memory, Lustre and concurrency
     analyses."""

@@ -908,7 +908,7 @@ def periodogram(jobs: Sequence[JobRecord], params: Mapping) -> list:
 def validate(dataset: Dataset) -> list[QualityFlag]:
     """``ingest.validate`` as a loop over the job records."""
     flags: list[QualityFlag] = []
-    for job in dataset.jobs:
+    for job in dataset.jobs.records():
         spec = dataset.resources[job.resource]
         start_day = utc_date(job.start_time)
         if start_day < spec.production_start or start_day > spec.production_end:

@@ -35,7 +35,7 @@ from hpcwl.metrics import (
 )
 from hpcwl.metrics.depth import DepthProfile, ProjectDepth
 from hpcwl.perfsummary import summarize_job
-from hpcwl.report import ReportContext, standard_bundle_spec, run_report, verify_manifest
+from hpcwl.report import standard_bundle_spec, run_report, verify_manifest
 from hpcwl.statmodels import (
     default_frequency_grid,
     fit_logistic,
@@ -460,7 +460,7 @@ def test_criterion_8_app_identification():
 
 def test_criterion_9_histogram_conservation():
     bundle = synth.make_synthetic_dataset(seed=99, n_jobs=1500)
-    jobs = list(bundle.dataset.jobs)
+    jobs = bundle.dataset.jobs.records()
     resources = bundle.dataset.resources
     table = bundle.dataset.job_table
     perf = PerfColumns.join(table, bundle.summaries)
@@ -505,12 +505,7 @@ def test_criterion_9_histogram_conservation():
 # 10. standard bundle is byte-identical across runs; digests verify
 
 def test_criterion_10_report_reproducibility(tmp_path):
-    bundle = synth.make_synthetic_dataset(seed=20170930, n_jobs=10000)
-    ctx = ReportContext(dataset=bundle.dataset, summaries=bundle.summaries,
-                        community_users=bundle.community_users,
-                        user_email=bundle.user_email,
-                        population_by_state=bundle.population_by_state,
-                        tech_index_by_state=bundle.tech_index_by_state)
+    ctx = synth.make_synthetic_dataset(seed=20170930, n_jobs=10000)
     import os
 
     out_a = tmp_path / "run_a"

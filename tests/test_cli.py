@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import T0, dataset_of
+from conftest import T0, dataset_of, jobs_of
 from test_perfsummary import _archive_file, _write_lines
 
 from hpcwl import ingest, report, synth
@@ -433,7 +433,7 @@ def synth_bundle():
 
 @pytest.mark.parametrize("ext", ["csv", "jsonl"])
 def test_report_from_files_builds_no_records(tmp_path, capsys, monkeypatch, synth_bundle, ext):
-    records = list(synth_bundle.dataset.jobs)
+    records = synth_bundle.dataset.jobs.records()
     jobs = _write_jobs(tmp_path / f"jobs.{ext}", records)
     built = _count_records(monkeypatch)
     code, _, _ = run(capsys, "report", "--jobs", str(jobs), "--outdir", str(tmp_path / "cli"))
@@ -448,12 +448,9 @@ def test_report_from_files_builds_no_records(tmp_path, capsys, monkeypatch, synt
 
 def test_run_report_on_loaded_jobs_builds_no_records(tmp_path, monkeypatch, synth_bundle):
     b = synth_bundle
-    jobs = load_jobs(_write_jobs(tmp_path / "jobs.jsonl", b.dataset.jobs))
+    jobs = load_jobs(_write_jobs(tmp_path / "jobs.jsonl", b.dataset.jobs.records()))
     dataset = build_dataset(jobs, b.dataset.allocations, b.dataset.resources)
-    ctx = report.ReportContext(dataset=dataset, summaries=b.summaries,
-                               community_users=b.community_users, user_email=b.user_email,
-                               population_by_state=b.population_by_state,
-                               tech_index_by_state=b.tech_index_by_state)
+    ctx = dataclasses.replace(b, dataset=dataset)
     built = _count_records(monkeypatch)
     report.run_report(ctx, report.standard_bundle_spec(output_dir=str(tmp_path / "loaded")))
     assert built == []
@@ -482,7 +479,8 @@ def test_summarize_from_files_matches_the_records(tmp_path, capsys, monkeypatch,
                      "--out", str(out))
     assert code == EXIT_OK
     assert sorted(built) == sorted(job.job_id for job in records)  # each built once
-    summaries, skipped = summarize_all(records, load_archives(canonical), lambda job: 24)
+    summaries, skipped = summarize_all(jobs_of(records), load_archives(canonical),
+                                       lambda job: 24)
     assert len(summaries) == len(records) and not skipped
     write_summaries(summaries, tmp_path / "expected.jsonl")
     assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rollups_oracle as oracle
-from conftest import T0, dataset_of, jobs_of, make_allocation, make_job, make_resource
+from conftest import T0, dataset_of, make_allocation, make_job, make_resource
 from hpcwl import ingest, synth
 from hpcwl.cli import main
 from hpcwl.errors import (
@@ -66,7 +66,7 @@ def write_jsonl(path, rows):
 def test_ordered_timestamps_accepted(tmp_path):
     path = tmp_path / "jobs.jsonl"
     write_jsonl(path, [JOB_ROW])
-    jobs = load_jobs(path)
+    jobs = load_jobs(path).records()
     assert len(jobs) == 1
     assert jobs[0].submit_time == 100
     assert jobs[0].nodes == 2 and jobs[0].cores == 32
@@ -91,7 +91,7 @@ def test_three_row_golden_fixture(tmp_path):
     ]
     path = tmp_path / "jobs.jsonl"
     write_jsonl(path, rows)
-    jobs = load_jobs(path)
+    jobs = load_jobs(path).records()
     assert [j.job_id for j in jobs] == ["a-1", "a-2", "a-3"]
     assert jobs[1].exit_status.value == "failed"
     assert jobs[1].wall_seconds == 3600
@@ -152,13 +152,13 @@ def test_csv_matches_jsonl(tmp_path):
         writer = csv.DictWriter(handle, fieldnames=list(JOB_ROW))
         writer.writeheader()
         writer.writerow({k: ("" if v is None else v) for k, v in JOB_ROW.items()})
-    assert load_jobs(jsonl) == load_jobs(csv_path, fmt="csv")
+    assert load_jobs(jsonl).records() == load_jobs(csv_path, fmt="csv").records()
 
 
 def test_loading_is_deterministic(tmp_path):
     path = tmp_path / "jobs.jsonl"
     write_jsonl(path, [JOB_ROW, dict(JOB_ROW, job_id="a-2")])
-    assert load_jobs(path) == load_jobs(path)
+    assert load_jobs(path).records() == load_jobs(path).records()
 
 
 # Numeric fields of a job row, with values each loader must reject.
@@ -215,7 +215,7 @@ def test_numeric_fields_rejected_row_by_row_or_finite(fmt, data):
         path = os.path.join(tmp, f"jobs.{fmt}")
         _write_rows(path, fmt, [row for row, _, _ in drawn] + [anchor])
         rejects = []
-        jobs = load_jobs(path, fmt=fmt, reject_sink=rejects)
+        jobs = load_jobs(path, fmt=fmt, reject_sink=rejects).records()
     assert [r.row for r in rejects] == [i for i, (_, bad, _) in
                                         enumerate(drawn, start=1) if bad]
     assert all(r.code == "schema" for r in rejects)
@@ -433,13 +433,13 @@ def test_clean_fixture_has_no_flags(test_resources):
 def test_unknown_resource_job_dropped_with_flag(test_resources):
     job = make_job(resource="NOPE")
     dataset = dataset_of([job], [], test_resources)
-    assert dataset.jobs == ()
+    assert len(dataset.jobs) == 0
     assert [f.code for f in dataset.quality_flags] == ["unknown_resource"]
 
 
 def test_validate_masks_match_the_record_loop():
     demo = synth.make_synthetic_dataset(n_jobs=3000).dataset
-    records = list(demo.jobs)
+    records = demo.jobs.records()
     starts: dict[str, list[date]] = {}
     for job in records:
         starts.setdefault(job.resource, []).append(utc_date(job.start_time))
@@ -485,7 +485,7 @@ def test_demo_columns_keep_every_job_rule():
 
 def test_jobs_from_values_keep_every_job_rule():
     values = {name: [getattr(make_job(), name)] for name in ingest.JOB_FIELDS}
-    assert jobs_of([make_job()]) == JobSequence.from_values(values)
+    assert JobSequence.from_values(values).records() == [make_job()]
     with pytest.raises(ValueError, match="job j1: cores must be >= nodes >= 1"):
         JobSequence.from_values(dict(values, nodes=[4], cores=[2]))
     with pytest.raises(ValueError, match="one value list per JobRecord field"):
@@ -502,13 +502,13 @@ def test_a_dataset_holds_loaded_jobs_only(test_resources):
     with pytest.raises(TypeError, match="must be a JobSequence, not list"):
         ingest.Dataset(jobs=[make_job()], allocations=(), resources=test_resources)
     with pytest.raises(TypeError, match="must be a JobSequence, not list"):
-        dataclasses.replace(dataset, jobs=list(dataset.jobs))
+        dataclasses.replace(dataset, jobs=dataset.jobs.records())
 
 
 def test_resolving_a_job_flag_builds_one_record(test_resources, monkeypatch):
     jobs = [make_job(job_id=f"j{i % 4}", nodes=1 + i, cores=16 * (1 + i)) for i in range(8)]
     flags = [ingest.QualityFlag("job", locator, "geometry") for locator in ("j2", "j0", "nope")]
-    expected = [next((job for job in dataset_of(jobs, [], test_resources).jobs
+    expected = [next((job for job in dataset_of(jobs, [], test_resources).jobs.records()
                       if job.job_id == flag.locator), None) for flag in flags]
     assert expected[0].nodes == 3 and expected[2] is None
     built = []

@@ -111,7 +111,9 @@ def test_columns_match_the_records():
     assert np.isnan(table.xd_su[:3]).all()
     assert table.xd_su[3].item() == job_xd_su(jobs[3], RESOURCES) == 6.6
     assert table.rtype.present() == ["HPC", "unknown"]
-    assert table_of(jobs).xd_su is None
+    bare = table_of(jobs, {})
+    assert np.isnan(bare.su_factor).all() and np.isnan(bare.xd_su).all()
+    assert bare.rtype.present() == ["unknown"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,16 +197,12 @@ def test_queue_replay_equals_the_oracle(jobs):
 
 @pytest.fixture(scope="module")
 def ctx():
-    b = synth.make_synthetic_dataset(seed=5, n_jobs=800)
-    return ReportContext(dataset=b.dataset, summaries=b.summaries,
-                         community_users=b.community_users, user_email=b.user_email,
-                         population_by_state=b.population_by_state,
-                         tech_index_by_state=b.tech_index_by_state)
+    return synth.make_synthetic_dataset(seed=5, n_jobs=800)
 
 
 def test_bundle_from_the_record_oracle_is_byte_identical(ctx, tmp_path, monkeypatch):
     run_report(ctx, standard_bundle_spec(output_dir=str(tmp_path / "columns")))
-    jobs, resources = ctx.dataset.jobs, ctx.dataset.resources
+    jobs, resources = ctx.dataset.jobs.records(), ctx.dataset.resources
 
     def on_records(loop, **extra):
         # the report passes rows of the dataset's table; hand the loop their

@@ -8,7 +8,7 @@ import pytest
 from test_ingest import JOB_ROW
 from hpcwl import archives, ingest
 from hpcwl.errors import SchemaError
-from hpcwl.ingest import load_jobs
+from hpcwl.ingest import JobSequence, load_jobs
 from hpcwl.archives import load_archives
 
 PERF = {"type": "perf", "job_id": "j1", "node": "n1", "time": 1000,
@@ -88,7 +88,7 @@ def _loads_line(line, row, scan):
 def _state(loaded):
     """What a loader returned, as text: records, or archives' columns."""
     if not isinstance(loaded, dict):
-        return repr(list(loaded))
+        return repr(loaded.records() if isinstance(loaded, JobSequence) else loaded)
     out = []
     for job_id, archive in sorted(loaded.items()):
         samples, mem = archive.samples, archive.meminfo

@@ -1,22 +1,25 @@
 import inspect
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_job, make_resource, table_of
+from conftest import GIB, T0, make_job, make_resource, table_of
 from hpcwl import backlog, metrics, statmodels
 from hpcwl.ingest import ResourceType, builtin_resources
 from hpcwl.metrics import (
     Filters,
     PerfColumns,
     average_job_size,
+    concurrency_histograms,
     job_size_distribution,
     memory_2d,
     single_node_serial_fractions,
     usage_rollup,
 )
+from hpcwl.perfsummary import JobPerfSummary
 from rollups_oracle import effective_cores
 
 # 2010-06-01, inside Kraken's 2.04 window and Stampede's production overlap
@@ -120,14 +123,25 @@ def test_period_shares_sum_to_100(cases):
             assert sum(table.shares(period).values()) == pytest.approx(100.0, abs=1e-6)
 
 
-def test_xd_su_analyses_need_a_table_built_with_the_resource_map():
-    table = table_of([make_job()])
-    for compute in (lambda: usage_rollup(table, "resource", "xd_su", "year"),
-                    lambda: average_job_size(table),
-                    lambda: single_node_serial_fractions(table),
-                    lambda: memory_2d(table, PerfColumns.join(table, {}))):
-        with pytest.raises(ValueError, match="needs the resource map"):
-            compute()
+def test_a_table_built_with_an_empty_map_describes_no_resource():
+    jobs = [make_job(job_id=f"j{i}", nodes=1 + i, cores=16 * (1 + i)) for i in range(3)]
+    table = table_of(jobs, {})
+    assert np.isnan(table.su_factor).all() and np.isnan(table.xd_su).all()
+    assert table.rtype.present() == ["unknown"]
+    rollup = usage_rollup(table, "resource", "xd_su", "year")
+    assert rollup.excluded_no_factor == 3 and not rollup.totals
+    # every job has memory and thread data, so only the missing
+    # descriptions leave them out
+    perf = PerfColumns.join(table, {job.job_id: JobPerfSummary(
+        job_id=job.job_id, cpu_user_fraction=0.5, mem_avg_per_core=GIB, mem_max_per_core=GIB,
+        runnable_threads_median=16.0) for job in jobs})
+    hist = memory_2d(table, perf)
+    assert hist.absent == sum(job.core_hours for job in jobs)
+    assert hist.outside == 0 and not any(map(any, hist.cells))
+    assert memory_2d(table_of(jobs, {"TESTMACHINE": make_resource()}), perf).absent == 0
+    result = concurrency_histograms(table, perf)
+    assert not result.runnable_node_hours and not result.launch_type_xd_su
+    assert not any(result.process_bands_xd_su.values())
 
 
 def test_no_analysis_takes_its_own_resource_map():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_job
+from conftest import T0, jobs_of, make_job
 from perfsummary_oracle import (
     MemInfoSample,
     NumaMem,
@@ -266,7 +266,7 @@ def test_launch_types_of_the_columns_equal_the_oracle_table():
         LauncherInfo(exe=None, n_processes=n, threads_per_process=t)))
         for job, (n, t) in zip(jobs, counts)}
     archives["none"] = record_archive(job_id="none", nodes=("n1",))
-    summaries, _ = summarize_all(jobs + [make_job(job_id="none")], archives, lambda job: 16,
+    summaries, _ = summarize_all(jobs_of(jobs + [make_job(job_id="none")]), archives, lambda job: 16,
                                  db=(), ignore_list=())
     assert [row.launch_type for row in summaries.rows()] == [
         classify_launch_type(n, t, True) for n, t in counts] + [LaunchType.UNKNOWN]
@@ -289,9 +289,14 @@ def test_launcher_info_drives_label_and_type():
 
 def test_jobs_without_archive_get_no_summary():
     job = make_job()
-    summaries, skipped = summarize_all([job], {}, lambda j: 16)
+    summaries, skipped = summarize_all(jobs_of([job]), {}, lambda j: 16)
     assert summaries.rows() == []
     assert skipped == {job.job_id: "no_archive"}
+
+
+def test_summarize_all_takes_loaded_jobs_only():
+    with pytest.raises(TypeError, match="needs a JobSequence, not list"):
+        summarize_all([make_job()], {}, lambda j: 16)
 
 
 def test_archive_jsonl_round_trip(tmp_path):
@@ -320,7 +325,7 @@ def test_archive_jsonl_round_trip(tmp_path):
     path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
     archives = load_archives(path)
     assert set(archives) == {job.job_id}
-    summaries, skipped = summarize_all([job], archives, lambda j: 16)
+    summaries, skipped = summarize_all(jobs_of([job]), archives, lambda j: 16)
     assert not skipped
     (summary,) = summaries.rows()
     assert summary.job_id == job.job_id
@@ -531,9 +536,9 @@ def test_shuffled_file_loads_to_the_same_summaries(tmp_path):
     shuffled = [lines[i] for i in rng.permutation(len(lines))]
     mixed = load_archives(_write_lines(tmp_path / "shuffled.jsonl", shuffled))
     cores = lambda job: 16
-    expected, skipped = summarize_all(jobs, in_order, cores, db=(), ignore_list=())
+    expected, skipped = summarize_all(jobs_of(jobs), in_order, cores, db=(), ignore_list=())
     assert not skipped and len(expected) == len(jobs)
-    summaries, skipped = summarize_all(jobs, mixed, cores, db=(), ignore_list=())
+    summaries, skipped = summarize_all(jobs_of(jobs), mixed, cores, db=(), ignore_list=())
     assert (summaries.rows(), skipped) == (expected.rows(), {})
     for job, summary in zip(jobs, expected.rows(), strict=True):
         nodes, samples, meminfo = records[job.job_id]
@@ -782,7 +787,7 @@ def test_block_summaries_equal_a_per_job_loop_of_the_oracle(case):
     sizes = [len(a.samples) + len(a.meminfo) for a in archives.values()]
     block = max(1, per_block * sum(sizes) // max(1, len(sizes)))
     with mock.patch.object(perfsummary, "_BLOCK_SAMPLES", block):
-        blocked = _settled(lambda: summarize_all(jobs, archives, _cores_of(cores), db=(),
+        blocked = _settled(lambda: summarize_all(jobs_of(jobs), archives, _cores_of(cores), db=(),
                                                  ignore_list=()))
     assert blocked == _settled(lambda: _oracle_all(jobs, records, _cores_of(cores)))
 
@@ -804,9 +809,9 @@ def test_the_first_failure_in_job_order_wins_across_blocks():
     for block in (1, 2, 3, 100):
         with mock.patch.object(perfsummary, "_BLOCK_SAMPLES", block):
             with pytest.raises(InvalidMemInfo, match="^job b: negative meminfo component$"):
-                summarize_all(jobs, archives, cores_of, db=(), ignore_list=())
+                summarize_all(jobs_of(jobs), archives, cores_of, db=(), ignore_list=())
             with pytest.raises(LookupError, match="no cores for x"):
-                summarize_all(jobs[:1] + jobs[2:], archives, cores_of, db=(), ignore_list=())
+                summarize_all(jobs_of(jobs[:1] + jobs[2:]), archives, cores_of, db=(), ignore_list=())
 
 
 def _many_job_archives(n_jobs, times=48):
@@ -865,14 +870,14 @@ def test_summarize_all_keeps_a_small_working_set():
                        for part in (archive.samples, archive.meminfo)
                        for field in dataclasses.fields(part)
                        if isinstance(getattr(part, field.name), np.ndarray))
-    summaries, skipped = summarize_all(jobs, archives, lambda job: 16, db=(), ignore_list=())
+    summaries, skipped = summarize_all(jobs_of(jobs), archives, lambda job: 16, db=(), ignore_list=())
     assert len(summaries) == len(jobs) and not skipped
-    peak = _traced_peak(lambda: summarize_all(jobs, archives, lambda job: 16, db=(),
+    peak = _traced_peak(lambda: summarize_all(jobs_of(jobs), archives, lambda job: 16, db=(),
                                               ignore_list=()))
     assert peak < column_bytes / 4
     # one block of the whole archive is past the bound
     with mock.patch.object(perfsummary, "_BLOCK_SAMPLES", 1 << 62):
-        whole = _traced_peak(lambda: summarize_all(jobs, archives, lambda job: 16, db=(),
+        whole = _traced_peak(lambda: summarize_all(jobs_of(jobs), archives, lambda job: 16, db=(),
                                                    ignore_list=()))
     assert whole > column_bytes / 4
 
@@ -926,7 +931,7 @@ def test_a_repeated_job_id_keeps_its_first_position_and_its_last_summary(tmp_pat
     jobs = [early, make_job(job_id="b", start=start, end=start + 1200), late]
     for block in (1, 100):
         with mock.patch.object(perfsummary, "_BLOCK_SAMPLES", block):
-            summaries, skipped = summarize_all(jobs, {"a": archive, "b": other},
+            summaries, skipped = summarize_all(jobs_of(jobs), {"a": archive, "b": other},
                                                lambda job: 16, db=(), ignore_list=())
         assert not skipped
         rows = summaries.rows()
@@ -952,7 +957,7 @@ def test_overflowing_counter_totals_are_present_and_refused_by_the_writer(tmp_pa
             samples += [counter(node, job.start_time, metric, 0, SampleTag.JOB_PROLOG),
                         counter(node, job.end_time, metric, 1e308, SampleTag.JOB_EPILOG)]
     archive = record_archive(job_id="big", nodes=("n1", "n2"), samples=tuple(samples))
-    summaries, skipped = summarize_all([job], {"big": archive}, lambda job: 16,
+    summaries, skipped = summarize_all(jobs_of([job]), {"big": archive}, lambda job: 16,
                                        db=(), ignore_list=())
     assert not skipped
     assert summaries.present["cpu_user_fraction"].all()
@@ -1013,11 +1018,11 @@ def test_the_summarize_path_builds_no_summary_record(tmp_path):
     archives[jobs[0].job_id] = dataclasses.replace(
         first, launcher=LauncherInfo("/apps/namd2", n_processes=4, threads_per_process=2),
         samples=dataclasses.replace(first.samples, value=first.samples.value[::-1].copy()))
-    expected, _ = summarize_all(jobs, archives, lambda job: 16)
+    expected, _ = summarize_all(jobs_of(jobs), archives, lambda job: 16)
     assert any(expected.flags.tolist()) and "NAMD" in expected.app_label.present()
     with mock.patch.object(perfsummary, "JobPerfSummary",
                            side_effect=AssertionError("a summary record was built")):
-        summaries, skipped = summarize_all(jobs, archives, lambda job: 16)
+        summaries, skipped = summarize_all(jobs_of(jobs), archives, lambda job: 16)
         write_summaries(summaries, tmp_path / "summaries.jsonl")
     assert not skipped and summaries.rows() == expected.rows()
     assert (tmp_path / "summaries.jsonl").read_bytes() == render_summaries(

@@ -33,7 +33,7 @@ def _write_jsonl(path, records):
 
 def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     dataset = synth.make_synthetic_dataset(seed=4, n_jobs=200).dataset
-    _write_jsonl(tmp_path / "jobs.jsonl", dataset.jobs)
+    _write_jsonl(tmp_path / "jobs.jsonl", dataset.jobs.records())
     _write_jsonl(tmp_path / "allocs.jsonl", dataset.allocations)
     monkeypatch.chdir(tmp_path)
     exec(compile(_example("## Library use"), str(README), "exec"), {})

@@ -185,7 +185,8 @@ def test_fixed_cases_equal_the_oracle():
 def test_the_periodogram_equals_the_oracle():
     dataset = synth.make_synthetic_dataset(seed=3, n_jobs=300).dataset
     ctx = ReportContext(dataset=dataset)
-    for resource in (None, dataset.jobs[0].resource):
+    jobs = dataset.jobs.records()
+    for resource in (None, jobs[0].resource):
         params = {"resource": resource, "min_period_days": 0.5}
         assert repr(report.compute_analysis(ctx, "periodogram", params)) == repr(
-            oracle.periodogram(dataset.jobs, params))
+            oracle.periodogram(jobs, params))

@@ -25,7 +25,6 @@ from hpcwl.metrics import Filters, PerfColumns
 from hpcwl.report import (
     ANALYSES,
     MANIFEST_NAME,
-    ReportContext,
     ReportSpec,
     standard_bundle_spec,
     run_report,
@@ -40,12 +39,7 @@ def small_bundle():
 
 @pytest.fixture(scope="module")
 def ctx(small_bundle):
-    b = small_bundle
-    return ReportContext(dataset=b.dataset, summaries=b.summaries,
-                         community_users=b.community_users,
-                         user_email=b.user_email,
-                         population_by_state=b.population_by_state,
-                         tech_index_by_state=b.tech_index_by_state)
+    return dataclasses.replace(small_bundle)
 
 
 RANGE = (date(2015, 7, 1), date(2017, 1, 1))
@@ -147,7 +141,7 @@ def test_kept_jobs_memo_matches_filtering_afresh(ctx, tmp_path, monkeypatch):
 
     def kept(run_ctx, filters):
         jobs = run_ctx.dataset.jobs
-        return list(compress(jobs, filters.mask(table_of(jobs)).tolist()))
+        return list(compress(jobs.records(), filters.mask(table_of(jobs)).tolist()))
 
     # a table built afresh from the kept records, not rows of the dataset's
     monkeypatch.setattr(report, "_table", lambda run_ctx, filters: table_of(
@@ -180,7 +174,8 @@ def test_filters_apply_runs_once_per_distinct_filters(ctx, tmp_path, monkeypatch
 
 
 def test_runs_on_different_datasets_share_no_kept_jobs(ctx, small_bundle, tmp_path):
-    fewer = dataclasses.replace(small_bundle.dataset, jobs=jobs_of(small_bundle.dataset.jobs[1:]))
+    fewer = dataclasses.replace(small_bundle.dataset,
+                                jobs=jobs_of(small_bundle.dataset.jobs.records()[1:]))
     mutable = dataclasses.replace(ctx)
     run_report(mutable, standard_bundle_spec(output_dir=str(tmp_path / "full")))
     mutable.dataset = fewer
@@ -192,7 +187,7 @@ def test_runs_on_different_datasets_share_no_kept_jobs(ctx, small_bundle, tmp_pa
 
 
 def test_filters_given_plain_sets_run(ctx, tmp_path):
-    resources = {job.resource for job in ctx.dataset.jobs[:50]}
+    resources = {job.resource for job in ctx.dataset.jobs.records()[:50]}
     outputs = []
     for filters in (Filters(resources=resources),
                     Filters(resources=frozenset(resources))):
