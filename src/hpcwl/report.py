@@ -8,16 +8,16 @@ lists each file with its row count and content digest and is written last.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -99,31 +99,91 @@ class _RunContext(ReportContext):
                       for f in dataclasses.fields(ReportContext)})
 
 
-# the cell types a CSV row may hold; csv.writer writes None as "", a float
-# as its repr (the shortest round trip) and a date as YYYY-MM-DD
+# the cell types a CSV row may hold; _text gives each cell's text
 _CELL_TYPES = frozenset((str, int, float, bool, date, type(None)))
+# the cell types whose text is their repr
+_REPR_TYPES = frozenset((float, int, bool))
+# a str cell holding any of these is quoted
+_QUOTED = re.compile('[,"\r\n]')
+# rows per block of a rectangular table: each block's columns are taken and
+# formatted at once, so a large table is never held as columns whole
+_BLOCK_ROWS = 1024
+
+
+def _text(cell) -> str:
+    """One CSV cell's text: a float is its repr (the shortest round trip), an
+    int or bool its str, a date YYYY-MM-DD and None empty; a str is written
+    as is, NUL included, unless it holds a comma, quote, CR or LF, when it is
+    quoted with each inner quote doubled (RFC 4180)."""
+    kind = type(cell)
+    if kind is str:
+        if _QUOTED.search(cell) is None:
+            return cell
+        return '"' + cell.replace('"', '""') + '"'
+    if kind is float:
+        return repr(cell)
+    if cell is None:
+        return ""
+    if kind is date:
+        return cell.isoformat()
+    return str(cell)
+
+
+def _check(name, kinds) -> None:
+    other = kinds - _CELL_TYPES
+    if other:
+        raise TypeError(f"{name}: cannot write cells of type "
+                        + ", ".join(sorted(t.__qualname__ for t in other)))
+
+
+def _line(row) -> str:
+    """One row's line.  A row whose only cell is empty is written ``""``, as
+    csv.writer writes it, so that it reads back as one empty cell and not as
+    an empty line."""
+    line = ",".join(map(_text, row))
+    return '""' if not line and len(row) == 1 else line
+
+
+def _column(name, cells: list) -> list[str]:
+    """The texts of one column of cells, each as ``_text`` gives it."""
+    kinds = set(map(type, cells))
+    if kinds <= _REPR_TYPES:
+        return list(map(repr, cells))
+    if kinds == {str} and _QUOTED.search("".join(cells)) is None:
+        return cells
+    _check(name, kinds)
+    return list(map(_text, cells))
 
 
 def render(entry) -> str:
     """The text of one analysis output, exactly as run_report writes it.
 
     An entry is ``(file_name, header, rows)`` for a CSV file or
-    ``(file_name, obj)`` for a JSON file.  A CSV cell of a type outside
-    ``_CELL_TYPES`` (a subclass such as an Enum, a datetime or a numpy
-    scalar included) raises TypeError naming the file.
+    ``(file_name, obj)`` for a JSON file.  A CSV file is the header line and
+    one line per row, each ended by LF, with every cell's text as ``_text``
+    gives it.  A table whose rows all have the header's length, two or more,
+    is formatted a column at a time within blocks of rows; any other table a
+    row at a time.  A CSV cell of a type outside ``_CELL_TYPES`` (a subclass
+    such as an Enum, a datetime or a numpy scalar included) raises TypeError
+    naming the file.
     """
     if len(entry) == 2:
         return json.dumps(entry[1], sort_keys=True, indent=2) + "\n"
     name, header, rows = entry
-    other = set(map(type, chain.from_iterable(rows))) - _CELL_TYPES
-    if other:
-        raise TypeError(f"{name}: cannot write cells of type "
-                        + ", ".join(sorted(t.__qualname__ for t in other)))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    width = len(header)
+    if width < 2 or not set(map(len, rows)) <= {width}:
+        _check(name, set(map(type, chain.from_iterable(rows))))
+        return "".join(_line(row) + "\n" for row in chain((header,), rows))
+    getters = [itemgetter(i) for i in range(width)]
+    blocks = [_line(header)]
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        # a column at a time by itemgetter: zip(*block) would open an
+        # iterator per row, and so many tracked objects set off the cyclic
+        # garbage collector on every block
+        columns = [_column(name, list(map(get, block))) for get in getters]
+        blocks.append("\n".join(map(",".join, zip(*columns))))
+    return "\n".join(blocks) + "\n"
 
 
 def _write(output_dir, entry) -> dict:
@@ -441,8 +501,8 @@ def _an_periodogram(ctx, filters, params):
     grid = statmodels.default_frequency_grid(
         centers, min_period_days=params.get("min_period_days", 2.0 / 24.0))
     pgram = statmodels.lomb_scargle(centers, counts, grid)
-    rows = [(f, 1.0 / f, p) for f, p in
-            zip(pgram.frequencies_per_day, pgram.power)]
+    freqs = pgram.frequencies_per_day
+    rows = list(zip(freqs, (1.0 / np.asarray(freqs)).tolist(), pgram.power))
     return [(f"periodogram_{resource or 'all'}.csv",
              ["frequency_per_day", "period_days", "power"], rows)]
 

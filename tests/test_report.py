@@ -5,16 +5,16 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from datetime import date, datetime
-from enum import Enum
 from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import jobs_of, table_of
@@ -201,28 +201,30 @@ def test_filters_given_plain_sets_run(ctx, tmp_path):
 
 
 def _fmt(value) -> str:
-    """One cell's text, as the report wrote each cell before csv.writer was
-    handed the rows."""
+    """One cell's text by the rule docs/formats.md states, spelled per cell."""
     if value is None:
         return ""
-    if isinstance(value, Enum):
-        return str(value.value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (date, datetime)):
+    if isinstance(value, date):
         return value.isoformat()
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 
+def _line_by_fmt(row) -> str:
+    # a row whose only cell is empty is written "", not as an empty line
+    if len(row) == 1 and _fmt(row[0]) == "":
+        return '""'
+    return ",".join(_fmt(v) for v in row)
+
+
 def _render_by_fmt(entry) -> str:
-    """The text of a CSV entry with every cell formatted by ``_fmt``: the
-    oracle of ``report.render``."""
+    """The text of a CSV entry with every cell formatted by ``_fmt``, one
+    LF-ended line per row after the header: the oracle of ``report.render``."""
     _, header, rows = entry
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return buffer.getvalue()
+    return "".join(_line_by_fmt(row) + "\n" for row in [header, *rows])
 
 
 CELLS = st.one_of(
@@ -236,6 +238,63 @@ CELLS = st.one_of(
 def test_render_writes_each_cell_as_the_fmt_oracle(header, rows):
     entry = ("cells.csv", header, rows)
     assert report.render(entry) == _render_by_fmt(entry)
+
+
+@given(st.lists(CELLS, max_size=6))
+@example([""])
+@example([None])
+@example([])
+@example(["\r", "a\nb"])
+def test_fmt_oracle_writes_a_row_as_csv_writer_with_crlf_lines(row):
+    # with CR in its line terminator csv.writer quotes CR and LF on every
+    # Python; only 3.10 refuses to write a NUL
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    if sys.version_info < (3, 11) and any(isinstance(v, str) and "\x00" in v for v in row):
+        with pytest.raises(csv.Error):
+            writer.writerow(row)
+        return
+    writer.writerow(row)
+    assert buffer.getvalue()[:-2] == _line_by_fmt(row)
+
+
+# one column's cells: drawn from a few values of one type, or of several
+COLUMN_POOLS = st.one_of(
+    st.lists(st.floats(), min_size=1, max_size=3),
+    st.lists(st.integers(), min_size=1, max_size=3),
+    st.lists(st.text(st.sampled_from(',"\n\r\x00 ab')), min_size=1, max_size=3),
+    st.lists(st.text(st.sampled_from("ab_ ")), min_size=1, max_size=3),
+    st.lists(CELLS, min_size=1, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(COLUMN_POOLS, min_size=2, max_size=6), st.integers(0, 3000),
+       st.randoms(use_true_random=False))
+@example([[1.5], ["a"]], report._BLOCK_ROWS, random.Random(0))
+@example([[1.5, -0.0], ["a", None]], report._BLOCK_ROWS + 1,
+         random.Random(0))
+def test_rectangular_tables_across_blocks_match_the_fmt_oracle(pools, n_rows, rng):
+    rows = [tuple(rng.choice(pool) for pool in pools) for _ in range(n_rows)]
+    entry = ("wide.csv", [f"c{i}" for i in range(len(pools))], rows)
+    assert report.render(entry) == _render_by_fmt(entry)
+
+
+def test_a_numpy_float_in_a_float_column_is_refused():
+    rows = [(float(i), 0.5) for i in range(3000)]
+    rows[1500] = (np.float64(1500.0), 0.5)
+    with pytest.raises(TypeError, match=r"^floats\.csv: .*float64"):
+        report.render(("floats.csv", ["a", "b"], rows))
+
+
+def test_render_pins_the_text_of_every_cell_kind():
+    rows = [("a,b", -0.0), ('say "hi"', math.inf), ("cr\rhere", math.nan),
+            ("lf\nhere", 1e16), ("nul\x00here", 5e-324), (True, date(2016, 2, 29)),
+            (None, 3)]
+    text = ('name,value\n"a,b",-0.0\n"say ""hi""",inf\n"cr\rhere",nan\n'
+            '"lf\nhere",1e+16\nnul\x00here,5e-324\nTrue,2016-02-29\n,3\n')
+    # two columns on every row go by column; a lone empty cell by row
+    assert report.render(("kinds.csv", ["name", "value"], rows)) == text
+    assert report.render(("kinds.csv", ["name", "value"], rows + [("",)])) == text + '""\n'
 
 
 @pytest.mark.parametrize("cell", [ExitStatus.COMPLETED, datetime(2016, 1, 1, 12),
