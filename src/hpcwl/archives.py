@@ -15,17 +15,31 @@ place in the file, goes through the loaders' per-line JSON reader
 (``ingest._json_line``), is checked field by field and appended one record
 at a time to the same buffers, or is rejected with a SchemaError naming its
 line.
+
+A file of at least two ``_RANGE_MIN_BYTES`` on a host with more than one
+usable CPU is cut into byte ranges, one per CPU, each cut right after a
+``\\n``.  The caller reads the first range; a child started by ``os.fork``
+reads each later one with the same reader and streams its buffers back
+through a pipe, job by job, and the caller appends them in file order,
+mapping node and metric codes by name.  A child that fails in any way is
+not trusted: the caller reads its range itself, so the columns and the
+errors are those of one pass.
 """
 from __future__ import annotations
 
+import io
+import os
+import pickle
 import re
+import threading
+import warnings
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import accumulate, compress, groupby, repeat
 from operator import itemgetter, not_
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -124,6 +138,11 @@ class _Codes(dict):
         code = self[name] = len(self)
         return code
 
+    def truncate(self, count: int) -> None:
+        """Forget every name but the first ``count``."""
+        for name in list(self)[count:]:
+            del self[name]
+
 
 _NUMA_FIELDS = ("mem_total", "mem_free", "file_pages", "slab")
 
@@ -134,8 +153,9 @@ class _ColumnBuilder:
     into columns.  A meminfo sample's NUMA components go to a buffer of the
     caller's, which the builder records rows of."""
 
-    __slots__ = ("node_codes", "node", "time", "metric", "kind", "value", "tag",
-                 "mem_node", "mem_time", "numa_row", "numa_count")
+    BUFFERS = ("node", "time", "metric", "kind", "value", "tag",
+               "mem_node", "mem_time", "numa_row", "numa_count")
+    __slots__ = ("node_codes",) + BUFFERS
 
     def __init__(self):
         self.node_codes = _Codes()
@@ -166,6 +186,37 @@ class _ColumnBuilder:
         self.numa_row.append(len(numa) // len(_NUMA_FIELDS))
         self.numa_count.append(len(components) // len(_NUMA_FIELDS))
         numa.fromlist(components)
+
+    def sizes(self) -> tuple[int, list[int]]:
+        """The number of node codes and the length of each buffer."""
+        return len(self.node_codes), [len(getattr(self, name)) for name in self.BUFFERS]
+
+    def truncate(self, sizes: tuple[int, list[int]]) -> None:
+        """Drop what was appended since ``sizes()`` gave ``sizes``."""
+        codes, lengths = sizes
+        self.node_codes.truncate(codes)
+        for name, length in zip(self.BUFFERS, lengths):
+            del getattr(self, name)[length:]
+
+    def extend(self, node_names: tuple[str, ...], buffers: list[bytes],
+               metric_code: np.ndarray, first_numa_row: int) -> None:
+        """Append the buffers (``BUFFERS``, as bytes) of another reader's
+        builder of the same job, whose node codes name ``node_names``: its
+        node codes mapped by name, its metric codes through ``metric_code``
+        and its NUMA rows offset by ``first_numa_row``."""
+        node_code = np.array([self.node_codes[name] for name in node_names], dtype=np.intc)
+        node, time, metric, kind, value, tag, mem_node, mem_time, numa_row, numa_count = buffers
+        self.node.frombytes(node_code[np.frombuffer(node, dtype=np.intc)].tobytes())
+        self.time.frombytes(time)
+        self.metric.frombytes(metric_code[np.frombuffer(metric, dtype=np.intc)].tobytes())
+        self.kind.frombytes(kind)
+        self.value.frombytes(value)
+        self.tag.frombytes(tag)
+        self.mem_node.frombytes(node_code[np.frombuffer(mem_node, dtype=np.intc)].tobytes())
+        self.mem_time.frombytes(mem_time)
+        self.numa_row.frombytes((np.frombuffer(numa_row, dtype=np.int64)
+                                 + first_numa_row).tobytes())
+        self.numa_count.frombytes(numa_count)
 
     def _node_table(self) -> tuple[tuple[str, ...], np.ndarray]:
         """Sorted node names and the sorted position of each node code."""
@@ -412,6 +463,67 @@ class _ArchiveReader:
             else:
                 _other_record(raw, row, self.nodes, self.launcher, self.processes)
 
+    def send(self, put: Callable[[object], None], lines: int) -> None:
+        """Stream the records read so far to another reader's
+        ``take_range``, one ``put`` of plain tuples, names and bytes at a
+        time: the metric names in code order and the NUMA buffer; each
+        job's node names in code order and buffers; None; then the job,
+        launcher and process records and ``lines``, the number of lines
+        read."""
+        put((tuple(self.metric_codes), self.numa.tobytes()))
+        for job_id, builder in self.builders.items():
+            put((job_id, tuple(builder.node_codes),
+                 *(getattr(builder, name).tobytes() for name in builder.BUFFERS)))
+        put(None)
+        put((tuple(self.nodes.items()),
+             tuple((job_id, (info.exe, info.n_processes, info.threads_per_process))
+                   for job_id, info in self.launcher.items()),
+             tuple((job_id, tuple((seen.process_name, seen.unique_pid_count)
+                                  for seen in observed))
+                   for job_id, observed in self.processes.items()),
+             lines))
+
+    def take_range(self, receive: Callable[[], object], finish: Callable[[], None]) -> int:
+        """Append the records that another reader, which read the next range
+        of the file, streamed by ``send``; each ``receive()`` gives the next
+        message.  ``finish()`` is called once the last has come and raises
+        unless the stream can be trusted.  Names are mapped to this
+        reader's codes, so the records load as if this reader had read the
+        range itself.  On any exception the reader is put back as it was
+        and the exception raised.  Returns the number of lines in the range.
+        """
+        numa_length, metric_count = len(self.numa), len(self.metric_codes)
+        sizes = {}  # each job's builder sizes before the range, None for a new job
+        try:
+            metrics, numa = receive()
+            metric_code = np.array([self.metric_codes[name] for name in metrics], dtype=np.intc)
+            first_numa_row = numa_length // len(_NUMA_FIELDS)
+            self.numa.frombytes(numa)
+            for job_id, node_names, *buffers in iter(receive, None):
+                builder = self.builders.get(job_id)
+                sizes.setdefault(job_id, None if builder is None else builder.sizes())
+                _builder(self.builders, job_id).extend(node_names, buffers, metric_code,
+                                                       first_numa_row)
+            nodes, launchers, processes, lines = receive()
+            launchers = [(job_id, LauncherInfo(*fields)) for job_id, fields in launchers]
+            processes = [(job_id, [appident.ProcessObservation(*fields) for fields in observed])
+                         for job_id, observed in processes]
+            finish()
+        except BaseException:
+            for job_id, size in sizes.items():
+                if size is None:
+                    self.builders.pop(job_id, None)
+                else:
+                    self.builders[job_id].truncate(size)
+            del self.numa[numa_length:]
+            self.metric_codes.truncate(metric_count)
+            raise
+        self.nodes.update(nodes)
+        self.launcher.update(launchers)
+        for job_id, observed in processes:
+            self.processes.setdefault(job_id, []).extend(observed)
+        return lines
+
     def archives(self) -> dict[str, JobArchive]:
         """Each job's archive, in job_id order.
 
@@ -419,8 +531,11 @@ class _ArchiveReader:
         freed before the perf columns are built: those take more room than
         their buffers, so the peak stays where they are all built.  That
         one large free also makes glibc's malloc keep, rather than return,
-        the heap that ``summarize_all`` reuses block after block (on the
-        benchmark's archive, ~600 page faults there instead of ~10,000).
+        the heap that ``summarize_all`` reuses block after block: on the
+        benchmark's archive (``archives_1k`` seed 1, getrusage around the
+        call in a fresh process) ``summarize_all`` takes ~650 minor page
+        faults after a load in two byte ranges and 511 after one pass,
+        where per-job NUMA buffers, freed one by one, left it ~9,600.
         """
         job_ids = sorted(set(self.nodes) | set(self.builders) | set(self.launcher)
                          | set(self.processes))
@@ -444,27 +559,208 @@ class _ArchiveReader:
         return archives
 
 
+def _read_lines(reader: _ArchiveReader, handle, row: int) -> int:
+    """Read the lines of text file ``handle`` into ``reader``, the first
+    being line ``row``: the number of the line after the last."""
+    for chunk in iter(partial(handle.readlines, _CHUNK_BYTES), []):
+        # stretches of lines that _LINE takes, and of lines it does not, in
+        # file order
+        start = 0
+        for taken, run in groupby(map(_LINE.fullmatch, chunk), bool):
+            run = list(run)
+            if taken:
+                reader.take_matches(run)
+            else:
+                reader.take_lines(chunk[start:start + len(run)], row + start)
+            start += len(run)
+        row += len(chunk)
+    return row
+
+
+# The smallest byte range that a worker is forked for: a file is cut into
+# ranges of at least this size, one per usable CPU.  Forking, a worker's
+# slower start and the merge cost about what reading 2 MB costs: prefixes of
+# the benchmark's canonical archive load in two ranges in 1.27x the time of
+# one pass at 4 MB and 0.70x at 8 MB (2-core host, medians of 9).
+_RANGE_MIN_BYTES = 4 << 20
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _line_start(fd: int, at: int, size: int) -> int:
+    """The offset right after the first ``\\n`` at or after ``at`` in the
+    first ``size`` bytes of file ``fd``; ``size`` when there is none."""
+    while at < size:
+        window = os.pread(fd, min(_CHUNK_BYTES, size - at), at)
+        newline = window.find(b"\n")
+        if newline >= 0:
+            return at + newline + 1
+        if not window:  # the file is shorter than it was
+            break
+        at += len(window)
+    return size
+
+
+def _cuts(fd: int, size: int) -> list[int]:
+    """The byte offsets that cut the first ``size`` bytes of file ``fd``
+    into ranges, from 0 to ``size``: one range per usable CPU, each of at
+    least ``_RANGE_MIN_BYTES`` and each cut right after a ``\\n``.  One range
+    where this process cannot fork, or must not: while another Python
+    thread runs, a forked child could find a lock held forever."""
+    count = min(_usable_cpus(), size // _RANGE_MIN_BYTES)
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [0, size]
+    cuts = [0]
+    for k in range(1, count):
+        at = _line_start(fd, size * k // count, size)
+        if cuts[-1] < at < size:
+            cuts.append(at)
+    cuts.append(size)
+    return cuts
+
+
+class _Window(io.RawIOBase):
+    """Bytes ``start`` to ``end`` of open file ``fd``, read by ``os.pread``
+    (the file position is neither used nor moved)."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        super().__init__()
+        self.fd, self.at, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.at), self.at)
+        buffer[:len(data)] = data
+        self.at += len(data)
+        return len(data)
+
+
+def _read_range(reader: _ArchiveReader, fd: int, start: int, end: int, row: int) -> int:
+    """``_read_lines`` of bytes ``start`` to ``end`` of file ``fd``, decoded
+    as the whole file is (UTF-8, universal newlines)."""
+    with io.TextIOWrapper(io.BufferedReader(_Window(fd, start, end), _CHUNK_BYTES),
+                          encoding="utf-8") as handle:
+        return _read_lines(reader, handle, row)
+
+
+class _Worker:
+    """A forked child that reads one byte range of the file into a reader
+    of its own and streams it back through a pipe (``_ArchiveReader.send``)."""
+
+    def __init__(self, fd: int, start: int, end: int, inherited: list[int]):
+        """Fork the child, or raise OSError; ``inherited`` are the read ends
+        of the pipes of earlier workers, which the child closes."""
+        read_end, write_end = os.pipe()
+        self.stream, self.status = open(read_end, "rb"), None
+        try:
+            with warnings.catch_warnings():
+                # CPython >= 3.12 warns when a process with other OS threads
+                # forks.  No other Python thread runs (see _cuts); the others
+                # are native pools, such as numpy's BLAS threads, idle
+                # between calls, and the child never calls into them: it
+                # reads its range with the reader, numpy's text parser and
+                # frombuffer, and leaves by os._exit.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+        except OSError:
+            self.stream.close()
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                for other in [read_end, *inherited]:
+                    os.close(other)
+                reader = _ArchiveReader()
+                lines = _read_range(reader, fd, start, end, 1) - 1
+                with open(write_end, "wb") as out:
+                    def send(message):
+                        pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+
+                    reader.send(send, lines)
+                status = 0
+            finally:
+                # never return into the caller's code, nor flush its stdio
+                os._exit(status)
+        os.close(write_end)
+
+    def receive(self):
+        return pickle.load(self.stream)
+
+    def finish(self) -> None:
+        """Raise unless the stream has ended and the child exited with 0."""
+        if self.stream.read(1):
+            raise ValueError("archive worker sent more than its range")
+        if self.wait() != 0:
+            raise ChildProcessError(f"archive worker exited with status {self.status}")
+
+    def wait(self) -> int:
+        """Reap the child (once): its wait status."""
+        if self.status is None:
+            self.status = os.waitpid(self.pid, 0)[1]
+        return self.status
+
+    def stop(self) -> None:
+        """Kill the child if it is not reaped yet, reap it and close the pipe."""
+        if self.status is None:
+            from signal import SIGKILL  # here, since a load that forks nothing needs no signal
+
+            os.kill(self.pid, SIGKILL)
+            self.wait()
+        self.stream.close()
+
+
+def _load_ranges(reader: _ArchiveReader, fd: int, cuts: list[int]) -> None:
+    """Read the ranges between ``cuts`` into ``reader`` in file order: the
+    first here, each later one in a worker, whose stream is appended.  A
+    range whose worker could not be started, or failed in any way (a bad
+    line, a decode error, killed, a stream cut short), is read here, so an
+    error is raised as one pass over the file raises it."""
+    ranges = list(zip(cuts, cuts[1:]))
+    workers = []
+    try:
+        for start, end in ranges[1:]:
+            try:
+                workers.append(_Worker(fd, start, end, [w.stream.fileno() for w in workers]))
+            except OSError:  # no process or pipe to be had: the rest is read here
+                break
+        row = _read_range(reader, fd, *ranges[0], 1)
+        for k, (start, end) in enumerate(ranges[1:]):
+            if k < len(workers):
+                try:
+                    row += reader.take_range(workers[k].receive, workers[k].finish)
+                    continue
+                except Exception:  # whatever went wrong in the worker, not trusted
+                    pass
+            row = _read_range(reader, fd, start, end, row)
+    finally:
+        for worker in workers:
+            worker.stop()
+
+
 def load_archives(path) -> dict[str, JobArchive]:
     """Read the archive JSONL (schema in docs/formats.md) grouped by job.
 
     Each line is one JSON object.  Record order in the file does not matter,
     except among records of one job with equal (node, metric, time), which
     keep it.  A malformed record raises SchemaError whose row is its 1-based
-    line number.
+    line number.  A large file is read in byte ranges, one per usable CPU,
+    all but the first by forked workers (``_load_ranges``); the columns and
+    the errors are those of one pass.
     """
     reader = _ArchiveReader()
-    row = 1  # the line number of the chunk's first line
     with open(path, "r", encoding="utf-8") as handle:
-        for chunk in iter(partial(handle.readlines, _CHUNK_BYTES), []):
-            # stretches of lines that _LINE takes, and of lines it does not,
-            # in file order
-            start = 0
-            for taken, run in groupby(map(_LINE.fullmatch, chunk), bool):
-                run = list(run)
-                if taken:
-                    reader.take_matches(run)
-                else:
-                    reader.take_lines(chunk[start:start + len(run)], row + start)
-                start += len(run)
-            row += len(chunk)
+        fd = handle.fileno()
+        cuts = _cuts(fd, os.fstat(fd).st_size)
+        if len(cuts) == 2:
+            _read_lines(reader, handle, 1)
+        else:
+            _load_ranges(reader, fd, cuts)
     return reader.archives()

@@ -350,7 +350,8 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except BrokenPipeError:
         return EXIT_OK  # downstream consumer (e.g. head) closed the pipe
-    except (FileNotFoundError, OSError, SchemaError, json.JSONDecodeError, csv.Error) as err:
+    except (FileNotFoundError, OSError, SchemaError, json.JSONDecodeError, csv.Error,
+            UnicodeDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except HpcwlError as err:

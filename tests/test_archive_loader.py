@@ -7,10 +7,19 @@ record, keys in the documented order) column by column and every other line
 one record at a time; both paths must load the same columns in the same
 order, and fail on the same line with the same error.  The reference loader
 shares the loader's column builder; the oracle shares nothing with it.
+
+A large file is read in byte ranges, all but the first by forked workers;
+with the range minimum and the CPU count patched, small files take that
+path too, and must load what one pass loads, fail as one pass fails, and
+leave no child process behind.
 """
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -143,14 +152,18 @@ def archive_lines(draw, valid=False):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lines=archive_lines(), chunk_bytes=st.sampled_from((1, 300, 1 << 16)))
-def test_both_paths_load_what_the_reference_loader_loads(lines, chunk_bytes):
+@given(lines=archive_lines(), chunk_bytes=st.sampled_from((1, 300, 1 << 16)),
+       cpus=st.integers(1, 3))
+def test_both_paths_load_what_the_reference_loader_loads(lines, chunk_bytes, cpus):
+    """In one pass (one CPU) and in up to three byte ranges."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "archive.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("".join(lines))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(archives, "_CHUNK_BYTES", chunk_bytes)
+            patch.setattr(archives, "_RANGE_MIN_BYTES", 1)
+            patch.setattr(archives, "_usable_cpus", lambda: cpus)
             got = _outcome(load_archives, path)
         assert got == _outcome(reference_load_archives, path)
 
@@ -259,3 +272,307 @@ def test_canonical_looking_lines_that_are_not_json_are_invalid_json(tmp_path, ba
     with pytest.raises(SchemaError) as err:
         load_archives(path)
     assert (err.value.row, err.value.field, str(err.value)) == (2, None, "row 2: invalid JSON")
+
+
+# ---------------------------------------------------------------------------
+# byte ranges
+
+
+def _record(**fields):
+    return json.dumps(fields) + "\n"
+
+
+def _perf_at(job_id="j1", node="n1", time=5, metric="cpu_user_ticks", value=1,
+             tag="periodic"):
+    return _record(type="perf", job_id=job_id, node=node, time=time, metric=metric,
+                   kind="counter", value=value, tag=tag)
+
+
+def _mem_at(job_id="j1", node="n1", time=5, total=8):
+    return _record(type="meminfo", job_id=job_id, node=node, time=time,
+                   numa=[dict(zip(NUMA_FIELDS, (total, 4, 1, 1)))] * 2)
+
+
+def _write_ranges(tmp_path, ranges, name="archive.jsonl"):
+    """Write the lines of each range in turn: the file and the byte offsets
+    of the range boundaries."""
+    data = [b"".join(line.encode("utf-8") if isinstance(line, str) else line
+                     for line in lines) for lines in ranges]
+    path = tmp_path / name
+    path.write_bytes(b"".join(data))
+    cuts = [0]
+    for part in data:
+        cuts.append(cuts[-1] + len(part))
+    return path, cuts
+
+
+def _load(path, cpus=3, cuts=None):
+    """``load_archives`` with a 1-byte range minimum over ``cpus`` CPUs (at
+    ``cuts``, when given), and the ranges the caller read itself."""
+    read = []
+    real = archives._read_range
+
+    def counted(reader, fd, start, end, row):
+        read.append((start, end, row))
+        return real(reader, fd, start, end, row)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(archives, "_RANGE_MIN_BYTES", 1)
+        patch.setattr(archives, "_usable_cpus", lambda: cpus)
+        if cuts is not None:
+            patch.setattr(archives, "_cuts", lambda fd, size: cuts)
+        patch.setattr(archives, "_read_range", counted)
+        return load_archives(path), read
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _check_cut(tmp_path, ranges):
+    """Load the ranges cut where they meet, check that the outcome is one
+    pass's and that no child is left: the outcome, and the ranges the
+    caller read itself (None for a rejected file)."""
+    path, cuts = _write_ranges(tmp_path, ranges)
+    assert threading.active_count() == 1
+    try:
+        got, read = _load(path, cuts=cuts)
+        got = ("loaded", _state(got))
+    except SchemaError as err:
+        got, read = ("rejected", err.row, err.field, str(err)), None
+    _no_child_left()
+    assert got == _outcome(_one_pass, path)
+    return got, read
+
+
+def _one_pass(path):
+    return _load(path, cpus=1)[0]
+
+
+def _columns_of(outcome):
+    """Each job's columns by name from an ``_outcome``."""
+    return {job_id: {name: np.frombuffer(data, dtype=dtype).reshape(shape)
+                     for name, dtype, shape, data in columns}
+            for job_id, *_, columns in outcome[1]}
+
+
+def test_equal_keys_across_cuts_keep_file_order(tmp_path):
+    got, read = _check_cut(tmp_path, [
+        [_perf_at(value=1), _mem_at(total=10), _perf_at(job_id="j2")],
+        [_perf_at(value=2), _mem_at(total=20)],
+        [_perf_at(job_id="j2"), _perf_at(value=3).replace(", ", ",", 1), _mem_at(total=30)]])
+    assert [start for start, _, _ in read] == [0]
+    loaded = _columns_of(got)
+    assert loaded["j1"]["value"].tolist() == [1.0, 2.0, 3.0]
+    assert loaded["j1"]["numa"][:, 0].tolist() == [10, 10, 20, 20, 30, 30]
+
+
+def test_a_metric_first_seen_in_a_later_range_comes_after(tmp_path):
+    got, read = _check_cut(tmp_path, [
+        [_perf_at(metric="b")],
+        [_perf_at(metric="c", job_id="j2"), _perf_at(metric="b", job_id="j2")],
+        [_perf_at(metric="a", time=1), _perf_at(metric="c")]])
+    assert len(read) == 1
+    assert {job[3] for job in got[1]} == {("b", "c", "a")}
+    assert _columns_of(got)["j1"]["metric"].tolist() == [0, 1, 2]
+
+
+def test_job_and_launcher_records_across_ranges_last_wins(tmp_path):
+    got, read = _check_cut(tmp_path, [
+        [_record(type="job", job_id="j1", nodes=["a"]),
+         _record(type="launcher", job_id="j1", exe="x", n_processes=2)],
+        [_record(type="job", job_id="j1", nodes=["b", "c"]),
+         _record(type="launcher", job_id="j2", exe=None)],
+        [_record(type="launcher", job_id="j1", exe="y"), _perf_at(job_id="j3")]])
+    assert len(read) == 1
+    jobs = {job[0]: job for job in got[1]}
+    assert jobs["j1"][1] == ("b", "c")
+    assert jobs["j1"][5] == archives.LauncherInfo("y", 1, 1)
+    assert jobs["j2"][5] == archives.LauncherInfo(None, 1, 1)
+
+
+def test_process_records_on_both_sides_of_a_cut_keep_their_order(tmp_path):
+    got, read = _check_cut(tmp_path, [
+        [_record(type="process", job_id="j1", process_name="p1", unique_pid_count=1)],
+        [_record(type="process", job_id="j1", process_name="p2", unique_pid_count=2),
+         _record(type="process", job_id="j1", process_name="p1", unique_pid_count=3)],
+        [_record(type="process", job_id="j2", process_name="q", unique_pid_count=1)]])
+    assert len(read) == 1
+    jobs = {job[0]: job for job in got[1]}
+    assert [(p.process_name, p.unique_pid_count) for p in jobs["j1"][6]] == [
+        ("p1", 1), ("p2", 2), ("p1", 3)]
+
+
+@pytest.mark.parametrize("bad", [False, True])
+def test_line_ends_and_blank_lines_at_cuts_count_as_in_one_pass(tmp_path, bad):
+    crlf = _perf_at(value=1).replace("\n", "\r\n")
+    lone = _perf_at(value=2).replace("\n", "\r")
+    last = _perf_at(value=3).replace('"counter"', '"gauge"') if bad else _perf_at(value=3)
+    got, read = _check_cut(tmp_path, [
+        [crlf, lone, crlf],
+        ["\n", lone, "\r\n", crlf],
+        ["  \n", lone + crlf, last]])
+    if bad:  # lines: 3 in range 0, 4 in range 1, then a blank, two and the bad one
+        assert got[:3] == ("rejected", 11, "kind")
+    else:
+        assert len(read) == 1
+        assert _columns_of(got)["j1"]["value"].tolist() == [1, 2, 1, 2, 1, 2, 1, 3]
+
+
+def test_a_bad_line_in_a_later_range_names_its_line(tmp_path):
+    bad = _perf_at(time=7).replace('"time": 7', '"time": "7x"')
+    got, read = _check_cut(tmp_path, [
+        [_perf_at(), _perf_at(), "\n"],
+        [_perf_at(), _perf_at(job_id="j2")],
+        [_perf_at(), bad, _perf_at()]])
+    assert got == ("rejected", 7, "time", "row 7: bad or missing field 'time'")
+
+
+def test_the_first_of_bad_lines_in_two_ranges_wins(tmp_path):
+    got, read = _check_cut(tmp_path, [
+        [_perf_at(), _perf_at()],
+        [_perf_at(), _perf_at().replace('"counter"', '"gauge"')],
+        [_record(type="bogus", job_id="j1")]])
+    assert got[:3] == ("rejected", 4, "kind")
+
+
+def test_invalid_utf8_in_a_later_range_is_a_decode_error(tmp_path):
+    path, cuts = _write_ranges(tmp_path, [
+        [_perf_at(), _perf_at()],
+        [_perf_at(node="né")],
+        [_perf_at(), b'{"type": "perf", "job_id": "j\xff"}\n', _perf_at()]])
+    with pytest.raises(UnicodeDecodeError):
+        _load(path, cuts=cuts)
+    _no_child_left()
+    with pytest.raises(UnicodeDecodeError):
+        _one_pass(path)
+
+
+def test_cuts_follow_a_newline_one_range_per_cpu(tmp_path):
+    lines = [_perf_at(time=t, value=t * 10**(t % 7)) for t in range(50)]
+    path = tmp_path / "archive.jsonl"
+    path.write_text("".join(lines))
+    data = path.read_bytes()
+    ends = {0, len(data)} | {i + 1 for i, byte in enumerate(data) if byte == ord("\n")}
+    with open(path, "rb") as handle, pytest.MonkeyPatch.context() as patch:
+        fd = handle.fileno()
+        # the real minimum: a small file is one range
+        assert archives._cuts(fd, len(data)) == [0, len(data)]
+        patch.setattr(archives, "_RANGE_MIN_BYTES", 1)
+        for cpus in (1, 2, 3, 7):
+            patch.setattr(archives, "_usable_cpus", lambda cpus=cpus: cpus)
+            cuts = archives._cuts(fd, len(data))
+            assert len(cuts) == cpus + 1 and cuts == sorted(set(cuts))
+            assert set(cuts) <= ends
+        # no fork while another Python thread runs
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert archives._cuts(fd, len(data)) == [0, len(data)]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_no_child_outlives_a_load(tmp_path):
+    good = [[_perf_at(time=t, job_id=f"j{t % 3}") for t in range(20)] for _ in range(3)]
+    bad_line = _perf_at().replace('"counter"', '"gauge"')
+    path, cuts = _write_ranges(tmp_path, good)
+    expected = _state(_one_pass(path))
+    assert _state(_load(path, cuts=cuts)[0]) == expected
+    _no_child_left()
+    for where in (0, 2):
+        ranges = [list(lines) for lines in good]
+        ranges[where].insert(3, bad_line)
+        bad_path, bad_cuts = _write_ranges(tmp_path, ranges, f"bad{where}.jsonl")
+        with pytest.raises(SchemaError) as err:
+            _load(bad_path, cuts=bad_cuts)
+        assert err.value.row == 20 * where + 4
+        _no_child_left()
+
+    # a worker that dies mid-stream, after its first job: its range is read
+    # again by the caller, and the result is one pass's
+    real_send = archives._ArchiveReader.send
+
+    def dying_send(self, put, lines):
+        sent = []
+
+        def put_two(message):
+            if len(sent) == 2:
+                os._exit(1)
+            sent.append(message)
+            put(message)
+
+        real_send(self, put_two, lines)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(archives._ArchiveReader, "send", dying_send)
+        got, read = _load(path, cuts=cuts)
+    assert _state(got) == expected
+    assert [start for start, _, _ in read] == cuts[:-1]
+    _no_child_left()
+
+
+def test_a_ranged_load_warns_nothing(tmp_path):
+    path, cuts = _write_ranges(tmp_path, [[_perf_at()], [_perf_at(time=6)]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _load(path, cuts=cuts)
+    assert caught == []
+    _no_child_left()
+
+
+def test_a_worker_that_cannot_be_forked_leaves_its_range_to_the_caller(tmp_path):
+    path, cuts = _write_ranges(tmp_path, [[_perf_at(time=t)] for t in range(3)])
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fork", no_fork)
+        got, read = _load(path, cuts=cuts)
+    assert _state(got) == _state(_one_pass(path))
+    assert [start for start, _, _ in read] == cuts[:-1]
+    _no_child_left()
+
+
+def test_workers_send_plain_data(tmp_path):
+    path, _ = _write_ranges(tmp_path, [[
+        _perf_at(), _mem_at(), _perf_at(job_id="j2", node="n2"),
+        _record(type="job", job_id="j1", nodes=["n1"]),
+        _record(type="launcher", job_id="j1", exe="a.out"),
+        _record(type="process", job_id="j1", process_name="p", unique_pid_count=2)]])
+    reader = archives._ArchiveReader()
+    with open(path, "rb") as handle:
+        archives._read_range(reader, handle.fileno(), 0, os.path.getsize(path), 1)
+    messages = []
+    reader.send(messages.append, 6)
+
+    def plain(value):
+        if type(value) is tuple:
+            return all(map(plain, value))
+        return value is None or type(value) in (str, bytes, int)
+
+    assert len(messages) == 5 and all(map(plain, messages))
+
+
+def test_workers_leave_by_os_exit(tmp_path):
+    """A worker runs none of the caller's exit handlers and writes none of
+    its buffered output."""
+    path, _ = _write_ranges(tmp_path, [[_perf_at(time=t)] for t in range(3)])
+    script = (
+        "import atexit, sys\n"
+        "from hpcwl import archives\n"
+        "archives._RANGE_MIN_BYTES = 1\n"
+        "archives._usable_cpus = lambda: 3\n"
+        "atexit.register(sys.stderr.write, 'exit handler\\n')\n"
+        "sys.stdout.write('unflushed')\n"
+        f"archives.load_archives({str(path)!r})\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(archives.__file__)), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "unflushed", "exit handler\n")

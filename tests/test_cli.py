@@ -181,6 +181,32 @@ def test_report_demo_and_config_override(tmp_path, capsys):
     assert (outdir / "manifest.json").exists()
 
 
+def test_input_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    job = {"job_id": "a", "resource": "SDSC-COMET", "user": "u", "charge_number": "TG-1",
+           "directorate": "MPS", "parent_science": "Physics", "field_of_science": "X",
+           "nsf_user_status": "faculty", "submit_time": 100, "start_time": 200,
+           "end_time": 2000, "nodes": 1, "cores": 24, "queue": "q",
+           "exit_status": "completed", "local_su_charged": 12.0}
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text(json.dumps(job) + "\n")
+    archives = tmp_path / "archives.jsonl"
+    archives.write_bytes(json.dumps({"type": "job", "job_id": "a", "nodes": ["n1"]}).encode()
+                         + b'\n{"type": "process", "job_id": "a\xff"}\n')
+    out = tmp_path / "summaries.jsonl"
+    code, _, err = run(capsys, "summarize", "--jobs", str(jobs),
+                       "--archives", str(archives), "--out", str(out))
+    assert code == EXIT_INPUT
+    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+    for name in ("jobs.jsonl", "jobs.csv"):
+        bad = tmp_path / ("bad_" + name)
+        bad.write_bytes(jobs.read_bytes() + b'{"job_id": "\xff"}\n' if name.endswith("jsonl")
+                        else b"job_id,user\na,\xff\n")
+        code, _, err = run(capsys, "ingest", "--jobs", str(bad))
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_summarize_rejects_a_non_finite_archive_value(tmp_path, capsys):
     job = {"job_id": "a", "resource": "SDSC-COMET", "user": "u", "charge_number": "TG-1",
            "directorate": "MPS", "parent_science": "Physics", "field_of_science": "X",
