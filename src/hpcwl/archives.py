@@ -21,9 +21,10 @@ usable CPU is cut into byte ranges, one per CPU, each cut right after a
 ``\\n``.  The caller reads the first range; a child started by ``os.fork``
 reads each later one with the same reader and streams its buffers back
 through a pipe, job by job, and the caller appends them in file order,
-mapping node and metric codes by name.  A child that fails in any way is
-not trusted: the caller reads its range itself, so the columns and the
-errors are those of one pass.
+mapping node and metric codes by name.  The ranges are trusted only when
+every one succeeds: on any failure the partial reader is dropped and the
+whole file is read again in one pass, so the columns and the errors are
+those of one pass.
 """
 from __future__ import annotations
 
@@ -138,11 +139,6 @@ class _Codes(dict):
         code = self[name] = len(self)
         return code
 
-    def truncate(self, count: int) -> None:
-        """Forget every name but the first ``count``."""
-        for name in list(self)[count:]:
-            del self[name]
-
 
 _NUMA_FIELDS = ("mem_total", "mem_free", "file_pages", "slab")
 
@@ -186,17 +182,6 @@ class _ColumnBuilder:
         self.numa_row.append(len(numa) // len(_NUMA_FIELDS))
         self.numa_count.append(len(components) // len(_NUMA_FIELDS))
         numa.fromlist(components)
-
-    def sizes(self) -> tuple[int, list[int]]:
-        """The number of node codes and the length of each buffer."""
-        return len(self.node_codes), [len(getattr(self, name)) for name in self.BUFFERS]
-
-    def truncate(self, sizes: tuple[int, list[int]]) -> None:
-        """Drop what was appended since ``sizes()`` gave ``sizes``."""
-        codes, lengths = sizes
-        self.node_codes.truncate(codes)
-        for name, length in zip(self.BUFFERS, lengths):
-            del getattr(self, name)[length:]
 
     def extend(self, node_names: tuple[str, ...], buffers: list[bytes],
                metric_code: np.ndarray, first_numa_row: int) -> None:
@@ -463,13 +448,12 @@ class _ArchiveReader:
             else:
                 _other_record(raw, row, self.nodes, self.launcher, self.processes)
 
-    def send(self, put: Callable[[object], None], lines: int) -> None:
+    def send(self, put: Callable[[object], None]) -> None:
         """Stream the records read so far to another reader's
         ``take_range``, one ``put`` of plain tuples, names and bytes at a
         time: the metric names in code order and the NUMA buffer; each
         job's node names in code order and buffers; None; then the job,
-        launcher and process records and ``lines``, the number of lines
-        read."""
+        launcher and process records."""
         put((tuple(self.metric_codes), self.numa.tobytes()))
         for job_id, builder in self.builders.items():
             put((job_id, tuple(builder.node_codes),
@@ -480,49 +464,30 @@ class _ArchiveReader:
                    for job_id, info in self.launcher.items()),
              tuple((job_id, tuple((seen.process_name, seen.unique_pid_count)
                                   for seen in observed))
-                   for job_id, observed in self.processes.items()),
-             lines))
+                   for job_id, observed in self.processes.items())))
 
-    def take_range(self, receive: Callable[[], object], finish: Callable[[], None]) -> int:
+    def take_range(self, receive: Callable[[], object], finish: Callable[[], None]) -> None:
         """Append the records that another reader, which read the next range
         of the file, streamed by ``send``; each ``receive()`` gives the next
         message.  ``finish()`` is called once the last has come and raises
         unless the stream can be trusted.  Names are mapped to this
         reader's codes, so the records load as if this reader had read the
-        range itself.  On any exception the reader is put back as it was
-        and the exception raised.  Returns the number of lines in the range.
-        """
-        numa_length, metric_count = len(self.numa), len(self.metric_codes)
-        sizes = {}  # each job's builder sizes before the range, None for a new job
-        try:
-            metrics, numa = receive()
-            metric_code = np.array([self.metric_codes[name] for name in metrics], dtype=np.intc)
-            first_numa_row = numa_length // len(_NUMA_FIELDS)
-            self.numa.frombytes(numa)
-            for job_id, node_names, *buffers in iter(receive, None):
-                builder = self.builders.get(job_id)
-                sizes.setdefault(job_id, None if builder is None else builder.sizes())
-                _builder(self.builders, job_id).extend(node_names, buffers, metric_code,
-                                                       first_numa_row)
-            nodes, launchers, processes, lines = receive()
-            launchers = [(job_id, LauncherInfo(*fields)) for job_id, fields in launchers]
-            processes = [(job_id, [appident.ProcessObservation(*fields) for fields in observed])
-                         for job_id, observed in processes]
-            finish()
-        except BaseException:
-            for job_id, size in sizes.items():
-                if size is None:
-                    self.builders.pop(job_id, None)
-                else:
-                    self.builders[job_id].truncate(size)
-            del self.numa[numa_length:]
-            self.metric_codes.truncate(metric_count)
-            raise
+        range itself.  A reader that this raises from is left part-way and
+        must be dropped."""
+        metrics, numa = receive()
+        metric_code = np.array([self.metric_codes[name] for name in metrics], dtype=np.intc)
+        first_numa_row = len(self.numa) // len(_NUMA_FIELDS)
+        self.numa.frombytes(numa)
+        for job_id, node_names, *buffers in iter(receive, None):
+            _builder(self.builders, job_id).extend(node_names, buffers, metric_code,
+                                                   first_numa_row)
+        nodes, launchers, processes = receive()
         self.nodes.update(nodes)
-        self.launcher.update(launchers)
+        self.launcher.update((job_id, LauncherInfo(*fields)) for job_id, fields in launchers)
         for job_id, observed in processes:
-            self.processes.setdefault(job_id, []).extend(observed)
-        return lines
+            self.processes.setdefault(job_id, []).extend(
+                appident.ProcessObservation(*fields) for fields in observed)
+        finish()
 
     def archives(self) -> dict[str, JobArchive]:
         """Each job's archive, in job_id order.
@@ -557,24 +522,6 @@ class _ArchiveReader:
                 processes=tuple(self.processes.get(job_id, ())),
             )
         return archives
-
-
-def _read_lines(reader: _ArchiveReader, handle, row: int) -> int:
-    """Read the lines of text file ``handle`` into ``reader``, the first
-    being line ``row``: the number of the line after the last."""
-    for chunk in iter(partial(handle.readlines, _CHUNK_BYTES), []):
-        # stretches of lines that _LINE takes, and of lines it does not, in
-        # file order
-        start = 0
-        for taken, run in groupby(map(_LINE.fullmatch, chunk), bool):
-            run = list(run)
-            if taken:
-                reader.take_matches(run)
-            else:
-                reader.take_lines(chunk[start:start + len(run)], row + start)
-            start += len(run)
-        row += len(chunk)
-    return row
 
 
 # The smallest byte range that a worker is forked for: a file is cut into
@@ -641,12 +588,25 @@ class _Window(io.RawIOBase):
         return len(data)
 
 
-def _read_range(reader: _ArchiveReader, fd: int, start: int, end: int, row: int) -> int:
-    """``_read_lines`` of bytes ``start`` to ``end`` of file ``fd``, decoded
-    as the whole file is (UTF-8, universal newlines)."""
+def _read_range(reader: _ArchiveReader, fd: int, start: int, end: int) -> None:
+    """Read the lines of bytes ``start`` to ``end`` of file ``fd`` into
+    ``reader``, a chunk of lines at a time, decoded as UTF-8 with universal
+    newlines; the first line is row 1."""
     with io.TextIOWrapper(io.BufferedReader(_Window(fd, start, end), _CHUNK_BYTES),
                           encoding="utf-8") as handle:
-        return _read_lines(reader, handle, row)
+        row = 1
+        for chunk in iter(partial(handle.readlines, _CHUNK_BYTES), []):
+            # stretches of lines that _LINE takes, and of lines it does not,
+            # in file order
+            at = 0
+            for taken, run in groupby(map(_LINE.fullmatch, chunk), bool):
+                run = list(run)
+                if taken:
+                    reader.take_matches(run)
+                else:
+                    reader.take_lines(chunk[at:at + len(run)], row + at)
+                at += len(run)
+            row += len(chunk)
 
 
 class _Worker:
@@ -678,13 +638,13 @@ class _Worker:
                 for other in [read_end, *inherited]:
                     os.close(other)
                 reader = _ArchiveReader()
-                lines = _read_range(reader, fd, start, end, 1) - 1
+                _read_range(reader, fd, start, end)
                 with open(write_end, "wb") as out:
                     def send(message):
                         pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
                         out.flush()
 
-                    reader.send(send, lines)
+                    reader.send(send)
                 status = 0
             finally:
                 # never return into the caller's code, nor flush its stdio
@@ -717,29 +677,21 @@ class _Worker:
         self.stream.close()
 
 
-def _load_ranges(reader: _ArchiveReader, fd: int, cuts: list[int]) -> None:
-    """Read the ranges between ``cuts`` into ``reader`` in file order: the
-    first here, each later one in a worker, whose stream is appended.  A
-    range whose worker could not be started, or failed in any way (a bad
-    line, a decode error, killed, a stream cut short), is read here, so an
-    error is raised as one pass over the file raises it."""
-    ranges = list(zip(cuts, cuts[1:]))
+def _load_ranges(fd: int, cuts: list[int]) -> _ArchiveReader:
+    """A reader of the ranges between ``cuts`` in file order: the first read
+    here, each later one by a worker, whose stream is appended.  Raises if
+    any range fails: a bad line (the first range's too), a decode error, no
+    process or pipe for a worker, a worker killed or its stream short, long
+    or unreadable.  Every worker is stopped before this returns or raises."""
     workers = []
     try:
-        for start, end in ranges[1:]:
-            try:
-                workers.append(_Worker(fd, start, end, [w.stream.fileno() for w in workers]))
-            except OSError:  # no process or pipe to be had: the rest is read here
-                break
-        row = _read_range(reader, fd, *ranges[0], 1)
-        for k, (start, end) in enumerate(ranges[1:]):
-            if k < len(workers):
-                try:
-                    row += reader.take_range(workers[k].receive, workers[k].finish)
-                    continue
-                except Exception:  # whatever went wrong in the worker, not trusted
-                    pass
-            row = _read_range(reader, fd, start, end, row)
+        for start, end in zip(cuts[1:], cuts[2:]):
+            workers.append(_Worker(fd, start, end, [w.stream.fileno() for w in workers]))
+        reader = _ArchiveReader()
+        _read_range(reader, fd, cuts[0], cuts[1])
+        for worker in workers:
+            reader.take_range(worker.receive, worker.finish)
+        return reader
     finally:
         for worker in workers:
             worker.stop()
@@ -752,15 +704,20 @@ def load_archives(path) -> dict[str, JobArchive]:
     except among records of one job with equal (node, metric, time), which
     keep it.  A malformed record raises SchemaError whose row is its 1-based
     line number.  A large file is read in byte ranges, one per usable CPU,
-    all but the first by forked workers (``_load_ranges``); the columns and
-    the errors are those of one pass.
+    all but the first by forked workers (``_load_ranges``).  If any range
+    fails, the partial reader is dropped and the whole file is read again in
+    one pass, which decides the columns or the error: they are always those
+    of one pass.  The file must be seekable (a pipe is an OSError).
     """
-    reader = _ArchiveReader()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         fd = handle.fileno()
-        cuts = _cuts(fd, os.fstat(fd).st_size)
-        if len(cuts) == 2:
-            _read_lines(reader, handle, 1)
-        else:
-            _load_ranges(reader, fd, cuts)
+        size = os.lseek(fd, 0, os.SEEK_END)
+        cuts = _cuts(fd, size)
+        if len(cuts) > 2:
+            try:
+                return _load_ranges(fd, cuts).archives()
+            except Exception:  # not trusted: the one pass below decides
+                pass
+        reader = _ArchiveReader()
+        _read_range(reader, fd, 0, size)
     return reader.archives()

@@ -8,10 +8,10 @@ one record at a time; both paths must load the same columns in the same
 order, and fail on the same line with the same error.  The reference loader
 shares the loader's column builder; the oracle shares nothing with it.
 
-A large file is read in byte ranges, all but the first by forked workers;
-with the range minimum and the CPU count patched, small files take that
-path too, and must load what one pass loads, fail as one pass fails, and
-leave no child process behind.
+A large file is read in byte ranges, all but the first by forked workers,
+and read again in one pass if any range fails; with the range minimum and
+the CPU count patched, small files take that path too, and must load what
+one pass loads, fail as one pass fails, and leave no child process behind.
 """
 import json
 import os
@@ -20,6 +20,7 @@ import sys
 import tempfile
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -79,6 +80,8 @@ def _outcome(load, path):
         return "loaded", _state(load(path))
     except SchemaError as err:
         return "rejected", err.row, err.field, str(err)
+    except UnicodeDecodeError:
+        return ("decode",)
 
 
 # names the bulk path takes, and names it leaves to the per-record path:
@@ -151,21 +154,37 @@ def archive_lines(draw, valid=False):
     return lines
 
 
+# a line that is not UTF-8: a decode error wherever it is read
+NOT_UTF8 = b'{"type": "perf", "job_id": "j\xff"}\n'
+
+
 @settings(max_examples=300, deadline=None)
 @given(lines=archive_lines(), chunk_bytes=st.sampled_from((1, 300, 1 << 16)),
-       cpus=st.integers(1, 3))
-def test_both_paths_load_what_the_reference_loader_loads(lines, chunk_bytes, cpus):
-    """In one pass (one CPU) and in up to three byte ranges."""
+       cpus=st.integers(1, 3), not_utf8=st.sampled_from((False, False, False, True)),
+       at=st.integers(0, 40))
+def test_both_paths_load_what_the_reference_loader_loads(lines, chunk_bytes, cpus, not_utf8,
+                                                          at):
+    """In one pass (one CPU) and in up to three byte ranges; a file with a
+    line that is not UTF-8 (inserted at line ``at``) loads in ranges as it
+    does in one pass."""
+    data = [line.encode("utf-8") for line in lines]
+    if not_utf8:
+        data.insert(min(at, len(data)), NOT_UTF8)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "archive.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("".join(lines))
+        with open(path, "wb") as handle:
+            handle.write(b"".join(data))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(archives, "_CHUNK_BYTES", chunk_bytes)
             patch.setattr(archives, "_RANGE_MIN_BYTES", 1)
             patch.setattr(archives, "_usable_cpus", lambda: cpus)
             got = _outcome(load_archives, path)
-        assert got == _outcome(reference_load_archives, path)
+            if not_utf8:
+                patch.setattr(archives, "_usable_cpus", lambda: 1)
+                expected = _outcome(load_archives, path)
+            else:
+                expected = _outcome(reference_load_archives, path)
+        assert got == expected
 
 
 NUMA_FIELDS = ("mem_total", "mem_free", "file_pages", "slab")
@@ -308,13 +327,17 @@ def _write_ranges(tmp_path, ranges, name="archive.jsonl"):
 
 def _load(path, cpus=3, cuts=None):
     """``load_archives`` with a 1-byte range minimum over ``cpus`` CPUs (at
-    ``cuts``, when given), and the ranges the caller read itself."""
-    read = []
+    ``cuts``, when given), and the ranges the caller read itself.  Checks
+    that a load never holds two readers: the reader of a failed ranged
+    attempt is gone before the one pass starts."""
+    read, readers = [], []
     real = archives._read_range
 
-    def counted(reader, fd, start, end, row):
-        read.append((start, end, row))
-        return real(reader, fd, start, end, row)
+    def counted(reader, fd, start, end):
+        read.append((start, end))
+        assert all(seen() is None or seen() is reader for seen in readers)
+        readers.append(weakref.ref(reader))
+        return real(reader, fd, start, end)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(archives, "_RANGE_MIN_BYTES", 1)
@@ -333,14 +356,17 @@ def _no_child_left():
 def _check_cut(tmp_path, ranges):
     """Load the ranges cut where they meet, check that the outcome is one
     pass's and that no child is left: the outcome, and the ranges the
-    caller read itself (None for a rejected file)."""
+    caller read itself (None for a file that fails to load)."""
     path, cuts = _write_ranges(tmp_path, ranges)
     assert threading.active_count() == 1
-    try:
+    read = None
+
+    def load(path):
+        nonlocal read
         got, read = _load(path, cuts=cuts)
-        got = ("loaded", _state(got))
-    except SchemaError as err:
-        got, read = ("rejected", err.row, err.field, str(err)), None
+        return got
+
+    got = _outcome(load, path)
     _no_child_left()
     assert got == _outcome(_one_pass, path)
     return got, read
@@ -362,7 +388,7 @@ def test_equal_keys_across_cuts_keep_file_order(tmp_path):
         [_perf_at(value=1), _mem_at(total=10), _perf_at(job_id="j2")],
         [_perf_at(value=2), _mem_at(total=20)],
         [_perf_at(job_id="j2"), _perf_at(value=3).replace(", ", ",", 1), _mem_at(total=30)]])
-    assert [start for start, _, _ in read] == [0]
+    assert [start for start, _ in read] == [0]
     loaded = _columns_of(got)
     assert loaded["j1"]["value"].tolist() == [1.0, 2.0, 3.0]
     assert loaded["j1"]["numa"][:, 0].tolist() == [10, 10, 20, 20, 30, 30]
@@ -438,15 +464,23 @@ def test_the_first_of_bad_lines_in_two_ranges_wins(tmp_path):
 
 
 def test_invalid_utf8_in_a_later_range_is_a_decode_error(tmp_path):
-    path, cuts = _write_ranges(tmp_path, [
+    got, _ = _check_cut(tmp_path, [
         [_perf_at(), _perf_at()],
         [_perf_at(node="né")],
-        [_perf_at(), b'{"type": "perf", "job_id": "j\xff"}\n', _perf_at()]])
-    with pytest.raises(UnicodeDecodeError):
-        _load(path, cuts=cuts)
-    _no_child_left()
-    with pytest.raises(UnicodeDecodeError):
-        _one_pass(path)
+        [_perf_at(), NOT_UTF8, _perf_at()]])
+    assert got == ("decode",)
+
+
+def test_a_bad_record_before_a_cut_loses_to_a_decode_error_after_it(tmp_path):
+    """One pass decodes a chunk of lines before it checks them, so in a
+    small file the line that is not UTF-8 is found first, even after the
+    cut; the ranged load, whose first range fails on the bad record, reads
+    the file again in one pass and raises the same."""
+    ranges = [[_perf_at(), _perf_at().replace('"counter"', '"gauge"')],
+              [NOT_UTF8, _perf_at()]]
+    assert sum(len(line) for lines in ranges for line in lines) < 8 << 10
+    got, _ = _check_cut(tmp_path, ranges)
+    assert got == ("decode",)
 
 
 def test_cuts_follow_a_newline_one_range_per_cpu(tmp_path):
@@ -493,11 +527,11 @@ def test_no_child_outlives_a_load(tmp_path):
         assert err.value.row == 20 * where + 4
         _no_child_left()
 
-    # a worker that dies mid-stream, after its first job: its range is read
-    # again by the caller, and the result is one pass's
+    # a worker that dies mid-stream, after its first job: the caller, which
+    # read range 0, reads the whole file again, and the result is one pass's
     real_send = archives._ArchiveReader.send
 
-    def dying_send(self, put, lines):
+    def dying_send(self, put):
         sent = []
 
         def put_two(message):
@@ -506,13 +540,13 @@ def test_no_child_outlives_a_load(tmp_path):
             sent.append(message)
             put(message)
 
-        real_send(self, put_two, lines)
+        real_send(self, put_two)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(archives._ArchiveReader, "send", dying_send)
         got, read = _load(path, cuts=cuts)
     assert _state(got) == expected
-    assert [start for start, _, _ in read] == cuts[:-1]
+    assert read == [(0, cuts[1]), (0, cuts[-1])]
     _no_child_left()
 
 
@@ -525,7 +559,7 @@ def test_a_ranged_load_warns_nothing(tmp_path):
     _no_child_left()
 
 
-def test_a_worker_that_cannot_be_forked_leaves_its_range_to_the_caller(tmp_path):
+def test_a_load_that_cannot_fork_reads_in_one_pass(tmp_path):
     path, cuts = _write_ranges(tmp_path, [[_perf_at(time=t)] for t in range(3)])
 
     def no_fork():
@@ -535,8 +569,21 @@ def test_a_worker_that_cannot_be_forked_leaves_its_range_to_the_caller(tmp_path)
         patch.setattr(os, "fork", no_fork)
         got, read = _load(path, cuts=cuts)
     assert _state(got) == _state(_one_pass(path))
-    assert [start for start, _, _ in read] == cuts[:-1]
+    assert read == [(0, cuts[-1])]
     _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_a_pipe_is_an_error_not_an_empty_archive():
+    """The loader reads by offset, so a file it cannot seek is an OSError."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, _perf_at().encode())
+    os.close(write_end)
+    try:
+        with pytest.raises(OSError):
+            load_archives(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
 
 
 def test_workers_send_plain_data(tmp_path):
@@ -547,9 +594,9 @@ def test_workers_send_plain_data(tmp_path):
         _record(type="process", job_id="j1", process_name="p", unique_pid_count=2)]])
     reader = archives._ArchiveReader()
     with open(path, "rb") as handle:
-        archives._read_range(reader, handle.fileno(), 0, os.path.getsize(path), 1)
+        archives._read_range(reader, handle.fileno(), 0, os.path.getsize(path))
     messages = []
-    reader.send(messages.append, 6)
+    reader.send(messages.append)
 
     def plain(value):
         if type(value) is tuple:
