@@ -301,14 +301,6 @@ def _int64_bytes(text: str) -> bytes:
     return np.fromstring(text, dtype=np.int64, sep=" ").tobytes()
 
 
-def _int_field(raw: Mapping, row: int, name: str, low: int = -_EXACT) -> int:
-    """An integer field by ``ingest._as_int``'s rules, within [low, 2**53]."""
-    value = _as_int(raw, row, name)
-    if not low <= value <= _EXACT:
-        raise SchemaError(row, name, f"row {row}: {name} out of range")
-    return value
-
-
 def _code(codes: Mapping[str, int], raw: Mapping, row: int, name: str, default=None) -> int:
     value = raw.get(name, default)
     code = codes.get(value) if type(value) is str else None
@@ -329,7 +321,7 @@ def _perf_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder],
     """Check one perf record field by field: its job's builder and the
     arguments of its ``add_perf``, or SchemaError."""
     builder = _builder(builders, _as_str(raw, row, "job_id"))
-    time = _int_field(raw, row, "time")
+    time = _as_int(raw, row, "time", -_EXACT, _EXACT)
     value = _as_float(raw, row, "value")
     if value < 0:
         raise SchemaError(row, "value", f"row {row}: negative value")
@@ -344,11 +336,12 @@ def _meminfo_record(raw: Mapping, row: int, builders: dict[str, _ColumnBuilder]
     """Check one meminfo record field by field: its job's builder and the
     arguments of its ``add_meminfo``, or SchemaError."""
     builder = _builder(builders, _as_str(raw, row, "job_id"))
-    time = _int_field(raw, row, "time")
+    time = _as_int(raw, row, "time", -_EXACT, _EXACT)
     numa = raw.get("numa")
     if type(numa) is not list or not all(type(part) is dict for part in numa):
         raise SchemaError(row, "numa", f"row {row}: numa must be a list of objects")
-    components = [_int_field(part, row, name) for part in numa for name in _NUMA_FIELDS]
+    components = [_as_int(part, row, name, -_EXACT, _EXACT)
+                  for part in numa for name in _NUMA_FIELDS]
     return builder, (builder.node_codes[_as_str(raw, row, "node")], time, components)
 
 
@@ -376,14 +369,14 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
             raise SchemaError(row, "exe", f"row {row}: exe must be a string")
         launcher[job_id] = LauncherInfo(
             exe=exe,
-            n_processes=(_int_field(raw, row, "n_processes", 0)
+            n_processes=(_as_int(raw, row, "n_processes", 0, _EXACT)
                          if "n_processes" in raw else 1),
-            threads_per_process=(_int_field(raw, row, "threads_per_process", 0)
+            threads_per_process=(_as_int(raw, row, "threads_per_process", 0, _EXACT)
                                  if "threads_per_process" in raw else 1))
     elif kind == "process":
         processes.setdefault(job_id, []).append(appident.ProcessObservation(
             process_name=_as_str(raw, row, "process_name"),
-            unique_pid_count=_int_field(raw, row, "unique_pid_count", 1)))
+            unique_pid_count=_as_int(raw, row, "unique_pid_count", 1, _EXACT)))
     else:
         raise SchemaError(row, "type", f"row {row}: unknown archive record type {kind!r}")
 

@@ -229,11 +229,6 @@ class ResourceSpec:
                 return window.factor
         raise NoFactorForDate(self.name, on_date)
 
-    def mem_per_core(self) -> int | None:
-        if self.mem_per_node is None:
-            return None
-        return self.mem_per_node // self.cores_per_node
-
 
 ALLOCATION_RULES = (
     ("awarded_local_su", "negative SU award", lambda alloc: alloc.awarded_local_su >= 0),
@@ -337,29 +332,33 @@ def _as_str(raw: Mapping, row: int, name: str) -> str:
 
 
 _SIGNED_DIGITS = re.compile("-?[0-9]+")
-_INT64 = range(-2**63, 2**63)
 _ISO_DAY = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _as_int(raw, row: int, name: str) -> int:
-    """An integer field: a string of ASCII digits with an optional leading
-    "-", or an integral number; booleans are rejected."""
+def _as_int(raw, row: int, name: str, low: int = -2**63, high: int = 2**63 - 1) -> int:
+    """An integer field within [low, high]: a string of ASCII digits with an
+    optional leading "-", or an integral number; booleans are rejected, and
+    a value outside the range is "out of range"."""
     value = raw.get(name)
     kind = type(value)
     # the common cases first, for speed; isdigit() alone also passes
     # non-ASCII digits, which int() accepts
     if kind is int:
-        return value
-    if kind is str and value.isdigit() and value.isascii():
-        return int(value)
-    value = _need(raw, row, name)
-    if (kind is bool or (kind is float and not value.is_integer())
-            or (kind is str and not _SIGNED_DIGITS.fullmatch(value))):
-        raise SchemaError(row, name)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SchemaError(row, name) from None
+        out = value
+    elif kind is str and value.isdigit() and value.isascii():
+        out = int(value)
+    else:
+        value = _need(raw, row, name)
+        if (kind is bool or (kind is float and not value.is_integer())
+                or (kind is str and not _SIGNED_DIGITS.fullmatch(value))):
+            raise SchemaError(row, name)
+        try:
+            out = int(value)
+        except (TypeError, ValueError):
+            raise SchemaError(row, name) from None
+    if not low <= out <= high:
+        raise SchemaError(row, name, f"row {row}: {name} out of range")
+    return out
 
 
 def _as_float(raw, row: int, name: str) -> float:
@@ -410,13 +409,6 @@ def _optional_str(raw: Mapping, row: int, name: str) -> str | None:
     return value
 
 
-def _as_int64(raw: Mapping, row: int, name: str) -> int:
-    value = _as_int(raw, row, name)
-    if value not in _INT64:
-        raise SchemaError(row, name, f"row {row}: {name} out of range")
-    return value
-
-
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -435,7 +427,7 @@ def _as_flag(raw: Mapping, row: int, name: str) -> bool:
 
 
 # the reader of each record annotation but an Enum, which _as_enum reads
-_READERS = {int: _as_int64, float: _as_float, str: _as_str, str | None: _optional_str,
+_READERS = {int: _as_int, float: _as_float, str: _as_str, str | None: _optional_str,
             date: _as_day, bool: _as_flag}
 
 
@@ -548,7 +540,6 @@ def _reject(err: SchemaError, reject_sink: list | None) -> None:
 
 _CHUNK_ROWS = 2048  # rows parsed and screened at a time
 _INT_DIGITS = 18  # every string of at most this many ASCII digits is an int64
-_NUMBER = frozenset((int, float))
 # the job fields by annotation: the numbers, and the string fields the
 # screen factorizes (every other field but job_id)
 _NUMBERS = {name: kind for name, kind in _schema(JobRecord) if kind in (int, float)}
@@ -557,17 +548,13 @@ _STRINGS = {name: kind for name, kind in _schema(JobRecord)
 _UNHASHABLE = object()  # stands for a JSON list or object in a string field
 
 
-@cache
-def _plain_string(kind) -> Callable[[object], bool]:
-    """Whether a value of a string field annotated ``kind`` is plainly
-    valid: a non-empty string; None or any string for ``str | None``; a
-    known value for an enum."""
-    if kind is str:
-        return lambda value: type(value) is str and value != ""
-    if kind == str | None:
-        return lambda value: value is None or type(value) is str
-    known = frozenset(member.value for member in kind)
-    return lambda value: type(value) is str and value in known
+def _takes(kind, value) -> bool:
+    """Whether ``_read`` takes ``value`` for a field annotated ``kind``."""
+    try:
+        _read(kind, {"": value}, 0, "")
+    except SchemaError:
+        return False
+    return True
 
 
 @dataclass
@@ -575,15 +562,12 @@ class _Chunk:
     """Up to _CHUNK_ROWS data rows of a jobs or allocations file: ``rows``
     their row numbers, ``column(name)`` the raw values of one field (None
     where it is absent), ``raw(i)`` the mapping ``_from_raw`` reads for row
-    i, or the SchemaError of a line that holds no object, and
-    ``int_column`` and ``float_column`` the screens of the file format's
-    number values."""
+    i, or the SchemaError of a line that holds no object.  CSV cells and
+    JSON values alike go to the screen as they are."""
 
     rows: list[int]
     column: Callable[[str], Sequence]
     raw: Callable[[int], Mapping | SchemaError]
-    int_column: Callable[[Sequence], tuple[np.ndarray, np.ndarray | bool]]
-    float_column: Callable[[Sequence], tuple[np.ndarray, np.ndarray]]
 
 
 def _csv_chunks(handle):
@@ -619,8 +603,7 @@ def _csv_chunks(handle):
             def raw(i, cells=cells):
                 return dict(zip(header, cells[i]))
 
-            yield _Chunk(list(range(row + 1, row + 1 + n)), column, raw,
-                         _text_int_column, _text_float_column)
+            yield _Chunk(list(range(row + 1, row + 1 + n)), column, raw)
             row += n
         if error is not None:
             raise error
@@ -638,8 +621,7 @@ def _jsonl_chunks(handle):
         def column(name, dicts=dicts):
             return list(map(dict.get, dicts, repeat(name, len(dicts))))
 
-        yield _Chunk([row for row, _ in lines], column, raws.__getitem__,
-                     _json_int_column, _json_float_column)
+        yield _Chunk([row for row, _ in lines], column, raws.__getitem__)
 
 
 def _file_chunks(path, fmt: str):
@@ -657,90 +639,77 @@ def _raw_rows(path, fmt: str):
         yield from zip(chunk.rows, map(chunk.raw, range(len(chunk.rows))))
 
 
-def _text_int_column(values) -> tuple[np.ndarray, np.ndarray | bool]:
-    """(int64 column, mask of the plainly valid values, or True for all) of
-    CSV cells: plainly valid is ASCII digits, at most _INT_DIGITS of them.
-    Invalid values are 0 in the column."""
-    if (all(values) and (joined := "".join(values)).isdigit() and joined.isascii()
-            and max(map(len, values)) <= _INT_DIGITS):
+def _int_column(values) -> tuple[np.ndarray, np.ndarray | bool]:
+    """(int64 column, mask of the values ``_as_int`` takes, or True for
+    all) of one int field's CSV cells or JSON values; a value it does not
+    take is 0 in the column."""
+    try:
+        plain = (all(values) and (joined := "".join(values)).isdigit() and joined.isascii()
+                 and max(map(len, values)) <= _INT_DIGITS)
+    except TypeError:  # a value that is not a string
+        plain = False
+    if plain:
         # every value is plain digits, which numpy's text parser reads
         # exactly as int() does
         return np.fromstring(",".join(values), np.int64, sep=","), True
-    return _ints_where(values, [type(v) is str and v.isdigit() and v.isascii()
-                                and len(v) <= _INT_DIGITS for v in values])
-
-
-def _json_int_column(values) -> tuple[np.ndarray, np.ndarray | bool]:
-    """``_text_int_column`` of JSON values: plainly valid is an exact int
-    inside int64."""
     if set(map(type, values)) == {int}:
         try:
             return np.fromiter(values, np.int64, len(values)), True
-        except OverflowError:
+        except OverflowError:  # outside int64
             pass
-    return _ints_where(values, [type(v) is int and v in _INT64 for v in values])
-
-
-def _ints_where(values, good: list[bool]) -> tuple[np.ndarray, np.ndarray]:
+    good = [_takes(int, value) for value in values]
     return (np.fromiter((int(v) if ok else 0 for v, ok in zip(values, good)),
                         np.int64, len(values)),
             np.array(good, dtype=bool))
 
 
-def _float_or_nan(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-
-
-def _text_float_column(values) -> tuple[np.ndarray, np.ndarray]:
-    """(float64 column, mask of the finite values) of ``float()`` of CSV
-    cells; NaN where ``float()`` fails."""
+def _float_column(values) -> tuple[np.ndarray, np.ndarray]:
+    """(float64 column, mask of the values ``_as_float`` takes) of one
+    float field's CSV cells or JSON values; a value it does not take is NaN
+    in the column."""
     try:
         column = np.fromiter(map(float, values), np.float64, len(values))
     except (TypeError, ValueError, OverflowError):
-        column = np.fromiter(map(_float_or_nan, values), np.float64, len(values))
+        column = None
+    if column is None or bool in set(map(type, values)):
+        column = np.fromiter((float(v) if _takes(float, v) else math.nan for v in values),
+                             np.float64, len(values))
     return column, np.isfinite(column)
 
 
-def _json_float_column(values) -> tuple[np.ndarray, np.ndarray]:
-    """``_text_float_column`` of JSON values, where only a JSON number
-    (not a bool or a string) is plainly valid."""
-    return _text_float_column([v if type(v) in _NUMBER else None for v in values])
-
-
-def _string_column(kind, values) -> tuple[Factor, np.ndarray | bool]:
-    """(the values as a Factor, mask of the plainly valid values or True for
-    all) of a string field annotated ``kind``; each distinct value is
-    judged once."""
+def _string_column(kind, values, taken: Mapping) -> tuple[Factor, np.ndarray | bool]:
+    """(the values as a Factor, mask of the values ``_read`` takes or True
+    for all) of a string field annotated ``kind``; each distinct value not
+    in ``taken`` (values known to be taken) is judged once."""
     try:
         factor = Factor.of(values)
     except TypeError:
         factor = Factor.of([_UNHASHABLE if type(v) in (list, dict) else v for v in values])
-    valid = np.fromiter(map(_plain_string(kind), factor.values), bool, len(factor.values))
+    valid = np.fromiter((value in taken or _takes(kind, value) for value in factor.values),
+                        bool, len(factor.values))
     return factor, True if valid.all() else valid[factor.codes]
 
 
-def _screen(chunk: _Chunk, reject_sink: list | None):
+def _screen(chunk: _Chunk, reject_sink: list | None, seen: Mapping[str, Mapping]):
     """The chunk's columns without its rejected rows: (int and float
     columns, job ids, a Factor of each string field).  A row is taken
-    from the columns when every field is plainly valid and the rules hold;
-    every other row goes, in row order, through ``_job_from_raw``, which
-    rejects it or gives the record whose numbers replace the row's."""
+    from the columns when ``_read`` takes every field's value and the rules
+    hold; ``seen`` holds, per string field, values already taken.  Every
+    other row goes, in row order, through ``_job_from_raw``, which rejects
+    it or gives the record whose numbers replace the row's."""
     n = len(chunk.rows)
     ok = np.ones(n, dtype=bool)
     numbers = {}
     for name, kind in _NUMBERS.items():
-        screen = chunk.int_column if kind is int else chunk.float_column
+        screen = _int_column if kind is int else _float_column
         numbers[name], good = screen(chunk.column(name))
         ok &= good
     job_ids = chunk.column("job_id")
     if not (all(job_ids) and set(map(type, job_ids)) == {str}):
-        ok &= np.fromiter(map(_plain_string(str), job_ids), bool, n)
+        ok &= np.fromiter((_takes(str, job_id) for job_id in job_ids), bool, n)
     strings = {}
     for name, kind in _STRINGS.items():
-        strings[name], good = _string_column(kind, chunk.column(name))
+        strings[name], good = _string_column(kind, chunk.column(name), seen[name])
         ok &= good
     checked = SimpleNamespace(**numbers)
     for _, _, holds in JOB_RULES:
@@ -775,9 +744,10 @@ def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobS
     loading continues; the load fails only if no row survives.
 
     Rows are parsed a chunk at a time into one column per field, and each
-    column is screened as a whole; ``_job_from_raw`` decides every row that
-    the screen does not plainly accept, so the jobs and rejections are those
-    of ``_job_from_raw`` on each row.
+    column is screened as a whole: the screen takes exactly the values the
+    field readers take, from CSV and JSONL alike, and ``_job_from_raw``
+    decides every row it does not take, so the jobs and rejections are
+    those of ``_job_from_raw`` on each row.
     """
     numbers: dict[str, list[np.ndarray]] = {name: [] for name in _NUMBERS}
     job_ids: list[str] = []
@@ -786,7 +756,7 @@ def load_jobs(path, fmt: str = "jsonl", reject_sink: list | None = None) -> JobS
     saw_rows = False
     for chunk in _file_chunks(path, fmt):
         saw_rows = True
-        chunk_numbers, chunk_ids, chunk_strings = _screen(chunk, reject_sink)
+        chunk_numbers, chunk_ids, chunk_strings = _screen(chunk, reject_sink, seen)
         for name, column in chunk_numbers.items():
             numbers[name].append(column)
         job_ids.extend(chunk_ids)

@@ -331,13 +331,19 @@ def _row_of(job):
             for name in JOB_FIELDS}
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "jsonl-strings"])
 def test_plain_rows_never_reach_the_oracle(tmp_path, monkeypatch, fmt):
     jobs = [make_job(job_id=f"j{i}", nodes=1 + i % 3, cores=16 * (1 + i % 3),
                      gateway_user="gw" if i % 4 == 0 else None,
                      state_of_origin="NY" if i % 2 else None) for i in range(50)]
     path = tmp_path / f"jobs.{fmt}"
     rows = [_row_of(job) for job in jobs]
+    if fmt == "jsonl-strings":
+        # the numbers as JSON strings, which the field readers take too
+        jobs = [dataclasses.replace(job, local_su_charged=12.5) for job in jobs]
+        rows = [dict(row, local_su_charged="12.5", **{name: str(row[name]) for name in INTS})
+                for row in rows]
+        fmt = "jsonl"
     if fmt == "jsonl":
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     else:

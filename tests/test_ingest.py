@@ -322,6 +322,18 @@ def test_load_resources_file(tmp_path):
     assert specs["M"].factor_for(date(2099, 1, 1)) == 1.5
 
 
+def test_a_resource_integer_outside_int64_is_out_of_range(tmp_path):
+    entry = {"name": "M", "rtype": "HPC", "nodes": 2**63, "cores_per_node": 8,
+             "production_start": "2012-01-01",
+             "su_factors": [{"start": "2012-01-01", "end": None, "factor": 1.5}]}
+    path = tmp_path / "resources.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(SchemaError) as info:
+        load_resources(path)
+    assert (info.value.row, info.value.field) == (1, "nodes")
+    assert str(info.value.__cause__) == "row 0: nodes out of range"
+
+
 def test_load_resources_object_without_resources_key(tmp_path, capsys):
     # a misspelt key must not load as an empty table that drops every job
     path = tmp_path / "resources.json"
