@@ -46,7 +46,7 @@ import numpy as np
 
 from . import appident
 from .errors import SchemaError
-from .ingest import _BLANK, _as_float, _as_int, _as_str, _json_line, _json_scanner
+from .ingest import _BLANK, _as_float, _as_int, _as_str, _json_line, _json_scanner, _text
 
 # canonical counter metric names in the archive schema
 CPU_USER = "cpu_user_ticks"
@@ -271,14 +271,14 @@ _CHUNK_BYTES = 1 << 16  # the size hint of the lines read at a time
 
 
 # A perf or meminfo line as json.dumps writes the record with its keys in
-# the order docs/formats.md lists them.  Names hold no quote, backslash or
-# control character, so each is its own text; integers have at most 15
-# digits, so each is exact in a double; and `value` has neither sign nor
-# exponent, so it is finite and >= 0.  A line it takes is valid JSON whose
-# fields are all valid, and its groups are the fields: (1) "perf" for a
-# perf record, (2) job_id, (3) node, (4) time, then (5) metric, (6) kind,
-# (7) value, (8) tag of a perf record or (9) the text inside a meminfo
-# record's `numa` brackets.
+# the order docs/formats.md lists them.  Names hold no quote, backslash,
+# control character or lone surrogate, so each is its own text; integers
+# have at most 15 digits, so each is exact in a double; and `value` has
+# neither sign nor exponent, so it is finite and >= 0.  A line it takes is
+# valid JSON whose fields are all valid, and its groups are the fields:
+# (1) "perf" for a perf record, (2) job_id, (3) node, (4) time, then
+# (5) metric, (6) kind, (7) value, (8) tag of a perf record or (9) the text
+# inside a meminfo record's `numa` brackets.
 _DIGITS = "(?:0|[1-9][0-9]{0,14})"
 _INT = "-?" + _DIGITS
 _NUMA_PART = r"\{" + ", ".join(f'"{name}": {_INT}' for name in _NUMA_FIELDS) + r"\}"
@@ -288,7 +288,7 @@ _LINE = re.compile((
     r'"metric": %(name)s, "kind": "(%(kind)s)", '
     r'"value": (%(digits)s(?:\.[0-9]+)?), "tag": "(%(tag)s)"'
     r'|"numa": \[((?:%(numa)s(?:, %(numa)s)*)?)\])\}\n?') % dict(
-        name=r'"([^"\\\x00-\x1f]+)"', int=_INT, digits=_DIGITS, numa=_NUMA_PART,
+        name=r'"([^"\\\x00-\x1f\ud800-\udfff]+)"', int=_INT, digits=_DIGITS, numa=_NUMA_PART,
         kind="|".join(_KIND_CODE), tag="|".join(_TAG_CODE)))
 # turns each character of a meminfo line's `numa` text but the integers' into a blank
 _BLANK_NAMES = str.maketrans(dict.fromkeys(set("".join(_NUMA_FIELDS)) | set('{}":, '), " "))
@@ -359,7 +359,7 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
             raise SchemaError(row, "nodes", f"row {row}: nodes must be a list")
         if not all(type(node) is str and node for node in listed):
             raise SchemaError(row, "nodes", f"row {row}: nodes must be non-empty strings")
-        listed = tuple(listed)
+        listed = tuple(_text(node, row, "nodes") for node in listed)
         if len(set(listed)) != len(listed):
             raise SchemaError(row, "nodes", f"row {row}: a node is listed twice")
         nodes[job_id] = listed
@@ -368,7 +368,7 @@ def _other_record(raw, row: int, nodes: dict[str, tuple[str, ...]],
         if exe is not None and type(exe) is not str:
             raise SchemaError(row, "exe", f"row {row}: exe must be a string")
         launcher[job_id] = LauncherInfo(
-            exe=exe,
+            exe=exe and _text(exe, row, "exe"),
             n_processes=(_as_int(raw, row, "n_processes", 0, _EXACT)
                          if "n_processes" in raw else 1),
             threads_per_process=(_as_int(raw, row, "threads_per_process", 0, _EXACT)
@@ -584,9 +584,10 @@ class _Window(io.RawIOBase):
 def _read_range(reader: _ArchiveReader, fd: int, start: int, end: int) -> None:
     """Read the lines of bytes ``start`` to ``end`` of file ``fd`` into
     ``reader``, a chunk of lines at a time, decoded as UTF-8 with universal
-    newlines; the first line is row 1."""
+    newlines; the first line is row 1.  A byte that is not UTF-8 decodes to
+    a lone surrogate (``surrogateescape``), which the field readers refuse."""
     with io.TextIOWrapper(io.BufferedReader(_Window(fd, start, end), _CHUNK_BYTES),
-                          encoding="utf-8") as handle:
+                          encoding="utf-8", errors="surrogateescape") as handle:
         row = 1
         for chunk in iter(partial(handle.readlines, _CHUNK_BYTES), []):
             # stretches of lines that _LINE takes, and of lines it does not,

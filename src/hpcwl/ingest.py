@@ -328,6 +328,17 @@ def _as_str(raw: Mapping, row: int, name: str) -> str:
     value = _need(raw, row, name)
     if type(value) is not str:
         raise SchemaError(row, name, f"row {row}: {name} must be a string")
+    return _text(value, row, name)
+
+
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _text(value: str, row: int, name: str) -> str:
+    """``value``, unless it holds a lone surrogate: a byte that is not UTF-8
+    (files are decoded with ``surrogateescape``) or a JSON-escaped one."""
+    if not value.isascii() and _SURROGATE.search(value):
+        raise SchemaError(row, name, f"row {row}: {name} is not UTF-8 text")
     return value
 
 
@@ -361,10 +372,16 @@ def _as_int(raw, row: int, name: str, low: int = -2**63, high: int = 2**63 - 1) 
     return out
 
 
+_FLOAT_TEXT = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+_FLOAT_CHARS = str.maketrans("", "", "0123456789.eE+-")  # deletes the characters of a float text
+
+
 def _as_float(raw, row: int, name: str) -> float:
-    """A finite float field; booleans, NaN and infinities are rejected."""
+    """A finite float field: a number, or ASCII decimal text with an
+    optional leading "-" and exponent; booleans, NaN and infinities are
+    rejected."""
     value = _need(raw, row, name)
-    if type(value) is bool:
+    if type(value) is bool or (type(value) is str and not _FLOAT_TEXT.fullmatch(value)):
         raise SchemaError(row, name)
     try:
         out = float(value)
@@ -406,7 +423,7 @@ def _optional_str(raw: Mapping, row: int, name: str) -> str | None:
         return None
     if type(value) is not str:
         raise SchemaError(row, name, f"row {row}: {name} must be a string")
-    return value
+    return _text(value, row, name)
 
 
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -625,10 +642,13 @@ def _jsonl_chunks(handle):
 
 
 def _file_chunks(path, fmt: str):
-    """The chunks of a file in format ``fmt``, "jsonl" or "csv"."""
+    """The chunks of a file in format ``fmt``, "jsonl" or "csv"; a byte
+    that is not UTF-8 decodes to a lone surrogate, which the field readers
+    refuse."""
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="" if fmt == "csv" else None) as handle:
         yield from (_csv_chunks if fmt == "csv" else _jsonl_chunks)(handle)
 
 
@@ -667,11 +687,21 @@ def _float_column(values) -> tuple[np.ndarray, np.ndarray]:
     """(float64 column, mask of the values ``_as_float`` takes) of one
     float field's CSV cells or JSON values; a value it does not take is NaN
     in the column."""
-    try:
-        column = np.fromiter(map(float, values), np.float64, len(values))
-    except (TypeError, ValueError, OverflowError):
-        column = None
-    if column is None or bool in set(map(type, values)):
+    kinds = set(map(type, values))
+    plain = kinds <= {int, float}
+    if kinds == {str}:
+        # float() takes a text of _FLOAT_CHARS that starts with no "+"
+        # exactly when _FLOAT_TEXT does, and raises ValueError otherwise
+        joined = ",".join(values)
+        plain = (joined.translate(_FLOAT_CHARS) == "," * (len(values) - 1)
+                 and not joined.startswith("+") and ",+" not in joined)
+    column = None
+    if plain:
+        try:
+            column = np.fromiter(map(float, values), np.float64, len(values))
+        except (ValueError, OverflowError):  # not a float text; an int beyond a float
+            pass
+    if column is None:
         column = np.fromiter((float(v) if _takes(float, v) else math.nan for v in values),
                              np.float64, len(values))
     return column, np.isfinite(column)
@@ -705,7 +735,7 @@ def _screen(chunk: _Chunk, reject_sink: list | None, seen: Mapping[str, Mapping]
         numbers[name], good = screen(chunk.column(name))
         ok &= good
     job_ids = chunk.column("job_id")
-    if not (all(job_ids) and set(map(type, job_ids)) == {str}):
+    if not (all(job_ids) and set(map(type, job_ids)) == {str} and "".join(job_ids).isascii()):
         ok &= np.fromiter((_takes(str, job_id) for job_id in job_ids), bool, n)
     strings = {}
     for name, kind in _STRINGS.items():

@@ -80,8 +80,6 @@ def _outcome(load, path):
         return "loaded", _state(load(path))
     except SchemaError as err:
         return "rejected", err.row, err.field, str(err)
-    except UnicodeDecodeError:
-        return ("decode",)
 
 
 # names the bulk path takes, and names it leaves to the per-record path:
@@ -154,7 +152,7 @@ def archive_lines(draw, valid=False):
     return lines
 
 
-# a line that is not UTF-8: a decode error wherever it is read
+# a line that is not UTF-8: a bad job_id wherever it is read
 NOT_UTF8 = b'{"type": "perf", "job_id": "j\xff"}\n'
 
 
@@ -463,24 +461,23 @@ def test_the_first_of_bad_lines_in_two_ranges_wins(tmp_path):
     assert got[:3] == ("rejected", 4, "kind")
 
 
-def test_invalid_utf8_in_a_later_range_is_a_decode_error(tmp_path):
+def test_invalid_utf8_in_a_later_range_is_the_error_of_one_pass(tmp_path):
     got, _ = _check_cut(tmp_path, [
         [_perf_at(), _perf_at()],
         [_perf_at(node="né")],
         [_perf_at(), NOT_UTF8, _perf_at()]])
-    assert got == ("decode",)
+    assert got == ("rejected", 5, "job_id", "row 5: job_id is not UTF-8 text")
 
 
-def test_a_bad_record_before_a_cut_loses_to_a_decode_error_after_it(tmp_path):
-    """One pass decodes a chunk of lines before it checks them, so in a
-    small file the line that is not UTF-8 is found first, even after the
-    cut; the ranged load, whose first range fails on the bad record, reads
-    the file again in one pass and raises the same."""
+def test_a_bad_record_before_a_cut_wins_over_a_bad_byte_after_it(tmp_path):
+    """A byte that is not UTF-8 is a bad field of its line, so the first
+    bad line in file order wins, as one pass and in ranges alike, even
+    where both lines are in one decoder chunk."""
     ranges = [[_perf_at(), _perf_at().replace('"counter"', '"gauge"')],
               [NOT_UTF8, _perf_at()]]
     assert sum(len(line) for lines in ranges for line in lines) < 8 << 10
     got, _ = _check_cut(tmp_path, ranges)
-    assert got == ("decode",)
+    assert got[:3] == ("rejected", 2, "kind")
 
 
 def test_cuts_follow_a_newline_one_range_per_cpu(tmp_path):

@@ -182,6 +182,9 @@ def test_report_demo_and_config_override(tmp_path, capsys):
 
 
 def test_input_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    """A byte that is not UTF-8 makes one bad field: the archive record
+    that holds it is an input error naming its line, and a job row that
+    holds it is one rejected row."""
     job = {"job_id": "a", "resource": "SDSC-COMET", "user": "u", "charge_number": "TG-1",
            "directorate": "MPS", "parent_science": "Physics", "field_of_science": "X",
            "nsf_user_status": "faculty", "submit_time": 100, "start_time": 200,
@@ -196,15 +199,20 @@ def test_input_that_is_not_utf8_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "summarize", "--jobs", str(jobs),
                        "--archives", str(archives), "--out", str(out))
     assert code == EXIT_INPUT
-    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+    assert err == "input error: row 2: job_id is not UTF-8 text\n"
     assert not out.exists()
-    for name in ("jobs.jsonl", "jobs.csv"):
+    rows = [dict(job, job_id=f"g{i}", queue="BAD" if i == 2 else "q") for i in range(4)]
+    files = {"jobs.jsonl": [json.dumps(row) for row in rows],
+             "jobs.csv": [",".join(job)] + [",".join(map(str, row.values())) for row in rows]}
+    for name, lines in files.items():
         bad = tmp_path / ("bad_" + name)
-        bad.write_bytes(jobs.read_bytes() + b'{"job_id": "\xff"}\n' if name.endswith("jsonl")
-                        else b"job_id,user\na,\xff\n")
-        code, _, err = run(capsys, "ingest", "--jobs", str(bad))
-        assert code == EXIT_INPUT
-        assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+        bad.write_bytes("\n".join(lines).encode().replace(b"BAD", b"q\xff") + b"\n")
+        rejects = tmp_path / "rejects.jsonl"
+        code, out, _ = run(capsys, "ingest", "--jobs", str(bad), "--rejects", str(rejects))
+        assert code == EXIT_OK
+        assert json.loads(out)["jobs"] == 3
+        assert [json.loads(line) for line in rejects.read_text().splitlines()] == [
+            {"row": 3, "field": "queue", "code": "schema"}]
 
 
 def test_summarize_rejects_a_non_finite_archive_value(tmp_path, capsys):
@@ -470,6 +478,24 @@ def test_report_from_files_builds_no_records(tmp_path, capsys, monkeypatch, synt
     ctx = report.ReportContext(dataset=dataset_of(records, [], builtin_resources()))
     report.run_report(ctx, report.standard_bundle_spec(output_dir=str(tmp_path / "records")))
     assert _files(tmp_path / "cli") == _files(tmp_path / "records")
+
+
+def test_a_lone_surrogate_is_a_rejected_row_not_a_crash(tmp_path, capsys, synth_bundle):
+    """A JSON-escaped lone surrogate is not text a report can write: its
+    row is rejected, and the report is written from the others."""
+    jobs = _write_jobs(tmp_path / "jobs.jsonl", synth_bundle.dataset.jobs.records())
+    row = dict(json.loads(jobs.read_text().splitlines()[0]), job_id="odd",
+               parent_science="\udcff")
+    with open(jobs, "a") as handle:
+        handle.write(json.dumps(row) + "\n")
+    assert "\\udcff" in jobs.read_text()
+    rejects = []
+    load_jobs(jobs, "jsonl", rejects)
+    assert [(r.row, r.field) for r in rejects] == [(401, "parent_science")]
+    code, _, err = run(capsys, "report", "--jobs", str(jobs), "--outdir", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    assert "warning: 1 rows rejected" in err
+    assert report.verify_manifest(str(tmp_path / "out"))
 
 
 def test_run_report_on_loaded_jobs_builds_no_records(tmp_path, monkeypatch, synth_bundle):

@@ -155,6 +155,24 @@ def test_csv_matches_jsonl(tmp_path):
     assert load_jobs(jsonl).records() == load_jobs(csv_path, fmt="csv").records()
 
 
+def test_a_bad_byte_in_a_multiline_csv_field_rejects_that_record_only(tmp_path):
+    """A quoted CSV field may span lines; a byte that is not UTF-8 inside
+    it makes that field, and so that one record, bad."""
+    path = tmp_path / "jobs.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(JOB_ROW))
+        writer.writeheader()
+        for i, queue in enumerate(("normal", "two\nLINES", "two\nlines", "normal")):
+            writer.writerow({k: ("" if v is None else v)
+                             for k, v in dict(JOB_ROW, job_id=f"a-{i}", queue=queue).items()})
+    path.write_bytes(path.read_bytes().replace(b"LINES", b"l\xffnes"))
+    rejects = []
+    jobs = load_jobs(path, "csv", rejects)
+    assert jobs.columns["job_id"].tolist() == ["a-0", "a-2", "a-3"]
+    assert [(r.row, r.field, r.code) for r in rejects] == [(2, "queue", "schema")]
+    assert [job.queue for job in jobs.records()] == ["normal", "two\nlines", "normal"]
+
+
 def test_loading_is_deterministic(tmp_path):
     path = tmp_path / "jobs.jsonl"
     write_jsonl(path, [JOB_ROW, dict(JOB_ROW, job_id="a-2")])
@@ -167,10 +185,12 @@ BAD_NUMBERS = {
     "jsonl": {"int": (True, False, 4.7, -0.5, math.nan, math.inf, -math.inf,
                       "nan", "4.7", "4_000", " 32 ", "+5", "\u0663\u0662"),
               "float": (True, False, math.nan, math.inf, -math.inf, "nan",
-                        "NaN", "inf", "-Infinity")},
+                        "NaN", "inf", "-Infinity", "1_000.5", " 12.5 ", "\u0661\u0662.5",
+                        "+1.5")},
     "csv": {"int": ("True", "4.7", "nan", "inf", "1e3", "4_000", " 32 ", "+5",
                     "\u0663\u0662"),
-            "float": ("True", "nan", "NaN", "inf", "-Infinity")},
+            "float": ("True", "nan", "NaN", "inf", "-Infinity", "1_000.5", " 12.5 ",
+                      "\u0661\u0662.5", "+1.5")},
 }
 
 
